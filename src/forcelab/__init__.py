@@ -25,7 +25,7 @@ from .posets import (
     is_maximal_antichain, is_nontrivial,
 )
 from .names import (
-    EMPTY_NAME, PName, check_name, clear_eval_cache, eval_name, gamma_name,
+    EMPTY_NAME, PName, check_name, eval_name, gamma_name,
     hereditary_closure, name_conditions, name_hf, ordered_pair_name,
     pair_names, pname, union_name, unordered_pair_name,
 )
@@ -35,9 +35,8 @@ from .formulas import (
     single_free_var, subst,
 )
 from .forcing import (
-    NameSpace, clear_forcing_caches, forces_semantic, forces_syntactic,
-    holds_along, indexed_witness_name, least_ordinal_name, mix,
-    mp_witness_search,
+    NameSpace, forces_semantic, forces_syntactic, holds_along,
+    indexed_witness_name, least_ordinal_name, mix, mp_witness_search,
 )
 from .choice import (
     ChoiceFunction, all_choice_functions, antichain_from_choice,

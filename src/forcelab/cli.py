@@ -4,13 +4,15 @@ Every subcommand reads a scenario file, checks that the file's command verb
 matches the subcommand (``parse-only`` accepts any file), executes it, and
 prints a single JSON object with sorted keys.  Domain errors come back as
 ``{"error": {"code": ..., "message": ...}}`` with exit status 1 for syntax
-errors and 2 for every other domain error.
+errors and 2 for every other domain error.  A reader that closes standard
+output early (``forcelab ... | head``) ends the run quietly with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -410,10 +412,24 @@ HANDLERS = {
 
 
 def _emit(payload: dict, pretty: bool) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2 if pretty else None))
+    print(json.dumps(payload, sort_keys=True, indent=2 if pretty else None),
+          flush=True)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # Nobody reads the rest of the report, which is not an error.  Point
+        # stdout at devnull so that the interpreter's last flush of what is
+        # still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = argparse.ArgumentParser(
         prog="forcelab",
         description="Run a forcing-laboratory scenario file.")

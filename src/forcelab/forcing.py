@@ -28,7 +28,7 @@ from .names import (
     PName, check_name, eval_name, hereditary_closure, pname,
     union_name,
 )
-from .posets import Filter, ONE, Poset
+from .posets import Filter, Kernel, ONE, Poset
 
 
 class NameSpace:
@@ -74,33 +74,20 @@ class NameSpace:
 
 
 # ---------------------------------------------------------------------------
-# semantic route
+# the two routes
 
 
 class _Forcer:
-    """Shared per-(poset, name space) state: generic filters and memo
-    tables for both routes."""
+    """Route state for one name space over a compiled poset: a memo table
+    for each route, which share nothing but the kernel's order.  Conditions
+    are kernel indices."""
 
-    def __init__(self, poset: Poset, space: Optional[NameSpace]):
-        self.poset = poset
+    def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
+        self.k = kernel
         self.space = space
-        self._filters: dict[object, Filter] = {}
         self._sat_memo: dict = {}
         self._syn_memo: dict = {}
-        self._minimals = poset.minimal_conditions()
-        self._conds = poset.conditions()
-
-    def filter_at(self, a) -> Filter:
-        f = self._filters.get(a)
-        if f is None:
-            f = Filter(self.poset,
-                       (q for q in self._conds if self.poset.le(a, q)))
-            self._filters[a] = f
-        return f
-
-    def minimals_below(self, p):
-        p = self.poset.resolve(p)
-        return [a for a in self._minimals if self.poset.le(a, p)]
+        self._instances: dict = {}
 
     def rank_range(self, k: int) -> tuple[PName, ...]:
         if self.space is None:
@@ -108,7 +95,7 @@ class _Forcer:
                 "a rank-bounded quantifier needs an ambient name space")
         return self.space.names_of_rank_le(k)
 
-    # -- satisfaction -------------------------------------------------------
+    # -- semantic route: satisfaction along generic filters ------------------
 
     def sat(self, phi: Formula, filt: Filter, env: tuple) -> bool:
         key = (phi, filt, env)
@@ -165,10 +152,9 @@ class _Forcer:
             return [nat(i) for i in range(bound.bound)]
         raise InvalidInput(f"not a quantifier bound: {bound!r}")
 
-    # -- syntactic route ----------------------------------------------------
+    # -- syntactic route: recursion on the formula ---------------------------
 
-    def forces_syn(self, p, phi: Formula) -> bool:
-        p = self.poset.resolve(p)
+    def forces_syn(self, p: int, phi: Formula) -> bool:
         key = (p, phi)
         hit = self._syn_memo.get(key)
         if hit is not None:
@@ -177,92 +163,81 @@ class _Forcer:
         self._syn_memo[key] = out
         return out
 
-    def _exts(self, p):
-        return [q for q in self._conds if self.poset.le(q, p)]
-
-    def _forces_syn(self, p, phi: Formula) -> bool:
-        P = self.poset
+    def _forces_syn(self, p: int, phi: Formula) -> bool:
+        exts = self.k.exts
         if isinstance(phi, Eq):
             t1, t2 = _const(phi.left), _const(phi.right)
             return self._forces_subset(p, t1, t2) and \
                 self._forces_subset(p, t2, t1)
         if isinstance(phi, Member):
             t1, t2 = _const(phi.left), _const(phi.right)
+            entries = self.k.entry_masks(t2)
             return all(
                 any(
-                    P.le_r(r, s) and self.forces_syn(r, Eq(Cname(t1), Cname(sig)))
-                    for r in self._exts(q)
-                    for s, sig in t2.sorted_entries())
-                for q in self._exts(p))
+                    m >> r & 1 and self.forces_syn(r, Eq(Cname(t1), Cname(sig)))
+                    for r in exts[q]
+                    for m, sig in entries)
+                for q in exts[p])
         if isinstance(phi, Not):
-            return all(not self.forces_syn(q, phi.body) for q in self._exts(p))
+            return all(not self.forces_syn(q, phi.body) for q in exts[p])
         if isinstance(phi, And):
             return self.forces_syn(p, phi.left) and \
                 self.forces_syn(p, phi.right)
         if isinstance(phi, Or):
             return all(
                 any(self.forces_syn(r, phi.left) or self.forces_syn(r, phi.right)
-                    for r in self._exts(q))
-                for q in self._exts(p))
+                    for r in exts[q])
+                for q in exts[p])
         if isinstance(phi, Implies):
             return all(
-                any(self.forces_syn(r, phi.right) for r in self._exts(q))
-                for q in self._exts(p)
+                any(self.forces_syn(r, phi.right) for r in exts[q])
+                for q in exts[p]
                 if self.forces_syn(q, phi.left))
         if isinstance(phi, Exists):
+            instances = self._instances_of(phi)
             return all(
                 any(self.forces_syn(r, body)
-                    for r, body in self._exists_witnesses(q, phi))
-                for q in self._exts(p))
+                    for m, body in instances
+                    for r in exts[q] if m >> r & 1)
+                for q in exts[p])
         if isinstance(phi, Forall):
-            return self._forces_forall(p, phi)
+            instances = self._instances_of(phi)
+            if isinstance(phi.bound, InName):
+                return all(self.forces_syn(q, body)
+                           for m, body in instances
+                           for q in exts[p] if m >> q & 1)
+            return all(self.forces_syn(p, body) for _, body in instances)
         raise InvalidInput(f"not a formula: {phi!r}")
 
-    def _forces_subset(self, p, t1: PName, t2: PName) -> bool:
+    def _forces_subset(self, p: int, t1: PName, t2: PName) -> bool:
         # p forces t1 to be a subset of t2
-        for s, sig in t1.sorted_entries():
-            for q in self._exts(p):
-                if self.poset.le_r(q, s) and \
+        for m, sig in self.k.entry_masks(t1):
+            for q in self.k.exts[p]:
+                if m >> q & 1 and \
                         not self.forces_syn(q, Member(Cname(sig), Cname(t2))):
                     return False
         return True
 
-    def _exists_witnesses(self, q, phi: Exists):
+    def _instances_of(self, phi) -> tuple:
+        """The body of a quantified formula at each name its bound ranges
+        over, as (mask of the conditions where it applies, instance)."""
+        out = self._instances.get(phi)
+        if out is not None:
+            return out
         bound, var, body = phi.bound, phi.var, phi.body
         if isinstance(bound, InName):
-            for s, sig in bound.name.sorted_entries():
-                for r in self._exts(q):
-                    if self.poset.le_r(r, s):
-                        yield r, subst(body, var, sig)
+            out = tuple((m, subst(body, var, sig))
+                        for m, sig in self.k.entry_masks(bound.name))
         elif isinstance(bound, RankLE):
-            for sig in self.rank_range(bound.bound):
-                sub = subst(body, var, sig)
-                for r in self._exts(q):
-                    yield r, sub
+            out = tuple((self.k.full, subst(body, var, sig))
+                        for sig in self.rank_range(bound.bound))
         elif isinstance(bound, OrdLT):
-            for i in range(bound.bound):
-                sub = subst(body, var, check_name(nat(i)))
-                for r in self._exts(q):
-                    yield r, sub
+            out = tuple((self.k.full, subst(body, var, check_name(nat(i))))
+                        for i in range(bound.bound))
         else:
             raise InvalidInput(f"not a quantifier bound: {bound!r}")
-
-    def _forces_forall(self, p, phi: Forall) -> bool:
-        bound, var, body = phi.bound, phi.var, phi.body
-        if isinstance(bound, InName):
-            for s, sig in bound.name.sorted_entries():
-                sub = subst(body, var, sig)
-                for q in self._exts(p):
-                    if self.poset.le_r(q, s) and not self.forces_syn(q, sub):
-                        return False
-            return True
-        if isinstance(bound, RankLE):
-            return all(self.forces_syn(p, subst(body, var, sig))
-                       for sig in self.rank_range(bound.bound))
-        if isinstance(bound, OrdLT):
-            return all(self.forces_syn(p, subst(body, var, check_name(nat(i))))
-                       for i in range(bound.bound))
-        raise InvalidInput(f"not a quantifier bound: {bound!r}")
+        self._instances[phi] = out
+        return out
 
 
 def _const(term) -> PName:
@@ -271,20 +246,12 @@ def _const(term) -> PName:
     return term.name
 
 
-_FORCERS: dict[tuple[int, int], _Forcer] = {}
-
-
 def _forcer(poset: Poset, space: Optional[NameSpace]) -> _Forcer:
-    key = (id(poset), id(space))
-    f = _FORCERS.get(key)
+    forcers = poset.kernel().forcers
+    f = forcers.get(space)
     if f is None:
-        f = _Forcer(poset, space)
-        _FORCERS[key] = f
+        f = forcers[space] = _Forcer(poset.kernel(), space)
     return f
-
-
-def clear_forcing_caches() -> None:
-    _FORCERS.clear()
 
 
 def forces_semantic(poset: Poset, p, phi: Formula,
@@ -292,10 +259,11 @@ def forces_semantic(poset: Poset, p, phi: Formula,
     """p forces phi: phi holds along every generic filter containing p."""
     if not is_closed(phi):
         raise InvalidInput("forcing needs a closed formula")
+    i = poset.index_of(p)
     f = _forcer(poset, space)
-    p = poset.resolve(p)
-    poset.ensure_condition(p)
-    return all(f.sat(phi, f.filter_at(a), ()) for a in f.minimals_below(p))
+    k = f.k
+    return all(f.sat(phi, k.filter_at(a), ())
+               for a in k.minimals if k.down[i] >> a & 1)
 
 
 def forces_syntactic(poset: Poset, p, phi: Formula,
@@ -303,10 +271,7 @@ def forces_syntactic(poset: Poset, p, phi: Formula,
     """The recursive forcing relation; agrees with the semantic route."""
     if not is_closed(phi):
         raise InvalidInput("forcing needs a closed formula")
-    f = _forcer(poset, space)
-    p = poset.resolve(p)
-    poset.ensure_condition(p)
-    return f.forces_syn(p, phi)
+    return _forcer(poset, space).forces_syn(poset.index_of(p), phi)
 
 
 def holds_along(poset: Poset, filt: Filter, phi: Formula,
@@ -326,38 +291,36 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
     along any generic filter containing p, to the value of the name attached
     to the unique antichain member in the filter.
     """
-    p = poset.resolve(p)
-    poset.ensure_condition(p)
+    i = poset.index_of(p)
+    k = poset.kernel()
     members = [poset.resolve(r) for r in antichain]
     if not members:
         raise NotMaximalBelow("empty antichain")
+    indices = []
     for r in members:
-        poset.ensure_condition(r)
-        if not poset.le(r, p):
+        j = poset.index_of(r)
+        if not k.down[i] >> j & 1:
             raise NotMaximalBelow(
                 f"{poset.condition_repr(r)} does not extend "
-                f"{poset.condition_repr(p)}")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if members[i] == members[j] or \
-                    poset.compatible(members[i], members[j]):
-                raise NotMaximalBelow("antichain members are compatible")
-    exts = [q for q in poset.conditions() if poset.le(q, p)]
-    for q in exts:
-        if not any(poset.compatible(q, r) for r in members):
+                f"{poset.condition_repr(k.conds[i])}")
+        indices.append(j)
+    for a, b in itertools.combinations(indices, 2):
+        if a == b or k.compat[a] >> b & 1:
+            raise NotMaximalBelow("antichain members are compatible")
+    mask = sum(1 << j for j in indices)
+    for q in k.exts[i]:
+        if not k.compat[q] & mask:
             raise NotMaximalBelow(
                 f"nothing in the antichain is compatible with "
-                f"{poset.condition_repr(q)}")
+                f"{poset.condition_repr(k.conds[q])}")
     missing = [r for r in members if r not in assignment]
     if missing:
         raise InvalidInput("every antichain member needs an assigned name")
     entries = []
-    for r in members:
-        tau = assignment[r]
-        for q, sigma in tau.sorted_entries():
-            for s in poset.conditions():
-                if poset.le(s, r) and poset.le_r(s, q):
-                    entries.append((s, sigma))
+    for r, j in zip(members, indices):
+        for m, sigma in k.entry_masks(assignment[r]):
+            entries.extend((k.conds[s], sigma) for s in k.exts[j]
+                           if m >> s & 1)
     return pname(entries)
 
 
@@ -369,8 +332,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula,
     failure of theta at every ordinal up to beta; along any generic filter
     containing p the name evaluates to the least ordinal satisfying theta.
     """
-    p = poset.resolve(p)
-    poset.ensure_condition(p)
+    poset.index_of(p)  # fails fast outside the poset or its truncation
     if kappa < 1:
         raise InvalidInput("kappa must be at least 1")
     var = single_free_var(theta)
@@ -396,8 +358,7 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
                       space: NameSpace) -> Optional[PName]:
     """First name in the space's canonical order (rank, then encoding)
     that p forces to satisfy theta; None when there is none."""
-    p = poset.resolve(p)
-    poset.ensure_condition(p)
+    poset.index_of(p)  # fails fast outside the poset or its truncation
     var = single_free_var(theta)
     for tau in space.universe:
         if forces_semantic(poset, p, subst(theta, var, tau), space):
@@ -416,8 +377,7 @@ def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
     Requires that below every extension of p some condition forces theta at
     some candidate.
     """
-    p = poset.resolve(p)
-    poset.ensure_condition(p)
+    poset.index_of(p)  # fails fast outside the poset or its truncation
     var = single_free_var(theta)
     accepts = {}
     rejects = {}

@@ -23,7 +23,7 @@ from .posets import ONE, Poset, canon_key
 class PName:
     """An immutable name: a finite set of (condition, name) entries."""
 
-    __slots__ = ("entries", "rank", "_hash", "_key")
+    __slots__ = ("entries", "rank", "_hash", "_key", "_sorted")
 
     def __init__(self, entries: Iterable[tuple[object, "PName"]] = ()):
         es = frozenset(entries)
@@ -35,6 +35,7 @@ class PName:
         self.rank = 1 + max((child.rank for _, child in es), default=-1)
         self._hash = hash(es)
         self._key: tuple | None = None
+        self._sorted: tuple | None = None
 
     def key(self) -> tuple:
         """Canonical sort key: (rank, size, sorted entry keys)."""
@@ -48,8 +49,10 @@ class PName:
         return self._key
 
     def sorted_entries(self) -> tuple:
-        return tuple(sorted(self.entries,
-                            key=lambda e: (canon_key(e[0]), e[1].key())))
+        if self._sorted is None:
+            self._sorted = tuple(sorted(
+                self.entries, key=lambda e: (canon_key(e[0]), e[1].key())))
+        return self._sorted
 
     def children(self) -> tuple:
         return tuple(sorted({child for _, child in self.entries},
@@ -127,22 +130,22 @@ def pair_names(tau1: PName, tau2: PName) -> tuple[PName, PName]:
     return unordered_pair_name(tau1, tau2), ordered_pair_name(tau1, tau2)
 
 
-_EVAL_CACHE: dict[tuple, HF] = {}
-
-
 def eval_name(tau: PName, filt) -> HF:
-    """Evaluate a name along a filter (any object supporting ``in``)."""
-    key = (tau, filt)
-    cached = _EVAL_CACHE.get(key)
-    if cached is None:
-        cached = HF(eval_name(child, filt)
-                    for cond, child in tau.entries if cond in filt)
-        _EVAL_CACHE[key] = cached
-    return cached
+    """Evaluate a name along a filter (any object supporting ``in``).
+
+    Values are memoized in the filter's ``evals`` dict when it has one
+    (every :class:`~forcelab.posets.Filter` does), else for this call only.
+    """
+    memo = getattr(filt, "evals", None)
+    return _eval(tau, filt, {} if memo is None else memo)
 
 
-def clear_eval_cache() -> None:
-    _EVAL_CACHE.clear()
+def _eval(tau: PName, filt, memo: dict) -> HF:
+    out = memo.get(tau)
+    if out is None:
+        out = memo[tau] = HF(_eval(child, filt, memo)
+                             for cond, child in tau.entries if cond in filt)
+    return out
 
 
 def name_hf(tau: PName, cond_hf: Optional[Callable[[object], HF]] = None) -> HF:
@@ -167,12 +170,13 @@ def union_name(poset: Poset, rho: PName) -> PName:
     """The union-collapse of a name of names: entries (s, sigma2) for every
     outer entry (q1, sigma1), inner entry (q2, sigma2), and condition s
     extending both q1 and q2."""
+    k = poset.kernel()
     entries = []
     for q1, sigma1 in rho.entries:
         for q2, sigma2 in sigma1.entries:
-            for s in poset.conditions():
-                if poset.le_r(s, q1) and poset.le_r(s, q2):
-                    entries.append((s, sigma2))
+            both = k.below(q1) & k.below(q2)
+            entries.extend((s, sigma2) for j, s in enumerate(k.conds)
+                           if both >> j & 1)
     return PName(entries)
 
 

@@ -66,11 +66,18 @@ def canon_key(obj) -> tuple:
 
 
 class Poset:
-    """Kernel interface: condition validity, order, compatibility, bounded
-    enumeration, and canonical encodings."""
+    """Poset interface: condition validity, order, compatibility, bounded
+    enumeration, and canonical encodings.
+
+    Subclasses decide order and compatibility in ``_le`` and ``_compatible``
+    on conditions already known to be valid; the public ``le`` and
+    ``compatible`` validate their arguments first.  Enumerations run on the
+    poset's :class:`Kernel`, compiled once on first use.
+    """
 
     kind = "abstract"
     top = None  # type: object | None
+    _kernel = None  # type: Kernel | None
 
     # -- structure ---------------------------------------------------------
 
@@ -79,15 +86,31 @@ class Poset:
 
     def le(self, p, q) -> bool:
         """p extends q."""
-        raise NotImplementedError
+        self.ensure_condition(p)
+        self.ensure_condition(q)
+        return self._le(p, q)
 
     def compatible(self, p, q) -> bool:
         """Some condition extends both p and q."""
+        self.ensure_condition(p)
+        self.ensure_condition(q)
+        return self._compatible(p, q)
+
+    def _le(self, p, q) -> bool:
+        raise NotImplementedError
+
+    def _compatible(self, p, q) -> bool:
         raise NotImplementedError
 
     def conditions(self) -> tuple:
         """All conditions inside the truncation, canonically sorted."""
         raise NotImplementedError
+
+    def kernel(self) -> "Kernel":
+        """The compiled order of the truncation, built on first use."""
+        if self._kernel is None:
+            self._kernel = Kernel(self)
+        return self._kernel
 
     # -- truncation --------------------------------------------------------
 
@@ -139,24 +162,98 @@ class Poset:
                     f"condition lies outside the declared truncation: "
                     f"{self.condition_repr(c)}")
 
+    def index_of(self, c) -> int:
+        """The kernel index of a condition, ONE resolved: raises
+        UnknownCondition for a non-condition and TruncationEscape for a
+        condition outside the truncation."""
+        c = self.resolve(c)
+        self.ensure_condition(c)
+        self.ensure_truncated(c)
+        return self.kernel().index[c]
+
     def condition_key(self, c) -> tuple:
         return canon_key(c)
 
     def extensions(self, p) -> tuple:
         """Conditions extending p, within the truncation."""
-        p = self.resolve(p)
-        self.ensure_condition(p)
-        self.ensure_truncated(p)
-        return tuple(q for q in self.conditions() if self.le(q, p))
+        k = self.kernel()
+        return tuple(k.conds[q] for q in k.exts[self.index_of(p)])
 
     def minimal_conditions(self) -> tuple:
         """Conditions with no proper extension inside the truncation."""
-        conds = self.conditions()
-        out = []
-        for c in conds:
-            if all(not self.le(d, c) or d == c for d in conds):
-                out.append(c)
-        return tuple(out)
+        k = self.kernel()
+        return tuple(k.conds[a] for a in k.minimals)
+
+
+class Kernel:
+    """A poset's truncation compiled once: conditions numbered in canonical
+    order, with order and compatibility as Python-int bit masks.
+
+    ``down[i]`` has bit j set when condition j extends condition i, and
+    ``exts[i]`` lists those j in ascending (canonical) order; ``minimal``
+    masks the conditions with no proper extension (``minimals`` lists them)
+    and ``top`` is the index of the greatest element, or None.  The forcing
+    routes keep their per-name-space state in ``forcers`` and the generic
+    filters in ``filter_at``, so all of it lives and dies with the poset.
+    """
+
+    def __init__(self, poset: Poset):
+        conds = poset.conditions()
+        le = poset._le
+        self.poset = poset
+        self.conds = conds
+        self.index = {c: i for i, c in enumerate(conds)}
+        self.exts = tuple(
+            tuple(j for j, p in enumerate(conds) if le(p, q)) for q in conds)
+        self.down = tuple(sum(1 << j for j in e) for e in self.exts)
+        self.minimals = tuple(i for i, m in enumerate(self.down)
+                              if m == 1 << i)
+        self.minimal = sum(1 << i for i in self.minimals)
+        self.full = (1 << len(conds)) - 1
+        self.top = self.index.get(poset.top)
+        self.forcers: dict = {}
+        self._compat: Optional[tuple[int, ...]] = None
+        self._filters: dict[int, Filter] = {}
+        self._entries: dict = {}
+
+    @property
+    def compat(self) -> tuple[int, ...]:
+        """``compat[i]`` has bit j set when conditions i and j are
+        compatible in the poset (not only inside the truncation)."""
+        if self._compat is None:
+            conds, compatible = self.conds, self.poset._compatible
+            self._compat = tuple(
+                sum(1 << j for j, q in enumerate(conds) if compatible(p, q))
+                for p in conds)
+        return self._compat
+
+    def below(self, c) -> int:
+        """The mask of the conditions extending c, which may be ONE or any
+        condition, inside the truncation or not."""
+        if c is ONE:
+            return self.full
+        i = self.index.get(c)
+        if i is not None:
+            return self.down[i]
+        le = self.poset.le
+        return sum(1 << j for j, p in enumerate(self.conds) if le(p, c))
+
+    def entry_masks(self, tau) -> tuple:
+        """A name's sorted entries as (mask below the condition, child)."""
+        out = self._entries.get(tau)
+        if out is None:
+            out = self._entries[tau] = tuple(
+                (self.below(c), child) for c, child in tau.sorted_entries())
+        return out
+
+    def filter_at(self, a: int) -> "Filter":
+        """The filter generated by condition a: every condition it extends."""
+        f = self._filters.get(a)
+        if f is None:
+            f = self._filters[a] = Filter(
+                self.poset,
+                (q for q, m in zip(self.conds, self.down) if m >> a & 1))
+        return f
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +318,12 @@ class ExplicitPoset(Poset):
     def is_condition(self, c) -> bool:
         return isinstance(c, str) and c in self._index
 
-    def le(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _le(self, p, q) -> bool:
         return q in self._reach[p]
 
-    def compatible(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
-        return any(self.le(r, p) and self.le(r, q) for r in self._elements)
+    def _compatible(self, p, q) -> bool:
+        reach = self._reach
+        return any(p in reach[r] and q in reach[r] for r in self._elements)
 
     def conditions(self) -> tuple:
         return tuple(sorted(self._elements, key=self.condition_key))
@@ -336,17 +430,13 @@ class ChoicePoset(Poset):
             and self.family.block_of(c[1]) is not None
         )
 
-    def le(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _le(self, p, q) -> bool:
         if p == q:
             return True
         (n, x), (m, y) = p, q
         return n > m and self.family.block_of(x) == self.family.block_of(y)
 
-    def compatible(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _compatible(self, p, q) -> bool:
         return p == q or self.family.block_of(p[1]) == self.family.block_of(q[1])
 
     def in_truncation(self, c) -> bool:
@@ -442,14 +532,10 @@ class MapPoset(Poset):
             return False
         return True
 
-    def le(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _le(self, p, q) -> bool:
         return p >= q
 
-    def compatible(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _compatible(self, p, q) -> bool:
         union = p | q
         if not _is_function(union):
             return False
@@ -593,14 +679,10 @@ class BinaryTreePoset(Poset):
     def is_condition(self, c) -> bool:
         return isinstance(c, str) and all(ch in "01" for ch in c)
 
-    def le(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _le(self, p, q) -> bool:
         return p.startswith(q)
 
-    def compatible(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _compatible(self, p, q) -> bool:
         return p.startswith(q) or q.startswith(p)
 
     def in_truncation(self, c) -> bool:
@@ -649,18 +731,14 @@ class NontrivialFlatPoset(Poset):
         return (isinstance(c, tuple) and len(c) == 2 and c[0] in self.labels
                 and isinstance(c[1], str) and all(ch in "01" for ch in c[1]))
 
-    def le(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _le(self, p, q) -> bool:
         if q == "1":
             return True
         if p == "1":
             return False
         return p[0] == q[0] and p[1].startswith(q[1])
 
-    def compatible(self, p, q) -> bool:
-        self.ensure_condition(p)
-        self.ensure_condition(q)
+    def _compatible(self, p, q) -> bool:
         if p == "1" or q == "1":
             return True
         return p[0] == q[0] and (p[1].startswith(q[1]) or q[1].startswith(p[1]))
@@ -702,13 +780,16 @@ class NontrivialFlatPoset(Poset):
 
 
 class Filter:
-    """A finite, explicitly listed filter on a poset."""
+    """A finite, explicitly listed filter on a poset.
+
+    ``evals`` memoizes :func:`forcelab.names.eval_name` along this filter.
+    """
 
     def __init__(self, poset: Poset, conditions: Iterable):
         self.poset = poset
         self.conditions = frozenset(conditions)
-        self._key = (id(poset),
-                     tuple(sorted(self.conditions, key=poset.condition_key)))
+        self._hash = hash((poset, self.conditions))
+        self.evals: dict = {}
 
     def __contains__(self, c) -> bool:
         if c is ONE:
@@ -716,10 +797,11 @@ class Filter:
         return c in self.conditions
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Filter) and self._key == other._key
+        return isinstance(other, Filter) and self.poset is other.poset \
+            and self.conditions == other.conditions
 
     def __repr__(self):
         items = ",".join(self.poset.condition_repr(c)
@@ -847,12 +929,9 @@ def enumerate_maximal_antichains(poset: ChoicePoset, level_bound: int) -> list[f
 def generic_filter(poset: Poset, seed) -> Filter:
     """The filter generated by the canonically first minimal condition
     extending seed; on a finite poset such a filter meets every dense set."""
-    seed = poset.resolve(seed)
-    poset.ensure_condition(seed)
-    poset.ensure_truncated(seed)
-    conds = poset.conditions()
-    minimals = [c for c in poset.minimal_conditions() if poset.le(c, seed)]
-    if not minimals:
+    i = poset.index_of(seed)
+    k = poset.kernel()
+    below = k.minimal & k.down[i]
+    if not below:
         raise InvalidInput("no minimal condition below the seed")
-    a = min(minimals, key=poset.condition_key)
-    return Filter(poset, (q for q in conds if poset.le(a, q)))
+    return k.filter_at((below & -below).bit_length() - 1)

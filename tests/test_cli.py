@@ -1,6 +1,7 @@
 """End-to-end CLI runs: frozen reports, determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,22 @@ def test_missing_file_exits_2():
     out = run_cli("parse-only", str(ROOT / "scenarios" / "nope.fl"))
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"]["code"] == "io-error"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # The read end closes before the report is written, as when a reader
+    # such as `head -1` exits early.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forcelab.cli", "thm2",
+         str(ROOT / "scenarios" / "thm2_extract.fl"), "--pretty"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_console_entry_point_is_wired():

@@ -1,15 +1,18 @@
 """The forcing relation: two routes, mixing, and witness machinery."""
 
+import gc
+import weakref
+
 import pytest
 
 from forcelab import (
-    And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Family, FlatPoset,
-    Forall, Implies, InName, InvalidInput, Member, NameSpace, Not,
-    NotMaximalBelow, ONE, Or, OrdLT, PreconditionViolated, RankLE, Var,
-    check_name, clear_forcing_caches, eval_name, forces_semantic,
-    forces_syntactic, gamma_name, generic_filter, holds_along,
-    indexed_witness_name, least_ordinal_name, mix, mp_witness_search, nat,
-    subst,
+    HF, And, BinaryTreePoset, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset,
+    Family, FlatPoset, Forall, Implies, InName, InvalidInput, Member,
+    NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT, PreconditionViolated,
+    RankLE, TruncationEscape, Var, check_name, eval_name, fn_omega_omega,
+    forces_semantic, forces_syntactic, gamma_name, generic_filter,
+    holds_along, indexed_witness_name, least_ordinal_name, mix,
+    mp_witness_search, nat, subst,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -246,9 +249,56 @@ class TestNameSpace:
             NameSpace(FLAT, (), -1)
 
 
-class TestCacheHygiene:
-    def test_clear_forcing_caches(self):
-        phi = Member(A_CHECK, Cname(GAMMA))
-        assert forces_semantic(FLAT, "a", phi)
-        clear_forcing_caches()
-        assert forces_semantic(FLAT, "a", phi)
+class TestTruncationEscape:
+    """Forcing at a condition outside the truncation has no exact answer:
+    every entry point raises instead of deciding the truncated poset."""
+
+    ZERO = Cname(check_name(nat(0)))
+    FALSE = Member(ZERO, ZERO)
+
+    @pytest.fixture(params=["fn", "tree"])
+    def outside(self, request):
+        if request.param == "fn":
+            return fn_omega_omega(2, 2), frozenset({(5, 0)})
+        return BinaryTreePoset(2), "0101"
+
+    def test_routes_raise(self, outside):
+        poset, p = outside
+        with pytest.raises(TruncationEscape):
+            forces_semantic(poset, p, self.FALSE)
+        with pytest.raises(TruncationEscape):
+            forces_syntactic(poset, p, self.FALSE)
+
+    def test_constructions_raise(self, outside):
+        poset, p = outside
+        theta = Eq(Var("x"), self.ZERO)
+        with pytest.raises(TruncationEscape):
+            mix(poset, p, [p], {p: EMPTY_NAME})
+        with pytest.raises(TruncationEscape):
+            least_ordinal_name(poset, p, 1, theta)
+        with pytest.raises(TruncationEscape):
+            mp_witness_search(poset, p, theta, NameSpace(poset, (), 0))
+        with pytest.raises(TruncationEscape):
+            indexed_witness_name(poset, p, [EMPTY_NAME], theta)
+
+    def test_mix_member_outside_raises(self):
+        tree = BinaryTreePoset(2)
+        with pytest.raises(TruncationEscape):
+            mix(tree, ONE, ["0", "1", "0101"],
+                {c: EMPTY_NAME for c in ("0", "1", "0101")})
+
+
+class TestCacheScope:
+    def test_forcing_state_dies_with_its_poset(self):
+        poset = FlatPoset(FAM)
+        gamma = gamma_name(poset)
+        phi = Member(Cname(check_name(poset.condition_hf("a"))), Cname(gamma))
+        assert forces_semantic(poset, "a", phi)
+        assert forces_syntactic(poset, "a", phi)
+        filt = generic_filter(poset, "a")
+        assert eval_name(gamma, filt) == HF([poset.condition_hf("a"),
+                                             poset.condition_hf("1")])
+        ref = weakref.ref(poset)
+        del poset, filt
+        gc.collect()
+        assert ref() is None

@@ -212,3 +212,56 @@ class TestFilters:
         flat = FlatPoset(FAM21)
         g = generic_filter(flat, ONE)
         assert len([c for c in flat.conditions() if c in g]) == 2
+
+
+KERNEL_POSETS = {
+    "explicit": lambda: ExplicitPoset(
+        ["a", "b", "c", "d", "1"],
+        [("a", "b"), ("a", "c"), ("b", "1"), ("c", "1"), ("d", "1")], "1"),
+    "flat": lambda: FlatPoset(FAM21),
+    "choice": lambda: ChoicePoset(FAM21, level_bound=2),
+    "fn": lambda: fn_omega_omega(2, 2),
+    "inj": lambda: inj_omega_omega(2, 2),
+    "cohen": lambda: CohenGridPoset(2, 1),
+    "tree": lambda: BinaryTreePoset(2),
+    "nontrivial-flat": lambda: NontrivialFlatPoset(["a", "b"], 1),
+}
+
+
+class TestKernel:
+    """The compiled kernel against brute force over the validating public
+    ``le`` and ``compatible``, on every pair of conditions."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_POSETS))
+    def test_kernel_matches_public_order(self, kind):
+        poset = KERNEL_POSETS[kind]()
+        k = poset.kernel()
+        conds = poset.conditions()
+        assert k.conds == conds
+        for i, p in enumerate(conds):
+            assert k.index[p] == i
+            assert k.exts[i] == tuple(j for j, q in enumerate(conds)
+                                      if poset.le(q, p))
+            for j, q in enumerate(conds):
+                assert bool(k.down[i] >> j & 1) == poset.le(q, p)
+                assert bool(k.compat[i] >> j & 1) == poset.compatible(p, q)
+        minimal = [i for i, p in enumerate(conds)
+                   if all(not poset.le(q, p) or q == p for q in conds)]
+        assert k.minimal == sum(1 << i for i in minimal)
+        assert k.minimals == tuple(minimal)
+        if poset.top is None:
+            assert k.top is None
+        else:
+            assert conds[k.top] == poset.top
+
+    def test_kernel_is_compiled_once(self):
+        poset = BinaryTreePoset(2)
+        assert poset.kernel() is poset.kernel()
+
+    def test_index_of_validates(self):
+        tree = BinaryTreePoset(2)
+        assert tree.index_of(ONE) == tree.kernel().top
+        with pytest.raises(UnknownCondition):
+            tree.index_of("012")
+        with pytest.raises(TruncationEscape):
+            tree.index_of("0101")
