@@ -44,7 +44,7 @@ from .choice import (
     extract_choice_wellordered, theta_family,
 )
 from .perms import (
-    Chain, Perm, act_condition, act_name, clear_act_cache, column_support,
+    Chain, Perm, act_condition, act_name, column_support,
     compose, decompose, identity, is_fixed_by_Hn, sigma_conjugate,
     transposition,
 )

@@ -42,7 +42,7 @@ from .perms import (
 )
 from .posets import (
     ChoicePoset, FlatPoset, InjPoset, ONE, Poset, compatible,
-    enumerate_maximal_antichains, generic_filter, is_dense,
+    enumerate_maximal_antichains, is_dense,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,13 +74,11 @@ def perm_json(perm: Perm) -> dict:
 def evaluations_json(poset: Poset, p, tau: PName) -> dict[str, str]:
     """The value of a name along the generic filter at each minimal
     condition extending p."""
-    p = poset.resolve(p)
-    out = {}
-    for m in poset.minimal_conditions():
-        if poset.le(m, p):
-            out[poset.condition_repr(m)] = render(
-                eval_name(tau, generic_filter(poset, m)))
-    return out
+    k = poset.kernel()
+    below = k.down[poset.index_of(p)]
+    return {poset.condition_repr(k.conds[a]):
+            render(eval_name(tau, k.filter_at(a)))
+            for a in k.minimals if below >> a & 1}
 
 
 # ---------------------------------------------------------------------------

@@ -136,18 +136,6 @@ def xdot_name(grid: CohenGridPoset, col: int) -> PName:
         for row in range(grid.rows))
 
 
-_CHECKCHECKS: dict[int, PName] = {}
-
-
-def _checkcheck(k: int) -> PName:
-    """The name evaluating to the encoded canonical name of k."""
-    out = _CHECKCHECKS.get(k)
-    if out is None:
-        out = check_name(name_hf(check_name(nat(k))))
-        _CHECKCHECKS[k] = out
-    return out
-
-
 def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
     """The name of the column's canonical name: it evaluates to the encoded
     check-name of the column value, not to the value itself."""
@@ -155,7 +143,8 @@ def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
         raise OutOfRange(f"column {col} is outside the grid")
     return pname(
         (frozenset({((col, row), 1)}),
-         ordered_pair_name(EMPTY_NAME, _checkcheck(row)))
+         ordered_pair_name(EMPTY_NAME,
+                           check_name(name_hf(check_name(nat(row))))))
         for row in range(grid.rows))
 
 

@@ -30,6 +30,9 @@ from .names import (
 )
 from .posets import Filter, Kernel, ONE, Poset
 
+# The most names a NameSpace may assemble: it builds all 2^pairs of them.
+MAX_UNIVERSE = 1 << 17
+
 
 class NameSpace:
     """A finite, child-closed universe of names over a poset.
@@ -42,7 +45,7 @@ class NameSpace:
     """
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
-                 rank_bound: int, max_universe: int = 1 << 17):
+                 rank_bound: int):
         if rank_bound < 0:
             raise InvalidInput("rank bound must be nonnegative")
         self.poset = poset
@@ -52,7 +55,7 @@ class NameSpace:
         eligible = [s for s in closure if s.rank < rank_bound]
         pool = [ONE] + [c for c in poset.conditions() if c != poset.top]
         pairs = [(c, s) for c in pool for s in eligible]
-        if len(pairs) > 24 or 2 ** len(pairs) > max_universe:
+        if 2 ** len(pairs) > MAX_UNIVERSE:
             raise InvalidInput(
                 f"name space too large: 2^{len(pairs)} assembled names")
         assembled = set()

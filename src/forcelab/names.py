@@ -54,10 +54,6 @@ class PName:
                 self.entries, key=lambda e: (canon_key(e[0]), e[1].key())))
         return self._sorted
 
-    def children(self) -> tuple:
-        return tuple(sorted({child for _, child in self.entries},
-                            key=PName.key))
-
     def __hash__(self):
         return self._hash
 

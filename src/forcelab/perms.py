@@ -350,22 +350,22 @@ def act_condition(perm: Perm, cond):
     return frozenset(((perm.apply(c), r), bit) for (c, r), bit in cond)
 
 
-_ACT_CACHE: dict[tuple[Perm, PName], PName] = {}
-
-
 def act_name(perm: Perm, tau: PName) -> PName:
-    """Apply the column relabeling to every condition in a name."""
-    key = (perm, tau)
-    out = _ACT_CACHE.get(key)
+    """Apply the column relabeling to every condition in a name.
+
+    Values are memoized for this call only, so a subname shared by many
+    entries is relabeled once.
+    """
+    return _act(perm, tau, {})
+
+
+def _act(perm: Perm, tau: PName, memo: dict) -> PName:
+    out = memo.get(tau)
     if out is None:
-        out = pname((act_condition(perm, cond), act_name(perm, child))
-                    for cond, child in tau.entries)
-        _ACT_CACHE[key] = out
+        out = memo[tau] = pname(
+            (act_condition(perm, cond), _act(perm, child, memo))
+            for cond, child in tau.entries)
     return out
-
-
-def clear_act_cache() -> None:
-    _ACT_CACHE.clear()
 
 
 def column_support(tau: PName) -> frozenset[int]:

@@ -72,7 +72,8 @@ class Poset:
     Subclasses decide order and compatibility in ``_le`` and ``_compatible``
     on conditions already known to be valid; the public ``le`` and
     ``compatible`` validate their arguments first.  Enumerations run on the
-    poset's :class:`Kernel`, compiled once on first use.
+    poset's :class:`Kernel`, compiled once on first use, and a condition is
+    inside the truncation exactly when the kernel indexes it.
     """
 
     kind = "abstract"
@@ -114,9 +115,6 @@ class Poset:
 
     # -- truncation --------------------------------------------------------
 
-    def in_truncation(self, c) -> bool:
-        return True
-
     def condition_level(self, c) -> int:
         """Depth measure used by nontriviality and density cutoffs."""
         return 0
@@ -139,12 +137,6 @@ class Poset:
             return self.top
         return c
 
-    def le_r(self, p, q) -> bool:
-        """le with ONE resolved on either side."""
-        if q is ONE:
-            return True
-        return self.le(self.resolve(p), self.resolve(q))
-
     def ensure_condition(self, c) -> None:
         if c is ONE:
             self.resolve(c)
@@ -153,23 +145,18 @@ class Poset:
             raise UnknownCondition(
                 f"not a condition of this {self.kind} poset: {c!r}")
 
-    def ensure_truncated(self, *cs) -> None:
-        for c in cs:
-            if c is ONE:
-                continue
-            if not self.in_truncation(c):
-                raise TruncationEscape(
-                    f"condition lies outside the declared truncation: "
-                    f"{self.condition_repr(c)}")
-
     def index_of(self, c) -> int:
         """The kernel index of a condition, ONE resolved: raises
         UnknownCondition for a non-condition and TruncationEscape for a
         condition outside the truncation."""
         c = self.resolve(c)
         self.ensure_condition(c)
-        self.ensure_truncated(c)
-        return self.kernel().index[c]
+        i = self.kernel().index.get(c)
+        if i is None:
+            raise TruncationEscape(
+                f"condition lies outside the declared truncation: "
+                f"{self.condition_repr(c)}")
+        return i
 
     def condition_key(self, c) -> tuple:
         return canon_key(c)
@@ -235,7 +222,8 @@ class Kernel:
         i = self.index.get(c)
         if i is not None:
             return self.down[i]
-        le = self.poset.le
+        self.poset.ensure_condition(c)
+        le = self.poset._le
         return sum(1 << j for j, p in enumerate(self.conds) if le(p, c))
 
     def entry_masks(self, tau) -> tuple:
@@ -278,7 +266,6 @@ class ExplicitPoset(Poset):
             raise InvalidInput("explicit poset needs at least one element")
         self._elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(elements)}
-        below = {e: {e} for e in elements}  # below[q] = {p : p <= q} seeds
         pairs = list(order)
         for a, b in pairs:
             if a not in self._index or b not in self._index:
@@ -439,9 +426,6 @@ class ChoicePoset(Poset):
     def _compatible(self, p, q) -> bool:
         return p == q or self.family.block_of(p[1]) == self.family.block_of(q[1])
 
-    def in_truncation(self, c) -> bool:
-        return self.level_bound is not None and c[0] < self.level_bound
-
     def condition_level(self, c) -> int:
         return c[0]
 
@@ -543,12 +527,6 @@ class MapPoset(Poset):
             return False
         return True
 
-    def in_truncation(self, c) -> bool:
-        if self.dom_window is None or self.cod_window is None:
-            return False
-        return all(u in self.dom_window and v in self.cod_window
-                   for u, v in c)
-
     def condition_level(self, c) -> int:
         return len(c)
 
@@ -593,9 +571,6 @@ class MapPoset(Poset):
         pairs = sorted(c, key=canon_key)
         return "{" + ",".join(
             f"{self._item_repr(u)}->{self._item_repr(v)}" for u, v in pairs) + "}"
-
-    def condition_key(self, c) -> tuple:
-        return canon_key(c)
 
 
 class InjPoset(MapPoset):
@@ -685,9 +660,6 @@ class BinaryTreePoset(Poset):
     def _compatible(self, p, q) -> bool:
         return p.startswith(q) or q.startswith(p)
 
-    def in_truncation(self, c) -> bool:
-        return len(c) <= self.depth
-
     def condition_level(self, c) -> int:
         return len(c)
 
@@ -743,9 +715,6 @@ class NontrivialFlatPoset(Poset):
             return True
         return p[0] == q[0] and (p[1].startswith(q[1]) or q[1].startswith(p[1]))
 
-    def in_truncation(self, c) -> bool:
-        return c == "1" or len(c[1]) <= self.depth
-
     def condition_level(self, c) -> int:
         return 0 if c == "1" else len(c[1]) + 1
 
@@ -792,9 +761,7 @@ class Filter:
         self.evals: dict = {}
 
     def __contains__(self, c) -> bool:
-        if c is ONE:
-            return self.poset.top in self.conditions
-        return c in self.conditions
+        return c is ONE or c in self.conditions
 
     def __hash__(self):
         return self._hash
@@ -810,16 +777,15 @@ class Filter:
         return f"Filter({items})"
 
     def is_upward_closed(self) -> bool:
-        return all(q in self.conditions
-                   for p in self.conditions
-                   for q in self.poset.conditions()
-                   if self.poset.le(p, q))
+        mask = _mask(self.poset, self.conditions)
+        return all(mask >> q & 1
+                   for q, m in enumerate(self.poset.kernel().down) if m & mask)
 
     def is_directed(self) -> bool:
-        return all(
-            any(self.poset.le(r, p) and self.poset.le(r, q)
-                for r in self.conditions)
-            for p in self.conditions for q in self.conditions)
+        mask = _mask(self.poset, self.conditions)
+        downs = [m for q, m in enumerate(self.poset.kernel().down)
+                 if mask >> q & 1]
+        return all(a & b & mask for a in downs for b in downs)
 
     def is_filter(self) -> bool:
         return bool(self.conditions) and self.is_upward_closed() and self.is_directed()
@@ -831,60 +797,66 @@ class Filter:
 
 def compatible(poset: Poset, p, q) -> bool:
     """Decide whether some condition extends both p and q."""
-    poset.ensure_condition(poset.resolve(p))
-    poset.ensure_condition(poset.resolve(q))
     return poset.compatible(poset.resolve(p), poset.resolve(q))
+
+
+def _validated(poset: Poset, conditions: Iterable) -> list:
+    """The conditions with ONE resolved, each checked once."""
+    items = [poset.resolve(c) for c in conditions]
+    for c in items:
+        poset.ensure_condition(c)
+    return items
+
+
+def _mask(poset: Poset, conditions: Iterable) -> int:
+    """The kernel mask of some conditions, each checked once by index_of.
+    Bits are or-ed, not summed, since a condition may be listed twice."""
+    mask = 0
+    for c in conditions:
+        mask |= 1 << poset.index_of(c)
+    return mask
 
 
 def is_antichain(poset: Poset, conditions: Iterable) -> bool:
     """Pairwise incompatibility of a finite set of conditions."""
-    items = [poset.resolve(c) for c in conditions]
-    for c in items:
-        poset.ensure_condition(c)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] == items[j] or poset.compatible(items[i], items[j]):
-                return False
-    return True
+    items = _validated(poset, conditions)
+    return not any(p == q or poset._compatible(p, q)
+                   for p, q in itertools.combinations(items, 2))
 
 
 def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
     """Antichain that every condition is compatible with.
 
     For the choice poset this is the structural test "exactly one element
-    per block"; for other finite (or truncated) posets it is an exhaustive
-    compatibility check over the enumerated conditions.
+    per block", which needs no truncation; for other finite (or truncated)
+    posets it reads the kernel's compatibility masks.
     """
-    items = [poset.resolve(c) for c in conditions]
-    for c in items:
-        poset.ensure_condition(c)
     if isinstance(poset, ChoicePoset):
+        items = _validated(poset, conditions)
         per_block = {label: 0 for label in poset.family.labels}
         if len(set(items)) != len(items):
             return False
         for (_, x) in items:
             per_block[poset.family.block_of(x)] += 1
         return all(count == 1 for count in per_block.values())
-    poset.ensure_truncated(*items)
-    if not is_antichain(poset, items):
-        return False
-    return all(any(poset.compatible(c, a) for a in items)
-               for c in poset.conditions())
+    idx = [poset.index_of(c) for c in conditions]
+    k = poset.kernel()
+    mask = covered = 0
+    for i in idx:
+        if k.compat[i] & mask:  # compat[i] has bit i, so repeats fail too
+            return False
+        mask |= 1 << i
+        covered |= k.compat[i]
+    return covered == k.full
 
 
 def is_dense(poset: Poset, dense_set: Iterable, depth: Optional[int] = None) -> bool:
     """Every condition (of level < depth, when given) has an extension in
     the set."""
-    items = [poset.resolve(c) for c in dense_set]
-    for c in items:
-        poset.ensure_condition(c)
-    poset.ensure_truncated(*items)
-    for p in poset.conditions():
-        if depth is not None and poset.condition_level(p) >= depth:
-            continue
-        if not any(poset.le(d, p) for d in items):
-            return False
-    return True
+    mask = _mask(poset, dense_set)
+    k = poset.kernel()
+    return all(m & mask for p, m in zip(k.conds, k.down)
+               if depth is None or poset.condition_level(p) < depth)
 
 
 def is_nontrivial(poset: Poset, depth: int) -> bool:
@@ -892,21 +864,11 @@ def is_nontrivial(poset: Poset, depth: int) -> bool:
     extensions inside the truncation."""
     if depth < 1:
         raise InvalidInput("depth must be at least 1")
-    for p in poset.conditions():
-        if poset.condition_level(p) >= depth:
-            continue
-        exts = [q for q in poset.conditions() if poset.le(q, p)]
-        found = False
-        for i in range(len(exts)):
-            for j in range(i + 1, len(exts)):
-                if not poset.compatible(exts[i], exts[j]):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    k = poset.kernel()
+    compat = k.compat
+    return all(any(m & ~compat[q] for q in e)
+               for p, m, e in zip(k.conds, k.down, k.exts)
+               if poset.condition_level(p) < depth)
 
 
 def enumerate_maximal_antichains(poset: ChoicePoset, level_bound: int) -> list[frozenset]:

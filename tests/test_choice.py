@@ -110,7 +110,7 @@ class TestWellorderedExtraction:
             flat, ["a", "b"], [FAM.blocks["a"], FAM.blocks["b"]], tau)
         assert [x for _, x in out] == [nat(0), nat(2)]
         for (q, x), mark in zip(out, ["a", "b"]):
-            assert flat.le_r(q, mark)
+            assert flat.le(q, flat.resolve(mark))
 
     def test_rejects_compatible_marks(self):
         flat = FlatPoset(FAM)

@@ -6,9 +6,10 @@ import weakref
 import pytest
 
 from forcelab import (
-    HF, And, BinaryTreePoset, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset,
-    Family, FlatPoset, Forall, Implies, InName, InvalidInput, Member,
-    NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT, PreconditionViolated,
+    HF, And, BinaryTreePoset, ChoicePoset, Cname, EMPTY_NAME, Eq, Exists,
+    ExplicitPoset, Family, FlatPoset, Forall, Implies, InName, InvalidInput,
+    Member, NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT,
+    PreconditionViolated,
     RankLE, TruncationEscape, Var, check_name, eval_name, fn_omega_omega,
     forces_semantic, forces_syntactic, gamma_name, generic_filter,
     holds_along, indexed_witness_name, least_ordinal_name, mix,
@@ -66,6 +67,16 @@ class TestForcesOracle:
     def test_open_formula_rejected(self):
         with pytest.raises(InvalidInput):
             forces_semantic(FLAT, ONE, Member(Var("x"), Cname(GAMMA)))
+
+    def test_check_names_on_topless_choice_poset(self):
+        # Check-names carry the ONE sentinel, which every filter contains,
+        # also on a poset with no greatest element.
+        cp = ChoicePoset(FAM, 2)
+        p = (0, nat(0))
+        phi = Member(Cname(check_name(nat(0))), Cname(check_name(nat(1))))
+        assert forces_semantic(cp, p, phi)
+        assert forces_syntactic(cp, p, phi)
+        assert eval_name(check_name(nat(1)), generic_filter(cp, p)) == nat(1)
 
     def test_holds_along(self):
         phi = Member(A_CHECK, Cname(GAMMA))

@@ -7,7 +7,7 @@ import pytest
 from forcelab import (
     Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
     NotInSubgroup, ONE, Perm, act_condition, act_name, check_name,
-    clear_act_cache, column_support, compose, decompose, identity,
+    column_support, compose, decompose, identity,
     is_fixed_by_Hn, nat, pname, sigma_conjugate, transposition,
     unordered_pair_name, xdot_name,
 )
@@ -162,7 +162,6 @@ class TestNameAction:
             act_name(compose(pi, rho), tau)
 
     def test_act_name_fixes_check_names(self):
-        clear_act_cache()
         tau = check_name(nat(3))
         assert act_name(transposition(0, 5), tau) == tau
 

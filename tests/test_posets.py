@@ -1,5 +1,7 @@
 """Partial orders of conditions: orders, compatibility, antichains, filters."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,7 +48,7 @@ class TestExplicitPoset:
     def test_one_resolves_to_top(self):
         p = explicit_v()
         assert p.resolve(ONE) == "1"
-        assert p.le_r("a", ONE)
+        assert p.le("a", p.resolve(ONE))
 
     def test_compatible_iff_common_extension(self):
         p = explicit_v()
@@ -119,7 +121,7 @@ class TestChoicePoset:
     def test_level_bound_truncation(self):
         cp = ChoicePoset(FAM21, 1)
         with pytest.raises(TruncationEscape):
-            cp.ensure_truncated((3, nat(0)))
+            cp.index_of((3, nat(0)))
 
 
 class TestMapPosets:
@@ -265,3 +267,65 @@ class TestKernel:
             tree.index_of("012")
         with pytest.raises(TruncationEscape):
             tree.index_of("0101")
+
+
+def _subsets(conds, size=3):
+    for k in range(size + 1):
+        yield from itertools.combinations(conds, k)
+
+
+class TestPredicatesOnKernel:
+    """Antichain, density, nontriviality and filter laws against brute force
+    over the validating public ``le`` and ``compatible``."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_POSETS))
+    def test_predicates_match_brute_force(self, kind):
+        poset = KERNEL_POSETS[kind]()
+        conds = poset.conditions()
+        le, comp = poset.le, poset.compatible
+        for sub in _subsets(conds):
+            items = list(sub)
+            anti = all(not comp(p, q) for p, q in
+                       itertools.combinations(items, 2))
+            assert is_antichain(poset, items) == anti
+            assert is_maximal_antichain(poset, items) == (
+                anti and all(any(comp(c, a) for a in items) for c in conds))
+            for dense in (items, items + items[:1]):
+                for depth in (None, 1):
+                    assert is_dense(poset, dense, depth) == all(
+                        any(le(d, p) for d in dense) for p in conds
+                        if depth is None or poset.condition_level(p) < depth)
+                assert Filter(poset, dense).is_filter() == (
+                    bool(items)
+                    and all(q in items for p in items for q in conds
+                            if le(p, q))
+                    and all(any(le(r, p) and le(r, q) for r in items)
+                            for p in items for q in items))
+        for depth in (1, 2):
+            assert is_nontrivial(poset, depth) == all(
+                any(not comp(q, r)
+                    for q, r in itertools.combinations(
+                        [q for q in conds if le(q, p)], 2))
+                for p in conds if poset.condition_level(p) < depth)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_POSETS))
+    def test_repeated_member_keeps_a_dense_set_dense(self, kind):
+        poset = KERNEL_POSETS[kind]()
+        minimals = list(poset.minimal_conditions())
+        assert is_dense(poset, minimals + minimals[:1])
+        assert not is_antichain(poset, minimals + minimals[:1])
+        assert not is_maximal_antichain(poset, minimals + minimals[:1])
+
+    @pytest.mark.parametrize("poset, outside", [
+        (BinaryTreePoset(2), "000"),
+        (fn_omega_omega(2, 2), frozenset({(5, 0)})),
+    ], ids=["tree", "fn"])
+    def test_outside_the_truncation_raises(self, poset, outside):
+        top = poset.resolve(ONE)
+        with pytest.raises(TruncationEscape):
+            is_dense(poset, [outside])
+        with pytest.raises(TruncationEscape):
+            is_maximal_antichain(poset, [outside])
+        for check in ("is_filter", "is_upward_closed", "is_directed"):
+            with pytest.raises(TruncationEscape):
+                getattr(Filter(poset, [top, outside]), check)()
