@@ -15,6 +15,7 @@ agreement formula by formula.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Optional, Sequence
 
@@ -28,20 +29,33 @@ from .names import (
     PName, check_name, eval_name, hereditary_closure, pname,
     union_name,
 )
-from .posets import Filter, Kernel, ONE, Poset
+from .posets import Filter, Kernel, ONE, Poset, canon_key
 
-# The most names a NameSpace may assemble: it builds all 2^pairs of them.
+# The most subsets of (condition, child) pairs a NameSpace may enumerate.
 MAX_UNIVERSE = 1 << 17
 
 
 class NameSpace:
-    """A finite, child-closed universe of names over a poset.
+    """A finite, child-closed universe of names over a poset, one name per
+    class of names with equal values along every filter.
 
-    The universe is the hereditary closure of the base names together with
-    every name of rank at most ``rank_bound`` assembled in one layer from
-    that closure: all sets of (condition, child) entries with children drawn
-    from closure members of smaller rank.  Assembled entries use the ONE
-    sentinel in place of the poset's top.
+    The names considered are the hereditary closure of the base names
+    together with every name of rank at most ``rank_bound`` assembled in one
+    layer from that closure: all sets of (condition, child) entries with
+    children drawn from closure members of smaller rank.  Assembled entries
+    use the ONE sentinel in place of the poset's top.  Two of these names
+    are in one class when they evaluate equally along the filter generated
+    by each condition; on a finite poset that is every filter, so the two
+    are forced equal and interchangeable in any formula.  The universe
+    keeps the first member of each class in canonical order
+    (:meth:`PName.key`, rank first), so every ``RankLE`` range keeps the
+    lowest-rank member of each class.  It also keeps the children of kept
+    names, so that it stays child-closed: a base name, or a name inside
+    one, that is not first in its class enters only that way.  So
+    ``len(space)`` counts the classes, plus any such children.  All
+    ``2^pairs`` subsets are still enumerated, without building a name for
+    each, and more than :data:`MAX_UNIVERSE` of them is refused with
+    ``invalid-input`` before the poset is compiled.
     """
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
@@ -58,13 +72,45 @@ class NameSpace:
         if 2 ** len(pairs) > MAX_UNIVERSE:
             raise InvalidInput(
                 f"name space too large: 2^{len(pairs)} assembled names")
-        assembled = set()
-        for k in range(len(pairs) + 1):
-            for combo in itertools.combinations(pairs, k):
-                assembled.add(pname(combo))
-        universe = set(closure) | assembled
-        self.universe: tuple[PName, ...] = tuple(sorted(universe, key=PName.key))
-        self._members = frozenset(universe)
+        k = poset.kernel()
+        filters = [k.filter_at(i) for i in range(len(k.conds))]
+        pairs.sort(key=lambda e: (canon_key(e[0]), e[1].key()))
+        bits: dict[tuple[int, HF], int] = {}
+        masks = [_pair_mask(k, filters, bits, c, s) for c, s in pairs]
+        ranks = [1 + s.rank for _, s in pairs]
+        # A subset's rank is the largest of its pairs', so at each rank r
+        # the subsets of the pairs of rank at most r are enumerated by size,
+        # each size in lexicographic order of sorted entry keys: the first
+        # subset met for a new mask is the least in canonical order.
+        best: dict = {}
+        for r in sorted({0, *ranks}):
+            below_r = [j for j, rank in enumerate(ranks) if rank <= r]
+            for size in range(len(below_r) + 1):
+                for combo in itertools.combinations(below_r, size):
+                    mask = 0
+                    for j in combo:
+                        mask |= masks[j]
+                    best.setdefault(mask, combo)
+        first = {mask: pname(pairs[j] for j in combo)
+                 for mask, combo in best.items()}
+        # A closure name joins an assembled class when its value along each
+        # filter is a set of values that pairs contribute there; otherwise
+        # its class is keyed by its values themselves.  It never comes
+        # before an assembled name of its class: of rank at most the bound,
+        # it is assembled itself unless it names the top, which ONE
+        # undercuts, or a condition outside the truncation, in no filter.
+        for n in closure:
+            values = [eval_name(n, f) for f in filters]
+            try:
+                cls = sum(1 << bits[(i, x)]
+                          for i, v in enumerate(values) for x in v.members)
+            except KeyError:
+                cls = tuple(values)
+            first.setdefault(cls, n)
+        self.universe: tuple[PName, ...] = tuple(
+            hereditary_closure(first.values()))
+        self._members = frozenset(self.universe)
+        self._ranks = [n.rank for n in self.universe]
 
     def __contains__(self, name: PName) -> bool:
         return name in self._members
@@ -73,7 +119,22 @@ class NameSpace:
         return len(self.universe)
 
     def names_of_rank_le(self, k: int) -> tuple[PName, ...]:
-        return tuple(n for n in self.universe if n.rank <= k)
+        """The names of rank at most k: a prefix of the universe."""
+        return self.universe[:bisect.bisect_right(self._ranks, k)]
+
+
+def _pair_mask(k: Kernel, filters: Sequence[Filter], bits: dict,
+               c, s: PName) -> int:
+    """The bits, numbered in ``bits``, of the (filter index, value) pairs
+    that the entry (c, s) contributes: s's value along each filter that
+    contains c.  The union of a subset's masks fixes the value of the name
+    it assembles along every filter."""
+    below = k.below(c)
+    mask = 0
+    for i, f in enumerate(filters):
+        if below >> i & 1:
+            mask |= 1 << bits.setdefault((i, eval_name(s, f)), len(bits))
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The forcing relation: two routes, mixing, and witness machinery."""
 
 import gc
+import itertools
+import time
 import weakref
 
 import pytest
@@ -8,12 +10,12 @@ import pytest
 from forcelab import (
     HF, And, BinaryTreePoset, ChoicePoset, Cname, EMPTY_NAME, Eq, Exists,
     ExplicitPoset, Family, FlatPoset, Forall, Implies, InName, InvalidInput,
-    Member, NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT,
+    Member, NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT, PName,
     PreconditionViolated,
     RankLE, TruncationEscape, Var, check_name, eval_name, fn_omega_omega,
     forces_semantic, forces_syntactic, gamma_name, generic_filter,
-    holds_along, indexed_witness_name, least_ordinal_name, mix,
-    mp_witness_search, nat, subst,
+    hereditary_closure, holds_along, indexed_witness_name,
+    least_ordinal_name, mix, mp_witness_search, nat, pname, subst,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -258,6 +260,178 @@ class TestNameSpace:
     def test_negative_rank_rejected(self):
         with pytest.raises(InvalidInput):
             NameSpace(FLAT, (), -1)
+
+
+BASES = (EMPTY_NAME, check_name(nat(1)))
+
+
+def chain():
+    return ExplicitPoset(["p", "q", "1"], [("p", "q"), ("q", "1")], "1")
+
+
+# (poset, rank bound) pairs for the quotient oracle: 256, 64, 512, 128 and
+# 128 names before the quotient.
+QUOTIENT_CASES = {
+    "flat3": (lambda: FlatPoset(Family(
+        [("a", [nat(0), nat(1)]), ("b", [nat(2)]), ("c", [nat(3)])])), 2),
+    "explicit3": (chain, 2),
+    "fn22": (lambda: fn_omega_omega(2, 2), 1),
+    "tree2": (lambda: BinaryTreePoset(2), 1),
+    "choice": (lambda: ChoicePoset(FAM, 2), 1),
+}
+# Base names that are not check-names, as (poset, bases, rank bound).  In
+# "chain-2" and "chain-3" the base name has the values of check(1) along
+# every filter, so the assembled check(1) is kept and the base name stays
+# only as a child of kept names.  In "flat-rank" some class has a member of
+# lower rank and more entries than another, and in "flat-lex" some class has
+# two members of one rank and size, which their sorted entries order.
+IRREGULAR_CASES = {
+    "chain-2": (chain, (EMPTY_NAME, pname(
+        [(ONE, EMPTY_NAME), ("q", EMPTY_NAME)])), 2),
+    "chain-3": (chain, (EMPTY_NAME, pname(
+        [(ONE, EMPTY_NAME), ("q", EMPTY_NAME)])), 3),
+    "flat-rank": (lambda: FlatPoset(FAM), (
+        pname([(ONE, EMPTY_NAME)]),
+        pname([("b", pname([("a", EMPTY_NAME)]))])), 3),
+    "flat-lex": (lambda: FlatPoset(FAM), (
+        pname([(ONE, pname([("a", EMPTY_NAME)]))]),), 2),
+}
+
+
+def unquotiented_universe(poset, bases, rank_bound):
+    """Every name the space considers, without the quotient: the closure of
+    the bases plus the names assembled from all 2^pairs subsets."""
+    closure = hereditary_closure(bases)
+    eligible = [s for s in closure if s.rank < rank_bound]
+    pool = [ONE] + [c for c in poset.conditions() if c != poset.top]
+    pairs = [(c, s) for c in pool for s in eligible]
+    names = set(closure)
+    for size in range(len(pairs) + 1):
+        names.update(pname(combo)
+                      for combo in itertools.combinations(pairs, size))
+    return tuple(sorted(names, key=PName.key))
+
+
+class UnquotientedSpace:
+    """Stands in for a NameSpace whose universe is not quotiented."""
+
+    def __init__(self, poset, bases, rank_bound):
+        self.universe = unquotiented_universe(poset, bases, rank_bound)
+
+    def names_of_rank_le(self, k):
+        return tuple(n for n in self.universe if n.rank <= k)
+
+
+def values(poset, tau):
+    """A name's value along the filter generated by each condition."""
+    k = poset.kernel()
+    return tuple(eval_name(tau, k.filter_at(i)) for i in range(len(k.conds)))
+
+
+def rankle_battery(poset, rank):
+    v, u = Var("v"), Var("u")
+    gamma = Cname(gamma_name(poset))
+    one = Cname(check_name(nat(1)))
+    atoms = [Member(v, gamma), Member(one, v), Eq(v, one), Member(v, one)]
+    out = [q("v", RankLE(rank), a) for a in atoms for q in (Exists, Forall)]
+    out += [Exists("v", RankLE(0), Eq(v, one)),
+            Forall("v", RankLE(rank),
+                   Exists("u", RankLE(0), Or(Eq(u, v), Member(u, v))))]
+    return out
+
+
+class TestNameSpaceQuotient:
+    """The quotient against the unquotiented enumeration it replaces."""
+
+    @staticmethod
+    def first_of_each_class(poset, bases, rank):
+        first = {}
+        for n in unquotiented_universe(poset, bases, rank):
+            first.setdefault(values(poset, n), n)
+        return first
+
+    @staticmethod
+    def assert_same_answers(poset, space, full, rank):
+        """Both routes at every condition and satisfaction along every
+        filter answer the battery alike over the two spaces."""
+        k = poset.kernel()
+        for phi in rankle_battery(poset, rank):
+            for c in poset.conditions():
+                want = forces_semantic(poset, c, phi, full)
+                assert forces_semantic(poset, c, phi, space) == want, (phi, c)
+                assert forces_syntactic(poset, c, phi, space) == want, (phi, c)
+                assert forces_syntactic(poset, c, phi, full) == want, (phi, c)
+            for i in range(len(k.conds)):
+                filt = k.filter_at(i)
+                assert holds_along(poset, filt, phi, space) == \
+                    holds_along(poset, filt, phi, full), (phi, i)
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_one_first_name_per_class(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        space = NameSpace(poset, BASES, rank)
+        kept = {values(poset, n): n for n in space.universe}
+        assert len(kept) == len(space)
+        assert kept == self.first_of_each_class(poset, BASES, rank)
+        assert list(space.universe) == sorted(space.universe, key=PName.key)
+        for tau in space.universe:
+            assert all(child in space for _, child in tau.entries)
+
+    @pytest.mark.parametrize("case", sorted(IRREGULAR_CASES))
+    def test_irregular_base_names(self, case):
+        make, bases, rank = IRREGULAR_CASES[case]
+        poset = make()
+        space = NameSpace(poset, bases, rank)
+        first = self.first_of_each_class(poset, bases, rank)
+        assert space.universe == tuple(hereditary_closure(first.values()))
+        self.assert_same_answers(poset, space,
+                                 UnquotientedSpace(poset, bases, rank), rank)
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_routes_answer_as_without_quotient(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        self.assert_same_answers(poset, NameSpace(poset, BASES, rank),
+                                 UnquotientedSpace(poset, BASES, rank), rank)
+
+    def test_rank_prefixes(self):
+        space = NameSpace(FLAT, (GAMMA,), 2)
+        for r in range(-1, GAMMA.rank + 2):
+            assert space.names_of_rank_le(r) == tuple(
+                n for n in space.universe if n.rank <= r)
+
+    def test_depth3_tree_rankle_routes_agree(self):
+        tree = BinaryTreePoset(3)
+        start = time.monotonic()
+        space = NameSpace(tree, BASES, 1)
+        v = Var("v")
+        gamma = Cname(gamma_name(tree))
+        c = Cname(check_name(tree.condition_hf("01")))
+        battery = [
+            Member(c, gamma),
+            Exists("v", InName(gamma_name(tree)), Eq(v, c)),
+            Forall("v", OrdLT(2), Not(Member(v, c))),
+        ]
+        battery += [q("v", RankLE(1), body)
+                    for body in (Eq(v, c), Member(c, v), Member(v, gamma))
+                    for q in (Exists, Forall)]
+        for phi in battery:
+            for p in tree.conditions():
+                assert forces_semantic(tree, p, phi, space) == \
+                    forces_syntactic(tree, p, phi, space), (phi, p)
+        elapsed = time.monotonic() - start
+        assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("make", [lambda: BinaryTreePoset(3),
+                                      lambda: fn_omega_omega(2, 2)],
+                             ids=["tree3", "fn22"])
+    def test_over_cap_refused_before_compiling(self, make):
+        poset = make()
+        with pytest.raises(InvalidInput) as info:
+            NameSpace(poset, BASES, 2)
+        assert info.value.code == "invalid-input"
+        assert poset._kernel is None
 
 
 class TestTruncationEscape:
