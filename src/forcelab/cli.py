@@ -91,11 +91,16 @@ def _args_exactly(cmd: Command, count: int, usage: str):
     return cmd.args
 
 
-def _kwarg_int(cmd: Command, key: str, default: Optional[int] = None) -> int:
+_REQUIRED = object()
+
+
+def _kwarg_int(cmd: Command, key: str, default=_REQUIRED) -> Optional[int]:
+    """An integer keyword argument; with no default it must be given, and a
+    default of None leaves it optional."""
     value = cmd.kwarg(key, default)
-    if value is None:
+    if value is _REQUIRED:
         raise InvalidInput(f"the command needs {key}=<int>")
-    if not isinstance(value, int):
+    if value is not None and not isinstance(value, int):
         raise InvalidInput(f"{key} must be an integer")
     return value
 
@@ -153,7 +158,7 @@ def _space_for(poset: Poset, phi: Formula, rank: Optional[int],
 # subcommands
 
 
-def run_parse_only(scenario: Scenario, cmd: Optional[Command], opts) -> dict:
+def run_parse_only(scenario: Scenario, cmd: Optional[Command]) -> dict:
     return {
         "command": cmd.verb if cmd is not None else None,
         "declarations": {ident: kind
@@ -162,7 +167,7 @@ def run_parse_only(scenario: Scenario, cmd: Optional[Command], opts) -> dict:
     }
 
 
-def run_thm1(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_thm1(scenario: Scenario, cmd: Command) -> dict:
     mode, fam_id = _args_exactly(cmd, 2, "thm1 enumerate <family> level=<L>")
     if mode != "enumerate":
         raise InvalidInput(f"unknown thm1 mode {mode!r}")
@@ -191,7 +196,7 @@ def run_thm1(scenario: Scenario, cmd: Command, opts) -> dict:
     }
 
 
-def run_thm2(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_thm2(scenario: Scenario, cmd: Command) -> dict:
     mode, fam_id = _args_exactly(cmd, 2, "thm2 extract <family>")
     if mode != "extract":
         raise InvalidInput(f"unknown thm2 mode {mode!r}")
@@ -220,14 +225,13 @@ def run_thm2(scenario: Scenario, cmd: Command, opts) -> dict:
     }
 
 
-def run_forces(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_forces(scenario: Scenario, cmd: Command) -> dict:
     poset_id, cond_arg, phi_id = _args_exactly(
         cmd, 3, "forces <poset> <condition> <formula> [rank=<K>]")
     poset = scenario.lookup(poset_id, "poset")
     p = _resolve_cond(scenario, poset, cond_arg)
     phi = scenario.lookup(phi_id, "formula")
-    rank = cmd.kwarg("rank", opts.rank_bound)
-    space = _space_for(poset, phi, rank)
+    space = _space_for(poset, phi, _kwarg_int(cmd, "rank", None))
     sem = forces_semantic(poset, p, phi, space)
     syn = forces_syntactic(poset, p, phi, space)
     return {
@@ -236,14 +240,13 @@ def run_forces(scenario: Scenario, cmd: Command, opts) -> dict:
     }
 
 
-def run_witness(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_witness(scenario: Scenario, cmd: Command) -> dict:
     poset_id, cond_arg, phi_id = _args_exactly(
         cmd, 3, "witness <poset> <condition> <formula> rank=<K>")
     poset = scenario.lookup(poset_id, "poset")
     p = _resolve_cond(scenario, poset, cond_arg)
     theta = scenario.lookup(phi_id, "formula")
-    rank = _kwarg_int(cmd, "rank", opts.rank_bound if opts.rank_bound
-                      is not None else 1)
+    rank = _kwarg_int(cmd, "rank", 1)
     space = NameSpace(poset, tuple(constants(theta)), rank)
     tau = mp_witness_search(poset, p, theta, space)
     report = {
@@ -257,7 +260,7 @@ def run_witness(scenario: Scenario, cmd: Command, opts) -> dict:
     return report
 
 
-def run_mix(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_mix(scenario: Scenario, cmd: Command) -> dict:
     if len(cmd.args) < 4:
         raise InvalidInput(
             "usage: command mix <poset> <condition> <conds> <name>...")
@@ -282,7 +285,7 @@ def run_mix(scenario: Scenario, cmd: Command, opts) -> dict:
     }
 
 
-def run_leastord(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_leastord(scenario: Scenario, cmd: Command) -> dict:
     poset_id, cond_arg, phi_id = _args_exactly(
         cmd, 3, "leastord <poset> <condition> <formula> kappa=<K>")
     poset = scenario.lookup(poset_id, "poset")
@@ -299,24 +302,28 @@ def run_leastord(scenario: Scenario, cmd: Command, opts) -> dict:
     }
 
 
-def run_decompose(scenario: Scenario, cmd: Command, opts) -> dict:
+# The points 0..DECOMPOSE_RANGE-1 on which decompose checks that the two
+# factors compose back to the permutation.
+DECOMPOSE_RANGE = 100
+
+
+def run_decompose(scenario: Scenario, cmd: Command) -> dict:
     (perm_id,) = _args_exactly(cmd, 1, "decompose <perm> n=<n> k=<k>")
     perm = scenario.lookup(perm_id, "perm")
     n = _kwarg_int(cmd, "n")
     k = _kwarg_int(cmd, "k")
     first, second = decompose(perm, n, k)
-    bound = opts.range_bound
-    composition_ok = all(
-        perm.apply(m) == first.apply(second.apply(m)) for m in range(bound))
+    composition_ok = all(perm.apply(m) == first.apply(second.apply(m))
+                         for m in range(DECOMPOSE_RANGE))
     return {
         "perm": perm_id, "n": n, "k": k, "pi": perm_json(perm),
         "pi1": perm_json(first), "pi2": perm_json(second),
         "pi1_in_Hn": first.in_Hn(n), "pi2_fixes_k": second.fixes_below(k),
-        "composition_ok": composition_ok, "range": bound,
+        "composition_ok": composition_ok, "range": DECOMPOSE_RANGE,
     }
 
 
-def run_symcheck(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_symcheck(scenario: Scenario, cmd: Command) -> dict:
     (name_id,) = _args_exactly(cmd, 1, "symcheck <name> n=<n>")
     tau = scenario.lookup(name_id, "name")
     n = _kwarg_int(cmd, "n", 0)
@@ -326,7 +333,7 @@ def run_symcheck(scenario: Scenario, cmd: Command, opts) -> dict:
     }
 
 
-def run_cohen(scenario: Scenario, cmd: Command, opts) -> dict:
+def run_cohen(scenario: Scenario, cmd: Command) -> dict:
     if not cmd.args:
         raise InvalidInput("usage: command cohen <mode> ...")
     mode = cmd.args[0]
@@ -437,11 +444,6 @@ def _run(argv: Optional[list[str]]) -> int:
                         help="echoed into the report for reproducibility")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
-    parser.add_argument("--rank-bound", type=int, default=None,
-                        dest="rank_bound",
-                        help="default name-space rank bound")
-    parser.add_argument("--range", type=int, default=100, dest="range_bound",
-                        help="point range for permutation composition checks")
     opts = parser.parse_args(argv)
     try:
         text = Path(opts.file).read_text()
@@ -459,7 +461,7 @@ def _run(argv: Optional[list[str]]) -> int:
                 raise InvalidInput(
                     f"the file's command is {cmd.verb!r}, "
                     f"not {opts.subcommand!r}")
-        report = HANDLERS[opts.subcommand](scenario, cmd, opts)
+        report = HANDLERS[opts.subcommand](scenario, cmd)
         report["seed"] = opts.seed
         _emit(report, opts.pretty)
         return 0

@@ -10,7 +10,7 @@ and carries names across via the hat map, which preserves evaluation.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange,
@@ -19,6 +19,7 @@ from .hf import nat
 from .names import (
     EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name, pname,
 )
+from .perms import grid_conditions
 from .posets import (
     CohenGridPoset, Filter, InjPoset, ONE, canon_key, is_dense,
 )
@@ -272,22 +273,23 @@ def e_dense(assignment: Assignment, dense_set: Iterable) -> frozenset:
 # the hat map
 
 
-def hat_map(tau: PName, p1: InjPoset,
-            _memo: Optional[dict[PName, PName]] = None) -> PName:
+def hat_map(tau: PName, p1: InjPoset) -> PName:
     """Carry a grid name to the injective-map poset: each entry (r, sigma)
     spawns (q, sigma-hat) for every condition q that decides r; evaluation
-    along corresponding filters is unchanged."""
-    if _memo is None:
-        _memo = {}
-    out = _memo.get(tau)
+    along corresponding filters is unchanged.  Every condition in the name
+    must be 1 or a grid condition.
+
+    Values are memoized for this call only, so a subname shared by many
+    entries is carried once.
+    """
+    grid_conditions(tau)
+    return _hat(tau, p1.conditions(), {})
+
+
+def _hat(tau: PName, conds: tuple, memo: dict) -> PName:
+    out = memo.get(tau)
     if out is None:
-        entries = []
-        conds = p1.conditions()
-        for r, sigma in tau.sorted_entries():
-            hat_child = hat_map(sigma, p1, _memo)
-            for q in conds:
-                if square_below(r, q):
-                    entries.append((q, hat_child))
-        out = pname(entries)
-        _memo[tau] = out
+        out = memo[tau] = pname(
+            (q, _hat(sigma, conds, memo))
+            for r, sigma in tau.entries for q in conds if square_below(r, q))
     return out

@@ -15,13 +15,14 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
                              | "inj" "dom" "=" INT "cod" "=" INT
                              | "tree" "depth" "=" INT )
     grid        = "grid" ID "cols" "=" INT "rows" "=" INT
-    assignment  = "assignment" ID ID "[" INT { "," INT } "]"
+    assignment  = "assignment" ID ID "[" [ INT { "," INT } ] "]"
     sigma       = "sigma" ID "=" "{" [ pair { "," pair } ] "}"
     name        = "name" ID [ "over" ID ] "=" nameexpr
     formula     = "formula" ID [ "(" ID ")" ] "=" fml
     perm        = "perm" ID "=" ( "id" | { cycle | chain } )
     cond        = "cond" ID "over" ID "=" condition
-    conds       = "conds" ID "over" ID "=" "{" [ condition { "," } ] "}"
+    conds       = "conds" ID "over" ID "="
+                  "{" [ condition { "," condition } ] "}"
     command     = "command" ID { INT | ID | ID "=" ( INT | ID ) }
 
     hf          = INT | "{" [ hf { "," hf } ] "}"
@@ -31,8 +32,9 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
                 | "rsigma" "(" ID "," ID ")"
                 | "pair" "(" nameexpr "," nameexpr ")"
                 | "upair" "(" nameexpr "," nameexpr ")"
-                | "{" [ "(" condition "," nameexpr ")" { "," } ] "}"
+                | "{" [ entry { "," entry } ] "}"
                 | ID
+    entry       = "(" condition "," nameexpr ")"
     fml         = disj [ "->" fml ]
     disj        = conj { "or" conj }
     conj        = neg { "and" neg }
@@ -154,13 +156,17 @@ class Scenario:
     entities: dict[str, tuple[str, object]] = field(default_factory=dict)
     command: Optional[Command] = None
 
-    def lookup(self, ident: str, kind: Optional[str] = None):
+    def lookup(self, ident: str, *kinds: str, tok: Optional[Token] = None):
+        """The entity declared as ``ident``, which must be of one of
+        ``kinds`` when any are given; errors carry ``tok``'s position."""
+        where = (tok.line, tok.col) if tok is not None else ()
         if ident not in self.entities:
-            raise UnresolvedReference(f"unknown identifier {ident!r}")
+            raise UnresolvedReference(f"unknown identifier {ident!r}", *where)
         got_kind, obj = self.entities[ident]
-        if kind is not None and got_kind != kind:
+        if kinds and got_kind not in kinds:
             raise UnresolvedReference(
-                f"{ident!r} is a {got_kind}, expected a {kind}")
+                f"{ident!r} is a {got_kind}, expected a {' or '.join(kinds)}",
+                *where)
         return obj
 
 
@@ -203,6 +209,24 @@ class Parser:
     def ident(self) -> str:
         return self.expect("ident").text
 
+    def seq(self, open_: str, close: str, item) -> list:
+        """``open [ item { "," item } ] close``: the items read."""
+        self.expect("punct", open_)
+        items = []
+        if not self.accept("punct", close):
+            items.append(item())
+            while self.accept("punct", ","):
+                items.append(item())
+            self.expect("punct", close)
+        return items
+
+    def setting(self, key: str, value=None):
+        """``key "=" value``, the value an integer unless ``value`` reads
+        it."""
+        self.expect("ident", key)
+        self.expect("punct", "=")
+        return value() if value is not None else self.int_value()
+
     # -- entity table --------------------------------------------------------
 
     def define(self, ident: str, kind: str, obj, tok: Token):
@@ -211,16 +235,10 @@ class Parser:
                 f"identifier {ident!r} is already defined", tok.line, tok.col)
         self.scenario.entities[ident] = (kind, obj)
 
-    def resolve(self, ident: str, kind: str, tok: Token):
-        entry = self.scenario.entities.get(ident)
-        if entry is None:
-            raise UnresolvedReference(
-                f"unknown identifier {ident!r}", tok.line, tok.col)
-        if entry[0] != kind:
-            raise UnresolvedReference(
-                f"{ident!r} is a {entry[0]}, expected a {kind}",
-                tok.line, tok.col)
-        return entry[1]
+    def ref(self, *kinds: str):
+        """An identifier naming a declared entity of one of ``kinds``."""
+        tok = self.expect("ident")
+        return self.scenario.lookup(tok.text, *kinds, tok=tok)
 
     # -- scenario ------------------------------------------------------------
 
@@ -274,24 +292,10 @@ class Parser:
             if value < 0:
                 self.fail("set literals use nonnegative numerals", tok)
             return nat(value)
-        self.expect("punct", "{")
-        members = []
-        if not self.accept("punct", "}"):
-            members.append(self.parse_hf())
-            while self.accept("punct", ","):
-                members.append(self.parse_hf())
-            self.expect("punct", "}")
-        return HF(members)
+        return HF(self.parse_hf_set())
 
     def parse_hf_set(self) -> list[HF]:
-        self.expect("punct", "{")
-        members = []
-        if not self.accept("punct", "}"):
-            members.append(self.parse_hf())
-            while self.accept("punct", ","):
-                members.append(self.parse_hf())
-            self.expect("punct", "}")
-        return members
+        return self.seq("{", "}", self.parse_hf)
 
     def parse_poset(self):
         self.expect("ident", "poset")
@@ -301,29 +305,21 @@ class Parser:
         if kind == "explicit":
             poset = self.parse_explicit_body()
         elif kind == "flat":
-            fam_tok = self.peek()
-            poset = FlatPoset(self.resolve(self.ident(), "family", fam_tok))
+            poset = FlatPoset(self.ref("family"))
         elif kind == "choice":
-            fam_tok = self.peek()
-            family = self.resolve(self.ident(), "family", fam_tok)
+            family = self.ref("family")
             level = None
             if self.accept("ident", "level"):
                 self.expect("punct", "=")
                 level = self.int_value()
             poset = ChoicePoset(family, level)
         elif kind in ("fn", "inj"):
-            self.expect("ident", "dom")
-            self.expect("punct", "=")
-            dom = self.int_value()
-            self.expect("ident", "cod")
-            self.expect("punct", "=")
-            cod = self.int_value()
+            dom = self.setting("dom")
+            cod = self.setting("cod")
             maker = fn_omega_omega if kind == "fn" else inj_omega_omega
             poset = maker(dom, cod)
         elif kind == "tree":
-            self.expect("ident", "depth")
-            self.expect("punct", "=")
-            poset = BinaryTreePoset(self.int_value())
+            poset = BinaryTreePoset(self.setting("depth"))
         else:
             self.fail(f"unknown poset kind {kind!r}")
         self.define(ident, "poset", poset, tok)
@@ -360,27 +356,16 @@ class Parser:
         self.expect("ident", "grid")
         tok = self.peek()
         ident = self.ident()
-        self.expect("ident", "cols")
-        self.expect("punct", "=")
-        cols = self.int_value()
-        self.expect("ident", "rows")
-        self.expect("punct", "=")
-        rows = self.int_value()
+        cols = self.setting("cols")
+        rows = self.setting("rows")
         self.define(ident, "grid", CohenGridPoset(cols, rows), tok)
 
     def parse_assignment(self):
         self.expect("ident", "assignment")
         tok = self.peek()
         ident = self.ident()
-        grid_tok = self.peek()
-        grid = self.resolve(self.ident(), "grid", grid_tok)
-        self.expect("punct", "[")
-        bits = []
-        if not self.accept("punct", "]"):
-            bits.append(self.int_value())
-            while self.accept("punct", ","):
-                bits.append(self.int_value())
-            self.expect("punct", "]")
+        grid = self.ref("grid")
+        bits = self.seq("[", "]", self.int_value)
         self.define(ident, "assignment", Assignment(grid, bits), tok)
 
     def parse_int_pair(self) -> tuple[int, int]:
@@ -396,13 +381,7 @@ class Parser:
         tok = self.peek()
         ident = self.ident()
         self.expect("punct", "=")
-        self.expect("punct", "{")
-        pairs = []
-        if not self.accept("punct", "}"):
-            pairs.append(self.parse_int_pair())
-            while self.accept("punct", ","):
-                pairs.append(self.parse_int_pair())
-            self.expect("punct", "}")
+        pairs = self.seq("{", "}", self.parse_int_pair)
         self.define(ident, "sigma", frozenset(pairs), tok)
 
     # -- conditions ------------------------------------------------------------
@@ -427,60 +406,28 @@ class Parser:
             self.expect("punct", ")")
             return (level, value)
         if poset.kind in ("fn", "inj"):
-            self.expect("punct", "{")
-            pairs = []
-            if not self.accept("punct", "}"):
-                while True:
-                    u = self.int_value()
-                    self.expect("punct", "->")
-                    v = self.int_value()
-                    pairs.append((u, v))
-                    if not self.accept("punct", ","):
-                        break
-                self.expect("punct", "}")
-            return frozenset(pairs)
+            def mapping():
+                u = self.int_value()
+                self.expect("punct", "->")
+                return (u, self.int_value())
+            return frozenset(self.seq("{", "}", mapping))
         if poset.kind == "cohen":
-            self.expect("punct", "{")
-            cells = []
-            if not self.accept("punct", "}"):
-                while True:
-                    cell = self.parse_int_pair()
-                    self.expect("punct", "=")
-                    cells.append((cell, self.int_value()))
-                    if not self.accept("punct", ","):
-                        break
-                self.expect("punct", "}")
-            return frozenset(cells)
+            def cell():
+                where = self.parse_int_pair()
+                self.expect("punct", "=")
+                return (where, self.int_value())
+            return frozenset(self.seq("{", "}", cell))
         if poset.kind == "binary":
-            self.expect("punct", "[")
-            bits = []
-            if not self.accept("punct", "]"):
-                bits.append(self.int_value())
-                while self.accept("punct", ","):
-                    bits.append(self.int_value())
-                self.expect("punct", "]")
+            bits = self.seq("[", "]", self.int_value)
             return "".join(str(b) for b in bits)
         self.fail(f"no condition syntax for poset kind {poset.kind!r}", tok)
-
-    def resolve_posetlike(self) -> Poset:
-        tok = self.peek()
-        ident = self.ident()
-        entry = self.scenario.entities.get(ident)
-        if entry is None:
-            raise UnresolvedReference(
-                f"unknown identifier {ident!r}", tok.line, tok.col)
-        if entry[0] not in ("poset", "grid"):
-            raise UnresolvedReference(
-                f"{ident!r} is a {entry[0]}, expected a poset or grid",
-                tok.line, tok.col)
-        return entry[1]
 
     def parse_cond_decl(self):
         self.expect("ident", "cond")
         tok = self.peek()
         ident = self.ident()
         self.expect("ident", "over")
-        poset = self.resolve_posetlike()
+        poset = self.ref("poset", "grid")
         self.expect("punct", "=")
         cond = self.parse_condition(poset)
         self.define(ident, "cond", (poset, cond), tok)
@@ -490,15 +437,9 @@ class Parser:
         tok = self.peek()
         ident = self.ident()
         self.expect("ident", "over")
-        poset = self.resolve_posetlike()
+        poset = self.ref("poset", "grid")
         self.expect("punct", "=")
-        self.expect("punct", "{")
-        conds = []
-        if not self.accept("punct", "}"):
-            conds.append(self.parse_condition(poset))
-            while self.accept("punct", ","):
-                conds.append(self.parse_condition(poset))
-            self.expect("punct", "}")
+        conds = self.seq("{", "}", lambda: self.parse_condition(poset))
         self.define(ident, "conds", (poset, tuple(conds)), tok)
 
     # -- names -----------------------------------------------------------------
@@ -509,26 +450,21 @@ class Parser:
         ident = self.ident()
         poset = None
         if self.accept("ident", "over"):
-            poset = self.resolve_posetlike()
+            poset = self.ref("poset", "grid")
         self.expect("punct", "=")
         self.define(ident, "name", self.parse_name_expr(poset), tok)
 
     def parse_name_expr(self, poset: Optional[Poset]) -> PName:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "{":
-            self.next()
-            entries = []
-            if not self.accept("punct", "}"):
-                while True:
-                    self.expect("punct", "(")
-                    cond = self.parse_condition(poset)
-                    self.expect("punct", ",")
-                    child = self.parse_name_expr(poset)
-                    self.expect("punct", ")")
-                    entries.append((cond, child))
-                    if not self.accept("punct", ","):
-                        break
-                self.expect("punct", "}")
+            def entry():
+                self.expect("punct", "(")
+                cond = self.parse_condition(poset)
+                self.expect("punct", ",")
+                child = self.parse_name_expr(poset)
+                self.expect("punct", ")")
+                return (cond, child)
+            entries = self.seq("{", "}", entry)
             return pname(entries) if entries else EMPTY_NAME
         if tok.kind != "ident":
             self.fail("expected a name expression", tok)
@@ -540,14 +476,12 @@ class Parser:
             return check_name(value)
         if head == "gamma":
             self.expect("punct", "(")
-            ptok = self.peek()
-            target = self.resolve(self.ident(), "poset", ptok)
+            target = self.ref("poset")
             self.expect("punct", ")")
             return gamma_name(target)
         if head in ("xdot", "xcc"):
             self.expect("punct", "(")
-            gtok = self.peek()
-            grid = self.resolve(self.ident(), "grid", gtok)
+            grid = self.ref("grid")
             self.expect("punct", ",")
             col = self.int_value()
             self.expect("punct", ")")
@@ -555,11 +489,9 @@ class Parser:
             return maker(grid, col)
         if head == "rsigma":
             self.expect("punct", "(")
-            gtok = self.peek()
-            grid = self.resolve(self.ident(), "grid", gtok)
+            grid = self.ref("grid")
             self.expect("punct", ",")
-            stok = self.peek()
-            sigma = self.resolve(self.ident(), "sigma", stok)
+            sigma = self.ref("sigma")
             self.expect("punct", ")")
             return r_sigma_name(grid, sigma)
         if head in ("pair", "upair"):
@@ -570,7 +502,7 @@ class Parser:
             self.expect("punct", ")")
             maker = ordered_pair_name if head == "pair" else unordered_pair_name
             return maker(left, right)
-        return self.resolve(head, "name", tok)
+        return self.scenario.lookup(head, "name", tok=tok)
 
     # -- formulas ----------------------------------------------------------------
 
@@ -701,27 +633,13 @@ class Parser:
     def parse_chain(self) -> Chain:
         self.expect("ident", "chain")
         self.expect("punct", "(")
-        self.expect("ident", "lo")
-        self.expect("punct", "=")
-        lo = self.int_value()
+        lo = self.setting("lo")
         self.expect("punct", ",")
-        self.expect("ident", "mid")
-        self.expect("punct", "=")
-        self.expect("punct", "[")
-        mid = []
-        if not self.accept("punct", "]"):
-            mid.append(self.int_value())
-            while self.accept("punct", ","):
-                mid.append(self.int_value())
-            self.expect("punct", "]")
+        mid = self.setting("mid", lambda: self.seq("[", "]", self.int_value))
         self.expect("punct", ",")
-        self.expect("ident", "neg")
-        self.expect("punct", "=")
-        neg = self.parse_int_pair()
+        neg = self.setting("neg", self.parse_int_pair)
         self.expect("punct", ",")
-        self.expect("ident", "pos")
-        self.expect("punct", "=")
-        pos = self.parse_int_pair()
+        pos = self.setting("pos", self.parse_int_pair)
         self.expect("punct", ")")
         return Chain(lo, tuple(mid), neg, pos)
 

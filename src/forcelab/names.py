@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from .errors import InvalidInput
-from .hf import HF, EMPTY as HF_EMPTY
+from .hf import HF, EMPTY as HF_EMPTY, kuratowski
 from .posets import ONE, Poset, canon_key
 
 
@@ -148,18 +148,26 @@ def name_hf(tau: PName, cond_hf: Optional[Callable[[object], HF]] = None) -> HF:
     """Encode a name itself as a hereditarily finite set of Kuratowski
     (condition, name) pairs.  By default only the ONE sentinel is accepted
     as a condition and encodes as the empty set (the trivial condition of a
-    partial-function poset)."""
-    from .hf import kuratowski
+    partial-function poset).
 
+    Values are memoized for this call only, so a subname shared by many
+    entries is encoded once.
+    """
     def default(cond) -> HF:
         if cond is ONE:
             return HF_EMPTY
         raise InvalidInput(
             "name_hf needs an encoder for conditions other than 1")
 
-    enc = cond_hf or default
-    return HF(kuratowski(enc(cond), name_hf(child, cond_hf))
-              for cond, child in tau.entries)
+    return _name_hf(tau, cond_hf or default, {})
+
+
+def _name_hf(tau: PName, enc: Callable[[object], HF], memo: dict) -> HF:
+    out = memo.get(tau)
+    if out is None:
+        out = memo[tau] = HF(kuratowski(enc(cond), _name_hf(child, enc, memo))
+                             for cond, child in tau.entries)
+    return out
 
 
 def union_name(poset: Poset, rho: PName) -> PName:

@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidInput, MalformedSigma, NotInSubgroup
+from .errors import (
+    InvalidInput, MalformedSigma, NotInSubgroup, UnknownCondition,
+)
 from .names import PName, name_conditions, pname
-from .posets import ONE
+from .posets import ONE, CohenGridPoset, canon_key
 
 
 def _ap_meets(start1: int, step1: int, start2: int, step2: int) -> bool:
@@ -351,11 +353,13 @@ def act_condition(perm: Perm, cond):
 
 
 def act_name(perm: Perm, tau: PName) -> PName:
-    """Apply the column relabeling to every condition in a name.
+    """Apply the column relabeling to every condition in a name, which must
+    be 1 or a grid condition.
 
     Values are memoized for this call only, so a subname shared by many
     entries is relabeled once.
     """
+    grid_conditions(tau)
     return _act(perm, tau, {})
 
 
@@ -368,10 +372,22 @@ def _act(perm: Perm, tau: PName, memo: dict) -> PName:
     return out
 
 
+def grid_conditions(tau: PName) -> set:
+    """All conditions hereditarily inside a name; raises UnknownCondition
+    unless each is 1 or a grid condition."""
+    conds = name_conditions(tau)
+    bad = [c for c in conds
+           if c is not ONE and not CohenGridPoset.is_condition(c)]
+    if bad:
+        raise UnknownCondition(
+            f"not a grid condition: {min(bad, key=canon_key)!r}")
+    return conds
+
+
 def column_support(tau: PName) -> frozenset[int]:
     """All columns mentioned by conditions hereditarily inside a name."""
     cols = set()
-    for cond in name_conditions(tau):
+    for cond in grid_conditions(tau):
         if cond is ONE:
             continue
         cols.update(c for (c, _), _ in cond)
@@ -392,7 +408,7 @@ def is_fixed_by_Hn(tau: PName, n: int) -> bool:
     pool = sorted(c for c in support if c >= n) + [fresh]
     for a in range(len(pool)):
         for b in range(a + 1, len(pool)):
-            if act_name(transposition(pool[a], pool[b]), tau) != tau:
+            if _act(transposition(pool[a], pool[b]), tau, {}) != tau:
                 return False
     return True
 

@@ -613,7 +613,9 @@ class CohenGridPoset(MapPoset):
         cells = [(c, r) for c in range(cols) for r in range(rows)]
         super().__init__(dom_window=cells, cod_window=(0, 1))
 
-    def is_condition(self, c) -> bool:
+    @staticmethod
+    def is_condition(c) -> bool:
+        """Is c a finite map from cells to bits (on any grid)?"""
         if not isinstance(c, frozenset):
             return False
         for entry in c:

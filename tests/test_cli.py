@@ -89,6 +89,35 @@ def test_domain_error_exits_2(tmp_path):
     assert json.loads(out.stdout)["error"]["code"] == "invalid-input"
 
 
+BAD_KWARG_OR_NAME = {
+    "rank-not-int": (
+        "forces", "invalid-input",
+        "family F { a: {0} b: {1} }\nposet P flat F\nname g = gamma(P)\n"
+        "formula phi = check(0) in g\ncommand forces P 1 phi rank=x\n"),
+    "symcheck-flat-name": (
+        "symcheck", "unknown-condition",
+        "family F { a: {0} b: {1} }\nposet P flat F\n"
+        "name t over P = { (a, check(0)), (b, check(1)) }\n"
+        "command symcheck t n=0\n"),
+    "hat-fn-name": (
+        "cohen", "unknown-condition",
+        "poset M fn dom = 2 cod = 2\ngrid G cols = 2 rows = 2\n"
+        "assignment g G [0, 1, 1, 0]\n"
+        "name t over M = { ({0 -> 1}, check(0)) }\ncommand cohen hat g t\n"),
+}
+
+
+@pytest.mark.parametrize("verb, code, text", BAD_KWARG_OR_NAME.values(),
+                         ids=BAD_KWARG_OR_NAME.keys())
+def test_bad_kwarg_or_name_exits_2_without_traceback(tmp_path, verb, code,
+                                                     text):
+    bad = tmp_path / "bad.fl"
+    bad.write_text(text)
+    out = run_cli(verb, str(bad))
+    assert out.returncode == 2 and out.stderr == ""
+    assert json.loads(out.stdout)["error"]["code"] == code
+
+
 def test_missing_file_exits_2():
     out = run_cli("parse-only", str(ROOT / "scenarios" / "nope.fl"))
     assert out.returncode == 2

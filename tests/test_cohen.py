@@ -7,7 +7,7 @@ import pytest
 from forcelab import (
     Assignment, CohenGridPoset, ColumnCollision, EMPTY_NAME,
     GridSectionFilter, HF, InvalidInput, NonInjective, NotDense, ONE,
-    OutOfRange, check_name, e_dense, eval_name, g1_to_g, g_to_g1, hat_map,
+    OutOfRange, UnknownCondition, check_name, e_dense, eval_name, g1_to_g, g_to_g1, hat_map,
     is_dense, kuratowski, name_hf, nat, ordered_pair_name, pname,
     r_sigma_condition, r_sigma_name, section_g1_conditions, square_below,
     xcheckcheck_name, xdot_name,
@@ -189,3 +189,8 @@ class TestHatMap:
 
     def test_hat_of_empty_is_empty(self):
         assert hat_map(EMPTY_NAME, ASG.p1_poset()) == EMPTY_NAME
+
+    def test_hat_rejects_non_grid_conditions(self):
+        tau = pname([(ONE, pname([("a", EMPTY_NAME)]))])
+        with pytest.raises(UnknownCondition):
+            hat_map(tau, ASG.p1_poset())

@@ -252,3 +252,122 @@ class TestErrors:
     def test_assignment_must_fit_grid(self):
         with pytest.raises(InvalidInput):
             parse_scenario("grid G cols = 2 rows = 2\nassignment A G [0, 1]")
+
+
+FAMILY = "family F { a: {0} b: {1} }\n"
+GRID = "grid G cols = 2 rows = 1\n"
+
+# One malformed input per production read by a bracketed list, a
+# ``key = value`` setting or a typed reference, with the exact error each
+# one raises.
+MALFORMED = {
+    # lists: open [ item { "," item } ] close
+    "hf": ("name x = check({0 1})",
+           ParseError, "syntax-error", 1, 19, "expected '}', found '1'"),
+    "hf-set": ("family F { a: {0 1} }",
+               ParseError, "syntax-error", 1, 18, "expected '}', found '1'"),
+    "assignment-bits": (GRID + "assignment A G [0 1]",
+                        ParseError, "syntax-error", 2, 19,
+                        "expected ']', found '1'"),
+    "sigma-pairs": ("sigma s = { (0, 1) (1, 0) }",
+                    ParseError, "syntax-error", 1, 20,
+                    "expected '}', found '('"),
+    "conds": (FAMILY + "poset P flat F\nconds D over P = { a b }",
+              ParseError, "syntax-error", 3, 22, "expected '}', found 'b'"),
+    "fn-condition": ("poset M fn dom = 2 cod = 2\n"
+                     "cond k over M = {0 -> 1 1 -> 0}",
+                     ParseError, "syntax-error", 2, 25,
+                     "expected '}', found '1'"),
+    "inj-condition": ("poset M inj dom = 2 cod = 2\ncond k over M = {0 -> 1,}",
+                      ParseError, "syntax-error", 2, 25,
+                      "expected 'int', found '}'"),
+    "grid-condition": (GRID + "cond k over G = {(0, 0) = 1 (1, 0) = 0}",
+                       ParseError, "syntax-error", 2, 29,
+                       "expected '}', found '('"),
+    "tree-condition": ("poset T tree depth = 2\ncond k over T = [0 1]",
+                       ParseError, "syntax-error", 2, 20,
+                       "expected ']', found '1'"),
+    "name-literal": (FAMILY + "poset P flat F\n"
+                     "name x over P = { (a, check(0)) (b, check(1)) }",
+                     ParseError, "syntax-error", 3, 33,
+                     "expected '}', found '('"),
+    "chain-window": ("perm pi = chain(lo=2, mid=[4 2], neg=(2, 6), pos=(2, 5))",
+                     ParseError, "syntax-error", 1, 30,
+                     "expected ']', found '2'"),
+    # settings: key "=" value
+    "fn-dom": ("poset M fn dom 2 cod = 2",
+               ParseError, "syntax-error", 1, 16, "expected '=', found '2'"),
+    "inj-cod": ("poset M inj dom = 2 cod 2",
+                ParseError, "syntax-error", 1, 25, "expected '=', found '2'"),
+    "tree-depth": ("poset T tree depth = x",
+                   ParseError, "syntax-error", 1, 22,
+                   "expected 'int', found 'x'"),
+    "grid-cols": ("grid G rows = 2 cols = 2",
+                  ParseError, "syntax-error", 1, 8,
+                  "expected 'cols', found 'rows'"),
+    "grid-rows": ("grid G cols = 2 rows = {",
+                  ParseError, "syntax-error", 1, 24,
+                  "expected 'int', found '{'"),
+    "chain-lo": ("perm pi = chain(low=2, mid=[4, 2], neg=(2, 6), pos=(2, 5))",
+                 ParseError, "syntax-error", 1, 17,
+                 "expected 'lo', found 'low'"),
+    "chain-mid": ("perm pi = chain(lo=2, mid=4, neg=(2, 6), pos=(2, 5))",
+                  ParseError, "syntax-error", 1, 27,
+                  "expected '[', found '4'"),
+    "chain-neg": ("perm pi = chain(lo=2, mid=[4, 2], neg 2, pos=(2, 5))",
+                  ParseError, "syntax-error", 1, 39,
+                  "expected '=', found '2'"),
+    "chain-pos": ("perm pi = chain(lo=2, mid=[4, 2], neg=(2, 6), pos=2)",
+                  ParseError, "syntax-error", 1, 51,
+                  "expected '(', found '2'"),
+    # typed references
+    "flat-family": ("poset P flat F",
+                    UnresolvedReference, "unresolved-reference", 1, 14,
+                    "unknown identifier 'F'"),
+    "choice-family": (GRID + "poset C choice G",
+                      UnresolvedReference, "unresolved-reference", 2, 16,
+                      "'G' is a grid, expected a family"),
+    "assignment-grid": (FAMILY + "assignment A F [0]",
+                        UnresolvedReference, "unresolved-reference", 2, 14,
+                        "'F' is a family, expected a grid"),
+    "cond-over": (FAMILY + "cond k over F = 1",
+                  UnresolvedReference, "unresolved-reference", 2, 13,
+                  "'F' is a family, expected a poset or grid"),
+    "conds-over": ("conds D over Q = { 1 }",
+                   UnresolvedReference, "unresolved-reference", 1, 14,
+                   "unknown identifier 'Q'"),
+    "name-over": (FAMILY + "name x over F = check(0)",
+                  UnresolvedReference, "unresolved-reference", 2, 13,
+                  "'F' is a family, expected a poset or grid"),
+    "gamma": (GRID + "name x = gamma(G)",
+              UnresolvedReference, "unresolved-reference", 2, 16,
+              "'G' is a grid, expected a poset"),
+    "xdot": ("name x = xdot(G, 0)",
+             UnresolvedReference, "unresolved-reference", 1, 15,
+             "unknown identifier 'G'"),
+    "xcc": (FAMILY + "name x = xcc(F, 0)",
+            UnresolvedReference, "unresolved-reference", 2, 14,
+            "'F' is a family, expected a grid"),
+    "rsigma-grid": ("sigma s = {}\nname x = rsigma(s, s)",
+                    UnresolvedReference, "unresolved-reference", 2, 17,
+                    "'s' is a sigma, expected a grid"),
+    "rsigma-sigma": (GRID + "name x = rsigma(G, G)",
+                     UnresolvedReference, "unresolved-reference", 2, 20,
+                     "'G' is a grid, expected a sigma"),
+    "name-reference": (FAMILY + "name x = F",
+                       UnresolvedReference, "unresolved-reference", 2, 10,
+                       "'F' is a family, expected a name"),
+    "unknown-name": ("name x = pair(check(0), y)",
+                     UnresolvedReference, "unresolved-reference", 1, 25,
+                     "unknown identifier 'y'"),
+}
+
+
+@pytest.mark.parametrize("source, cls, code, line, col, message",
+                         MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_error(source, cls, code, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(source)
+    err = exc.value
+    assert (type(err), err.code, err.line, err.col, err.args[0]) == \
+        (cls, code, line, col, message)

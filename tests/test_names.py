@@ -106,6 +106,18 @@ class TestStructure:
         out = name_hf(tau, FLAT.condition_hf)
         assert out == HF([kuratowski(FLAT.condition_hf("a"), EMPTY)])
 
+    def test_name_hf_encodes_shared_subnames_once(self):
+        def unshared(tau):
+            return HF(kuratowski(EMPTY, unshared(child))
+                      for _, child in tau.entries)
+
+        for n in range(9):
+            tau = check_name(nat(n))
+            assert name_hf(tau) == unshared(tau)
+        # The check-name of 40 reaches each smaller check-name along 2^k
+        # paths; an encoding without sharing would never finish.
+        assert len(name_hf(check_name(nat(40)))) == 40
+
     def test_check_name_entries_use_one(self):
         tau = check_name(nat(2))
         assert all(c is ONE for c, _ in tau.sorted_entries())

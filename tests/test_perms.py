@@ -6,8 +6,8 @@ import pytest
 
 from forcelab import (
     Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
-    NotInSubgroup, ONE, Perm, act_condition, act_name, check_name,
-    column_support, compose, decompose, identity,
+    NotInSubgroup, ONE, Perm, UnknownCondition, act_condition, act_name,
+    check_name, column_support, compose, decompose, identity,
     is_fixed_by_Hn, nat, pname, sigma_conjugate, transposition,
     unordered_pair_name, xdot_name,
 )
@@ -168,6 +168,15 @@ class TestNameAction:
     def test_column_support(self):
         tau = pname([(frozenset({((3, 0), 1)}), xdot_name(GRID, 1))])
         assert column_support(tau) == frozenset({1, 3})
+
+    @pytest.mark.parametrize("cond", ["a", frozenset({(0, 1)}), (1, nat(0))])
+    def test_non_grid_conditions_are_rejected(self, cond):
+        tau = pname([(ONE, pname([(cond, EMPTY_NAME)]))])
+        for call in (lambda: column_support(tau),
+                     lambda: is_fixed_by_Hn(tau, 0),
+                     lambda: act_name(transposition(0, 1), tau)):
+            with pytest.raises(UnknownCondition):
+                call()
 
 
 class TestFixedness:
