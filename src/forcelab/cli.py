@@ -171,7 +171,7 @@ def run_thm1(scenario: Scenario, cmd: Command) -> dict:
     mode, fam_id = _args_exactly(cmd, 2, "thm1 enumerate <family> level=<L>")
     if mode != "enumerate":
         raise InvalidInput(f"unknown thm1 mode {mode!r}")
-    family = scenario.lookup(fam_id, "family")
+    family = scenario.lookup(fam_id, "family", tok=cmd.tokens.get(1))
     level = _kwarg_int(cmd, "level", 1)
     poset = ChoicePoset(family, level)
     antichains = enumerate_maximal_antichains(poset, level)
@@ -200,7 +200,7 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
     mode, fam_id = _args_exactly(cmd, 2, "thm2 extract <family>")
     if mode != "extract":
         raise InvalidInput(f"unknown thm2 mode {mode!r}")
-    family = scenario.lookup(fam_id, "family")
+    family = scenario.lookup(fam_id, "family", tok=cmd.tokens.get(1))
     flat = FlatPoset(family)
     witnesses = []
     extracted = []
@@ -228,9 +228,9 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
 def run_forces(scenario: Scenario, cmd: Command) -> dict:
     poset_id, cond_arg, phi_id = _args_exactly(
         cmd, 3, "forces <poset> <condition> <formula> [rank=<K>]")
-    poset = scenario.lookup(poset_id, "poset")
+    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
     p = _resolve_cond(scenario, poset, cond_arg)
-    phi = scenario.lookup(phi_id, "formula")
+    phi = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
     space = _space_for(poset, phi, _kwarg_int(cmd, "rank", None))
     sem = forces_semantic(poset, p, phi, space)
     syn = forces_syntactic(poset, p, phi, space)
@@ -243,9 +243,9 @@ def run_forces(scenario: Scenario, cmd: Command) -> dict:
 def run_witness(scenario: Scenario, cmd: Command) -> dict:
     poset_id, cond_arg, phi_id = _args_exactly(
         cmd, 3, "witness <poset> <condition> <formula> rank=<K>")
-    poset = scenario.lookup(poset_id, "poset")
+    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
     p = _resolve_cond(scenario, poset, cond_arg)
-    theta = scenario.lookup(phi_id, "formula")
+    theta = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
     rank = _kwarg_int(cmd, "rank", 1)
     space = NameSpace(poset, tuple(constants(theta)), rank)
     tau = mp_witness_search(poset, p, theta, space)
@@ -266,13 +266,15 @@ def run_mix(scenario: Scenario, cmd: Command) -> dict:
             "usage: command mix <poset> <condition> <conds> <name>...")
     poset_id, cond_arg, conds_id = cmd.args[:3]
     name_ids = cmd.args[3:]
-    poset = scenario.lookup(poset_id, "poset")
+    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
     p = _resolve_cond(scenario, poset, cond_arg)
-    owner, antichain = scenario.lookup(conds_id, "conds")
+    owner, antichain = scenario.lookup(conds_id, "conds",
+                                       tok=cmd.tokens.get(2))
     if owner is not poset:
         raise InvalidInput(
             f"conditions {conds_id!r} were declared over a different poset")
-    names = [scenario.lookup(n, "name") for n in name_ids]
+    names = [scenario.lookup(n, "name", tok=cmd.tokens.get(3 + i))
+             for i, n in enumerate(name_ids)]
     if len(names) != len(antichain):
         raise InvalidInput(
             "need exactly one name per antichain member, in written order")
@@ -288,9 +290,9 @@ def run_mix(scenario: Scenario, cmd: Command) -> dict:
 def run_leastord(scenario: Scenario, cmd: Command) -> dict:
     poset_id, cond_arg, phi_id = _args_exactly(
         cmd, 3, "leastord <poset> <condition> <formula> kappa=<K>")
-    poset = scenario.lookup(poset_id, "poset")
+    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
     p = _resolve_cond(scenario, poset, cond_arg)
-    theta = scenario.lookup(phi_id, "formula")
+    theta = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
     kappa = _kwarg_int(cmd, "kappa")
     tau = least_ordinal_name(poset, p, kappa, theta)
     var = single_free_var(theta)
@@ -309,7 +311,7 @@ DECOMPOSE_RANGE = 100
 
 def run_decompose(scenario: Scenario, cmd: Command) -> dict:
     (perm_id,) = _args_exactly(cmd, 1, "decompose <perm> n=<n> k=<k>")
-    perm = scenario.lookup(perm_id, "perm")
+    perm = scenario.lookup(perm_id, "perm", tok=cmd.tokens.get(0))
     n = _kwarg_int(cmd, "n")
     k = _kwarg_int(cmd, "k")
     first, second = decompose(perm, n, k)
@@ -325,7 +327,7 @@ def run_decompose(scenario: Scenario, cmd: Command) -> dict:
 
 def run_symcheck(scenario: Scenario, cmd: Command) -> dict:
     (name_id,) = _args_exactly(cmd, 1, "symcheck <name> n=<n>")
-    tau = scenario.lookup(name_id, "name")
+    tau = scenario.lookup(name_id, "name", tok=cmd.tokens.get(0))
     n = _kwarg_int(cmd, "n", 0)
     return {
         "name": name_id, "n": n, "fixed": is_fixed_by_Hn(tau, n),
@@ -339,7 +341,7 @@ def run_cohen(scenario: Scenario, cmd: Command) -> dict:
     mode = cmd.args[0]
     if mode == "roundtrip":
         _, asg_id = _args_exactly(cmd, 2, "cohen roundtrip <assignment>")
-        asg = scenario.lookup(asg_id, "assignment")
+        asg = scenario.lookup(asg_id, "assignment", tok=cmd.tokens.get(1))
         g1 = g_to_g1(asg)
         back = g1_to_g(asg.grid, g1)
         return {
@@ -352,8 +354,8 @@ def run_cohen(scenario: Scenario, cmd: Command) -> dict:
     if mode == "hat":
         _, asg_id, name_id = _args_exactly(
             cmd, 3, "cohen hat <assignment> <name>")
-        asg = scenario.lookup(asg_id, "assignment")
-        tau = scenario.lookup(name_id, "name")
+        asg = scenario.lookup(asg_id, "assignment", tok=cmd.tokens.get(1))
+        tau = scenario.lookup(name_id, "name", tok=cmd.tokens.get(2))
         p1 = asg.p1_poset()
         hat = hat_map(tau, p1)
         orig = eval_name(tau, asg.filter())
@@ -367,8 +369,9 @@ def run_cohen(scenario: Scenario, cmd: Command) -> dict:
     if mode == "edense":
         _, asg_id, conds_id = _args_exactly(
             cmd, 3, "cohen edense <assignment> <conds>")
-        asg = scenario.lookup(asg_id, "assignment")
-        owner, dense = scenario.lookup(conds_id, "conds")
+        asg = scenario.lookup(asg_id, "assignment", tok=cmd.tokens.get(1))
+        owner, dense = scenario.lookup(conds_id, "conds",
+                                       tok=cmd.tokens.get(2))
         if owner is not asg.grid:
             raise InvalidInput(
                 f"conditions {conds_id!r} were declared over a different grid")
@@ -382,13 +385,13 @@ def run_cohen(scenario: Scenario, cmd: Command) -> dict:
     if mode == "conjugate":
         _, sigma_id = _args_exactly(
             cmd, 2, "cohen conjugate <sigma> n=<n> bound=<N> grid=<grid>")
-        sigma = scenario.lookup(sigma_id, "sigma")
+        sigma = scenario.lookup(sigma_id, "sigma", tok=cmd.tokens.get(1))
         n = _kwarg_int(cmd, "n")
         bound = _kwarg_int(cmd, "bound")
         grid_id = cmd.kwarg("grid")
         if grid_id is None:
             raise InvalidInput("the conjugate mode needs grid=<grid>")
-        grid = scenario.lookup(grid_id, "grid")
+        grid = scenario.lookup(grid_id, "grid", tok=cmd.tokens.get("grid"))
         perm, translated = sigma_conjugate(sigma, n, bound)
         r1 = r_sigma_name(grid, sigma)
         r2 = r_sigma_name(grid, translated)

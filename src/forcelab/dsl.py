@@ -143,6 +143,10 @@ class Command:
     verb: str
     args: tuple = ()
     kwargs: tuple = ()
+    # Where each argument was written, so that an error about it can carry
+    # its position: its index in ``args``, or the key of a keyword
+    # argument, to the token of its value.
+    tokens: dict = field(default_factory=dict, compare=False, repr=False)
 
     def kwarg(self, key: str, default=None):
         for k, v in self.kwargs:
@@ -650,11 +654,13 @@ class Parser:
         verb = self.ident()
         args = []
         kwargs = []
+        tokens = {}
         while True:
             tok = self.peek()
             if tok.kind == "end":
                 break
             if tok.kind == "int":
+                tokens[len(args)] = tok
                 args.append(int(self.next().text))
                 continue
             if tok.kind == "ident":
@@ -667,11 +673,14 @@ class Parser:
                         kwargs.append((name, vtok.text))
                     else:
                         self.fail("expected a value after '='", vtok)
+                    tokens[name] = vtok
                 else:
+                    tokens[len(args)] = tok
                     args.append(name)
                 continue
             self.fail("unexpected token in command arguments")
-        self.scenario.command = Command(verb, tuple(args), tuple(kwargs))
+        self.scenario.command = Command(verb, tuple(args), tuple(kwargs),
+                                        tokens)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -142,15 +142,18 @@ def _pair_mask(k: Kernel, filters: Sequence[Filter], bits: dict,
 
 
 class _Forcer:
-    """Route state for one name space over a compiled poset: a memo table
+    """Route state for one name space over a compiled poset: memo tables
     for each route, which share nothing but the kernel's order.  Conditions
-    are kernel indices."""
+    are kernel indices.  Formulas and names are interned, so every table
+    hashes its keys by identity."""
 
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
         self.space = space
         self._sat_memo: dict = {}
         self._syn_memo: dict = {}
+        self._eq: dict = {}
+        self._member: dict = {}
         self._instances: dict = {}
 
     def rank_range(self, k: int) -> tuple[PName, ...]:
@@ -230,18 +233,9 @@ class _Forcer:
     def _forces_syn(self, p: int, phi: Formula) -> bool:
         exts = self.k.exts
         if isinstance(phi, Eq):
-            t1, t2 = _const(phi.left), _const(phi.right)
-            return self._forces_subset(p, t1, t2) and \
-                self._forces_subset(p, t2, t1)
+            return self._forces_eq(p, _const(phi.left), _const(phi.right))
         if isinstance(phi, Member):
-            t1, t2 = _const(phi.left), _const(phi.right)
-            entries = self.k.entry_masks(t2)
-            return all(
-                any(
-                    m >> r & 1 and self.forces_syn(r, Eq(Cname(t1), Cname(sig)))
-                    for r in exts[q]
-                    for m, sig in entries)
-                for q in exts[p])
+            return self._forces_member(p, _const(phi.left), _const(phi.right))
         if isinstance(phi, Not):
             return all(not self.forces_syn(q, phi.body) for q in exts[p])
         if isinstance(phi, And):
@@ -273,12 +267,35 @@ class _Forcer:
             return all(self.forces_syn(p, body) for _, body in instances)
         raise InvalidInput(f"not a formula: {phi!r}")
 
+    # The atoms recurse on name pairs alone, memoized in ``_eq`` and
+    # ``_member`` by (condition, t1, t2), without building formulas.
+
+    def _forces_eq(self, p: int, t1: PName, t2: PName) -> bool:
+        key = (p, t1, t2)
+        hit = self._eq.get(key)
+        if hit is None:
+            hit = self._eq[key] = self._forces_subset(p, t1, t2) and \
+                self._forces_subset(p, t2, t1)
+        return hit
+
+    def _forces_member(self, p: int, t1: PName, t2: PName) -> bool:
+        key = (p, t1, t2)
+        hit = self._member.get(key)
+        if hit is None:
+            exts = self.k.exts
+            entries = self.k.entry_masks(t2)
+            hit = self._member[key] = all(
+                any(m >> r & 1 and self._forces_eq(r, t1, sig)
+                    for r in exts[q]
+                    for m, sig in entries)
+                for q in exts[p])
+        return hit
+
     def _forces_subset(self, p: int, t1: PName, t2: PName) -> bool:
         # p forces t1 to be a subset of t2
         for m, sig in self.k.entry_masks(t1):
             for q in self.k.exts[p]:
-                if m >> q & 1 and \
-                        not self.forces_syn(q, Member(Cname(sig), Cname(t2))):
+                if m >> q & 1 and not self._forces_member(q, sig, t2):
                     return False
         return True
 

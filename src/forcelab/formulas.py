@@ -11,93 +11,159 @@ bounds so that both satisfaction and the forcing relation stay decidable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from typing import Union
 
 from .errors import InvalidInput
 from .names import PName
 
+# The unique table: every live term, bound and formula node, keyed by
+# (class, *fields), held weakly like HF sets and names.
+_UNIQUE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+
+class _Node:
+    """An immutable syntax node with the fields named in ``_fields``.
+
+    Nodes are interned: constructing a node equal to a live one returns
+    that object, so equality is identity and the hash is the identity hash,
+    and copying and pickling return the interned node.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _UNIQUE.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(
+                    f"{cls.__name__}() takes {len(cls._fields)} arguments "
+                    f"({', '.join(cls._fields)}), got {len(args)}")
+            node = object.__new__(cls)
+            for field, value in zip(cls._fields, args):
+                setattr(node, field, value)
+            node._setup()
+            _UNIQUE[key] = node
+        return node
+
+    def _setup(self) -> None:
+        """Fill derived slots once the fields are set."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Cname:
+class Var(_Node):
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+
+class Cname(_Node):
     """A name constant."""
 
-    name: PName
+    __slots__ = ("name",)
+    _fields = ("name",)
 
 
 Term = Union[Var, Cname]
 
 
-@dataclass(frozen=True)
-class Member:
-    left: Term
-    right: Term
+class InName(_Node):
+    __slots__ = ("name",)
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class RankLE(_Node):
+    __slots__ = ("bound",)
+    _fields = ("bound",)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class InName:
-    name: PName
-
-
-@dataclass(frozen=True)
-class RankLE:
-    bound: int
-
-
-@dataclass(frozen=True)
-class OrdLT:
-    bound: int
+class OrdLT(_Node):
+    __slots__ = ("bound",)
+    _fields = ("bound",)
 
 
 Bound = Union[InName, RankLE, OrdLT]
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    bound: Bound
-    body: "Formula"
+class _Formula(_Node):
+    """A formula node; ``free`` holds its free variables, computed once
+    when the node is built."""
+
+    __slots__ = ("free",)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    bound: Bound
-    body: "Formula"
+class _Atom(_Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def _setup(self) -> None:
+        self.free = frozenset(t.name for t in (self.left, self.right)
+                              if isinstance(t, Var))
+
+
+class Member(_Atom):
+    __slots__ = ()
+
+
+class Eq(_Atom):
+    __slots__ = ()
+
+
+class Not(_Formula):
+    __slots__ = ("body",)
+    _fields = ("body",)
+
+    def _setup(self) -> None:
+        self.free = free_vars(self.body)
+
+
+class _Binary(_Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def _setup(self) -> None:
+        self.free = free_vars(self.left) | free_vars(self.right)
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class _Quantifier(_Formula):
+    __slots__ = ("var", "bound", "body")
+    _fields = ("var", "bound", "body")
+
+    def _setup(self) -> None:
+        self.free = free_vars(self.body) - {self.var}
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
 
 
 Formula = Union[Member, Eq, Not, And, Or, Implies, Exists, Forall]
@@ -122,19 +188,9 @@ def disj(parts: list) -> "Formula":
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, (Member, Eq)):
-        out = set()
-        for t in (phi.left, phi.right):
-            if isinstance(t, Var):
-                out.add(t.name)
-        return frozenset(out)
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return free_vars(phi.body) - {phi.var}
-    raise InvalidInput(f"not a formula: {phi!r}")
+    if not isinstance(phi, _Formula):
+        raise InvalidInput(f"not a formula: {phi!r}")
+    return phi.free
 
 
 def is_closed(phi: Formula) -> bool:
@@ -143,6 +199,8 @@ def is_closed(phi: Formula) -> bool:
 
 def subst(phi: Formula, var: str, name: PName) -> Formula:
     """Substitute a name constant for every free occurrence of a variable."""
+    if var not in free_vars(phi):
+        return phi
 
     def sub_term(t: Term) -> Term:
         if isinstance(t, Var) and t.name == var:
@@ -161,12 +219,7 @@ def subst(phi: Formula, var: str, name: PName) -> Formula:
         return Or(subst(phi.left, var, name), subst(phi.right, var, name))
     if isinstance(phi, Implies):
         return Implies(subst(phi.left, var, name), subst(phi.right, var, name))
-    if isinstance(phi, (Exists, Forall)):
-        if phi.var == var:
-            return phi
-        cls = type(phi)
-        return cls(phi.var, phi.bound, subst(phi.body, var, name))
-    raise InvalidInput(f"not a formula: {phi!r}")
+    return type(phi)(phi.var, phi.bound, subst(phi.body, var, name))
 
 
 def constants(phi: Formula) -> frozenset[PName]:

@@ -2,29 +2,51 @@
 
 Every ground value in the laboratory (block elements, ordinals, encoded
 conditions, evaluated names) is a hereditarily finite set.  Instances are
-immutable, hashable, and carry a canonical total order so that every
-enumeration in the package is deterministic.
+immutable and interned, so equal sets are one object, and they carry a
+canonical total order so that every enumeration in the package is
+deterministic.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator
+
+# The unique table: every live HF set, keyed by its member frozenset.  It
+# holds the sets weakly, so a set lives only as long as something else
+# refers to it.
+_UNIQUE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class HF:
-    """An immutable hereditarily finite set."""
+    """An immutable hereditarily finite set.
 
-    __slots__ = ("members", "rank", "_hash", "_key")
+    Sets are interned (hash-consed): constructing a set equal to a live one
+    returns that object, so ``==`` is ``is`` and the hash is the identity
+    hash.  Copying and pickling return the interned set.
+    """
+
+    __slots__ = ("members", "rank", "_key", "__weakref__")
+
+    def __new__(cls, members: Iterable["HF"] = ()):
+        ms = frozenset(members)
+        h = _UNIQUE.get(ms)
+        if h is None:
+            for m in ms:
+                if not isinstance(m, HF):
+                    raise TypeError(
+                        "members of an HF set must themselves be HF sets")
+            h = object.__new__(cls)
+            h.members = ms
+            h.rank = 1 + max((m.rank for m in ms), default=-1)
+            h._key = None
+            _UNIQUE[ms] = h
+        return h
 
     def __init__(self, members: Iterable["HF"] = ()):
-        ms = frozenset(members)
-        for m in ms:
-            if not isinstance(m, HF):
-                raise TypeError("members of an HF set must themselves be HF sets")
-        self.members = ms
-        self.rank = 1 + max((m.rank for m in ms), default=-1)
-        self._hash = hash(ms)
-        self._key: tuple | None = None
+        """Nothing to do: ``__new__`` returned the interned set.  Kept,
+        with the constructor's signature, so that instrumentation can wrap
+        construction (``object.__init__`` takes no arguments)."""
 
     def key(self) -> tuple:
         """Canonical sort key: (rank, size, sorted member keys)."""
@@ -36,11 +58,19 @@ class HF:
             )
         return self._key
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HF) and self.members == other.members
+        return self is other
+
+    def __reduce__(self):
+        return HF, (self.members,)
+
+    def __copy__(self) -> "HF":
+        return self
+
+    def __deepcopy__(self, memo) -> "HF":
+        return self
 
     def __lt__(self, other: "HF") -> bool:
         return self.key() < other.key()
@@ -63,6 +93,9 @@ class HF:
 
 EMPTY = HF()
 
+# The naturals built so far.  The list holds them strongly, so that the
+# naturals every operation asks for are built once per process, not once
+# per operation after the unique table has let them go.
 _NATS: list[HF] = [EMPTY]
 
 
@@ -78,9 +111,7 @@ def nat(n: int) -> HF:
 def nat_value(h: HF) -> int | None:
     """Return n if h is the von Neumann natural n, else None."""
     k = len(h.members)
-    if h.rank != k:
-        return None
-    if all(nat(i) in h.members for i in range(k)):
+    if h.rank == k and h is nat(k):
         return k
     return None
 

@@ -1,8 +1,8 @@
 """Names over a forcing poset and their evaluation along filters.
 
 A name is a finite, well-founded set of (condition, name) entries.  Names are
-immutable and structurally hashable, compare by a canonical key (rank first),
-and evaluate to hereditarily finite sets:
+immutable and interned, so equal names are one object; they sort by a
+canonical key (rank first) and evaluate to hereditarily finite sets:
 
     eval(tau, G) = { eval(sigma, G) : (p, sigma) in tau, p in G }.
 
@@ -13,6 +13,7 @@ own greatest element, so those constructors need no poset argument.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Optional
 
 from .errors import InvalidInput
@@ -20,22 +21,41 @@ from .hf import HF, EMPTY as HF_EMPTY, kuratowski
 from .posets import ONE, Poset, canon_key
 
 
-class PName:
-    """An immutable name: a finite set of (condition, name) entries."""
+# The unique table: every live name, keyed by its entry frozenset, held
+# weakly like the HF sets in ``hf._UNIQUE``.
+_UNIQUE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    __slots__ = ("entries", "rank", "_hash", "_key", "_sorted")
+
+class PName:
+    """An immutable name: a finite set of (condition, name) entries.
+
+    Names are interned like HF sets: equal names are one object, so ``==``
+    is ``is``, and copying and pickling return the interned name.
+    """
+
+    __slots__ = ("entries", "rank", "_key", "_sorted", "__weakref__")
+
+    def __new__(cls, entries: Iterable[tuple[object, "PName"]] = ()):
+        es = frozenset(entries)
+        n = _UNIQUE.get(es)
+        if n is None:
+            for entry in es:
+                if not (isinstance(entry, tuple) and len(entry) == 2
+                        and isinstance(entry[1], PName)):
+                    raise InvalidInput(
+                        "name entries must be (condition, name) pairs")
+            n = object.__new__(cls)
+            n.entries = es
+            n.rank = 1 + max((child.rank for _, child in es), default=-1)
+            n._key = None
+            n._sorted = None
+            _UNIQUE[es] = n
+        return n
 
     def __init__(self, entries: Iterable[tuple[object, "PName"]] = ()):
-        es = frozenset(entries)
-        for entry in es:
-            if not (isinstance(entry, tuple) and len(entry) == 2
-                    and isinstance(entry[1], PName)):
-                raise InvalidInput("name entries must be (condition, name) pairs")
-        self.entries = es
-        self.rank = 1 + max((child.rank for _, child in es), default=-1)
-        self._hash = hash(es)
-        self._key: tuple | None = None
-        self._sorted: tuple | None = None
+        """Nothing to do: ``__new__`` returned the interned name.  Kept,
+        with the constructor's signature, so that instrumentation can wrap
+        construction (``object.__init__`` takes no arguments)."""
 
     def key(self) -> tuple:
         """Canonical sort key: (rank, size, sorted entry keys)."""
@@ -54,11 +74,19 @@ class PName:
                 self.entries, key=lambda e: (canon_key(e[0]), e[1].key())))
         return self._sorted
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __eq__(self, other):
-        return isinstance(other, PName) and self.entries == other.entries
+        return self is other
+
+    def __reduce__(self):
+        return PName, (self.entries,)
+
+    def __copy__(self) -> "PName":
+        return self
+
+    def __deepcopy__(self, memo) -> "PName":
+        return self
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -91,6 +119,9 @@ def hereditary_closure(names: Iterable[PName]) -> list[PName]:
     return sorted(seen, key=PName.key)
 
 
+# Check-names by value, held strongly: the check-names of condition codes
+# and naturals recur in every operation, and the unique table alone would
+# let them go between operations.
 _CHECKS: dict[HF, PName] = {}
 
 

@@ -118,6 +118,33 @@ def test_bad_kwarg_or_name_exits_2_without_traceback(tmp_path, verb, code,
     assert json.loads(out.stdout)["error"]["code"] == code
 
 
+BAD_REFERENCE = {
+    "family-as-poset": (
+        "forces", "command forces F 1 phi\n", "'F' is a family", 5, 16),
+    "unknown-formula": (
+        "forces", "command forces P 1 nope\n", "unknown identifier", 5, 20),
+    "unknown-grid-keyword": (
+        "cohen", "sigma s = { (0,0) }\ncommand cohen conjugate s n=1 "
+        "bound=3 grid=H\n", "unknown identifier", 6, 44),
+}
+
+
+@pytest.mark.parametrize("verb, command, message, line, col",
+                         BAD_REFERENCE.values(), ids=BAD_REFERENCE.keys())
+def test_bad_command_reference_exits_1_with_position(tmp_path, verb, command,
+                                                     message, line, col):
+    bad = tmp_path / "bad.fl"
+    bad.write_text("family F { a: {0} b: {1} }\nposet P flat F\n"
+                   "name g = gamma(P)\nformula phi = check(0) in g\n"
+                   + command)
+    out = run_cli(verb, str(bad))
+    assert out.returncode == 1 and out.stderr == ""
+    err = json.loads(out.stdout)["error"]
+    assert err["code"] == "unresolved-reference"
+    assert message in err["message"]
+    assert (err["line"], err["col"]) == (line, col)
+
+
 def test_missing_file_exits_2():
     out = run_cli("parse-only", str(ROOT / "scenarios" / "nope.fl"))
     assert out.returncode == 2

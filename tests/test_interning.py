@@ -1,0 +1,100 @@
+"""Interning: equal HF sets, names and formula nodes are one object, the
+object survives copying and pickling, and the weak unique tables let go of
+what a finished computation no longer uses."""
+
+import copy
+import gc
+import pickle
+import time
+import weakref
+
+import pytest
+
+from forcelab import (
+    EMPTY, EMPTY_NAME, HF, ONE, Cname, Eq, Exists, Family, FlatPoset, Forall,
+    InName, Member, NameSpace, Not, Or, RankLE, Var, check_name,
+    forces_semantic, forces_syntactic, gamma_name, mix, nat, pname,
+)
+from forcelab import formulas, hf, names
+
+VALUES = {
+    "hf": lambda: HF([nat(3), HF([nat(1)])]),
+    "name": lambda: pname([("a", check_name(nat(2))), (ONE, EMPTY_NAME)]),
+    "formula": lambda: Exists("x", InName(check_name(nat(2))),
+                              Member(Var("x"), Cname(check_name(nat(1))))),
+}
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_round_trip_returns_the_interned_object(make, trip):
+    value = make()
+    assert trip(value) is value
+    assert len(EMPTY.members) == 0 and EMPTY.rank == 0
+    assert HF() is EMPTY and nat(0) is EMPTY
+
+
+def _name_chain(depth):
+    t = EMPTY_NAME
+    for i in range(depth):
+        t = pname([((i, 0), t), ((i, 1), t)])
+    return t
+
+
+def _hf_chain(depth):
+    h = EMPTY
+    for _ in range(depth):
+        h = HF([h, HF([h])])
+    return h
+
+
+@pytest.mark.parametrize("chain", [_name_chain, _hf_chain],
+                         ids=["name", "hf"])
+def test_deep_equal_values_are_one_object(chain):
+    # Compared structurally, two separately built chains of depth 40 take
+    # about 2^40 steps.
+    start = time.perf_counter()
+    a, b = chain(40), chain(40)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert time.perf_counter() - start < 1.0
+
+
+def _batch():
+    """Queries on a fresh poset through both routes, a name space, the
+    filter name and a mixed name; returns weak references to the filter
+    name and to a formula built from it.  No other test builds this
+    family, so nothing outside the batch holds its names."""
+    flat = FlatPoset(Family([("u", [nat(5)]), ("v", [nat(6), nat(7)])]))
+    gamma = gamma_name(flat)
+    g = Cname(gamma)
+    phi = Exists("x", InName(gamma), Member(Var("x"), g))
+    psi = Forall("y", RankLE(1), Or(Member(Var("y"), g),
+                                    Not(Member(Var("y"), g))))
+    space = NameSpace(flat, [gamma], 1)
+    mixed = mix(flat, ONE, ["u", "v"], {"u": check_name(nat(0)), "v": gamma})
+    for theta in (phi, psi, Eq(Cname(mixed), g)):
+        for c in flat.conditions():
+            assert forces_semantic(flat, c, theta, space) == \
+                forces_syntactic(flat, c, theta, space)
+    return weakref.ref(gamma), weakref.ref(phi)
+
+
+def _table_sizes():
+    gc.collect()
+    return [len(t) for t in (hf._UNIQUE, names._UNIQUE, formulas._UNIQUE)]
+
+
+def test_unique_tables_stay_bounded_over_repeated_batches():
+    refs = _batch()
+    first = _table_sizes()
+    assert [r() for r in refs] == [None, None]
+    _batch()
+    refs = _batch()
+    third = _table_sizes()
+    assert [r() for r in refs] == [None, None]
+    assert all(t <= f for t, f in zip(third, first)), (first, third)

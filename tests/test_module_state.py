@@ -3,6 +3,7 @@ modules, so there is nothing for a caller to clear."""
 
 import importlib
 import pkgutil
+import weakref
 
 import forcelab
 
@@ -23,8 +24,14 @@ def test_no_clear_functions():
 
 
 def test_module_level_containers():
-    # hf._NATS and names._CHECKS are value tables, kept until HF sets and
-    # names are interned.
+    # The three _UNIQUE tables intern HF sets, names and formula nodes and
+    # hold them weakly.  hf._NATS and names._CHECKS hold naturals and
+    # check-names strongly: they recur in every operation, and interning
+    # alone would let them die and be rebuilt between operations.
     assert _module_level(
-        lambda name, obj: isinstance(obj, (dict, list, set))) == {
-        "forcelab.cli.HANDLERS", "forcelab.hf._NATS", "forcelab.names._CHECKS"}
+        lambda name, obj: isinstance(obj, (
+            dict, list, set, weakref.WeakValueDictionary,
+            weakref.WeakKeyDictionary))) == {
+        "forcelab.cli.HANDLERS", "forcelab.hf._NATS", "forcelab.names._CHECKS",
+        "forcelab.hf._UNIQUE", "forcelab.names._UNIQUE",
+        "forcelab.formulas._UNIQUE"}
