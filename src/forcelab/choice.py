@@ -11,6 +11,7 @@ values again form a choice function.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -24,7 +25,7 @@ from .formulas import (
 from .hf import HF, render
 from .names import PName, check_name, eval_name, gamma_name, pname
 from .posets import (
-    ChoicePoset, Family, FlatPoset, ONE, Poset, generic_filter, is_antichain,
+    ChoicePoset, Family, FlatPoset, ONE, Poset, generic_filter,
     is_maximal_antichain,
 )
 
@@ -117,12 +118,9 @@ def theta_family(flat: FlatPoset, var: str = "x") -> Formula:
     return disj(parts)
 
 
-def build_witness_flat(family: Family, f: ChoiceFunction,
-                       flat: Optional[FlatPoset] = None) -> PName:
+def build_witness_flat(family: Family, f: ChoiceFunction) -> PName:
     """The name whose value below each block condition is the chosen
     element: entries (i, y-check) for every member y of f(i)."""
-    if flat is None:
-        flat = FlatPoset(family)
     entries = []
     for lab in family.labels:
         for y in f[lab]:
@@ -167,27 +165,30 @@ def extract_choice_wellordered(
     element must force that whenever a mark enters the generic filter the
     name lands in the matching set.
     """
-    marks = [poset.resolve(p) for p in marks]
+    k = poset.kernel()
+    marks = [poset.index_of(p) for p in marks]
     blocks = [frozenset(xs) for xs in block_sets]
     if len(marks) != len(blocks):
         raise InvalidInput("need exactly one set per marked condition")
     if not all(blocks):
         raise InvalidInput("the sets must be nonempty")
-    if len(marks) > 1 and not is_antichain(poset, marks):
+    if any(a == b or k.compat[a] >> b & 1
+           for a, b in itertools.combinations(marks, 2)):
         raise PreconditionViolated(
             "the marked conditions are not pairwise incompatible")
     gamma = gamma_name(poset)
     guard = conj([
-        Implies(Member(Cname(check_name(poset.condition_hf(p))), Cname(gamma)),
+        Implies(Member(Cname(check_name(poset._condition_hf(k.conds[a]))),
+                       Cname(gamma)),
                 Member(Cname(tau), Cname(check_name(HF(xs)))))
-        for p, xs in zip(marks, blocks)])
+        for a, xs in zip(marks, blocks)])
     if not forces_semantic(poset, ONE, guard, space):
         raise PreconditionViolated(
             "the greatest element does not force the name into the marked sets")
     out = []
-    for p, xs in zip(marks, blocks):
+    for a, xs in zip(marks, blocks):
         found = None
-        for q in poset.extensions(p):
+        for q in (k.conds[j] for j in k.exts[a]):
             for x in sorted(xs, key=HF.key):
                 if forces_semantic(poset, q,
                                    Eq(Cname(tau), Cname(check_name(x))),
@@ -198,6 +199,7 @@ def extract_choice_wellordered(
                 break
         if found is None:
             raise PreconditionViolated(
-                f"no extension of {poset.condition_repr(p)} decides the name")
+                f"no extension of {poset.condition_repr(k.conds[a])} decides "
+                "the name")
         out.append(found)
     return out

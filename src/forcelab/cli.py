@@ -25,7 +25,7 @@ from .cohen import (
     e_dense, g1_to_g, g_to_g1, hat_map, r_sigma_name,
 )
 from .dsl import Command, Scenario, parse_scenario
-from .errors import ForceLabError, InvalidInput, ParseError, UnknownCondition
+from .errors import ForceLabError, InvalidInput, ParseError
 from .forcing import (
     NameSpace, forces_semantic, forces_syntactic, least_ordinal_name,
     mix, mp_witness_search,
@@ -121,10 +121,7 @@ def _resolve_cond(scenario: Scenario, poset: Poset, arg):
             raise InvalidInput(
                 f"condition {arg!r} was declared over a different poset")
         return cond
-    if poset.is_condition(arg):
-        return arg
-    raise UnknownCondition(
-        f"{arg!r} names no declared condition or poset element")
+    return poset.resolve(arg)
 
 
 def _max_rank_bound(phi: Formula) -> Optional[int]:
@@ -207,7 +204,7 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
     seen = set()
     roundtrip_ok = True
     for f in all_choice_functions(family):
-        tau = build_witness_flat(family, f, flat)
+        tau = build_witness_flat(family, f)
         g = extract_choice_flat(family, tau, flat)
         if g != f:
             roundtrip_ok = False

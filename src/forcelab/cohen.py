@@ -21,7 +21,8 @@ from .names import (
 )
 from .perms import grid_conditions
 from .posets import (
-    CohenGridPoset, Filter, InjPoset, ONE, canon_key, is_dense,
+    CohenGridPoset, Filter, InjPoset, ONE, canon_key, is_dense, is_injection,
+    is_map,
 )
 
 
@@ -68,11 +69,6 @@ class Assignment:
         """Injective finite maps from columns to the column values."""
         values = sorted(set(self.columns()), key=canon_key)
         return InjPoset(dom_items=range(self.grid.cols), cod_items=values)
-
-    def p0_poset(self) -> InjPoset:
-        """Injective finite maps from column values to column values."""
-        values = sorted(set(self.columns()), key=canon_key)
-        return InjPoset(dom_items=values, cod_items=values)
 
     def __repr__(self):
         rows = ["".join(str(self.bit(c, r)) for c in range(self.grid.cols))
@@ -150,19 +146,9 @@ def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
 
 
 def _ensure_injection(sigma: frozenset) -> None:
-    for entry in sigma:
-        if not (isinstance(entry, tuple) and len(entry) == 2
-                and all(isinstance(t, int) and t >= 0 for t in entry)):
-            raise InvalidInput(f"not a pair of naturals: {entry!r}")
-    dom = {}
-    cod = {}
-    for i, j in sigma:
-        if dom.get(i, j) != j:
-            raise NonInjective(f"two images for {i}")
-        if cod.get(j, i) != i:
-            raise NonInjective(f"two preimages for {j}")
-        dom[i] = j
-        cod[j] = i
+    if not is_injection(sigma):
+        raise NonInjective(
+            f"not a finite injection of naturals: {sorted(sigma, key=repr)}")
 
 
 def r_sigma_name(grid: CohenGridPoset, sigma: Iterable[tuple[int, int]]) -> PName:
@@ -183,7 +169,7 @@ def r_sigma_condition(assignment: Assignment,
     _ensure_injection(sigma)
     pairs = {(assignment.column(i), assignment.column(j)) for i, j in sigma}
     cond = frozenset(pairs)
-    if len(cond) < len(sigma) or not assignment.p0_poset().is_condition(cond):
+    if len(cond) < len(sigma) or not is_map(cond, injective=True):
         raise ColumnCollision(
             "colliding column values garble the injection")
     return cond
@@ -259,9 +245,8 @@ def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
 def e_dense(assignment: Assignment, dense_set: Iterable) -> frozenset:
     """Transfer a dense set of grid conditions to the injective-map poset:
     all conditions that decide some member of the set."""
-    grid = assignment.grid
-    dense = [grid.resolve(s) for s in dense_set]
-    if not is_dense(grid, dense):
+    dense = list(dense_set)
+    if not is_dense(assignment.grid, dense):
         raise NotDense("the input set is not dense in the grid poset")
     p1 = assignment.p1_poset()
     return frozenset(

@@ -164,6 +164,11 @@ class _Forcer:
 
     # -- semantic route: satisfaction along generic filters ------------------
 
+    def forces_sem(self, p: int, phi: Formula) -> bool:
+        k = self.k
+        return all(self.sat(phi, k.filter_at(a), ())
+                   for a in k.minimals if k.down[p] >> a & 1)
+
     def sat(self, phi: Formula, filt: Filter, env: tuple) -> bool:
         key = (phi, filt, env)
         hit = self._sat_memo.get(key)
@@ -340,11 +345,7 @@ def forces_semantic(poset: Poset, p, phi: Formula,
     """p forces phi: phi holds along every generic filter containing p."""
     if not is_closed(phi):
         raise InvalidInput("forcing needs a closed formula")
-    i = poset.index_of(p)
-    f = _forcer(poset, space)
-    k = f.k
-    return all(f.sat(phi, k.filter_at(a), ())
-               for a in k.minimals if k.down[i] >> a & 1)
+    return _forcer(poset, space).forces_sem(poset.index_of(p), phi)
 
 
 def forces_syntactic(poset: Poset, p, phi: Formula,
@@ -370,21 +371,20 @@ def holds_along(poset: Poset, filt: Filter, phi: Formula,
 def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
     """Mix names along a maximal antichain below p: the result evaluates,
     along any generic filter containing p, to the value of the name attached
-    to the unique antichain member in the filter.
+    to the unique antichain member in the filter.  ``assignment`` maps each
+    member, as written in ``antichain`` (ONE included), to its name.
     """
     i = poset.index_of(p)
     k = poset.kernel()
-    members = [poset.resolve(r) for r in antichain]
-    if not members:
+    members = list(antichain)
+    indices = [poset.index_of(r) for r in members]
+    if not indices:
         raise NotMaximalBelow("empty antichain")
-    indices = []
-    for r in members:
-        j = poset.index_of(r)
+    for j in indices:
         if not k.down[i] >> j & 1:
             raise NotMaximalBelow(
-                f"{poset.condition_repr(r)} does not extend "
+                f"{poset.condition_repr(k.conds[j])} does not extend "
                 f"{poset.condition_repr(k.conds[i])}")
-        indices.append(j)
     for a, b in itertools.combinations(indices, 2):
         if a == b or k.compat[a] >> b & 1:
             raise NotMaximalBelow("antichain members are compatible")
@@ -394,8 +394,7 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
             raise NotMaximalBelow(
                 f"nothing in the antichain is compatible with "
                 f"{poset.condition_repr(k.conds[q])}")
-    missing = [r for r in members if r not in assignment]
-    if missing:
+    if any(r not in assignment for r in members):
         raise InvalidInput("every antichain member needs an assigned name")
     entries = []
     for r, j in zip(members, indices):
@@ -413,25 +412,21 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula,
     failure of theta at every ordinal up to beta; along any generic filter
     containing p the name evaluates to the least ordinal satisfying theta.
     """
-    poset.index_of(p)  # fails fast outside the poset or its truncation
+    i = poset.index_of(p)
     if kappa < 1:
         raise InvalidInput("kappa must be at least 1")
     var = single_free_var(theta)
-    exists = Exists(var, OrdLT(kappa), theta)
-    if not forces_semantic(poset, p, exists, space):
+    f = _forcer(poset, space)
+    if not f.forces_sem(i, Exists(var, OrdLT(kappa), theta)):
         raise PreconditionViolated(
             "the condition does not force an ordinal witness below kappa")
-    rejects = {}
-    for q in poset.extensions(p):
-        rejects[q] = [
-            forces_semantic(poset, q,
-                            Not(subst(theta, var, check_name(nat(g)))), space)
-            for g in range(kappa)]
     entries = []
-    for q in poset.extensions(p):
+    for q in f.k.exts[i]:
         for beta in range(kappa):
-            if all(rejects[q][g] for g in range(beta + 1)):
-                entries.append((q, check_name(nat(beta))))
+            if not f.forces_sem(
+                    q, Not(subst(theta, var, check_name(nat(beta))))):
+                break
+            entries.append((f.k.conds[q], check_name(nat(beta))))
     return pname(entries)
 
 
@@ -439,10 +434,11 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
                       space: NameSpace) -> Optional[PName]:
     """First name in the space's canonical order (rank, then encoding)
     that p forces to satisfy theta; None when there is none."""
-    poset.index_of(p)  # fails fast outside the poset or its truncation
+    i = poset.index_of(p)
     var = single_free_var(theta)
+    f = _forcer(poset, space)
     for tau in space.universe:
-        if forces_semantic(poset, p, subst(theta, var, tau), space):
+        if f.forces_sem(i, subst(theta, var, tau)):
             return tau
     return None
 
@@ -458,28 +454,28 @@ def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
     Requires that below every extension of p some condition forces theta at
     some candidate.
     """
-    poset.index_of(p)  # fails fast outside the poset or its truncation
+    i = poset.index_of(p)
     var = single_free_var(theta)
+    f = _forcer(poset, space)
+    exts, conds = f.k.exts, f.k.conds
     accepts = {}
     rejects = {}
-    for q in poset.extensions(p):
+    for q in exts[i]:
         for alpha, tau in enumerate(candidates):
-            accepts[(q, alpha)] = forces_semantic(
-                poset, q, subst(theta, var, tau), space)
-            rejects[(q, alpha)] = forces_semantic(
-                poset, q, Not(subst(theta, var, tau)), space)
-    for q in poset.extensions(p):
+            accepts[(q, alpha)] = f.forces_sem(q, subst(theta, var, tau))
+            rejects[(q, alpha)] = f.forces_sem(q, Not(subst(theta, var, tau)))
+    for q in exts[i]:
         if not any(accepts[(r, alpha)]
-                   for r in poset.extensions(q)
+                   for r in exts[q]
                    for alpha in range(len(candidates))):
             raise PreconditionViolated(
                 "no extension forces theta at any candidate below "
-                f"{poset.condition_repr(q)}")
+                f"{poset.condition_repr(conds[q])}")
     entries = []
-    for q in poset.extensions(p):
+    for q in exts[i]:
         for alpha, tau in enumerate(candidates):
             if accepts[(q, alpha)] and \
                     all(rejects[(q, beta)] for beta in range(alpha)):
-                entries.append((q, tau))
+                entries.append((conds[q], tau))
     rho = pname(entries)
     return rho, union_name(poset, rho)

@@ -19,7 +19,7 @@ from .errors import (
     InvalidInput, MalformedSigma, NotInSubgroup, UnknownCondition,
 )
 from .names import PName, name_conditions, pname
-from .posets import ONE, CohenGridPoset, canon_key
+from .posets import ONE, CohenGridPoset, canon_key, is_injection
 
 
 def _ap_meets(start1: int, step1: int, start2: int, step2: int) -> bool:
@@ -264,9 +264,6 @@ class Perm:
     def in_Hn_inf(self, n: int) -> bool:
         return self.fixes_below(n)
 
-    def is_identity(self) -> bool:
-        return not self.cycles and not self.chains
-
 
 def identity() -> Perm:
     return Perm()
@@ -418,22 +415,15 @@ def is_fixed_by_Hn(tau: PName, n: int) -> bool:
 
 
 def _check_sigma(sigma: frozenset, n: int, bound: int) -> None:
+    if not is_injection(sigma):
+        raise MalformedSigma("the graph is not a finite injection of naturals")
     for entry in sigma:
-        if not (isinstance(entry, tuple) and len(entry) == 2
-                and all(isinstance(t, int) and t >= 0 for t in entry)):
-            raise MalformedSigma(f"not a pair of naturals: {entry!r}")
         if entry[0] >= bound or entry[1] >= bound:
             raise MalformedSigma(
                 f"entry {entry!r} escapes the declared bound {bound}")
-    seen_dom = {}
-    seen_cod = {}
-    for i, j in sigma:
-        if seen_dom.get(i, j) != j or seen_cod.get(j, i) != i:
-            raise MalformedSigma("the graph is not a finite injection")
-        seen_dom[i] = j
-        seen_cod[j] = i
+    image = dict(sigma)
     for i in range(n):
-        if seen_dom.get(i) != i:
+        if image.get(i) != i:
             raise MalformedSigma(f"the injection must fix {i}")
 
 

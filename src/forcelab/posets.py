@@ -69,11 +69,15 @@ class Poset:
     """Poset interface: condition validity, order, compatibility, bounded
     enumeration, and canonical encodings.
 
-    Subclasses decide order and compatibility in ``_le`` and ``_compatible``
-    on conditions already known to be valid; the public ``le`` and
-    ``compatible`` validate their arguments first.  Enumerations run on the
-    poset's :class:`Kernel`, compiled once on first use, and a condition is
-    inside the truncation exactly when the kernel indexes it.
+    :meth:`resolve` is the one condition validator: it maps ONE to the top
+    and raises a ``ForceLabError`` for anything that is not a condition.
+    The public per-condition methods (``le``, ``compatible``, ``index_of``,
+    ``condition_hf``) pass each argument through it once and then call the
+    subclass's ``_le``, ``_compatible`` or ``_condition_hf``, which take
+    conditions already known to be valid; subclasses override only those.
+    Enumerations run on the poset's :class:`Kernel`, compiled once on first
+    use, and a condition is inside the truncation exactly when the kernel
+    indexes it.
     """
 
     kind = "abstract"
@@ -85,17 +89,26 @@ class Poset:
     def is_condition(self, c) -> bool:
         raise NotImplementedError
 
+    def resolve(self, c):
+        """The condition c stands for: ONE maps to the top (InvalidInput
+        when there is none), and anything else must be a condition of this
+        poset (UnknownCondition otherwise)."""
+        if c is ONE:
+            if self.top is None:
+                raise InvalidInput(f"{self.kind} poset has no greatest element")
+            return self.top
+        if not self.is_condition(c):
+            raise UnknownCondition(
+                f"not a condition of this {self.kind} poset: {c!r}")
+        return c
+
     def le(self, p, q) -> bool:
         """p extends q."""
-        self.ensure_condition(p)
-        self.ensure_condition(q)
-        return self._le(p, q)
+        return self._le(self.resolve(p), self.resolve(q))
 
     def compatible(self, p, q) -> bool:
         """Some condition extends both p and q."""
-        self.ensure_condition(p)
-        self.ensure_condition(q)
-        return self._compatible(p, q)
+        return self._compatible(self.resolve(p), self.resolve(q))
 
     def _le(self, p, q) -> bool:
         raise NotImplementedError
@@ -119,47 +132,16 @@ class Poset:
         """Depth measure used by nontriviality and density cutoffs."""
         return 0
 
-    # -- encodings ---------------------------------------------------------
-
-    def condition_hf(self, c) -> HF:
-        raise NotImplementedError
-
-    def condition_repr(self, c) -> str:
-        raise NotImplementedError
-
-    # -- helpers -----------------------------------------------------------
-
-    def resolve(self, c):
-        """Map the ONE sentinel to this poset's top."""
-        if c is ONE:
-            if self.top is None:
-                raise InvalidInput(f"{self.kind} poset has no greatest element")
-            return self.top
-        return c
-
-    def ensure_condition(self, c) -> None:
-        if c is ONE:
-            self.resolve(c)
-            return
-        if not self.is_condition(c):
-            raise UnknownCondition(
-                f"not a condition of this {self.kind} poset: {c!r}")
-
     def index_of(self, c) -> int:
-        """The kernel index of a condition, ONE resolved: raises
-        UnknownCondition for a non-condition and TruncationEscape for a
-        condition outside the truncation."""
+        """The kernel index of the condition c stands for; raises
+        TruncationEscape for a condition outside the truncation."""
         c = self.resolve(c)
-        self.ensure_condition(c)
         i = self.kernel().index.get(c)
         if i is None:
             raise TruncationEscape(
                 f"condition lies outside the declared truncation: "
                 f"{self.condition_repr(c)}")
         return i
-
-    def condition_key(self, c) -> tuple:
-        return canon_key(c)
 
     def extensions(self, p) -> tuple:
         """Conditions extending p, within the truncation."""
@@ -170,6 +152,25 @@ class Poset:
         """Conditions with no proper extension inside the truncation."""
         k = self.kernel()
         return tuple(k.conds[a] for a in k.minimals)
+
+    # -- encodings ---------------------------------------------------------
+
+    def condition_hf(self, c) -> HF:
+        """The hereditarily finite set encoding the condition c stands for."""
+        return self._condition_hf(self.resolve(c))
+
+    def _condition_hf(self, c) -> HF:
+        raise NotImplementedError
+
+    def condition_repr(self, c) -> str:
+        """Display form of a condition already validated (no check here:
+        report serialization calls it once per name entry)."""
+        raise NotImplementedError
+
+    def condition_key(self, c) -> tuple:
+        """Canonical sort key of a condition already validated (no check
+        here)."""
+        return canon_key(c)
 
 
 class Kernel:
@@ -215,14 +216,17 @@ class Kernel:
         return self._compat
 
     def below(self, c) -> int:
-        """The mask of the conditions extending c, which may be ONE or any
-        condition, inside the truncation or not."""
+        """The mask of the conditions extending c, a name entry's condition:
+        ONE or any condition, inside the truncation or not.  As a name entry
+        ONE is in every filter, so it covers every condition even with no
+        top.  An indexed condition is valid by construction; any other goes
+        through ``resolve``."""
         if c is ONE:
             return self.full
         i = self.index.get(c)
         if i is not None:
             return self.down[i]
-        self.poset.ensure_condition(c)
+        c = self.poset.resolve(c)
         le = self.poset._le
         return sum(1 << j for j, p in enumerate(self.conds) if le(p, c))
 
@@ -315,8 +319,7 @@ class ExplicitPoset(Poset):
     def conditions(self) -> tuple:
         return tuple(sorted(self._elements, key=self.condition_key))
 
-    def condition_hf(self, c) -> HF:
-        self.ensure_condition(c)
+    def _condition_hf(self, c) -> HF:
         return nat(self._index[c])
 
     def condition_repr(self, c) -> str:
@@ -439,7 +442,7 @@ class ChoicePoset(Poset):
                     out.append((n, x))
         return tuple(sorted(out, key=self.condition_key))
 
-    def condition_hf(self, c) -> HF:
+    def _condition_hf(self, c) -> HF:
         return kuratowski(nat(c[0]), c[1])
 
     def condition_repr(self, c) -> str:
@@ -453,22 +456,27 @@ class ChoicePoset(Poset):
 # partial-function posets (reverse inclusion)
 
 
-def _is_function(pairs: frozenset) -> bool:
-    seen = {}
-    for u, v in pairs:
-        if u in seen and seen[u] != v:
+def is_map(pairs, injective: bool = False) -> bool:
+    """Are the entries (u, v) pairs forming a partial function, one-to-one
+    when injective is set?"""
+    image: dict = {}
+    for entry in pairs:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
             return False
-        seen[u] = v
-    return True
+        u, v = entry
+        if image.setdefault(u, v) != v:
+            return False
+    return not injective or len(set(image.values())) == len(image)
 
 
-def _is_injective(pairs: frozenset) -> bool:
-    vals = {}
-    for u, v in pairs:
-        if v in vals and vals[v] != u:
-            return False
-        vals[v] = u
-    return True
+def _is_nat(x) -> bool:
+    return isinstance(x, int) and x >= 0
+
+
+def is_injection(pairs) -> bool:
+    """Are the entries pairs of naturals forming a finite injection?"""
+    return is_map(pairs, injective=True) and \
+        all(_is_nat(u) and _is_nat(v) for u, v in pairs)
 
 
 class MapPoset(Poset):
@@ -510,22 +518,13 @@ class MapPoset(Poset):
                 return False
             if not self._valid_item(v, self.cod_items):
                 return False
-        if not _is_function(c):
-            return False
-        if self.injective and not _is_injective(c):
-            return False
-        return True
+        return is_map(c, self.injective)
 
     def _le(self, p, q) -> bool:
         return p >= q
 
     def _compatible(self, p, q) -> bool:
-        union = p | q
-        if not _is_function(union):
-            return False
-        if self.injective and not _is_injective(union):
-            return False
-        return True
+        return is_map(p | q, self.injective)
 
     def condition_level(self, c) -> int:
         return len(c)
@@ -556,8 +555,7 @@ class MapPoset(Poset):
             return from_int_set(x)
         raise InvalidInput(f"cannot encode item {x!r} as a set")
 
-    def condition_hf(self, c) -> HF:
-        self.ensure_condition(c)
+    def _condition_hf(self, c) -> HF:
         return HF(kuratowski(self._item_hf(u), self._item_hf(v)) for u, v in c)
 
     def _item_repr(self, x) -> str:
@@ -616,21 +614,12 @@ class CohenGridPoset(MapPoset):
     @staticmethod
     def is_condition(c) -> bool:
         """Is c a finite map from cells to bits (on any grid)?"""
-        if not isinstance(c, frozenset):
-            return False
-        for entry in c:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                return False
-            cell, bit = entry
-            if not (isinstance(cell, tuple) and len(cell) == 2
-                    and all(isinstance(t, int) and t >= 0 for t in cell)):
-                return False
-            if bit not in (0, 1):
-                return False
-        return _is_function(c)
+        return isinstance(c, frozenset) and is_map(c) and all(
+            isinstance(cell, tuple) and len(cell) == 2
+            and _is_nat(cell[0]) and _is_nat(cell[1]) and bit in (0, 1)
+            for cell, bit in c)
 
-    def condition_hf(self, c) -> HF:
-        self.ensure_condition(c)
+    def _condition_hf(self, c) -> HF:
         return HF(
             kuratowski(kuratowski(nat(cell[0]), nat(cell[1])), nat(bit))
             for cell, bit in c)
@@ -671,7 +660,7 @@ class BinaryTreePoset(Poset):
             out.extend("".join(bits) for bits in itertools.product("01", repeat=k))
         return tuple(sorted(out, key=self.condition_key))
 
-    def condition_hf(self, c) -> HF:
+    def _condition_hf(self, c) -> HF:
         return HF(kuratowski(nat(i), nat(int(b))) for i, b in enumerate(c))
 
     def condition_repr(self, c) -> str:
@@ -728,7 +717,7 @@ class NontrivialFlatPoset(Poset):
                            for bits in itertools.product("01", repeat=k))
         return tuple(sorted(out, key=self.condition_key))
 
-    def condition_hf(self, c) -> HF:
+    def _condition_hf(self, c) -> HF:
         if c == "1":
             return nat(len(self.labels))
         idx = self.labels.index(c[0])
@@ -799,15 +788,7 @@ class Filter:
 
 def compatible(poset: Poset, p, q) -> bool:
     """Decide whether some condition extends both p and q."""
-    return poset.compatible(poset.resolve(p), poset.resolve(q))
-
-
-def _validated(poset: Poset, conditions: Iterable) -> list:
-    """The conditions with ONE resolved, each checked once."""
-    items = [poset.resolve(c) for c in conditions]
-    for c in items:
-        poset.ensure_condition(c)
-    return items
+    return poset.compatible(p, q)
 
 
 def _mask(poset: Poset, conditions: Iterable) -> int:
@@ -821,7 +802,7 @@ def _mask(poset: Poset, conditions: Iterable) -> int:
 
 def is_antichain(poset: Poset, conditions: Iterable) -> bool:
     """Pairwise incompatibility of a finite set of conditions."""
-    items = _validated(poset, conditions)
+    items = [poset.resolve(c) for c in conditions]
     return not any(p == q or poset._compatible(p, q)
                    for p, q in itertools.combinations(items, 2))
 
@@ -834,7 +815,7 @@ def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
     posets it reads the kernel's compatibility masks.
     """
     if isinstance(poset, ChoicePoset):
-        items = _validated(poset, conditions)
+        items = [poset.resolve(c) for c in conditions]
         per_block = {label: 0 for label in poset.family.labels}
         if len(set(items)) != len(items):
             return False

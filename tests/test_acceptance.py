@@ -184,7 +184,7 @@ def test_criterion_03_witness_choice_extraction():
         everything = set(all_choice_functions(family))
         assert extracted == everything, family
         for f in everything:
-            built = build_witness_flat(family, f, flat)
+            built = build_witness_flat(family, f)
             assert extract_choice_flat(family, built, flat) == f
     print("criterion 3: PASS")
 

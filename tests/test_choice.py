@@ -78,14 +78,14 @@ class TestWitnessCorrespondence:
     def test_build_then_extract_is_identity(self):
         flat = FlatPoset(FAM)
         for f in all_choice_functions(FAM):
-            tau = build_witness_flat(FAM, f, flat)
+            tau = build_witness_flat(FAM, f)
             assert extract_choice_flat(FAM, tau, flat) == f
 
     def test_witness_is_forced_to_select(self):
         flat = FlatPoset(FAM)
         theta = theta_family(flat)
         f = all_choice_functions(FAM)[0]
-        tau = build_witness_flat(FAM, f, flat)
+        tau = build_witness_flat(FAM, f)
         assert forces_semantic(flat, ONE, subst(theta, "x", tau))
 
     def test_extract_rejects_unforced_names(self):
@@ -96,7 +96,7 @@ class TestWitnessCorrespondence:
     def test_witness_evaluates_to_chosen_element(self):
         flat = FlatPoset(FAM)
         f = ChoiceFunction(FAM, {"a": nat(1), "b": nat(2)})
-        tau = build_witness_flat(FAM, f, flat)
+        tau = build_witness_flat(FAM, f)
         assert eval_name(tau, generic_filter(flat, "a")) == nat(1)
         assert eval_name(tau, generic_filter(flat, "b")) == nat(2)
 
@@ -105,7 +105,7 @@ class TestWellorderedExtraction:
     def test_marks_on_flat_poset(self):
         flat = FlatPoset(FAM)
         f = ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)})
-        tau = build_witness_flat(FAM, f, flat)
+        tau = build_witness_flat(FAM, f)
         out = extract_choice_wellordered(
             flat, ["a", "b"], [FAM.blocks["a"], FAM.blocks["b"]], tau)
         assert [x for _, x in out] == [nat(0), nat(2)]
@@ -115,7 +115,7 @@ class TestWellorderedExtraction:
     def test_rejects_compatible_marks(self):
         flat = FlatPoset(FAM)
         tau = build_witness_flat(
-            FAM, ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}), flat)
+            FAM, ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
         with pytest.raises(PreconditionViolated):
             extract_choice_wellordered(
                 flat, ["a", ONE], [FAM.blocks["a"], FAM.blocks["b"]], tau)
@@ -133,7 +133,7 @@ class TestThetaFamily:
         flat = FlatPoset(FAM)
         theta = theta_family(flat)
         tau = build_witness_flat(
-            FAM, ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}), flat)
+            FAM, ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
         closed = subst(theta, "x", tau)
         assert forces_semantic(flat, ONE, closed)
 

@@ -1,0 +1,144 @@
+"""Every public condition-taking call on every poset kind gives an exact
+answer or a ForceLabError with its code, and ONE stands for the top.
+
+Validation lives in one place, ``Poset.resolve``; the last test pins that
+no poset kind overrides the public methods that call it.
+"""
+
+import pytest
+
+import forcelab
+from forcelab import (
+    HF, ONE, BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset,
+    Family, FlatPoset, ForceLabError, NontrivialFlatPoset, Poset,
+    fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
+    nat,
+)
+
+FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
+
+# kind -> (poset, a valid condition outside the truncation or None when the
+# poset is finite, a truncation condition that the outside one extends)
+KINDS = {
+    "explicit": (ExplicitPoset(["a", "b", "1"], [("a", "1"), ("b", "1")],
+                               "1"), None, None),
+    "flat": (FlatPoset(FAM), None, None),
+    "choice": (ChoicePoset(FAM, 2), (5, nat(0)), (0, nat(1))),
+    "fn": (fn_omega_omega(2, 2), frozenset({(5, 0)}), frozenset()),
+    "inj": (inj_omega_omega(2, 2), frozenset({(0, 5)}), frozenset()),
+    "tree": (BinaryTreePoset(2), "0101", "01"),
+    "nontrivial-flat": (NontrivialFlatPoset(["a", "b"], 1), ("a", "0101"),
+                        ("a", "0")),
+    "grid": (CohenGridPoset(2, 1), frozenset({((5, 0), 1)}), frozenset()),
+}
+
+# Not a condition of any kind: foreign types, then malformed tuples,
+# strings and frozensets.
+NON_CONDITIONS = [
+    None, 2.5, b"a", ["a"], {"a": 0}, nat(0),
+    ("a",), (0, nat(0), 1), (-1, nat(0)), (0, "x"), (0, nat(7)), ("a", 0),
+    ("z", "0"), "2", "0a",
+    frozenset({(0,)}), frozenset({(0, 1, 2)}), frozenset({(0, 0), (0, 1)}),
+    frozenset({("x", 0)}), frozenset({(0, -1)}), frozenset({((0, 0), 2)}),
+]
+# Malformed only for one kind.
+KIND_NON_CONDITIONS = {
+    "inj": [frozenset({(0, 1), (1, 1)})],
+    "grid": [frozenset({((0, -1), 1)}), frozenset({(0, 1)})],
+    "choice": [(0, "a")],
+}
+
+OPS = ("le", "le_rev", "compatible", "compatible_rev", "condition_hf",
+       "index_of", "extensions", "is_antichain", "is_antichain_pair",
+       "is_dense", "generic_filter")
+
+
+def run(poset, op, x, r):
+    """One public call with the probe x (and the valid condition r)."""
+    calls = {
+        "le": lambda: poset.le(x, r),
+        "le_rev": lambda: poset.le(r, x),
+        "compatible": lambda: poset.compatible(x, r),
+        "compatible_rev": lambda: poset.compatible(r, x),
+        "condition_hf": lambda: poset.condition_hf(x),
+        "index_of": lambda: poset.index_of(x),
+        "extensions": lambda: poset.extensions(x),
+        "is_antichain": lambda: is_antichain(poset, [x]),
+        "is_antichain_pair": lambda: is_antichain(poset, [x, r]),
+        "is_dense": lambda: is_dense(poset, [x]),
+        "generic_filter": lambda: generic_filter(poset, x),
+    }
+    try:
+        return "ok", calls[op]()
+    except ForceLabError as e:
+        return "error", e.code
+
+
+def reference(poset):
+    return poset.top if poset.top is not None else poset.conditions()[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("op", OPS)
+def test_non_conditions_are_unknown(kind, op):
+    poset = KINDS[kind][0]
+    for x in NON_CONDITIONS + KIND_NON_CONDITIONS.get(kind, []):
+        assert run(poset, op, x, reference(poset)) == \
+            ("error", "unknown-condition"), x
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("op", OPS)
+def test_one_answers_as_the_top(kind, op):
+    poset = KINDS[kind][0]
+    for r in poset.conditions():
+        got = run(poset, op, ONE, r)
+        if poset.top is None:
+            assert got == ("error", "invalid-input"), r
+        else:
+            assert got == run(poset, op, poset.top, r), r
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if KINDS[k][0].top is not None])
+def test_one_is_above_and_compatible_with_everything(kind):
+    poset = KINDS[kind][0]
+    for p in poset.conditions():
+        assert poset.le(p, ONE)
+        assert poset.compatible(ONE, p)
+        assert poset.compatible(p, ONE)
+        assert poset.le(ONE, p) == (p == poset.top)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if KINDS[k][1] is not None])
+def test_condition_outside_the_truncation(kind):
+    poset, x, above = KINDS[kind]
+    escape = ("error", "truncation-escape")
+    assert run(poset, "le", x, above) == ("ok", True)
+    assert run(poset, "le_rev", x, above) == ("ok", False)
+    assert run(poset, "compatible", x, above) == ("ok", True)
+    assert run(poset, "compatible_rev", x, above) == ("ok", True)
+    assert run(poset, "is_antichain", x, above) == ("ok", True)
+    assert run(poset, "is_antichain_pair", x, above) == ("ok", False)
+    for op in ("index_of", "extensions", "is_dense", "generic_filter"):
+        assert run(poset, op, x, above) == escape, op
+    status, code = run(poset, "condition_hf", x, above)
+    assert status == "ok" and isinstance(code, HF)
+    assert code not in {poset.condition_hf(c) for c in poset.conditions()}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_poset_kind_overrides_the_validating_methods():
+    # Poset.resolve is the one condition validator; the public methods
+    # that call it stay on Poset, and kinds override _le, _compatible and
+    # _condition_hf instead.
+    public = ("le", "compatible", "resolve", "index_of", "condition_hf")
+    kinds = [cls for cls in _subclasses(Poset)
+             if cls.__module__.startswith(forcelab.__name__)]
+    assert len(kinds) >= 8
+    assert {f"{cls.__name__}.{name}" for cls in kinds for name in public
+            if name in vars(cls)} == set()

@@ -146,6 +146,12 @@ class TestMix:
         assert forces_semantic(
             FLAT, "b", Eq(Cname(mixed), Cname(check_name(nat(1)))))
 
+    def test_one_as_the_only_member(self):
+        # the names are looked up by the members as written, ONE included
+        mixed = mix(FLAT, ONE, [ONE], {ONE: check_name(nat(1))})
+        for label in ("a", "b"):
+            assert eval_name(mixed, generic_filter(FLAT, label)) == nat(1)
+
     def test_rejects_non_antichain(self):
         with pytest.raises(NotMaximalBelow):
             mix(FLAT, ONE, ["a", ONE], {"a": EMPTY_NAME, ONE: EMPTY_NAME})

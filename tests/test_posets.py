@@ -57,7 +57,7 @@ class TestExplicitPoset:
 
     def test_unknown_condition(self):
         with pytest.raises(UnknownCondition):
-            explicit_v().ensure_condition("z")
+            explicit_v().resolve("z")
 
     def test_minimal_conditions(self):
         assert set(explicit_v().minimal_conditions()) == {"a", "b"}
