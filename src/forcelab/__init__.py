@@ -12,7 +12,7 @@ from .errors import (
     ColumnCollision, DuplicateIdentifier, ForceLabError, InvalidInput,
     MalformedSigma, NonInjective, NotDense, NotInSubgroup, NotMaximal,
     NotMaximalBelow, OutOfRange, ParseError, PreconditionViolated,
-    TruncationEscape, UnknownCondition, UnresolvedReference,
+    ReportTooLarge, TruncationEscape, UnknownCondition, UnresolvedReference,
     ValueEscapesBlock,
 )
 from .hf import EMPTY, HF, from_int_set, from_set, hfs, kuratowski, nat, \

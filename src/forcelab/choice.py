@@ -46,7 +46,10 @@ class ChoiceFunction:
                     f"{render(value)} is not in block {lab!r}")
         self.family = family
         self.mapping = dict(mapping)
-        self._key = tuple((lab, mapping[lab].key()) for lab in family.labels)
+        # HF sets are interned, so the chosen sets themselves compare and
+        # hash by identity; their canonical keys would hash in time
+        # exponential in their rank.
+        self._key = tuple((lab, mapping[lab]) for lab in family.labels)
 
     def __getitem__(self, label: str) -> HF:
         return self.mapping[label]

@@ -25,7 +25,7 @@ from .cohen import (
     e_dense, g1_to_g, g_to_g1, hat_map, r_sigma_name,
 )
 from .dsl import Command, Scenario, parse_scenario
-from .errors import ForceLabError, InvalidInput, ParseError
+from .errors import ForceLabError, InvalidInput, ParseError, ReportTooLarge
 from .forcing import (
     NameSpace, forces_semantic, forces_syntactic, least_ordinal_name,
     mix, mp_witness_search,
@@ -58,8 +58,48 @@ def cond_json(poset: Optional[Poset], c) -> str:
 
 
 def name_json(poset: Optional[Poset], tau: PName) -> list:
-    return [[cond_json(poset, c), name_json(poset, s)]
-            for c, s in tau.sorted_entries()]
+    """A name as nested ``[condition, name]`` lists in sorted entry order.
+
+    Each distinct subname is built once per call and its list is shared by
+    every entry that holds it; ``json.dumps`` writes a shared list in full
+    wherever it occurs, so the report still shows the unfolded tree.
+    """
+    return _name_json(poset, tau, {})
+
+
+def _name_json(poset: Optional[Poset], tau: PName, memo: dict) -> list:
+    out = memo.get(tau)
+    if out is None:
+        out = memo[tau] = [[cond_json(poset, c), _name_json(poset, s, memo)]
+                           for c, s in tau.sorted_entries()]
+    return out
+
+
+# The most name entries one report may hold once its names are unfolded
+# into trees, as the report writes them.  The check-name of the natural n
+# unfolds to 2^n - 1 entries, so a few lines of scenario can ask for a
+# report that would never finish.
+MAX_REPORT_ENTRIES = 2 ** 22
+
+
+def _check_report_size(*names: PName) -> None:
+    """Raise ReportTooLarge when the names one report is about to write
+    unfold to more than MAX_REPORT_ENTRIES entries.  Each distinct subname
+    is counted once, so the check costs no more than serializing a DAG."""
+    sizes: dict = {}
+    total = sum(_unfolded_entries(tau, sizes) for tau in names)
+    if total > MAX_REPORT_ENTRIES:
+        raise ReportTooLarge(
+            f"the report's names unfold to {total} entries, more than "
+            f"the {MAX_REPORT_ENTRIES} a report may hold")
+
+
+def _unfolded_entries(tau: PName, sizes: dict) -> int:
+    out = sizes.get(tau)
+    if out is None:
+        out = sizes[tau] = len(tau.entries) + sum(
+            _unfolded_entries(child, sizes) for _, child in tau.entries)
+    return out
 
 
 def perm_json(perm: Perm) -> dict:
@@ -199,7 +239,7 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
         raise InvalidInput(f"unknown thm2 mode {mode!r}")
     family = scenario.lookup(fam_id, "family", tok=cmd.tokens.get(1))
     flat = FlatPoset(family)
-    witnesses = []
+    taus = []
     extracted = []
     seen = set()
     roundtrip_ok = True
@@ -209,8 +249,10 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
         if g != f:
             roundtrip_ok = False
         seen.add(g)
-        witnesses.append(name_json(flat, tau))
+        taus.append(tau)
         extracted.append({lab: render(x) for lab, x in g.items()})
+    _check_report_size(*taus)
+    witnesses = [name_json(flat, tau) for tau in taus]
     expected = 1
     for lab in family.labels:
         expected *= len(family.blocks[lab])
@@ -252,6 +294,7 @@ def run_witness(scenario: Scenario, cmd: Command) -> dict:
         "witness": None, "evaluations": {},
     }
     if tau is not None:
+        _check_report_size(tau)
         report["witness"] = name_json(poset, tau)
         report["evaluations"] = evaluations_json(poset, p, tau)
     return report
@@ -276,6 +319,7 @@ def run_mix(scenario: Scenario, cmd: Command) -> dict:
         raise InvalidInput(
             "need exactly one name per antichain member, in written order")
     mixed = mix(poset, p, antichain, dict(zip(antichain, names)))
+    _check_report_size(mixed)
     return {
         "poset": poset_id, "condition": cond_json(poset, p),
         "antichain": [cond_json(poset, c) for c in antichain],
@@ -292,6 +336,7 @@ def run_leastord(scenario: Scenario, cmd: Command) -> dict:
     theta = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
     kappa = _kwarg_int(cmd, "kappa")
     tau = least_ordinal_name(poset, p, kappa, theta)
+    _check_report_size(tau)
     var = single_free_var(theta)
     return {
         "poset": poset_id, "condition": cond_json(poset, p),
@@ -359,7 +404,7 @@ def run_cohen(scenario: Scenario, cmd: Command) -> dict:
         hat_eval = eval_name(hat, g_to_g1(asg))
         return {
             "mode": "hat", "assignment": asg_id, "name": name_id,
-            "hat_entries": len(hat.sorted_entries()),
+            "hat_entries": len(hat.entries),
             "orig_eval": render(orig), "hat_eval": render(hat_eval),
             "match": orig == hat_eval,
         }
@@ -416,6 +461,18 @@ HANDLERS = {
 }
 
 
+# Built once at import: the options never change, and building them again
+# on every call was a measurable share of a small report's time.
+_PARSER = argparse.ArgumentParser(
+    prog="forcelab", description="Run a forcing-laboratory scenario file.")
+_PARSER.add_argument("subcommand", choices=sorted(HANDLERS))
+_PARSER.add_argument("file", help="scenario file to run")
+_PARSER.add_argument("--seed", type=int, default=0,
+                     help="echoed into the report for reproducibility")
+_PARSER.add_argument("--pretty", action="store_true",
+                     help="indent the JSON report")
+
+
 def _emit(payload: dict, pretty: bool) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2 if pretty else None),
           flush=True)
@@ -435,16 +492,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="forcelab",
-        description="Run a forcing-laboratory scenario file.")
-    parser.add_argument("subcommand", choices=sorted(HANDLERS))
-    parser.add_argument("file", help="scenario file to run")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="echoed into the report for reproducibility")
-    parser.add_argument("--pretty", action="store_true",
-                        help="indent the JSON report")
-    opts = parser.parse_args(argv)
+    opts = _PARSER.parse_args(argv)
     try:
         text = Path(opts.file).read_text()
     except OSError as exc:

@@ -397,7 +397,7 @@ class Parser:
             return ONE
         if poset is None:
             self.fail("a condition other than 1 needs a poset context", tok)
-        if poset.kind in ("explicit", "flat", "nontrivial-flat"):
+        if poset.kind in ("explicit", "flat"):
             if tok.kind not in ("ident", "int"):
                 self.fail("expected an element name", tok)
             self.next()

@@ -67,6 +67,12 @@ class OutOfRange(ForceLabError):
     code = "out-of-range"
 
 
+class ReportTooLarge(ForceLabError):
+    """A report would unfold to more name entries than the CLI writes."""
+
+    code = "report-too-large"
+
+
 class ParseError(ForceLabError):
     """Syntax error in a scenario file; carries a 1-based position."""
 

@@ -164,7 +164,8 @@ class Poset:
 
     def condition_repr(self, c) -> str:
         """Display form of a condition already validated (no check here:
-        report serialization calls it once per name entry)."""
+        report serialization calls it once per entry of each distinct
+        subname)."""
         raise NotImplementedError
 
     def condition_key(self, c) -> tuple:
@@ -220,10 +221,13 @@ class Kernel:
         ONE or any condition, inside the truncation or not.  As a name entry
         ONE is in every filter, so it covers every condition even with no
         top.  An indexed condition is valid by construction; any other goes
-        through ``resolve``."""
+        through ``resolve``, which also rejects an unhashable c."""
         if c is ONE:
             return self.full
-        i = self.index.get(c)
+        try:
+            i = self.index.get(c)
+        except TypeError:
+            i = None
         if i is not None:
             return self.down[i]
         c = self.poset.resolve(c)
@@ -752,7 +756,12 @@ class Filter:
         self.evals: dict = {}
 
     def __contains__(self, c) -> bool:
-        return c is ONE or c in self.conditions
+        """Whether c is in the filter.  Like any other object that is not a
+        condition, an unhashable c is not in it."""
+        try:
+            return c is ONE or c in self.conditions
+        except TypeError:
+            return False
 
     def __hash__(self):
         return self._hash

@@ -1,14 +1,18 @@
 """End-to-end CLI runs: frozen reports, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from forcelab import parse_scenario
+from forcelab import check_name, hat_map, nat, parse_scenario
+from forcelab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.fl"))
@@ -170,3 +174,61 @@ def test_closed_stdout_exits_quietly(unbuffered):
 def test_console_entry_point_is_wired():
     from forcelab.cli import main
     assert callable(main)
+
+
+def run_in_process(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(list(argv))
+    return status, buf.getvalue()
+
+
+def thm2_file(tmp_path, n):
+    path = tmp_path / f"thm2_{n}.fl"
+    path.write_text(f"family F {{ a: {{0,1}} b: {{{n}}} }}\n"
+                    "command thm2 extract F\n")
+    return str(path)
+
+
+def tree_json(poset, tau):
+    """The reference serializer: unfolds the name with no memo."""
+    return [[cli.cond_json(poset, c), tree_json(poset, s)]
+            for c, s in tau.sorted_entries()]
+
+
+def test_shared_subnames_serialize_like_the_unfolded_tree(tmp_path,
+                                                          monkeypatch):
+    path = thm2_file(tmp_path, 16)
+    status, shared = run_in_process("thm2", path)
+    monkeypatch.setattr(cli, "name_json", tree_json)
+    assert run_in_process("thm2", path) == (status, shared)
+    assert status == 0 and len(json.loads(shared)["witnesses"]) == 2
+
+
+def test_name_json_builds_each_distinct_subname_once():
+    # check(40) unfolds to 2^40 - 1 entries but has 41 distinct subnames.
+    start = time.perf_counter()
+    out = cli.name_json(None, check_name(nat(40)))
+    assert time.perf_counter() - start < 0.5
+    assert [len(child) for _, child in out] == list(range(40))
+    assert all(cond == "1" for cond, _ in out)
+    assert out[39][1][38][1] is out[38][1]
+
+
+def test_report_over_budget_fails_fast(tmp_path):
+    path = thm2_file(tmp_path, 62)
+    start = time.perf_counter()
+    status, out = run_in_process("thm2", path)
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == "report-too-large"
+
+
+def test_hat_entries_count_the_hat_name():
+    path = ROOT / "scenarios" / "cohen_hat.fl"
+    sc = parse_scenario(path.read_text())
+    asg = sc.lookup("g", "assignment")
+    hat = hat_map(sc.lookup("t", "name"), asg.p1_poset())
+    status, out = run_in_process("cohen", str(path))
+    assert status == 0
+    assert json.loads(out)["hat_entries"] == len(hat.sorted_entries())

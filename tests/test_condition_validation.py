@@ -11,6 +11,7 @@ import forcelab
 from forcelab import (
     HF, ONE, BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset,
     Family, FlatPoset, ForceLabError, NontrivialFlatPoset, Poset,
+    UnknownCondition,
     fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
     nat,
 )
@@ -124,6 +125,20 @@ def test_condition_outside_the_truncation(kind):
     status, code = run(poset, "condition_hf", x, above)
     assert status == "ok" and isinstance(code, HF)
     assert code not in {poset.condition_hf(c) for c in poset.conditions()}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unhashable_conditions(kind):
+    # A name entry's condition is looked up in the kernel's index and a
+    # filter's set before anything validates it; an unhashable one is not a
+    # condition there either, and no filter holds it.
+    poset = KINDS[kind][0]
+    k = poset.kernel()
+    filt = generic_filter(poset, reference(poset))
+    for x in ([poset.conditions()[0]], {"a": 0}):
+        with pytest.raises(UnknownCondition):
+            k.below(x)
+        assert x not in filt
 
 
 def _subclasses(cls):
