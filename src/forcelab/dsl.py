@@ -339,22 +339,22 @@ class Parser:
         order = []
         if self.accept("ident", "order"):
             while True:
-                a = self.next()
-                if a.kind not in ("ident", "int"):
-                    self.fail("expected an element name", a)
+                a = self.element()
                 self.expect("punct", "<")
-                b = self.next()
-                if b.kind not in ("ident", "int"):
-                    self.fail("expected an element name", b)
-                order.append((a.text, b.text))
+                order.append((a, self.element()))
                 if not self.accept("punct", ","):
                     break
             self.expect("punct", ";")
-        top = None
-        if self.accept("ident", "top"):
-            top = self.next().text
+        top = self.element() if self.accept("ident", "top") else None
         self.expect("punct", "}")
         return ExplicitPoset(elements, order, top)
+
+    def element(self) -> str:
+        """An explicit poset's element name: an identifier or an integer."""
+        tok = self.next()
+        if tok.kind not in ("ident", "int"):
+            self.fail("expected an element name", tok)
+        return tok.text
 
     def parse_grid(self):
         self.expect("ident", "grid")

@@ -1,28 +1,29 @@
 """The forcing relation over finite posets, decided two independent ways.
 
-The semantic route quantifies over the finitely many generic filters of a
-finite poset (one per minimal condition) and checks plain satisfaction of
-the formula over evaluated names.  The syntactic route recurses on names and
-formulas: the existential clause is
+The semantic route computes [[phi]], the set of generic filters along which
+phi holds, as a bit mask over the minimal conditions, since a finite poset's
+generic filters are the filters at them: the Boolean-valued model.  The
+syntactic route recurses on names and formulas: the existential clause is
 
     p forces exists-x phi(x)  iff  for all q <= p there are r <= q and a
     name tau in the bounded range with r forces phi(tau),
 
 and the atomic clauses are the usual rank recursion for membership and
-equality.  The two routes agree on finite posets; the test suite checks the
-agreement formula by formula.
+equality.  The routes share quantifier instances but not answers; they
+agree on finite posets, and the test suite checks that formula by formula.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from typing import Optional, Sequence
 
 from .errors import InvalidInput, NotMaximalBelow, PreconditionViolated
 from .formulas import (
     And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,
-    Or, OrdLT, RankLE, Var, is_closed, single_free_var, subst,
+    Or, OrdLT, RankLE, is_closed, single_free_var, subst,
 )
 from .hf import HF, nat
 from .names import (
@@ -142,15 +143,16 @@ def _pair_mask(k: Kernel, filters: Sequence[Filter], bits: dict,
 
 
 class _Forcer:
-    """Route state for one name space over a compiled poset: memo tables
-    for each route, which share nothing but the kernel's order.  Conditions
-    are kernel indices.  Formulas and names are interned, so every table
+    """Route state for one name space over a compiled poset: [[phi]] masks
+    for the semantic route and answers by condition for the syntactic one,
+    which share only the kernel and ``_instances_of``.  Conditions are
+    kernel indices.  Formulas and names are interned, so every table
     hashes its keys by identity."""
 
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
         self.space = space
-        self._sat_memo: dict = {}
+        self._truth: dict = {}
         self._syn_memo: dict = {}
         self._eq: dict = {}
         self._member: dict = {}
@@ -162,67 +164,54 @@ class _Forcer:
                 "a rank-bounded quantifier needs an ambient name space")
         return self.space.names_of_rank_le(k)
 
-    # -- semantic route: satisfaction along generic filters ------------------
+    # -- semantic route: [[phi]] over the generic filters --------------------
 
     def forces_sem(self, p: int, phi: Formula) -> bool:
         k = self.k
-        return all(self.sat(phi, k.filter_at(a), ())
-                   for a in k.minimals if k.down[p] >> a & 1)
+        return not k.down[p] & k.minimal & ~self.truth(phi)
 
-    def sat(self, phi: Formula, filt: Filter, env: tuple) -> bool:
-        key = (phi, filt, env)
-        hit = self._sat_memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._sat(phi, filt, env)
-        self._sat_memo[key] = out
+    def truth(self, phi: Formula) -> int:
+        """[[phi]] for a closed phi: the mask of the minimal conditions a
+        such that phi holds along the generic filter ``k.filter_at(a)``."""
+        out = self._truth.get(phi)
+        if out is None:
+            out = self._truth[phi] = self._truth_of(phi)
         return out
 
-    def _value(self, term, filt: Filter, env: tuple) -> HF:
-        if isinstance(term, Var):
-            for v, x in env:
-                if v == term.name:
-                    return x
-            raise InvalidInput(f"unbound variable {term.name}")
-        return eval_name(term.name, filt)
-
-    def _sat(self, phi: Formula, filt: Filter, env: tuple) -> bool:
-        if isinstance(phi, Member):
-            return self._value(phi.left, filt, env) in \
-                self._value(phi.right, filt, env)
-        if isinstance(phi, Eq):
-            return self._value(phi.left, filt, env) == \
-                self._value(phi.right, filt, env)
+    def _truth_of(self, phi: Formula) -> int:
+        k = self.k
+        if isinstance(phi, (Member, Eq)):
+            left, right = _const(phi.left), _const(phi.right)
+            holds = operator.eq if isinstance(phi, Eq) else operator.contains
+            out = 0
+            for a in k.minimals:
+                f = k.filter_at(a)
+                if holds(eval_name(right, f), eval_name(left, f)):
+                    out |= 1 << a
+            return out
         if isinstance(phi, Not):
-            return not self.sat(phi.body, filt, env)
+            return k.minimal & ~self.truth(phi.body)
         if isinstance(phi, And):
-            return self.sat(phi.left, filt, env) and \
-                self.sat(phi.right, filt, env)
+            return self.truth(phi.left) & self.truth(phi.right)
         if isinstance(phi, Or):
-            return self.sat(phi.left, filt, env) or \
-                self.sat(phi.right, filt, env)
+            return self.truth(phi.left) | self.truth(phi.right)
         if isinstance(phi, Implies):
-            return (not self.sat(phi.left, filt, env)) or \
-                self.sat(phi.right, filt, env)
-        if isinstance(phi, (Exists, Forall)):
-            values = self._bound_values(phi.bound, filt)
-            results = (
-                self.sat(phi.body, filt, env + ((phi.var, v),))
-                for v in values)
-            if isinstance(phi, Exists):
-                return any(results)
-            return all(results)
+            return k.minimal & (~self.truth(phi.left) | self.truth(phi.right))
+        if isinstance(phi, Exists):
+            out = 0
+            for m, body in self._instances_of(phi):
+                out |= m & self.truth(body)
+                if out == k.minimal:
+                    break
+            return out
+        if isinstance(phi, Forall):
+            out = k.minimal
+            for m, body in self._instances_of(phi):
+                out &= ~m | self.truth(body)
+                if not out:
+                    break
+            return out
         raise InvalidInput(f"not a formula: {phi!r}")
-
-    def _bound_values(self, bound, filt: Filter) -> list[HF]:
-        if isinstance(bound, InName):
-            return sorted(eval_name(bound.name, filt).members, key=HF.key)
-        if isinstance(bound, RankLE):
-            values = {eval_name(s, filt) for s in self.rank_range(bound.bound)}
-            return sorted(values, key=HF.key)
-        if isinstance(bound, OrdLT):
-            return [nat(i) for i in range(bound.bound)]
-        raise InvalidInput(f"not a quantifier bound: {bound!r}")
 
     # -- syntactic route: recursion on the formula ---------------------------
 
@@ -358,10 +347,16 @@ def forces_syntactic(poset: Poset, p, phi: Formula,
 
 def holds_along(poset: Poset, filt: Filter, phi: Formula,
                 space: Optional[NameSpace] = None) -> bool:
-    """Plain satisfaction of a closed formula along one filter."""
+    """Plain satisfaction of a closed formula along a generic filter, one
+    that is ``poset.kernel().filter_at(a)`` at a minimal a; any other filter
+    is refused with ``invalid-input``."""
     if not is_closed(phi):
         raise InvalidInput("satisfaction needs a closed formula")
-    return _forcer(poset, space).sat(phi, filt, ())
+    k = poset.kernel()
+    for a in k.minimals:
+        if k.filter_at(a) is filt:
+            return bool(_forcer(poset, space).truth(phi) >> a & 1)
+    raise InvalidInput("satisfaction is decided along generic filters only")
 
 
 # ---------------------------------------------------------------------------

@@ -752,7 +752,6 @@ class Filter:
     def __init__(self, poset: Poset, conditions: Iterable):
         self.poset = poset
         self.conditions = frozenset(conditions)
-        self._hash = hash((poset, self.conditions))
         self.evals: dict = {}
 
     def __contains__(self, c) -> bool:
@@ -762,13 +761,6 @@ class Filter:
             return c is ONE or c in self.conditions
         except TypeError:
             return False
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Filter) and self.poset is other.poset \
-            and self.conditions == other.conditions
 
     def __repr__(self):
         items = ",".join(self.poset.condition_repr(c)

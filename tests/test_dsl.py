@@ -320,6 +320,13 @@ MALFORMED = {
     "chain-pos": ("perm pi = chain(lo=2, mid=[4, 2], neg=(2, 6), pos=2)",
                   ParseError, "syntax-error", 1, 51,
                   "expected '(', found '2'"),
+    # explicit poset elements: an identifier or an integer
+    "explicit-top-eof": ("poset P explicit { elements a b ; top",
+                         ParseError, "syntax-error", 1, 38,
+                         "expected an element name"),
+    "explicit-top-punct": ("poset P explicit { elements a b ; top ; }",
+                           ParseError, "syntax-error", 1, 39,
+                           "expected an element name"),
     # typed references
     "flat-family": ("poset P flat F",
                     UnresolvedReference, "unresolved-reference", 1, 14,

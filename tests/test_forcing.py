@@ -9,14 +9,15 @@ import pytest
 
 from forcelab import (
     HF, And, BinaryTreePoset, ChoicePoset, Cname, EMPTY_NAME, Eq, Exists,
-    ExplicitPoset, Family, FlatPoset, Forall, Implies, InName, InvalidInput,
-    Member, NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT, PName,
-    PreconditionViolated,
+    ExplicitPoset, Family, Filter, FlatPoset, Forall, Implies, InName,
+    InvalidInput, Member, NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT,
+    PName, PreconditionViolated,
     RankLE, TruncationEscape, Var, check_name, eval_name, fn_omega_omega,
     forces_semantic, forces_syntactic, gamma_name, generic_filter,
     hereditary_closure, holds_along, indexed_witness_name,
     least_ordinal_name, mix, mp_witness_search, nat, pname, subst,
 )
+from forcelab.forcing import _Forcer
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
 FLAT = FlatPoset(FAM)
@@ -84,6 +85,42 @@ class TestForcesOracle:
         phi = Member(A_CHECK, Cname(GAMMA))
         assert holds_along(FLAT, generic_filter(FLAT, "a"), phi)
         assert not holds_along(FLAT, generic_filter(FLAT, "b"), phi)
+
+    def test_holds_along_refuses_non_generic_filters(self):
+        phi = Member(A_CHECK, Cname(GAMMA))
+        k = FLAT.kernel()
+        top = FLAT.index_of(FLAT.top)
+        assert top not in k.minimals
+        other = FlatPoset(FAM)
+        for filt in (k.filter_at(top),
+                     Filter(FLAT, generic_filter(FLAT, "a").conditions),
+                     generic_filter(other, "a")):
+            with pytest.raises(InvalidInput) as info:
+                holds_along(FLAT, filt, phi)
+            assert info.value.code == "invalid-input"
+
+    def test_semantic_route_never_runs_the_recursion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the semantic route ran the recursion")
+
+        for method in ("forces_syn", "_forces_eq", "_forces_member"):
+            monkeypatch.setattr(_Forcer, method, refuse)
+        poset = FlatPoset(FAM)
+        gamma = gamma_name(poset)
+        a_check = Cname(check_name(poset.condition_hf("a")))
+        phi = Member(a_check, Cname(gamma))
+        assert forces_semantic(poset, "a", phi)
+        assert not forces_semantic(poset, ONE, phi)
+        assert holds_along(poset, generic_filter(poset, "a"), phi)
+        theta = Or(And(Eq(Var("al"), Cname(check_name(nat(1)))), phi),
+                   And(Eq(Var("al"), Cname(check_name(nat(2)))), Not(phi)))
+        tau = least_ordinal_name(poset, ONE, 3, theta)
+        assert eval_name(tau, generic_filter(poset, "a")) == nat(1)
+        assert eval_name(tau, generic_filter(poset, "b")) == nat(2)
+        space = NameSpace(poset, (gamma,), 1)
+        found = mp_witness_search(poset, ONE, Member(Var("x"), Cname(gamma)),
+                                  space)
+        assert found is not None
 
 
 class TestRouteAgreement:
@@ -359,7 +396,7 @@ class TestNameSpaceQuotient:
     @staticmethod
     def assert_same_answers(poset, space, full, rank):
         """Both routes at every condition and satisfaction along every
-        filter answer the battery alike over the two spaces."""
+        generic filter answer the battery alike over the two spaces."""
         k = poset.kernel()
         for phi in rankle_battery(poset, rank):
             for c in poset.conditions():
@@ -367,7 +404,7 @@ class TestNameSpaceQuotient:
                 assert forces_semantic(poset, c, phi, space) == want, (phi, c)
                 assert forces_syntactic(poset, c, phi, space) == want, (phi, c)
                 assert forces_syntactic(poset, c, phi, full) == want, (phi, c)
-            for i in range(len(k.conds)):
+            for i in k.minimals:
                 filt = k.filter_at(i)
                 assert holds_along(poset, filt, phi, space) == \
                     holds_along(poset, filt, phi, full), (phi, i)
@@ -438,6 +475,72 @@ class TestNameSpaceQuotient:
             NameSpace(poset, BASES, 2)
         assert info.value.code == "invalid-input"
         assert poset._kernel is None
+
+
+def reference_sat(phi, filt, space, env=None):
+    """Satisfaction along one filter by brute force: a quantifier binds the
+    values of its range along the filter, not names, and atoms read bound
+    variables from ``env``.  Shares nothing with the library's routes."""
+    env = env or {}
+
+    def value(term):
+        if isinstance(term, Var):
+            return env[term.name]
+        return eval_name(term.name, filt)
+
+    if isinstance(phi, Member):
+        return value(phi.left) in value(phi.right)
+    if isinstance(phi, Eq):
+        return value(phi.left) == value(phi.right)
+    if isinstance(phi, Not):
+        return not reference_sat(phi.body, filt, space, env)
+    if isinstance(phi, (And, Or, Implies)):
+        left = reference_sat(phi.left, filt, space, env)
+        right = reference_sat(phi.right, filt, space, env)
+        if isinstance(phi, And):
+            return left and right
+        if isinstance(phi, Or):
+            return left or right
+        return not left or right
+    bound = phi.bound
+    if isinstance(bound, InName):
+        values = eval_name(bound.name, filt).members
+    elif isinstance(bound, RankLE):
+        values = {eval_name(s, filt)
+                  for s in space.names_of_rank_le(bound.bound)}
+    else:
+        values = [nat(i) for i in range(bound.bound)]
+    results = (reference_sat(phi.body, filt, space, {**env, phi.var: v})
+               for v in values)
+    return any(results) if isinstance(phi, Exists) else all(results)
+
+
+class TestReferenceOracle:
+    """The semantic route against brute-force satisfaction: the route reads
+    quantifier ranges through the instances the syntactic route also uses,
+    so this oracle keeps it honest on its own."""
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_semantic_route_matches_brute_force(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        space = NameSpace(poset, BASES, rank)
+        k = poset.kernel()
+        gamma = Cname(gamma_name(poset))
+        # Bodies that can hold at a name whose entry is outside the filter.
+        outside = [q("x", InName(gamma.name), Not(Member(Var("x"), gamma)))
+                   for q in (Exists, Forall)]
+        battery = TestRouteAgreement().formulas(poset, space) + \
+            rankle_battery(poset, rank) + outside
+        for phi in battery:
+            along = {a: reference_sat(phi, k.filter_at(a), space)
+                     for a in k.minimals}
+            for a, want in along.items():
+                assert holds_along(poset, k.filter_at(a), phi, space) == \
+                    want, (phi, a)
+            for i, c in enumerate(k.conds):
+                want = all(v for a, v in along.items() if k.down[i] >> a & 1)
+                assert forces_semantic(poset, c, phi, space) == want, (phi, c)
 
 
 class TestTruncationEscape:
