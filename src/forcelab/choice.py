@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
 )
-from .forcing import NameSpace, forces_semantic
+from .forcing import _forcer, forces_semantic
 from .formulas import (
     And, Cname, Formula, Implies, Member, Eq, Var, conj, disj, single_free_var,
     subst,
@@ -132,15 +132,14 @@ def build_witness_flat(family: Family, f: ChoiceFunction) -> PName:
 
 
 def extract_choice_flat(family: Family, tau: PName,
-                        flat: Optional[FlatPoset] = None,
-                        space: Optional[NameSpace] = None) -> ChoiceFunction:
+                        flat: Optional[FlatPoset] = None) -> ChoiceFunction:
     """Evaluate a witness below each block condition and collect the chosen
     elements; the witness must provably select from the generic block."""
     if flat is None:
         flat = FlatPoset(family)
     theta = theta_family(flat)
     var = single_free_var(theta)
-    if not forces_semantic(flat, ONE, subst(theta, var, tau), space):
+    if not forces_semantic(flat, ONE, subst(theta, var, tau)):
         raise PreconditionViolated(
             "the name is not forced to select from the generic block")
     mapping = {}
@@ -159,14 +158,15 @@ def extract_choice_flat(family: Family, tau: PName,
 
 def extract_choice_wellordered(
         poset: Poset, marks: Sequence, block_sets: Sequence[Iterable[HF]],
-        tau: PName,
-        space: Optional[NameSpace] = None) -> list[tuple[object, HF]]:
+        tau: PName) -> list[tuple[object, HF]]:
     """For each marked condition p_n, find the first extension q_n deciding
     the name as a fixed element x_n of the n-th set.
 
     The marked conditions must be pairwise incompatible, and the greatest
     element must force that whenever a mark enters the generic filter the
-    name lands in the matching set.
+    name lands in the matching set.  Each mark reads one [[tau = x-check]]
+    mask per x, and each extension q decides the name as x when every
+    minimal condition below q lies in that mask.
     """
     k = poset.kernel()
     marks = [poset.index_of(p) for p in marks]
@@ -185,21 +185,17 @@ def extract_choice_wellordered(
                        Cname(gamma)),
                 Member(Cname(tau), Cname(check_name(HF(xs)))))
         for a, xs in zip(marks, blocks)])
-    if not forces_semantic(poset, ONE, guard, space):
+    if not forces_semantic(poset, ONE, guard):
         raise PreconditionViolated(
             "the greatest element does not force the name into the marked sets")
+    f = _forcer(poset, None)
     out = []
     for a, xs in zip(marks, blocks):
-        found = None
-        for q in (k.conds[j] for j in k.exts[a]):
-            for x in sorted(xs, key=HF.key):
-                if forces_semantic(poset, q,
-                                   Eq(Cname(tau), Cname(check_name(x))),
-                                   space):
-                    found = (q, x)
-                    break
-            if found is not None:
-                break
+        values = sorted(xs, key=HF.key)
+        masks = [f.truth(Eq(Cname(tau), Cname(check_name(x)))) for x in values]
+        found = next(((k.conds[q], x) for q in k.exts[a]
+                      for x, mask in zip(values, masks)
+                      if not k.down[q] & k.minimal & ~mask), None)
         if found is None:
             raise PreconditionViolated(
                 f"no extension of {poset.condition_repr(k.conds[a])} decides "

@@ -106,9 +106,10 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or \
+                (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -247,6 +248,8 @@ class Parser:
     # -- scenario ------------------------------------------------------------
 
     def parse(self) -> Scenario:
+        # A handler reads a declaration after its keyword and identifier and
+        # returns the entity, which is declared with the keyword as its kind.
         handlers = {
             "family": self.parse_family,
             "poset": self.parse_poset,
@@ -271,23 +274,22 @@ class Parser:
             handler = handlers.get(tok.text)
             if handler is None:
                 self.fail(f"unknown declaration keyword {tok.text!r}")
-            handler()
+            self.next()
+            ident = self.expect("ident")
+            self.define(ident.text, tok.text, handler(), ident)
         self.expect("end")
         return self.scenario
 
     # -- declarations ---------------------------------------------------------
 
     def parse_family(self):
-        self.expect("ident", "family")
-        tok = self.peek()
-        ident = self.ident()
         self.expect("punct", "{")
         blocks = []
         while not self.accept("punct", "}"):
             label = self.ident()
             self.expect("punct", ":")
             blocks.append((label, self.parse_hf_set()))
-        self.define(ident, "family", Family(blocks), tok)
+        return Family(blocks)
 
     def parse_hf(self) -> HF:
         tok = self.peek()
@@ -302,9 +304,6 @@ class Parser:
         return self.seq("{", "}", self.parse_hf)
 
     def parse_poset(self):
-        self.expect("ident", "poset")
-        tok = self.peek()
-        ident = self.ident()
         kind = self.ident()
         if kind == "explicit":
             poset = self.parse_explicit_body()
@@ -326,7 +325,7 @@ class Parser:
             poset = BinaryTreePoset(self.setting("depth"))
         else:
             self.fail(f"unknown poset kind {kind!r}")
-        self.define(ident, "poset", poset, tok)
+        return poset
 
     def parse_explicit_body(self) -> ExplicitPoset:
         self.expect("punct", "{")
@@ -357,20 +356,14 @@ class Parser:
         return tok.text
 
     def parse_grid(self):
-        self.expect("ident", "grid")
-        tok = self.peek()
-        ident = self.ident()
         cols = self.setting("cols")
         rows = self.setting("rows")
-        self.define(ident, "grid", CohenGridPoset(cols, rows), tok)
+        return CohenGridPoset(cols, rows)
 
     def parse_assignment(self):
-        self.expect("ident", "assignment")
-        tok = self.peek()
-        ident = self.ident()
         grid = self.ref("grid")
         bits = self.seq("[", "]", self.int_value)
-        self.define(ident, "assignment", Assignment(grid, bits), tok)
+        return Assignment(grid, bits)
 
     def parse_int_pair(self) -> tuple[int, int]:
         self.expect("punct", "(")
@@ -381,12 +374,9 @@ class Parser:
         return (a, b)
 
     def parse_sigma(self):
-        self.expect("ident", "sigma")
-        tok = self.peek()
-        ident = self.ident()
         self.expect("punct", "=")
         pairs = self.seq("{", "}", self.parse_int_pair)
-        self.define(ident, "sigma", frozenset(pairs), tok)
+        return frozenset(pairs)
 
     # -- conditions ------------------------------------------------------------
 
@@ -427,36 +417,27 @@ class Parser:
         self.fail(f"no condition syntax for poset kind {poset.kind!r}", tok)
 
     def parse_cond_decl(self):
-        self.expect("ident", "cond")
-        tok = self.peek()
-        ident = self.ident()
         self.expect("ident", "over")
         poset = self.ref("poset", "grid")
         self.expect("punct", "=")
         cond = self.parse_condition(poset)
-        self.define(ident, "cond", (poset, cond), tok)
+        return (poset, cond)
 
     def parse_conds_decl(self):
-        self.expect("ident", "conds")
-        tok = self.peek()
-        ident = self.ident()
         self.expect("ident", "over")
         poset = self.ref("poset", "grid")
         self.expect("punct", "=")
         conds = self.seq("{", "}", lambda: self.parse_condition(poset))
-        self.define(ident, "conds", (poset, tuple(conds)), tok)
+        return (poset, tuple(conds))
 
     # -- names -----------------------------------------------------------------
 
     def parse_name(self):
-        self.expect("ident", "name")
-        tok = self.peek()
-        ident = self.ident()
         poset = None
         if self.accept("ident", "over"):
             poset = self.ref("poset", "grid")
         self.expect("punct", "=")
-        self.define(ident, "name", self.parse_name_expr(poset), tok)
+        return self.parse_name_expr(poset)
 
     def parse_name_expr(self, poset: Optional[Poset]) -> PName:
         tok = self.peek()
@@ -513,15 +494,12 @@ class Parser:
     def parse_formula_decl(self):
         """An optional parenthesized head variable declares an open formula,
         as in ``formula theta(x) = x in g``."""
-        self.expect("ident", "formula")
-        tok = self.peek()
-        ident = self.ident()
         scope: tuple[str, ...] = ()
         if self.accept("punct", "("):
             scope = (self.ident(),)
             self.expect("punct", ")")
         self.expect("punct", "=")
-        self.define(ident, "formula", self.parse_formula(scope), tok)
+        return self.parse_formula(scope)
 
     def parse_formula(self, scope: tuple[str, ...]) -> Formula:
         left = self.parse_disjunction(scope)
@@ -608,13 +586,9 @@ class Parser:
     # -- permutations ---------------------------------------------------------
 
     def parse_perm(self):
-        self.expect("ident", "perm")
-        tok = self.peek()
-        ident = self.ident()
         self.expect("punct", "=")
         if self.accept("ident", "id"):
-            self.define(ident, "perm", Perm(), tok)
-            return
+            return Perm()
         cycles = []
         chains = []
         while True:
@@ -632,7 +606,7 @@ class Parser:
                 break
         if not cycles and not chains:
             self.fail("expected cycles, chains, or 'id'")
-        self.define(ident, "perm", Perm(cycles, chains), tok)
+        return Perm(cycles, chains)
 
     def parse_chain(self) -> Chain:
         self.expect("ident", "chain")

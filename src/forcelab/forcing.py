@@ -94,19 +94,17 @@ class NameSpace:
                     best.setdefault(mask, combo)
         first = {mask: pname(pairs[j] for j in combo)
                  for mask, combo in best.items()}
-        # A closure name joins an assembled class when its value along each
-        # filter is a set of values that pairs contribute there; otherwise
-        # its class is keyed by its values themselves.  It never comes
+        # A closure name's class is keyed like an assembled one, by the bits
+        # of its (filter, value) pairs; a pair no entry contributes gets a
+        # fresh bit, so its class has no assembled member.  It never comes
         # before an assembled name of its class: of rank at most the bound,
         # it is assembled itself unless it names the top, which ONE
         # undercuts, or a condition outside the truncation, in no filter.
         for n in closure:
-            values = [eval_name(n, f) for f in filters]
-            try:
-                cls = sum(1 << bits[(i, x)]
-                          for i, v in enumerate(values) for x in v.members)
-            except KeyError:
-                cls = tuple(values)
+            cls = 0
+            for i, f in enumerate(filters):
+                for x in eval_name(n, f).members:
+                    cls |= 1 << bits.setdefault((i, x), len(bits))
             first.setdefault(cls, n)
         self.universe: tuple[PName, ...] = tuple(
             hereditary_closure(first.values()))
@@ -406,22 +404,26 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula,
     Entries are (q, beta-check) for every q extending p that forces the
     failure of theta at every ordinal up to beta; along any generic filter
     containing p the name evaluates to the least ordinal satisfying theta.
+    It reads one [[theta(beta-check)]] mask per ordinal.
     """
     i = poset.index_of(p)
     if kappa < 1:
         raise InvalidInput("kappa must be at least 1")
     var = single_free_var(theta)
     f = _forcer(poset, space)
-    if not f.forces_sem(i, Exists(var, OrdLT(kappa), theta)):
+    k = f.k
+    # held: where theta holds at some ordinal so far
+    entries, held = [], 0
+    for beta in range(kappa):
+        beta_check = check_name(nat(beta))
+        held |= f.truth(subst(theta, var, beta_check))
+        entries.extend((k.conds[q], beta_check) for q in k.exts[i]
+                       if not k.down[q] & held)
+        if held == k.minimal:
+            break
+    if k.down[i] & k.minimal & ~held:
         raise PreconditionViolated(
             "the condition does not force an ordinal witness below kappa")
-    entries = []
-    for q in f.k.exts[i]:
-        for beta in range(kappa):
-            if not f.forces_sem(
-                    q, Not(subst(theta, var, check_name(nat(beta))))):
-                break
-            entries.append((f.k.conds[q], check_name(nat(beta))))
     return pname(entries)
 
 
@@ -447,30 +449,25 @@ def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
     candidate alpha and forces its failure at every earlier candidate; the
     union-collapse of rho removes the enclosing braces.  Returns (rho, tau).
     Requires that below every extension of p some condition forces theta at
-    some candidate.
+    some candidate.  It reads one [[theta(tau_alpha)]] mask per candidate.
     """
     i = poset.index_of(p)
     var = single_free_var(theta)
     f = _forcer(poset, space)
-    exts, conds = f.k.exts, f.k.conds
-    accepts = {}
-    rejects = {}
-    for q in exts[i]:
-        for alpha, tau in enumerate(candidates):
-            accepts[(q, alpha)] = f.forces_sem(q, subst(theta, var, tau))
-            rejects[(q, alpha)] = f.forces_sem(q, Not(subst(theta, var, tau)))
-    for q in exts[i]:
-        if not any(accepts[(r, alpha)]
-                   for r in exts[q]
-                   for alpha in range(len(candidates))):
+    k = f.k
+    # held: where theta holds at some candidate so far
+    entries, held = [], 0
+    for tau in candidates:
+        mask = f.truth(subst(theta, var, tau))
+        refuted = (k.minimal & ~mask) | held
+        entries.extend((k.conds[q], tau) for q in k.exts[i]
+                       if not k.down[q] & refuted)
+        held |= mask
+    # Some r <= q forces theta at a candidate iff a minimal a <= q does.
+    for q in k.exts[i]:
+        if not k.down[q] & held:
             raise PreconditionViolated(
                 "no extension forces theta at any candidate below "
-                f"{poset.condition_repr(conds[q])}")
-    entries = []
-    for q in exts[i]:
-        for alpha, tau in enumerate(candidates):
-            if accepts[(q, alpha)] and \
-                    all(rejects[(q, beta)] for beta in range(alpha)):
-                entries.append((conds[q], tau))
+                f"{poset.condition_repr(k.conds[q])}")
     rho = pname(entries)
     return rho, union_name(poset, rho)

@@ -302,6 +302,11 @@ MALFORMED = {
     "tree-depth": ("poset T tree depth = x",
                    ParseError, "syntax-error", 1, 22,
                    "expected 'int', found 'x'"),
+    # numerals are decimal digits, which int() reads; '²' is a digit but
+    # no decimal
+    "superscript-numeral": ("poset T tree depth = \u00b2",
+                            ParseError, "syntax-error", 1, 22,
+                            "unexpected character '\u00b2'"),
     "grid-cols": ("grid G rows = 2 cols = 2",
                   ParseError, "syntax-error", 1, 8,
                   "expected 'cols', found 'rows'"),

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import time
 import weakref
 
@@ -9,13 +10,14 @@ import pytest
 
 from forcelab import (
     HF, And, BinaryTreePoset, ChoicePoset, Cname, EMPTY_NAME, Eq, Exists,
-    ExplicitPoset, Family, Filter, FlatPoset, Forall, Implies, InName,
-    InvalidInput, Member, NameSpace, Not, NotMaximalBelow, ONE, Or, OrdLT,
-    PName, PreconditionViolated,
-    RankLE, TruncationEscape, Var, check_name, eval_name, fn_omega_omega,
-    forces_semantic, forces_syntactic, gamma_name, generic_filter,
-    hereditary_closure, holds_along, indexed_witness_name,
-    least_ordinal_name, mix, mp_witness_search, nat, pname, subst,
+    ExplicitPoset, Family, Filter, FlatPoset, Forall, ForceLabError, Implies,
+    InName, InvalidInput, Member, NameSpace, Not, NotMaximalBelow, ONE, Or,
+    OrdLT, PName, PreconditionViolated,
+    RankLE, TruncationEscape, Var, check_name, disj, eval_name,
+    extract_choice_wellordered, fn_omega_omega, forces_semantic,
+    forces_syntactic, gamma_name, generic_filter, hereditary_closure,
+    holds_along, indexed_witness_name, least_ordinal_name, mix,
+    mp_witness_search, nat, pname, single_free_var, subst, union_name,
 )
 from forcelab.forcing import _Forcer
 
@@ -121,6 +123,17 @@ class TestForcesOracle:
         found = mp_witness_search(poset, ONE, Member(Var("x"), Cname(gamma)),
                                   space)
         assert found is not None
+        b_check = check_name(poset.condition_hf("b"))
+        rho, tau = indexed_witness_name(poset, ONE, [a_check.name, b_check],
+                                        Member(Var("x"), Cname(gamma)))
+        assert eval_name(tau, generic_filter(poset, "b")) == \
+            poset.condition_hf("b")
+        # nat(1) = {0} below "a" and nat(2) = {0, 1} below "b"
+        tau = pname([("a", EMPTY_NAME), ("b", EMPTY_NAME),
+                     ("b", check_name(nat(1)))])
+        out = extract_choice_wellordered(
+            poset, ["a", "b"], [{nat(1)}, {nat(1), nat(2)}], tau)
+        assert out == [("a", nat(1)), ("b", nat(2))]
 
 
 class TestRouteAgreement:
@@ -541,6 +554,155 @@ class TestReferenceOracle:
             for i, c in enumerate(k.conds):
                 want = all(v for a, v in along.items() if k.down[i] >> a & 1)
                 assert forces_semantic(poset, c, phi, space) == want, (phi, c)
+
+
+def extensions(poset, p):
+    k = poset.kernel()
+    return [k.conds[q] for q in k.exts[poset.index_of(p)]]
+
+
+def reference_least_ordinal_name(poset, p, kappa, theta):
+    """``least_ordinal_name`` asked condition by condition: one public
+    forcing question per (extension, ordinal), with ``Not`` and
+    ``Exists(OrdLT)`` formulas."""
+    if kappa < 1:
+        raise InvalidInput("kappa must be at least 1")
+    var = single_free_var(theta)
+    if not forces_semantic(poset, p, Exists(var, OrdLT(kappa), theta)):
+        raise PreconditionViolated(
+            "the condition does not force an ordinal witness below kappa")
+    entries = []
+    for q in extensions(poset, p):
+        for beta in range(kappa):
+            beta_check = check_name(nat(beta))
+            if not forces_semantic(
+                    poset, q, Not(subst(theta, var, beta_check))):
+                break
+            entries.append((q, beta_check))
+    return pname(entries)
+
+
+def reference_indexed_witness_name(poset, p, candidates, theta):
+    """``indexed_witness_name`` asked condition by condition: whether each
+    extension forces theta, or its negation, at each candidate."""
+    var = single_free_var(theta)
+    exts = extensions(poset, p)
+
+    def accepts(q, tau):
+        return forces_semantic(poset, q, subst(theta, var, tau))
+
+    def rejects(q, tau):
+        return forces_semantic(poset, q, Not(subst(theta, var, tau)))
+
+    for q in exts:
+        if not any(accepts(r, tau)
+                   for r in extensions(poset, q) for tau in candidates):
+            raise PreconditionViolated(
+                "no extension forces theta at any candidate below "
+                f"{poset.condition_repr(q)}")
+    entries = [(q, tau) for q in exts
+               for alpha, tau in enumerate(candidates)
+               if accepts(q, tau) and
+               all(rejects(q, earlier) for earlier in candidates[:alpha])]
+    rho = pname(entries)
+    return rho, union_name(poset, rho)
+
+
+def outcome(construct):
+    """A construction's answer, or its error's class, code and message."""
+    try:
+        return construct()
+    except ForceLabError as err:
+        return (type(err), err.code, str(err))
+
+
+def random_formula(rng, poset, atoms):
+    """A random Boolean combination, depth at most 3, of ``atoms()``."""
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return atoms()
+        maker = rng.choice([Not, And, Or, Implies])
+        if maker is Not:
+            return Not(formula(depth - 1))
+        return maker(formula(depth - 1), formula(depth - 1))
+    return formula(3)
+
+
+def random_theta(rng, poset):
+    """A formula in the one free variable x over gamma, check-names of
+    naturals and check-names of conditions; half of them have the shape
+    "x = j-check and psi_j" for a few j, with psi_j about the generic
+    filter, so that the least ordinal satisfying them varies by filter."""
+    k = poset.kernel()
+    gamma = Cname(gamma_name(poset))
+    in_gamma = [Member(Cname(check_name(poset.condition_hf(c))), gamma)
+                for c in k.conds]
+    checks = [Cname(check_name(nat(j))) for j in range(4)] + \
+        [atom.left for atom in in_gamma]
+    x = Var("x")
+    if rng.random() < 0.5:
+        return disj([
+            And(Eq(x, checks[j]),
+                random_formula(rng, poset, lambda: rng.choice(in_gamma)))
+            for j in range(rng.randint(1, 4))])
+
+    def atom():
+        c = rng.choice(checks)
+        return rng.choice([Eq(x, c), Member(x, c), Member(x, gamma),
+                           Member(c, gamma)])
+
+    while True:
+        theta = random_formula(rng, poset, atom)
+        if theta.free == {"x"}:
+            return theta
+
+
+class TestConstructionsAgainstReference:
+    """The witness constructions read [[theta]] masks; these ask the public
+    forcing relation per condition instead, as the constructions' defining
+    clauses say, and must give the same names and the same errors."""
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_least_ordinal_name(self, case):
+        poset = QUOTIENT_CASES[case][0]()
+        rng = random.Random(f"least-{case}")
+        conds = list(poset.kernel().conds)
+        answered = raised = 0
+        for _ in range(40):
+            theta = random_theta(rng, poset)
+            p = rng.choice(conds)
+            for kappa in range(1, 5):
+                got = outcome(
+                    lambda: least_ordinal_name(poset, p, kappa, theta))
+                want = outcome(lambda: reference_least_ordinal_name(
+                    poset, p, kappa, theta))
+                assert got == want, (theta, p, kappa)
+                answered += isinstance(got, PName)
+                raised += not isinstance(got, PName)
+        assert answered and raised
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_indexed_witness_name(self, case):
+        poset = QUOTIENT_CASES[case][0]()
+        k = poset.kernel()
+        rng = random.Random(f"indexed-{case}")
+        conds = list(poset.kernel().conds)
+        pool = [EMPTY_NAME, gamma_name(poset)] + \
+            [check_name(nat(j)) for j in range(3)] + \
+            [check_name(poset.condition_hf(c)) for c in k.conds]
+        answered = raised = 0
+        for size in (0, 1, 2, 3, 4) * 20:
+            theta = random_theta(rng, poset)
+            p = rng.choice(conds)
+            candidates = [rng.choice(pool) for _ in range(size)]
+            got = outcome(
+                lambda: indexed_witness_name(poset, p, candidates, theta))
+            want = outcome(lambda: reference_indexed_witness_name(
+                poset, p, candidates, theta))
+            assert got == want, (theta, p, candidates)
+            answered += isinstance(got[0], PName)
+            raised += not isinstance(got[0], PName)
+        assert answered and raised
 
 
 class TestTruncationEscape:
