@@ -193,12 +193,9 @@ def extract_choice_wellordered(
     for a, xs in zip(marks, blocks):
         values = sorted(xs, key=HF.key)
         masks = [f.truth(Eq(Cname(tau), Cname(check_name(x)))) for x in values]
-        found = next(((k.conds[q], x) for q in k.exts[a]
-                      for x, mask in zip(values, masks)
-                      if not k.down[q] & k.minimal & ~mask), None)
-        if found is None:
-            raise PreconditionViolated(
-                f"no extension of {poset.condition_repr(k.conds[a])} decides "
-                "the name")
-        out.append(found)
+        # By the guard each minimal b <= a puts the name's value along
+        # filter_at(b) in xs, so b decides it and some q is found.
+        out.append(next((k.conds[q], x) for q in k.exts[a]
+                        for x, mask in zip(values, masks)
+                        if not k.down[q] & k.minimal & ~mask))
     return out

@@ -55,11 +55,6 @@ class Assignment:
         cols = self.columns()
         return len(set(cols)) == len(cols)
 
-    def as_condition(self) -> frozenset:
-        return frozenset((((c, r), self.bit(c, r))
-                          for c in range(self.grid.cols)
-                          for r in range(self.grid.rows)))
-
     def filter(self) -> "GridSectionFilter":
         """All grid conditions the assignment extends, as a lazy filter."""
         return GridSectionFilter(

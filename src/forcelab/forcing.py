@@ -3,14 +3,19 @@
 The semantic route computes [[phi]], the set of generic filters along which
 phi holds, as a bit mask over the minimal conditions, since a finite poset's
 generic filters are the filters at them: the Boolean-valued model.  The
-syntactic route recurses on names and formulas: the existential clause is
+syntactic route computes F(phi), the mask of all conditions that force phi,
+by the forcing clauses applied to every condition at once.  With
+none_below(X) the conditions with no extension in X, and dense(X) =
+none_below(none_below(X)), negation is none_below and conjunction is
+intersection; the existential clause is
 
-    p forces exists-x phi(x)  iff  for all q <= p there are r <= q and a
-    name tau in the bounded range with r forces phi(tau),
+    F(exists-x phi(x)) = dense(union over the names tau in the bounded
+                               range of F(phi(tau))),
 
 and the atomic clauses are the usual rank recursion for membership and
-equality.  The routes share quantifier instances but not answers; they
-agree on finite posets, and the test suite checks that formula by formula.
+equality, on name pairs, with no name evaluated along a filter.  The routes
+share quantifier instances but not answers; they agree on finite posets,
+and the test suite checks that formula by formula.
 """
 
 from __future__ import annotations
@@ -142,18 +147,17 @@ def _pair_mask(k: Kernel, filters: Sequence[Filter], bits: dict,
 
 class _Forcer:
     """Route state for one name space over a compiled poset: [[phi]] masks
-    for the semantic route and answers by condition for the syntactic one,
-    which share only the kernel and ``_instances_of``.  Conditions are
-    kernel indices.  Formulas and names are interned, so every table
-    hashes its keys by identity."""
+    for the semantic route and F(phi) masks for the syntactic one, with its
+    atoms memoized by name pair.  The routes share only the kernel and
+    ``_instances_of``.  Conditions are kernel indices.  Formulas and names
+    are interned, so every table hashes its keys by identity."""
 
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
         self.space = space
         self._truth: dict = {}
-        self._syn_memo: dict = {}
-        self._eq: dict = {}
-        self._member: dict = {}
+        self._forcing: dict = {}
+        self._atoms: dict = {}
         self._instances: dict = {}
 
     def rank_range(self, k: int) -> tuple[PName, ...]:
@@ -211,85 +215,77 @@ class _Forcer:
             return out
         raise InvalidInput(f"not a formula: {phi!r}")
 
-    # -- syntactic route: recursion on the formula ---------------------------
+    # -- syntactic route: F(phi), the conditions that force phi -------------
 
     def forces_syn(self, p: int, phi: Formula) -> bool:
-        key = (p, phi)
-        hit = self._syn_memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._forces_syn(p, phi)
-        self._syn_memo[key] = out
+        return bool(self.forcing(phi) >> p & 1)
+
+    def forcing(self, phi: Formula) -> int:
+        """F(phi) for a closed phi: the mask of the conditions forcing it,
+        by the forcing clauses applied to every condition at once."""
+        out = self._forcing.get(phi)
+        if out is None:
+            out = self._forcing[phi] = self._forcing_of(phi)
         return out
 
-    def _forces_syn(self, p: int, phi: Formula) -> bool:
-        exts = self.k.exts
-        if isinstance(phi, Eq):
-            return self._forces_eq(p, _const(phi.left), _const(phi.right))
-        if isinstance(phi, Member):
-            return self._forces_member(p, _const(phi.left), _const(phi.right))
+    def _forcing_of(self, phi: Formula) -> int:
+        k = self.k
+        if isinstance(phi, (Member, Eq)):
+            return self.atom(type(phi), _const(phi.left), _const(phi.right))
         if isinstance(phi, Not):
-            return all(not self.forces_syn(q, phi.body) for q in exts[p])
+            return k.none_below(self.forcing(phi.body))
         if isinstance(phi, And):
-            return self.forces_syn(p, phi.left) and \
-                self.forces_syn(p, phi.right)
+            return self.forcing(phi.left) & self.forcing(phi.right)
         if isinstance(phi, Or):
-            return all(
-                any(self.forces_syn(r, phi.left) or self.forces_syn(r, phi.right)
-                    for r in exts[q])
-                for q in exts[p])
+            return k.dense(self.forcing(phi.left) | self.forcing(phi.right))
         if isinstance(phi, Implies):
-            return all(
-                any(self.forces_syn(r, phi.right) for r in exts[q])
-                for q in exts[p]
-                if self.forces_syn(q, phi.left))
+            return k.none_below(
+                self.forcing(phi.left) & k.none_below(self.forcing(phi.right)))
         if isinstance(phi, Exists):
-            instances = self._instances_of(phi)
-            return all(
-                any(self.forces_syn(r, body)
-                    for m, body in instances
-                    for r in exts[q] if m >> r & 1)
-                for q in exts[p])
+            out = 0
+            for m, body in self._instances_of(phi):
+                out |= m & self.forcing(body)
+                if out & k.minimal == k.minimal:
+                    break
+            return k.dense(out)
         if isinstance(phi, Forall):
-            instances = self._instances_of(phi)
             if isinstance(phi.bound, InName):
-                return all(self.forces_syn(q, body)
-                           for m, body in instances
-                           for q in exts[p] if m >> q & 1)
-            return all(self.forces_syn(p, body) for _, body in instances)
+                out = 0
+                for m, body in self._instances_of(phi):
+                    out |= m & ~self.forcing(body)
+                return k.none_below(out)
+            out = k.full
+            for _, body in self._instances_of(phi):
+                out &= self.forcing(body)
+                if not out:
+                    break
+            return out
         raise InvalidInput(f"not a formula: {phi!r}")
 
-    # The atoms recurse on name pairs alone, memoized in ``_eq`` and
-    # ``_member`` by (condition, t1, t2), without building formulas.
-
-    def _forces_eq(self, p: int, t1: PName, t2: PName) -> bool:
-        key = (p, t1, t2)
-        hit = self._eq.get(key)
-        if hit is None:
-            hit = self._eq[key] = self._forces_subset(p, t1, t2) and \
-                self._forces_subset(p, t2, t1)
-        return hit
-
-    def _forces_member(self, p: int, t1: PName, t2: PName) -> bool:
-        key = (p, t1, t2)
-        hit = self._member.get(key)
-        if hit is None:
-            exts = self.k.exts
-            entries = self.k.entry_masks(t2)
-            hit = self._member[key] = all(
-                any(m >> r & 1 and self._forces_eq(r, t1, sig)
-                    for r in exts[q]
-                    for m, sig in entries)
-                for q in exts[p])
-        return hit
-
-    def _forces_subset(self, p: int, t1: PName, t2: PName) -> bool:
-        # p forces t1 to be a subset of t2
-        for m, sig in self.k.entry_masks(t1):
-            for q in self.k.exts[p]:
-                if m >> q & 1 and not self._forces_member(q, sig, t2):
-                    return False
-        return True
+    def atom(self, kind: type, t1: PName, t2: PName) -> int:
+        """F(t1 = t2) or F(t1 in t2), as ``kind`` is Eq or Member.  The
+        atoms recurse on name pairs alone, memoized in ``_atoms``, without
+        building formulas."""
+        key = (kind, t1, t2)
+        out = self._atoms.get(key)
+        if out is not None:
+            return out
+        k = self.k
+        out = 0
+        if kind is Member:
+            for m, sig in k.entry_masks(t2):
+                out |= m & self.atom(Eq, t1, sig)
+                if out & k.minimal == k.minimal:
+                    break
+            out = k.dense(out)
+        else:
+            # t1 and t2 are each forced to be a subset of the other
+            for a, b in ((t1, t2), (t2, t1)):
+                for m, sig in k.entry_masks(a):
+                    out |= m & ~self.atom(Member, sig, b)
+            out = k.none_below(out)
+        self._atoms[key] = out
+        return out
 
     def _instances_of(self, phi) -> tuple:
         """The body of a quantified formula at each name its bound ranges

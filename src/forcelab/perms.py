@@ -142,10 +142,6 @@ class Chain:
         keep_right = wide.mid[window - low:]
         return Chain(low, keep_left + keep_right, wide.neg, wide.pos)
 
-    def reverse(self) -> "Chain":
-        """The enumeration f(m) = e(-m); shifting f undoes shifting e."""
-        return Chain(-self.hi, tuple(reversed(self.mid)), self.pos, self.neg)
-
 
 def _canon_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
     items = tuple(cycle)
@@ -174,7 +170,7 @@ def _chains_meet(c1: Chain, c2: Chain) -> bool:
 class Perm:
     """A bijection of the naturals given by disjoint cycles and chains."""
 
-    __slots__ = ("cycles", "chains", "_fwd", "_bwd", "_key")
+    __slots__ = ("cycles", "chains", "_fwd", "_key")
 
     def __init__(self, cycles: Iterable[Iterable[int]] = (),
                  chains: Iterable[Chain] = ()):
@@ -188,15 +184,12 @@ class Perm:
             sorted(chains, key=lambda ch: (ch.min_value(), ch.lo, ch.mid,
                                            ch.neg, ch.pos)))
         fwd = {}
-        bwd = {}
         for cyc in self.cycles:
             for i, v in enumerate(cyc):
                 if v in fwd:
                     raise InvalidInput("cycles overlap")
                 fwd[v] = cyc[(i + 1) % len(cyc)]
-                bwd[cyc[(i + 1) % len(cyc)]] = v
         self._fwd = fwd
-        self._bwd = bwd
         for ch in self.chains:
             if any(ch.index_of(v) is not None for v in fwd):
                 raise InvalidInput("a chain overlaps a cycle")
@@ -228,19 +221,6 @@ class Perm:
                 return ch.value(m + 1)
         return x
 
-    def apply_inv(self, x: int) -> int:
-        if x in self._bwd:
-            return self._bwd[x]
-        for ch in self.chains:
-            m = ch.index_of(x)
-            if m is not None:
-                return ch.value(m - 1)
-        return x
-
-    def inverse(self) -> "Perm":
-        return Perm((tuple(reversed(c)) for c in self.cycles),
-                    (ch.reverse() for ch in self.chains))
-
     # -- subgroup membership -------------------------------------------------
 
     def min_moved(self) -> Optional[int]:
@@ -260,9 +240,6 @@ class Perm:
 
     def in_Hn(self, n: int) -> bool:
         return self.in_G() and self.fixes_below(n)
-
-    def in_Hn_inf(self, n: int) -> bool:
-        return self.fixes_below(n)
 
 
 def identity() -> Perm:

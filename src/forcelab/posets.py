@@ -216,6 +216,14 @@ class Kernel:
                 for p in conds)
         return self._compat
 
+    def none_below(self, x: int) -> int:
+        """The conditions with no extension in the mask x."""
+        return sum(1 << i for i, d in enumerate(self.down) if not d & x)
+
+    def dense(self, x: int) -> int:
+        """The conditions below which the mask x is dense."""
+        return self.none_below(self.none_below(x))
+
     def below(self, c) -> int:
         """The mask of the conditions extending c, a name entry's condition:
         ONE or any condition, inside the truncation or not.  As a name entry

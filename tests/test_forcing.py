@@ -16,8 +16,8 @@ from forcelab import (
     RankLE, TruncationEscape, Var, check_name, disj, eval_name,
     extract_choice_wellordered, fn_omega_omega, forces_semantic,
     forces_syntactic, gamma_name, generic_filter, hereditary_closure,
-    holds_along, indexed_witness_name, least_ordinal_name, mix,
-    mp_witness_search, nat, pname, single_free_var, subst, union_name,
+    holds_along, indexed_witness_name, inj_omega_omega, least_ordinal_name,
+    mix, mp_witness_search, nat, pname, single_free_var, subst, union_name,
 )
 from forcelab.forcing import _Forcer
 
@@ -105,7 +105,7 @@ class TestForcesOracle:
         def refuse(*args):
             raise AssertionError("the semantic route ran the recursion")
 
-        for method in ("forces_syn", "_forces_eq", "_forces_member"):
+        for method in ("forces_syn", "forcing", "atom"):
             monkeypatch.setattr(_Forcer, method, refuse)
         poset = FlatPoset(FAM)
         gamma = gamma_name(poset)
@@ -138,8 +138,8 @@ class TestForcesOracle:
 
 class TestRouteAgreement:
     """A compact version of the full agreement sweep in the acceptance
-    suite: every formula from a small systematic family, every condition,
-    both routes."""
+    suite: every formula from a small systematic family and a seeded random
+    battery, every condition, both routes."""
 
     def formulas(self, poset, space):
         gamma = gamma_name(poset)
@@ -163,14 +163,37 @@ class TestRouteAgreement:
         lambda: ExplicitPoset(
             ["p", "q", "r", "1"],
             [("p", "q"), ("q", "1"), ("r", "1")], "1"),
+        lambda: fn_omega_omega(2, 2),
+        lambda: inj_omega_omega(2, 2),
+        lambda: BinaryTreePoset(2),
     ])
     def test_agreement(self, make):
         poset = make()
         space = NameSpace(poset, (gamma_name(poset),), 1)
-        for phi in self.formulas(poset, space):
+        start = time.monotonic()
+        # Quantifiers over random bodies, also over a name with no entry at
+        # the top, and Boolean combinations of depth 3 that put quantified
+        # formulas under negations and implications.
+        rng = random.Random(11)
+        x, gamma = Var("x"), Cname(gamma_name(poset))
+        in_x = [Member(x, gamma), Eq(x, Cname(check_name(nat(1)))),
+                Member(Cname(check_name(nat(0))), x)]
+        below_top = pname((c, check_name(nat(j % 2)))
+                          for j, c in enumerate(poset.conditions())
+                          if c != poset.top)
+        atoms = self.formulas(poset, space) + [
+            q("x", bound, random_formula(rng, poset, lambda: rng.choice(in_x)))
+            for q in (Exists, Forall)
+            for bound in (InName(gamma.name), InName(below_top), OrdLT(2))
+            for _ in range(3)]
+        battery = atoms + [random_formula(rng, poset, lambda: rng.choice(atoms))
+                           for _ in range(40)]
+        for phi in battery:
             for p in poset.conditions():
                 assert forces_semantic(poset, p, phi, space) == \
                     forces_syntactic(poset, p, phi, space), (phi, p)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
 
 class TestMix:
