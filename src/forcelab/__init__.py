@@ -15,19 +15,17 @@ from .errors import (
     ReportTooLarge, TruncationEscape, UnknownCondition, UnresolvedReference,
     ValueEscapesBlock,
 )
-from .hf import EMPTY, HF, from_int_set, from_set, hfs, kuratowski, nat, \
-    nat_value, render
+from .hf import EMPTY, HF, from_int_set, kuratowski, nat, nat_value, render
 from .posets import (
     BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
-    Filter, FlatPoset, InjPoset, MapPoset, NontrivialFlatPoset, ONE, Poset,
-    compatible, enumerate_maximal_antichains, fn_omega_omega, fn_poset,
-    generic_filter, inj_omega_omega, is_antichain, is_dense,
-    is_maximal_antichain, is_nontrivial,
+    Filter, FlatPoset, InjPoset, MapPoset, ONE, Poset, compatible,
+    enumerate_maximal_antichains, fn_omega_omega, generic_filter,
+    inj_omega_omega, is_antichain, is_dense, is_maximal_antichain,
 )
 from .names import (
     EMPTY_NAME, PName, check_name, eval_name, gamma_name,
     hereditary_closure, name_conditions, name_hf, ordered_pair_name,
-    pair_names, pname, union_name, unordered_pair_name,
+    pname, union_name, unordered_pair_name,
 )
 from .formulas import (
     And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,
@@ -45,7 +43,7 @@ from .choice import (
 )
 from .perms import (
     Chain, Perm, act_condition, act_name, column_support,
-    compose, decompose, identity, is_fixed_by_Hn, sigma_conjugate,
+    compose, decompose, is_fixed_by_Hn, sigma_conjugate,
     transposition,
 )
 from .cohen import (

@@ -12,7 +12,7 @@ values again form a choice function.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
@@ -132,11 +132,10 @@ def build_witness_flat(family: Family, f: ChoiceFunction) -> PName:
 
 
 def extract_choice_flat(family: Family, tau: PName,
-                        flat: Optional[FlatPoset] = None) -> ChoiceFunction:
-    """Evaluate a witness below each block condition and collect the chosen
-    elements; the witness must provably select from the generic block."""
-    if flat is None:
-        flat = FlatPoset(family)
+                        flat: FlatPoset) -> ChoiceFunction:
+    """Evaluate a witness below each block condition of flat, the flat poset
+    over family, and collect the chosen elements; the witness must provably
+    select from the generic block."""
     theta = theta_family(flat)
     var = single_free_var(theta)
     if not forces_semantic(flat, ONE, subst(theta, var, tau)):

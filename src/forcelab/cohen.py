@@ -88,9 +88,6 @@ class GridSectionFilter:
                      tuple(sorted((c, tuple(sorted(rows)))
                                   for c, rows in self.decided.items())))
 
-    def decides(self) -> dict[int, frozenset[int]]:
-        return dict(self.decided)
-
     def __contains__(self, cond) -> bool:
         if cond is ONE:
             return True

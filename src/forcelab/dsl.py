@@ -50,7 +50,8 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 Condition literals depend on the kind of their poset: explicit-style posets
 use the element identifier (or 1), the choice poset uses ``(level, hf)``,
 map posets use ``{u->v, ...}``, grids use ``{(c,r)=bit, ...}``, trees use a
-bit list, and ``1`` always denotes the greatest element.
+bit list, and ``1`` always denotes the greatest element, so an explicit
+poset may name an element ``1`` only when it is the top.
 """
 
 from __future__ import annotations

@@ -239,8 +239,11 @@ class _Forcer:
         if isinstance(phi, Or):
             return k.dense(self.forcing(phi.left) | self.forcing(phi.right))
         if isinstance(phi, Implies):
+            # none_below(F(phi) & none_below(F(psi))) in one pass: every F
+            # set is regular open, so a condition of F(phi) outside F(psi)
+            # has an extension in F(phi) & none_below(F(psi)).
             return k.none_below(
-                self.forcing(phi.left) & k.none_below(self.forcing(phi.right)))
+                self.forcing(phi.left) & ~self.forcing(phi.right))
         if isinstance(phi, Exists):
             out = 0
             for m, body in self._instances_of(phi):

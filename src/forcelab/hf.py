@@ -116,14 +116,6 @@ def nat_value(h: HF) -> int | None:
     return None
 
 
-def hfs(*members: HF) -> HF:
-    return HF(members)
-
-
-def from_set(members: Iterable[HF]) -> HF:
-    return HF(members)
-
-
 def from_int_set(values: Iterable[int]) -> HF:
     return HF(nat(v) for v in values)
 

@@ -152,11 +152,6 @@ def ordered_pair_name(tau1: PName, tau2: PName) -> PName:
     ))
 
 
-def pair_names(tau1: PName, tau2: PName) -> tuple[PName, PName]:
-    """The unordered and ordered (Kuratowski) pair names."""
-    return unordered_pair_name(tau1, tau2), ordered_pair_name(tau1, tau2)
-
-
 def eval_name(tau: PName, filt) -> HF:
     """Evaluate a name along a filter (any object supporting ``in``).
 

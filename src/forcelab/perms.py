@@ -232,18 +232,11 @@ class Perm:
         m = self.min_moved()
         return m is None or m >= n
 
-    def has_finite_support(self) -> bool:
-        return not self.chains
-
     def in_G(self) -> bool:
-        return self.has_finite_support()
+        return not self.chains
 
     def in_Hn(self, n: int) -> bool:
         return self.in_G() and self.fixes_below(n)
-
-
-def identity() -> Perm:
-    return Perm()
 
 
 def transposition(i: int, j: int) -> Perm:

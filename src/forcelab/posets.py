@@ -128,10 +128,6 @@ class Poset:
 
     # -- truncation --------------------------------------------------------
 
-    def condition_level(self, c) -> int:
-        """Depth measure used by nontriviality and density cutoffs."""
-        return 0
-
     def index_of(self, c) -> int:
         """The kernel index of the condition c stands for; raises
         TruncationEscape for a condition outside the truncation."""
@@ -218,7 +214,11 @@ class Kernel:
 
     def none_below(self, x: int) -> int:
         """The conditions with no extension in the mask x."""
-        return sum(1 << i for i, d in enumerate(self.down) if not d & x)
+        out = 0
+        for i, d in enumerate(self.down):
+            if not d & x:
+                out |= 1 << i
+        return out
 
     def dense(self, x: int) -> int:
         """The conditions below which the mask x is dense."""
@@ -316,6 +316,8 @@ class ExplicitPoset(Poset):
                 raise InvalidInput(f"unknown top element {top!r}")
             if not all(top in reach[f] for f in elements):
                 raise InvalidInput(f"{top!r} is not above every element")
+        if top != "1" and "1" in self._index:
+            raise InvalidInput('"1" is reserved for the greatest element')
         self.top = top
 
     def is_condition(self, c) -> bool:
@@ -441,9 +443,6 @@ class ChoicePoset(Poset):
     def _compatible(self, p, q) -> bool:
         return p == q or self.family.block_of(p[1]) == self.family.block_of(q[1])
 
-    def condition_level(self, c) -> int:
-        return c[0]
-
     def conditions(self) -> tuple:
         if self.level_bound is None:
             raise TruncationEscape("choice poset has no declared level bound")
@@ -538,9 +537,6 @@ class MapPoset(Poset):
     def _compatible(self, p, q) -> bool:
         return is_map(p | q, self.injective)
 
-    def condition_level(self, c) -> int:
-        return len(c)
-
     def conditions(self) -> tuple:
         if self.dom_window is None or self.cod_window is None:
             raise TruncationEscape(
@@ -598,11 +594,6 @@ def fn_omega_omega(dom_bound: int, cod_bound: int) -> MapPoset:
 def inj_omega_omega(dom_bound: int, cod_bound: int) -> InjPoset:
     """Inj over the naturals, truncated to a dom_bound x cod_bound window."""
     return InjPoset(dom_window=range(dom_bound), cod_window=range(cod_bound))
-
-
-def fn_poset(dom_items, cod_items) -> MapPoset:
-    """Finite partial functions between two concrete finite item sets."""
-    return MapPoset(dom_items=dom_items, cod_items=cod_items)
 
 
 class CohenGridPoset(MapPoset):
@@ -663,9 +654,6 @@ class BinaryTreePoset(Poset):
     def _compatible(self, p, q) -> bool:
         return p.startswith(q) or q.startswith(p)
 
-    def condition_level(self, c) -> int:
-        return len(c)
-
     def conditions(self) -> tuple:
         out = [""]
         for k in range(1, self.depth + 1):
@@ -680,71 +668,6 @@ class BinaryTreePoset(Poset):
 
     def condition_key(self, c) -> tuple:
         return (len(c), c)
-
-
-class NontrivialFlatPoset(Poset):
-    """Below a greatest element, one binary tree per label: conditions are
-    (label, bitstring) with extension inside a label's tree only."""
-
-    kind = "nontrivial-flat"
-    top = "1"
-
-    def __init__(self, labels: Sequence[str], depth: int):
-        labels = tuple(labels)
-        if not labels or len(set(labels)) != len(labels):
-            raise InvalidInput("labels must be nonempty and distinct")
-        if "1" in labels:
-            raise InvalidInput('"1" is reserved for the greatest element')
-        if depth < 1:
-            raise InvalidInput("depth must be at least 1")
-        self.labels = labels
-        self.depth = depth
-
-    def is_condition(self, c) -> bool:
-        if c == "1":
-            return True
-        return (isinstance(c, tuple) and len(c) == 2 and c[0] in self.labels
-                and isinstance(c[1], str) and all(ch in "01" for ch in c[1]))
-
-    def _le(self, p, q) -> bool:
-        if q == "1":
-            return True
-        if p == "1":
-            return False
-        return p[0] == q[0] and p[1].startswith(q[1])
-
-    def _compatible(self, p, q) -> bool:
-        if p == "1" or q == "1":
-            return True
-        return p[0] == q[0] and (p[1].startswith(q[1]) or q[1].startswith(p[1]))
-
-    def condition_level(self, c) -> int:
-        return 0 if c == "1" else len(c[1]) + 1
-
-    def conditions(self) -> tuple:
-        out = ["1"]
-        for label in self.labels:
-            for k in range(self.depth + 1):
-                out.extend((label, "".join(bits))
-                           for bits in itertools.product("01", repeat=k))
-        return tuple(sorted(out, key=self.condition_key))
-
-    def _condition_hf(self, c) -> HF:
-        if c == "1":
-            return nat(len(self.labels))
-        idx = self.labels.index(c[0])
-        bits = HF(kuratowski(nat(i), nat(int(b))) for i, b in enumerate(c[1]))
-        return kuratowski(nat(idx), bits)
-
-    def condition_repr(self, c) -> str:
-        if c == "1":
-            return "1"
-        return f"({c[0]}|{c[1]})"
-
-    def condition_key(self, c) -> tuple:
-        if c == "1":
-            return (0,)
-        return (1, self.labels.index(c[0]), len(c[1]), c[1])
 
 
 # ---------------------------------------------------------------------------
@@ -842,25 +765,10 @@ def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
     return covered == k.full
 
 
-def is_dense(poset: Poset, dense_set: Iterable, depth: Optional[int] = None) -> bool:
-    """Every condition (of level < depth, when given) has an extension in
-    the set."""
+def is_dense(poset: Poset, dense_set: Iterable) -> bool:
+    """Every condition has an extension in the set."""
     mask = _mask(poset, dense_set)
-    k = poset.kernel()
-    return all(m & mask for p, m in zip(k.conds, k.down)
-               if depth is None or poset.condition_level(p) < depth)
-
-
-def is_nontrivial(poset: Poset, depth: int) -> bool:
-    """Every condition reachable within depth has two incompatible
-    extensions inside the truncation."""
-    if depth < 1:
-        raise InvalidInput("depth must be at least 1")
-    k = poset.kernel()
-    compat = k.compat
-    return all(any(m & ~compat[q] for q in e)
-               for p, m, e in zip(k.conds, k.down, k.exts)
-               if poset.condition_level(p) < depth)
+    return all(m & mask for m in poset.kernel().down)
 
 
 def enumerate_maximal_antichains(poset: ChoicePoset, level_bound: int) -> list[frozenset]:

@@ -108,6 +108,12 @@ BAD_KWARG_OR_NAME = {
         "poset M fn dom = 2 cod = 2\ngrid G cols = 2 rows = 2\n"
         "assignment g G [0, 1, 1, 0]\n"
         "name t over M = { ({0 -> 1}, check(0)) }\ncommand cohen hat g t\n"),
+    # The literal 1 always means the top, so no other element may be "1".
+    "explicit-one-below-top": (
+        "forces", "invalid-input",
+        "poset P explicit { elements t 1 b; order 1 < t, b < t; top t }\n"
+        "name g = gamma(P)\nformula phi = check(0) in g\n"
+        "cond c over P = 1\ncommand forces P c phi\n"),
 }
 
 

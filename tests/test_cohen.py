@@ -140,7 +140,7 @@ class TestFilterTranslation:
 
     def test_g1_to_g_accepts_plain_iterables(self):
         filt = g1_to_g(GRID, [frozenset({(0, frozenset({1}))})])
-        assert filt.decides() == {0: frozenset({1})}
+        assert filt.decided == {0: frozenset({1})}
 
     def test_g1_to_g_rejects_disagreement(self):
         with pytest.raises(InvalidInput):

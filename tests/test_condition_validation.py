@@ -10,8 +10,7 @@ import pytest
 import forcelab
 from forcelab import (
     HF, ONE, BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset,
-    Family, FlatPoset, ForceLabError, NontrivialFlatPoset, Poset,
-    UnknownCondition,
+    Family, FlatPoset, ForceLabError, Poset, UnknownCondition,
     fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
     nat,
 )
@@ -28,8 +27,6 @@ KINDS = {
     "fn": (fn_omega_omega(2, 2), frozenset({(5, 0)}), frozenset()),
     "inj": (inj_omega_omega(2, 2), frozenset({(0, 5)}), frozenset()),
     "tree": (BinaryTreePoset(2), "0101", "01"),
-    "nontrivial-flat": (NontrivialFlatPoset(["a", "b"], 1), ("a", "0101"),
-                        ("a", "0")),
     "grid": (CohenGridPoset(2, 1), frozenset({((5, 0), 1)}), frozenset()),
 }
 
@@ -154,6 +151,6 @@ def test_no_poset_kind_overrides_the_validating_methods():
     public = ("le", "compatible", "resolve", "index_of", "condition_hf")
     kinds = [cls for cls in _subclasses(Poset)
              if cls.__module__.startswith(forcelab.__name__)]
-    assert len(kinds) >= 8
+    assert len(kinds) >= 7
     assert {f"{cls.__name__}.{name}" for cls in kinds for name in public
             if name in vars(cls)} == set()

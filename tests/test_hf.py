@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
-    EMPTY, HF, from_int_set, from_set, hfs, kuratowski, nat, nat_value,
+    EMPTY, HF, from_int_set, kuratowski, nat, nat_value,
     render,
 )
 
@@ -45,9 +45,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             nat(-1)
 
-    def test_hfs_and_from_set(self):
-        assert hfs(nat(1), nat(2)) == HF([nat(1), nat(2)])
-        assert from_set([nat(1), nat(2)]) == HF([nat(1), nat(2)])
+    def test_from_int_set(self):
         assert from_int_set(frozenset({0, 2})) == HF([nat(0), nat(2)])
 
 

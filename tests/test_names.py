@@ -7,7 +7,7 @@ from forcelab import (
     EMPTY, EMPTY_NAME, Family, FlatPoset, HF, InvalidInput, ONE,
     check_name, eval_name, gamma_name, generic_filter,
     hereditary_closure, name_conditions, name_hf, nat, ordered_pair_name,
-    pair_names, pname, union_name, unordered_pair_name, kuratowski,
+    pname, union_name, unordered_pair_name, kuratowski,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -58,14 +58,12 @@ class TestEvaluation:
         assert eval_name(gamma, G_A) == HF(
             [FLAT.condition_hf("a"), FLAT.condition_hf(FLAT.top)])
 
-    def test_pair_names(self):
+    def test_pair_name_values(self):
         t1, t2 = check_name(nat(1)), check_name(nat(2))
         assert eval_name(unordered_pair_name(t1, t2), G_A) == \
             HF([nat(1), nat(2)])
         assert eval_name(ordered_pair_name(t1, t2), G_A) == \
             kuratowski(nat(1), nat(2))
-        assert pair_names(t1, t2) == (
-            unordered_pair_name(t1, t2), ordered_pair_name(t1, t2))
 
     def test_union_collapse(self):
         rho = pname([("a", pname([("a", check_name(nat(1)))])),

@@ -7,7 +7,7 @@ import pytest
 from forcelab import (
     Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
     NotInSubgroup, ONE, Perm, UnknownCondition, act_condition, act_name,
-    check_name, column_support, compose, decompose, identity,
+    check_name, column_support, compose, decompose,
     is_fixed_by_Hn, nat, pname, sigma_conjugate, transposition,
     unordered_pair_name, xdot_name,
 )
@@ -55,7 +55,7 @@ class TestChain:
 class TestPerm:
     def test_cycles_canonicalized(self):
         assert Perm([(1, 2, 0)]) == Perm([(0, 1, 2)])
-        assert Perm([(3,)]) == identity()
+        assert Perm([(3,)]) == Perm()
 
     def test_overlap_rejected(self):
         with pytest.raises(InvalidInput):
@@ -73,7 +73,7 @@ class TestPerm:
         pi = compose(Perm([(0, 1)]), Perm([(1, 2)]))
         assert [pi.apply(x) for x in range(3)] == [1, 2, 0]
         with pytest.raises(InvalidInput):
-            compose(Perm((), [std_chain()]), identity())
+            compose(Perm((), [std_chain()]), Perm())
 
     def test_transposition_validates(self):
         with pytest.raises(InvalidInput):
@@ -124,7 +124,7 @@ class TestDecompose:
 
     def test_requires_n_below_k(self):
         with pytest.raises(InvalidInput):
-            decompose(identity(), 2, 2)
+            decompose(Perm(), 2, 2)
 
 
 GRID = CohenGridPoset(6, 2)

@@ -1,17 +1,17 @@
 """Partial orders of conditions: orders, compatibility, antichains, filters."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
     BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
-    Filter, FlatPoset, InvalidInput, NontrivialFlatPoset, ONE,
-    TruncationEscape, UnknownCondition, compatible,
-    enumerate_maximal_antichains, fn_omega_omega, fn_poset, generic_filter,
-    inj_omega_omega, is_antichain, is_dense, is_maximal_antichain,
-    is_nontrivial, nat,
+    Filter, FlatPoset, InvalidInput, MapPoset, ONE, TruncationEscape,
+    UnknownCondition, compatible, enumerate_maximal_antichains,
+    fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
+    is_maximal_antichain, nat,
 )
 
 FAM21 = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -44,6 +44,13 @@ class TestExplicitPoset:
     def test_antisymmetry_enforced(self):
         with pytest.raises(InvalidInput):
             ExplicitPoset(["a", "b"], [("a", "b"), ("b", "a")])
+
+    def test_one_is_reserved_for_the_top(self):
+        # The scenario literal 1 always means ONE, and reports print both
+        # as "1", so an element "1" below the top would be ambiguous.
+        with pytest.raises(InvalidInput, match="reserved"):
+            ExplicitPoset(["t", "1", "b"], [("1", "t"), ("b", "t")], "t")
+        assert ExplicitPoset(["a", "1"], [("a", "1")], "1").top == "1"
 
     def test_one_resolves_to_top(self):
         p = explicit_v()
@@ -149,13 +156,12 @@ class TestMapPosets:
         assert len(inj_omega_omega(2, 2).conditions()) == 7
 
     def test_untruncated_enumeration_escapes(self):
-        from forcelab import MapPoset
         with pytest.raises(TruncationEscape):
             MapPoset().conditions()
 
     def test_item_posets(self):
         vals = (frozenset({0}), frozenset({1}))
-        p = fn_poset(range(2), vals)
+        p = MapPoset(dom_items=range(2), cod_items=vals)
         assert p.condition_repr(frozenset({(0, frozenset({1}))})) == "{0->{1}}"
 
     def test_dense_sets(self):
@@ -190,10 +196,6 @@ class TestGridAndTree:
         assert t.compatible("0", "01")
         assert not t.compatible("00", "01")
 
-    def test_nontrivial(self):
-        assert is_nontrivial(BinaryTreePoset(2), 2)
-        assert is_nontrivial(NontrivialFlatPoset(("a", "b"), 2), 2)
-
 
 class TestFilters:
     def test_generic_filter_meets_dense_sets(self):
@@ -226,7 +228,6 @@ KERNEL_POSETS = {
     "inj": lambda: inj_omega_omega(2, 2),
     "cohen": lambda: CohenGridPoset(2, 1),
     "tree": lambda: BinaryTreePoset(2),
-    "nontrivial-flat": lambda: NontrivialFlatPoset(["a", "b"], 1),
 }
 
 
@@ -256,6 +257,31 @@ class TestKernel:
         else:
             assert conds[k.top] == poset.top
 
+    @pytest.mark.parametrize("kind", ["explicit", "flat", "tree", "fn", "inj"])
+    def test_none_below_laws_on_seeded_masks(self, kind):
+        # On down-closed masks (every forcing set is one) none_below is the
+        # pseudo-complement, so none_below(Y) is regular open and the →
+        # clause may take none_below(A & ~B) for none_below(A & none_below(B)).
+        # An arbitrary mask does not qualify: the top alone is not down-closed.
+        k = KERNEL_POSETS[kind]().kernel()
+        nb = k.none_below
+        rng = random.Random(1201)
+
+        def seeded_open():
+            bits = rng.getrandbits(len(k.conds))
+            out = 0
+            for i, d in enumerate(k.down):
+                if bits >> i & 1:
+                    out |= d
+            return out
+
+        for _ in range(50):
+            x, y = seeded_open(), seeded_open()
+            assert nb(nb(nb(x))) == nb(x)
+            a, b = nb(x), nb(y)
+            assert nb(nb(b)) == b
+            assert nb(a & ~b) == nb(a & nb(b))
+
     def test_kernel_is_compiled_once(self):
         poset = BinaryTreePoset(2)
         assert poset.kernel() is poset.kernel()
@@ -275,7 +301,7 @@ def _subsets(conds, size=3):
 
 
 class TestPredicatesOnKernel:
-    """Antichain, density, nontriviality and filter laws against brute force
+    """Antichain, density and filter laws against brute force
     over the validating public ``le`` and ``compatible``."""
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_POSETS))
@@ -291,22 +317,14 @@ class TestPredicatesOnKernel:
             assert is_maximal_antichain(poset, items) == (
                 anti and all(any(comp(c, a) for a in items) for c in conds))
             for dense in (items, items + items[:1]):
-                for depth in (None, 1):
-                    assert is_dense(poset, dense, depth) == all(
-                        any(le(d, p) for d in dense) for p in conds
-                        if depth is None or poset.condition_level(p) < depth)
+                assert is_dense(poset, dense) == all(
+                    any(le(d, p) for d in dense) for p in conds)
                 assert Filter(poset, dense).is_filter() == (
                     bool(items)
                     and all(q in items for p in items for q in conds
                             if le(p, q))
                     and all(any(le(r, p) and le(r, q) for r in items)
                             for p in items for q in items))
-        for depth in (1, 2):
-            assert is_nontrivial(poset, depth) == all(
-                any(not comp(q, r)
-                    for q, r in itertools.combinations(
-                        [q for q in conds if le(q, p)], 2))
-                for p in conds if poset.condition_level(p) < depth)
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_POSETS))
     def test_repeated_member_keeps_a_dense_set_dense(self, kind):
