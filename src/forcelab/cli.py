@@ -61,8 +61,9 @@ def name_json(poset: Optional[Poset], tau: PName) -> list:
     """A name as nested ``[condition, name]`` lists in sorted entry order.
 
     Each distinct subname is built once per call and its list is shared by
-    every entry that holds it; ``json.dumps`` writes a shared list in full
-    wherever it occurs, so the report still shows the unfolded tree.
+    every entry that holds it.  ``dumps`` writes it in full wherever it
+    occurs, so the report shows the unfolded tree, but encodes its text
+    only once per indentation depth.
     """
     return _name_json(poset, tau, {})
 
@@ -119,6 +120,57 @@ def evaluations_json(poset: Poset, p, tau: PName) -> dict[str, str]:
     return {poset.condition_repr(k.conds[a]):
             render(eval_name(tau, k.filter_at(a)))
             for a in k.minimals if below >> a & 1}
+
+
+def dumps(payload, indent: Optional[int] = None) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=indent)``, byte for byte,
+    for str-keyed dicts, lists and JSON scalars.  A list held in more than
+    one place is encoded once per indentation depth, so a report costs
+    Python work per distinct list plus copying per output byte."""
+    uses: dict[int, int] = {}
+    stack = [payload]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, list):
+            n = uses[id(obj)] = uses.get(id(obj), 0) + 1
+            if n == 1:
+                stack.extend(obj)
+    memo: dict[tuple[int, str], str] = {}
+    step, sep = ("", ", ") if indent is None else (" " * indent, ",")
+    enc = json.encoder.encode_basestring_ascii
+
+    # ``pad`` opens each line at the current depth; it is empty when compact.
+    def write(obj, pad: str) -> str:
+        if isinstance(obj, str):
+            return enc(obj)
+        if isinstance(obj, list):
+            if not obj:
+                return "[]"
+            key = (id(obj), pad)
+            out = memo.get(key)
+            if out is None:
+                inner = pad + step
+                out = "[" + inner + (sep + inner).join(
+                    [write(v, inner) for v in obj]) + pad + "]"
+                if uses[id(obj)] > 1:  # keeping every list's text costs RSS
+                    memo[key] = out
+            return out
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = pad + step
+            return "{" + inner + (sep + inner).join(
+                [enc(k) + ": " + write(v, inner)
+                 for k, v in sorted(obj.items())]) + pad + "}"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        return json.dumps(obj)
+
+    return write(payload, "" if indent is None else "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +526,7 @@ _PARSER.add_argument("--pretty", action="store_true",
 
 
 def _emit(payload: dict, pretty: bool) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2 if pretty else None),
-          flush=True)
+    print(dumps(payload, 2 if pretty else None), flush=True)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

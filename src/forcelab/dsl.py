@@ -57,7 +57,7 @@ poset may name an element ``1`` only when it is the top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cohen import Assignment, r_sigma_name, xcheckcheck_name, xdot_name
 from .errors import DuplicateIdentifier, ParseError, UnresolvedReference
@@ -77,8 +77,7 @@ from .formulas import (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "punct" | "end"
     text: str
     line: int
@@ -106,6 +105,7 @@ def tokenize(text: str) -> list[Token]:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch.isdecimal() or \
                 (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -46,14 +47,16 @@ def test_report_matches_golden_and_is_deterministic(path):
     assert first.stdout == (GOLDEN / f"{path.stem}.json").read_text()
 
 
-@pytest.mark.parametrize("path", SCENARIOS[:3], ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_pretty_is_the_same_object(path):
     sub = subcommand_for(path)
-    plain = run_cli(sub, str(path))
-    pretty = run_cli(sub, str(path), "--pretty")
-    assert pretty.returncode == 0
-    assert pretty.stdout != plain.stdout
-    assert json.loads(pretty.stdout) == json.loads(plain.stdout)
+    status, plain = run_in_process(sub, str(path))
+    pretty_status, pretty = run_in_process(sub, str(path), "--pretty")
+    assert status == pretty_status == 0
+    assert pretty != plain
+    assert json.loads(pretty) == json.loads(plain)
+    assert pretty == json.dumps(json.loads(plain), sort_keys=True,
+                                indent=2) + "\n"
 
 
 def test_seed_is_echoed():
@@ -238,3 +241,88 @@ def test_hat_entries_count_the_hat_name():
     status, out = run_in_process("cohen", str(path))
     assert status == 0
     assert json.loads(out)["hat_entries"] == len(hat.sorted_entries())
+
+
+# Strings the writer must escape exactly as the json module does.
+STRINGS = ["", "a", "key", "caf\u00e9", "\u2603", "\U0001f600", '"', "\\",
+           "\n\t\r\x00\x1f\x7f", "\ud800", "1", "{}"]
+SCALARS = [True, False, None, 0, 1, -1, -7, -2 ** 70, 2 ** 70, 0.5]
+
+
+def random_payload(rng, depth, shared):
+    """A report-like payload whose lists are often shared, at any depth."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(STRINGS + SCALARS)
+    if roll < 0.45:
+        return {rng.choice(STRINGS): random_payload(rng, depth - 1, shared)
+                for _ in range(rng.randrange(4))}
+    if shared and roll < 0.75:
+        return rng.choice(shared)
+    out = [random_payload(rng, depth - 1, shared)
+           for _ in range(rng.randrange(4))]
+    shared.append(out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writer_matches_json_dumps(seed):
+    rng = random.Random(seed)
+    empty = []
+    pair = [empty, empty]
+    shared = [empty, pair]
+    payload = {"empty": {}, "pair": pair, "nested": [[pair, {}], pair],
+               "body": [random_payload(rng, 6, shared) for _ in range(4)]}
+    for key in STRINGS:
+        payload[key] = random_payload(rng, 4, shared)
+    for indent in (None, 2):
+        assert cli.dumps(payload, indent) == \
+            json.dumps(payload, sort_keys=True, indent=indent)
+
+
+def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):
+    # Every list the writer reads counts one iteration: it reads each
+    # distinct list once to count its uses, and each non-empty one once
+    # more per indentation depth it is written at, never once per place.
+    iterations = 0
+
+    class Counted(list):
+        def __iter__(self):
+            nonlocal iterations
+            iterations += 1
+            return super().__iter__()
+
+    def counted(obj, memo):
+        if isinstance(obj, dict):
+            return {k: counted(v, memo) for k, v in obj.items()}
+        if not isinstance(obj, list):
+            return obj
+        if id(obj) not in memo:
+            memo[id(obj)] = Counted(counted(v, memo) for v in obj)
+        return memo[id(obj)]
+
+    def places(obj, depth, seen):
+        """The distinct (list, depth) pairs of the unfolded payload, and
+        the number of lists it unfolds to."""
+        unfolded = 0
+        if isinstance(obj, list):
+            seen.add((id(obj), depth))
+            unfolded = 1
+        values = obj.values() if isinstance(obj, dict) else \
+            obj if isinstance(obj, list) else ()
+        return unfolded + sum(places(v, depth + 1, seen) for v in values)
+
+    sc = parse_scenario(Path(thm2_file(tmp_path, 12)).read_text())
+    memo: dict = {}
+    payload = counted(cli.run_thm2(sc, sc.command), memo)
+    lists = {id(x): x for x in memo.values()}
+    pairs: set = set()
+    # 185 distinct lists, which unfold to more than 2^13.
+    assert len(lists) < 2 ** 8 and places(payload, 0, pairs) > 2 ** 13
+    for indent, encodings in (
+            (None, sum(1 for x in lists.values() if x)),
+            (2, sum(1 for key, _ in pairs if lists[key]))):
+        expected = json.dumps(payload, sort_keys=True, indent=indent)
+        iterations = 0
+        assert cli.dumps(payload, indent) == expected
+        assert iterations == len(lists) + encodings

@@ -291,6 +291,10 @@ MALFORMED = {
                      "name x over P = { (a, check(0)) (b, check(1)) }",
                      ParseError, "syntax-error", 3, 33,
                      "expected '}', found '('"),
+    # a comment runs to the end of its line, and the column runs with it
+    "trailing-comment": ("family F { a: {0} # trailing",
+                         ParseError, "syntax-error", 1, 29,
+                         "expected 'ident', found 'end of file'"),
     "chain-window": ("perm pi = chain(lo=2, mid=[4 2], neg=(2, 6), pos=(2, 5))",
                      ParseError, "syntax-error", 1, 30,
                      "expected ']', found '2'"),
