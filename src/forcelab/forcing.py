@@ -13,7 +13,10 @@ intersection; the existential clause is
                                range of F(phi(tau))),
 
 and the atomic clauses are the usual rank recursion for membership and
-equality, on name pairs, with no name evaluated along a filter.  The routes
+equality, on name pairs, with no name evaluated along a filter.  Between
+check-names they reduce to the check-name lemma: every condition forces
+x-check = y-check iff x = y, and x-check in y-check iff x in y, read off the
+interned names as ``t1 is t2`` and ``(ONE, t1) in t2.entries``.  The routes
 share quantifier instances but not answers; they agree on finite posets,
 and the test suite checks that formula by formula.
 """
@@ -80,7 +83,8 @@ class NameSpace:
                 f"name space too large: 2^{len(pairs)} assembled names")
         k = poset.kernel()
         filters = [k.filter_at(i) for i in range(len(k.conds))]
-        pairs.sort(key=lambda e: (canon_key(e[0]), e[1].key()))
+        pair_key = {e: (canon_key(e[0]), e[1].key()) for e in pairs}
+        pairs.sort(key=pair_key.__getitem__)
         bits: dict[tuple[int, HF], int] = {}
         masks = [_pair_mask(k, filters, bits, c, s) for c, s in pairs]
         ranks = [1 + s.rank for _, s in pairs]
@@ -97,8 +101,13 @@ class NameSpace:
                     for j in combo:
                         mask |= masks[j]
                     best.setdefault(mask, combo)
-        first = {mask: pname(pairs[j] for j in combo)
-                 for mask, combo in best.items()}
+        # An assembled name's PName.key, read off its sorted pairs.
+        keys = {n: n.key() for n in closure}
+        first = {}
+        for mask, combo in best.items():
+            n = first[mask] = pname(pairs[j] for j in combo)
+            keys[n] = (max((ranks[j] for j in combo), default=0), len(combo),
+                       tuple(pair_key[pairs[j]] for j in combo))
         # A closure name's class is keyed like an assembled one, by the bits
         # of its (filter, value) pairs; a pair no entry contributes gets a
         # fresh bit, so its class has no assembled member.  It never comes
@@ -112,7 +121,7 @@ class NameSpace:
                     cls |= 1 << bits.setdefault((i, x), len(bits))
             first.setdefault(cls, n)
         self.universe: tuple[PName, ...] = tuple(
-            hereditary_closure(first.values()))
+            hereditary_closure(first.values(), keys.__getitem__))
         self._members = frozenset(self.universe)
         self._ranks = [n.rank for n in self.universe]
 
@@ -269,6 +278,9 @@ class _Forcer:
         """F(t1 = t2) or F(t1 in t2), as ``kind`` is Eq or Member.  The
         atoms recurse on name pairs alone, memoized in ``_atoms``, without
         building formulas."""
+        if t1.value is not None and t2.value is not None:
+            holds = t1 is t2 if kind is Eq else (ONE, t1) in t2.entries
+            return self.k.full if holds else 0
         key = (kind, t1, t2)
         out = self._atoms.get(key)
         if out is not None:

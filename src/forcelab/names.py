@@ -31,22 +31,31 @@ class PName:
 
     Names are interned like HF sets: equal names are one object, so ``==``
     is ``is``, and copying and pickling return the interned name.
+    ``value`` is the value along every filter of a check-name, a name whose
+    every entry is (ONE, a check-name), and None for any other name.
     """
 
-    __slots__ = ("entries", "rank", "_key", "_sorted", "__weakref__")
+    __slots__ = ("entries", "rank", "value", "_key", "_sorted", "__weakref__")
 
     def __new__(cls, entries: Iterable[tuple[object, "PName"]] = ()):
         es = frozenset(entries)
         n = _UNIQUE.get(es)
         if n is None:
+            members = []
             for entry in es:
                 if not (isinstance(entry, tuple) and len(entry) == 2
                         and isinstance(entry[1], PName)):
                     raise InvalidInput(
                         "name entries must be (condition, name) pairs")
+                if members is not None:
+                    if entry[0] is ONE and entry[1].value is not None:
+                        members.append(entry[1].value)
+                    else:
+                        members = None
             n = object.__new__(cls)
             n.entries = es
             n.rank = 1 + max((child.rank for _, child in es), default=-1)
+            n.value = None if members is None else HF(members)
             n._key = None
             n._sorted = None
             _UNIQUE[es] = n
@@ -106,8 +115,10 @@ def pname(entries: Iterable[tuple[object, PName]]) -> PName:
     return PName(entries)
 
 
-def hereditary_closure(names: Iterable[PName]) -> list[PName]:
-    """All names reachable through entries, the inputs included, sorted."""
+def hereditary_closure(names: Iterable[PName],
+                       key: Callable = PName.key) -> list[PName]:
+    """All names reachable through entries, the inputs included, sorted by
+    ``key``: :meth:`PName.key` or a key that orders names as it does."""
     seen: set[PName] = set()
     stack = list(names)
     while stack:
@@ -116,7 +127,7 @@ def hereditary_closure(names: Iterable[PName]) -> list[PName]:
             continue
         seen.add(n)
         stack.extend(child for _, child in n.entries)
-    return sorted(seen, key=PName.key)
+    return sorted(seen, key=key)
 
 
 # Check-names by value, held strongly: the check-names of condition codes
@@ -137,8 +148,8 @@ def check_name(x: HF) -> PName:
 def gamma_name(poset: Poset) -> PName:
     """The filter name: evaluates to the generic filter, conditions encoded
     as sets."""
-    return PName((p, check_name(poset.condition_hf(p)))
-                 for p in poset.conditions())
+    return PName((p, check_name(poset._condition_hf(p)))
+                 for p in poset.kernel().conds)
 
 
 def unordered_pair_name(tau1: PName, tau2: PName) -> PName:
@@ -155,15 +166,17 @@ def ordered_pair_name(tau1: PName, tau2: PName) -> PName:
 def eval_name(tau: PName, filt) -> HF:
     """Evaluate a name along a filter (any object supporting ``in``).
 
-    Values are memoized in the filter's ``evals`` dict when it has one
-    (every :class:`~forcelab.posets.Filter` does), else for this call only.
+    ONE counts as a member of every filter, so a check-name reads its
+    ``value`` directly, with no per-filter work.  Other values are memoized
+    in the filter's ``evals`` dict when it has one (every
+    :class:`~forcelab.posets.Filter` does), else for this call only.
     """
     memo = getattr(filt, "evals", None)
     return _eval(tau, filt, {} if memo is None else memo)
 
 
 def _eval(tau: PName, filt, memo: dict) -> HF:
-    out = memo.get(tau)
+    out = tau.value if tau.value is not None else memo.get(tau)
     if out is None:
         out = memo[tau] = HF(_eval(child, filt, memo)
                              for cond, child in tau.entries if cond in filt)

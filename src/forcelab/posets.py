@@ -551,7 +551,10 @@ class MapPoset(Poset):
                         if self.injective and len(set(vals)) != k:
                             continue
                         out.append(frozenset(zip(dom, vals)))
-            self._conds = tuple(sorted(out, key=self.condition_key))
+            # canon_key order: a pair's key is a fixed prefix and its items'
+            key = {x: canon_key(x) for x in (*doms, *cods)}
+            self._conds = tuple(sorted(out, key=lambda c: (
+                len(c), sorted((key[u], key[v]) for u, v in c))))
         return self._conds
 
     def _item_hf(self, x) -> HF:

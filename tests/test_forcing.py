@@ -17,7 +17,8 @@ from forcelab import (
     extract_choice_wellordered, fn_omega_omega, forces_semantic,
     forces_syntactic, gamma_name, generic_filter, hereditary_closure,
     holds_along, indexed_witness_name, inj_omega_omega, least_ordinal_name,
-    mix, mp_witness_search, nat, pname, single_free_var, subst, union_name,
+    mix, mp_witness_search, nat, ordered_pair_name, pname, single_free_var,
+    subst, union_name, unordered_pair_name,
 )
 from forcelab.forcing import _Forcer
 
@@ -781,3 +782,121 @@ class TestCacheScope:
         del poset, filt
         gc.collect()
         assert ref() is None
+
+
+def hf_of_rank_le(r):
+    """Every HF set of rank at most r: 1, 2, 4 and 16 of them for r <= 3."""
+    level = [HF()]
+    for _ in range(r):
+        level = [HF(c) for size in range(len(level) + 1)
+                 for c in itertools.combinations(level, size)]
+    return level
+
+
+CHECKS = [check_name(x) for x in hf_of_rank_le(3)]
+
+
+def reference_eval(tau, filt):
+    """A name's value along a filter by the defining recursion alone."""
+    return HF(reference_eval(child, filt)
+              for cond, child in tau.entries if cond in filt)
+
+
+class KunenClauses:
+    """p forces t1 = t2 or t1 in t2 by Kunen's recursive clauses (Set
+    Theory, 1980, VII 3.3), with density below p decided by brute force over
+    the truncation.  Shares nothing with the library's routes but the order.
+    """
+
+    def __init__(self, poset):
+        self.poset = poset
+        self.memo = {}
+
+    def below(self, q, s):
+        return s is ONE or self.poset.le(q, s)
+
+    def dense_below(self, p, holds):
+        ext = self.poset.extensions
+        good = {q for q in ext(p) if holds(q)}
+        return all(any(q in good for q in ext(r)) for r in ext(p))
+
+    def forces(self, kind, p, t1, t2):
+        key = (kind, p, t1, t2)
+        if key not in self.memo:
+            self.memo[key] = self._forces(kind, p, t1, t2)
+        return self.memo[key]
+
+    def _forces(self, kind, p, t1, t2):
+        if kind is Member:
+            return self.dense_below(p, lambda q: any(
+                self.below(q, s) and self.forces(Eq, q, pi, t1)
+                for s, pi in t2.entries))
+        return all(
+            self.dense_below(p, lambda q: not self.below(q, s1) or any(
+                self.below(q, s2) and self.forces(Eq, q, pi1, pi2)
+                for s2, pi2 in b.entries))
+            for a, b in ((t1, t2), (t2, t1)) for s1, pi1 in a.entries)
+
+
+class TestCheckNames:
+    """Check-names carry their value, and both routes decide atoms between
+    two check-names without recursion."""
+
+    @staticmethod
+    def hereditarily_one(tau):
+        return all(cond is ONE for n in hereditary_closure([tau])
+                   for cond, _ in n.entries)
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_value_is_set_exactly_on_check_names(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        k = poset.kernel()
+        gamma = gamma_name(poset)
+        space = NameSpace(poset, BASES, rank)
+        some = [gamma, EMPTY_NAME, CHECKS[5], space.universe[-1]]
+        pairs = [f(a, b) for f in (unordered_pair_name, ordered_pair_name)
+                 for a in some for b in some]
+        names = set(space.universe) | set(pairs) | set(CHECKS) | {gamma}
+        assert sum(tau.value is not None for tau in names) > len(CHECKS)
+        for tau in names:
+            assert (tau.value is not None) == self.hereditarily_one(tau), tau
+            for i in range(len(k.conds)):
+                filt = k.filter_at(i)
+                want = reference_eval(tau, filt)
+                assert tau.value in (None, want), (tau, i)
+                assert eval_name(tau, filt) is want, (tau, i)
+
+    def test_check_name_values(self):
+        for x in hf_of_rank_le(3):
+            assert check_name(x).value is x
+        assert EMPTY_NAME.value is HF()
+
+    @pytest.mark.parametrize("make", [
+        lambda: FlatPoset(FAM), lambda: BinaryTreePoset(2),
+        lambda: ChoicePoset(FAM, 2)], ids=["flat", "tree2", "choice"])
+    def test_atoms_follow_kunens_clauses(self, make):
+        poset = make()
+        kunen = KunenClauses(poset)
+        for t1, t2 in itertools.product(CHECKS, repeat=2):
+            for kind, lemma in ((Eq, t1.value is t2.value),
+                                (Member, t1.value in t2.value)):
+                phi = kind(Cname(t1), Cname(t2))
+                for p in poset.conditions():
+                    want = kunen.forces(kind, p, t1, t2)
+                    assert want == lemma, (phi, p)
+                    assert forces_syntactic(poset, p, phi) == want, (phi, p)
+                    assert forces_semantic(poset, p, phi) == want, (phi, p)
+
+    def test_check_name_atoms_add_no_memo_entry(self):
+        poset = FlatPoset(FAM)
+        f = _Forcer(poset.kernel(), None)
+        for kind in (Eq, Member):
+            for t1, t2 in itertools.product(CHECKS, repeat=2):
+                f.atom(kind, t1, t2)
+        assert f._atoms == {}
+        gamma = gamma_name(poset)
+        a = check_name(poset.condition_hf("a"))
+        assert f.atom(Member, a, gamma) == poset.kernel().down[
+            poset.index_of("a")]
+        assert list(f._atoms) == [(Member, a, gamma)]

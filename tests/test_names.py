@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
-    EMPTY, EMPTY_NAME, Family, FlatPoset, HF, InvalidInput, ONE,
-    check_name, eval_name, gamma_name, generic_filter,
+    ChoicePoset, EMPTY, EMPTY_NAME, Family, FlatPoset, HF, InjPoset,
+    InvalidInput, MapPoset, ONE, TruncationEscape, check_name, eval_name, gamma_name, generic_filter,
     hereditary_closure, name_conditions, name_hf, nat, ordered_pair_name,
     pname, union_name, unordered_pair_name, kuratowski,
 )
@@ -115,6 +115,17 @@ class TestStructure:
         # The check-name of 40 reaches each smaller check-name along 2^k
         # paths; an encoding without sharing would never finish.
         assert len(name_hf(check_name(nat(40)))) == 40
+
+    @pytest.mark.parametrize("poset, message", [
+        (MapPoset(), "fn poset has no declared truncation window"),
+        (InjPoset(), "inj poset has no declared truncation window"),
+        (ChoicePoset(FAM), "choice poset has no declared level bound"),
+    ], ids=["fn", "inj", "choice"])
+    def test_gamma_name_needs_a_truncation(self, poset, message):
+        with pytest.raises(TruncationEscape) as info:
+            gamma_name(poset)
+        assert info.value.code == "truncation-escape"
+        assert str(info.value) == message
 
     def test_check_name_entries_use_one(self):
         tau = check_name(nat(2))

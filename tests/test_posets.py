@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 
 from forcelab import (
     BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
-    Filter, FlatPoset, InvalidInput, MapPoset, ONE, TruncationEscape,
+    Filter, FlatPoset, InjPoset, InvalidInput, MapPoset, ONE,
+    TruncationEscape,
     UnknownCondition, compatible, enumerate_maximal_antichains,
     fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
     is_maximal_antichain, nat,
 )
+from forcelab.posets import canon_key
 
 FAM21 = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
 FAM1 = Family([("a", [nat(0)])])
@@ -158,6 +160,18 @@ class TestMapPosets:
     def test_untruncated_enumeration_escapes(self):
         with pytest.raises(TruncationEscape):
             MapPoset().conditions()
+
+    @pytest.mark.parametrize("make", [
+        lambda: fn_omega_omega(2, 2), lambda: fn_omega_omega(3, 3),
+        lambda: InjPoset(dom_items=(frozenset(), frozenset({0, 1})),
+                         cod_items=(frozenset({2}), frozenset({0}),
+                                    frozenset({0, 1}))),
+        lambda: CohenGridPoset(2, 2), lambda: CohenGridPoset(3, 2),
+    ], ids=["fn22", "fn33", "inj-sets", "grid22", "grid32"])
+    def test_conditions_in_canon_key_order(self, make):
+        conds = make().conditions()
+        shuffled = random.Random(0).sample(conds, len(conds))
+        assert conds == tuple(sorted(shuffled, key=canon_key))
 
     def test_item_posets(self):
         vals = (frozenset({0}), frozenset({1}))
