@@ -18,14 +18,14 @@ from .errors import (
 from .hf import EMPTY, HF, from_int_set, kuratowski, nat, nat_value, render
 from .posets import (
     BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
-    Filter, FlatPoset, InjPoset, MapPoset, ONE, Poset, compatible,
+    Filter, FlatPoset, InjPoset, MapPoset, ONE, Poset,
     enumerate_maximal_antichains, fn_omega_omega, generic_filter,
     inj_omega_omega, is_antichain, is_dense, is_maximal_antichain,
 )
 from .names import (
     EMPTY_NAME, PName, check_name, eval_name, gamma_name,
     hereditary_closure, name_conditions, name_hf, ordered_pair_name,
-    pname, union_name, unordered_pair_name,
+    union_name, unordered_pair_name,
 )
 from .formulas import (
     And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,

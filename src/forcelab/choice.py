@@ -19,11 +19,10 @@ from .errors import (
 )
 from .forcing import _forcer, forces_semantic
 from .formulas import (
-    And, Cname, Formula, Implies, Member, Eq, Var, conj, disj, single_free_var,
-    subst,
+    And, Cname, Formula, Implies, Member, Eq, Var, conj, disj, subst,
 )
 from .hf import HF, render
-from .names import PName, check_name, eval_name, gamma_name, pname
+from .names import PName, check_name, eval_name, gamma_name
 from .posets import (
     ChoicePoset, Family, FlatPoset, ONE, Poset, generic_filter,
     is_maximal_antichain,
@@ -92,24 +91,25 @@ def choice_from_antichain(family: Family, antichain: Iterable) -> ChoiceFunction
     return ChoiceFunction(family, mapping)
 
 
-def antichain_from_choice(family: Family, f: ChoiceFunction,
+def antichain_from_choice(f: ChoiceFunction,
                           levels: dict[str, int]) -> frozenset:
     """The maximal antichain placing each chosen element at its level."""
-    if set(levels) != set(family.labels):
+    labels = f.family.labels
+    if set(levels) != set(labels):
         raise InvalidInput("levels must assign every block label exactly once")
     for lab, n in levels.items():
         if not isinstance(n, int) or n < 0:
             raise InvalidInput(f"level of block {lab!r} must be a natural")
-    return frozenset((levels[lab], f[lab]) for lab in family.labels)
+    return frozenset((levels[lab], f[lab]) for lab in labels)
 
 
 # ---------------------------------------------------------------------------
 # flat-poset witnesses
 
 
-def theta_family(flat: FlatPoset, var: str = "x") -> Formula:
-    """The block-selection formula: some block label lies in the generic
-    filter and the variable lies in that block.  Finite family, so the
+def theta_family(flat: FlatPoset) -> Formula:
+    """The block-selection formula in the variable x: some block label lies
+    in the generic filter and x lies in that block.  Finite family, so the
     existential over labels unfolds to a disjunction."""
     gamma = gamma_name(flat)
     parts = []
@@ -117,28 +117,23 @@ def theta_family(flat: FlatPoset, var: str = "x") -> Formula:
         lab_check = check_name(flat.condition_hf(lab))
         block_check = check_name(flat.family.block_hf(lab))
         parts.append(And(Member(Cname(lab_check), Cname(gamma)),
-                         Member(Var(var), Cname(block_check))))
+                         Member(Var("x"), Cname(block_check))))
     return disj(parts)
 
 
-def build_witness_flat(family: Family, f: ChoiceFunction) -> PName:
+def build_witness_flat(f: ChoiceFunction) -> PName:
     """The name whose value below each block condition is the chosen
     element: entries (i, y-check) for every member y of f(i)."""
-    entries = []
-    for lab in family.labels:
-        for y in f[lab]:
-            entries.append((lab, check_name(y)))
-    return pname(entries)
+    return PName((lab, check_name(y))
+                 for lab in f.family.labels for y in f[lab])
 
 
-def extract_choice_flat(family: Family, tau: PName,
-                        flat: FlatPoset) -> ChoiceFunction:
-    """Evaluate a witness below each block condition of flat, the flat poset
-    over family, and collect the chosen elements; the witness must provably
-    select from the generic block."""
-    theta = theta_family(flat)
-    var = single_free_var(theta)
-    if not forces_semantic(flat, ONE, subst(theta, var, tau)):
+def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
+    """Evaluate a witness below each block condition of the flat poset and
+    collect the chosen elements; the witness must provably select from the
+    generic block."""
+    family = flat.family
+    if not forces_semantic(flat, ONE, subst(theta_family(flat), "x", tau)):
         raise PreconditionViolated(
             "the name is not forced to select from the generic block")
     mapping = {}

@@ -41,23 +41,19 @@ from .perms import (
     sigma_conjugate,
 )
 from .posets import (
-    ChoicePoset, FlatPoset, InjPoset, ONE, Poset, compatible,
-    enumerate_maximal_antichains, is_dense,
+    ChoicePoset, FlatPoset, InjPoset, ONE, Poset, enumerate_maximal_antichains,
+    is_dense,
 )
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def cond_json(poset: Optional[Poset], c) -> str:
-    if c is ONE:
-        return "1"
-    if poset is None:
-        return str(c)
-    return poset.condition_repr(c)
+def cond_json(poset: Poset, c) -> str:
+    return "1" if c is ONE else poset.condition_repr(c)
 
 
-def name_json(poset: Optional[Poset], tau: PName) -> list:
+def name_json(poset: Poset, tau: PName) -> list:
     """A name as nested ``[condition, name]`` lists in sorted entry order.
 
     Each distinct subname is built once per call and its list is shared by
@@ -68,7 +64,7 @@ def name_json(poset: Optional[Poset], tau: PName) -> list:
     return _name_json(poset, tau, {})
 
 
-def _name_json(poset: Optional[Poset], tau: PName, memo: dict) -> list:
+def _name_json(poset: Poset, tau: PName, memo: dict) -> list:
     out = memo.get(tau)
     if out is None:
         out = memo[tau] = [[cond_json(poset, c), _name_json(poset, s, memo)]
@@ -233,14 +229,13 @@ def _max_rank_bound(phi: Formula) -> Optional[int]:
     raise InvalidInput(f"not a formula: {phi!r}")
 
 
-def _space_for(poset: Poset, phi: Formula, rank: Optional[int],
-               extra: tuple[PName, ...] = ()) -> Optional[NameSpace]:
+def _space_for(poset: Poset, phi: Formula,
+               rank: Optional[int]) -> Optional[NameSpace]:
     if rank is None:
         rank = _max_rank_bound(phi)
         if rank is None:
             return None
-    bases = tuple(constants(phi)) + tuple(extra)
-    return NameSpace(poset, bases, rank)
+    return NameSpace(poset, tuple(constants(phi)), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +258,14 @@ def run_thm1(scenario: Scenario, cmd: Command) -> dict:
     family = scenario.lookup(fam_id, "family", tok=cmd.tokens.get(1))
     level = _kwarg_int(cmd, "level", 1)
     poset = ChoicePoset(family, level)
-    antichains = enumerate_maximal_antichains(poset, level)
+    antichains = enumerate_maximal_antichains(poset)
     rows = []
     choices = []
     roundtrip_ok = True
     for a in antichains:
         f = choice_from_antichain(family, a)
         levels = {family.block_of(x): n for n, x in a}
-        if antichain_from_choice(family, f, levels) != a:
+        if antichain_from_choice(f, levels) != a:
             roundtrip_ok = False
         rows.append([poset.condition_repr(c)
                      for c in sorted(a, key=poset.condition_key)])
@@ -296,8 +291,8 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
     seen = set()
     roundtrip_ok = True
     for f in all_choice_functions(family):
-        tau = build_witness_flat(family, f)
-        g = extract_choice_flat(family, tau, flat)
+        tau = build_witness_flat(f)
+        g = extract_choice_flat(tau, flat)
         if g != f:
             roundtrip_ok = False
         seen.add(g)
@@ -494,7 +489,7 @@ def run_cohen(scenario: Scenario, cmd: Command) -> dict:
             "n": n, "bound": bound, "pi": perm_json(perm),
             "sigma_prime": [list(p) for p in sorted(translated)],
             "name_match": act_name(perm, r1) == r2,
-            "compatible": compatible(InjPoset(), sigma, translated),
+            "compatible": InjPoset().compatible(sigma, translated),
         }
     raise InvalidInput(f"unknown cohen mode {mode!r}")
 
@@ -525,6 +520,21 @@ _PARSER.add_argument("--pretty", action="store_true",
                      help="indent the JSON report")
 
 
+def _decode(data: bytes) -> str:
+    """A scenario file's text: UTF-8, with its line ends read as ``\n``.
+    An undecodable byte is a syntax error at the line and column where the
+    tokenizer would have met it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = _decode(data[:exc.start])
+        line = text.count("\n") + 1
+        col = len(text) - text.rfind("\n")
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                         line, col) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _emit(payload: dict, pretty: bool) -> None:
     print(dumps(payload, 2 if pretty else None), flush=True)
 
@@ -545,13 +555,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _run(argv: Optional[list[str]]) -> int:
     opts = _PARSER.parse_args(argv)
     try:
-        text = Path(opts.file).read_text()
+        data = Path(opts.file).read_bytes()
     except OSError as exc:
         _emit({"error": {"code": "io-error", "message": str(exc)}},
               opts.pretty)
         return 2
     try:
-        scenario = parse_scenario(text)
+        scenario = parse_scenario(_decode(data))
         cmd = scenario.command
         if opts.subcommand != "parse-only":
             if cmd is None:

@@ -16,9 +16,7 @@ from .errors import (
     ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange,
 )
 from .hf import nat
-from .names import (
-    EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name, pname,
-)
+from .names import EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name
 from .perms import grid_conditions
 from .posets import (
     CohenGridPoset, Filter, InjPoset, ONE, canon_key, is_dense, is_injection,
@@ -120,7 +118,7 @@ def xdot_name(grid: CohenGridPoset, col: int) -> PName:
     condition turning a bit on."""
     if not (0 <= col < grid.cols):
         raise OutOfRange(f"column {col} is outside the grid")
-    return pname(
+    return PName(
         (frozenset({((col, row), 1)}), check_name(nat(row)))
         for row in range(grid.rows))
 
@@ -130,7 +128,7 @@ def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
     check-name of the column value, not to the value itself."""
     if not (0 <= col < grid.cols):
         raise OutOfRange(f"column {col} is outside the grid")
-    return pname(
+    return PName(
         (frozenset({((col, row), 1)}),
          ordered_pair_name(EMPTY_NAME,
                            check_name(name_hf(check_name(nat(row))))))
@@ -148,7 +146,7 @@ def r_sigma_name(grid: CohenGridPoset, sigma: Iterable[tuple[int, int]]) -> PNam
     column names, all attached to the greatest element."""
     sigma = frozenset(sigma)
     _ensure_injection(sigma)
-    return pname(
+    return PName(
         (ONE, ordered_pair_name(xdot_name(grid, i), xdot_name(grid, j)))
         for i, j in sigma)
 
@@ -266,7 +264,7 @@ def hat_map(tau: PName, p1: InjPoset) -> PName:
 def _hat(tau: PName, conds: tuple, memo: dict) -> PName:
     out = memo.get(tau)
     if out is None:
-        out = memo[tau] = pname(
+        out = memo[tau] = PName(
             (q, _hat(sigma, conds, memo))
             for r, sigma in tau.entries for q in conds if square_below(r, q))
     return out

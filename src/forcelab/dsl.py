@@ -63,8 +63,7 @@ from .cohen import Assignment, r_sigma_name, xcheckcheck_name, xdot_name
 from .errors import DuplicateIdentifier, ParseError, UnresolvedReference
 from .hf import HF, nat
 from .names import (
-    EMPTY_NAME, PName, check_name, gamma_name, ordered_pair_name, pname,
-    unordered_pair_name,
+    PName, check_name, gamma_name, ordered_pair_name, unordered_pair_name,
 )
 from .perms import Chain, Perm
 from .posets import (
@@ -177,6 +176,19 @@ class Scenario:
 
 
 class Parser:
+    # Each name constructor's head, as (maker, the kinds of its arguments):
+    # "hf" a set literal, "int" a numeral, "name" a name expression, and
+    # any other kind an identifier declared as that kind.
+    NAME_MAKERS = {
+        "check": (check_name, ("hf",)),
+        "gamma": (gamma_name, ("poset",)),
+        "xdot": (xdot_name, ("grid", "int")),
+        "xcc": (xcheckcheck_name, ("grid", "int")),
+        "rsigma": (r_sigma_name, ("grid", "sigma")),
+        "pair": (ordered_pair_name, ("name", "name")),
+        "upair": (unordered_pair_name, ("name", "name")),
+    }
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
@@ -450,45 +462,29 @@ class Parser:
                 child = self.parse_name_expr(poset)
                 self.expect("punct", ")")
                 return (cond, child)
-            entries = self.seq("{", "}", entry)
-            return pname(entries) if entries else EMPTY_NAME
+            return PName(self.seq("{", "}", entry))
         if tok.kind != "ident":
             self.fail("expected a name expression", tok)
         head = self.next().text
-        if head == "check":
-            self.expect("punct", "(")
-            value = self.parse_hf()
-            self.expect("punct", ")")
-            return check_name(value)
-        if head == "gamma":
-            self.expect("punct", "(")
-            target = self.ref("poset")
-            self.expect("punct", ")")
-            return gamma_name(target)
-        if head in ("xdot", "xcc"):
-            self.expect("punct", "(")
-            grid = self.ref("grid")
-            self.expect("punct", ",")
-            col = self.int_value()
-            self.expect("punct", ")")
-            maker = xdot_name if head == "xdot" else xcheckcheck_name
-            return maker(grid, col)
-        if head == "rsigma":
-            self.expect("punct", "(")
-            grid = self.ref("grid")
-            self.expect("punct", ",")
-            sigma = self.ref("sigma")
-            self.expect("punct", ")")
-            return r_sigma_name(grid, sigma)
-        if head in ("pair", "upair"):
-            self.expect("punct", "(")
-            left = self.parse_name_expr(poset)
-            self.expect("punct", ",")
-            right = self.parse_name_expr(poset)
-            self.expect("punct", ")")
-            maker = ordered_pair_name if head == "pair" else unordered_pair_name
-            return maker(left, right)
-        return self.scenario.lookup(head, "name", tok=tok)
+        made = self.NAME_MAKERS.get(head)
+        if made is None:
+            return self.scenario.lookup(head, "name", tok=tok)
+        maker, kinds = made
+        self.expect("punct", "(")
+        args = []
+        for kind in kinds:
+            if args:
+                self.expect("punct", ",")
+            if kind == "hf":
+                args.append(self.parse_hf())
+            elif kind == "int":
+                args.append(self.int_value())
+            elif kind == "name":
+                args.append(self.parse_name_expr(poset))
+            else:
+                args.append(self.ref(kind))
+        self.expect("punct", ")")
+        return maker(*args)
 
     # -- formulas ----------------------------------------------------------------
 
@@ -574,8 +570,7 @@ class Parser:
                     self.tokens[self.pos + 1].text != "(":
                 self.next()
                 return Cname(entry[1])
-            if head in ("check", "gamma", "xdot", "xcc", "rsigma",
-                        "pair", "upair"):
+            if head in self.NAME_MAKERS:
                 return Cname(self.parse_name_expr(None))
             raise UnresolvedReference(
                 f"{head!r} is neither a bound variable nor a declared name",

@@ -34,10 +34,7 @@ from .formulas import (
     Or, OrdLT, RankLE, is_closed, single_free_var, subst,
 )
 from .hf import HF, nat
-from .names import (
-    PName, check_name, eval_name, hereditary_closure, pname,
-    union_name,
-)
+from .names import PName, check_name, eval_name, hereditary_closure, union_name
 from .posets import Filter, Kernel, ONE, Poset, canon_key
 
 # The most subsets of (condition, child) pairs a NameSpace may enumerate.
@@ -105,7 +102,7 @@ class NameSpace:
         keys = {n: n.key() for n in closure}
         first = {}
         for mask, combo in best.items():
-            n = first[mask] = pname(pairs[j] for j in combo)
+            n = first[mask] = PName(pairs[j] for j in combo)
             keys[n] = (max((ranks[j] for j in combo), default=0), len(combo),
                        tuple(pair_key[pairs[j]] for j in combo))
         # A closure name's class is keyed like an assembled one, by the bits
@@ -405,11 +402,10 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
         for m, sigma in k.entry_masks(assignment[r]):
             entries.extend((k.conds[s], sigma) for s in k.exts[j]
                            if m >> s & 1)
-    return pname(entries)
+    return PName(entries)
 
 
-def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula,
-                       space: Optional[NameSpace] = None) -> PName:
+def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     """The name for the least ordinal below kappa satisfying theta.
 
     Entries are (q, beta-check) for every q extending p that forces the
@@ -421,7 +417,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula,
     if kappa < 1:
         raise InvalidInput("kappa must be at least 1")
     var = single_free_var(theta)
-    f = _forcer(poset, space)
+    f = _forcer(poset, None)
     k = f.k
     # held: where theta holds at some ordinal so far
     entries, held = [], 0
@@ -435,7 +431,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula,
     if k.down[i] & k.minimal & ~held:
         raise PreconditionViolated(
             "the condition does not force an ordinal witness below kappa")
-    return pname(entries)
+    return PName(entries)
 
 
 def mp_witness_search(poset: Poset, p, theta: Formula,
@@ -452,8 +448,7 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
 
 
 def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
-                         theta: Formula,
-                         space: Optional[NameSpace] = None) -> tuple[PName, PName]:
+                         theta: Formula) -> tuple[PName, PName]:
     """Collapse an indexed list of candidate witnesses into a single one.
 
     The singleton name rho holds (q, tau_alpha) whenever q forces theta at
@@ -464,7 +459,7 @@ def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
     """
     i = poset.index_of(p)
     var = single_free_var(theta)
-    f = _forcer(poset, space)
+    f = _forcer(poset, None)
     k = f.k
     # held: where theta holds at some candidate so far
     entries, held = [], 0
@@ -480,5 +475,5 @@ def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
             raise PreconditionViolated(
                 "no extension forces theta at any candidate below "
                 f"{poset.condition_repr(k.conds[q])}")
-    rho = pname(entries)
+    rho = PName(entries)
     return rho, union_name(poset, rho)

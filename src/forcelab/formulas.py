@@ -85,14 +85,24 @@ class InName(_Node):
     _fields = ("name",)
 
 
-class RankLE(_Node):
+class _NatBound(_Node):
+    """A bound by a natural number; a negative one is refused."""
+
     __slots__ = ("bound",)
     _fields = ("bound",)
 
+    def _setup(self) -> None:
+        if self.bound < 0:
+            raise InvalidInput(
+                f"a quantifier bound must be nonnegative, not {self.bound}")
 
-class OrdLT(_Node):
-    __slots__ = ("bound",)
-    _fields = ("bound",)
+
+class RankLE(_NatBound):
+    __slots__ = ()
+
+
+class OrdLT(_NatBound):
+    __slots__ = ()
 
 
 Bound = Union[InName, RankLE, OrdLT]

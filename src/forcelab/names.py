@@ -14,7 +14,7 @@ own greatest element, so those constructors need no poset argument.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .errors import InvalidInput
 from .hf import HF, EMPTY as HF_EMPTY, kuratowski
@@ -111,10 +111,6 @@ class PName:
 EMPTY_NAME = PName()
 
 
-def pname(entries: Iterable[tuple[object, PName]]) -> PName:
-    return PName(entries)
-
-
 def hereditary_closure(names: Iterable[PName],
                        key: Callable = PName.key) -> list[PName]:
     """All names reachable through entries, the inputs included, sorted by
@@ -183,29 +179,25 @@ def _eval(tau: PName, filt, memo: dict) -> HF:
     return out
 
 
-def name_hf(tau: PName, cond_hf: Optional[Callable[[object], HF]] = None) -> HF:
+def name_hf(tau: PName) -> HF:
     """Encode a name itself as a hereditarily finite set of Kuratowski
-    (condition, name) pairs.  By default only the ONE sentinel is accepted
-    as a condition and encodes as the empty set (the trivial condition of a
+    (condition, name) pairs.  Only the ONE sentinel is accepted as a
+    condition, and it encodes as the empty set (the trivial condition of a
     partial-function poset).
 
     Values are memoized for this call only, so a subname shared by many
     entries is encoded once.
     """
-    def default(cond) -> HF:
-        if cond is ONE:
-            return HF_EMPTY
-        raise InvalidInput(
-            "name_hf needs an encoder for conditions other than 1")
-
-    return _name_hf(tau, cond_hf or default, {})
+    return _name_hf(tau, {})
 
 
-def _name_hf(tau: PName, enc: Callable[[object], HF], memo: dict) -> HF:
+def _name_hf(tau: PName, memo: dict) -> HF:
     out = memo.get(tau)
     if out is None:
-        out = memo[tau] = HF(kuratowski(enc(cond), _name_hf(child, enc, memo))
-                             for cond, child in tau.entries)
+        if any(cond is not ONE for cond, _ in tau.entries):
+            raise InvalidInput("name_hf encodes only conditions equal to 1")
+        out = memo[tau] = HF(kuratowski(HF_EMPTY, _name_hf(child, memo))
+                             for _, child in tau.entries)
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from .errors import (
     InvalidInput, MalformedSigma, NotInSubgroup, UnknownCondition,
 )
-from .names import PName, name_conditions, pname
+from .names import PName, name_conditions
 from .posets import ONE, CohenGridPoset, canon_key, is_injection
 
 
@@ -333,7 +333,7 @@ def act_name(perm: Perm, tau: PName) -> PName:
 def _act(perm: Perm, tau: PName, memo: dict) -> PName:
     out = memo.get(tau)
     if out is None:
-        out = memo[tau] = pname(
+        out = memo[tau] = PName(
             (act_condition(perm, cond), _act(perm, child, memo))
             for cond, child in tau.entries)
     return out

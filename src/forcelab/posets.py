@@ -589,14 +589,20 @@ class InjPoset(MapPoset):
     injective = True
 
 
+def _windows(dom_bound: int, cod_bound: int) -> dict:
+    if dom_bound < 0 or cod_bound < 0:
+        raise InvalidInput("truncation bounds must be nonnegative")
+    return {"dom_window": range(dom_bound), "cod_window": range(cod_bound)}
+
+
 def fn_omega_omega(dom_bound: int, cod_bound: int) -> MapPoset:
     """Fn over the naturals, truncated to a dom_bound x cod_bound window."""
-    return MapPoset(dom_window=range(dom_bound), cod_window=range(cod_bound))
+    return MapPoset(**_windows(dom_bound, cod_bound))
 
 
 def inj_omega_omega(dom_bound: int, cod_bound: int) -> InjPoset:
     """Inj over the naturals, truncated to a dom_bound x cod_bound window."""
-    return InjPoset(dom_window=range(dom_bound), cod_window=range(cod_bound))
+    return InjPoset(**_windows(dom_bound, cod_bound))
 
 
 class CohenGridPoset(MapPoset):
@@ -721,11 +727,6 @@ class Filter:
 # module operations
 
 
-def compatible(poset: Poset, p, q) -> bool:
-    """Decide whether some condition extends both p and q."""
-    return poset.compatible(p, q)
-
-
 def _mask(poset: Poset, conditions: Iterable) -> int:
     """The kernel mask of some conditions, each checked once by index_of.
     Bits are or-ed, not summed, since a condition may be listed twice."""
@@ -774,19 +775,15 @@ def is_dense(poset: Poset, dense_set: Iterable) -> bool:
     return all(m & mask for m in poset.kernel().down)
 
 
-def enumerate_maximal_antichains(poset: ChoicePoset, level_bound: int) -> list[frozenset]:
-    """All maximal antichains of the choice poset with every level below
-    level_bound: one (level, element) pick per block."""
+def enumerate_maximal_antichains(poset: ChoicePoset) -> list[frozenset]:
+    """All maximal antichains of the choice poset's truncation: one
+    (level, element) pick per block, at a level below its level bound."""
     if not isinstance(poset, ChoicePoset):
         raise InvalidInput("antichain enumeration is defined on the choice poset")
-    if level_bound < 1:
-        raise InvalidInput("level bound must be at least 1")
-    per_block = []
-    for label in poset.family.labels:
-        per_block.append([(n, x)
-                          for n in range(level_bound)
-                          for x in poset.family.sorted_block(label)])
-    out = [frozenset(pick) for pick in itertools.product(*per_block)]
+    per_block: dict[str, list] = {label: [] for label in poset.family.labels}
+    for c in poset.conditions():
+        per_block[poset.family.block_of(c[1])].append(c)
+    out = [frozenset(pick) for pick in itertools.product(*per_block.values())]
     out.sort(key=lambda a: tuple(sorted(poset.condition_key(c) for c in a)))
     return out
 

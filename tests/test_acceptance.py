@@ -20,11 +20,11 @@ from forcelab import (
     FlatPoset, Forall, HF, Implies, InName, InjPoset, Member, NameSpace,
     Not, ONE, Or, OrdLT, Perm, RankLE, Var, act_name, all_choice_functions,
     antichain_from_choice, build_witness_flat, check_name,
-    choice_from_antichain, compatible, decompose,
+    choice_from_antichain, decompose,
     enumerate_maximal_antichains, eval_name, extract_choice_flat,
     forces_semantic, forces_syntactic, g1_to_g, g_to_g1, gamma_name,
     generic_filter, hat_map, least_ordinal_name, mix, nat, parse_scenario,
-    pname, r_sigma_name, sigma_conjugate, single_free_var, subst,
+    PName, r_sigma_name, sigma_conjugate, single_free_var, subst,
     theta_family, transposition, xcheckcheck_name, xdot_name,
 )
 
@@ -135,7 +135,7 @@ def test_criterion_02_antichain_choice_correspondence():
             family = Family(blocks)
             for level in (1, 2, 3):
                 poset = ChoicePoset(family, level)
-                enum = enumerate_maximal_antichains(poset, level)
+                enum = enumerate_maximal_antichains(poset)
                 expected = 1
                 for s in sizes:
                     expected *= level * s
@@ -146,8 +146,7 @@ def test_criterion_02_antichain_choice_correspondence():
                 for antichain in enum:
                     f = choice_from_antichain(family, antichain)
                     levels = {family.block_of(x): lv for lv, x in antichain}
-                    assert antichain_from_choice(family, f, levels) == \
-                        antichain
+                    assert antichain_from_choice(f, levels) == antichain
                     pairs.add((f, tuple(levels[lab]
                                         for lab in family.labels)))
                 want = {(f, lv)
@@ -180,12 +179,12 @@ def test_criterion_03_witness_choice_extraction():
         extracted = set()
         for tau in space.universe:
             if forces_semantic(flat, ONE, subst(theta, var, tau)):
-                extracted.add(extract_choice_flat(family, tau, flat))
+                extracted.add(extract_choice_flat(tau, flat))
         everything = set(all_choice_functions(family))
         assert extracted == everything, family
         for f in everything:
-            built = build_witness_flat(family, f)
-            assert extract_choice_flat(family, built, flat) == f
+            built = build_witness_flat(f)
+            assert extract_choice_flat(built, flat) == f
     print("criterion 3: PASS")
 
 
@@ -226,7 +225,7 @@ def test_criterion_04_mixing_forces_theta():
             theta = Eq(x, Cname(check_name(v)))
             assignment = {
                 r: check_name(v) if rng.random() < 0.5
-                else pname([(ONE, check_name(w)) for w in v])
+                else PName([(ONE, check_name(w)) for w in v])
                 for r in antichain}
         elif kind == 2:
             theta = Or(Eq(x, Cname(check_name(u))),
@@ -236,7 +235,7 @@ def test_criterion_04_mixing_forces_theta():
         else:
             theta = Member(Cname(check_name(u)), x)
             assignment = {
-                r: pname([(ONE, check_name(u)),
+                r: PName([(ONE, check_name(u)),
                           (r, check_name(rng.choice(HF_POOL)))])
                 for r in antichain}
         assert all(forces_semantic(poset, r, subst(theta, "x", assignment[r]))
@@ -345,8 +344,8 @@ def bounded_name_family(grid):
     children += [xdot_name(grid, c) for c in range(grid.cols)]
     pairs = [(c, ch) for c in conds for ch in children]
     names = [EMPTY_NAME]
-    names += [pname([p]) for p in pairs]
-    names += [pname(combo) for combo in itertools.combinations(pairs, 2)]
+    names += [PName([p]) for p in pairs]
+    names += [PName(combo) for combo in itertools.combinations(pairs, 2)]
     return names
 
 
@@ -406,7 +405,7 @@ def test_criterion_08_sigma_conjugation():
                 assert sprime == want
                 assert act_name(perm, r_sigma_name(grid, sigma)) == \
                     r_sigma_name(grid, sprime)
-                assert compatible(inj, sigma, sprime)
+                assert inj.compatible(sigma, sprime)
                 checked += 1
     assert checked == 56
     print("criterion 8: PASS")

@@ -12,7 +12,7 @@ from forcelab import (
     all_choice_functions, antichain_from_choice, build_witness_flat,
     check_name, choice_from_antichain, conj, enumerate_maximal_antichains,
     eval_name, extract_choice_flat, extract_choice_wellordered,
-    fn_omega_omega, forces_semantic, gamma_name, generic_filter, nat, pname,
+    fn_omega_omega, forces_semantic, gamma_name, generic_filter, nat, PName,
     subst, theta_family,
 )
 
@@ -41,15 +41,15 @@ class TestChoiceFunction:
 class TestAntichainCorrespondence:
     def test_antichain_to_choice_and_back(self):
         cp = ChoicePoset(FAM, 2)
-        for a in enumerate_maximal_antichains(cp, 2):
+        for a in enumerate_maximal_antichains(cp):
             f = choice_from_antichain(FAM, a)
             levels = {FAM.block_of(x): n for n, x in a}
-            assert antichain_from_choice(FAM, f, levels) == a
+            assert antichain_from_choice(f, levels) == a
 
     def test_choice_to_antichain_and_back(self):
         for f in all_choice_functions(FAM):
             for levels in ({"a": 0, "b": 0}, {"a": 1, "b": 0}):
-                a = antichain_from_choice(FAM, f, levels)
+                a = antichain_from_choice(f, levels)
                 assert choice_from_antichain(FAM, a) == f
 
     def test_rejects_non_maximal(self):
@@ -62,9 +62,9 @@ class TestAntichainCorrespondence:
     def test_levels_validated(self):
         f = all_choice_functions(FAM)[0]
         with pytest.raises(InvalidInput):
-            antichain_from_choice(FAM, f, {"a": 0})
+            antichain_from_choice(f, {"a": 0})
         with pytest.raises(InvalidInput):
-            antichain_from_choice(FAM, f, {"a": -1, "b": 0})
+            antichain_from_choice(f, {"a": -1, "b": 0})
 
     def test_counts_match_product_formula(self):
         cases = [
@@ -75,32 +75,32 @@ class TestAntichainCorrespondence:
         ]
         for fam, level, want in cases:
             cp = ChoicePoset(fam, level)
-            assert len(enumerate_maximal_antichains(cp, level)) == want
+            assert len(enumerate_maximal_antichains(cp)) == want
 
 
 class TestWitnessCorrespondence:
     def test_build_then_extract_is_identity(self):
         flat = FlatPoset(FAM)
         for f in all_choice_functions(FAM):
-            tau = build_witness_flat(FAM, f)
-            assert extract_choice_flat(FAM, tau, flat) == f
+            tau = build_witness_flat(f)
+            assert extract_choice_flat(tau, flat) == f
 
     def test_witness_is_forced_to_select(self):
         flat = FlatPoset(FAM)
         theta = theta_family(flat)
         f = all_choice_functions(FAM)[0]
-        tau = build_witness_flat(FAM, f)
+        tau = build_witness_flat(f)
         assert forces_semantic(flat, ONE, subst(theta, "x", tau))
 
     def test_extract_rejects_unforced_names(self):
         flat = FlatPoset(FAM)
         with pytest.raises(PreconditionViolated):
-            extract_choice_flat(FAM, check_name(nat(3)), flat)
+            extract_choice_flat(check_name(nat(3)), flat)
 
     def test_witness_evaluates_to_chosen_element(self):
         flat = FlatPoset(FAM)
         f = ChoiceFunction(FAM, {"a": nat(1), "b": nat(2)})
-        tau = build_witness_flat(FAM, f)
+        tau = build_witness_flat(f)
         assert eval_name(tau, generic_filter(flat, "a")) == nat(1)
         assert eval_name(tau, generic_filter(flat, "b")) == nat(2)
 
@@ -109,7 +109,7 @@ class TestWellorderedExtraction:
     def test_marks_on_flat_poset(self):
         flat = FlatPoset(FAM)
         f = ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)})
-        tau = build_witness_flat(FAM, f)
+        tau = build_witness_flat(f)
         out = extract_choice_wellordered(
             flat, ["a", "b"], [FAM.blocks["a"], FAM.blocks["b"]], tau)
         assert [x for _, x in out] == [nat(0), nat(2)]
@@ -119,7 +119,7 @@ class TestWellorderedExtraction:
     def test_rejects_compatible_marks(self):
         flat = FlatPoset(FAM)
         tau = build_witness_flat(
-            FAM, ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
+            ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
         with pytest.raises(PreconditionViolated):
             extract_choice_wellordered(
                 flat, ["a", ONE], [FAM.blocks["a"], FAM.blocks["b"]], tau)
@@ -192,7 +192,7 @@ def test_wellordered_extraction_matches_reference(case):
                    for a in k.minimals for y in value[a]]
         if rng.random() < 0.3:
             entries.append((rng.choice(k.conds), check_name(nat(0))))
-        tau = pname(entries)
+        tau = PName(entries)
         if rng.random() < 0.5:
             marks = rng.sample(minimals, rng.randint(1, len(minimals)))
         else:
@@ -226,7 +226,7 @@ class TestThetaFamily:
         flat = FlatPoset(FAM)
         theta = theta_family(flat)
         tau = build_witness_flat(
-            FAM, ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
+            ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
         closed = subst(theta, "x", tau)
         assert forces_semantic(flat, ONE, closed)
 

@@ -117,6 +117,27 @@ BAD_KWARG_OR_NAME = {
         "poset P explicit { elements t 1 b; order 1 < t, b < t; top t }\n"
         "name g = gamma(P)\nformula phi = check(0) in g\n"
         "cond c over P = 1\ncommand forces P c phi\n"),
+    # Negative quantifier and window bounds are refused where they are
+    # built; they would make vacuous quantifiers and empty windows.
+    "ord-bound-negative": (
+        "forces", "invalid-input",
+        "family F { a: {0} b: {1} }\nposet P flat F\n"
+        "formula phi = forall v [ord < -1] not v = v\n"
+        "command forces P 1 phi\n"),
+    "rank-bound-negative": (
+        "forces", "invalid-input",
+        "family F { a: {0} b: {1} }\nposet P flat F\n"
+        "formula phi = forall v [rank <= -1] "
+        "(exists w [rank <= 1] v in w and not v = v)\n"
+        "command forces P 1 phi\n"),
+    "fn-dom-negative": (
+        "forces", "invalid-input",
+        "poset P fn dom = -1 cod = 2\nformula phi = check(0) = check(0)\n"
+        "command forces P 1 phi\n"),
+    "inj-cod-negative": (
+        "forces", "invalid-input",
+        "poset P inj dom = 2 cod = -1\nformula phi = check(0) = check(0)\n"
+        "command forces P 1 phi\n"),
 }
 
 
@@ -155,6 +176,29 @@ def test_bad_command_reference_exits_1_with_position(tmp_path, verb, command,
     err = json.loads(out.stdout)["error"]
     assert err["code"] == "unresolved-reference"
     assert message in err["message"]
+    assert (err["line"], err["col"]) == (line, col)
+
+
+# A file that is not UTF-8: (its bytes, the line and column of the first
+# undecodable byte, counted in characters as the tokenizer counts them).
+NOT_UTF8 = {
+    "ff-byte": (b"family F { a: {0} }\nposet P fl\xffat F\n", 2, 11),
+    "latin1-in-comment": (
+        b"family F { a: {0} }  # caf\xe9\nposet P flat F\n", 1, 27),
+    "after-multibyte": (b"# \xc3\xa9t\xc3\xa9 \xff\n", 1, 7),
+    "after-crlf": (b"family F { a: {0} }\r\nposet P flat F \xff", 2, 16),
+}
+
+
+@pytest.mark.parametrize("data, line, col", NOT_UTF8.values(),
+                         ids=NOT_UTF8.keys())
+def test_non_utf8_file_exits_1_with_position(tmp_path, data, line, col):
+    bad = tmp_path / "bad.fl"
+    bad.write_bytes(data)
+    out = run_cli("parse-only", str(bad))
+    assert out.returncode == 1 and out.stderr == ""
+    err = json.loads(out.stdout)["error"]
+    assert err["code"] == "syntax-error"
     assert (err["line"], err["col"]) == (line, col)
 
 

@@ -8,7 +8,7 @@ from forcelab import (
     Assignment, CohenGridPoset, ColumnCollision, EMPTY_NAME,
     GridSectionFilter, HF, InvalidInput, NonInjective, NotDense, ONE,
     OutOfRange, UnknownCondition, check_name, e_dense, eval_name, g1_to_g, g_to_g1, hat_map,
-    is_dense, kuratowski, name_hf, nat, ordered_pair_name, pname,
+    is_dense, kuratowski, name_hf, nat, ordered_pair_name, PName,
     r_sigma_condition, r_sigma_name, section_g1_conditions, square_below,
     xcheckcheck_name, xdot_name,
 )
@@ -179,7 +179,7 @@ class TestHatMap:
             xdot_name(GRID, 0),
             check_name(nat(2)),
             ordered_pair_name(xdot_name(GRID, 0), xdot_name(GRID, 1)),
-            pname([(frozenset({((1, 0), 1)}), xdot_name(GRID, 0))]),
+            PName([(frozenset({((1, 0), 1)}), xdot_name(GRID, 0))]),
             r_sigma_name(GRID, {(0, 1)}),
         ]
         for tau in samples:
@@ -190,6 +190,6 @@ class TestHatMap:
         assert hat_map(EMPTY_NAME, ASG.p1_poset()) == EMPTY_NAME
 
     def test_hat_rejects_non_grid_conditions(self):
-        tau = pname([(ONE, pname([("a", EMPTY_NAME)]))])
+        tau = PName([(ONE, PName([("a", EMPTY_NAME)]))])
         with pytest.raises(UnknownCondition):
             hat_map(tau, ASG.p1_poset())

@@ -7,7 +7,7 @@ from forcelab import (
     DuplicateIdentifier, Eq, Exists, ExplicitPoset, Family, FlatPoset,
     Forall, Implies, InName, InvalidInput, Member, Not, ONE, Or, OrdLT,
     ParseError, Perm, RankLE, UnresolvedReference, Var, check_name, nat,
-    parse_scenario, pname, tokenize, xdot_name,
+    parse_scenario, PName, tokenize, xdot_name,
 )
 
 
@@ -97,7 +97,7 @@ class TestDeclarations:
         assert sc.lookup("zero", "name") == check_name(nat(0))
         assert sc.lookup("xd", "name") == xdot_name(grid, 0)
         lit = sc.lookup("lit", "name")
-        assert lit == pname([("a", check_name(nat(1))),
+        assert lit == PName([("a", check_name(nat(1))),
                              (ONE, check_name(nat(0)))])
 
     def test_perms(self):

@@ -17,7 +17,7 @@ from forcelab import (
     extract_choice_wellordered, fn_omega_omega, forces_semantic,
     forces_syntactic, gamma_name, generic_filter, hereditary_closure,
     holds_along, indexed_witness_name, inj_omega_omega, least_ordinal_name,
-    mix, mp_witness_search, nat, ordered_pair_name, pname, single_free_var,
+    mix, mp_witness_search, nat, ordered_pair_name, single_free_var,
     subst, union_name, unordered_pair_name,
 )
 from forcelab.forcing import _Forcer
@@ -130,7 +130,7 @@ class TestForcesOracle:
         assert eval_name(tau, generic_filter(poset, "b")) == \
             poset.condition_hf("b")
         # nat(1) = {0} below "a" and nat(2) = {0, 1} below "b"
-        tau = pname([("a", EMPTY_NAME), ("b", EMPTY_NAME),
+        tau = PName([("a", EMPTY_NAME), ("b", EMPTY_NAME),
                      ("b", check_name(nat(1)))])
         out = extract_choice_wellordered(
             poset, ["a", "b"], [{nat(1)}, {nat(1), nat(2)}], tau)
@@ -179,7 +179,7 @@ class TestRouteAgreement:
         x, gamma = Var("x"), Cname(gamma_name(poset))
         in_x = [Member(x, gamma), Eq(x, Cname(check_name(nat(1)))),
                 Member(Cname(check_name(nat(0))), x)]
-        below_top = pname((c, check_name(nat(j % 2)))
+        below_top = PName((c, check_name(nat(j % 2)))
                           for j, c in enumerate(poset.conditions())
                           if c != poset.top)
         atoms = self.formulas(poset, space) + [
@@ -366,15 +366,15 @@ QUOTIENT_CASES = {
 # lower rank and more entries than another, and in "flat-lex" some class has
 # two members of one rank and size, which their sorted entries order.
 IRREGULAR_CASES = {
-    "chain-2": (chain, (EMPTY_NAME, pname(
+    "chain-2": (chain, (EMPTY_NAME, PName(
         [(ONE, EMPTY_NAME), ("q", EMPTY_NAME)])), 2),
-    "chain-3": (chain, (EMPTY_NAME, pname(
+    "chain-3": (chain, (EMPTY_NAME, PName(
         [(ONE, EMPTY_NAME), ("q", EMPTY_NAME)])), 3),
     "flat-rank": (lambda: FlatPoset(FAM), (
-        pname([(ONE, EMPTY_NAME)]),
-        pname([("b", pname([("a", EMPTY_NAME)]))])), 3),
+        PName([(ONE, EMPTY_NAME)]),
+        PName([("b", PName([("a", EMPTY_NAME)]))])), 3),
     "flat-lex": (lambda: FlatPoset(FAM), (
-        pname([(ONE, pname([("a", EMPTY_NAME)]))]),), 2),
+        PName([(ONE, PName([("a", EMPTY_NAME)]))]),), 2),
 }
 
 
@@ -387,7 +387,7 @@ def unquotiented_universe(poset, bases, rank_bound):
     pairs = [(c, s) for c in pool for s in eligible]
     names = set(closure)
     for size in range(len(pairs) + 1):
-        names.update(pname(combo)
+        names.update(PName(combo)
                       for combo in itertools.combinations(pairs, size))
     return tuple(sorted(names, key=PName.key))
 
@@ -603,7 +603,7 @@ def reference_least_ordinal_name(poset, p, kappa, theta):
                     poset, q, Not(subst(theta, var, beta_check))):
                 break
             entries.append((q, beta_check))
-    return pname(entries)
+    return PName(entries)
 
 
 def reference_indexed_witness_name(poset, p, candidates, theta):
@@ -628,7 +628,7 @@ def reference_indexed_witness_name(poset, p, candidates, theta):
                for alpha, tau in enumerate(candidates)
                if accepts(q, tau) and
                all(rejects(q, earlier) for earlier in candidates[:alpha])]
-    rho = pname(entries)
+    rho = PName(entries)
     return rho, union_name(poset, rho)
 
 

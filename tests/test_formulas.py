@@ -59,6 +59,12 @@ class TestConstantsAndBuilders:
         phi = Exists("x", InName(C2), Member(Var("x"), Cname(C1)))
         assert constants(phi) == {C1, C2}
 
+    @pytest.mark.parametrize("bound", [RankLE, OrdLT])
+    def test_negative_bounds_refused(self, bound):
+        with pytest.raises(InvalidInput):
+            bound(-1)
+        assert bound(0).bound == 0
+
     def test_rank_and_ord_bounds_add_no_constants(self):
         phi = Exists("x", RankLE(2), Eq(Var("x"), Cname(C1)))
         assert constants(phi) == {C1}

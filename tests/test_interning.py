@@ -13,13 +13,13 @@ import pytest
 from forcelab import (
     EMPTY, EMPTY_NAME, HF, ONE, Cname, Eq, Exists, Family, FlatPoset, Forall,
     InName, Member, NameSpace, Not, Or, RankLE, Var, check_name,
-    forces_semantic, forces_syntactic, gamma_name, mix, nat, pname,
+    forces_semantic, forces_syntactic, gamma_name, mix, nat, PName,
 )
 from forcelab import formulas, hf, names
 
 VALUES = {
     "hf": lambda: HF([nat(3), HF([nat(1)])]),
-    "name": lambda: pname([("a", check_name(nat(2))), (ONE, EMPTY_NAME)]),
+    "name": lambda: PName([("a", check_name(nat(2))), (ONE, EMPTY_NAME)]),
     "formula": lambda: Exists("x", InName(check_name(nat(2))),
                               Member(Var("x"), Cname(check_name(nat(1))))),
 }
@@ -42,7 +42,7 @@ def test_round_trip_returns_the_interned_object(make, trip):
 def _name_chain(depth):
     t = EMPTY_NAME
     for i in range(depth):
-        t = pname([((i, 0), t), ((i, 1), t)])
+        t = PName([((i, 0), t), ((i, 1), t)])
     return t
 
 

@@ -7,7 +7,7 @@ from forcelab import (
     ChoicePoset, EMPTY, EMPTY_NAME, Family, FlatPoset, HF, InjPoset,
     InvalidInput, MapPoset, ONE, TruncationEscape, check_name, eval_name, gamma_name, generic_filter,
     hereditary_closure, name_conditions, name_hf, nat, ordered_pair_name,
-    pname, union_name, unordered_pair_name, kuratowski,
+    PName, union_name, unordered_pair_name, kuratowski,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -24,17 +24,17 @@ def small_hf():
 
 class TestBasics:
     def test_entries_deduplicate(self):
-        tau = pname([("a", EMPTY_NAME), ("a", EMPTY_NAME)])
+        tau = PName([("a", EMPTY_NAME), ("a", EMPTY_NAME)])
         assert len(tau.sorted_entries()) == 1
 
     def test_rank_counts_nesting(self):
         assert EMPTY_NAME.rank == 0
-        assert pname([(ONE, EMPTY_NAME)]).rank == 1
-        assert pname([(ONE, pname([(ONE, EMPTY_NAME)]))]).rank == 2
+        assert PName([(ONE, EMPTY_NAME)]).rank == 1
+        assert PName([(ONE, PName([(ONE, EMPTY_NAME)]))]).rank == 2
 
     def test_hashable_and_equal_by_entries(self):
-        t1 = pname([("a", EMPTY_NAME), ("b", EMPTY_NAME)])
-        t2 = pname([("b", EMPTY_NAME), ("a", EMPTY_NAME)])
+        t1 = PName([("a", EMPTY_NAME), ("b", EMPTY_NAME)])
+        t2 = PName([("b", EMPTY_NAME), ("a", EMPTY_NAME)])
         assert t1 == t2 and hash(t1) == hash(t2)
 
     @given(small_hf())
@@ -49,7 +49,7 @@ class TestEvaluation:
         assert eval_name(check_name(x), G_B) == x
 
     def test_eval_keeps_only_filter_entries(self):
-        tau = pname([("a", check_name(nat(1))), ("b", check_name(nat(2)))])
+        tau = PName([("a", check_name(nat(1))), ("b", check_name(nat(2)))])
         assert eval_name(tau, G_A) == HF([nat(1)])
         assert eval_name(tau, G_B) == HF([nat(2)])
 
@@ -66,15 +66,15 @@ class TestEvaluation:
             kuratowski(nat(1), nat(2))
 
     def test_union_collapse(self):
-        rho = pname([("a", pname([("a", check_name(nat(1)))])),
-                     ("b", pname([(ONE, check_name(nat(2)))]))])
+        rho = PName([("a", PName([("a", check_name(nat(1)))])),
+                     ("b", PName([(ONE, check_name(nat(2)))]))])
         tau = union_name(FLAT, rho)
         assert eval_name(tau, G_A) == HF([nat(1)])
         assert eval_name(tau, G_B) == HF([nat(2)])
 
     def test_union_respects_conjunction_of_conditions(self):
         # the inner entry only survives below conditions extending both
-        rho = pname([("a", pname([("b", check_name(nat(1)))]))])
+        rho = PName([("a", PName([("b", check_name(nat(1)))]))])
         tau = union_name(FLAT, rho)
         assert eval_name(tau, G_A) == EMPTY
         assert eval_name(tau, G_B) == EMPTY
@@ -82,27 +82,22 @@ class TestEvaluation:
 
 class TestStructure:
     def test_hereditary_closure_contains_children(self):
-        tau = pname([("a", pname([(ONE, EMPTY_NAME)]))])
+        tau = PName([("a", PName([(ONE, EMPTY_NAME)]))])
         closure = hereditary_closure([tau])
         assert EMPTY_NAME in closure and tau in closure
         assert len(closure) == 3
 
     def test_name_conditions(self):
-        tau = pname([("a", pname([("b", EMPTY_NAME)]))])
+        tau = PName([("a", PName([("b", EMPTY_NAME)]))])
         assert name_conditions(tau) == {"a", "b"}
 
     def test_name_hf_encodes_top_entries(self):
-        tau = pname([(ONE, EMPTY_NAME)])
+        tau = PName([(ONE, EMPTY_NAME)])
         assert name_hf(tau) == HF([kuratowski(EMPTY, EMPTY)])
 
     def test_name_hf_rejects_unencodable_conditions(self):
         with pytest.raises(InvalidInput):
-            name_hf(pname([("a", EMPTY_NAME)]))
-
-    def test_name_hf_with_encoder(self):
-        tau = pname([("a", EMPTY_NAME)])
-        out = name_hf(tau, FLAT.condition_hf)
-        assert out == HF([kuratowski(FLAT.condition_hf("a"), EMPTY)])
+            name_hf(PName([("a", EMPTY_NAME)]))
 
     def test_name_hf_encodes_shared_subnames_once(self):
         def unshared(tau):

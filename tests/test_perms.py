@@ -8,7 +8,7 @@ from forcelab import (
     Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
     NotInSubgroup, ONE, Perm, UnknownCondition, act_condition, act_name,
     check_name, column_support, compose, decompose,
-    is_fixed_by_Hn, nat, pname, sigma_conjugate, transposition,
+    is_fixed_by_Hn, nat, PName, sigma_conjugate, transposition,
     unordered_pair_name, xdot_name,
 )
 
@@ -153,12 +153,12 @@ class TestNameAction:
         assert act_name(transposition(0, 5), tau) == tau
 
     def test_column_support(self):
-        tau = pname([(frozenset({((3, 0), 1)}), xdot_name(GRID, 1))])
+        tau = PName([(frozenset({((3, 0), 1)}), xdot_name(GRID, 1))])
         assert column_support(tau) == frozenset({1, 3})
 
     @pytest.mark.parametrize("cond", ["a", frozenset({(0, 1)}), (1, nat(0))])
     def test_non_grid_conditions_are_rejected(self, cond):
-        tau = pname([(ONE, pname([(cond, EMPTY_NAME)]))])
+        tau = PName([(ONE, PName([(cond, EMPTY_NAME)]))])
         for call in (lambda: column_support(tau),
                      lambda: is_fixed_by_Hn(tau, 0),
                      lambda: act_name(transposition(0, 1), tau)):

@@ -10,7 +10,7 @@ from forcelab import (
     BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
     Filter, FlatPoset, InjPoset, InvalidInput, MapPoset, ONE,
     TruncationEscape,
-    UnknownCondition, compatible, enumerate_maximal_antichains,
+    UnknownCondition, enumerate_maximal_antichains,
     fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
     is_maximal_antichain, nat,
 )
@@ -62,7 +62,7 @@ class TestExplicitPoset:
     def test_compatible_iff_common_extension(self):
         p = explicit_v()
         assert not p.compatible("a", "b")
-        assert compatible(p, "a", ONE)
+        assert p.compatible("a", ONE)
 
     def test_unknown_condition(self):
         with pytest.raises(UnknownCondition):
@@ -116,9 +116,9 @@ class TestChoicePoset:
             cp.resolve(ONE)
 
     def test_antichain_counts(self):
-        assert len(enumerate_maximal_antichains(ChoicePoset(FAM21, 2), 2)) == 8
-        assert len(enumerate_maximal_antichains(ChoicePoset(FAM1, 1), 1)) == 1
-        assert len(enumerate_maximal_antichains(ChoicePoset(FAM22, 1), 1)) == 4
+        assert len(enumerate_maximal_antichains(ChoicePoset(FAM21, 2))) == 8
+        assert len(enumerate_maximal_antichains(ChoicePoset(FAM1, 1))) == 1
+        assert len(enumerate_maximal_antichains(ChoicePoset(FAM22, 1))) == 4
 
     def test_maximality_is_one_per_block(self):
         cp = ChoicePoset(FAM21, 2)
@@ -131,6 +131,10 @@ class TestChoicePoset:
         cp = ChoicePoset(FAM21, 1)
         with pytest.raises(TruncationEscape):
             cp.index_of((3, nat(0)))
+
+    def test_antichains_need_a_level_bound(self):
+        with pytest.raises(TruncationEscape):
+            enumerate_maximal_antichains(ChoicePoset(FAM21))
 
 
 class TestMapPosets:
@@ -160,6 +164,13 @@ class TestMapPosets:
     def test_untruncated_enumeration_escapes(self):
         with pytest.raises(TruncationEscape):
             MapPoset().conditions()
+
+    @pytest.mark.parametrize("make", [fn_omega_omega, inj_omega_omega])
+    def test_negative_window_refused(self, make):
+        for dom, cod in ((-1, 2), (2, -1)):
+            with pytest.raises(InvalidInput):
+                make(dom, cod)
+        assert make(0, 0).conditions() == (frozenset(),)
 
     @pytest.mark.parametrize("make", [
         lambda: fn_omega_omega(2, 2), lambda: fn_omega_omega(3, 3),
