@@ -17,8 +17,10 @@ equality, on name pairs, with no name evaluated along a filter.  Between
 check-names they reduce to the check-name lemma: every condition forces
 x-check = y-check iff x = y, and x-check in y-check iff x in y, read off the
 interned names as ``t1 is t2`` and ``(ONE, t1) in t2.entries``.  The routes
-share quantifier instances but not answers; they agree on finite posets,
-and the test suite checks that formula by formula.
+share bound ranges but not answers; they agree on finite posets, and the
+test suite checks that formula by formula.  Both decide an open formula
+under an environment, the names bound to its free variables, so no
+quantifier instance is built by substitution.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from typing import Optional, Sequence
 from .errors import InvalidInput, NotMaximalBelow, PreconditionViolated
 from .formulas import (
     And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,
-    Or, OrdLT, RankLE, is_closed, single_free_var, subst,
+    Or, OrdLT, RankLE, is_closed, single_free_var,
 )
+from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
 from .names import PName, check_name, eval_name, hereditary_closure, union_name
 from .posets import Filter, Kernel, ONE, Poset, canon_key
@@ -121,6 +124,8 @@ class NameSpace:
             hereditary_closure(first.values(), keys.__getitem__))
         self._members = frozenset(self.universe)
         self._ranks = [n.rank for n in self.universe]
+        # The routes' state for this space, built on first use.
+        self.forcer: Optional[_Forcer] = None
 
     def __contains__(self, name: PName) -> bool:
         return name in self._members
@@ -154,9 +159,15 @@ def _pair_mask(k: Kernel, filters: Sequence[Filter], bits: dict,
 class _Forcer:
     """Route state for one name space over a compiled poset: [[phi]] masks
     for the semantic route and F(phi) masks for the syntactic one, with its
-    atoms memoized by name pair.  The routes share only the kernel and
-    ``_instances_of``.  Conditions are kernel indices.  Formulas and names
-    are interned, so every table hashes its keys by identity."""
+    atoms memoized by name pair.  The routes share only the kernel and the
+    bound ranges of ``_range``.  Conditions are kernel indices.
+
+    A formula is decided under an environment ``env``, the names bound to
+    its free variables (None for a closed formula), and its mask is keyed
+    by the node and the names bound to ``phi.order``.  So a subformula that
+    does not mention a quantified variable keys alike at every instance and
+    is computed once.  Formulas and names are interned, so every table
+    hashes its keys by identity."""
 
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
@@ -164,32 +175,33 @@ class _Forcer:
         self._truth: dict = {}
         self._forcing: dict = {}
         self._atoms: dict = {}
-        self._instances: dict = {}
-
-    def rank_range(self, k: int) -> tuple[PName, ...]:
-        if self.space is None:
-            raise InvalidInput(
-                "a rank-bounded quantifier needs an ambient name space")
-        return self.space.names_of_rank_le(k)
+        self._ranges: dict = {}
 
     # -- semantic route: [[phi]] over the generic filters --------------------
 
-    def forces_sem(self, p: int, phi: Formula) -> bool:
+    def forces_sem(self, p: int, phi: Formula, env=None) -> bool:
         k = self.k
-        return not k.down[p] & k.minimal & ~self.truth(phi)
+        return not k.down[p] & k.minimal & ~self.truth(phi, env)
 
-    def truth(self, phi: Formula) -> int:
-        """[[phi]] for a closed phi: the mask of the minimal conditions a
-        such that phi holds along the generic filter ``k.filter_at(a)``."""
-        out = self._truth.get(phi)
+    def truth(self, phi: Formula, env=None) -> int:
+        """[[phi]] under env: the mask of the minimal conditions a such that
+        phi holds along the generic filter ``k.filter_at(a)``.  An atom is
+        keyed by its kind and name pair, as the syntactic ``atom`` is, so
+        atoms over distinct variables bound to one pair share a mask."""
+        if isinstance(phi, (Member, Eq)):
+            key = (type(phi), _name(phi.left, env), _name(phi.right, env))
+        else:
+            key = (phi, *map(env.__getitem__, phi.order)) if phi.order \
+                else phi
+        out = self._truth.get(key)
         if out is None:
-            out = self._truth[phi] = self._truth_of(phi)
+            out = self._truth[key] = self._truth_of(phi, env)
         return out
 
-    def _truth_of(self, phi: Formula) -> int:
+    def _truth_of(self, phi: Formula, env) -> int:
         k = self.k
         if isinstance(phi, (Member, Eq)):
-            left, right = _const(phi.left), _const(phi.right)
+            left, right = _name(phi.left, env), _name(phi.right, env)
             holds = operator.eq if isinstance(phi, Eq) else operator.contains
             out = 0
             for a in k.minimals:
@@ -198,24 +210,25 @@ class _Forcer:
                     out |= 1 << a
             return out
         if isinstance(phi, Not):
-            return k.minimal & ~self.truth(phi.body)
+            return k.minimal & ~self.truth(phi.body, env)
         if isinstance(phi, And):
-            return self.truth(phi.left) & self.truth(phi.right)
+            return self.truth(phi.left, env) & self.truth(phi.right, env)
         if isinstance(phi, Or):
-            return self.truth(phi.left) | self.truth(phi.right)
+            return self.truth(phi.left, env) | self.truth(phi.right, env)
         if isinstance(phi, Implies):
-            return k.minimal & (~self.truth(phi.left) | self.truth(phi.right))
+            return k.minimal & (~self.truth(phi.left, env)
+                                | self.truth(phi.right, env))
         if isinstance(phi, Exists):
             out = 0
-            for m, body in self._instances_of(phi):
-                out |= m & self.truth(body)
+            for m, inner in self._instances(phi, env):
+                out |= m & self.truth(phi.body, inner)
                 if out == k.minimal:
                     break
             return out
         if isinstance(phi, Forall):
             out = k.minimal
-            for m, body in self._instances_of(phi):
-                out &= ~m | self.truth(body)
+            for m, inner in self._instances(phi, env):
+                out &= ~m | self.truth(phi.body, inner)
                 if not out:
                     break
             return out
@@ -226,46 +239,49 @@ class _Forcer:
     def forces_syn(self, p: int, phi: Formula) -> bool:
         return bool(self.forcing(phi) >> p & 1)
 
-    def forcing(self, phi: Formula) -> int:
-        """F(phi) for a closed phi: the mask of the conditions forcing it,
-        by the forcing clauses applied to every condition at once."""
-        out = self._forcing.get(phi)
+    def forcing(self, phi: Formula, env=None) -> int:
+        """F(phi) under env: the mask of the conditions forcing it, by the
+        forcing clauses applied to every condition at once."""
+        if isinstance(phi, (Member, Eq)):
+            return self.atom(type(phi), _name(phi.left, env),
+                             _name(phi.right, env))
+        key = (phi, *map(env.__getitem__, phi.order)) if phi.order else phi
+        out = self._forcing.get(key)
         if out is None:
-            out = self._forcing[phi] = self._forcing_of(phi)
+            out = self._forcing[key] = self._forcing_of(phi, env)
         return out
 
-    def _forcing_of(self, phi: Formula) -> int:
+    def _forcing_of(self, phi: Formula, env) -> int:
         k = self.k
-        if isinstance(phi, (Member, Eq)):
-            return self.atom(type(phi), _const(phi.left), _const(phi.right))
         if isinstance(phi, Not):
-            return k.none_below(self.forcing(phi.body))
+            return k.none_below(self.forcing(phi.body, env))
         if isinstance(phi, And):
-            return self.forcing(phi.left) & self.forcing(phi.right)
+            return self.forcing(phi.left, env) & self.forcing(phi.right, env)
         if isinstance(phi, Or):
-            return k.dense(self.forcing(phi.left) | self.forcing(phi.right))
+            return k.dense(self.forcing(phi.left, env)
+                           | self.forcing(phi.right, env))
         if isinstance(phi, Implies):
             # none_below(F(phi) & none_below(F(psi))) in one pass: every F
             # set is regular open, so a condition of F(phi) outside F(psi)
             # has an extension in F(phi) & none_below(F(psi)).
             return k.none_below(
-                self.forcing(phi.left) & ~self.forcing(phi.right))
+                self.forcing(phi.left, env) & ~self.forcing(phi.right, env))
         if isinstance(phi, Exists):
             out = 0
-            for m, body in self._instances_of(phi):
-                out |= m & self.forcing(body)
+            for m, inner in self._instances(phi, env):
+                out |= m & self.forcing(phi.body, inner)
                 if out & k.minimal == k.minimal:
                     break
             return k.dense(out)
         if isinstance(phi, Forall):
             if isinstance(phi.bound, InName):
                 out = 0
-                for m, body in self._instances_of(phi):
-                    out |= m & ~self.forcing(body)
+                for m, inner in self._instances(phi, env):
+                    out |= m & ~self.forcing(phi.body, inner)
                 return k.none_below(out)
             out = k.full
-            for _, body in self._instances_of(phi):
-                out &= self.forcing(body)
+            for _, inner in self._instances(phi, env):
+                out &= self.forcing(phi.body, inner)
                 if not out:
                     break
             return out
@@ -299,40 +315,57 @@ class _Forcer:
         self._atoms[key] = out
         return out
 
-    def _instances_of(self, phi) -> tuple:
-        """The body of a quantified formula at each name its bound ranges
-        over, as (mask of the conditions where it applies, instance)."""
-        out = self._instances.get(phi)
+    def _instances(self, phi, env):
+        """The instances of a quantified formula: for each name its bound
+        ranges over, (mask of the conditions where it applies, env with
+        ``phi.var`` bound to the name).  One copy of env is rebound per
+        instance, so read each before asking for the next."""
+        inner = dict(env or ())
+        for m, sig in self._range(phi.bound):
+            inner[phi.var] = sig
+            yield m, inner
+
+    def _range(self, bound) -> tuple:
+        """The names a quantifier bound ranges over, as (mask of the
+        conditions where each applies, name), memoized by the interned
+        bound: the one table the routes share."""
+        out = self._ranges.get(bound)
         if out is not None:
             return out
-        bound, var, body = phi.bound, phi.var, phi.body
         if isinstance(bound, InName):
-            out = tuple((m, subst(body, var, sig))
-                        for m, sig in self.k.entry_masks(bound.name))
+            out = self.k.entry_masks(bound.name)
         elif isinstance(bound, RankLE):
-            out = tuple((self.k.full, subst(body, var, sig))
-                        for sig in self.rank_range(bound.bound))
+            if self.space is None:
+                raise InvalidInput(
+                    "a rank-bounded quantifier needs an ambient name space")
+            out = tuple((self.k.full, sig)
+                        for sig in self.space.names_of_rank_le(bound.bound))
         elif isinstance(bound, OrdLT):
-            out = tuple((self.k.full, subst(body, var, check_name(nat(i))))
+            out = tuple((self.k.full, check_name(nat(i)))
                         for i in range(bound.bound))
         else:
             raise InvalidInput(f"not a quantifier bound: {bound!r}")
-        self._instances[phi] = out
+        self._ranges[bound] = out
         return out
 
 
-def _const(term) -> PName:
-    if not isinstance(term, Cname):
-        raise InvalidInput("forcing needs a closed formula")
-    return term.name
+def _name(term, env) -> PName:
+    """The name a term stands for under env."""
+    return term.name if isinstance(term, Cname) else env[term.name]
 
 
 def _forcer(poset: Poset, space: Optional[NameSpace]) -> _Forcer:
-    forcers = poset.kernel().forcers
-    f = forcers.get(space)
-    if f is None:
-        f = forcers[space] = _Forcer(poset.kernel(), space)
-    return f
+    """The route state for the space, or for no space.  It hangs off the
+    space, or off the kernel when there is none, so it lives exactly as long
+    as they do.  A space over another poset is refused; a stand-in space
+    that names no poset is taken as given."""
+    k = poset.kernel()
+    if space is not None and getattr(space, "poset", poset) is not poset:
+        raise InvalidInput("the name space is built over another poset")
+    owner = k if space is None else space
+    if getattr(owner, "forcer", None) is None:
+        owner.forcer = _Forcer(k, space)
+    return owner.forcer
 
 
 def forces_semantic(poset: Poset, p, phi: Formula,
@@ -358,10 +391,11 @@ def holds_along(poset: Poset, filt: Filter, phi: Formula,
     is refused with ``invalid-input``."""
     if not is_closed(phi):
         raise InvalidInput("satisfaction needs a closed formula")
+    f = _forcer(poset, space)
     k = poset.kernel()
     for a in k.minimals:
         if k.filter_at(a) is filt:
-            return bool(_forcer(poset, space).truth(phi) >> a & 1)
+            return bool(f.truth(phi) >> a & 1)
     raise InvalidInput("satisfaction is decided along generic filters only")
 
 
@@ -423,7 +457,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     entries, held = [], 0
     for beta in range(kappa):
         beta_check = check_name(nat(beta))
-        held |= f.truth(subst(theta, var, beta_check))
+        held |= f.truth(theta, {var: beta_check})
         entries.extend((k.conds[q], beta_check) for q in k.exts[i]
                        if not k.down[q] & held)
         if held == k.minimal:
@@ -442,7 +476,7 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
     var = single_free_var(theta)
     f = _forcer(poset, space)
     for tau in space.universe:
-        if f.forces_sem(i, subst(theta, var, tau)):
+        if f.forces_sem(i, theta, {var: tau}):
             return tau
     return None
 
@@ -464,7 +498,7 @@ def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
     # held: where theta holds at some candidate so far
     entries, held = [], 0
     for tau in candidates:
-        mask = f.truth(subst(theta, var, tau))
+        mask = f.truth(theta, {var: tau})
         refuted = (k.minimal & ~mask) | held
         entries.extend((k.conds[q], tau) for q in k.exts[i]
                        if not k.down[q] & refuted)

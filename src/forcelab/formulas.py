@@ -109,19 +109,25 @@ Bound = Union[InName, RankLE, OrdLT]
 
 
 class _Formula(_Node):
-    """A formula node; ``free`` holds its free variables, computed once
-    when the node is built."""
+    """A formula node; ``free`` holds its free variables and ``order`` the
+    same variables sorted, the order in which the forcing routes key a mask
+    by the names bound to them.  Both are computed once, when the node is
+    built."""
 
-    __slots__ = ("free",)
+    __slots__ = ("free", "order")
+
+    def _setup(self) -> None:
+        self.free = self._free()
+        self.order = tuple(sorted(self.free))
 
 
 class _Atom(_Formula):
     __slots__ = ("left", "right")
     _fields = ("left", "right")
 
-    def _setup(self) -> None:
-        self.free = frozenset(t.name for t in (self.left, self.right)
-                              if isinstance(t, Var))
+    def _free(self) -> frozenset[str]:
+        return frozenset(t.name for t in (self.left, self.right)
+                         if isinstance(t, Var))
 
 
 class Member(_Atom):
@@ -136,16 +142,16 @@ class Not(_Formula):
     __slots__ = ("body",)
     _fields = ("body",)
 
-    def _setup(self) -> None:
-        self.free = free_vars(self.body)
+    def _free(self) -> frozenset[str]:
+        return free_vars(self.body)
 
 
 class _Binary(_Formula):
     __slots__ = ("left", "right")
     _fields = ("left", "right")
 
-    def _setup(self) -> None:
-        self.free = free_vars(self.left) | free_vars(self.right)
+    def _free(self) -> frozenset[str]:
+        return free_vars(self.left) | free_vars(self.right)
 
 
 class And(_Binary):
@@ -164,8 +170,8 @@ class _Quantifier(_Formula):
     __slots__ = ("var", "bound", "body")
     _fields = ("var", "bound", "body")
 
-    def _setup(self) -> None:
-        self.free = free_vars(self.body) - {self.var}
+    def _free(self) -> frozenset[str]:
+        return free_vars(self.body) - {self.var}
 
 
 class Exists(_Quantifier):

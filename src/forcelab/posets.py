@@ -178,8 +178,9 @@ class Kernel:
     ``exts[i]`` lists those j in ascending (canonical) order; ``minimal``
     masks the conditions with no proper extension (``minimals`` lists them)
     and ``top`` is the index of the greatest element, or None.  The forcing
-    routes keep their per-name-space state in ``forcers`` and the generic
-    filters in ``filter_at``, so all of it lives and dies with the poset.
+    routes keep their state for formulas without a name space in
+    ``forcer`` (a name space holds its own) and the generic filters in
+    ``filter_at``, so all of it lives and dies with the poset.
     """
 
     def __init__(self, poset: Poset):
@@ -196,7 +197,7 @@ class Kernel:
         self.minimal = sum(1 << i for i in self.minimals)
         self.full = (1 << len(conds)) - 1
         self.top = self.index.get(poset.top)
-        self.forcers: dict = {}
+        self.forcer = None  # forcing._Forcer, built on first use
         self._compat: Optional[tuple[int, ...]] = None
         self._filters: dict[int, Filter] = {}
         self._entries: dict = {}

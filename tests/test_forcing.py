@@ -20,6 +20,8 @@ from forcelab import (
     mix, mp_witness_search, nat, ordered_pair_name, single_free_var,
     subst, union_name, unordered_pair_name,
 )
+from forcelab import formulas as formulas_module
+from forcelab import forcing as forcing_module
 from forcelab.forcing import _Forcer
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -782,6 +784,129 @@ class TestCacheScope:
         del poset, filt
         gc.collect()
         assert ref() is None
+
+
+class TestRouteState:
+    """Route state hangs off its name space, or off the kernel for no
+    space, and quantifier instances are decided under an environment."""
+
+    @staticmethod
+    def tree_and_fn_space():
+        tree = BinaryTreePoset(2)
+        phi = Exists("x", RankLE(1), Member(Var("x"), Cname(gamma_name(tree))))
+        return tree, phi, NameSpace(fn_omega_omega(2, 2), (EMPTY_NAME,), 1)
+
+    @pytest.mark.parametrize("ask", [
+        lambda tree, phi, space: forces_semantic(tree, ONE, phi, space),
+        lambda tree, phi, space: forces_syntactic(tree, ONE, phi, space),
+        lambda tree, phi, space: holds_along(
+            tree, generic_filter(tree, "00"), phi, space),
+        lambda tree, phi, space: mp_witness_search(
+            tree, ONE, phi.body, space),
+    ], ids=["forces_semantic", "forces_syntactic", "holds_along",
+            "mp_witness_search"])
+    def test_space_over_another_poset_refused(self, ask):
+        tree, phi, space = self.tree_and_fn_space()
+        with pytest.raises(InvalidInput) as info:
+            ask(tree, phi, space)
+        assert info.value.code == "invalid-input"
+        assert space.forcer is None
+
+    def test_dropped_spaces_and_their_forcers_are_freed(self):
+        poset = FlatPoset(FAM)
+        gamma = Cname(gamma_name(poset))
+        phi = Exists("x", RankLE(1), Member(Var("x"), gamma))
+        assert forces_semantic(poset, ONE, Forall("x", InName(gamma.name),
+                                                  Member(Var("x"), gamma)))
+        spaceless = poset.kernel().forcer
+        refs = []
+        for _ in range(1000):
+            space = NameSpace(poset, (EMPTY_NAME,), 1)
+            assert forces_syntactic(poset, ONE, phi, space)
+            refs += [weakref.ref(space), weakref.ref(space.forcer)]
+        del space
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert poset.kernel().forcer is spaceless
+        assert not hasattr(poset.kernel(), "forcers")
+
+    def test_no_instance_is_built_by_substitution(self, monkeypatch):
+        """With subst refusing every call, the routes and the witness
+        constructions answer as the substituted instances do."""
+        def build():
+            poset = FlatPoset(FAM)
+            gamma = gamma_name(poset)
+            x, y = Var("x"), Var("y")
+            in_gamma = Member(x, Cname(gamma))
+            formulas = [q("x", bound, body) for q in (Exists, Forall)
+                        for bound in (InName(gamma), OrdLT(3), RankLE(1))
+                        for body in (in_gamma, Not(in_gamma), Eq(x, A_CHECK))]
+            b_check = Cname(check_name(poset.condition_hf("b")))
+            formulas.append(Exists("x", InName(gamma), Forall(
+                "y", OrdLT(3), Or(Member(y, x), Not(Member(y, b_check))))))
+            theta = Or(And(Eq(x, Cname(check_name(nat(1)))), Member(
+                A_CHECK, Cname(gamma))), Not(Member(A_CHECK, Cname(gamma))))
+            return poset, NameSpace(poset, (gamma,), 1), formulas, theta
+
+        poset, space, formulas, theta = build()
+        k = poset.kernel()
+        want_routes = [
+            [all(reference_sat(phi, k.filter_at(a), space)
+                 for a in k.minimals if k.down[i] >> a & 1)
+             for i in range(len(k.conds))] for phi in formulas]
+        candidates = [check_name(nat(2)), check_name(nat(1))]
+        want_witness = next(
+            tau for tau in space.universe
+            if forces_semantic(poset, "a", subst(theta, "x", tau), space))
+        want_least = reference_least_ordinal_name(poset, ONE, 3, theta)
+        want_indexed = reference_indexed_witness_name(
+            poset, ONE, candidates, theta)
+
+        def refuse(*args):
+            raise AssertionError("a quantifier instance was substituted")
+
+        monkeypatch.setattr(formulas_module, "subst", refuse)
+        monkeypatch.setattr(forcing_module, "subst", refuse)
+        poset, space, formulas, theta = build()
+        for phi, want in zip(formulas, want_routes):
+            for c, forced in zip(poset.conditions(), want):
+                assert forces_semantic(poset, c, phi, space) is forced, \
+                    (phi, c)
+                assert forces_syntactic(poset, c, phi, space) is forced, \
+                    (phi, c)
+        assert mp_witness_search(poset, "a", theta, space) is want_witness
+        assert least_ordinal_name(poset, ONE, 3, theta) is want_least
+        assert indexed_witness_name(poset, ONE, candidates, theta) == \
+            want_indexed
+
+    def test_subformula_without_the_variable_computed_once(self, monkeypatch):
+        calls = {}
+
+        def counting(method):
+            def wrapper(self, phi, env):
+                calls[method.__name__, phi] = \
+                    calls.get((method.__name__, phi), 0) + 1
+                return method(self, phi, env)
+            return wrapper
+
+        for method in (_Forcer._truth_of, _Forcer._forcing_of):
+            monkeypatch.setattr(_Forcer, method.__name__, counting(method))
+        poset = BinaryTreePoset(2)
+        gamma = Cname(gamma_name(poset))
+        x, y = Var("x"), Var("y")
+        closed = Not(Member(Cname(check_name(nat(1))), gamma))
+        x_only = Not(Member(x, gamma))
+        both = Or(Member(y, x), Eq(x, y))
+        phi = Forall("x", InName(gamma.name), Exists(
+            "y", OrdLT(3), Or(And(x_only, closed), both)))
+        forces_semantic(poset, ONE, phi)
+        forces_syntactic(poset, ONE, phi)
+        xs = len({sig for _, sig in poset.kernel().entry_masks(gamma.name)})
+        assert xs > 1
+        for route in ("_truth_of", "_forcing_of"):
+            assert calls[route, closed] == 1
+            assert 1 < calls[route, x_only] <= xs
+            assert calls[route, both] > calls[route, x_only]
 
 
 def hf_of_rank_le(r):

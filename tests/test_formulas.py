@@ -20,6 +20,7 @@ class TestFreeVars:
     def test_quantifier_binds(self):
         phi = Exists("x", RankLE(1), Member(Var("x"), Var("y")))
         assert free_vars(phi) == {"y"}
+        assert And(phi, Member(Var("z"), Var("a"))).order == ("a", "y", "z")
         assert not is_closed(phi)
         assert is_closed(Forall("y", OrdLT(2), phi))
 

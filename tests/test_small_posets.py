@@ -1,0 +1,119 @@
+"""Both forcing routes certified on every small poset, not on a seeded
+battery: every poset on 1 to 4 elements up to isomorphism, each with a top
+added, and every formula of a systematic family, at every condition."""
+
+import itertools
+import time
+
+from forcelab import (
+    And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Forall, Implies,
+    InName, Member, Not, Or, OrdLT, PName, Var, check_name, forces_semantic,
+    forces_syntactic, gamma_name, nat,
+)
+from forcelab.forcing import _forcer
+
+# Posets on 1, 2, 3 and 4 elements up to isomorphism (OEIS A000112).
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
+
+
+def strict_orders(n):
+    """One strict order on range(n), as a set of (below, above) pairs, per
+    isomorphism class."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seen = set()
+    for bits in range(1 << len(cells)):
+        lt = {c for k, c in enumerate(cells) if bits >> k & 1}
+        if any((j, i) in lt for i, j in lt):
+            continue
+        if any((i, l) not in lt
+               for i, j in lt for k, l in lt if j == k):
+            continue
+        canon = min(tuple(sorted((perm[i], perm[j]) for i, j in lt))
+                    for perm in itertools.permutations(range(n)))
+        if canon not in seen:
+            seen.add(canon)
+            yield lt
+
+
+def small_posets():
+    for n, count in POSET_COUNTS.items():
+        orders = list(strict_orders(n))
+        assert len(orders) == count, n
+        for lt in orders:
+            elements = [f"e{i}" for i in range(n)]
+            pairs = [(f"e{i}", f"e{j}") for i, j in lt]
+            pairs += [(e, "1") for e in elements]
+            yield ExplicitPoset(elements + ["1"], pairs, "1")
+
+
+def battery(poset):
+    """Atoms over four names, InName-quantified formulas over them, their
+    negations and every conjunction, disjunction and implication of two of
+    them; then two-variable nestings whose inner body mentions both
+    variables, and one rebinding of a variable under its own quantifier."""
+    conds = poset.conditions()
+    gamma = gamma_name(poset)
+    one = check_name(nat(1))
+    mixed = PName([(conds[0], EMPTY_NAME), (conds[1], one)])
+    names = [EMPTY_NAME, one, gamma, mixed]
+    terms = [Cname(n) for n in names]
+    x, y = Var("x"), Var("y")
+    base = [kind(a, b) for kind in (Member, Eq) for a in terms for b in terms]
+    base += [q("x", InName(n), Member(x, Cname(gamma)))
+             for q in (Exists, Forall) for n in names]
+    out = base + [Not(phi) for phi in base]
+    out += [kind(a, b) for kind in (And, Or, Implies)
+            for a in base for b in base]
+    bounds = [InName(n) for n in names] + [OrdLT(2)]
+    out += [q1("x", b1, q2("y", b2, body))
+            for q1, q2 in itertools.product((Exists, Forall), repeat=2)
+            for b1, b2 in itertools.product(bounds, repeat=2)
+            for body in (Member(y, x), Eq(x, y), Or(Member(x, y), Not(
+                Member(y, Cname(gamma)))))]
+    out.append(Exists("x", InName(gamma),
+                      Exists("x", InName(one), Member(x, Cname(gamma)))))
+    return out
+
+
+def test_routes_agree_on_every_small_poset():
+    # The routes are asked through the forcer that forces_semantic and
+    # forces_syntactic use, by kernel index: the public entry points'
+    # argument checks would take most of the time bound.
+    start = time.monotonic()
+    posets = list(small_posets())
+    assert len(posets) == sum(POSET_COUNTS.values())
+    checked = 0
+    for poset in posets:
+        f = _forcer(poset, None)
+        conds = range(len(poset.conditions()))
+        for phi in battery(poset):
+            for p in conds:
+                assert f.forces_sem(p, phi) == f.forces_syn(p, phi), \
+                    (poset.conditions(), phi, p)
+            checked += len(conds)
+    assert checked > 500_000
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def test_shadowed_variable():
+    # Inside the rebinding x ranges over 1-check = {0}, so x in gamma holds
+    # exactly where the condition numbered 0 is in the generic filter; once
+    # the rebinding ends, x is the outer variable again, and gamma also has
+    # the top's number, 2, so not every x in gamma is 0.
+    # Each formula is asked on a fresh poset, with nothing memoized.
+    def vee():
+        return ExplicitPoset(["a", "b", "1"], [("a", "1"), ("b", "1")], "1")
+
+    gamma = Cname(gamma_name(vee()))
+    x = Var("x")
+    inner = Exists("x", InName(check_name(nat(1))), Member(x, gamma))
+    for phi, answers in (
+            (Exists("x", InName(gamma.name), inner), (True, False, False)),
+            (Forall("x", InName(gamma.name),
+                    And(inner, Eq(x, Cname(check_name(nat(0)))))),
+             (False, False, False))):
+        poset = vee()
+        for p, want in zip(("a", "b", "1"), answers):
+            assert forces_semantic(poset, p, phi) is want, (phi, p)
+            assert forces_syntactic(poset, p, phi) is want, (phi, p)
