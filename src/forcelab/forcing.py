@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+import weakref
 from typing import Optional, Sequence
 
 from .errors import InvalidInput, NotMaximalBelow, PreconditionViolated
@@ -64,7 +65,10 @@ class NameSpace:
     ``len(space)`` counts the classes, plus any such children.  All
     ``2^pairs`` subsets are still enumerated, without building a name for
     each, and more than :data:`MAX_UNIVERSE` of them is refused with
-    ``invalid-input`` before the poset is compiled.
+    ``invalid-input`` before the poset is compiled.  The enumeration meets
+    the classes in canonical order, so each class costs one interned name,
+    built in the order met, with no key table and no sort of the universe;
+    only the few closure names kept are placed by bisection.
     """
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
@@ -83,15 +87,17 @@ class NameSpace:
                 f"name space too large: 2^{len(pairs)} assembled names")
         k = poset.kernel()
         filters = [k.filter_at(i) for i in range(len(k.conds))]
-        pair_key = {e: (canon_key(e[0]), e[1].key()) for e in pairs}
-        pairs.sort(key=pair_key.__getitem__)
+        pairs.sort(key=lambda e: (canon_key(e[0]), e[1].key()))
         bits: dict[tuple[int, HF], int] = {}
         masks = [_pair_mask(k, filters, bits, c, s) for c, s in pairs]
         ranks = [1 + s.rank for _, s in pairs]
         # A subset's rank is the largest of its pairs', so at each rank r
         # the subsets of the pairs of rank at most r are enumerated by size,
         # each size in lexicographic order of sorted entry keys: the first
-        # subset met for a new mask is the least in canonical order.
+        # subset met for a new mask is the least in canonical order.  A
+        # mask first met at rank r has rank exactly r, as the subsets of
+        # lower rank were all met before, so the classes are met in
+        # canonical order too, and the walk's order is the universe's.
         best: dict = {}
         for r in sorted({0, *ranks}):
             below_r = [j for j, rank in enumerate(ranks) if rank <= r]
@@ -101,28 +107,32 @@ class NameSpace:
                     for j in combo:
                         mask |= masks[j]
                     best.setdefault(mask, combo)
-        # An assembled name's PName.key, read off its sorted pairs.
-        keys = {n: n.key() for n in closure}
-        first = {}
-        for mask, combo in best.items():
-            n = first[mask] = PName(pairs[j] for j in combo)
-            keys[n] = (max((ranks[j] for j in combo), default=0), len(combo),
-                       tuple(pair_key[pairs[j]] for j in combo))
+        first = {mask: PName(map(pairs.__getitem__, combo))
+                 for mask, combo in best.items()}
+        universe = list(first.values())
+        members = set(universe)
         # A closure name's class is keyed like an assembled one, by the bits
         # of its (filter, value) pairs; a pair no entry contributes gets a
         # fresh bit, so its class has no assembled member.  It never comes
         # before an assembled name of its class: of rank at most the bound,
         # it is assembled itself unless it names the top, which ONE
         # undercuts, or a condition outside the truncation, in no filter.
+        # Such first names and the children of kept names are kept too; the
+        # few that were not assembled are placed by bisection on PName.key.
+        roots = {pairs[j][1] for j in set().union(*best.values())}
         for n in closure:
             cls = 0
             for i, f in enumerate(filters):
                 for x in eval_name(n, f).members:
                     cls |= 1 << bits.setdefault((i, x), len(bits))
-            first.setdefault(cls, n)
-        self.universe: tuple[PName, ...] = tuple(
-            hereditary_closure(first.values(), keys.__getitem__))
-        self._members = frozenset(self.universe)
+            if first.setdefault(cls, n) is n:
+                roots.add(n)
+        for n in hereditary_closure(roots):
+            if n not in members:
+                members.add(n)
+                bisect.insort(universe, n, key=PName.key)
+        self.universe: tuple[PName, ...] = tuple(universe)
+        self._members = frozenset(members)
         self._ranks = [n.rank for n in self.universe]
         # The routes' state for this space, built on first use.
         self.forcer: Optional[_Forcer] = None
@@ -167,11 +177,13 @@ class _Forcer:
     by the node and the names bound to ``phi.order``.  So a subformula that
     does not mention a quantified variable keys alike at every instance and
     is computed once.  Formulas and names are interned, so every table
-    hashes its keys by identity."""
+    hashes its keys by identity.  The space, which holds its forcer, is held
+    through a weak proxy, so a dropped space and its forcer are freed by
+    reference counting, with no cycle for the collector to find."""
 
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
-        self.space = space
+        self.space = None if space is None else weakref.proxy(space)
         self._truth: dict = {}
         self._forcing: dict = {}
         self._atoms: dict = {}

@@ -11,15 +11,15 @@ bounds so that both satisfaction and the forcing relation stay decidable:
 
 from __future__ import annotations
 
-import weakref
 from typing import Union
 
 from .errors import InvalidInput
+from .hf import unique_table
 from .names import PName
 
 # The unique table: every live term, bound and formula node, keyed by
 # (class, *fields), held weakly like HF sets and names.
-_UNIQUE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_UNIQUE, _enter = unique_table()
 
 
 class _Node:
@@ -35,7 +35,8 @@ class _Node:
 
     def __new__(cls, *args):
         key = (cls, *args)
-        node = _UNIQUE.get(key)
+        ref = _UNIQUE.get(key)
+        node = None if ref is None else ref()
         if node is None:
             if len(args) != len(cls._fields):
                 raise TypeError(
@@ -45,7 +46,7 @@ class _Node:
             for field, value in zip(cls._fields, args):
                 setattr(node, field, value)
             node._setup()
-            _UNIQUE[key] = node
+            _enter(key, node)
         return node
 
     def _setup(self) -> None:

@@ -10,12 +10,38 @@ deterministic.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-# The unique table: every live HF set, keyed by its member frozenset.  It
-# holds the sets weakly, so a set lives only as long as something else
-# refers to it.
-_UNIQUE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    """A unique table's weak reference to an interned object, with its key."""
+
+    __slots__ = ("key",)
+
+
+def unique_table() -> tuple[dict, Callable]:
+    """A weak unique table, mapping each key to a weak reference to the one
+    live object with that key (a reference that gives None once the object
+    has died), and the function that enters an object in it.  A dying object's callback deletes its key
+    only while the key still maps to that reference, and reads no module
+    global, so it is safe at interpreter exit.  Unlike a
+    WeakValueDictionary's, a lookup runs no Python code."""
+    table: dict = {}
+
+    def forget(ref: _Ref) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    def enter(key, obj) -> None:
+        ref = table[key] = _Ref(obj, forget)
+        ref.key = key
+
+    return table, enter
+
+
+# The unique table: every live HF set, keyed by its member frozenset and
+# held weakly.
+_UNIQUE, _enter = unique_table()
 
 
 class HF:
@@ -30,7 +56,8 @@ class HF:
 
     def __new__(cls, members: Iterable["HF"] = ()):
         ms = frozenset(members)
-        h = _UNIQUE.get(ms)
+        ref = _UNIQUE.get(ms)
+        h = None if ref is None else ref()
         if h is None:
             for m in ms:
                 if not isinstance(m, HF):
@@ -40,7 +67,7 @@ class HF:
             h.members = ms
             h.rank = 1 + max((m.rank for m in ms), default=-1)
             h._key = None
-            _UNIQUE[ms] = h
+            _enter(ms, h)
         return h
 
     def __init__(self, members: Iterable["HF"] = ()):

@@ -13,17 +13,16 @@ own greatest element, so those constructors need no poset argument.
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import InvalidInput
-from .hf import HF, EMPTY as HF_EMPTY, kuratowski
+from .hf import HF, EMPTY as HF_EMPTY, kuratowski, unique_table
 from .posets import ONE, Poset, canon_key
 
 
-# The unique table: every live name, keyed by its entry frozenset, held
-# weakly like the HF sets in ``hf._UNIQUE``.
-_UNIQUE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The unique table: every live name, keyed by its entry frozenset and held
+# weakly, a table of the same kind as ``hf._UNIQUE``.
+_UNIQUE, _enter = unique_table()
 
 
 class PName:
@@ -39,7 +38,8 @@ class PName:
 
     def __new__(cls, entries: Iterable[tuple[object, "PName"]] = ()):
         es = frozenset(entries)
-        n = _UNIQUE.get(es)
+        ref = _UNIQUE.get(es)
+        n = None if ref is None else ref()
         if n is None:
             members = []
             for entry in es:
@@ -58,7 +58,7 @@ class PName:
             n.value = None if members is None else HF(members)
             n._key = None
             n._sorted = None
-            _UNIQUE[es] = n
+            _enter(es, n)
         return n
 
     def __init__(self, entries: Iterable[tuple[object, "PName"]] = ()):
@@ -111,10 +111,9 @@ class PName:
 EMPTY_NAME = PName()
 
 
-def hereditary_closure(names: Iterable[PName],
-                       key: Callable = PName.key) -> list[PName]:
-    """All names reachable through entries, the inputs included, sorted by
-    ``key``: :meth:`PName.key` or a key that orders names as it does."""
+def hereditary_closure(names: Iterable[PName]) -> list[PName]:
+    """All names reachable through entries, the inputs included, in
+    canonical order (:meth:`PName.key`)."""
     seen: set[PName] = set()
     stack = list(names)
     while stack:
@@ -123,7 +122,7 @@ def hereditary_closure(names: Iterable[PName],
             continue
         seen.add(n)
         stack.extend(child for _, child in n.entries)
-    return sorted(seen, key=key)
+    return sorted(seen, key=PName.key)
 
 
 # Check-names by value, held strongly: the check-names of condition codes

@@ -830,6 +830,24 @@ class TestRouteState:
         assert poset.kernel().forcer is spaceless
         assert not hasattr(poset.kernel(), "forcers")
 
+    def test_queried_spaces_freed_without_the_collector(self):
+        # A space holds its forcer and the forcer holds the space weakly,
+        # so reference counting alone frees both once the space is dropped.
+        tree = BinaryTreePoset(2)
+        phi = Exists("x", RankLE(1),
+                     Member(Var("x"), Cname(gamma_name(tree))))
+        refs = []
+        gc.disable()
+        try:
+            for _ in range(10):
+                space = NameSpace(tree, BASES, 1)
+                assert forces_semantic(tree, ONE, phi, space)
+                refs += [weakref.ref(space), weakref.ref(space.forcer)]
+                del space
+            assert [ref() for ref in refs] == [None] * 20
+        finally:
+            gc.enable()
+
     def test_no_instance_is_built_by_substitution(self, monkeypatch):
         """With subst refusing every call, the routes and the witness
         constructions answer as the substituted instances do."""

@@ -4,9 +4,13 @@ what a finished computation no longer uses."""
 
 import copy
 import gc
+import os
 import pickle
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from forcelab import (
     forces_semantic, forces_syntactic, gamma_name, mix, nat, PName,
 )
 from forcelab import formulas, hf, names
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 VALUES = {
     "hf": lambda: HF([nat(3), HF([nat(1)])]),
@@ -98,3 +104,70 @@ def test_unique_tables_stay_bounded_over_repeated_batches():
     third = _table_sizes()
     assert [r() for r in refs] == [None, None]
     assert all(t <= f for t, f in zip(third, first)), (first, third)
+
+
+# Values no other test builds, with the key of each in its unique table.
+FRESH = {
+    "hf": (hf, lambda: HF([nat(5), HF([nat(5), HF([nat(5)])])]),
+           lambda h: h.members),
+    "name": (names, lambda: PName([("interning", check_name(nat(5)))]),
+             lambda n: n.entries),
+}
+
+
+@pytest.fixture
+def no_collector():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("module, make, key_of", FRESH.values(),
+                         ids=FRESH.keys())
+def test_dropped_value_leaves_its_table(no_collector, module, make, key_of):
+    value = make()
+    key = key_of(value)
+    assert module._UNIQUE[key]() is value
+    del value
+    assert key not in module._UNIQUE
+
+
+@pytest.mark.parametrize("module, make, key_of", FRESH.values(),
+                         ids=FRESH.keys())
+def test_reinterning_after_death_keeps_one_live_value(no_collector, module,
+                                                     make, key_of):
+    table = module._UNIQUE
+    value = make()
+    key = key_of(value)
+    old = table[key]
+    forget = old.__callback__
+    del value
+    assert old() is None and key not in table
+    # A dead reference still in the table, as when the collector has
+    # cleared it but not yet run its callback, is replaced on lookup.
+    table[key] = old
+    again = make()
+    assert make() is again and table[key]() is again
+    # The stale callback, run late, leaves the live entry alone.
+    forget(old)
+    assert table[key]() is again
+    del again
+    assert key not in table
+
+
+def test_cold_process_exits_with_an_empty_stderr():
+    # Interned values still alive at interpreter exit, some in reference
+    # cycles, must not make the tables' callbacks raise during shutdown.
+    code = (
+        "import forcelab as f\n"
+        "p = f.FlatPoset(f.Family([('a', [f.nat(0)]), ('b', [f.nat(1)])]))\n"
+        "g = f.gamma_name(p)\n"
+        "s = f.NameSpace(p, [g], 1)\n"
+        "phi = f.Exists('x', f.RankLE(1), f.Member(f.Var('x'), f.Cname(g)))\n"
+        "assert f.forces_semantic(p, f.ONE, phi, s)\n"
+        "keep = [s, phi, f.HF([f.nat(3)])]\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert (out.returncode, out.stderr) == (0, "")

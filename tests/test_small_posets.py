@@ -1,14 +1,17 @@
 """Both forcing routes certified on every small poset, not on a seeded
 battery: every poset on 1 to 4 elements up to isomorphism, each with a top
-added, and every formula of a systematic family, at every condition."""
+added, and every formula of a systematic family, at every condition; and
+the rank-bounded quantifiers and witness search over each poset's name
+space."""
 
 import itertools
 import time
 
 from forcelab import (
     And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Forall, Implies,
-    InName, Member, Not, Or, OrdLT, PName, Var, check_name, forces_semantic,
-    forces_syntactic, gamma_name, nat,
+    InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName, RankLE, Var,
+    check_name, eval_name, forces_semantic, forces_syntactic, gamma_name,
+    mp_witness_search, nat,
 )
 from forcelab.forcing import _forcer
 
@@ -94,6 +97,65 @@ def test_routes_agree_on_every_small_poset():
     assert checked > 500_000
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def first_of_each_class(poset):
+    """The least name in canonical order (PName.key) of each class of names
+    with equal values along every filter, among those of rank at most 1
+    assembled from (condition, 0) entries, the top written as ONE: the
+    universe of NameSpace(poset, (0, 1-check), 1), by brute force."""
+    k = poset.kernel()
+    entries = [(ONE, EMPTY_NAME)] + [
+        (c, EMPTY_NAME) for c in poset.conditions() if c != poset.top]
+    assembled = sorted((PName(combo) for size in range(len(entries) + 1)
+                        for combo in itertools.combinations(entries, size)),
+                       key=PName.key)
+    first = {}
+    for tau in assembled:
+        first.setdefault(tuple(eval_name(tau, k.filter_at(i))
+                               for i in range(len(k.conds))), tau)
+    return sorted(first.values(), key=PName.key)
+
+
+def test_rank_bounded_quantifiers_on_every_small_poset():
+    # Over NameSpace(poset, (0, 1-check), 1), whose universe is first
+    # checked against brute force: [rank <= 1] quantifiers over
+    # every atom between the bound variable and 0, 1-check and gamma, both
+    # ways round, by both routes at every condition; and a witness search
+    # for every member of the space and for gamma, at every condition,
+    # against the first member with the target's values along the generic
+    # filters below the condition, found by direct evaluation.
+    start = time.monotonic()
+    v = Var("v")
+    searches = 0
+    for poset in small_posets():
+        gamma = gamma_name(poset)
+        space = NameSpace(poset, (EMPTY_NAME, check_name(nat(1))), 1)
+        atoms = [kind(a, b) for t in (EMPTY_NAME, check_name(nat(1)), gamma)
+                 for kind in (Member, Eq) for a, b in ((v, Cname(t)),
+                                                      (Cname(t), v))]
+        for phi in [q("v", RankLE(1), a) for q in (Exists, Forall)
+                    for a in atoms]:
+            for p in poset.conditions():
+                assert forces_semantic(poset, p, phi, space) == \
+                    forces_syntactic(poset, p, phi, space), (phi, p)
+        k = poset.kernel()
+        assert list(space.universe) == first_of_each_class(poset)
+        for i, p in enumerate(k.conds):
+            filters = [k.filter_at(a) for a in k.minimals
+                       if k.down[i] >> a & 1]
+            values = {tau: [eval_name(tau, f) for f in filters]
+                      for tau in space.universe}
+            for target in (*space.universe, gamma):
+                want = [eval_name(target, f) for f in filters]
+                first = next((tau for tau in space.universe
+                              if values[tau] == want), None)
+                assert mp_witness_search(poset, p, Eq(v, Cname(target)),
+                                         space) is first, (p, target)
+                searches += 1
+    assert searches > 1000
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 
 def test_shadowed_variable():
