@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
+    check_natural,
 )
 from .forcing import _forcer, forces_semantic
 from .formulas import (
@@ -98,8 +99,7 @@ def antichain_from_choice(f: ChoiceFunction,
     if set(levels) != set(labels):
         raise InvalidInput("levels must assign every block label exactly once")
     for lab, n in levels.items():
-        if not isinstance(n, int) or n < 0:
-            raise InvalidInput(f"level of block {lab!r} must be a natural")
+        check_natural(n, f"the level of block {lab!r}")
     return frozenset((levels[lab], f[lab]) for lab in labels)
 
 

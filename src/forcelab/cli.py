@@ -170,46 +170,10 @@ def dumps(payload, indent: Optional[int] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
-
-
-def _args_exactly(cmd: Command, count: int, usage: str):
-    if len(cmd.args) != count:
-        raise InvalidInput(f"usage: command {usage}")
-    return cmd.args
-
-
-_REQUIRED = object()
-
-
-def _kwarg_int(cmd: Command, key: str, default=_REQUIRED) -> Optional[int]:
-    """An integer keyword argument; with no default it must be given, and a
-    default of None leaves it optional."""
-    value = cmd.kwarg(key, default)
-    if value is _REQUIRED:
-        raise InvalidInput(f"the command needs {key}=<int>")
-    if value is not None and not isinstance(value, int):
-        raise InvalidInput(f"{key} must be an integer")
-    return value
-
-
-def _resolve_cond(scenario: Scenario, poset: Poset, arg):
-    """A condition argument: 1, a declared cond, or a bare element name."""
-    if isinstance(arg, int):
-        if arg == 1:
-            return ONE
-        raise InvalidInput("a numeric condition can only be 1")
-    entry = scenario.entities.get(arg)
-    if entry is not None:
-        kind, payload = entry
-        if kind != "cond":
-            raise InvalidInput(f"{arg!r} is a {kind}, expected a condition")
-        owner, cond = payload
-        if owner is not poset:
-            raise InvalidInput(
-                f"condition {arg!r} was declared over a different poset")
-        return cond
-    return poset.resolve(arg)
+# subcommands
+#
+# A handler takes the identifiers written for its positional arguments, for
+# its report, then the values they resolve to and its keyword values.
 
 
 def _max_rank_bound(phi: Formula) -> Optional[int]:
@@ -238,25 +202,7 @@ def _space_for(poset: Poset, phi: Formula,
     return NameSpace(poset, tuple(constants(phi)), rank)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def run_parse_only(scenario: Scenario, cmd: Optional[Command]) -> dict:
-    return {
-        "command": cmd.verb if cmd is not None else None,
-        "declarations": {ident: kind
-                         for ident, (kind, _) in scenario.entities.items()},
-        "ok": True,
-    }
-
-
-def run_thm1(scenario: Scenario, cmd: Command) -> dict:
-    mode, fam_id = _args_exactly(cmd, 2, "thm1 enumerate <family> level=<L>")
-    if mode != "enumerate":
-        raise InvalidInput(f"unknown thm1 mode {mode!r}")
-    family = scenario.lookup(fam_id, "family", tok=cmd.tokens.get(1))
-    level = _kwarg_int(cmd, "level", 1)
+def run_thm1(ids, family, level) -> dict:
     poset = ChoicePoset(family, level)
     antichains = enumerate_maximal_antichains(poset)
     rows = []
@@ -274,17 +220,13 @@ def run_thm1(scenario: Scenario, cmd: Command) -> dict:
     for lab in family.labels:
         expected *= level * len(family.blocks[lab])
     return {
-        "mode": "enumerate", "family": fam_id, "level": level,
+        "mode": "enumerate", "family": ids[0], "level": level,
         "count": len(antichains), "expected": expected,
         "antichains": rows, "choices": choices, "roundtrip_ok": roundtrip_ok,
     }
 
 
-def run_thm2(scenario: Scenario, cmd: Command) -> dict:
-    mode, fam_id = _args_exactly(cmd, 2, "thm2 extract <family>")
-    if mode != "extract":
-        raise InvalidInput(f"unknown thm2 mode {mode!r}")
-    family = scenario.lookup(fam_id, "family", tok=cmd.tokens.get(1))
+def run_thm2(ids, family) -> dict:
     flat = FlatPoset(family)
     taus = []
     extracted = []
@@ -304,40 +246,29 @@ def run_thm2(scenario: Scenario, cmd: Command) -> dict:
     for lab in family.labels:
         expected *= len(family.blocks[lab])
     return {
-        "mode": "extract", "family": fam_id,
+        "mode": "extract", "family": ids[0],
         "count": len(extracted), "expected": expected,
         "complete": len(seen) == expected, "roundtrip_ok": roundtrip_ok,
         "choices": extracted, "witnesses": witnesses,
     }
 
 
-def run_forces(scenario: Scenario, cmd: Command) -> dict:
-    poset_id, cond_arg, phi_id = _args_exactly(
-        cmd, 3, "forces <poset> <condition> <formula> [rank=<K>]")
-    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
-    p = _resolve_cond(scenario, poset, cond_arg)
-    phi = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
-    space = _space_for(poset, phi, _kwarg_int(cmd, "rank", None))
+def run_forces(ids, poset, p, phi, rank) -> dict:
+    space = _space_for(poset, phi, rank)
     sem = forces_semantic(poset, p, phi, space)
     syn = forces_syntactic(poset, p, phi, space)
     return {
-        "poset": poset_id, "condition": cond_json(poset, p),
-        "formula": phi_id, "forces": sem, "routes_agree": sem == syn,
+        "poset": ids[0], "condition": cond_json(poset, p),
+        "formula": ids[2], "forces": sem, "routes_agree": sem == syn,
     }
 
 
-def run_witness(scenario: Scenario, cmd: Command) -> dict:
-    poset_id, cond_arg, phi_id = _args_exactly(
-        cmd, 3, "witness <poset> <condition> <formula> rank=<K>")
-    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
-    p = _resolve_cond(scenario, poset, cond_arg)
-    theta = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
-    rank = _kwarg_int(cmd, "rank", 1)
+def run_witness(ids, poset, p, theta, rank) -> dict:
     space = NameSpace(poset, tuple(constants(theta)), rank)
     tau = mp_witness_search(poset, p, theta, space)
     report = {
-        "poset": poset_id, "condition": cond_json(poset, p),
-        "formula": phi_id, "rank": rank, "found": tau is not None,
+        "poset": ids[0], "condition": cond_json(poset, p),
+        "formula": ids[2], "rank": rank, "found": tau is not None,
         "witness": None, "evaluations": {},
     }
     if tau is not None:
@@ -347,47 +278,27 @@ def run_witness(scenario: Scenario, cmd: Command) -> dict:
     return report
 
 
-def run_mix(scenario: Scenario, cmd: Command) -> dict:
-    if len(cmd.args) < 4:
-        raise InvalidInput(
-            "usage: command mix <poset> <condition> <conds> <name>...")
-    poset_id, cond_arg, conds_id = cmd.args[:3]
-    name_ids = cmd.args[3:]
-    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
-    p = _resolve_cond(scenario, poset, cond_arg)
-    owner, antichain = scenario.lookup(conds_id, "conds",
-                                       tok=cmd.tokens.get(2))
-    if owner is not poset:
-        raise InvalidInput(
-            f"conditions {conds_id!r} were declared over a different poset")
-    names = [scenario.lookup(n, "name", tok=cmd.tokens.get(3 + i))
-             for i, n in enumerate(name_ids)]
+def run_mix(ids, poset, p, antichain, names) -> dict:
     if len(names) != len(antichain):
         raise InvalidInput(
             "need exactly one name per antichain member, in written order")
     mixed = mix(poset, p, antichain, dict(zip(antichain, names)))
     _check_report_size(mixed)
     return {
-        "poset": poset_id, "condition": cond_json(poset, p),
+        "poset": ids[0], "condition": cond_json(poset, p),
         "antichain": [cond_json(poset, c) for c in antichain],
-        "names": list(name_ids), "mixed": name_json(poset, mixed),
+        "names": list(ids[3:]), "mixed": name_json(poset, mixed),
         "evaluations": evaluations_json(poset, p, mixed),
     }
 
 
-def run_leastord(scenario: Scenario, cmd: Command) -> dict:
-    poset_id, cond_arg, phi_id = _args_exactly(
-        cmd, 3, "leastord <poset> <condition> <formula> kappa=<K>")
-    poset = scenario.lookup(poset_id, "poset", tok=cmd.tokens.get(0))
-    p = _resolve_cond(scenario, poset, cond_arg)
-    theta = scenario.lookup(phi_id, "formula", tok=cmd.tokens.get(2))
-    kappa = _kwarg_int(cmd, "kappa")
+def run_leastord(ids, poset, p, theta, kappa) -> dict:
     tau = least_ordinal_name(poset, p, kappa, theta)
     _check_report_size(tau)
     var = single_free_var(theta)
     return {
-        "poset": poset_id, "condition": cond_json(poset, p),
-        "formula": phi_id, "kappa": kappa, "name": name_json(poset, tau),
+        "poset": ids[0], "condition": cond_json(poset, p),
+        "formula": ids[2], "kappa": kappa, "name": name_json(poset, tau),
         "forces_theta": forces_semantic(poset, p, subst(theta, var, tau)),
         "evaluations": evaluations_json(poset, p, tau),
     }
@@ -398,121 +309,193 @@ def run_leastord(scenario: Scenario, cmd: Command) -> dict:
 DECOMPOSE_RANGE = 100
 
 
-def run_decompose(scenario: Scenario, cmd: Command) -> dict:
-    (perm_id,) = _args_exactly(cmd, 1, "decompose <perm> n=<n> k=<k>")
-    perm = scenario.lookup(perm_id, "perm", tok=cmd.tokens.get(0))
-    n = _kwarg_int(cmd, "n")
-    k = _kwarg_int(cmd, "k")
+def run_decompose(ids, perm, n, k) -> dict:
     first, second = decompose(perm, n, k)
     composition_ok = all(perm.apply(m) == first.apply(second.apply(m))
                          for m in range(DECOMPOSE_RANGE))
     return {
-        "perm": perm_id, "n": n, "k": k, "pi": perm_json(perm),
+        "perm": ids[0], "n": n, "k": k, "pi": perm_json(perm),
         "pi1": perm_json(first), "pi2": perm_json(second),
         "pi1_in_Hn": first.in_Hn(n), "pi2_fixes_k": second.fixes_below(k),
         "composition_ok": composition_ok, "range": DECOMPOSE_RANGE,
     }
 
 
-def run_symcheck(scenario: Scenario, cmd: Command) -> dict:
-    (name_id,) = _args_exactly(cmd, 1, "symcheck <name> n=<n>")
-    tau = scenario.lookup(name_id, "name", tok=cmd.tokens.get(0))
-    n = _kwarg_int(cmd, "n", 0)
+def run_symcheck(ids, tau, n) -> dict:
     return {
-        "name": name_id, "n": n, "fixed": is_fixed_by_Hn(tau, n),
+        "name": ids[0], "n": n, "fixed": is_fixed_by_Hn(tau, n),
         "support": sorted(column_support(tau)),
     }
 
 
-def run_cohen(scenario: Scenario, cmd: Command) -> dict:
-    if not cmd.args:
-        raise InvalidInput("usage: command cohen <mode> ...")
-    mode = cmd.args[0]
-    if mode == "roundtrip":
-        _, asg_id = _args_exactly(cmd, 2, "cohen roundtrip <assignment>")
-        asg = scenario.lookup(asg_id, "assignment", tok=cmd.tokens.get(1))
-        g1 = g_to_g1(asg)
-        back = g1_to_g(asg.grid, g1)
-        return {
-            "mode": "roundtrip", "assignment": asg_id,
-            "section": {str(c): sorted(asg.column(c))
-                        for c in range(asg.grid.cols)},
-            "g1_size": len(g1.conditions),
-            "decided_ok": back == asg.filter(),
-        }
-    if mode == "hat":
-        _, asg_id, name_id = _args_exactly(
-            cmd, 3, "cohen hat <assignment> <name>")
-        asg = scenario.lookup(asg_id, "assignment", tok=cmd.tokens.get(1))
-        tau = scenario.lookup(name_id, "name", tok=cmd.tokens.get(2))
-        p1 = asg.p1_poset()
-        hat = hat_map(tau, p1)
-        orig = eval_name(tau, asg.filter())
-        hat_eval = eval_name(hat, g_to_g1(asg))
-        return {
-            "mode": "hat", "assignment": asg_id, "name": name_id,
-            "hat_entries": len(hat.entries),
-            "orig_eval": render(orig), "hat_eval": render(hat_eval),
-            "match": orig == hat_eval,
-        }
-    if mode == "edense":
-        _, asg_id, conds_id = _args_exactly(
-            cmd, 3, "cohen edense <assignment> <conds>")
-        asg = scenario.lookup(asg_id, "assignment", tok=cmd.tokens.get(1))
-        owner, dense = scenario.lookup(conds_id, "conds",
-                                       tok=cmd.tokens.get(2))
-        if owner is not asg.grid:
-            raise InvalidInput(
-                f"conditions {conds_id!r} were declared over a different grid")
-        e = e_dense(asg, dense)
-        p1 = asg.p1_poset()
-        return {
-            "mode": "edense", "assignment": asg_id, "count": len(e),
-            "e": sorted(p1.condition_repr(q) for q in e),
-            "dense_ok": is_dense(p1, e),
-        }
-    if mode == "conjugate":
-        _, sigma_id = _args_exactly(
-            cmd, 2, "cohen conjugate <sigma> n=<n> bound=<N> grid=<grid>")
-        sigma = scenario.lookup(sigma_id, "sigma", tok=cmd.tokens.get(1))
-        n = _kwarg_int(cmd, "n")
-        bound = _kwarg_int(cmd, "bound")
-        grid_id = cmd.kwarg("grid")
-        if grid_id is None:
-            raise InvalidInput("the conjugate mode needs grid=<grid>")
-        grid = scenario.lookup(grid_id, "grid", tok=cmd.tokens.get("grid"))
-        perm, translated = sigma_conjugate(sigma, n, bound)
-        r1 = r_sigma_name(grid, sigma)
-        r2 = r_sigma_name(grid, translated)
-        return {
-            "mode": "conjugate", "sigma": [list(p) for p in sorted(sigma)],
-            "n": n, "bound": bound, "pi": perm_json(perm),
-            "sigma_prime": [list(p) for p in sorted(translated)],
-            "name_match": act_name(perm, r1) == r2,
-            "compatible": InjPoset().compatible(sigma, translated),
-        }
-    raise InvalidInput(f"unknown cohen mode {mode!r}")
+def run_roundtrip(ids, asg) -> dict:
+    g1 = g_to_g1(asg)
+    back = g1_to_g(asg.grid, g1)
+    return {
+        "mode": "roundtrip", "assignment": ids[0],
+        "section": {str(c): sorted(asg.column(c))
+                    for c in range(asg.grid.cols)},
+        "g1_size": len(g1.conditions),
+        "decided_ok": back == asg.filter(),
+    }
 
 
+def run_hat(ids, asg, tau) -> dict:
+    p1 = asg.p1_poset()
+    hat = hat_map(tau, p1)
+    orig = eval_name(tau, asg.filter())
+    hat_eval = eval_name(hat, g_to_g1(asg))
+    return {
+        "mode": "hat", "assignment": ids[0], "name": ids[1],
+        "hat_entries": len(hat.entries),
+        "orig_eval": render(orig), "hat_eval": render(hat_eval),
+        "match": orig == hat_eval,
+    }
+
+
+def run_edense(ids, asg, dense) -> dict:
+    e = e_dense(asg, dense)
+    p1 = asg.p1_poset()
+    return {
+        "mode": "edense", "assignment": ids[0], "count": len(e),
+        "e": sorted(p1.condition_repr(q) for q in e),
+        "dense_ok": is_dense(p1, e),
+    }
+
+
+def run_conjugate(ids, sigma, n, bound, grid) -> dict:
+    perm, translated = sigma_conjugate(sigma, n, bound)
+    r1 = r_sigma_name(grid, sigma)
+    r2 = r_sigma_name(grid, translated)
+    return {
+        "mode": "conjugate", "sigma": [list(p) for p in sorted(sigma)],
+        "n": n, "bound": bound, "pi": perm_json(perm),
+        "sigma_prime": [list(p) for p in sorted(translated)],
+        "name_match": act_name(perm, r1) == r2,
+        "compatible": InjPoset().compatible(sigma, translated),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the verb table
+
+# Marks a keyword that must be given.
+_REQUIRED = object()
+
+# The kinds of declaration.  A keyword named after one, as ``grid=`` is,
+# holds an identifier of that kind; every other keyword holds an integer.
+_DECLARED = ("family", "poset", "grid", "assignment", "sigma", "name",
+             "formula", "perm", "cond", "conds")
+
+# One row per verb, or per verb and mode: the kinds of its positional
+# arguments, its keywords with their defaults, and its handler.  A kind is
+# a kind of declaration, or ``cond`` for a condition of the poset before
+# it, ``conds`` for conditions declared over the poset (or the assignment's
+# grid) before it, or ``name...`` for one or more names.
 HANDLERS = {
-    "parse-only": run_parse_only,
-    "thm1": run_thm1,
-    "thm2": run_thm2,
-    "forces": run_forces,
-    "witness": run_witness,
-    "mix": run_mix,
-    "leastord": run_leastord,
-    "decompose": run_decompose,
-    "symcheck": run_symcheck,
-    "cohen": run_cohen,
+    "thm1 enumerate": (("family",), {"level": 1}, run_thm1),
+    "thm2 extract": (("family",), {}, run_thm2),
+    "forces": (("poset", "cond", "formula"), {"rank": None}, run_forces),
+    "witness": (("poset", "cond", "formula"), {"rank": 1}, run_witness),
+    "mix": (("poset", "cond", "conds", "name..."), {}, run_mix),
+    "leastord": (("poset", "cond", "formula"), {"kappa": _REQUIRED},
+                 run_leastord),
+    "decompose": (("perm",), {"n": _REQUIRED, "k": _REQUIRED},
+                  run_decompose),
+    "symcheck": (("name",), {"n": 0}, run_symcheck),
+    "cohen roundtrip": (("assignment",), {}, run_roundtrip),
+    "cohen hat": (("assignment", "name"), {}, run_hat),
+    "cohen edense": (("assignment", "conds"), {}, run_edense),
+    "cohen conjugate": (("sigma",), {"n": _REQUIRED, "bound": _REQUIRED,
+                                     "grid": _REQUIRED}, run_conjugate),
 }
+
+
+def usage(row: str) -> str:
+    """The usage line of a row of HANDLERS."""
+    kinds, keywords, _ = HANDLERS[row]
+    words = ["command", row, *(f"<{kind}>" for kind in kinds)]
+    for key, default in keywords.items():
+        word = f"{key}=<{key if key in _DECLARED else 'int'}>"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _resolve_cond(scenario: Scenario, poset: Poset, arg):
+    """A condition argument: 1, a declared cond, or a bare element name."""
+    if isinstance(arg, int):
+        if arg == 1:
+            return ONE
+        raise InvalidInput("a numeric condition can only be 1")
+    entry = scenario.entities.get(arg)
+    if entry is not None:
+        kind, payload = entry
+        if kind != "cond":
+            raise InvalidInput(f"{arg!r} is a {kind}, expected a condition")
+        owner, cond = payload
+        if owner is not poset:
+            raise InvalidInput(
+                f"condition {arg!r} was declared over a different poset")
+        return cond
+    return poset.resolve(arg)
+
+
+def run_command(scenario: Scenario, cmd: Command) -> dict:
+    """The report of a scenario's command: its row of HANDLERS, chosen by
+    the verb and, for a verb with modes, the first argument, resolves every
+    argument, and the row's handler runs on the values."""
+    row, args, first = cmd.verb, cmd.args, 0
+    if row not in HANDLERS:
+        modes = [key for key in HANDLERS if key.split()[0] == cmd.verb]
+        row = f"{cmd.verb} {args[0]}" if args else None
+        if row not in modes:
+            raise InvalidInput("usage: " + "; ".join(map(usage, modes))
+                               if modes else f"unknown verb {cmd.verb!r}")
+        args, first = args[1:], 1
+    kinds, keywords, handler = HANDLERS[row]
+    for key, tok in cmd.key_tokens.items():
+        if key not in keywords:
+            raise ParseError(f"command {row} reads no keyword {key!r}",
+                             tok.line, tok.col)
+    if len(args) < len(kinds) or \
+            len(args) > len(kinds) and kinds[-1] != "name...":
+        raise InvalidInput("usage: " + usage(row))
+    values, owner = [], None
+    for i, (kind, arg) in enumerate(zip(kinds, args), first):
+        if kind == "cond":
+            values.append(_resolve_cond(scenario, owner, arg))
+        elif kind == "name...":
+            values.append([scenario.lookup(n, "name", tok=cmd.tokens.get(j))
+                           for j, n in enumerate(args[i - first:], i)])
+        elif kind == "conds":
+            over, conds = scenario.lookup(arg, kind, tok=cmd.tokens.get(i))
+            if over is not owner:
+                raise InvalidInput(
+                    f"conditions {arg!r} were declared over another poset")
+            values.append(conds)
+        else:
+            values.append(scenario.lookup(arg, kind, tok=cmd.tokens.get(i)))
+            owner = values[-1].grid if kind == "assignment" else values[-1]
+    options = {}
+    for key, default in keywords.items():
+        value = cmd.kwarg(key, default)
+        if value is _REQUIRED:
+            raise InvalidInput(f"the command needs {key}=; usage: "
+                               + usage(row))
+        if key in _DECLARED:
+            value = scenario.lookup(value, key, tok=cmd.tokens.get(key))
+        elif value is not None and not isinstance(value, int):
+            raise InvalidInput(f"{key} must be an integer")
+        options[key] = value
+    return handler(args, *values, **options)
 
 
 # Built once at import: the options never change, and building them again
 # on every call was a measurable share of a small report's time.
 _PARSER = argparse.ArgumentParser(
     prog="forcelab", description="Run a forcing-laboratory scenario file.")
-_PARSER.add_argument("subcommand", choices=sorted(HANDLERS))
+_PARSER.add_argument("subcommand", choices=sorted(
+    {"parse-only"} | {row.split()[0] for row in HANDLERS}))
 _PARSER.add_argument("file", help="scenario file to run")
 _PARSER.add_argument("--seed", type=int, default=0,
                      help="echoed into the report for reproducibility")
@@ -563,14 +546,20 @@ def _run(argv: Optional[list[str]]) -> int:
     try:
         scenario = parse_scenario(_decode(data))
         cmd = scenario.command
-        if opts.subcommand != "parse-only":
-            if cmd is None:
-                raise InvalidInput("the scenario file declares no command")
-            if cmd.verb != opts.subcommand:
-                raise InvalidInput(
-                    f"the file's command is {cmd.verb!r}, "
-                    f"not {opts.subcommand!r}")
-        report = HANDLERS[opts.subcommand](scenario, cmd)
+        if opts.subcommand == "parse-only":
+            report = {
+                "command": cmd.verb if cmd is not None else None,
+                "declarations": {ident: kind for ident, (kind, _)
+                                 in scenario.entities.items()},
+                "ok": True,
+            }
+        elif cmd is None:
+            raise InvalidInput("the scenario file declares no command")
+        elif cmd.verb != opts.subcommand:
+            raise InvalidInput(f"the file's command is {cmd.verb!r}, "
+                               f"not {opts.subcommand!r}")
+        else:
+            report = run_command(scenario, cmd)
         report["seed"] = opts.seed
         _emit(report, opts.pretty)
         return 0

@@ -52,6 +52,8 @@ use the element identifier (or 1), the choice poset uses ``(level, hf)``,
 map posets use ``{u->v, ...}``, grids use ``{(c,r)=bit, ...}``, trees use a
 bit list, and ``1`` always denotes the greatest element, so an explicit
 poset may name an element ``1`` only when it is the top.
+
+A command gives each keyword (``ID "="``) at most once.
 """
 
 from __future__ import annotations
@@ -146,8 +148,9 @@ class Command:
     kwargs: tuple = ()
     # Where each argument was written, so that an error about it can carry
     # its position: its index in ``args``, or the key of a keyword
-    # argument, to the token of its value.
+    # argument, to the token of its value; and each key to its own token.
     tokens: dict = field(default_factory=dict, compare=False, repr=False)
+    key_tokens: dict = field(default_factory=dict, compare=False, repr=False)
 
     def kwarg(self, key: str, default=None):
         for k, v in self.kwargs:
@@ -625,6 +628,7 @@ class Parser:
         args = []
         kwargs = []
         tokens = {}
+        key_tokens = {}
         while True:
             tok = self.peek()
             if tok.kind == "end":
@@ -636,6 +640,9 @@ class Parser:
             if tok.kind == "ident":
                 name = self.next().text
                 if self.accept("punct", "="):
+                    if name in key_tokens:
+                        self.fail(f"keyword {name!r} is given twice", tok)
+                    key_tokens[name] = tok
                     vtok = self.next()
                     if vtok.kind == "int":
                         kwargs.append((name, int(vtok.text)))
@@ -650,7 +657,7 @@ class Parser:
                 continue
             self.fail("unexpected token in command arguments")
         self.scenario.command = Command(verb, tuple(args), tuple(kwargs),
-                                        tokens)
+                                        tokens, key_tokens)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -17,6 +17,15 @@ class InvalidInput(ForceLabError):
     code = "invalid-input"
 
 
+def check_natural(value, what: str, least: int = 0) -> int:
+    """``value`` when it is an integer of at least ``least``; any other
+    value, a bool or float included, is refused with InvalidInput."""
+    if type(value) is not int or value < least:
+        raise InvalidInput(
+            f"{what} must be an integer of at least {least}, not {value!r}")
+    return value
+
+
 class UnknownCondition(ForceLabError):
     code = "unknown-condition"
 

@@ -31,7 +31,9 @@ import operator
 import weakref
 from typing import Optional, Sequence
 
-from .errors import InvalidInput, NotMaximalBelow, PreconditionViolated
+from .errors import (
+    InvalidInput, NotMaximalBelow, PreconditionViolated, check_natural,
+)
 from .formulas import (
     And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,
     Or, OrdLT, RankLE, is_closed, single_free_var,
@@ -73,8 +75,7 @@ class NameSpace:
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
                  rank_bound: int):
-        if rank_bound < 0:
-            raise InvalidInput("rank bound must be nonnegative")
+        check_natural(rank_bound, "rank bound")
         self.poset = poset
         self.base_names = tuple(base_names)
         self.rank_bound = rank_bound
@@ -460,8 +461,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     It reads one [[theta(beta-check)]] mask per ordinal.
     """
     i = poset.index_of(p)
-    if kappa < 1:
-        raise InvalidInput("kappa must be at least 1")
+    check_natural(kappa, "kappa", 1)
     var = single_free_var(theta)
     f = _forcer(poset, None)
     k = f.k

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_natural
 from .hf import unique_table
 from .names import PName
 
@@ -93,9 +93,7 @@ class _NatBound(_Node):
     _fields = ("bound",)
 
     def _setup(self) -> None:
-        if self.bound < 0:
-            raise InvalidInput(
-                f"a quantifier bound must be nonnegative, not {self.bound}")
+        check_natural(self.bound, "a quantifier bound")
 
 
 class RankLE(_NatBound):

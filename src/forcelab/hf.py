@@ -12,6 +12,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterable, Iterator
 
+from .errors import InvalidInput
+
 
 class _Ref(weakref.ref):
     """A unique table's weak reference to an interned object, with its key."""
@@ -128,8 +130,8 @@ _NATS: list[HF] = [EMPTY]
 
 def nat(n: int) -> HF:
     """The von Neumann natural n = {0, 1, ..., n-1}."""
-    if n < 0:
-        raise ValueError("naturals only")
+    if type(n) is not int or n < 0:
+        raise InvalidInput(f"naturals only, not {n!r}")
     while len(_NATS) <= n:
         _NATS.append(HF(_NATS))
     return _NATS[n]

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     InvalidInput, MalformedSigma, NotInSubgroup, UnknownCondition,
+    check_natural,
 )
 from .names import PName, name_conditions
 from .posets import ONE, CohenGridPoset, canon_key, is_injection
@@ -51,8 +52,8 @@ class Chain:
             raise InvalidInput("chain tail steps must be positive")
         if na + nb < 0 or pa + pb < 0:
             raise InvalidInput("chain tail values must stay nonnegative")
-        if any(not isinstance(v, int) or v < 0 for v in self.mid):
-            raise InvalidInput("chain window values must be naturals")
+        for v in self.mid:
+            check_natural(v, "a chain window value")
         if len(set(self.mid)) != len(self.mid):
             raise InvalidInput("chain window values must be distinct")
         for v in self.mid:
@@ -147,8 +148,8 @@ def _canon_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
     items = tuple(cycle)
     if len(set(items)) != len(items):
         raise InvalidInput("cycle entries must be distinct")
-    if any(not isinstance(v, int) or v < 0 for v in items):
-        raise InvalidInput("cycle entries must be naturals")
+    for v in items:
+        check_natural(v, "a cycle entry")
     start = items.index(min(items))
     return items[start:] + items[:start]
 
@@ -283,8 +284,7 @@ def decompose(perm: Perm, n: int, k: int) -> tuple[Perm, Perm]:
     indices 1..N and the second shifts the chain with that window spliced
     out, which moves only values at least k.
     """
-    if n < 0 or k <= n:
-        raise InvalidInput("need 0 <= n < k")
+    check_natural(k, "k", check_natural(n, "n") + 1)
     if not perm.fixes_below(n):
         raise NotInSubgroup(f"the permutation moves a point below {n}")
     first_cycles: list[tuple[int, ...]] = []
@@ -368,8 +368,7 @@ def is_fixed_by_Hn(tau: PName, n: int) -> bool:
     fresh one, generate enough of the subgroup: any column outside the
     support acts like any other, so the finite test decides fixedness.
     """
-    if n < 0:
-        raise InvalidInput("n must be a natural")
+    check_natural(n, "n")
     support = column_support(tau)
     fresh = max([n - 1, *support]) + 1
     pool = sorted(c for c in support if c >= n) + [fresh]
@@ -408,8 +407,7 @@ def sigma_conjugate(sigma: Iterable[tuple[int, int]], n: int,
     otherwise, so the two relation conditions they describe are compatible.
     """
     sigma = frozenset(sigma)
-    if n < 0 or bound < n:
-        raise MalformedSigma("need 0 <= n <= bound")
+    check_natural(bound, "bound", check_natural(n, "n"))
     _check_sigma(sigma, n, bound)
     perm = Perm((k, bound + k) for k in range(n, bound))
     translated = frozenset(

@@ -25,6 +25,7 @@ from .errors import (
     InvalidInput,
     TruncationEscape,
     UnknownCondition,
+    check_natural,
 )
 from .hf import HF, from_int_set, kuratowski, nat, render
 
@@ -422,8 +423,8 @@ class ChoicePoset(Poset):
     top = None
 
     def __init__(self, family: Family, level_bound: Optional[int] = None):
-        if level_bound is not None and level_bound < 1:
-            raise InvalidInput("level bound must be at least 1")
+        if level_bound is not None:
+            check_natural(level_bound, "level bound", 1)
         self.family = family
         self.level_bound = level_bound
 
@@ -591,9 +592,8 @@ class InjPoset(MapPoset):
 
 
 def _windows(dom_bound: int, cod_bound: int) -> dict:
-    if dom_bound < 0 or cod_bound < 0:
-        raise InvalidInput("truncation bounds must be nonnegative")
-    return {"dom_window": range(dom_bound), "cod_window": range(cod_bound)}
+    return {"dom_window": range(check_natural(dom_bound, "dom bound")),
+            "cod_window": range(check_natural(cod_bound, "cod bound"))}
 
 
 def fn_omega_omega(dom_bound: int, cod_bound: int) -> MapPoset:
@@ -617,10 +617,8 @@ class CohenGridPoset(MapPoset):
     injective = False
 
     def __init__(self, cols: int, rows: int):
-        if cols < 1 or rows < 1:
-            raise InvalidInput("grid needs at least one column and one row")
-        self.cols = cols
-        self.rows = rows
+        self.cols = check_natural(cols, "cols", 1)
+        self.rows = check_natural(rows, "rows", 1)
         cells = [(c, r) for c in range(cols) for r in range(rows)]
         super().__init__(dom_window=cells, cod_window=(0, 1))
 
@@ -651,9 +649,7 @@ class BinaryTreePoset(Poset):
     top = ""
 
     def __init__(self, depth: int):
-        if depth < 1:
-            raise InvalidInput("depth must be at least 1")
-        self.depth = depth
+        self.depth = check_natural(depth, "depth", 1)
 
     def is_condition(self, c) -> bool:
         return isinstance(c, str) and all(ch in "01" for ch in c)

@@ -138,6 +138,9 @@ BAD_KWARG_OR_NAME = {
         "forces", "invalid-input",
         "poset P inj dom = 2 cod = -1\nformula phi = check(0) = check(0)\n"
         "command forces P 1 phi\n"),
+    "decompose-without-k": (
+        "decompose", "invalid-input",
+        "perm pi = (0 1)\ncommand decompose pi n=0\n"),
 }
 
 
@@ -151,6 +154,9 @@ def test_bad_kwarg_or_name_exits_2_without_traceback(tmp_path, verb, code,
     assert out.returncode == 2 and out.stderr == ""
     assert json.loads(out.stdout)["error"]["code"] == code
 
+
+DECLARATIONS = ("family F { a: {0} b: {1} }\nposet P flat F\n"
+                "name g = gamma(P)\nformula phi = check(0) in g\n")
 
 BAD_REFERENCE = {
     "family-as-poset": (
@@ -168,15 +174,75 @@ BAD_REFERENCE = {
 def test_bad_command_reference_exits_1_with_position(tmp_path, verb, command,
                                                      message, line, col):
     bad = tmp_path / "bad.fl"
-    bad.write_text("family F { a: {0} b: {1} }\nposet P flat F\n"
-                   "name g = gamma(P)\nformula phi = check(0) in g\n"
-                   + command)
+    bad.write_text(DECLARATIONS + command)
     out = run_cli(verb, str(bad))
     assert out.returncode == 1 and out.stderr == ""
     err = json.loads(out.stdout)["error"]
     assert err["code"] == "unresolved-reference"
     assert message in err["message"]
     assert (err["line"], err["col"]) == (line, col)
+
+
+# A keyword that the command's verb does not read, or one given twice, is a
+# syntax error at the keyword itself: the first unknown one, or the second
+# copy.
+BAD_KEYWORD = {
+    "unknown-keywords": (
+        "forces", "command forces P b phi rnak=2 bogus=x\n",
+        "reads no keyword 'rnak'", 5, 24),
+    "repeated-keyword": (
+        "leastord", "formula theta(x) = x in g\n"
+        "command leastord P 1 theta kappa=3 kappa=5\n",
+        "'kappa' is given twice", 6, 36),
+    "keyword-of-another-mode": (
+        "cohen", "grid G cols = 1 rows = 1\nassignment a G [0]\n"
+        "command cohen roundtrip a grid=G\n",
+        "reads no keyword 'grid'", 7, 27),
+}
+
+
+@pytest.mark.parametrize("verb, command, message, line, col",
+                         BAD_KEYWORD.values(), ids=BAD_KEYWORD.keys())
+def test_bad_keyword_exits_1_at_the_keyword(tmp_path, verb, command, message,
+                                            line, col):
+    bad = tmp_path / "bad.fl"
+    bad.write_text(DECLARATIONS + command)
+    out = run_cli(verb, str(bad))
+    assert out.returncode == 1 and out.stderr == ""
+    err = json.loads(out.stdout)["error"]
+    assert err["code"] == "syntax-error"
+    assert message in err["message"]
+    assert (err["line"], err["col"]) == (line, col)
+
+
+# A command with no mode, an unknown mode or too many arguments: (verb,
+# command, the rows whose usage lines the message lists).
+BAD_USAGE = {
+    "thm1-without-mode": ("thm1", "command thm1\n", ["thm1 enumerate"]),
+    "cohen-without-mode": (
+        "cohen", "command cohen\n",
+        ["cohen roundtrip", "cohen hat", "cohen edense", "cohen conjugate"]),
+    "cohen-unknown-mode": (
+        "cohen", "command cohen flip g\n",
+        ["cohen roundtrip", "cohen hat", "cohen edense", "cohen conjugate"]),
+    "forces-extra-argument": (
+        "forces", "command forces P 1 phi phi\n", ["forces"]),
+    "thm2-extra-argument": (
+        "thm2", "command thm2 extract F F\n", ["thm2 extract"]),
+}
+
+
+@pytest.mark.parametrize("verb, command, rows", BAD_USAGE.values(),
+                         ids=BAD_USAGE.keys())
+def test_bad_usage_exits_2_with_the_usage_lines(tmp_path, verb, command,
+                                                rows):
+    bad = tmp_path / "bad.fl"
+    bad.write_text(DECLARATIONS + command)
+    out = run_cli(verb, str(bad))
+    assert out.returncode == 2 and out.stderr == ""
+    err = json.loads(out.stdout)["error"]
+    assert err["code"] == "invalid-input"
+    assert err["message"] == "usage: " + "; ".join(map(cli.usage, rows))
 
 
 # A file that is not UTF-8: (its bytes, the line and column of the first
@@ -358,7 +424,7 @@ def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):
 
     sc = parse_scenario(Path(thm2_file(tmp_path, 12)).read_text())
     memo: dict = {}
-    payload = counted(cli.run_thm2(sc, sc.command), memo)
+    payload = counted(cli.run_command(sc, sc.command), memo)
     lists = {id(x): x for x in memo.values()}
     pairs: set = set()
     # 185 distinct lists, which unfold to more than 2^13.

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from forcelab import (
-    EMPTY_NAME, BinaryTreePoset, NameSpace, check_name, fn_omega_omega,
+    EMPTY_NAME, BinaryTreePoset, NameSpace, check_name, cli, fn_omega_omega,
     hereditary_closure, nat,
 )
 
@@ -35,3 +35,11 @@ def test_readme_states_the_name_space_figures():
         # A pair is (condition, child), with ONE standing for the top.
         pairs = len(poset.conditions()) * children
         assert (len(NameSpace(poset, bases, 1)), 2 ** pairs) == (kept, total)
+
+
+def test_readme_lists_every_usage_line():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Command line"):
+                     readme.index("### Scenario language")]
+    listed = re.findall(r"^command .*$", section, re.MULTILINE)
+    assert listed == [cli.usage(row) for row in cli.HANDLERS]

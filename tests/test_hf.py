@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
-    EMPTY, HF, from_int_set, kuratowski, nat, nat_value,
+    EMPTY, HF, InvalidInput, from_int_set, kuratowski, nat, nat_value,
     render,
 )
 
@@ -42,7 +42,7 @@ class TestConstruction:
         assert nat_value(HF([nat(1)])) is None
 
     def test_nat_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             nat(-1)
 
     def test_from_int_set(self):

@@ -1,16 +1,19 @@
 """Both forcing routes certified on every small poset, not on a seeded
 battery: every poset on 1 to 4 elements up to isomorphism, each with a top
-added, and every formula of a systematic family, at every condition; and
-the rank-bounded quantifiers and witness search over each poset's name
-space."""
+added, and every formula of a systematic family, at every condition; the
+rank-bounded quantifiers and witness search over each poset's name space;
+and mixing and least-ordinal names at every condition."""
 
 import itertools
 import time
 
+import pytest
+
 from forcelab import (
     And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Forall, Implies,
-    InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName, RankLE, Var,
-    check_name, eval_name, forces_semantic, forces_syntactic, gamma_name,
+    InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName,
+    PreconditionViolated, RankLE, Var, check_name, eval_name,
+    forces_semantic, forces_syntactic, gamma_name, least_ordinal_name, mix,
     mp_witness_search, nat,
 )
 from forcelab.forcing import _forcer
@@ -154,6 +157,71 @@ def test_rank_bounded_quantifiers_on_every_small_poset():
                                          space) is first, (p, target)
                 searches += 1
     assert searches > 1000
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def maximal_antichains_below(poset, p):
+    """Every maximal antichain below p, by brute force over the public
+    order and compatibility."""
+    below = [q for q in poset.conditions() if poset.le(q, p)]
+    for size in range(1, len(below) + 1):
+        for members in itertools.combinations(below, size):
+            if not any(poset.compatible(a, b)
+                       for a, b in itertools.combinations(members, 2)) \
+                    and all(any(poset.compatible(q, a) for a in members)
+                            for q in below):
+                yield members
+
+
+def test_mix_and_least_ordinal_name_on_every_small_poset():
+    # At every condition p, with the names 0, 1-check, gamma and a name
+    # mixed by hand: each assignment of them along each maximal antichain
+    # below p mixes to a name that every member forces equal to its own
+    # name, by both routes.  For theta(x) = x in s with s among them and
+    # kappa = 3, least_ordinal_name refuses exactly when a generic filter
+    # below p has no beta < 3 in s; otherwise p forces theta of its name by
+    # both routes, and the name takes the least such beta along every
+    # generic filter below p.
+    start = time.monotonic()
+    x = Var("x")
+    one = check_name(nat(1))
+    mixes = names = refusals = 0
+    for poset in small_posets():
+        f = _forcer(poset, None)
+        k = poset.kernel()
+        conds = poset.conditions()
+        pool = [EMPTY_NAME, one, gamma_name(poset),
+                PName([(conds[0], EMPTY_NAME), (conds[1], one)])]
+        for i, p in enumerate(k.conds):
+            for members in maximal_antichains_below(poset, p):
+                for chosen in itertools.product(pool, repeat=len(members)):
+                    mixed = mix(poset, p, members, dict(zip(members, chosen)))
+                    mixes += 1
+                    for r, tau in zip(members, chosen):
+                        phi = Eq(Cname(mixed), Cname(tau))
+                        j = poset.index_of(r)
+                        assert f.forces_sem(j, phi), (conds, p, members, r)
+                        assert f.forces_syn(j, phi), (conds, p, members, r)
+            filters = [k.filter_at(a) for a in k.minimals
+                       if k.down[i] >> a & 1]
+            for s in pool:
+                theta = Member(x, Cname(s))
+                least = [next((beta for beta in range(3)
+                               if nat(beta) in eval_name(s, g)), None)
+                         for g in filters]
+                if None in least:
+                    with pytest.raises(PreconditionViolated):
+                        least_ordinal_name(poset, p, 3, theta)
+                    refusals += 1
+                    continue
+                tau = least_ordinal_name(poset, p, 3, theta)
+                names += 1
+                phi = Member(Cname(tau), Cname(s))
+                assert f.forces_sem(i, phi) and f.forces_syn(i, phi), (p, s)
+                assert [eval_name(tau, g) for g in filters] == \
+                    [nat(beta) for beta in least], (conds, p, s)
+    assert (mixes, names, refusals) == (1864, 292, 140)
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
 

@@ -7,12 +7,18 @@ with ``ast``; none of them is imported.
 """
 
 import ast
+import contextlib
 import importlib
+import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from forcelab import cli, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
 
@@ -71,3 +77,38 @@ def test_tracer_calls_resolve():
     for module, attr, _ in calls:
         assert hasattr(importlib.import_module(module), attr), \
             f"{module}.{attr}"
+
+
+
+def test_traced_cli_names_stay_live(monkeypatch):
+    """Every name the tracer wraps in ``forcelab.cli`` is still called when
+    the committed scenarios run, so a handler calls it as a module global
+    rather than through a reference bound at import, which the trace would
+    miss; and the wrappers leave every report as its golden."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    calls = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["CALLS"])
+    wrapped = {attr for module, attr, _ in calls if module == "forcelab.cli"}
+    counts: Counter = Counter()
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in wrapped:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    scenarios = sorted((ROOT / "scenarios").glob("*.fl"))
+    assert len(scenarios) == 16
+    for path in scenarios:
+        command = parse_scenario(path.read_text()).command
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main([command.verb if command else "parse-only",
+                               str(path)])
+        assert status == 0
+        assert out.getvalue() == \
+            (ROOT / "tests" / "golden" / f"{path.stem}.json").read_text()
+    assert sorted(attr for attr in wrapped if not counts[attr]) == []
