@@ -6,6 +6,10 @@ independent routes, name-mixing along maximal antichains, witness
 construction for existential statements, translations between maximal
 antichains (or witness names) and choice functions on a family of finite
 sets, and a permutation apparatus for names over two-dimensional grids.
+
+Importing the package loads the forcing core only (``errors``, ``hf``,
+``posets``, ``names``, ``formulas`` and ``forcing``); ``choice``, ``perms``,
+``cohen`` and ``dsl`` load when one of their names is first read.
 """
 
 from .errors import (
@@ -36,21 +40,46 @@ from .forcing import (
     NameSpace, forces_semantic, forces_syntactic, holds_along,
     indexed_witness_name, least_ordinal_name, mix, mp_witness_search,
 )
-from .choice import (
-    ChoiceFunction, all_choice_functions, antichain_from_choice,
-    build_witness_flat, choice_from_antichain, extract_choice_flat,
-    extract_choice_wellordered, theta_family,
-)
-from .perms import (
-    Chain, Perm, act_condition, act_name, column_support,
-    compose, decompose, is_fixed_by_Hn, sigma_conjugate,
-    transposition,
-)
-from .cohen import (
-    Assignment, GridSectionFilter, e_dense, g1_to_g, g_to_g1, hat_map,
-    r_sigma_condition, r_sigma_name, section_g1_conditions, square_below,
-    xcheckcheck_name, xdot_name,
-)
-from .dsl import Command, Scenario, parse_scenario, tokenize
 
 __version__ = "0.1.0"
+
+# The names re-exported from the modules that load on first use, by module:
+# a script that only forces never compiles them, nor ``dataclasses``, which
+# only ``perms`` and ``dsl`` import.  ``forcelab.cli`` imports them all.
+_LAZY = (
+    ("choice", (
+        "ChoiceFunction", "all_choice_functions", "antichain_from_choice",
+        "build_witness_flat", "choice_from_antichain", "extract_choice_flat",
+        "extract_choice_wellordered", "theta_family")),
+    ("perms", (
+        "Chain", "Perm", "act_condition", "act_name", "column_support",
+        "compose", "decompose", "is_fixed_by_Hn", "sigma_conjugate",
+        "transposition")),
+    ("cohen", (
+        "Assignment", "GridSectionFilter", "e_dense", "g1_to_g", "g_to_g1",
+        "hat_map", "r_sigma_condition", "r_sigma_name",
+        "section_g1_conditions", "square_below", "xcheckcheck_name",
+        "xdot_name")),
+    ("dsl", ("Command", "Scenario", "parse_scenario", "tokenize")),
+)
+
+# Every public name: the core's imports and submodules, then the lazy ones.
+__all__ = (*(name for name in globals() if not name.startswith("_")),
+           *(name for module, names in _LAZY for name in (module, *names)))
+
+
+def __getattr__(name):
+    """Import a lazy submodule, or the one exporting ``name``, on first use
+    and bind the value here, so later reads are plain global lookups."""
+    for module, names in _LAZY:
+        if name == module or name in names:
+            from importlib import import_module
+            value = import_module(f".{module}", __name__)
+            if name != module:
+                value = globals()[name] = getattr(value, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

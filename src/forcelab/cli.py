@@ -166,7 +166,12 @@ def dumps(payload, indent: Optional[int] = None) -> str:
             return int.__repr__(obj)
         return json.dumps(obj)
 
-    return write(payload, "" if indent is None else "\n")
+    try:
+        return write(payload, "" if indent is None else "\n")
+    finally:
+        # ``write`` reaches itself through its closure; unbinding it breaks
+        # the cycle, so the closure is freed without the cyclic collector.
+        del write
 
 
 # ---------------------------------------------------------------------------

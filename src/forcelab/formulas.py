@@ -50,7 +50,8 @@ class _Node:
         return node
 
     def _setup(self) -> None:
-        """Fill derived slots once the fields are set."""
+        """Check the fields and fill derived slots once they are set; it
+        runs only when a node is first built, so a lookup pays nothing."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
@@ -66,24 +67,42 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
+def _refuse(node: _Node, value, kind: str):
+    raise InvalidInput(
+        f"{type(node).__name__} takes {kind}, not {value!r}")
+
+
 class Var(_Node):
     __slots__ = ("name",)
     _fields = ("name",)
 
+    def _setup(self) -> None:
+        if not isinstance(self.name, str):
+            _refuse(self, self.name, "a str")
 
-class Cname(_Node):
-    """A name constant."""
+
+class _Named(_Node):
+    """A node holding one name."""
 
     __slots__ = ("name",)
     _fields = ("name",)
+
+    def _setup(self) -> None:
+        if not isinstance(self.name, PName):
+            _refuse(self, self.name, "a PName")
+
+
+class Cname(_Named):
+    """A name constant."""
+
+    __slots__ = ()
 
 
 Term = Union[Var, Cname]
 
 
-class InName(_Node):
-    __slots__ = ("name",)
-    _fields = ("name",)
+class InName(_Named):
+    __slots__ = ()
 
 
 class _NatBound(_Node):
@@ -123,6 +142,12 @@ class _Formula(_Node):
 class _Atom(_Formula):
     __slots__ = ("left", "right")
     _fields = ("left", "right")
+
+    def _setup(self) -> None:
+        for term in (self.left, self.right):
+            if not isinstance(term, (Var, Cname)):
+                _refuse(self, term, "terms (Var or Cname)")
+        super()._setup()
 
     def _free(self) -> frozenset[str]:
         return frozenset(t.name for t in (self.left, self.right)

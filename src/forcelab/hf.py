@@ -63,8 +63,8 @@ class HF:
         if h is None:
             for m in ms:
                 if not isinstance(m, HF):
-                    raise TypeError(
-                        "members of an HF set must themselves be HF sets")
+                    raise InvalidInput(
+                        f"members of an HF set must be HF sets, not {m!r}")
             h = object.__new__(cls)
             h.members = ms
             h.rank = 1 + max((m.rank for m in ms), default=-1)

@@ -48,8 +48,12 @@ class Chain:
     def __post_init__(self):
         na, nb = self.neg
         pa, pb = self.pos
-        if na < 1 or pa < 1:
-            raise InvalidInput("chain tail steps must be positive")
+        check_natural(na, "a chain tail step", 1)
+        check_natural(pa, "a chain tail step", 1)
+        for v in (self.lo, nb, pb):
+            if type(v) is not int:
+                raise InvalidInput("a chain's lo and tail offsets must be "
+                                   f"integers, not {v!r}")
         if na + nb < 0 or pa + pb < 0:
             raise InvalidInput("chain tail values must stay nonnegative")
         for v in self.mid:

@@ -377,6 +377,10 @@ class Family:
             vs = frozenset(values)
             if not vs:
                 raise InvalidInput(f"block {label!r} is empty")
+            for v in vs:
+                if not isinstance(v, HF):
+                    raise InvalidInput(
+                        f"block {label!r} holds {v!r}, not an HF set")
             labels.append(label)
             sets.append(vs)
         if len(set(labels)) != len(labels):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: frozen reports, determinism, and exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -388,6 +389,25 @@ def test_writer_matches_json_dumps(seed):
     for indent in (None, 2):
         assert cli.dumps(payload, indent) == \
             json.dumps(payload, sort_keys=True, indent=indent)
+
+
+def test_writer_leaves_no_cyclic_garbage():
+    # With the collector off, everything a call allocates must be freed by
+    # reference counting: the writer's closure must not reach itself.
+    # The expected texts come first: ``json.dumps`` with an indent leaves
+    # cyclic garbage of its own.
+    shared = [[], [1, "a"]]
+    payload = {"a": shared, "b": [shared, {"c": shared}], "d": True}
+    expected = {indent: json.dumps(payload, sort_keys=True, indent=indent)
+                for indent in (None, 2)}
+    gc.collect()
+    gc.disable()
+    try:
+        for indent, text in expected.items():
+            assert cli.dumps(payload, indent) == text
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):

@@ -3,9 +3,10 @@
 import pytest
 
 from forcelab import (
-    And, Cname, Eq, Exists, Forall, Implies, InName, InvalidInput, Member,
-    Not, Or, OrdLT, RankLE, Var, check_name, conj, constants, disj,
-    free_vars, is_closed, nat, single_free_var, subst,
+    EMPTY_NAME, HF, ONE, And, Cname, Eq, Exists, Family, FlatPoset, Forall,
+    Implies, InName, InvalidInput, Member, Not, Or, OrdLT, RankLE, Var,
+    check_name, conj, constants, disj, forces_semantic, forces_syntactic,
+    free_vars, is_closed, nat, single_free_var, subst, theta_family,
 )
 
 C1 = check_name(nat(1))
@@ -82,3 +83,27 @@ class TestConstantsAndBuilders:
         phi = Not(Member(Cname(C1), Cname(C2)))
         assert phi == Not(Member(Cname(C1), Cname(C2)))
         assert hash(phi) == hash(Not(Member(Cname(C1), Cname(C2))))
+
+
+FLAT = FlatPoset(Family([("a", [nat(0)])]))
+
+# Arguments of the wrong kind, refused where they are passed rather than
+# escaping from a route as an AttributeError or TypeError.
+WRONG_KINDS = {
+    "member-of-ints": lambda: forces_semantic(FLAT, ONE, Member(1, 2)),
+    "cname-of-int-semantic": lambda: forces_semantic(
+        FLAT, ONE, Member(Cname(3), Cname(EMPTY_NAME))),
+    "cname-of-int-syntactic": lambda: forces_syntactic(
+        FLAT, ONE, Member(Cname(3), Cname(EMPTY_NAME))),
+    "inname-of-int": lambda: forces_semantic(
+        FLAT, ONE, Exists("x", InName(3), Member(Var("x"), Cname(C1)))),
+    "var-of-int": lambda: Var(3),
+    "hf-of-int": lambda: HF([1]),
+    "family-of-int": lambda: theta_family(FlatPoset(Family([("a", [1])]))),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KINDS.values(), ids=WRONG_KINDS.keys())
+def test_wrong_kind_is_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()

@@ -5,7 +5,7 @@ passed, never with a bare TypeError or ValueError at first use."""
 import pytest
 
 from forcelab import (
-    BinaryTreePoset, ChoicePoset, Cname, CohenGridPoset, EMPTY_NAME, Family,
+    BinaryTreePoset, Chain, ChoicePoset, Cname, CohenGridPoset, EMPTY_NAME, Family,
     InvalidInput, Member, NameSpace, ONE, OrdLT, Perm, RankLE, Var,
     check_name, decompose, fn_omega_omega, inj_omega_omega, is_fixed_by_Hn,
     least_ordinal_name, nat, sigma_conjugate,
@@ -30,6 +30,9 @@ CALLS = {
     "fixed-str": lambda: is_fixed_by_Hn(EMPTY_NAME, "1"),
     "decompose-k-not-above-n": lambda: decompose(Perm(), 1, 1),
     "conjugate-bound-below-n": lambda: sigma_conjugate({(0, 0)}, 1, 0),
+    "chain-offset-float": lambda: Chain(0, (), (1, 2.5), (1, 3)),
+    "chain-step-float": lambda: Chain(0, (), (1.5, 2), (1, 3)),
+    "chain-lo-float": lambda: Chain(0.5, (), (2, 0), (2, 1)),
 }
 
 

@@ -1,6 +1,7 @@
 """Both forcing routes certified on every small poset, not on a seeded
 battery: every poset on 1 to 4 elements up to isomorphism, each with a top
 added, and every formula of a systematic family, at every condition; the
+base of that family against the brute-force oracle of ``test_forcing``; the
 rank-bounded quantifiers and witness search over each poset's name space;
 and mixing and least-ordinal names at every condition."""
 
@@ -13,10 +14,12 @@ from forcelab import (
     And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Forall, Implies,
     InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName,
     PreconditionViolated, RankLE, Var, check_name, eval_name,
-    forces_semantic, forces_syntactic, gamma_name, least_ordinal_name, mix,
-    mp_witness_search, nat,
+    forces_semantic, forces_syntactic, gamma_name, holds_along,
+    least_ordinal_name, mix, mp_witness_search, nat,
 )
 from forcelab.forcing import _forcer
+
+from test_forcing import reference_sat
 
 # Posets on 1, 2, 3 and 4 elements up to isomorphism (OEIS A000112).
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
@@ -52,21 +55,29 @@ def small_posets():
             yield ExplicitPoset(elements + ["1"], pairs, "1")
 
 
-def battery(poset):
-    """Atoms over four names, InName-quantified formulas over them, their
-    negations and every conjunction, disjunction and implication of two of
-    them; then two-variable nestings whose inner body mentions both
-    variables, and one rebinding of a variable under its own quantifier."""
+def base_battery(poset):
+    """Four names (0, 1-check, gamma and a two-entry mixed name), the 32
+    atoms over them and the 8 InName-quantified formulas over them."""
     conds = poset.conditions()
     gamma = gamma_name(poset)
     one = check_name(nat(1))
     mixed = PName([(conds[0], EMPTY_NAME), (conds[1], one)])
     names = [EMPTY_NAME, one, gamma, mixed]
     terms = [Cname(n) for n in names]
-    x, y = Var("x"), Var("y")
     base = [kind(a, b) for kind in (Member, Eq) for a in terms for b in terms]
-    base += [q("x", InName(n), Member(x, Cname(gamma)))
+    base += [q("x", InName(n), Member(Var("x"), Cname(gamma)))
              for q in (Exists, Forall) for n in names]
+    return names, base
+
+
+def battery(poset):
+    """The base battery, its negations and every conjunction, disjunction
+    and implication of two of its formulas; then two-variable nestings whose
+    inner body mentions both variables, and one rebinding of a variable
+    under its own quantifier."""
+    names, base = base_battery(poset)
+    one, gamma = names[1], names[2]
+    x, y = Var("x"), Var("y")
     out = base + [Not(phi) for phi in base]
     out += [kind(a, b) for kind in (And, Or, Implies)
             for a in base for b in base]
@@ -100,6 +111,33 @@ def test_routes_agree_on_every_small_poset():
     assert checked > 500_000
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def test_base_battery_matches_the_reference_oracle():
+    # reference_sat evaluates names and quantifier ranges along a filter by
+    # brute force and shares nothing with the routes.  Along every generic
+    # filter it must agree with holds_along, and a condition forces a
+    # formula by either route exactly when the formula holds along every
+    # generic filter through the condition.
+    start = time.monotonic()
+    checked = 0
+    for poset in small_posets():
+        k = poset.kernel()
+        _, base = base_battery(poset)
+        for phi in base + [Not(phi) for phi in base]:
+            along = {a: reference_sat(phi, k.filter_at(a), None)
+                     for a in k.minimals}
+            for a, want in along.items():
+                assert holds_along(poset, k.filter_at(a), phi) is want, \
+                    (poset.conditions(), phi, a)
+            for i, p in enumerate(k.conds):
+                want = all(along[a] for a in k.minimals if k.down[i] >> a & 1)
+                assert forces_semantic(poset, p, phi) is want, (p, phi)
+                assert forces_syntactic(poset, p, phi) is want, (p, phi)
+                checked += 1
+    assert checked == 80 * 108  # 80 formulas, 108 conditions
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 
 def first_of_each_class(poset):

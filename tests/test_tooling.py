@@ -1,20 +1,30 @@
-"""The benchmark harness's references into the library still resolve.
+"""The benchmark harness's references into the library still resolve, and
+the package's import footprint stays as documented.
 
 The tier-1 suite never runs the traced benchmark, and the tracer skips a
 ``CALLS`` entry whose attribute is missing, so a deleted or renamed library
 name would break ``perfbench`` silently.  The harness's sources are read
 with ``ast``; none of them is imported.
+
+``import forcelab`` loads the forcing core only, and the other modules load
+on first use of one of their names; ``import forcelab.cli`` loads them all,
+which the tracer relies on, as it wraps the CLI's module globals.
 """
 
 import ast
 import contextlib
 import importlib
 import io
+import os
+import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import forcelab
 from forcelab import cli, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,3 +122,104 @@ def test_traced_cli_names_stay_live(monkeypatch):
         assert out.getvalue() == \
             (ROOT / "tests" / "golden" / f"{path.stem}.json").read_text()
     assert sorted(attr for attr in wrapped if not counts[attr]) == []
+
+
+# The names the package exported before its last four modules became lazy,
+# by the submodule that defines each.
+EXPORTS = {
+    "errors": (
+        "ColumnCollision DuplicateIdentifier ForceLabError InvalidInput "
+        "MalformedSigma NonInjective NotDense NotInSubgroup NotMaximal "
+        "NotMaximalBelow OutOfRange ParseError PreconditionViolated "
+        "ReportTooLarge TruncationEscape UnknownCondition "
+        "UnresolvedReference ValueEscapesBlock"),
+    "hf": "EMPTY HF from_int_set kuratowski nat nat_value render",
+    "posets": (
+        "BinaryTreePoset ChoicePoset CohenGridPoset ExplicitPoset Family "
+        "Filter FlatPoset InjPoset MapPoset ONE Poset "
+        "enumerate_maximal_antichains fn_omega_omega generic_filter "
+        "inj_omega_omega is_antichain is_dense is_maximal_antichain"),
+    "names": (
+        "EMPTY_NAME PName check_name eval_name gamma_name "
+        "hereditary_closure name_conditions name_hf ordered_pair_name "
+        "union_name unordered_pair_name"),
+    "formulas": (
+        "And Cname Eq Exists Forall Formula Implies InName Member Not Or "
+        "OrdLT RankLE Var conj constants disj free_vars is_closed "
+        "single_free_var subst"),
+    "forcing": (
+        "NameSpace forces_semantic forces_syntactic holds_along "
+        "indexed_witness_name least_ordinal_name mix mp_witness_search"),
+    "choice": (
+        "ChoiceFunction all_choice_functions antichain_from_choice "
+        "build_witness_flat choice_from_antichain extract_choice_flat "
+        "extract_choice_wellordered theta_family"),
+    "perms": (
+        "Chain Perm act_condition act_name column_support compose decompose "
+        "is_fixed_by_Hn sigma_conjugate transposition"),
+    "cohen": (
+        "Assignment GridSectionFilter e_dense g1_to_g g_to_g1 hat_map "
+        "r_sigma_condition r_sigma_name section_g1_conditions square_below "
+        "xcheckcheck_name xdot_name"),
+    "dsl": "Command Scenario parse_scenario tokenize",
+}
+CORE = {"errors", "hf", "posets", "names", "formulas", "forcing"}
+
+
+def loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs ``code``, the
+    package's own by their short names."""
+    script = ("import sys\nbefore = set(sys.modules)\n" + code +
+              "\nprint(sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    return {m.removeprefix("forcelab.") for m in ast.literal_eval(out)}
+
+
+def test_import_loads_the_forcing_core_only():
+    new = loaded_by("import forcelab")
+    assert {m for m in new if m in EXPORTS} == CORE
+    assert "dataclasses" not in new
+
+
+@pytest.mark.parametrize("name, modules", [
+    ("ChoiceFunction", {"choice"}),
+    ("Chain", {"perms"}),
+    ("hat_map", {"cohen", "perms"}),
+    ("cohen", {"cohen", "perms"}),
+    ("parse_scenario", {"dsl", "cohen", "perms"}),
+])
+def test_a_lazy_name_loads_its_module(name, modules):
+    # A lazy module loads with the lazy modules it imports, and no other;
+    # the script resets ``before``, so what the import loads does not count.
+    new = loaded_by(f"import forcelab\nbefore = set(sys.modules)\n"
+                    f"forcelab.{name}")
+    assert {m for m in new if m in EXPORTS} == modules
+
+
+def test_cli_loads_every_module():
+    new = loaded_by("import forcelab.cli")
+    assert {m for m in new if m in EXPORTS or m == "cli"} == \
+        {m.name for m in pkgutil.iter_modules(forcelab.__path__)}
+
+
+def test_every_export_resolves_to_its_submodule():
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"forcelab.{module}")
+        assert getattr(forcelab, module) is sub
+        for name in names.split():
+            assert getattr(forcelab, name) is getattr(sub, name), name
+    with pytest.raises(AttributeError):
+        forcelab.no_such_name
+
+
+def test_star_import_binds_the_exported_names():
+    bound: dict = {}
+    exec("from forcelab import *", bound)
+    del bound["__builtins__"]
+    assert len(bound) == 127
+    assert set(bound) == {*EXPORTS, *" ".join(EXPORTS.values()).split()}
+    assert set(bound) <= set(dir(forcelab))
