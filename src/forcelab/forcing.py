@@ -43,7 +43,8 @@ from .hf import HF, nat
 from .names import PName, check_name, eval_name, hereditary_closure, union_name
 from .posets import Filter, Kernel, ONE, Poset, canon_key
 
-# The most subsets of (condition, child) pairs a NameSpace may enumerate.
+# The most subsets of (condition, child) pairs a NameSpace admits; its walk
+# visits only the first subset of each class.
 MAX_UNIVERSE = 1 << 17
 
 
@@ -64,13 +65,15 @@ class NameSpace:
     lowest-rank member of each class.  It also keeps the children of kept
     names, so that it stays child-closed: a base name, or a name inside
     one, that is not first in its class enters only that way.  So
-    ``len(space)`` counts the classes, plus any such children.  All
-    ``2^pairs`` subsets are still enumerated, without building a name for
-    each, and more than :data:`MAX_UNIVERSE` of them is refused with
-    ``invalid-input`` before the poset is compiled.  The enumeration meets
-    the classes in canonical order, so each class costs one interned name,
-    built in the order met, with no key table and no sort of the universe;
-    only the few closure names kept are placed by bisection.
+    ``len(space)`` counts the classes, plus any such children.  The walk
+    extends only the first subset of (condition, child) pairs of each
+    class, so it takes about classes x pairs steps, not ``2^pairs``; the
+    one bound over ``2^pairs`` is the cap, which refuses more than
+    :data:`MAX_UNIVERSE` subsets with ``invalid-input`` before the poset
+    is compiled.  The walk meets the classes in canonical order, so each
+    class costs one interned name, built in the order met, with no key
+    table and no sort of the universe; only the few closure names kept are
+    placed by bisection.
     """
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
@@ -87,27 +90,39 @@ class NameSpace:
             raise InvalidInput(
                 f"name space too large: 2^{len(pairs)} assembled names")
         k = poset.kernel()
-        filters = [k.filter_at(i) for i in range(len(k.conds))]
         pairs.sort(key=lambda e: (canon_key(e[0]), e[1].key()))
         bits: dict[tuple[int, HF], int] = {}
-        masks = [_pair_mask(k, filters, bits, c, s) for c, s in pairs]
+        masks = [_pair_mask(k, bits, c, s) for c, s in pairs]
         ranks = [1 + s.rank for _, s in pairs]
         # A subset's rank is the largest of its pairs', so at each rank r
-        # the subsets of the pairs of rank at most r are enumerated by size,
-        # each size in lexicographic order of sorted entry keys: the first
-        # subset met for a new mask is the least in canonical order.  A
-        # mask first met at rank r has rank exactly r, as the subsets of
-        # lower rank were all met before, so the classes are met in
-        # canonical order too, and the walk's order is the universe's.
+        # the subsets of the pairs of rank at most r are met by size, each
+        # size in lexicographic order of sorted entry keys: the first subset
+        # met for a new mask is the least in canonical order.  A mask first
+        # met at rank r has rank exactly r, as the subsets of lower rank
+        # were all met before, so the classes are met in canonical order
+        # too, and the walk's order is the universe's.  Within a rank only
+        # the first subset of each mask is extended, by pairs above its
+        # last: the rest of a mask's first subset is the first subset of its
+        # own mask (an earlier one, plus the last pair, would come before),
+        # so the walk meets every mask's first subset, in order, in about
+        # classes x pairs steps.
         best: dict = {}
         for r in sorted({0, *ranks}):
             below_r = [j for j, rank in enumerate(ranks) if rank <= r]
-            for size in range(len(below_r) + 1):
-                for combo in itertools.combinations(below_r, size):
-                    mask = 0
-                    for j in combo:
-                        mask |= masks[j]
-                    best.setdefault(mask, combo)
+            seen = {0: ()}
+            frontier = [((), 0, 0)]
+            while frontier:
+                grown = []
+                for combo, mask, start in frontier:
+                    for at in range(start, len(below_r)):
+                        j = below_r[at]
+                        m = mask | masks[j]
+                        if m not in seen:
+                            seen[m] = c = combo + (j,)
+                            grown.append((c, m, at + 1))
+                frontier = grown
+            for m, combo in seen.items():
+                best.setdefault(m, combo)
         first = {mask: PName(map(pairs.__getitem__, combo))
                  for mask, combo in best.items()}
         universe = list(first.values())
@@ -123,8 +138,10 @@ class NameSpace:
         roots = {pairs[j][1] for j in set().union(*best.values())}
         for n in closure:
             cls = 0
-            for i, f in enumerate(filters):
-                for x in eval_name(n, f).members:
+            for i in range(len(k.conds)):
+                value = n.value if n.value is not None else \
+                    eval_name(n, k.filter_at(i))
+                for x in value.members:
                     cls |= 1 << bits.setdefault((i, x), len(bits))
             if first.setdefault(cls, n) is n:
                 roots.add(n)
@@ -149,17 +166,21 @@ class NameSpace:
         return self.universe[:bisect.bisect_right(self._ranks, k)]
 
 
-def _pair_mask(k: Kernel, filters: Sequence[Filter], bits: dict,
-               c, s: PName) -> int:
+def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
     """The bits, numbered in ``bits``, of the (filter index, value) pairs
     that the entry (c, s) contributes: s's value along each filter that
-    contains c.  The union of a subset's masks fixes the value of the name
-    it assembles along every filter."""
+    contains c, read off a check-name without evaluation.  The union of a
+    subset's masks fixes the value of the name it assembles along every
+    filter."""
     below = k.below(c)
     mask = 0
-    for i, f in enumerate(filters):
-        if below >> i & 1:
-            mask |= 1 << bits.setdefault((i, eval_name(s, f)), len(bits))
+    while below:
+        low = below & -below
+        below ^= low
+        i = low.bit_length() - 1
+        value = s.value if s.value is not None else \
+            eval_name(s, k.filter_at(i))
+        mask |= 1 << bits.setdefault((i, value), len(bits))
     return mask
 
 
@@ -216,6 +237,9 @@ class _Forcer:
         if isinstance(phi, (Member, Eq)):
             left, right = _name(phi.left, env), _name(phi.right, env)
             holds = operator.eq if isinstance(phi, Eq) else operator.contains
+            if left.value is not None and right.value is not None:
+                # check-names take their values along every filter
+                return k.minimal if holds(right.value, left.value) else 0
             out = 0
             for a in k.minimals:
                 f = k.filter_at(a)

@@ -194,6 +194,11 @@ class _Quantifier(_Formula):
     __slots__ = ("var", "bound", "body")
     _fields = ("var", "bound", "body")
 
+    def _setup(self) -> None:
+        if not isinstance(self.var, str):
+            _refuse(self, self.var, "a str variable")
+        super()._setup()
+
     def _free(self) -> frozenset[str]:
         return free_vars(self.body) - {self.var}
 

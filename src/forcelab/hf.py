@@ -61,13 +61,16 @@ class HF:
         ref = _UNIQUE.get(ms)
         h = None if ref is None else ref()
         if h is None:
+            rank = 0
             for m in ms:
                 if not isinstance(m, HF):
                     raise InvalidInput(
                         f"members of an HF set must be HF sets, not {m!r}")
+                if m.rank >= rank:
+                    rank = m.rank + 1
             h = object.__new__(cls)
             h.members = ms
-            h.rank = 1 + max((m.rank for m in ms), default=-1)
+            h.rank = rank
             h._key = None
             _enter(ms, h)
         return h

@@ -41,20 +41,26 @@ class PName:
         ref = _UNIQUE.get(es)
         n = None if ref is None else ref()
         if n is None:
-            members = []
+            # One pass validates the entries, takes the rank and collects a
+            # check-name's members (members is None once an entry is not
+            # (ONE, check-name)).
+            rank, members = 0, []
             for entry in es:
                 if not (isinstance(entry, tuple) and len(entry) == 2
                         and isinstance(entry[1], PName)):
                     raise InvalidInput(
                         "name entries must be (condition, name) pairs")
+                cond, child = entry
+                if child.rank >= rank:
+                    rank = child.rank + 1
                 if members is not None:
-                    if entry[0] is ONE and entry[1].value is not None:
-                        members.append(entry[1].value)
+                    if cond is ONE and child.value is not None:
+                        members.append(child.value)
                     else:
                         members = None
             n = object.__new__(cls)
             n.entries = es
-            n.rank = 1 + max((child.rank for _, child in es), default=-1)
+            n.rank = rank
             n.value = None if members is None else HF(members)
             n._key = None
             n._sorted = None

@@ -46,6 +46,10 @@ class Chain:
     pos: tuple[int, int]
 
     def __post_init__(self):
+        for tail in (self.neg, self.pos):
+            if not (isinstance(tail, tuple) and len(tail) == 2):
+                raise InvalidInput("a chain tail must be a (step, offset) "
+                                   f"pair, not {tail!r}")
         na, nb = self.neg
         pa, pb = self.pos
         check_natural(na, "a chain tail step", 1)

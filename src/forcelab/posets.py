@@ -131,7 +131,18 @@ class Poset:
 
     def index_of(self, c) -> int:
         """The kernel index of the condition c stands for; raises
-        TruncationEscape for a condition outside the truncation."""
+        TruncationEscape for a condition outside the truncation.  Once the
+        kernel is compiled, the very object it indexes for a condition is
+        valid by construction; anything else, an equal copy included, goes
+        through ``resolve``, which can refuse a copy (``1.0`` for ``1``)."""
+        k = self._kernel
+        if k is not None:
+            try:
+                i = k.index.get(c)
+            except TypeError:
+                i = None
+            if i is not None and k.conds[i] is c:
+                return i
         c = self.resolve(c)
         i = self.kernel().index.get(c)
         if i is None:

@@ -46,6 +46,15 @@ KIND_NON_CONDITIONS = {
     "choice": [(0, "a")],
 }
 
+# Equal to (and hashing like) a condition of the kind's truncation, but
+# not a condition: a float stands where an int must.
+EQUAL_NON_CONDITIONS = {
+    "choice": [(1.0, nat(0))],
+    "fn": [frozenset({(0.0, 1)})],
+    "inj": [frozenset({(0, 1.0)})],
+    "grid": [frozenset({((0.0, 0), 1)})],
+}
+
 OPS = ("le", "le_rev", "compatible", "compatible_rev", "condition_hf",
        "index_of", "extensions", "is_antichain", "is_antichain_pair",
        "is_dense", "generic_filter")
@@ -136,6 +145,45 @@ def test_unhashable_conditions(kind):
         with pytest.raises(UnknownCondition):
             k.below(x)
         assert x not in filt
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_index_of_matches_the_kernel_index_of_the_resolved_condition(kind):
+    # index_of reads the kernel's index before it validates; every probe
+    # must get the answer or the code of kernel().index[resolve(c)], with a
+    # condition resolve accepts but the kernel does not index escaping the
+    # truncation.
+    poset, outside, _ = KINDS[kind]
+    k = poset.kernel()
+
+    def reference_index(c):
+        try:
+            c = poset.resolve(c)
+        except ForceLabError as e:
+            return "error", e.code
+        if c not in k.index:
+            return "error", "truncation-escape"
+        return "ok", k.index[c]
+
+    probes = [*poset.conditions(), ONE, [poset.conditions()[0]], {"a": 0},
+              *NON_CONDITIONS, *KIND_NON_CONDITIONS.get(kind, []),
+              *EQUAL_NON_CONDITIONS.get(kind, [])]
+    if outside is not None:
+        probes.append(outside)
+    for c in probes:
+        assert run(poset, "index_of", c, None) == reference_index(c), c
+    assert [run(poset, "index_of", c, None) for c in poset.conditions()] \
+        == [("ok", i) for i in range(len(k.conds))]
+
+
+def test_index_of_validates_before_it_compiles():
+    # With no truncation there is no kernel to read: each probe still gets
+    # the code resolve gives it, and only a condition escapes.
+    poset = ChoicePoset(FAM)
+    assert run(poset, "index_of", 2.5, None) == ("error", "unknown-condition")
+    assert run(poset, "index_of", ONE, None) == ("error", "invalid-input")
+    assert run(poset, "index_of", (0, nat(0)), None) == \
+        ("error", "truncation-escape")
 
 
 def _subclasses(cls):

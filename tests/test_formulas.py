@@ -98,6 +98,9 @@ WRONG_KINDS = {
     "inname-of-int": lambda: forces_semantic(
         FLAT, ONE, Exists("x", InName(3), Member(Var("x"), Cname(C1)))),
     "var-of-int": lambda: Var(3),
+    "quantifier-var-of-int": lambda: forces_semantic(
+        FLAT, ONE,
+        Exists(3, InName(EMPTY_NAME), Member(Cname(C1), Cname(C1)))),
     "hf-of-int": lambda: HF([1]),
     "family-of-int": lambda: theta_family(FlatPoset(Family([("a", [1])]))),
 }

@@ -6,6 +6,7 @@ import copy
 import gc
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 
 from forcelab import (
     EMPTY, EMPTY_NAME, HF, ONE, Cname, Eq, Exists, Family, FlatPoset, Forall,
-    InName, Member, NameSpace, Not, Or, RankLE, Var, check_name,
+    InName, InvalidInput, Member, NameSpace, Not, Or, RankLE, Var, check_name,
     forces_semantic, forces_syntactic, gamma_name, mix, nat, PName,
 )
 from forcelab import formulas, hf, names
@@ -155,6 +156,52 @@ def test_reinterning_after_death_keeps_one_live_value(no_collector, module,
     assert table[key]() is again
     del again
     assert key not in table
+
+
+def test_one_pass_constructors_on_random_nested_inputs():
+    # HF and PName validate, take the rank and (for a name) detect a
+    # check-name in one pass over the members; the result must be what
+    # three separate passes give.
+    rng = random.Random(2020)
+    sets, pool = [EMPTY], [EMPTY_NAME]
+    for _ in range(400):
+        members = rng.sample(sets, rng.randint(0, min(4, len(sets))))
+        h = HF(members)
+        assert h.rank == 1 + max((m.rank for m in members), default=-1)
+        sets.append(h)
+        entries = [(ONE if rng.random() < 0.7 else rng.choice("ab"),
+                    rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+        n = PName(entries)
+        assert n.rank == 1 + max((c.rank for _, c in entries), default=-1)
+        if all(c is ONE and child.value is not None for c, child in entries):
+            assert n.value is HF(child.value for _, child in entries)
+            assert n is check_name(n.value)
+        else:
+            assert n.value is None
+        pool += [n, check_name(rng.choice(sets))]
+    assert sum(n.value is not None for n in pool) > 100
+    assert sum(n.value is None for n in pool) > 100
+
+
+BAD_MEMBERS = {
+    "hf-int": (hf, HF, [HF([HF([nat(9)])]), 3]),
+    "hf-name": (hf, HF, [HF([HF([nat(9)])]), EMPTY_NAME]),
+    "name-child-int": (names, PName, [(ONE, EMPTY_NAME), ("bad", 3)]),
+    "name-short-entry": (names, PName, [(ONE, EMPTY_NAME), ("bad",)]),
+    "name-long-entry": (names, PName,
+                        [(ONE, EMPTY_NAME), ("bad", EMPTY_NAME, 1)]),
+    "name-str-entry": (names, PName, [(ONE, EMPTY_NAME), "ab"]),
+}
+
+
+@pytest.mark.parametrize("module, make, members", BAD_MEMBERS.values(),
+                         ids=BAD_MEMBERS.keys())
+def test_bad_member_is_refused_and_leaves_no_entry(module, make, members):
+    before = len(module._UNIQUE)
+    with pytest.raises(InvalidInput):
+        make(members)
+    assert frozenset(members) not in module._UNIQUE
+    assert len(module._UNIQUE) <= before
 
 
 def test_cold_process_exits_with_an_empty_stderr():

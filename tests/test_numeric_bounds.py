@@ -33,6 +33,9 @@ CALLS = {
     "chain-offset-float": lambda: Chain(0, (), (1, 2.5), (1, 3)),
     "chain-step-float": lambda: Chain(0, (), (1.5, 2), (1, 3)),
     "chain-lo-float": lambda: Chain(0.5, (), (2, 0), (2, 1)),
+    "chain-neg-tail-short": lambda: Chain(0, (), (1,), (1, 3)),
+    "chain-pos-tail-int": lambda: Chain(0, (), (1, 3), 5),
+    "chain-neg-tail-long": lambda: Chain(0, (), (1, 2, 3), (1, 3)),
 }
 
 

@@ -3,7 +3,8 @@ battery: every poset on 1 to 4 elements up to isomorphism, each with a top
 added, and every formula of a systematic family, at every condition; the
 base of that family against the brute-force oracle of ``test_forcing``; the
 rank-bounded quantifiers and witness search over each poset's name space;
-and mixing and least-ordinal names at every condition."""
+name spaces over two rank levels against brute force; and mixing and
+least-ordinal names at every condition."""
 
 import itertools
 import time
@@ -140,22 +141,37 @@ def test_base_battery_matches_the_reference_oracle():
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 
-def first_of_each_class(poset):
-    """The least name in canonical order (PName.key) of each class of names
-    with equal values along every filter, among those of rank at most 1
-    assembled from (condition, 0) entries, the top written as ONE: the
-    universe of NameSpace(poset, (0, 1-check), 1), by brute force."""
+def closure_of(names):
+    """Every name reachable from the given ones through entries."""
+    out, stack = set(), list(names)
+    while stack:
+        n = stack.pop()
+        if n not in out:
+            out.add(n)
+            stack.extend(child for _, child in n.entries)
+    return out
+
+
+def first_of_each_class(poset, bases, rank_bound):
+    """The universe of NameSpace(poset, bases, rank_bound), by brute force:
+    the least name in canonical order (PName.key) of each class of names
+    with equal values along every filter, among the closure of the bases
+    and every name of rank at most the bound assembled from (condition,
+    child) entries, children drawn from that closure below the bound and
+    the top written as ONE; then the children of those names."""
     k = poset.kernel()
-    entries = [(ONE, EMPTY_NAME)] + [
-        (c, EMPTY_NAME) for c in poset.conditions() if c != poset.top]
-    assembled = sorted((PName(combo) for size in range(len(entries) + 1)
-                        for combo in itertools.combinations(entries, size)),
-                       key=PName.key)
+    closure = closure_of(bases)
+    entries = [(c, s) for c in [ONE] + [c for c in poset.conditions()
+                                        if c != poset.top]
+               for s in closure if s.rank < rank_bound]
+    candidates = closure | {
+        PName(combo) for size in range(len(entries) + 1)
+        for combo in itertools.combinations(entries, size)}
     first = {}
-    for tau in assembled:
+    for tau in sorted(candidates, key=PName.key):
         first.setdefault(tuple(eval_name(tau, k.filter_at(i))
                                for i in range(len(k.conds))), tau)
-    return sorted(first.values(), key=PName.key)
+    return sorted(closure_of(first.values()), key=PName.key)
 
 
 def test_rank_bounded_quantifiers_on_every_small_poset():
@@ -181,7 +197,8 @@ def test_rank_bounded_quantifiers_on_every_small_poset():
                 assert forces_semantic(poset, p, phi, space) == \
                     forces_syntactic(poset, p, phi, space), (phi, p)
         k = poset.kernel()
-        assert list(space.universe) == first_of_each_class(poset)
+        assert list(space.universe) == \
+            first_of_each_class(poset, space.base_names, 1)
         for i, p in enumerate(k.conds):
             filters = [k.filter_at(a) for a in k.minimals
                        if k.down[i] >> a & 1]
@@ -195,6 +212,31 @@ def test_rank_bounded_quantifiers_on_every_small_poset():
                                          space) is first, (p, target)
                 searches += 1
     assert searches > 1000
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def test_rank_two_spaces_match_brute_force_on_every_small_poset():
+    # At rank 2 the space walks two rank levels: first the names with 0 as
+    # every child, then those with 1-check among them too.  Each space must
+    # be its brute-force universe, name for name and in order.  The bases
+    # (0, gamma) add closure names that are not check-names and have no
+    # assembled member in their class; (0, mu), with mu the rank-1 name
+    # {(e0, 0)}, makes a child that is not a check-name, whose values along
+    # the filters through each condition are evaluated.
+    start = time.monotonic()
+    spaces = 0
+    for poset in small_posets():
+        e0 = poset.conditions()[0]
+        for bases in ((EMPTY_NAME, check_name(nat(1))),
+                      (EMPTY_NAME, gamma_name(poset)),
+                      (EMPTY_NAME, PName([(e0, EMPTY_NAME)]))):
+            space = NameSpace(poset, bases, 2)
+            assert list(space.universe) == \
+                first_of_each_class(poset, bases, 2), (poset.conditions(),
+                                                       bases)
+            spaces += 1
+    assert spaces == 3 * sum(POSET_COUNTS.values())
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
