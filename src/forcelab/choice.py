@@ -112,9 +112,10 @@ def theta_family(flat: FlatPoset) -> Formula:
     in the generic filter and x lies in that block.  Finite family, so the
     existential over labels unfolds to a disjunction."""
     gamma = gamma_name(flat)
+    k = flat.kernel()
     parts = []
     for lab in flat.family.labels:
-        lab_check = check_name(flat.condition_hf(lab))
+        lab_check = check_name(k.codes[k.index[lab]])
         block_check = check_name(flat.family.block_hf(lab))
         parts.append(And(Member(Cname(lab_check), Cname(gamma)),
                          Member(Var("x"), Cname(block_check))))
@@ -175,8 +176,7 @@ def extract_choice_wellordered(
             "the marked conditions are not pairwise incompatible")
     gamma = gamma_name(poset)
     guard = conj([
-        Implies(Member(Cname(check_name(poset._condition_hf(k.conds[a]))),
-                       Cname(gamma)),
+        Implies(Member(Cname(check_name(k.codes[a])), Cname(gamma)),
                 Member(Cname(tau), Cname(check_name(HF(xs)))))
         for a, xs in zip(marks, blocks)])
     if not forces_semantic(poset, ONE, guard):

@@ -84,12 +84,14 @@ class NameSpace:
         self.rank_bound = rank_bound
         closure = hereditary_closure(self.base_names)
         eligible = [s for s in closure if s.rank < rank_bound]
-        pool = [ONE] + [c for c in poset.conditions() if c != poset.top]
-        pairs = [(c, s) for c in pool for s in eligible]
-        if 2 ** len(pairs) > MAX_UNIVERSE:
-            raise InvalidInput(
-                f"name space too large: 2^{len(pairs)} assembled names")
+        # The cap reads the truncation's size, so a refusal compiles
+        # nothing: 2^n > MAX_UNIVERSE exactly when n reaches its bit length.
+        n = (1 + poset._size() - (poset.top is not None)) * len(eligible)
+        if n >= MAX_UNIVERSE.bit_length():
+            raise InvalidInput(f"name space too large: 2^{n} assembled names")
         k = poset.kernel()
+        pool = [ONE] + [c for c in k.conds if c != poset.top]
+        pairs = [(c, s) for c in pool for s in eligible]
         pairs.sort(key=lambda e: (canon_key(e[0]), e[1].key()))
         bits: dict[tuple[int, HF], int] = {}
         masks = [_pair_mask(k, bits, c, s) for c, s in pairs]

@@ -57,7 +57,11 @@ class HF:
     __slots__ = ("members", "rank", "_key", "__weakref__")
 
     def __new__(cls, members: Iterable["HF"] = ()):
-        ms = frozenset(members)
+        try:
+            ms = frozenset(members)
+        except TypeError as e:
+            raise InvalidInput(
+                f"members of an HF set must be HF sets: {e}") from None
         ref = _UNIQUE.get(ms)
         h = None if ref is None else ref()
         if h is None:

@@ -37,7 +37,11 @@ class PName:
     __slots__ = ("entries", "rank", "value", "_key", "_sorted", "__weakref__")
 
     def __new__(cls, entries: Iterable[tuple[object, "PName"]] = ()):
-        es = frozenset(entries)
+        try:
+            es = frozenset(entries)
+        except TypeError as e:
+            raise InvalidInput(
+                f"name entries must be (condition, name) pairs: {e}") from None
         ref = _UNIQUE.get(es)
         n = None if ref is None else ref()
         if n is None:
@@ -149,8 +153,8 @@ def check_name(x: HF) -> PName:
 def gamma_name(poset: Poset) -> PName:
     """The filter name: evaluates to the generic filter, conditions encoded
     as sets."""
-    return PName((p, check_name(poset._condition_hf(p)))
-                 for p in poset.kernel().conds)
+    k = poset.kernel()
+    return PName(zip(k.conds, map(check_name, k.codes)))
 
 
 def unordered_pair_name(tau1: PName, tau2: PName) -> PName:

@@ -19,6 +19,7 @@ Every consumer resolves it to the ambient poset's top.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -66,6 +67,14 @@ def canon_key(obj) -> tuple:
     raise TypeError(f"no canonical key for {type(obj).__name__}")
 
 
+def _bits(m: int):
+    """The indices of the set bits of the mask m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 class Poset:
     """Poset interface: condition validity, order, compatibility, bounded
     enumeration, and canonical encodings.
@@ -77,8 +86,9 @@ class Poset:
     subclass's ``_le``, ``_compatible`` or ``_condition_hf``, which take
     conditions already known to be valid; subclasses override only those.
     Enumerations run on the poset's :class:`Kernel`, compiled once on first
-    use, and a condition is inside the truncation exactly when the kernel
-    indexes it.
+    use by the kind's ``_compile``, which lists the truncation in canonical
+    order with its down-set masks, read off the kind's structure; a
+    condition is inside the truncation exactly when the kernel indexes it.
     """
 
     kind = "abstract"
@@ -118,8 +128,41 @@ class Poset:
         raise NotImplementedError
 
     def conditions(self) -> tuple:
-        """All conditions inside the truncation, canonically sorted."""
+        """All conditions inside the truncation, canonically sorted: the
+        kernel's own objects."""
+        return self.kernel().conds
+
+    def _compile(self) -> tuple[tuple, tuple[int, ...]]:
+        """The truncation's conditions in canonical order and their down-set
+        masks, read off the kind's structure (no ``_le`` call); raises
+        TruncationEscape when there is no truncation."""
         raise NotImplementedError
+
+    def _size(self) -> int:
+        """The number of conditions inside the truncation, counted without
+        compiling it; raises TruncationEscape when there is none."""
+        raise NotImplementedError
+
+    def _compat(self, k: "Kernel") -> tuple[int, ...]:
+        """The kernel's compatibility masks.  Two conditions are compatible
+        when some minimal condition extends both; that needs a truncation
+        holding a common extension of any two compatible conditions, which
+        every kind but the choice poset has."""
+        up = dict.fromkeys(k.minimals, 0)
+        for j, m in enumerate(k.down):
+            for a in _bits(m & k.minimal):
+                up[a] |= 1 << j
+        out = []
+        for m in k.down:
+            c = 0
+            for a in _bits(m & k.minimal):
+                c |= up[a]
+            out.append(c)
+        return tuple(out)
+
+    def _codes(self, conds: tuple) -> tuple[HF, ...]:
+        """The encodings of the truncation's conditions, in order."""
+        return tuple(map(self._condition_hf, conds))
 
     def kernel(self) -> "Kernel":
         """The compiled order of the truncation, built on first use."""
@@ -186,44 +229,55 @@ class Kernel:
     """A poset's truncation compiled once: conditions numbered in canonical
     order, with order and compatibility as Python-int bit masks.
 
-    ``down[i]`` has bit j set when condition j extends condition i, and
-    ``exts[i]`` lists those j in ascending (canonical) order; ``minimal``
-    masks the conditions with no proper extension (``minimals`` lists them)
-    and ``top`` is the index of the greatest element, or None.  The forcing
+    ``down[i]`` has bit j set when condition j extends condition i; the
+    conditions and ``down`` come from the kind's ``_compile``, which reads
+    them off its structure.
+    ``minimal`` masks the conditions with no proper extension (``minimals``
+    lists them) and ``top`` is the index of the greatest element, or None.
+    ``exts``, ``compat`` and ``codes`` are built on first use.  The forcing
     routes keep their state for formulas without a name space in
     ``forcer`` (a name space holds its own) and the generic filters in
     ``filter_at``, so all of it lives and dies with the poset.
     """
 
     def __init__(self, poset: Poset):
-        conds = poset.conditions()
-        le = poset._le
+        conds, down = poset._compile()
         self.poset = poset
         self.conds = conds
+        self.down = down
         self.index = {c: i for i, c in enumerate(conds)}
-        self.exts = tuple(
-            tuple(j for j, p in enumerate(conds) if le(p, q)) for q in conds)
-        self.down = tuple(sum(1 << j for j in e) for e in self.exts)
-        self.minimals = tuple(i for i, m in enumerate(self.down)
-                              if m == 1 << i)
+        self.minimals = tuple(i for i, m in enumerate(down) if m == 1 << i)
         self.minimal = sum(1 << i for i in self.minimals)
         self.full = (1 << len(conds)) - 1
         self.top = self.index.get(poset.top)
         self.forcer = None  # forcing._Forcer, built on first use
+        self._exts: Optional[tuple[tuple[int, ...], ...]] = None
         self._compat: Optional[tuple[int, ...]] = None
+        self._codes: Optional[tuple[HF, ...]] = None
         self._filters: dict[int, Filter] = {}
         self._entries: dict = {}
+
+    @property
+    def exts(self) -> tuple[tuple[int, ...], ...]:
+        """``exts[i]`` lists the j set in ``down[i]``, ascending."""
+        if self._exts is None:
+            self._exts = tuple(tuple(_bits(m)) for m in self.down)
+        return self._exts
 
     @property
     def compat(self) -> tuple[int, ...]:
         """``compat[i]`` has bit j set when conditions i and j are
         compatible in the poset (not only inside the truncation)."""
         if self._compat is None:
-            conds, compatible = self.conds, self.poset._compatible
-            self._compat = tuple(
-                sum(1 << j for j, q in enumerate(conds) if compatible(p, q))
-                for p in conds)
+            self._compat = self.poset._compat(self)
         return self._compat
+
+    @property
+    def codes(self) -> tuple[HF, ...]:
+        """``codes[i]`` is ``condition_hf(conds[i])``."""
+        if self._codes is None:
+            self._codes = self.poset._codes(self.conds)
+        return self._codes
 
     def none_below(self, x: int) -> int:
         """The conditions with no extension in the mask x."""
@@ -241,17 +295,22 @@ class Kernel:
         """The mask of the conditions extending c, a name entry's condition:
         ONE or any condition, inside the truncation or not.  As a name entry
         ONE is in every filter, so it covers every condition even with no
-        top.  An indexed condition is valid by construction; any other goes
-        through ``resolve``, which also rejects an unhashable c."""
+        top.  As in ``Poset.index_of``, the very object the kernel indexes is
+        valid by construction; anything else, an equal copy included, goes
+        through ``resolve``, which refuses ``(1.0, x)`` for ``(1, x)`` and
+        an unhashable c."""
         if c is ONE:
             return self.full
         try:
             i = self.index.get(c)
         except TypeError:
             i = None
-        if i is not None:
+        if i is not None and self.conds[i] is c:
             return self.down[i]
         c = self.poset.resolve(c)
+        i = self.index.get(c)
+        if i is not None:
+            return self.down[i]
         le = self.poset._le
         return sum(1 << j for j, p in enumerate(self.conds) if le(p, c))
 
@@ -294,42 +353,39 @@ class ExplicitPoset(Poset):
         if not elements:
             raise InvalidInput("explicit poset needs at least one element")
         self._elements = tuple(elements)
-        self._index = {e: i for i, e in enumerate(elements)}
-        pairs = list(order)
-        for a, b in pairs:
-            if a not in self._index or b not in self._index:
+        self._index = index = {e: i for i, e in enumerate(elements)}
+        # down[i] masks the elements below element i: the pairs, closed
+        # reflexively and transitively (Warshall's algorithm on bit masks).
+        down = [1 << i for i in range(len(elements))]
+        for a, b in order:
+            if a not in index or b not in index:
                 raise InvalidInput(f"order pair uses unknown element: {a} < {b}")
-        # transitive closure: le[p][q] true iff p reaches q through pairs
-        reach = {e: {e} for e in elements}
-        for a, b in pairs:
-            reach[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for e in elements:
-                extra = set()
-                for f in reach[e]:
-                    extra |= reach[f]
-                if not extra <= reach[e]:
-                    reach[e] |= extra
-                    changed = True
-        for a in elements:
-            for b in elements:
-                if a != b and b in reach[a] and a in reach[b]:
-                    raise InvalidInput(f"order is not antisymmetric: {a}, {b}")
-        self._reach = reach
+            down[index[b]] |= 1 << index[a]
+        for j, dj in enumerate(down):
+            for i, di in enumerate(down):
+                if di >> j & 1:
+                    down[i] = di | dj
+        # Two elements below each other have one down-set, and conversely.
+        classes: dict[int, list[int]] = {}
+        for i, m in enumerate(down):
+            classes.setdefault(m, []).append(i)
+        loop = min((c for c in classes.values() if len(c) > 1), default=None)
+        if loop is not None:
+            raise InvalidInput("order is not antisymmetric: "
+                               f"{elements[loop[0]]}, {elements[loop[1]]}")
+        self._down = tuple(down)
+        full = (1 << len(elements)) - 1
         if top is None:
-            maxima = [e for e in elements
-                      if all(e in reach[f] for f in elements)]
+            maxima = [e for e, m in zip(elements, down) if m == full]
             if len(maxima) != 1:
                 raise InvalidInput("explicit poset requires a greatest element")
             top = maxima[0]
         else:
-            if top not in self._index:
+            if top not in index:
                 raise InvalidInput(f"unknown top element {top!r}")
-            if not all(top in reach[f] for f in elements):
+            if down[index[top]] != full:
                 raise InvalidInput(f"{top!r} is not above every element")
-        if top != "1" and "1" in self._index:
+        if top != "1" and "1" in index:
             raise InvalidInput('"1" is reserved for the greatest element')
         self.top = top
 
@@ -337,14 +393,16 @@ class ExplicitPoset(Poset):
         return isinstance(c, str) and c in self._index
 
     def _le(self, p, q) -> bool:
-        return q in self._reach[p]
+        return bool(self._down[self._index[q]] >> self._index[p] & 1)
 
     def _compatible(self, p, q) -> bool:
-        reach = self._reach
-        return any(p in reach[r] and q in reach[r] for r in self._elements)
+        return bool(self._down[self._index[p]] & self._down[self._index[q]])
 
-    def conditions(self) -> tuple:
-        return tuple(sorted(self._elements, key=self.condition_key))
+    def _size(self) -> int:
+        return len(self._elements)
+
+    def _compile(self) -> tuple[tuple, tuple[int, ...]]:
+        return self._elements, self._down
 
     def _condition_hf(self, c) -> HF:
         return nat(self._index[c])
@@ -460,15 +518,39 @@ class ChoicePoset(Poset):
     def _compatible(self, p, q) -> bool:
         return p == q or self.family.block_of(p[1]) == self.family.block_of(q[1])
 
-    def conditions(self) -> tuple:
+    def _levels(self) -> int:
         if self.level_bound is None:
             raise TruncationEscape("choice poset has no declared level bound")
-        out = []
-        for n in range(self.level_bound):
-            for label in self.family.labels:
-                for x in self.family.sorted_block(label):
-                    out.append((n, x))
-        return tuple(sorted(out, key=self.condition_key))
+        return self.level_bound
+
+    def _size(self) -> int:
+        return self._levels() * len(self.family._block_of)
+
+    def _compile(self) -> tuple[tuple, tuple[int, ...]]:
+        levels = self._levels()
+        xs = sorted(self.family._block_of, key=HF.key)  # every element
+        blocks = [self.family.block_of(x) for x in xs]
+        conds = tuple((n, x) for n in range(levels) for x in xs)
+        # (n, x) lies above itself and every condition of a deeper level
+        # over x's block; levels are met from the deepest up.
+        width = len(xs)
+        down = [0] * len(conds)
+        deeper = dict.fromkeys(self.family.labels, 0)
+        for n in reversed(range(levels)):
+            for j, block in enumerate(blocks):
+                down[n * width + j] = 1 << n * width + j | deeper[block]
+            for j, block in enumerate(blocks):
+                deeper[block] |= 1 << n * width + j
+        return conds, tuple(down)
+
+    def _compat(self, k: "Kernel") -> tuple[int, ...]:
+        # Same block is compatible, even where every common extension lies
+        # past the level bound.
+        same: dict[str, int] = {}
+        for i, (_, x) in enumerate(k.conds):
+            block = self.family.block_of(x)
+            same[block] = same.get(block, 0) | 1 << i
+        return tuple(same[self.family.block_of(x)] for _, x in k.conds)
 
     def _condition_hf(self, c) -> HF:
         return kuratowski(nat(c[0]), c[1])
@@ -528,7 +610,6 @@ class MapPoset(Poset):
             tuple(dom_window) if dom_window is not None else self.dom_items)
         self.cod_window = (
             tuple(cod_window) if cod_window is not None else self.cod_items)
-        self._conds = None
 
     def _valid_item(self, x, items) -> bool:
         if items is None:
@@ -554,25 +635,52 @@ class MapPoset(Poset):
     def _compatible(self, p, q) -> bool:
         return is_map(p | q, self.injective)
 
-    def conditions(self) -> tuple:
+    def _windows(self) -> tuple[list, list]:
+        """The window's domain and value items, each in canon_key order."""
         if self.dom_window is None or self.cod_window is None:
             raise TruncationEscape(
                 f"{self.kind} poset has no declared truncation window")
-        if self._conds is None:
-            doms = sorted(self.dom_window, key=canon_key)
-            cods = sorted(self.cod_window, key=canon_key)
-            out = []
-            for k in range(len(doms) + 1):
-                for dom in itertools.combinations(doms, k):
-                    for vals in itertools.product(cods, repeat=k):
-                        if self.injective and len(set(vals)) != k:
-                            continue
-                        out.append(frozenset(zip(dom, vals)))
-            # canon_key order: a pair's key is a fixed prefix and its items'
-            key = {x: canon_key(x) for x in (*doms, *cods)}
-            self._conds = tuple(sorted(out, key=lambda c: (
-                len(c), sorted((key[u], key[v]) for u, v in c))))
-        return self._conds
+        return (sorted(set(self.dom_window), key=canon_key),
+                sorted(set(self.cod_window), key=canon_key))
+
+    def _size(self) -> int:
+        d, c = map(len, self._windows())
+        return sum(math.comb(d, k) * (math.perm(c, k) if self.injective
+                                      else c ** k) for k in range(d + 1))
+
+    def _compile(self) -> tuple[tuple, tuple[int, ...]]:
+        doms, cods = self._windows()
+        # canon_key order: by size, then by the sorted entries, which for a
+        # map sort by domain item.  Growing each map of one size, in order,
+        # by each entry (u, v) with u after its domain, in (u, v) order,
+        # lists the next size in order.
+        conds = [frozenset()]
+        frontier = [(conds[0], 0)]  # (map, position in doms of its next item)
+        while frontier:
+            grown = []
+            for c, start in frontier:
+                taken = {v for _, v in c} if self.injective else ()
+                for at in range(start, len(doms)):
+                    for v in cods:
+                        if v not in taken:
+                            d = c | {(doms[at], v)}
+                            conds.append(d)
+                            grown.append((d, at + 1))
+            frontier = grown
+        # Reverse inclusion: the maps below c are those holding every entry
+        # of c.
+        having: dict = {}
+        for i, c in enumerate(conds):
+            for e in c:
+                having[e] = having.get(e, 0) | 1 << i
+        full = (1 << len(conds)) - 1
+        down = []
+        for c in conds:
+            m = full
+            for e in c:
+                m &= having[e]
+            down.append(m)
+        return tuple(conds), tuple(down)
 
     def _item_hf(self, x) -> HF:
         if isinstance(x, HF):
@@ -583,8 +691,21 @@ class MapPoset(Poset):
             return from_int_set(x)
         raise InvalidInput(f"cannot encode item {x!r} as a set")
 
+    def _entry_hf(self, u, v) -> HF:
+        return kuratowski(self._item_hf(u), self._item_hf(v))
+
     def _condition_hf(self, c) -> HF:
-        return HF(kuratowski(self._item_hf(u), self._item_hf(v)) for u, v in c)
+        return HF(self._entry_hf(u, v) for u, v in c)
+
+    def _codes(self, conds: tuple) -> tuple[HF, ...]:
+        # One code per distinct entry: every map in the window is a union
+        # of the singletons, which hold each entry once.
+        entry = {}
+        for c in conds:
+            if len(c) == 1:
+                (e,) = c
+                entry[e] = self._entry_hf(*e)
+        return tuple(HF(map(entry.__getitem__, c)) for c in conds)
 
     def _item_repr(self, x) -> str:
         if isinstance(x, HF):
@@ -645,10 +766,8 @@ class CohenGridPoset(MapPoset):
             and _is_nat(cell[0]) and _is_nat(cell[1]) and bit in (0, 1)
             for cell, bit in c)
 
-    def _condition_hf(self, c) -> HF:
-        return HF(
-            kuratowski(kuratowski(nat(cell[0]), nat(cell[1])), nat(bit))
-            for cell, bit in c)
+    def _entry_hf(self, cell, bit) -> HF:
+        return kuratowski(kuratowski(nat(cell[0]), nat(cell[1])), nat(bit))
 
     def condition_repr(self, c) -> str:
         pairs = sorted(c, key=canon_key)
@@ -675,14 +794,28 @@ class BinaryTreePoset(Poset):
     def _compatible(self, p, q) -> bool:
         return p.startswith(q) or q.startswith(p)
 
-    def conditions(self) -> tuple:
-        out = [""]
+    def _size(self) -> int:
+        return 2 ** (self.depth + 1) - 1
+
+    def _compile(self) -> tuple[tuple, tuple[int, ...]]:
+        conds = [""]
         for k in range(1, self.depth + 1):
-            out.extend("".join(bits) for bits in itertools.product("01", repeat=k))
-        return tuple(sorted(out, key=self.condition_key))
+            conds.extend(map("".join, itertools.product("01", repeat=k)))
+        # Heap order: the children of string i are 2i + 1 and 2i + 2, so
+        # one bottom-up pass or-s each string's down-set into its parent's.
+        down = [1 << i for i in range(len(conds))]
+        for i in range(len(conds) - 1, 0, -1):
+            down[(i - 1) // 2] |= down[i]
+        return tuple(conds), tuple(down)
 
     def _condition_hf(self, c) -> HF:
         return HF(kuratowski(nat(i), nat(int(b))) for i, b in enumerate(c))
+
+    def _codes(self, conds: tuple) -> tuple[HF, ...]:
+        # One code per position and bit.
+        at = [{b: kuratowski(nat(i), nat(int(b))) for b in "01"}
+              for i in range(self.depth)]
+        return tuple(HF(at[i][b] for i, b in enumerate(c)) for c in conds)
 
     def condition_repr(self, c) -> str:
         return f"|{c}|"

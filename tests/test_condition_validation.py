@@ -176,6 +176,42 @@ def test_index_of_matches_the_kernel_index_of_the_resolved_condition(kind):
         == [("ok", i) for i in range(len(k.conds))]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_below_matches_the_mask_of_the_resolved_condition(kind):
+    # Kernel.below takes the kernel's mask only for the very object it
+    # indexes, like index_of; an equal copy that resolve refuses (a float
+    # for an int) gets resolve's code, and an accepted condition outside
+    # the truncation gets the mask of its extensions.
+    poset, outside, _ = KINDS[kind]
+    k = poset.kernel()
+
+    def reference_below(c):
+        if c is ONE:
+            return "ok", k.full
+        try:
+            c = poset.resolve(c)
+        except ForceLabError as e:
+            return "error", e.code
+        return "ok", sum(1 << j for j, p in enumerate(k.conds)
+                         if poset.le(p, c))
+
+    def below(c):
+        try:
+            return "ok", k.below(c)
+        except ForceLabError as e:
+            return "error", e.code
+
+    probes = [*poset.conditions(), ONE, [poset.conditions()[0]], {"a": 0},
+              *NON_CONDITIONS, *KIND_NON_CONDITIONS.get(kind, []),
+              *EQUAL_NON_CONDITIONS.get(kind, [])]
+    if outside is not None:
+        probes.append(outside)
+    for c in probes:
+        assert below(c) == reference_below(c), c
+    for c in EQUAL_NON_CONDITIONS.get(kind, []):
+        assert below(c) == ("error", "unknown-condition"), c
+
+
 def test_index_of_validates_before_it_compiles():
     # With no truncation there is no kernel to read: each probe still gets
     # the code resolve gives it, and only a condition escapes.

@@ -9,11 +9,11 @@ import weakref
 import pytest
 
 from forcelab import (
-    HF, And, BinaryTreePoset, ChoicePoset, Cname, EMPTY_NAME, Eq, Exists,
-    ExplicitPoset, Family, Filter, FlatPoset, Forall, ForceLabError, Implies,
-    InName, InvalidInput, Member, NameSpace, Not, NotMaximalBelow, ONE, Or,
-    OrdLT, PName, PreconditionViolated,
-    RankLE, TruncationEscape, Var, check_name, disj, eval_name,
+    HF, And, BinaryTreePoset, ChoicePoset, Cname, CohenGridPoset, EMPTY_NAME,
+    Eq, Exists, ExplicitPoset, Family, Filter, FlatPoset, Forall,
+    ForceLabError, Implies, InName, InvalidInput, Member, NameSpace, Not,
+    NotMaximalBelow, ONE, Or, OrdLT, PName, PreconditionViolated, RankLE,
+    TruncationEscape, Var, check_name, disj, eval_name,
     extract_choice_wellordered, fn_omega_omega, forces_semantic,
     forces_syntactic, gamma_name, generic_filter, hereditary_closure,
     holds_along, indexed_witness_name, inj_omega_omega, least_ordinal_name,
@@ -513,6 +513,16 @@ class TestNameSpaceQuotient:
         with pytest.raises(InvalidInput) as info:
             NameSpace(poset, BASES, 2)
         assert info.value.code == "invalid-input"
+        assert poset._kernel is None
+
+    def test_over_cap_refusal_counts_without_enumerating(self):
+        # The cap reads the truncation's size: a grid of 3^64 conditions is
+        # refused at once, with nothing enumerated or compiled.
+        poset = CohenGridPoset(8, 8)
+        start = time.monotonic()
+        with pytest.raises(InvalidInput):
+            NameSpace(poset, BASES, 1)
+        assert time.monotonic() - start < 1.0
         assert poset._kernel is None
 
 

@@ -204,6 +204,18 @@ def test_bad_member_is_refused_and_leaves_no_entry(module, make, members):
     assert len(module._UNIQUE) <= before
 
 
+@pytest.mark.parametrize("make, members", [
+    (HF, [[EMPTY]]),
+    (PName, [["a", EMPTY_NAME]]),
+], ids=["hf", "name"])
+def test_unhashable_member_is_invalid_input(make, members):
+    # frozenset() refuses an unhashable member before any check runs; the
+    # constructor turns its TypeError into the coded error.
+    with pytest.raises(InvalidInput) as info:
+        make(members)
+    assert info.value.code == "invalid-input"
+
+
 def test_cold_process_exits_with_an_empty_stderr():
     # Interned values still alive at interpreter exit, some in reference
     # cycles, must not make the tables' callbacks raise during shutdown.
