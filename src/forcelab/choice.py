@@ -11,22 +11,18 @@ values again form a choice function.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
     check_natural,
 )
-from .forcing import _forcer, forces_semantic
-from .formulas import (
-    And, Cname, Formula, Implies, Member, Eq, Var, conj, disj, subst,
-)
+from .forcing import forces_semantic
+from .formulas import And, Cname, Formula, Member, Var, disj, subst
 from .hf import HF, render
 from .names import PName, check_name, eval_name, gamma_name
 from .posets import (
-    ChoicePoset, Family, FlatPoset, ONE, Poset, generic_filter,
-    is_maximal_antichain,
+    ChoicePoset, Family, FlatPoset, ONE, generic_filter, is_maximal_antichain,
 )
 
 
@@ -145,51 +141,3 @@ def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
                 f"value {render(value)} below {lab!r} escapes its block")
         mapping[lab] = value
     return ChoiceFunction(family, mapping)
-
-
-# ---------------------------------------------------------------------------
-# wellordered extraction over an arbitrary finite poset
-
-
-def extract_choice_wellordered(
-        poset: Poset, marks: Sequence, block_sets: Sequence[Iterable[HF]],
-        tau: PName) -> list[tuple[object, HF]]:
-    """For each marked condition p_n, find the first extension q_n deciding
-    the name as a fixed element x_n of the n-th set.
-
-    The marked conditions must be pairwise incompatible, and the greatest
-    element must force that whenever a mark enters the generic filter the
-    name lands in the matching set.  Each mark reads one [[tau = x-check]]
-    mask per x, and each extension q decides the name as x when every
-    minimal condition below q lies in that mask.
-    """
-    k = poset.kernel()
-    marks = [poset.index_of(p) for p in marks]
-    blocks = [frozenset(xs) for xs in block_sets]
-    if len(marks) != len(blocks):
-        raise InvalidInput("need exactly one set per marked condition")
-    if not all(blocks):
-        raise InvalidInput("the sets must be nonempty")
-    if any(a == b or k.compat[a] >> b & 1
-           for a, b in itertools.combinations(marks, 2)):
-        raise PreconditionViolated(
-            "the marked conditions are not pairwise incompatible")
-    gamma = gamma_name(poset)
-    guard = conj([
-        Implies(Member(Cname(check_name(k.codes[a])), Cname(gamma)),
-                Member(Cname(tau), Cname(check_name(HF(xs)))))
-        for a, xs in zip(marks, blocks)])
-    if not forces_semantic(poset, ONE, guard):
-        raise PreconditionViolated(
-            "the greatest element does not force the name into the marked sets")
-    f = _forcer(poset, None)
-    out = []
-    for a, xs in zip(marks, blocks):
-        values = sorted(xs, key=HF.key)
-        masks = [f.truth(Eq(Cname(tau), Cname(check_name(x)))) for x in values]
-        # By the guard each minimal b <= a puts the name's value along
-        # filter_at(b) in xs, so b decides it and some q is found.
-        out.append(next((k.conds[q], x) for q in k.exts[a]
-                        for x, mask in zip(values, masks)
-                        if not k.down[q] & k.minimal & ~mask))
-    return out

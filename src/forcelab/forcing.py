@@ -40,7 +40,7 @@ from .formulas import (
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
-from .names import PName, check_name, eval_name, hereditary_closure, union_name
+from .names import PName, check_name, eval_name, hereditary_closure
 from .posets import Filter, Kernel, ONE, Poset, canon_key
 
 # The most subsets of (condition, child) pairs a NameSpace admits; its walk
@@ -517,35 +517,3 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
         if f.forces_sem(i, theta, {var: tau}):
             return tau
     return None
-
-
-def indexed_witness_name(poset: Poset, p, candidates: Sequence[PName],
-                         theta: Formula) -> tuple[PName, PName]:
-    """Collapse an indexed list of candidate witnesses into a single one.
-
-    The singleton name rho holds (q, tau_alpha) whenever q forces theta at
-    candidate alpha and forces its failure at every earlier candidate; the
-    union-collapse of rho removes the enclosing braces.  Returns (rho, tau).
-    Requires that below every extension of p some condition forces theta at
-    some candidate.  It reads one [[theta(tau_alpha)]] mask per candidate.
-    """
-    i = poset.index_of(p)
-    var = single_free_var(theta)
-    f = _forcer(poset, None)
-    k = f.k
-    # held: where theta holds at some candidate so far
-    entries, held = [], 0
-    for tau in candidates:
-        mask = f.truth(theta, {var: tau})
-        refuted = (k.minimal & ~mask) | held
-        entries.extend((k.conds[q], tau) for q in k.exts[i]
-                       if not k.down[q] & refuted)
-        held |= mask
-    # Some r <= q forces theta at a candidate iff a minimal a <= q does.
-    for q in k.exts[i]:
-        if not k.down[q] & held:
-            raise PreconditionViolated(
-                "no extension forces theta at any candidate below "
-                f"{poset.condition_repr(k.conds[q])}")
-    rho = PName(entries)
-    return rho, union_name(poset, rho)

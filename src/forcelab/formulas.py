@@ -214,15 +214,6 @@ class Forall(_Quantifier):
 Formula = Union[Member, Eq, Not, And, Or, Implies, Exists, Forall]
 
 
-def conj(parts: list) -> "Formula":
-    if not parts:
-        raise InvalidInput("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def disj(parts: list) -> "Formula":
     if not parts:
         raise InvalidInput("empty disjunction")

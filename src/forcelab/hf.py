@@ -152,10 +152,6 @@ def nat_value(h: HF) -> int | None:
     return None
 
 
-def from_int_set(values: Iterable[int]) -> HF:
-    return HF(nat(v) for v in values)
-
-
 def kuratowski(a: HF, b: HF) -> HF:
     """The ordered pair (a, b) as {{a}, {a, b}}."""
     return HF((HF((a,)), HF((a, b))))

@@ -210,20 +210,6 @@ def _name_hf(tau: PName, memo: dict) -> HF:
     return out
 
 
-def union_name(poset: Poset, rho: PName) -> PName:
-    """The union-collapse of a name of names: entries (s, sigma2) for every
-    outer entry (q1, sigma1), inner entry (q2, sigma2), and condition s
-    extending both q1 and q2."""
-    k = poset.kernel()
-    entries = []
-    for q1, sigma1 in rho.entries:
-        for q2, sigma2 in sigma1.entries:
-            both = k.below(q1) & k.below(q2)
-            entries.extend((s, sigma2) for j, s in enumerate(k.conds)
-                           if both >> j & 1)
-    return PName(entries)
-
-
 def name_conditions(tau: PName) -> set:
     """All conditions appearing hereditarily in a name."""
     out: set = set()

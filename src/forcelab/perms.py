@@ -254,29 +254,6 @@ def transposition(i: int, j: int) -> Perm:
     return Perm(((i, j),))
 
 
-def compose(outer: Perm, inner: Perm) -> Perm:
-    """The finite-support product: x goes to outer(inner(x))."""
-    if outer.chains or inner.chains:
-        raise InvalidInput("composition is closed-form only for finite support")
-    support = {v for c in outer.cycles for v in c}
-    support |= {v for c in inner.cycles for v in c}
-    mapping = {x: outer.apply(inner.apply(x)) for x in support}
-    cycles = []
-    seen: set[int] = set()
-    for x in sorted(mapping):
-        if x in seen or mapping[x] == x:
-            continue
-        cyc = [x]
-        seen.add(x)
-        y = mapping[x]
-        while y != x:
-            cyc.append(y)
-            seen.add(y)
-            y = mapping[y]
-        cycles.append(tuple(cyc))
-    return Perm(cycles)
-
-
 # ---------------------------------------------------------------------------
 # the factoring construction
 

@@ -28,7 +28,7 @@ from .errors import (
     UnknownCondition,
     check_natural,
 )
-from .hf import HF, from_int_set, kuratowski, nat, render
+from .hf import HF, kuratowski, nat, render
 
 
 class _TopSentinel:
@@ -89,6 +89,9 @@ class Poset:
     use by the kind's ``_compile``, which lists the truncation in canonical
     order with its down-set masks, read off the kind's structure; a
     condition is inside the truncation exactly when the kernel indexes it.
+    Every kind's truncation is an up-set: what a condition inside it
+    extends is inside it too.  So the kernel never asks ``_le`` or
+    ``_compatible``; only the public ``le`` and ``compatible`` do.
     """
 
     kind = "abstract"
@@ -194,11 +197,6 @@ class Poset:
                 f"{self.condition_repr(c)}")
         return i
 
-    def extensions(self, p) -> tuple:
-        """Conditions extending p, within the truncation."""
-        k = self.kernel()
-        return tuple(k.conds[q] for q in k.exts[self.index_of(p)])
-
     def minimal_conditions(self) -> tuple:
         """Conditions with no proper extension inside the truncation."""
         k = self.kernel()
@@ -295,10 +293,10 @@ class Kernel:
         """The mask of the conditions extending c, a name entry's condition:
         ONE or any condition, inside the truncation or not.  As a name entry
         ONE is in every filter, so it covers every condition even with no
-        top.  As in ``Poset.index_of``, the very object the kernel indexes is
-        valid by construction; anything else, an equal copy included, goes
-        through ``resolve``, which refuses ``(1.0, x)`` for ``(1, x)`` and
-        an unhashable c."""
+        top.  A condition outside the truncation gets 0: the truncation is
+        an up-set (see :class:`Poset`).  As in ``Poset.index_of``, only the
+        very object the kernel indexes skips ``resolve``, which refuses an
+        equal copy such as ``(1.0, x)`` for ``(1, x)`` and an unhashable c."""
         if c is ONE:
             return self.full
         try:
@@ -307,12 +305,8 @@ class Kernel:
             i = None
         if i is not None and self.conds[i] is c:
             return self.down[i]
-        c = self.poset.resolve(c)
-        i = self.index.get(c)
-        if i is not None:
-            return self.down[i]
-        le = self.poset._le
-        return sum(1 << j for j, p in enumerate(self.conds) if le(p, c))
+        i = self.index.get(self.poset.resolve(c))
+        return 0 if i is None else self.down[i]
 
     def entry_masks(self, tau) -> tuple:
         """A name's sorted entries as (mask below the condition, child)."""
@@ -347,7 +341,14 @@ class ExplicitPoset(Poset):
 
     def __init__(self, elements: Sequence[str], order: Iterable[tuple[str, str]],
                  top: Optional[str] = None):
-        elements = list(elements)
+        try:
+            elements = list(elements)
+        except TypeError:
+            raise InvalidInput("explicit poset elements must be a list") \
+                from None
+        for e in elements:
+            if not isinstance(e, str):
+                raise InvalidInput(f"element {e!r} is not a string")
         if len(set(elements)) != len(elements):
             raise InvalidInput("duplicate elements in explicit poset")
         if not elements:
@@ -357,10 +358,15 @@ class ExplicitPoset(Poset):
         # down[i] masks the elements below element i: the pairs, closed
         # reflexively and transitively (Warshall's algorithm on bit masks).
         down = [1 << i for i in range(len(elements))]
-        for a, b in order:
-            if a not in index or b not in index:
-                raise InvalidInput(f"order pair uses unknown element: {a} < {b}")
-            down[index[b]] |= 1 << index[a]
+        try:
+            for a, b in order:
+                if a not in index or b not in index:
+                    raise InvalidInput(
+                        f"order pair uses unknown element: {a} < {b}")
+                down[index[b]] |= 1 << index[a]
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                "order must list (lower, upper) element pairs") from None
         for j, dj in enumerate(down):
             for i, di in enumerate(down):
                 if di >> j & 1:
@@ -381,7 +387,7 @@ class ExplicitPoset(Poset):
                 raise InvalidInput("explicit poset requires a greatest element")
             top = maxima[0]
         else:
-            if top not in index:
+            if top not in elements:  # by equality: top may be unhashable
                 raise InvalidInput(f"unknown top element {top!r}")
             if down[index[top]] != full:
                 raise InvalidInput(f"{top!r} is not above every element")
@@ -440,19 +446,25 @@ class Family:
     def __init__(self, blocks: Iterable[tuple[str, Iterable[HF]]]):
         labels = []
         sets = []
-        for label, values in blocks:
-            if label == "1":
-                raise InvalidInput('"1" is reserved and cannot label a block')
-            vs = frozenset(values)
-            if not vs:
-                raise InvalidInput(f"block {label!r} is empty")
-            for v in vs:
-                if not isinstance(v, HF):
+        try:
+            for label, values in blocks:
+                if label == "1":
                     raise InvalidInput(
-                        f"block {label!r} holds {v!r}, not an HF set")
-            labels.append(label)
-            sets.append(vs)
-        if len(set(labels)) != len(labels):
+                        '"1" is reserved and cannot label a block')
+                vs = frozenset(values)
+                if not vs:
+                    raise InvalidInput(f"block {label!r} is empty")
+                for v in vs:
+                    if not isinstance(v, HF):
+                        raise InvalidInput(
+                            f"block {label!r} holds {v!r}, not an HF set")
+                labels.append(label)
+                sets.append(vs)
+            distinct = len(set(labels)) == len(labels)
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                "a family lists (label, elements) blocks of HF sets") from None
+        if not distinct:
             raise InvalidInput("duplicate block labels")
         if not labels:
             raise InvalidInput("family needs at least one block")
@@ -504,7 +516,7 @@ class ChoicePoset(Poset):
     def is_condition(self, c) -> bool:
         return (
             isinstance(c, tuple) and len(c) == 2
-            and isinstance(c[0], int) and c[0] >= 0
+            and _is_nat(c[0])
             and isinstance(c[1], HF)
             and self.family.block_of(c[1]) is not None
         )
@@ -580,7 +592,8 @@ def is_map(pairs, injective: bool = False) -> bool:
 
 
 def _is_nat(x) -> bool:
-    return isinstance(x, int) and x >= 0
+    """Is x a natural?  Like ``check_natural``, a bool is not one."""
+    return type(x) is int and x >= 0
 
 
 def is_injection(pairs) -> bool:
@@ -594,8 +607,9 @@ class MapPoset(Poset):
 
     ``dom_items`` / ``cod_items`` of None mean the naturals; an explicit
     tuple means both the universe of valid items and the truncation window.
-    ``dom_window`` / ``cod_window`` restrict enumeration when the universe
-    itself is infinite.
+    ``dom_window`` / ``cod_window`` restrict enumeration to some of the
+    items (needed when the universe is infinite); an item outside the
+    universe is refused, so every map in the window is a condition.
     """
 
     kind = "fn"
@@ -610,10 +624,16 @@ class MapPoset(Poset):
             tuple(dom_window) if dom_window is not None else self.dom_items)
         self.cod_window = (
             tuple(cod_window) if cod_window is not None else self.cod_items)
+        for window, items in ((self.dom_window, self.dom_items),
+                              (self.cod_window, self.cod_items)):
+            for x in window or ():
+                if not self._valid_item(x, items):
+                    raise InvalidInput(f"window item {x!r} is not an item "
+                                       f"of this {self.kind} poset")
 
     def _valid_item(self, x, items) -> bool:
         if items is None:
-            return isinstance(x, int) and x >= 0
+            return _is_nat(x)
         return x in items
 
     def is_condition(self, c) -> bool:
@@ -687,8 +707,6 @@ class MapPoset(Poset):
             return x
         if isinstance(x, int):
             return nat(x)
-        if isinstance(x, frozenset):
-            return from_int_set(x)
         raise InvalidInput(f"cannot encode item {x!r} as a set")
 
     def _entry_hf(self, u, v) -> HF:
@@ -755,15 +773,20 @@ class CohenGridPoset(MapPoset):
     def __init__(self, cols: int, rows: int):
         self.cols = check_natural(cols, "cols", 1)
         self.rows = check_natural(rows, "rows", 1)
-        cells = [(c, r) for c in range(cols) for r in range(rows)]
-        super().__init__(dom_window=cells, cod_window=(0, 1))
+        # The cells are not naturals, so MapPoset's item check does not
+        # apply: is_condition below decides a cell.
+        self.dom_items = self.cod_items = None
+        self.dom_window = tuple(
+            (c, r) for c in range(cols) for r in range(rows))
+        self.cod_window = (0, 1)
 
     @staticmethod
     def is_condition(c) -> bool:
         """Is c a finite map from cells to bits (on any grid)?"""
         return isinstance(c, frozenset) and is_map(c) and all(
             isinstance(cell, tuple) and len(cell) == 2
-            and _is_nat(cell[0]) and _is_nat(cell[1]) and bit in (0, 1)
+            and _is_nat(cell[0]) and _is_nat(cell[1])
+            and _is_nat(bit) and bit < 2
             for cell, bit in c)
 
     def _entry_hf(self, cell, bit) -> HF:
@@ -879,13 +902,6 @@ def _mask(poset: Poset, conditions: Iterable) -> int:
     for c in conditions:
         mask |= 1 << poset.index_of(c)
     return mask
-
-
-def is_antichain(poset: Poset, conditions: Iterable) -> bool:
-    """Pairwise incompatibility of a finite set of conditions."""
-    items = [poset.resolve(c) for c in conditions]
-    return not any(p == q or poset._compatible(p, q)
-                   for p, q in itertools.combinations(items, 2))
 
 
 def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:

@@ -1,19 +1,14 @@
 """Antichains and witness names versus choice functions."""
 
-import itertools
-import random
-
 import pytest
 
 from forcelab import (
-    HF, BinaryTreePoset, ChoiceFunction, ChoicePoset, Cname, Eq,
-    ExplicitPoset, Family, FlatPoset, ForceLabError, Implies, InvalidInput,
-    Member, NotMaximal, ONE, PreconditionViolated, ValueEscapesBlock,
-    all_choice_functions, antichain_from_choice, build_witness_flat,
-    check_name, choice_from_antichain, conj, enumerate_maximal_antichains,
-    eval_name, extract_choice_flat, extract_choice_wellordered,
-    fn_omega_omega, forces_semantic, gamma_name, generic_filter, nat, PName,
-    subst, theta_family,
+    ChoiceFunction, ChoicePoset, Family, FlatPoset, InvalidInput, NotMaximal,
+    ONE, PreconditionViolated, ValueEscapesBlock, all_choice_functions,
+    antichain_from_choice, build_witness_flat, check_name,
+    choice_from_antichain, enumerate_maximal_antichains, eval_name,
+    extract_choice_flat, forces_semantic, generic_filter, nat, subst,
+    theta_family,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -103,122 +98,6 @@ class TestWitnessCorrespondence:
         tau = build_witness_flat(f)
         assert eval_name(tau, generic_filter(flat, "a")) == nat(1)
         assert eval_name(tau, generic_filter(flat, "b")) == nat(2)
-
-
-class TestWellorderedExtraction:
-    def test_marks_on_flat_poset(self):
-        flat = FlatPoset(FAM)
-        f = ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)})
-        tau = build_witness_flat(f)
-        out = extract_choice_wellordered(
-            flat, ["a", "b"], [FAM.blocks["a"], FAM.blocks["b"]], tau)
-        assert [x for _, x in out] == [nat(0), nat(2)]
-        for (q, x), mark in zip(out, ["a", "b"]):
-            assert flat.le(q, flat.resolve(mark))
-
-    def test_rejects_compatible_marks(self):
-        flat = FlatPoset(FAM)
-        tau = build_witness_flat(
-            ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)}))
-        with pytest.raises(PreconditionViolated):
-            extract_choice_wellordered(
-                flat, ["a", ONE], [FAM.blocks["a"], FAM.blocks["b"]], tau)
-
-    def test_rejects_undecided_name(self):
-        flat = FlatPoset(FAM)
-        # gamma is not forced into any fixed finite set of naturals
-        with pytest.raises(PreconditionViolated):
-            extract_choice_wellordered(
-                flat, ["a"], [frozenset({nat(0)})], gamma_name(flat))
-
-
-def reference_extract_choice_wellordered(poset, marks, block_sets, tau):
-    """``extract_choice_wellordered`` asked condition by condition: one
-    public forcing question per (extension, value)."""
-    k = poset.kernel()
-    blocks = [frozenset(xs) for xs in block_sets]
-    if any(poset.compatible(a, b) or a == b
-           for a, b in itertools.combinations(marks, 2)):
-        raise PreconditionViolated(
-            "the marked conditions are not pairwise incompatible")
-    gamma = gamma_name(poset)
-    guard = conj([
-        Implies(Member(Cname(check_name(poset.condition_hf(a))), Cname(gamma)),
-                Member(Cname(tau), Cname(check_name(HF(xs)))))
-        for a, xs in zip(marks, blocks)])
-    if not forces_semantic(poset, ONE, guard):
-        raise PreconditionViolated(
-            "the greatest element does not force the name into the marked sets")
-    out = []
-    for a, xs in zip(marks, blocks):
-        found = next(((q, x)
-                      for q in (k.conds[j] for j in k.exts[poset.index_of(a)])
-                      for x in sorted(xs, key=HF.key)
-                      if forces_semantic(
-                          poset, q, Eq(Cname(tau), Cname(check_name(x))))),
-                     None)
-        if found is None:
-            raise PreconditionViolated(
-                f"no extension of {poset.condition_repr(a)} decides the name")
-        out.append(found)
-    return out
-
-
-WELLORDERED_POSETS = {
-    "flat": lambda: FlatPoset(Family(
-        [("a", [nat(0), nat(1)]), ("b", [nat(2)]), ("c", [nat(3)])])),
-    "chain": lambda: ExplicitPoset(
-        ["p", "q", "1"], [("p", "q"), ("q", "1")], "1"),
-    "vee": lambda: ExplicitPoset(
-        ["a", "b", "c", "1"], [("a", "1"), ("b", "1"), ("c", "b")], "1"),
-    "tree2": lambda: BinaryTreePoset(2),
-    "fn22": lambda: fn_omega_omega(2, 2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(WELLORDERED_POSETS))
-def test_wellordered_extraction_matches_reference(case):
-    """Names that take a natural along each generic filter, marks that are
-    minimal conditions or one condition, and sets that mostly hold the
-    name's values below each mark, so that most cases answer."""
-    poset = WELLORDERED_POSETS[case]()
-    k = poset.kernel()
-    rng = random.Random(f"wellordered-{case}")
-    minimals = [k.conds[a] for a in k.minimals]
-    answered = raised = 0
-    for _ in range(100):
-        value = {a: nat(rng.randrange(3)) for a in k.minimals}
-        entries = [(k.conds[a], check_name(y))
-                   for a in k.minimals for y in value[a]]
-        if rng.random() < 0.3:
-            entries.append((rng.choice(k.conds), check_name(nat(0))))
-        tau = PName(entries)
-        if rng.random() < 0.5:
-            marks = rng.sample(minimals, rng.randint(1, len(minimals)))
-        else:
-            marks = [rng.choice(k.conds)]
-        blocks = []
-        for m in marks:
-            below = k.down[poset.index_of(m)]
-            xs = {value[a] for a in k.minimals if below >> a & 1}
-            if rng.random() < 0.3:
-                xs.add(nat(rng.randrange(4)))
-            if rng.random() < 0.1 and len(xs) > 1:
-                xs.remove(max(xs, key=HF.key))
-            blocks.append(xs)
-        try:
-            got = extract_choice_wellordered(poset, marks, blocks, tau)
-        except ForceLabError as err:
-            got = (type(err), err.code, str(err))
-        try:
-            want = reference_extract_choice_wellordered(
-                poset, marks, blocks, tau)
-        except ForceLabError as err:
-            want = (type(err), err.code, str(err))
-        assert got == want, (tau, marks, blocks)
-        answered += isinstance(got, list)
-        raised += not isinstance(got, list)
-    assert answered > 2 * raised > 0
 
 
 class TestThetaFamily:

@@ -11,8 +11,8 @@ import forcelab
 from forcelab import (
     HF, ONE, BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset,
     Family, FlatPoset, ForceLabError, Poset, UnknownCondition,
-    fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
-    nat,
+    fn_omega_omega, generic_filter, inj_omega_omega, is_dense,
+    is_maximal_antichain, nat,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -47,16 +47,17 @@ KIND_NON_CONDITIONS = {
 }
 
 # Equal to (and hashing like) a condition of the kind's truncation, but
-# not a condition: a float stands where an int must.
+# not a condition: a float or a bool stands where a natural must.
 EQUAL_NON_CONDITIONS = {
-    "choice": [(1.0, nat(0))],
-    "fn": [frozenset({(0.0, 1)})],
-    "inj": [frozenset({(0, 1.0)})],
-    "grid": [frozenset({((0.0, 0), 1)})],
+    "choice": [(1.0, nat(0)), (True, nat(0))],
+    "fn": [frozenset({(0.0, 1)}), frozenset({(True, 0)})],
+    "inj": [frozenset({(0, 1.0)}), frozenset({(0, True)})],
+    "grid": [frozenset({((0.0, 0), 1)}), frozenset({((True, 0), 1)}),
+             frozenset({((0, 0), True)})],
 }
 
 OPS = ("le", "le_rev", "compatible", "compatible_rev", "condition_hf",
-       "index_of", "extensions", "is_antichain", "is_antichain_pair",
+       "index_of", "is_maximal_antichain", "is_maximal_antichain_pair",
        "is_dense", "generic_filter")
 
 
@@ -69,9 +70,9 @@ def run(poset, op, x, r):
         "compatible_rev": lambda: poset.compatible(r, x),
         "condition_hf": lambda: poset.condition_hf(x),
         "index_of": lambda: poset.index_of(x),
-        "extensions": lambda: poset.extensions(x),
-        "is_antichain": lambda: is_antichain(poset, [x]),
-        "is_antichain_pair": lambda: is_antichain(poset, [x, r]),
+        "is_maximal_antichain": lambda: is_maximal_antichain(poset, [x]),
+        "is_maximal_antichain_pair":
+            lambda: is_maximal_antichain(poset, [x, r]),
         "is_dense": lambda: is_dense(poset, [x]),
         "generic_filter": lambda: generic_filter(poset, x),
     }
@@ -89,7 +90,8 @@ def reference(poset):
 @pytest.mark.parametrize("op", OPS)
 def test_non_conditions_are_unknown(kind, op):
     poset = KINDS[kind][0]
-    for x in NON_CONDITIONS + KIND_NON_CONDITIONS.get(kind, []):
+    for x in (NON_CONDITIONS + KIND_NON_CONDITIONS.get(kind, [])
+              + EQUAL_NON_CONDITIONS.get(kind, [])):
         assert run(poset, op, x, reference(poset)) == \
             ("error", "unknown-condition"), x
 
@@ -124,10 +126,13 @@ def test_condition_outside_the_truncation(kind):
     assert run(poset, "le_rev", x, above) == ("ok", False)
     assert run(poset, "compatible", x, above) == ("ok", True)
     assert run(poset, "compatible_rev", x, above) == ("ok", True)
-    assert run(poset, "is_antichain", x, above) == ("ok", True)
-    assert run(poset, "is_antichain_pair", x, above) == ("ok", False)
-    for op in ("index_of", "extensions", "is_dense", "generic_filter"):
+    for op in ("index_of", "is_dense", "generic_filter"):
         assert run(poset, op, x, above) == escape, op
+    # The choice poset decides maximality by blocks, with no truncation:
+    # one pick from block a, or two, leave block b empty.
+    maximal = ("ok", False) if kind == "choice" else escape
+    assert run(poset, "is_maximal_antichain", x, above) == maximal
+    assert run(poset, "is_maximal_antichain_pair", x, above) == maximal
     status, code = run(poset, "condition_hf", x, above)
     assert status == "ok" and isinstance(code, HF)
     assert code not in {poset.condition_hf(c) for c in poset.conditions()}
@@ -180,8 +185,8 @@ def test_index_of_matches_the_kernel_index_of_the_resolved_condition(kind):
 def test_below_matches_the_mask_of_the_resolved_condition(kind):
     # Kernel.below takes the kernel's mask only for the very object it
     # indexes, like index_of; an equal copy that resolve refuses (a float
-    # for an int) gets resolve's code, and an accepted condition outside
-    # the truncation gets the mask of its extensions.
+    # or a bool for an int) gets resolve's code, and an accepted condition
+    # outside the truncation gets the mask of its extensions, which is 0.
     poset, outside, _ = KINDS[kind]
     k = poset.kernel()
 
@@ -210,6 +215,8 @@ def test_below_matches_the_mask_of_the_resolved_condition(kind):
         assert below(c) == reference_below(c), c
     for c in EQUAL_NON_CONDITIONS.get(kind, []):
         assert below(c) == ("error", "unknown-condition"), c
+    if outside is not None:
+        assert below(outside) == ("ok", 0)
 
 
 def test_index_of_validates_before_it_compiles():

@@ -13,12 +13,11 @@ from forcelab import (
     Eq, Exists, ExplicitPoset, Family, Filter, FlatPoset, Forall,
     ForceLabError, Implies, InName, InvalidInput, Member, NameSpace, Not,
     NotMaximalBelow, ONE, Or, OrdLT, PName, PreconditionViolated, RankLE,
-    TruncationEscape, Var, check_name, disj, eval_name,
-    extract_choice_wellordered, fn_omega_omega, forces_semantic,
-    forces_syntactic, gamma_name, generic_filter, hereditary_closure,
-    holds_along, indexed_witness_name, inj_omega_omega, least_ordinal_name,
-    mix, mp_witness_search, nat, ordered_pair_name, single_free_var,
-    subst, union_name, unordered_pair_name,
+    TruncationEscape, Var, check_name, disj, eval_name, fn_omega_omega,
+    forces_semantic, forces_syntactic, gamma_name, generic_filter,
+    hereditary_closure, holds_along, inj_omega_omega, least_ordinal_name,
+    mix, mp_witness_search, nat, ordered_pair_name, single_free_var, subst,
+    unordered_pair_name,
 )
 from forcelab import formulas as formulas_module
 from forcelab import forcing as forcing_module
@@ -126,17 +125,6 @@ class TestForcesOracle:
         found = mp_witness_search(poset, ONE, Member(Var("x"), Cname(gamma)),
                                   space)
         assert found is not None
-        b_check = check_name(poset.condition_hf("b"))
-        rho, tau = indexed_witness_name(poset, ONE, [a_check.name, b_check],
-                                        Member(Var("x"), Cname(gamma)))
-        assert eval_name(tau, generic_filter(poset, "b")) == \
-            poset.condition_hf("b")
-        # nat(1) = {0} below "a" and nat(2) = {0, 1} below "b"
-        tau = PName([("a", EMPTY_NAME), ("b", EMPTY_NAME),
-                     ("b", check_name(nat(1)))])
-        out = extract_choice_wellordered(
-            poset, ["a", "b"], [{nat(1)}, {nat(1), nat(2)}], tau)
-        assert out == [("a", nat(1)), ("b", nat(2))]
 
 
 class TestRouteAgreement:
@@ -289,35 +277,6 @@ class TestWitnessSearch:
         theta = And(Member(Var("x"), Cname(GAMMA)),
                     Not(Eq(Var("x"), Var("x"))))
         assert mp_witness_search(FLAT, ONE, theta, space) is None
-
-
-class TestIndexedWitness:
-    def test_collapse_picks_first_accepted(self):
-        theta = Member(Var("x"), Cname(GAMMA))
-        candidates = [check_name(FLAT.condition_hf("a")),
-                      check_name(FLAT.condition_hf("b"))]
-        rho, tau = indexed_witness_name(FLAT, ONE, candidates, theta)
-        assert forces_semantic(FLAT, ONE, subst(theta, "x", tau))
-        assert eval_name(tau, generic_filter(FLAT, "a")) == \
-            FLAT.condition_hf("a")
-        assert eval_name(tau, generic_filter(FLAT, "b")) == \
-            FLAT.condition_hf("b")
-
-    def test_rho_entries_require_forced_rejection_of_earlier(self):
-        # below "a" the first candidate is accepted, so rho never pairs "a"
-        # with the second candidate
-        theta = Member(Var("x"), Cname(GAMMA))
-        candidates = [check_name(FLAT.condition_hf("a")),
-                      check_name(FLAT.condition_hf(FLAT.top))]
-        rho, tau = indexed_witness_name(FLAT, ONE, candidates, theta)
-        assert ("a", candidates[1]) not in rho.sorted_entries()
-        assert forces_semantic(FLAT, ONE, subst(theta, "x", tau))
-
-    def test_precondition(self):
-        theta = And(Member(Var("x"), Cname(GAMMA)),
-                    Not(Eq(Var("x"), Var("x"))))
-        with pytest.raises(PreconditionViolated):
-            indexed_witness_name(FLAT, ONE, [EMPTY_NAME], theta)
 
 
 class TestNameSpace:
@@ -618,32 +577,6 @@ def reference_least_ordinal_name(poset, p, kappa, theta):
     return PName(entries)
 
 
-def reference_indexed_witness_name(poset, p, candidates, theta):
-    """``indexed_witness_name`` asked condition by condition: whether each
-    extension forces theta, or its negation, at each candidate."""
-    var = single_free_var(theta)
-    exts = extensions(poset, p)
-
-    def accepts(q, tau):
-        return forces_semantic(poset, q, subst(theta, var, tau))
-
-    def rejects(q, tau):
-        return forces_semantic(poset, q, Not(subst(theta, var, tau)))
-
-    for q in exts:
-        if not any(accepts(r, tau)
-                   for r in extensions(poset, q) for tau in candidates):
-            raise PreconditionViolated(
-                "no extension forces theta at any candidate below "
-                f"{poset.condition_repr(q)}")
-    entries = [(q, tau) for q in exts
-               for alpha, tau in enumerate(candidates)
-               if accepts(q, tau) and
-               all(rejects(q, earlier) for earlier in candidates[:alpha])]
-    rho = PName(entries)
-    return rho, union_name(poset, rho)
-
-
 def outcome(construct):
     """A construction's answer, or its error's class, code and message."""
     try:
@@ -717,29 +650,6 @@ class TestConstructionsAgainstReference:
                 raised += not isinstance(got, PName)
         assert answered and raised
 
-    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
-    def test_indexed_witness_name(self, case):
-        poset = QUOTIENT_CASES[case][0]()
-        k = poset.kernel()
-        rng = random.Random(f"indexed-{case}")
-        conds = list(poset.kernel().conds)
-        pool = [EMPTY_NAME, gamma_name(poset)] + \
-            [check_name(nat(j)) for j in range(3)] + \
-            [check_name(poset.condition_hf(c)) for c in k.conds]
-        answered = raised = 0
-        for size in (0, 1, 2, 3, 4) * 20:
-            theta = random_theta(rng, poset)
-            p = rng.choice(conds)
-            candidates = [rng.choice(pool) for _ in range(size)]
-            got = outcome(
-                lambda: indexed_witness_name(poset, p, candidates, theta))
-            want = outcome(lambda: reference_indexed_witness_name(
-                poset, p, candidates, theta))
-            assert got == want, (theta, p, candidates)
-            answered += isinstance(got[0], PName)
-            raised += not isinstance(got[0], PName)
-        assert answered and raised
-
 
 class TestTruncationEscape:
     """Forcing at a condition outside the truncation has no exact answer:
@@ -770,8 +680,6 @@ class TestTruncationEscape:
             least_ordinal_name(poset, p, 1, theta)
         with pytest.raises(TruncationEscape):
             mp_witness_search(poset, p, theta, NameSpace(poset, (), 0))
-        with pytest.raises(TruncationEscape):
-            indexed_witness_name(poset, p, [EMPTY_NAME], theta)
 
     def test_mix_member_outside_raises(self):
         tree = BinaryTreePoset(2)
@@ -882,13 +790,10 @@ class TestRouteState:
             [all(reference_sat(phi, k.filter_at(a), space)
                  for a in k.minimals if k.down[i] >> a & 1)
              for i in range(len(k.conds))] for phi in formulas]
-        candidates = [check_name(nat(2)), check_name(nat(1))]
         want_witness = next(
             tau for tau in space.universe
             if forces_semantic(poset, "a", subst(theta, "x", tau), space))
         want_least = reference_least_ordinal_name(poset, ONE, 3, theta)
-        want_indexed = reference_indexed_witness_name(
-            poset, ONE, candidates, theta)
 
         def refuse(*args):
             raise AssertionError("a quantifier instance was substituted")
@@ -904,8 +809,6 @@ class TestRouteState:
                     (phi, c)
         assert mp_witness_search(poset, "a", theta, space) is want_witness
         assert least_ordinal_name(poset, ONE, 3, theta) is want_least
-        assert indexed_witness_name(poset, ONE, candidates, theta) == \
-            want_indexed
 
     def test_subformula_without_the_variable_computed_once(self, monkeypatch):
         calls = {}
@@ -969,9 +872,9 @@ class KunenClauses:
         return s is ONE or self.poset.le(q, s)
 
     def dense_below(self, p, holds):
-        ext = self.poset.extensions
-        good = {q for q in ext(p) if holds(q)}
-        return all(any(q in good for q in ext(r)) for r in ext(p))
+        good = {q for q in extensions(self.poset, p) if holds(q)}
+        return all(any(q in good for q in extensions(self.poset, r))
+                   for r in extensions(self.poset, p))
 
     def forces(self, kind, p, t1, t2):
         key = (kind, p, t1, t2)

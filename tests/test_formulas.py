@@ -5,7 +5,7 @@ import pytest
 from forcelab import (
     EMPTY_NAME, HF, ONE, And, Cname, Eq, Exists, Family, FlatPoset, Forall,
     Implies, InName, InvalidInput, Member, Not, Or, OrdLT, RankLE, Var,
-    check_name, conj, constants, disj, forces_semantic, forces_syntactic,
+    check_name, constants, disj, forces_semantic, forces_syntactic,
     free_vars, is_closed, nat, single_free_var, subst, theta_family,
 )
 
@@ -71,13 +71,12 @@ class TestConstantsAndBuilders:
         phi = Exists("x", RankLE(2), Eq(Var("x"), Cname(C1)))
         assert constants(phi) == {C1}
 
-    def test_conj_disj(self):
+    def test_disj(self):
         a = Eq(Cname(C1), Cname(C1))
         b = Member(Cname(C1), Cname(C2))
-        assert conj([a, b]) == And(a, b)
         assert disj([a, b, a]) == Or(Or(a, b), a)
         with pytest.raises(InvalidInput):
-            conj([])
+            disj([])
 
     def test_formulas_are_hashable_values(self):
         phi = Not(Member(Cname(C1), Cname(C2)))

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
-    EMPTY, HF, InvalidInput, from_int_set, kuratowski, nat, nat_value,
-    render,
+    EMPTY, HF, InvalidInput, kuratowski, nat, nat_value, render,
 )
 
 
@@ -44,9 +43,6 @@ class TestConstruction:
     def test_nat_rejects_negative(self):
         with pytest.raises(InvalidInput):
             nat(-1)
-
-    def test_from_int_set(self):
-        assert from_int_set(frozenset({0, 2})) == HF([nat(0), nat(2)])
 
 
 class TestOrderAndRender:

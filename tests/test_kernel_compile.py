@@ -2,7 +2,9 @@
 an n² compile written here: the conditions listed independently and sorted
 by ``condition_key``, then every pair asked of an order and compatibility
 defined here (a brute-force reachability over the given pairs for explicit
-and flat posets), and every condition encoded by ``_condition_hf``."""
+and flat posets), and every condition encoded by ``_condition_hf``.  Every
+truncation is an up-set, so a condition outside it has no extension in it;
+``Kernel.below`` reads 0 for one without asking the order."""
 
 import itertools
 import random
@@ -158,6 +160,40 @@ def cases():
     yield InjPoset(doms, cods), map_oracle(doms, cods, True)
     sets = (frozenset(), frozenset({0, 1}), frozenset({2}))
     yield InjPoset(sets, sets), map_oracle(sets, sets, True)
+    # Windows narrower than the declared items.
+    yield (MapPoset((0, 1, 2), (0, 1), dom_window=(1,)),
+           map_oracle((1,), (0, 1), False))
+    yield (InjPoset((0, 1, 2), (0, 1, 2), cod_window=(2, 0)),
+           map_oracle((0, 1, 2), (0, 2), True))
+
+
+def _off(items, window):
+    """Items off a window: the declared items outside it or, for the
+    naturals, the first natural past a window range(n)."""
+    if items is None:
+        return [len(window)]
+    return [x for x in items if x not in window]
+
+
+def outside(poset):
+    """Valid conditions outside the truncation: a level or a depth past
+    it, or a map of the window grown by an entry off the window."""
+    if isinstance(poset, ChoicePoset):
+        n = poset.level_bound
+        return [(m, x) for m in (n, n + 1) for x in poset.family._block_of]
+    if isinstance(poset, BinaryTreePoset):
+        return [c + "0" for c in poset.conditions() if len(c) == poset.depth] \
+            + ["1" * (poset.depth + 2)]
+    if isinstance(poset, CohenGridPoset):
+        off = [((poset.cols, 0), 0), ((0, poset.rows), 1)]
+    elif isinstance(poset, MapPoset):
+        doms, cods = poset.dom_window, poset.cod_window
+        off = [(u, v) for u in _off(poset.dom_items, doms) for v in cods[:1]]
+        off += [(u, v) for u in doms[:1] for v in _off(poset.cod_items, cods)]
+    else:
+        return []
+    grown = (c | {e} for c in poset.conditions() for e in off)
+    return [c for c in grown if poset.is_condition(c)]
 
 
 def test_every_kind_compiles_what_the_n2_compile_gives():
@@ -176,11 +212,34 @@ def test_every_kind_compiles_what_the_n2_compile_gives():
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
+def test_a_condition_outside_the_truncation_has_no_extension_inside_it():
+    # Kernel.below gives 0 for it, and the order defined here agrees.
+    kinds = set()
+    for poset, (_, le, _) in cases():
+        k = poset.kernel()
+        for c in outside(poset):
+            assert poset.is_condition(c) and c not in k.index, (poset, c)
+            assert k.below(c) == 0, (poset, c)
+            assert not any(le(p, c) for p in k.conds), (poset, c)
+            kinds.add(type(poset))
+    assert kinds == {ChoicePoset, BinaryTreePoset, MapPoset, InjPoset,
+                     CohenGridPoset}
+
+
 def test_str_items_have_no_codes():
     # The MapPoset case above with str items checks that both compiles
     # refuse to encode; it must really be refused.
     with pytest.raises(InvalidInput):
         MapPoset(("a",), ("x",)).kernel().codes
+
+
+def test_set_items_have_no_codes():
+    # As for str items: only naturals and HF sets encode.
+    sets = (frozenset(), frozenset({0, 1}))
+    with pytest.raises(InvalidInput):
+        InjPoset(sets, sets).kernel().codes
+    with pytest.raises(InvalidInput):
+        MapPoset(sets, sets).condition_hf(frozenset({(sets[0], sets[1])}))
 
 
 def test_a_repeated_window_item_counts_once():
@@ -219,7 +278,8 @@ def _kinds():
 def test_compiling_a_kernel_asks_no_order_question(monkeypatch):
     # A guard against an n² compile coming back: no kind's _le or
     # _compatible runs while a kernel, its derived tables and the filter
-    # name are built.
+    # name are built, nor while below reads a condition inside or outside
+    # the truncation.
     calls = []
     for cls in _kinds():
         if cls.__module__.startswith(forcelab.__name__):
@@ -235,8 +295,10 @@ def test_compiling_a_kernel_asks_no_order_question(monkeypatch):
         assert len(k.exts) == len(k.compat) == len(k.conds)
         try:
             gamma_name(poset)
-        except InvalidInput:  # the str items encode as no set
+        except InvalidInput:  # str and set items encode as no set
             pass
+        for c in (*k.conds, *outside(poset)):
+            k.below(c)
     assert calls == []
     fn_omega_omega(1, 1).le(frozenset(), frozenset())
     assert calls == ["_le"]

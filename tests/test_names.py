@@ -7,7 +7,7 @@ from forcelab import (
     ChoicePoset, EMPTY, EMPTY_NAME, Family, FlatPoset, HF, InjPoset,
     InvalidInput, MapPoset, ONE, TruncationEscape, check_name, eval_name, gamma_name, generic_filter,
     hereditary_closure, name_conditions, name_hf, nat, ordered_pair_name,
-    PName, union_name, unordered_pair_name, kuratowski,
+    PName, unordered_pair_name, kuratowski,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -64,20 +64,6 @@ class TestEvaluation:
             HF([nat(1), nat(2)])
         assert eval_name(ordered_pair_name(t1, t2), G_A) == \
             kuratowski(nat(1), nat(2))
-
-    def test_union_collapse(self):
-        rho = PName([("a", PName([("a", check_name(nat(1)))])),
-                     ("b", PName([(ONE, check_name(nat(2)))]))])
-        tau = union_name(FLAT, rho)
-        assert eval_name(tau, G_A) == HF([nat(1)])
-        assert eval_name(tau, G_B) == HF([nat(2)])
-
-    def test_union_respects_conjunction_of_conditions(self):
-        # the inner entry only survives below conditions extending both
-        rho = PName([("a", PName([("b", check_name(nat(1)))]))])
-        tau = union_name(FLAT, rho)
-        assert eval_name(tau, G_A) == EMPTY
-        assert eval_name(tau, G_B) == EMPTY
 
 
 class TestStructure:

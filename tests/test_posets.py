@@ -11,7 +11,7 @@ from forcelab import (
     Filter, FlatPoset, InjPoset, InvalidInput, MapPoset, ONE,
     TruncationEscape,
     UnknownCondition, enumerate_maximal_antichains,
-    fn_omega_omega, generic_filter, inj_omega_omega, is_antichain, is_dense,
+    fn_omega_omega, generic_filter, inj_omega_omega, is_dense,
     is_maximal_antichain, nat,
 )
 from forcelab.posets import canon_key
@@ -23,6 +23,26 @@ FAM22 = Family([("a", [nat(0), nat(1)]), ("b", [nat(2), nat(3)])])
 
 def explicit_v():
     return ExplicitPoset(["a", "b", "1"], [("a", "1"), ("b", "1")], "1")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExplicitPoset(["a", "1"], [("a",)]),
+    lambda: ExplicitPoset(["a", "1"], 5),
+    lambda: ExplicitPoset([["x"], "1"], []),
+    lambda: ExplicitPoset(5, []),
+    lambda: ExplicitPoset(["a", "1"], [(["a"], "1")]),
+    lambda: ExplicitPoset(["a", "1"], [], ["1"]),
+    lambda: Family([("a", [[1]])]),
+    lambda: Family(5),
+    lambda: Family([("a",)]),
+    lambda: Family([(["a"], [nat(0)])]),
+], ids=["short-pair", "int-order", "list-element", "int-elements",
+        "list-in-pair", "list-top", "list-member", "int-family",
+        "short-block", "list-label"])
+def test_malformed_poset_input_is_invalid_input(make):
+    # Each would escape as a bare TypeError or ValueError unchecked.
+    with pytest.raises(InvalidInput):
+        make()
 
 
 class TestExplicitPoset:
@@ -92,7 +112,7 @@ class TestFlatPoset:
 
     def test_labels_pairwise_incompatible(self):
         flat = FlatPoset(FAM21)
-        assert is_antichain(flat, ["a", "b"])
+        assert not flat.compatible("a", "b")
         assert is_maximal_antichain(flat, ["a", "b"])
         assert not is_maximal_antichain(flat, ["a"])
 
@@ -171,6 +191,18 @@ class TestMapPosets:
             with pytest.raises(InvalidInput):
                 make(dom, cod)
         assert make(0, 0).conditions() == (frozenset(),)
+
+    def test_window_outside_the_items_refused(self):
+        # Every map in the window must be a condition, so a window item
+        # must be one of the poset's items (a natural, when none are given).
+        for bad in (dict(dom_items=(0, 1), cod_items=(0, 1), dom_window=(0, 5)),
+                    dict(cod_items=("x",), cod_window=("y",)),
+                    dict(dom_window=(0, -1), cod_window=(0,)),
+                    dict(dom_window=(0,), cod_window=(True,))):
+            with pytest.raises(InvalidInput):
+                MapPoset(**bad)
+        p = MapPoset(dom_items=(0, 1), cod_items=(0, 1), dom_window=(1,))
+        assert all(p.is_condition(c) for c in p.conditions())
 
     @pytest.mark.parametrize("make", [
         lambda: fn_omega_omega(2, 2), lambda: fn_omega_omega(3, 3),
@@ -338,7 +370,6 @@ class TestPredicatesOnKernel:
             items = list(sub)
             anti = all(not comp(p, q) for p, q in
                        itertools.combinations(items, 2))
-            assert is_antichain(poset, items) == anti
             assert is_maximal_antichain(poset, items) == (
                 anti and all(any(comp(c, a) for a in items) for c in conds))
             for dense in (items, items + items[:1]):
@@ -356,7 +387,6 @@ class TestPredicatesOnKernel:
         poset = KERNEL_POSETS[kind]()
         minimals = list(poset.minimal_conditions())
         assert is_dense(poset, minimals + minimals[:1])
-        assert not is_antichain(poset, minimals + minimals[:1])
         assert not is_maximal_antichain(poset, minimals + minimals[:1])
 
     @pytest.mark.parametrize("poset, outside", [

@@ -124,8 +124,8 @@ def test_traced_cli_names_stay_live(monkeypatch):
     assert sorted(attr for attr in wrapped if not counts[attr]) == []
 
 
-# The names the package exported before its last four modules became lazy,
-# by the submodule that defines each.
+# The names the package exports, core and lazy alike, by the submodule that
+# defines each.
 EXPORTS = {
     "errors": (
         "ColumnCollision DuplicateIdentifier ForceLabError InvalidInput "
@@ -133,29 +133,29 @@ EXPORTS = {
         "NotMaximalBelow OutOfRange ParseError PreconditionViolated "
         "ReportTooLarge TruncationEscape UnknownCondition "
         "UnresolvedReference ValueEscapesBlock"),
-    "hf": "EMPTY HF from_int_set kuratowski nat nat_value render",
+    "hf": "EMPTY HF kuratowski nat nat_value render",
     "posets": (
         "BinaryTreePoset ChoicePoset CohenGridPoset ExplicitPoset Family "
         "Filter FlatPoset InjPoset MapPoset ONE Poset "
         "enumerate_maximal_antichains fn_omega_omega generic_filter "
-        "inj_omega_omega is_antichain is_dense is_maximal_antichain"),
+        "inj_omega_omega is_dense is_maximal_antichain"),
     "names": (
         "EMPTY_NAME PName check_name eval_name gamma_name "
         "hereditary_closure name_conditions name_hf ordered_pair_name "
-        "union_name unordered_pair_name"),
+        "unordered_pair_name"),
     "formulas": (
         "And Cname Eq Exists Forall Formula Implies InName Member Not Or "
-        "OrdLT RankLE Var conj constants disj free_vars is_closed "
+        "OrdLT RankLE Var constants disj free_vars is_closed "
         "single_free_var subst"),
     "forcing": (
         "NameSpace forces_semantic forces_syntactic holds_along "
-        "indexed_witness_name least_ordinal_name mix mp_witness_search"),
+        "least_ordinal_name mix mp_witness_search"),
     "choice": (
         "ChoiceFunction all_choice_functions antichain_from_choice "
         "build_witness_flat choice_from_antichain extract_choice_flat "
-        "extract_choice_wellordered theta_family"),
+        "theta_family"),
     "perms": (
-        "Chain Perm act_condition act_name column_support compose decompose "
+        "Chain Perm act_condition act_name column_support decompose "
         "is_fixed_by_Hn sigma_conjugate transposition"),
     "cohen": (
         "Assignment GridSectionFilter e_dense g1_to_g g_to_g1 hat_map "
@@ -220,6 +220,6 @@ def test_star_import_binds_the_exported_names():
     bound: dict = {}
     exec("from forcelab import *", bound)
     del bound["__builtins__"]
-    assert len(bound) == 127
+    assert len(bound) == 120
     assert set(bound) == {*EXPORTS, *" ".join(EXPORTS.values()).split()}
     assert set(bound) <= set(dir(forcelab))
