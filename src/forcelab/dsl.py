@@ -1,6 +1,11 @@
 """Scenario files: declarations plus one command, parsed by recursive descent.
 
-Grammar (whitespace-insensitive, ``#`` starts a line comment)::
+Tokens: INT is an optional "-" and decimal digits; ID is a letter or "_"
+and then letters, digits and "_"; punctuation is "->", "<=" or one of
+``{}()[],;:=<``.  Blanks (space, tab, CR), line ends and ``#`` comments to
+the line end separate tokens; any other character (``²``) is an error.
+
+Grammar::
 
     scenario    = { declaration } [ command ]
     declaration = family | poset | grid | assignment | sigma
@@ -58,6 +63,7 @@ A command gives each keyword (``ID "="``) at most once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -85,59 +91,31 @@ class Token(NamedTuple):
     col: int
 
 
-_PUNCTS = ("->", "<=", "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "<")
+# The token rules of the module docstring, tried in order.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|\#.*)
+  | (?P<int>-?\d+)
+  | (?P<ident>\w+)
+  | (?P<punct>->|<=|[{}()\[\],;:=<])
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
     out = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isdecimal() or \
-                (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            out.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCTS:
-            out.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCTS:
-            out.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("end", "", line, col))
+    line, start = 1, 0  # the current line's number and offset
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind != "skip":
+            word, col = m.group(), m.start() - start + 1
+            if kind == "stray" or (kind == "ident" and not (
+                    word[0].isalpha() or word[0] == "_")):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            out.append(Token(kind, word, line, col))
+    out.append(Token("end", "", line, len(text) - start + 1))
     return out
 
 

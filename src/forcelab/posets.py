@@ -64,7 +64,7 @@ def canon_key(obj) -> tuple:
         return (4, len(obj), tuple(canon_key(x) for x in obj))
     if isinstance(obj, frozenset):
         return (5, len(obj), tuple(sorted(canon_key(x) for x in obj)))
-    raise TypeError(f"no canonical key for {type(obj).__name__}")
+    raise UnknownCondition(f"no canonical key for {type(obj).__name__}")
 
 
 def _bits(m: int):
@@ -607,6 +607,8 @@ class MapPoset(Poset):
 
     ``dom_items`` / ``cod_items`` of None mean the naturals; an explicit
     tuple means both the universe of valid items and the truncation window.
+    A declared item must be hashable and ordered by ``canon_key``; only an
+    equal object of its type is that item (``True`` is not the item 1).
     ``dom_window`` / ``cod_window`` restrict enumeration to some of the
     items (needed when the universe is infinite); an item outside the
     universe is refused, so every map in the window is a condition.
@@ -624,17 +626,36 @@ class MapPoset(Poset):
             tuple(dom_window) if dom_window is not None else self.dom_items)
         self.cod_window = (
             tuple(cod_window) if cod_window is not None else self.cod_items)
-        for window, items in ((self.dom_window, self.dom_items),
-                              (self.cod_window, self.cod_items)):
+        self._dom_typed = self._typed_items(self.dom_items)
+        self._cod_typed = self._typed_items(self.cod_items)
+        for window, typed in ((self.dom_window, self._dom_typed),
+                              (self.cod_window, self._cod_typed)):
             for x in window or ():
-                if not self._valid_item(x, items):
+                if not self._valid_item(x, typed):
                     raise InvalidInput(f"window item {x!r} is not an item "
                                        f"of this {self.kind} poset")
 
-    def _valid_item(self, x, items) -> bool:
+    def _typed_items(self, items) -> Optional[set]:
+        """Each declared item as (type, item), or None for the naturals."""
         if items is None:
+            return None
+        typed = set()
+        for x in items:
+            try:
+                canon_key(x)
+                typed.add((type(x), x))
+            except (TypeError, UnknownCondition):
+                raise InvalidInput(f"item {x!r} of this {self.kind} poset "
+                                   "is not a hashable condition") from None
+        return typed
+
+    def _valid_item(self, x, typed) -> bool:
+        if typed is None:
             return _is_nat(x)
-        return x in items
+        try:
+            return (type(x), x) in typed
+        except TypeError:  # an unhashable window item
+            return False
 
     def is_condition(self, c) -> bool:
         if not isinstance(c, frozenset):
@@ -643,9 +664,9 @@ class MapPoset(Poset):
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 return False
             u, v = entry
-            if not self._valid_item(u, self.dom_items):
+            if not self._valid_item(u, self._dom_typed):
                 return False
-            if not self._valid_item(v, self.cod_items):
+            if not self._valid_item(v, self._cod_typed):
                 return False
         return is_map(c, self.injective)
 

@@ -9,10 +9,11 @@ import pytest
 
 import forcelab
 from forcelab import (
-    HF, ONE, BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset,
-    Family, FlatPoset, ForceLabError, Poset, UnknownCondition,
-    fn_omega_omega, generic_filter, inj_omega_omega, is_dense,
-    is_maximal_antichain, nat,
+    EMPTY_NAME, HF, ONE, BinaryTreePoset, ChoicePoset, Cname,
+    CohenGridPoset, ExplicitPoset, Family, FlatPoset, ForceLabError,
+    InvalidInput, MapPoset, Member, PName, Poset, UnknownCondition,
+    fn_omega_omega, forces_syntactic, generic_filter, inj_omega_omega,
+    is_dense, is_maximal_antichain, nat,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -26,6 +27,7 @@ KINDS = {
     "choice": (ChoicePoset(FAM, 2), (5, nat(0)), (0, nat(1))),
     "fn": (fn_omega_omega(2, 2), frozenset({(5, 0)}), frozenset()),
     "inj": (inj_omega_omega(2, 2), frozenset({(0, 5)}), frozenset()),
+    "items": (MapPoset((0, 1), (0, 1)), None, None),
     "tree": (BinaryTreePoset(2), "0101", "01"),
     "grid": (CohenGridPoset(2, 1), frozenset({((5, 0), 1)}), frozenset()),
 }
@@ -52,6 +54,7 @@ EQUAL_NON_CONDITIONS = {
     "choice": [(1.0, nat(0)), (True, nat(0))],
     "fn": [frozenset({(0.0, 1)}), frozenset({(True, 0)})],
     "inj": [frozenset({(0, 1.0)}), frozenset({(0, True)})],
+    "items": [frozenset({(True, 0)}), frozenset({(0, 1.0)})],
     "grid": [frozenset({((0.0, 0), 1)}), frozenset({((True, 0), 1)}),
              frozenset({((0, 0), True)})],
 }
@@ -227,6 +230,32 @@ def test_index_of_validates_before_it_compiles():
     assert run(poset, "index_of", ONE, None) == ("error", "invalid-input")
     assert run(poset, "index_of", (0, nat(0)), None) == \
         ("error", "truncation-escape")
+
+
+@pytest.mark.parametrize("items", [
+    dict(dom_items=([0],), cod_items=(0,)),
+    dict(dom_items=(0.5,), cod_items=(0,)),
+    dict(dom_items=(0,), cod_items=((0, [1]),)),
+    dict(dom_items=(0,), cod_items=(frozenset({0.5}),)),
+], ids=["unhashable", "float", "unhashable-tuple", "float-set"])
+def test_map_poset_items_are_checked_when_it_is_built(items):
+    # An item must be hashable and ordered by canon_key; the poset refuses
+    # any other when it is built, not when it is first enumerated.
+    with pytest.raises(InvalidInput):
+        MapPoset(**items)
+
+
+def test_a_condition_without_a_canonical_key_is_unknown():
+    # A name entry whose condition holds a float has no canonical key: its
+    # key, its repr and the syntactic route each refuse it with a code.
+    name = PName([((1.0, nat(0)), EMPTY_NAME)])
+    for probe in (name.key, lambda: repr(name)):
+        with pytest.raises(UnknownCondition):
+            probe()
+    phi = Member(Cname(EMPTY_NAME),
+                 Cname(PName([(frozenset({(0, 0.0)}), EMPTY_NAME)])))
+    with pytest.raises(UnknownCondition):
+        forces_syntactic(fn_omega_omega(1, 1), ONE, phi)
 
 
 def _subclasses(cls):

@@ -1,6 +1,7 @@
 """Scenario-file parsing: tokens, declarations, formulas, and the command."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forcelab import (
     And, Assignment, Chain, ChoicePoset, Cname, CohenGridPoset, Command,
@@ -32,6 +33,29 @@ class TestTokenizer:
         with pytest.raises(ParseError) as exc:
             tokenize("poset P\n  @flat")
         assert exc.value.line == 2 and exc.value.col == 3
+
+    # The token alphabet, with blanks, comments and characters no token
+    # holds: '\u00b2' and '\u00bd' are alphanumeric but no decimal,
+    # '\u0663' is a decimal, '\x0b' is a blank no scenario may use.
+    PIECES = ["a", "x_1", "_", "\u00e9", "0", "42", "-", "->", "<=", "<",
+              "=", "{", "}", "(", ")", "[", "]", ",", ";", ":", " ", "\t",
+              "\r", "\n", "#", "\u00b2", "\u00bd", "\u0663", "\x0b", "@"]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
+    def test_positions_locate_the_source(self, text):
+        lines = text.split("\n")
+        try:
+            toks = tokenize(text)
+        except ParseError as e:
+            bad = lines[e.line - 1][e.col - 1]
+            assert e.args[0] == f"unexpected character {bad!r}"
+            return
+        for t in toks[:-1]:
+            assert lines[t.line - 1][t.col - 1:].startswith(t.text)
+        end = toks[-1]
+        assert (end.kind, end.line, end.col) == \
+            ("end", len(lines), len(lines[-1]) + 1)
 
 
 FULL = """
@@ -291,6 +315,14 @@ MALFORMED = {
                      "name x over P = { (a, check(0)) (b, check(1)) }",
                      ParseError, "syntax-error", 3, 33,
                      "expected '}', found '('"),
+    # the end of file sits one column past the last character
+    "eof-after-punct": ("family F {",
+                        ParseError, "syntax-error", 1, 11,
+                        "expected 'ident', found 'end of file'"),
+    "eof-after-punct-line-3": ("family F { a: {0} }\nposet P flat F\n"
+                               "poset Q explicit {",
+                               ParseError, "syntax-error", 3, 19,
+                               "expected 'elements', found 'end of file'"),
     # a comment runs to the end of its line, and the column runs with it
     "trailing-comment": ("family F { a: {0} # trailing",
                          ParseError, "syntax-error", 1, 29,

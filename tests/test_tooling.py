@@ -1,10 +1,11 @@
 """The benchmark harness's references into the library still resolve, and
 the package's import footprint stays as documented.
 
-The tier-1 suite never runs the traced benchmark, and the tracer skips a
-``CALLS`` entry whose attribute is missing, so a deleted or renamed library
-name would break ``perfbench`` silently.  The harness's sources are read
-with ``ast``; none of them is imported.
+The tier-1 suite never runs the traced benchmark, and the tracer looks up
+each ``CALLS`` entry with no default, so a deleted or renamed library name
+would stop the traced ``perfbench`` run with an ``AttributeError`` that no
+tier-1 test sees.  The harness's sources are read with ``ast``; none of
+them is imported.
 
 ``import forcelab`` loads the forcing core only, and the other modules load
 on first use of one of their names; ``import forcelab.cli`` loads them all,
