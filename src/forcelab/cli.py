@@ -113,8 +113,7 @@ def evaluations_json(poset: Poset, p, tau: PName) -> dict[str, str]:
     condition extending p."""
     k = poset.kernel()
     below = k.down[poset.index_of(p)]
-    return {poset.condition_repr(k.conds[a]):
-            render(eval_name(tau, k.filter_at(a)))
+    return {poset.condition_repr(k.conds[a]): render(k.value(tau, a))
             for a in k.minimals if below >> a & 1}
 
 

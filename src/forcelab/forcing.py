@@ -2,12 +2,13 @@
 
 The semantic route computes [[phi]], the set of generic filters along which
 phi holds, as a bit mask over the minimal conditions, since a finite poset's
-generic filters are the filters at them: the Boolean-valued model.  The
-syntactic route computes F(phi), the mask of all conditions that force phi,
-by the forcing clauses applied to every condition at once.  With
-none_below(X) the conditions with no extension in X, and dense(X) =
-none_below(none_below(X)), negation is none_below and conjunction is
-intersection; the existential clause is
+generic filters are the filters at them: the Boolean-valued model.  Its
+atoms compare names' values along those filters, read off the kernel's
+entry masks (``Kernel.value``).  The syntactic route computes F(phi), the
+mask of all conditions that force phi, by the forcing clauses applied to
+every condition at once.  With none_below(X) the conditions with no
+extension in X, and dense(X) = none_below(none_below(X)), negation is
+none_below and conjunction is intersection; the existential clause is
 
     F(exists-x phi(x)) = dense(union over the names tau in the bounded
                                range of F(phi(tau))),
@@ -17,10 +18,11 @@ equality, on name pairs, with no name evaluated along a filter.  Between
 check-names they reduce to the check-name lemma: every condition forces
 x-check = y-check iff x = y, and x-check in y-check iff x in y, read off the
 interned names as ``t1 is t2`` and ``(ONE, t1) in t2.entries``.  The routes
-share bound ranges but not answers; they agree on finite posets, and the
-test suite checks that formula by formula.  Both decide an open formula
-under an environment, the names bound to its free variables, so no
-quantifier instance is built by substitution.
+share the entry masks, so ``Kernel.below`` alone decides whether an entry's
+condition lies in a filter, and the bound ranges, but not answers; they
+agree on finite posets, and the test suite checks that formula by formula.
+Both decide an open formula under an environment, the names bound to its
+free variables, so no quantifier instance is built by substitution.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .formulas import (
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
-from .names import PName, check_name, eval_name, hereditary_closure
-from .posets import Filter, Kernel, ONE, Poset, canon_key
+from .names import PName, check_name, hereditary_closure
+from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
+from .posets import Filter, Kernel, ONE, Poset, _bits, canon_key
 
 # The most subsets of (condition, child) pairs a NameSpace admits; its walk
 # visits only the first subset of each class.
@@ -129,22 +132,19 @@ class NameSpace:
                  for mask, combo in best.items()}
         universe = list(first.values())
         members = set(universe)
-        # A closure name's class is keyed like an assembled one, by the bits
-        # of its (filter, value) pairs; a pair no entry contributes gets a
-        # fresh bit, so its class has no assembled member.  It never comes
-        # before an assembled name of its class: of rank at most the bound,
-        # it is assembled itself unless it names the top, which ONE
+        # A closure name's class is keyed like an assembled one, by the OR
+        # of its entries' pair masks; a pair no assembled entry contributes
+        # gets a fresh bit, so its class has no assembled member.  It never
+        # comes before an assembled name of its class: of rank at most the
+        # bound, it is assembled itself unless it names the top, which ONE
         # undercuts, or a condition outside the truncation, in no filter.
         # Such first names and the children of kept names are kept too; the
         # few that were not assembled are placed by bisection on PName.key.
         roots = {pairs[j][1] for j in set().union(*best.values())}
         for n in closure:
             cls = 0
-            for i in range(len(k.conds)):
-                value = n.value if n.value is not None else \
-                    eval_name(n, k.filter_at(i))
-                for x in value.members:
-                    cls |= 1 << bits.setdefault((i, x), len(bits))
+            for c, s in n.entries:
+                cls |= _pair_mask(k, bits, c, s)
             if first.setdefault(cls, n) is n:
                 roots.add(n)
         for n in hereditary_closure(roots):
@@ -171,18 +171,11 @@ class NameSpace:
 def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
     """The bits, numbered in ``bits``, of the (filter index, value) pairs
     that the entry (c, s) contributes: s's value along each filter that
-    contains c, read off a check-name without evaluation.  The union of a
-    subset's masks fixes the value of the name it assembles along every
+    contains c.  The union of a name's masks fixes its value along every
     filter."""
-    below = k.below(c)
     mask = 0
-    while below:
-        low = below & -below
-        below ^= low
-        i = low.bit_length() - 1
-        value = s.value if s.value is not None else \
-            eval_name(s, k.filter_at(i))
-        mask |= 1 << bits.setdefault((i, value), len(bits))
+    for i in _bits(k.below(c)):
+        mask |= 1 << bits.setdefault((i, k.value(s, i)), len(bits))
     return mask
 
 
@@ -221,9 +214,10 @@ class _Forcer:
 
     def truth(self, phi: Formula, env=None) -> int:
         """[[phi]] under env: the mask of the minimal conditions a such that
-        phi holds along the generic filter ``k.filter_at(a)``.  An atom is
-        keyed by its kind and name pair, as the syntactic ``atom`` is, so
-        atoms over distinct variables bound to one pair share a mask."""
+        phi holds along the generic filter at a, where an atom reads its
+        names' values with ``k.value``.  An atom is keyed by its kind and
+        name pair, as the syntactic ``atom`` is, so atoms over distinct
+        variables bound to one pair share a mask."""
         if isinstance(phi, (Member, Eq)):
             key = (type(phi), _name(phi.left, env), _name(phi.right, env))
         else:
@@ -244,8 +238,7 @@ class _Forcer:
                 return k.minimal if holds(right.value, left.value) else 0
             out = 0
             for a in k.minimals:
-                f = k.filter_at(a)
-                if holds(eval_name(right, f), eval_name(left, f)):
+                if holds(k.value(right, a), k.value(left, a)):
                     out |= 1 << a
             return out
         if isinstance(phi, Not):

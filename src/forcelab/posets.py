@@ -176,21 +176,14 @@ class Poset:
     # -- truncation --------------------------------------------------------
 
     def index_of(self, c) -> int:
-        """The kernel index of the condition c stands for; raises
-        TruncationEscape for a condition outside the truncation.  Once the
-        kernel is compiled, the very object it indexes for a condition is
-        valid by construction; anything else, an equal copy included, goes
-        through ``resolve``, which can refuse a copy (``1.0`` for ``1``)."""
-        k = self._kernel
-        if k is not None:
-            try:
-                i = k.index.get(c)
-            except TypeError:
-                i = None
-            if i is not None and k.conds[i] is c:
-                return i
-        c = self.resolve(c)
-        i = self.kernel().index.get(c)
+        """The kernel index of the condition c stands for (see
+        :meth:`Kernel.find`); raises TruncationEscape for a condition
+        outside the truncation.  Before the kernel is compiled, c is
+        validated first, so a non-condition gets its code even when there
+        is no truncation."""
+        if self._kernel is None:
+            self.resolve(c)
+        i = self.kernel().find(c)
         if i is None:
             raise TruncationEscape(
                 f"condition lies outside the declared truncation: "
@@ -234,8 +227,9 @@ class Kernel:
     lists them) and ``top`` is the index of the greatest element, or None.
     ``exts``, ``compat`` and ``codes`` are built on first use.  The forcing
     routes keep their state for formulas without a name space in
-    ``forcer`` (a name space holds its own) and the generic filters in
-    ``filter_at``, so all of it lives and dies with the poset.
+    ``forcer`` (a name space holds its own), names' values in ``value``
+    and the generic filters in ``filter_at``, so all of it lives and dies
+    with the poset.
     """
 
     def __init__(self, poset: Poset):
@@ -254,6 +248,7 @@ class Kernel:
         self._codes: Optional[tuple[HF, ...]] = None
         self._filters: dict[int, Filter] = {}
         self._entries: dict = {}
+        self._values: dict = {}
 
     @property
     def exts(self) -> tuple[tuple[int, ...], ...]:
@@ -289,23 +284,28 @@ class Kernel:
         """The conditions below which the mask x is dense."""
         return self.none_below(self.none_below(x))
 
-    def below(self, c) -> int:
-        """The mask of the conditions extending c, a name entry's condition:
-        ONE or any condition, inside the truncation or not.  As a name entry
-        ONE is in every filter, so it covers every condition even with no
-        top.  A condition outside the truncation gets 0: the truncation is
-        an up-set (see :class:`Poset`).  As in ``Poset.index_of``, only the
-        very object the kernel indexes skips ``resolve``, which refuses an
-        equal copy such as ``(1.0, x)`` for ``(1, x)`` and an unhashable c."""
-        if c is ONE:
-            return self.full
+    def find(self, c) -> Optional[int]:
+        """The index of the condition c stands for, None outside the
+        truncation.  Only the very object the kernel indexes skips
+        ``resolve``, which refuses an equal copy such as ``(1.0, x)`` for
+        ``(1, x)`` and an unhashable c."""
         try:
             i = self.index.get(c)
         except TypeError:
             i = None
         if i is not None and self.conds[i] is c:
-            return self.down[i]
-        i = self.index.get(self.poset.resolve(c))
+            return i
+        return self.index.get(self.poset.resolve(c))
+
+    def below(self, c) -> int:
+        """The mask of the conditions extending c, a name entry's condition:
+        ONE or any condition, inside the truncation or not.  As a name entry
+        ONE is in every filter, so it covers every condition even with no
+        top.  A condition outside the truncation gets 0: the truncation is
+        an up-set (see :class:`Poset`)."""
+        if c is ONE:
+            return self.full
+        i = self.find(c)
         return 0 if i is None else self.down[i]
 
     def entry_masks(self, tau) -> tuple:
@@ -314,6 +314,16 @@ class Kernel:
         if out is None:
             out = self._entries[tau] = tuple(
                 (self.below(c), child) for c, child in tau.sorted_entries())
+        return out
+
+    def value(self, tau, i: int) -> HF:
+        """tau's value along the filter generated by condition i: the values
+        of the children whose entry mask has bit i."""
+        memo = self._values
+        out = tau.value if tau.value is not None else memo.get((tau, i))
+        if out is None:
+            out = memo[tau, i] = HF(self.value(s, i) for m, s
+                                    in self.entry_masks(tau) if m >> i & 1)
         return out
 
     def filter_at(self, a: int) -> "Filter":
@@ -608,7 +618,8 @@ class MapPoset(Poset):
     ``dom_items`` / ``cod_items`` of None mean the naturals; an explicit
     tuple means both the universe of valid items and the truncation window.
     A declared item must be hashable and ordered by ``canon_key``; only an
-    equal object of its type is that item (``True`` is not the item 1).
+    equal object of its type is that item (``True`` is not the item 1), so
+    no two items may be equal objects of different types.
     ``dom_window`` / ``cod_window`` restrict enumeration to some of the
     items (needed when the universe is infinite); an item outside the
     universe is refused, so every map in the window is a condition.
@@ -620,12 +631,18 @@ class MapPoset(Poset):
 
     def __init__(self, dom_items=None, cod_items=None,
                  dom_window=None, cod_window=None):
-        self.dom_items = tuple(dom_items) if dom_items is not None else None
-        self.cod_items = tuple(cod_items) if cod_items is not None else None
-        self.dom_window = (
-            tuple(dom_window) if dom_window is not None else self.dom_items)
-        self.cod_window = (
-            tuple(cod_window) if cod_window is not None else self.cod_items)
+        try:
+            self.dom_items = (tuple(dom_items) if dom_items is not None
+                              else None)
+            self.cod_items = (tuple(cod_items) if cod_items is not None
+                              else None)
+            self.dom_window = (tuple(dom_window) if dom_window is not None
+                               else self.dom_items)
+            self.cod_window = (tuple(cod_window) if cod_window is not None
+                               else self.cod_items)
+        except TypeError:
+            raise InvalidInput(f"the items and windows of a {self.kind} "
+                               "poset must be iterable") from None
         self._dom_typed = self._typed_items(self.dom_items)
         self._cod_typed = self._typed_items(self.cod_items)
         for window, typed in ((self.dom_window, self._dom_typed),
@@ -635,25 +652,30 @@ class MapPoset(Poset):
                     raise InvalidInput(f"window item {x!r} is not an item "
                                        f"of this {self.kind} poset")
 
-    def _typed_items(self, items) -> Optional[set]:
-        """Each declared item as (type, item), or None for the naturals."""
+    def _typed_items(self, items) -> Optional[dict]:
+        """The type of each declared item, or None for the naturals.  The
+        kernel indexes conditions by equality, so two equal items of
+        different types, such as 1 and True, cannot both be items."""
         if items is None:
             return None
-        typed = set()
+        typed: dict = {}
         for x in items:
             try:
                 canon_key(x)
-                typed.add((type(x), x))
+                first = typed.setdefault(x, type(x))
             except (TypeError, UnknownCondition):
                 raise InvalidInput(f"item {x!r} of this {self.kind} poset "
                                    "is not a hashable condition") from None
+            if first is not type(x):
+                raise InvalidInput(f"item {x!r} of this {self.kind} poset "
+                                   "equals an item of another type")
         return typed
 
     def _valid_item(self, x, typed) -> bool:
         if typed is None:
             return _is_nat(x)
         try:
-            return (type(x), x) in typed
+            return typed.get(x) is type(x)
         except TypeError:  # an unhashable window item
             return False
 
@@ -885,9 +907,11 @@ class Filter:
 
     def __contains__(self, c) -> bool:
         """Whether c is in the filter.  Like any other object that is not a
-        condition, an unhashable c is not in it."""
+        condition, an unhashable c is not in it, nor is an equal copy that
+        ``resolve`` refuses, such as ``(1.0, x)`` for ``(1, x)``."""
         try:
-            return c is ONE or c in self.conditions
+            return c is ONE or c in self.conditions and \
+                self.poset.is_condition(c)
         except TypeError:
             return False
 

@@ -142,6 +142,13 @@ BAD_KWARG_OR_NAME = {
     "decompose-without-k": (
         "decompose", "invalid-input",
         "perm pi = (0 1)\ncommand decompose pi n=0\n"),
+    # "zz" is no condition of P: the witness search reads the entry as
+    # the syntactic route does, and refuses it.
+    "witness-unknown-entry": (
+        "witness", "unknown-condition",
+        "family F { a: {0,1} b: {2} }\nposet P flat F\n"
+        "name t over P = { (zz, check(0)) }\nformula theta(x) = x in t\n"
+        "command witness P 1 theta rank=1\n"),
 }
 
 

@@ -10,10 +10,11 @@ import pytest
 import forcelab
 from forcelab import (
     EMPTY_NAME, HF, ONE, BinaryTreePoset, ChoicePoset, Cname,
-    CohenGridPoset, ExplicitPoset, Family, FlatPoset, ForceLabError,
-    InvalidInput, MapPoset, Member, PName, Poset, UnknownCondition,
-    fn_omega_omega, forces_syntactic, generic_filter, inj_omega_omega,
-    is_dense, is_maximal_antichain, nat,
+    CohenGridPoset, ExplicitPoset, Family, Filter, FlatPoset, ForceLabError,
+    InvalidInput, MapPoset, Member, NameSpace, PName, Poset,
+    UnknownCondition, Var, check_name, eval_name, fn_omega_omega,
+    forces_semantic, forces_syntactic, generic_filter, inj_omega_omega,
+    is_dense, is_maximal_antichain, mp_witness_search, nat,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -155,6 +156,25 @@ def test_unhashable_conditions(kind):
         assert x not in filt
 
 
+@pytest.mark.parametrize("kind", EQUAL_NON_CONDITIONS)
+def test_equal_copies_are_in_no_filter(kind):
+    # A filter holds only conditions: an equal copy that resolve refuses is
+    # in no generic filter, so eval_name drops an entry that holds it.
+    # Names are interned by equal entries, so each row's name has a child
+    # of its own, and it is evaluated along a copy of each filter, whose
+    # memo does not keep it for later tests.
+    poset = KINDS[kind][0]
+    k = poset.kernel()
+    for j, c in enumerate(EQUAL_NON_CONDITIONS[kind]):
+        tau = PName([(c, check_name(nat(j)))])
+        assert next(iter(tau.entries))[0] is c
+        for a in k.minimals:
+            filt = k.filter_at(a)
+            assert c not in filt, (c, a)
+            assert eval_name(tau, Filter(poset, filt.conditions)) is HF(), \
+                (c, a)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_index_of_matches_the_kernel_index_of_the_resolved_condition(kind):
     # index_of reads the kernel's index before it validates; every probe
@@ -237,10 +257,15 @@ def test_index_of_validates_before_it_compiles():
     dict(dom_items=(0.5,), cod_items=(0,)),
     dict(dom_items=(0,), cod_items=((0, [1]),)),
     dict(dom_items=(0,), cod_items=(frozenset({0.5}),)),
-], ids=["unhashable", "float", "unhashable-tuple", "float-set"])
+    dict(dom_items=(1, True), cod_items=(0,)),
+    dict(dom_items=(0,), cod_items=(0, False)),
+], ids=["unhashable", "float", "unhashable-tuple", "float-set", "bool-dom",
+        "bool-cod"])
 def test_map_poset_items_are_checked_when_it_is_built(items):
-    # An item must be hashable and ordered by canon_key; the poset refuses
-    # any other when it is built, not when it is first enumerated.
+    # An item must be hashable and ordered by canon_key, and no two items
+    # may be equal objects of different types, which the kernel would index
+    # as one condition; the poset refuses any other when it is built, not
+    # when it is first enumerated.
     with pytest.raises(InvalidInput):
         MapPoset(**items)
 
@@ -256,6 +281,35 @@ def test_a_condition_without_a_canonical_key_is_unknown():
                  Cname(PName([(frozenset({(0, 0.0)}), EMPTY_NAME)])))
     with pytest.raises(UnknownCondition):
         forces_syntactic(fn_omega_omega(1, 1), ONE, phi)
+
+
+# (poset, a name entry's condition that resolve refuses): a map with a
+# float value equal to {(0, 0)}, and a flat poset's unknown label.
+REFUSED_ENTRIES = {
+    "fn-float": (lambda: fn_omega_omega(1, 1), frozenset({(0, 0.0)})),
+    "flat-unknown": (lambda: FlatPoset(FAM), "zz"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_ENTRIES)
+def test_every_route_refuses_an_entry_resolve_refuses(case):
+    # Both routes, the name space and the witness search read a name entry
+    # through Kernel.below, so each gives the code resolve gives.
+    make, cond = REFUSED_ENTRIES[case]
+    poset = make()
+    tau = PName([(cond, EMPTY_NAME)])
+    phi = Member(Cname(EMPTY_NAME), Cname(tau))
+    theta = Member(Var("x"), Cname(tau))
+    space = NameSpace(poset, (EMPTY_NAME,), 1)
+    calls = {
+        "semantic": lambda: forces_semantic(poset, ONE, phi),
+        "syntactic": lambda: forces_syntactic(poset, ONE, phi),
+        "space": lambda: NameSpace(poset, (EMPTY_NAME, tau), 1),
+        "witness": lambda: mp_witness_search(poset, ONE, theta, space),
+    }
+    for route, call in calls.items():
+        with pytest.raises(UnknownCondition):
+            call()
 
 
 def _subclasses(cls):

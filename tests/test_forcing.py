@@ -1,10 +1,13 @@
 """The forcing relation: two routes, mixing, and witness machinery."""
 
+import contextlib
 import gc
+import io
 import itertools
 import random
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +22,13 @@ from forcelab import (
     mix, mp_witness_search, nat, ordered_pair_name, single_free_var, subst,
     unordered_pair_name,
 )
+from forcelab import cli
 from forcelab import formulas as formulas_module
 from forcelab import forcing as forcing_module
 from forcelab.forcing import _Forcer
+from forcelab.posets import Kernel
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
 FLAT = FlatPoset(FAM)
@@ -524,9 +531,12 @@ def reference_sat(phi, filt, space, env=None):
 
 
 class TestReferenceOracle:
-    """The semantic route against brute-force satisfaction: the route reads
+    """The semantic route against brute-force satisfaction.  The route reads
     quantifier ranges through the instances the syntactic route also uses,
-    so this oracle keeps it honest on its own."""
+    and names' values off the entry masks that the syntactic route's atoms
+    read too.  The oracle evaluates names along each filter with
+    ``eval_name``, which shares no code with either route, so it keeps the
+    semantic route honest on its own."""
 
     @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
     def test_semantic_route_matches_brute_force(self, case):
@@ -810,6 +820,52 @@ class TestRouteState:
         assert mp_witness_search(poset, "a", theta, space) is want_witness
         assert least_ordinal_name(poset, ONE, 3, theta) is want_least
 
+    def test_no_name_is_evaluated_along_a_filter(self, monkeypatch):
+        """With filters and eval_name refusing every call, the routes, the
+        name space, the constructions and the CLI reports answer as before:
+        they read names' values off the kernel's entry masks."""
+        def build():
+            poset = FlatPoset(FAM)
+            gamma = gamma_name(poset)
+            x = Var("x")
+            theta = Or(Member(x, Cname(gamma)), Eq(x, A_CHECK))
+            formulas = [Or(Member(A_CHECK, Cname(gamma)),
+                           Not(Member(B_CHECK, Cname(gamma))))]
+            formulas += [q("x", bound, theta) for q in (Exists, Forall)
+                         for bound in (InName(gamma), OrdLT(3), RankLE(1))]
+            return poset, NameSpace(poset, (gamma,), 1), formulas, theta
+
+        def answers():
+            poset, space, formulas, theta = build()
+            mixed = mix(poset, ONE, ["a", "b"],
+                        {"a": CHECKS[1], "b": gamma_name(poset)})
+            return ([[(forces_semantic(poset, c, phi, space),
+                       forces_syntactic(poset, c, phi, space))
+                      for c in poset.conditions()] for phi in formulas],
+                    space.universe, mixed,
+                    mp_witness_search(poset, ONE, theta, space),
+                    least_ordinal_name(poset, ONE, 3, theta))
+
+        want = answers()
+        reports = ("forces_explicit", "forces_flat", "witness_flat",
+                   "mix_flat", "leastord_flat")
+
+        def refuse(*args):
+            raise AssertionError("a name was evaluated along a filter")
+
+        monkeypatch.setattr(Kernel, "filter_at", refuse)
+        monkeypatch.setattr(forcing_module, "eval_name", refuse)
+        monkeypatch.setattr(cli, "eval_name", refuse)
+        assert answers() == want
+        for stem in reports:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                status = cli.main([stem.split("_")[0],
+                                   str(ROOT / "scenarios" / f"{stem}.fl")])
+            assert status == 0, stem
+            assert buf.getvalue() == \
+                (ROOT / "tests" / "golden" / f"{stem}.json").read_text()
+
     def test_subformula_without_the_variable_computed_once(self, monkeypatch):
         calls = {}
 
@@ -896,24 +952,40 @@ class KunenClauses:
 
 class TestCheckNames:
     """Check-names carry their value, and both routes decide atoms between
-    two check-names without recursion."""
+    two check-names without recursion.  ``Kernel.value``, which the routes
+    and name spaces read, is every name's value along each filter."""
 
     @staticmethod
     def hereditarily_one(tau):
         return all(cond is ONE for n in hereditary_closure([tau])
                    for cond, _ in n.entries)
 
-    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
-    def test_value_is_set_exactly_on_check_names(self, case):
-        make, rank = QUOTIENT_CASES[case]
-        poset = make()
-        k = poset.kernel()
+    @staticmethod
+    def names(poset, rank):
+        """A space's names, the filter name, pair names and check-names."""
         gamma = gamma_name(poset)
         space = NameSpace(poset, BASES, rank)
         some = [gamma, EMPTY_NAME, CHECKS[5], space.universe[-1]]
         pairs = [f(a, b) for f in (unordered_pair_name, ordered_pair_name)
                  for a in some for b in some]
-        names = set(space.universe) | set(pairs) | set(CHECKS) | {gamma}
+        return set(space.universe) | set(pairs) | set(CHECKS) | {gamma}
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_kernel_value_is_the_value_along_each_filter(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        k = poset.kernel()
+        for tau in self.names(poset, rank):
+            for i in range(len(k.conds)):
+                assert k.value(tau, i) is eval_name(tau, k.filter_at(i)), \
+                    (tau, i)
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_value_is_set_exactly_on_check_names(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        k = poset.kernel()
+        names = self.names(poset, rank)
         assert sum(tau.value is not None for tau in names) > len(CHECKS)
         for tau in names:
             assert (tau.value is not None) == self.hereditarily_one(tau), tau

@@ -36,9 +36,11 @@ def explicit_v():
     lambda: Family(5),
     lambda: Family([("a",)]),
     lambda: Family([(["a"], [nat(0)])]),
+    lambda: MapPoset(dom_items=5),
+    lambda: MapPoset(dom_window=5, cod_window=(0,)),
 ], ids=["short-pair", "int-order", "list-element", "int-elements",
         "list-in-pair", "list-top", "list-member", "int-family",
-        "short-block", "list-label"])
+        "short-block", "list-label", "int-items", "int-window"])
 def test_malformed_poset_input_is_invalid_input(make):
     # Each would escape as a bare TypeError or ValueError unchecked.
     with pytest.raises(InvalidInput):
