@@ -24,7 +24,7 @@ from .choice import (
 from .cohen import (
     e_dense, g1_to_g, g_to_g1, hat_map, r_sigma_name,
 )
-from .dsl import Command, Scenario, parse_scenario
+from .dsl import Command, Parser, Scenario, parse_scenario
 from .errors import ForceLabError, InvalidInput, ParseError, ReportTooLarge
 from .forcing import (
     NameSpace, forces_semantic, forces_syntactic, least_ordinal_name,
@@ -388,8 +388,7 @@ _REQUIRED = object()
 
 # The kinds of declaration.  A keyword named after one, as ``grid=`` is,
 # holds an identifier of that kind; every other keyword holds an integer.
-_DECLARED = ("family", "poset", "grid", "assignment", "sigma", "name",
-             "formula", "perm", "cond", "conds")
+_DECLARED = Parser.DECLARATIONS.keys()
 
 # One row per verb, or per verb and mode: the kinds of its positional
 # arguments, its keywords with their defaults, and its handler.  A kind is

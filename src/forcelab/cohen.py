@@ -19,26 +19,53 @@ from .hf import nat
 from .names import EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name
 from .perms import grid_conditions
 from .posets import (
-    CohenGridPoset, Filter, InjPoset, ONE, canon_key, is_dense, is_injection,
-    is_map,
+    CohenGridPoset, Filter, InjPoset, ONE, _is_nat, canon_key, is_dense,
+    is_injection, is_map,
 )
+
+
+def _below(x, bound: int, what: str) -> int:
+    """x when it is a natural below bound, by the rule the grid's condition
+    check uses: another integer is out of range, and any other value, a
+    bool or float included, is invalid input."""
+    if _is_nat(x) and x < bound:
+        return x
+    if type(x) is int:
+        raise OutOfRange(f"{what} {x} is outside the grid")
+    raise InvalidInput(f"{what} must be an integer, not {x!r}")
+
+
+def _section(grid: CohenGridPoset, col, rows) -> frozenset[int]:
+    """Column col's value, its rows as a set; the column and each row are
+    checked against the grid."""
+    _below(col, grid.cols, "column")
+    try:
+        return frozenset(_below(r, grid.rows, "row") for r in rows)
+    except TypeError:
+        raise InvalidInput(f"the value of column {col} must be a set of "
+                           f"rows, not {rows!r}") from None
 
 
 class Assignment:
     """A total 0/1 assignment on a grid, bits listed row-major."""
 
     def __init__(self, grid: CohenGridPoset, bits: Sequence[int]):
+        try:
+            bits = tuple(bits)
+        except TypeError:
+            raise InvalidInput(
+                f"assignment bits must be a sequence, not {bits!r}") from None
         if len(bits) != grid.cols * grid.rows:
             raise InvalidInput(
                 f"need {grid.cols * grid.rows} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
+        if not all(_is_nat(b) and b < 2 for b in bits):
             raise InvalidInput("assignment bits must be 0 or 1")
         self.grid = grid
-        self.bits = tuple(bits)
+        self.bits = bits
 
     def bit(self, col: int, row: int) -> int:
-        if not (0 <= col < self.grid.cols and 0 <= row < self.grid.rows):
-            raise OutOfRange(f"cell ({col},{row}) is outside the grid")
+        _below(col, self.grid.cols, "column")
+        _below(row, self.grid.rows, "row")
         return self.bits[row * self.grid.cols + col]
 
     def column(self, col: int) -> frozenset[int]:
@@ -75,13 +102,9 @@ class GridSectionFilter:
 
     def __init__(self, grid: CohenGridPoset,
                  decided: Mapping[int, frozenset[int]]):
-        for col, rows in decided.items():
-            if not (0 <= col < grid.cols):
-                raise OutOfRange(f"column {col} is outside the grid")
-            if any(not (0 <= r < grid.rows) for r in rows):
-                raise OutOfRange(f"column {col} value escapes the rows")
         self.grid = grid
-        self.decided = {c: frozenset(rows) for c, rows in decided.items()}
+        self.decided = {c: _section(grid, c, rows)
+                        for c, rows in decided.items()}
         self._key = (grid.cols, grid.rows,
                      tuple(sorted((c, tuple(sorted(rows)))
                                   for c, rows in self.decided.items())))
@@ -116,8 +139,7 @@ class GridSectionFilter:
 def xdot_name(grid: CohenGridPoset, col: int) -> PName:
     """The column's subset-of-rows name: one entry per single-cell
     condition turning a bit on."""
-    if not (0 <= col < grid.cols):
-        raise OutOfRange(f"column {col} is outside the grid")
+    _below(col, grid.cols, "column")
     return PName(
         (frozenset({((col, row), 1)}), check_name(nat(row)))
         for row in range(grid.rows))
@@ -126,8 +148,7 @@ def xdot_name(grid: CohenGridPoset, col: int) -> PName:
 def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
     """The name of the column's canonical name: it evaluates to the encoded
     check-name of the column value, not to the value itself."""
-    if not (0 <= col < grid.cols):
-        raise OutOfRange(f"column {col} is outside the grid")
+    _below(col, grid.cols, "column")
     return PName(
         (frozenset({((col, row), 1)}),
          ordered_pair_name(EMPTY_NAME,
@@ -225,7 +246,7 @@ def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
         if cond is ONE:
             continue
         for col, rows in cond:
-            rows = frozenset(rows)
+            rows = _section(grid, col, rows)
             if decided.setdefault(col, rows) != rows:
                 raise InvalidInput(
                     f"the conditions disagree about column {col}")

@@ -242,20 +242,6 @@ class Parser:
     # -- scenario ------------------------------------------------------------
 
     def parse(self) -> Scenario:
-        # A handler reads a declaration after its keyword and identifier and
-        # returns the entity, which is declared with the keyword as its kind.
-        handlers = {
-            "family": self.parse_family,
-            "poset": self.parse_poset,
-            "grid": self.parse_grid,
-            "assignment": self.parse_assignment,
-            "sigma": self.parse_sigma,
-            "name": self.parse_name,
-            "formula": self.parse_formula_decl,
-            "perm": self.parse_perm,
-            "cond": self.parse_cond_decl,
-            "conds": self.parse_conds_decl,
-        }
         while True:
             tok = self.peek()
             if tok.kind == "end":
@@ -265,12 +251,12 @@ class Parser:
             if tok.text == "command":
                 self.parse_command()
                 break
-            handler = handlers.get(tok.text)
+            handler = self.DECLARATIONS.get(tok.text)
             if handler is None:
                 self.fail(f"unknown declaration keyword {tok.text!r}")
             self.next()
             ident = self.expect("ident")
-            self.define(ident.text, tok.text, handler(), ident)
+            self.define(ident.text, tok.text, handler(self), ident)
         self.expect("end")
         return self.scenario
 
@@ -636,6 +622,22 @@ class Parser:
             self.fail("unexpected token in command arguments")
         self.scenario.command = Command(verb, tuple(args), tuple(kwargs),
                                         tokens, key_tokens)
+
+    # Each declaration keyword's handler: it reads the declaration after the
+    # keyword and identifier and returns the entity, which is declared with
+    # the keyword as its kind.
+    DECLARATIONS = {
+        "family": parse_family,
+        "poset": parse_poset,
+        "grid": parse_grid,
+        "assignment": parse_assignment,
+        "sigma": parse_sigma,
+        "name": parse_name,
+        "formula": parse_formula_decl,
+        "perm": parse_perm,
+        "cond": parse_cond_decl,
+        "conds": parse_conds_decl,
+    }
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -46,6 +46,9 @@ class Chain:
     pos: tuple[int, int]
 
     def __post_init__(self):
+        if not isinstance(self.mid, tuple):
+            raise InvalidInput(
+                f"a chain window must be a tuple, not {self.mid!r}")
         for tail in (self.neg, self.pos):
             if not (isinstance(tail, tuple) and len(tail) == 2):
                 raise InvalidInput("a chain tail must be a (step, offset) "

@@ -52,8 +52,6 @@ def canon_key(obj) -> tuple:
     """Total order key over every condition representation in the package."""
     if obj is ONE:
         return (0,)
-    if isinstance(obj, bool):
-        return (1, int(obj))
     if isinstance(obj, int):
         return (1, obj)
     if isinstance(obj, str):
@@ -606,6 +604,12 @@ def _is_nat(x) -> bool:
     return type(x) is int and x >= 0
 
 
+def _is_item(x) -> bool:
+    """Is x a natural or a frozenset of naturals, the values a map poset
+    may declare as items?  Among them equal objects are the same item."""
+    return _is_nat(x) or (type(x) is frozenset and all(map(_is_nat, x)))
+
+
 def is_injection(pairs) -> bool:
     """Are the entries pairs of naturals forming a finite injection?"""
     return is_map(pairs, injective=True) and \
@@ -617,9 +621,8 @@ class MapPoset(Poset):
 
     ``dom_items`` / ``cod_items`` of None mean the naturals; an explicit
     tuple means both the universe of valid items and the truncation window.
-    A declared item must be hashable and ordered by ``canon_key``; only an
-    equal object of its type is that item (``True`` is not the item 1), so
-    no two items may be equal objects of different types.
+    A declared item is a natural or a frozenset of naturals, so the kernel,
+    which indexes conditions by equality, never merges two items.
     ``dom_window`` / ``cod_window`` restrict enumeration to some of the
     items (needed when the universe is infinite); an item outside the
     universe is refused, so every map in the window is a condition.
@@ -643,41 +646,22 @@ class MapPoset(Poset):
         except TypeError:
             raise InvalidInput(f"the items and windows of a {self.kind} "
                                "poset must be iterable") from None
-        self._dom_typed = self._typed_items(self.dom_items)
-        self._cod_typed = self._typed_items(self.cod_items)
-        for window, typed in ((self.dom_window, self._dom_typed),
-                              (self.cod_window, self._cod_typed)):
+        for x in (self.dom_items or ()) + (self.cod_items or ()):
+            if not _is_item(x):
+                raise InvalidInput(f"item {x!r} of this {self.kind} poset is "
+                                   "not a natural or a set of naturals")
+        for window, items in ((self.dom_window, self.dom_items),
+                              (self.cod_window, self.cod_items)):
             for x in window or ():
-                if not self._valid_item(x, typed):
+                if not self._valid_item(x, items):
                     raise InvalidInput(f"window item {x!r} is not an item "
                                        f"of this {self.kind} poset")
 
-    def _typed_items(self, items) -> Optional[dict]:
-        """The type of each declared item, or None for the naturals.  The
-        kernel indexes conditions by equality, so two equal items of
-        different types, such as 1 and True, cannot both be items."""
+    @staticmethod
+    def _valid_item(x, items) -> bool:
         if items is None:
-            return None
-        typed: dict = {}
-        for x in items:
-            try:
-                canon_key(x)
-                first = typed.setdefault(x, type(x))
-            except (TypeError, UnknownCondition):
-                raise InvalidInput(f"item {x!r} of this {self.kind} poset "
-                                   "is not a hashable condition") from None
-            if first is not type(x):
-                raise InvalidInput(f"item {x!r} of this {self.kind} poset "
-                                   "equals an item of another type")
-        return typed
-
-    def _valid_item(self, x, typed) -> bool:
-        if typed is None:
             return _is_nat(x)
-        try:
-            return typed.get(x) is type(x)
-        except TypeError:  # an unhashable window item
-            return False
+        return _is_item(x) and x in items
 
     def is_condition(self, c) -> bool:
         if not isinstance(c, frozenset):
@@ -686,9 +670,9 @@ class MapPoset(Poset):
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 return False
             u, v = entry
-            if not self._valid_item(u, self._dom_typed):
+            if not self._valid_item(u, self.dom_items):
                 return False
-            if not self._valid_item(v, self._cod_typed):
+            if not self._valid_item(v, self.cod_items):
                 return False
         return is_map(c, self.injective)
 
@@ -745,15 +729,8 @@ class MapPoset(Poset):
             down.append(m)
         return tuple(conds), tuple(down)
 
-    def _item_hf(self, x) -> HF:
-        if isinstance(x, HF):
-            return x
-        if isinstance(x, int):
-            return nat(x)
-        raise InvalidInput(f"cannot encode item {x!r} as a set")
-
     def _entry_hf(self, u, v) -> HF:
-        return kuratowski(self._item_hf(u), self._item_hf(v))
+        return kuratowski(nat(u), nat(v))
 
     def _condition_hf(self, c) -> HF:
         return HF(self._entry_hf(u, v) for u, v in c)
@@ -769,8 +746,6 @@ class MapPoset(Poset):
         return tuple(HF(map(entry.__getitem__, c)) for c in conds)
 
     def _item_repr(self, x) -> str:
-        if isinstance(x, HF):
-            return render(x)
         if isinstance(x, frozenset):
             return "{" + ",".join(str(v) for v in sorted(x)) + "}"
         return str(x)

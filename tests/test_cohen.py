@@ -51,6 +51,36 @@ class TestAssignment:
             GridSectionFilter(GRID, {0: frozenset({9})})
 
 
+WRONG_KINDS = {
+    "bits-int": lambda: Assignment(GRID, 5),
+    "bit-bool": lambda: Assignment(GRID, [True, 0, 1, 0]),
+    "bit-float": lambda: Assignment(GRID, [1.0, 0, 1, 0]),
+    "bit-col-float": lambda: ASG.bit(0.5, 0),
+    "xdot-str": lambda: xdot_name(GRID, "a"),
+    "xdot-bool": lambda: xdot_name(GRID, True),
+    "xcc-str": lambda: xcheckcheck_name(GRID, "a"),
+    "section-col-float": lambda: GridSectionFilter(
+        GRID, {0.0: frozenset({1})}),
+    "section-row-float": lambda: GridSectionFilter(
+        GRID, {0: frozenset({0.5})}),
+    "section-rows-int": lambda: GridSectionFilter(GRID, {0: 5}),
+    "g1-col-float": lambda: g1_to_g(
+        GRID, [frozenset({(0.0, frozenset({1}))})]),
+    "g1-col-float-after-int": lambda: g1_to_g(
+        GRID, [frozenset({(0, frozenset({1}))}),
+               frozenset({(0.0, frozenset({1}))})]),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KINDS.values(), ids=WRONG_KINDS.keys())
+def test_wrong_kinds_are_invalid_input(call):
+    # Columns, rows and bits follow the grid's own condition check: an
+    # integer outside the grid is out of range (the tests above), and any
+    # other value, a bool or float included, is invalid input.
+    with pytest.raises(InvalidInput):
+        call()
+
+
 class TestColumnNames:
     def test_xdot_eval(self):
         assert eval_name(xdot_name(GRID, 0), ASG.filter()) == HF([nat(1)])

@@ -259,13 +259,17 @@ def test_index_of_validates_before_it_compiles():
     dict(dom_items=(0,), cod_items=(frozenset({0.5}),)),
     dict(dom_items=(1, True), cod_items=(0,)),
     dict(dom_items=(0,), cod_items=(0, False)),
+    dict(dom_items=((0, 1), (0, True)), cod_items=(0,)),
+    dict(dom_items=(nat(0),), cod_items=(0,)),
+    dict(dom_items=("a",), cod_items=(0,)),
+    dict(dom_items=(0,), cod_items=((0, 1),)),
 ], ids=["unhashable", "float", "unhashable-tuple", "float-set", "bool-dom",
-        "bool-cod"])
+        "bool-cod", "equal-tuples", "hf", "str", "tuple"])
 def test_map_poset_items_are_checked_when_it_is_built(items):
-    # An item must be hashable and ordered by canon_key, and no two items
-    # may be equal objects of different types, which the kernel would index
-    # as one condition; the poset refuses any other when it is built, not
-    # when it is first enumerated.
+    # An item is a natural or a frozenset of naturals, among which equal
+    # objects are the same item, so the kernel's equality index never
+    # merges two items; the poset refuses any other item when it is built,
+    # not when it is first enumerated.
     with pytest.raises(InvalidInput):
         MapPoset(**items)
 

@@ -44,6 +44,8 @@ class TestChain:
             Chain(0, (0,), (2, 4), (2, 4))         # tails share values
         with pytest.raises(InvalidInput):
             Chain(0, (0,), (0, 5), (2, 4))         # tail step must advance
+        with pytest.raises(InvalidInput):
+            Chain(0, [1], (2, 3), (2, 4))          # window not a tuple
 
     def test_shift_relabels_indices_only(self):
         ch = std_chain()

@@ -198,7 +198,8 @@ class TestMapPosets:
         # Every map in the window must be a condition, so a window item
         # must be one of the poset's items (a natural, when none are given).
         for bad in (dict(dom_items=(0, 1), cod_items=(0, 1), dom_window=(0, 5)),
-                    dict(cod_items=("x",), cod_window=("y",)),
+                    dict(cod_items=(frozenset({0}),),
+                         cod_window=(frozenset({1}),)),
                     dict(dom_window=(0, -1), cod_window=(0,)),
                     dict(dom_window=(0,), cod_window=(True,))):
             with pytest.raises(InvalidInput):
