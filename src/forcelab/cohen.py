@@ -10,6 +10,7 @@ and carries names across via the hat map, which preserves evaluation.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -36,14 +37,10 @@ def _below(x, bound: int, what: str) -> int:
 
 
 def _section(grid: CohenGridPoset, col, rows) -> frozenset[int]:
-    """Column col's value, its rows as a set; the column and each row are
-    checked against the grid."""
+    """Column col's value, its rows as a set, checked against the grid;
+    rows that are not iterable raise TypeError for the caller to report."""
     _below(col, grid.cols, "column")
-    try:
-        return frozenset(_below(r, grid.rows, "row") for r in rows)
-    except TypeError:
-        raise InvalidInput(f"the value of column {col} must be a set of "
-                           f"rows, not {rows!r}") from None
+    return frozenset(_below(r, grid.rows, "row") for r in rows)
 
 
 class Assignment:
@@ -62,32 +59,30 @@ class Assignment:
             raise InvalidInput("assignment bits must be 0 or 1")
         self.grid = grid
         self.bits = bits
+        self._columns = tuple(
+            frozenset(r for r in range(grid.rows) if bits[r * grid.cols + c])
+            for c in range(grid.cols))
 
     def bit(self, col: int, row: int) -> int:
-        _below(col, self.grid.cols, "column")
-        _below(row, self.grid.rows, "row")
-        return self.bits[row * self.grid.cols + col]
+        return int(_below(row, self.grid.rows, "row") in self.column(col))
 
     def column(self, col: int) -> frozenset[int]:
         """The subset of rows this column turns on."""
-        return frozenset(r for r in range(self.grid.rows)
-                         if self.bit(col, r) == 1)
+        return self._columns[_below(col, self.grid.cols, "column")]
 
     def columns(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.column(c) for c in range(self.grid.cols))
+        return self._columns
 
     def has_distinct_columns(self) -> bool:
-        cols = self.columns()
-        return len(set(cols)) == len(cols)
+        return len(set(self._columns)) == len(self._columns)
 
     def filter(self) -> "GridSectionFilter":
         """All grid conditions the assignment extends, as a lazy filter."""
-        return GridSectionFilter(
-            self.grid, {c: self.column(c) for c in range(self.grid.cols)})
+        return GridSectionFilter(self.grid, dict(enumerate(self._columns)))
 
     def p1_poset(self) -> InjPoset:
         """Injective finite maps from columns to the column values."""
-        values = sorted(set(self.columns()), key=canon_key)
+        values = sorted(set(self._columns), key=canon_key)
         return InjPoset(dom_items=range(self.grid.cols), cod_items=values)
 
     def __repr__(self):
@@ -96,28 +91,52 @@ class Assignment:
         return f"assignment[{'|'.join(rows)}]"
 
 
+def _agrees(s, values: Mapping[int, frozenset[int]]) -> bool:
+    """Does the column valuation values, column -> rows, decide every cell
+    of the grid condition s the way s reads: the cell's column is valued,
+    and the cell's bit is 1 exactly when its row lies in the value."""
+    if s is ONE:
+        return True
+    for (col, row), bit in s:
+        rows = values.get(col)
+        if rows is None or (row in rows) != bit:
+            return False
+    return True
+
+
+def _valuation(pairs) -> dict[int, frozenset[int]]:
+    """Column -> frozenset of rows, read off a mapping or a map of pairs."""
+    try:
+        values = dict(pairs)
+        if all(type(rows) is frozenset for rows in values.values()):
+            return values
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInput(f"not a map from columns to sets of rows: {pairs!r}")
+
+
 class GridSectionFilter:
     """The grid conditions decided by (and agreeing with) a partial choice
-    of column values.  Lazy: membership is checked cell by cell."""
+    of column values.  Lazy: membership is checked cell by cell; an object
+    that is not a grid condition is not a member, and a cell outside the
+    grid is refused."""
 
     def __init__(self, grid: CohenGridPoset,
                  decided: Mapping[int, frozenset[int]]):
         self.grid = grid
         self.decided = {c: _section(grid, c, rows)
-                        for c, rows in decided.items()}
-        self._key = (grid.cols, grid.rows,
-                     tuple(sorted((c, tuple(sorted(rows)))
-                                  for c, rows in self.decided.items())))
+                        for c, rows in _valuation(decided).items()}
+        self._key = (grid.cols, grid.rows, frozenset(self.decided.items()))
 
     def __contains__(self, cond) -> bool:
         if cond is ONE:
             return True
-        for (c, r), bit in cond:
-            if c not in self.decided or not (0 <= r < self.grid.rows):
-                return False
-            if bit != (1 if r in self.decided[c] else 0):
-                return False
-        return True
+        if not CohenGridPoset.is_condition(cond):
+            return False
+        for (c, r), _ in cond:
+            _below(c, self.grid.cols, "column")
+            _below(r, self.grid.rows, "row")
+        return _agrees(cond, self.decided)
 
     def __hash__(self):
         return hash(self._key)
@@ -148,12 +167,9 @@ def xdot_name(grid: CohenGridPoset, col: int) -> PName:
 def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
     """The name of the column's canonical name: it evaluates to the encoded
     check-name of the column value, not to the value itself."""
-    _below(col, grid.cols, "column")
     return PName(
-        (frozenset({((col, row), 1)}),
-         ordered_pair_name(EMPTY_NAME,
-                           check_name(name_hf(check_name(nat(row))))))
-        for row in range(grid.rows))
+        (cond, ordered_pair_name(EMPTY_NAME, check_name(name_hf(child))))
+        for cond, child in xdot_name(grid, col).entries)
 
 
 def _ensure_injection(sigma: frozenset) -> None:
@@ -178,8 +194,8 @@ def r_sigma_condition(assignment: Assignment,
     x_i maps to x_j for (i,j) in sigma, read in the value-to-value poset."""
     sigma = frozenset(sigma)
     _ensure_injection(sigma)
-    pairs = {(assignment.column(i), assignment.column(j)) for i, j in sigma}
-    cond = frozenset(pairs)
+    cond = frozenset((assignment.column(i), assignment.column(j))
+                     for i, j in sigma)
     if len(cond) < len(sigma) or not is_map(cond, injective=True):
         raise ColumnCollision(
             "colliding column values garble the injection")
@@ -194,46 +210,30 @@ def square_below(s, q) -> bool:
     """Does the injective-map condition q decide every cell of the grid
     condition s the same way: for each (i,j) in dom(s), i is mapped by q
     and s(i,j) = 1 exactly when j lies in q(i)."""
-    if s is ONE:
-        return True
-    values = dict(q) if q is not ONE else {}
-    for (i, j), bit in s:
-        if i not in values:
-            return False
-        if bit != (1 if j in values[i] else 0):
-            return False
-    return True
+    if s is not ONE and not CohenGridPoset.is_condition(s):
+        raise InvalidInput(f"not a grid condition: {s!r}")
+    return _agrees(s, {} if q is ONE else _valuation(q))
 
 
 def g_to_g1(assignment: Assignment) -> Filter:
     """The induced filter on the injective-map poset: all conditions that
     send each of their columns to that column's value."""
-    if not assignment.has_distinct_columns():
-        pairs = sorted(
-            (c1, c2)
-            for c1 in range(assignment.grid.cols)
-            for c2 in range(c1 + 1, assignment.grid.cols)
-            if assignment.column(c1) == assignment.column(c2))
-        raise ColumnCollision(
-            f"columns collide under this assignment: {pairs}")
-    p1 = assignment.p1_poset()
-    section = {c: assignment.column(c) for c in range(assignment.grid.cols)}
-    return Filter(p1, section_g1_conditions(section))
+    conds = section_g1_conditions(dict(enumerate(assignment.columns())))
+    return Filter(assignment.p1_poset(), conds)
 
 
 def section_g1_conditions(
         decided: Mapping[int, frozenset[int]]) -> frozenset:
     """All injective-map conditions that agree with a partial choice of
     column values and mention only decided columns."""
-    values = dict(decided)
-    if len(set(values.values())) != len(values):
-        raise ColumnCollision("decided column values collide")
-    cols = sorted(values)
-    out = []
-    for mask in range(1 << len(cols)):
-        picked = [cols[i] for i in range(len(cols)) if mask >> i & 1]
-        out.append(frozenset((c, values[c]) for c in picked))
-    return frozenset(out)
+    values = _valuation(decided)
+    pairs = [(c1, c2) for (c1, v1), (c2, v2)
+             in itertools.combinations(values.items(), 2) if v1 == v2]
+    if pairs:
+        raise ColumnCollision(f"these columns' values collide: {pairs}")
+    return frozenset(
+        frozenset(picked) for k in range(len(values) + 1)
+        for picked in itertools.combinations(values.items(), k))
 
 
 def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
@@ -242,14 +242,18 @@ def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
     containing j; columns no member mentions stay undecided."""
     members = g1.conditions if isinstance(g1, Filter) else g1
     decided: dict[int, frozenset[int]] = {}
-    for cond in members:
-        if cond is ONE:
-            continue
-        for col, rows in cond:
-            rows = _section(grid, col, rows)
-            if decided.setdefault(col, rows) != rows:
-                raise InvalidInput(
-                    f"the conditions disagree about column {col}")
+    try:
+        for cond in members:
+            if cond is ONE:
+                continue
+            for col, rows in cond:
+                rows = _section(grid, col, rows)
+                if decided.setdefault(col, rows) != rows:
+                    raise InvalidInput(
+                        f"the conditions disagree about column {col}")
+    except (TypeError, ValueError):
+        raise InvalidInput("not a set of injective-map conditions: "
+                           f"{g1!r}") from None
     return GridSectionFilter(grid, decided)
 
 
@@ -259,10 +263,9 @@ def e_dense(assignment: Assignment, dense_set: Iterable) -> frozenset:
     dense = list(dense_set)
     if not is_dense(assignment.grid, dense):
         raise NotDense("the input set is not dense in the grid poset")
-    p1 = assignment.p1_poset()
-    return frozenset(
-        q for q in p1.conditions()
-        if any(square_below(s, q) for s in dense))
+    valued = [(q, _valuation(q)) for q in assignment.p1_poset().conditions()]
+    return frozenset(q for q, values in valued
+                     if any(_agrees(s, values) for s in dense))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +282,14 @@ def hat_map(tau: PName, p1: InjPoset) -> PName:
     entries is carried once.
     """
     grid_conditions(tau)
-    return _hat(tau, p1.conditions(), {})
+    return _hat(tau, [(q, _valuation(q)) for q in p1.conditions()], {})
 
 
-def _hat(tau: PName, conds: tuple, memo: dict) -> PName:
+def _hat(tau: PName, valued: list, memo: dict) -> PName:
     out = memo.get(tau)
     if out is None:
         out = memo[tau] = PName(
-            (q, _hat(sigma, conds, memo))
-            for r, sigma in tau.entries for q in conds if square_below(r, q))
+            (q, _hat(sigma, valued, memo))
+            for r, sigma in tau.entries
+            for q, values in valued if _agrees(r, values))
     return out

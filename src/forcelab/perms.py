@@ -113,16 +113,7 @@ class Chain:
 
     def indices_below(self, k: int) -> list[int]:
         """All m with e(m) < k; finite because the tails increase."""
-        out = [self.lo + off for off, v in enumerate(self.mid) if v < k]
-        na, nb = self.neg
-        for d in range(1, max((k - nb - 1) // na, 0) + 1):
-            if na * d + nb < k:
-                out.append(self.lo - d)
-        pa, pb = self.pos
-        for d in range(1, max((k - pb - 1) // pa, 0) + 1):
-            if pa * d + pb < k:
-                out.append(self.hi + d)
-        return sorted(out)
+        return sorted(m for m in map(self.index_of, range(k)) if m is not None)
 
     def shift(self, s: int) -> "Chain":
         """The reindexed chain e'(m) = e(m + s)."""

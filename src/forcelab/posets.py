@@ -241,6 +241,8 @@ class Kernel:
         self.full = (1 << len(conds)) - 1
         self.top = self.index.get(poset.top)
         self.forcer = None  # forcing._Forcer, built on first use
+        # Not functools.cached_property: on CPython 3.11 its first store
+        # makes every later attribute load on the kernel several times slower.
         self._exts: Optional[tuple[tuple[int, ...], ...]] = None
         self._compat: Optional[tuple[int, ...]] = None
         self._codes: Optional[tuple[HF, ...]] = None

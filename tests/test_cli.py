@@ -342,6 +342,18 @@ def test_name_json_builds_each_distinct_subname_once():
     assert out[39][1][38][1] is out[38][1]
 
 
+def test_hat_of_off_grid_cell_is_out_of_range(tmp_path):
+    # Row 5 is outside the 2x2 grid.  Read as undecided along the section
+    # but as 0 by the hat map, it would make the two evaluations differ.
+    path = tmp_path / "offgrid.fl"
+    path.write_text("grid G cols=2 rows=2\nassignment g G [0,1,1,0]\n"
+                    "name t over G = { ({(0,5)=0}, check(1)) }\n"
+                    "command cohen hat g t\n")
+    status, out = run_in_process("cohen", str(path))
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == "out-of-range"
+
+
 def test_report_over_budget_fails_fast(tmp_path):
     path = thm2_file(tmp_path, 62)
     start = time.perf_counter()

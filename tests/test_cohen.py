@@ -50,6 +50,18 @@ class TestAssignment:
         with pytest.raises(OutOfRange):
             GridSectionFilter(GRID, {0: frozenset({9})})
 
+    def test_off_grid_cell_is_out_of_range(self):
+        # Refused, not read as undecided: the hat map, which sees no grid,
+        # would read a 0 in an off-grid row as agreeing with every value.
+        for cell in ((0, 5), (5, 0)):
+            with pytest.raises(OutOfRange):
+                frozenset({(cell, 0)}) in ASG.filter()
+
+    def test_non_conditions_are_not_members(self):
+        assert "a" not in ASG.filter()
+        assert 5 not in ASG.filter()
+        assert eval_name(PName([("a", EMPTY_NAME)]), ASG.filter()) == HF()
+
 
 WRONG_KINDS = {
     "bits-int": lambda: Assignment(GRID, 5),
@@ -69,6 +81,11 @@ WRONG_KINDS = {
     "g1-col-float-after-int": lambda: g1_to_g(
         GRID, [frozenset({(0, frozenset({1}))}),
                frozenset({(0.0, frozenset({1}))})]),
+    "section-int": lambda: GridSectionFilter(GRID, 5),
+    "g1-int": lambda: g1_to_g(GRID, 5),
+    "square-value-int": lambda: square_below(
+        frozenset({((0, 0), 1)}), frozenset({(0, 5)})),
+    "g1-sections-list": lambda: section_g1_conditions({0: [1]}),
 }
 
 
@@ -148,6 +165,22 @@ class TestSquareBelow:
         assert square_below(s, q_yes)
         assert not square_below(s, q_no)
         assert not square_below(s, q_undecided)
+
+    @pytest.mark.parametrize("cols, rows", [(2, 2), (3, 2)])
+    def test_agrees_with_section_membership(self, cols, rows):
+        # Both decide a grid condition by one rule: along a distinct-column
+        # assignment, a condition is in its section exactly when the full
+        # injective map of its columns decides it.
+        grid = CohenGridPoset(cols, rows)
+        conds = grid.conditions()
+        for bits in itertools.product((0, 1), repeat=cols * rows):
+            asg = Assignment(grid, bits)
+            if not asg.has_distinct_columns():
+                continue
+            filt = asg.filter()
+            q = frozenset(enumerate(asg.columns()))
+            for s in conds:
+                assert (s in filt) == square_below(s, q), (asg, s)
 
 
 class TestFilterTranslation:

@@ -34,6 +34,24 @@ class TestChain:
         ch = std_chain()
         assert ch.min_value() == 0
         assert sorted(ch.value(i) for i in ch.indices_below(2)) == [0, 1]
+        # Seeded chains against a scan of every index whose value could be
+        # below k: a tail value at distance d from the window is at least
+        # d - 1, so k + 1 indices past each end cover both tails.
+        rng = random.Random(2110)
+        chains = 0
+        while chains < 100:
+            try:
+                ch = Chain(rng.randint(-3, 3),
+                           tuple(rng.sample(range(12), rng.randint(0, 4))),
+                           (rng.randint(1, 3), rng.randint(-1, 6)),
+                           (rng.randint(1, 3), rng.randint(-1, 6)))
+            except InvalidInput:
+                continue
+            chains += 1
+            for k in range(25):
+                window = range(ch.lo - k - 1, ch.hi + k + 2)
+                assert ch.indices_below(k) == \
+                    [m for m in window if ch.value(m) < k], (ch, k)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
