@@ -3,10 +3,12 @@
 The semantic route computes [[phi]], the set of generic filters along which
 phi holds, as a bit mask over the minimal conditions, since a finite poset's
 generic filters are the filters at them: the Boolean-valued model.  Its
-atoms compare names' values along those filters, read off the kernel's
-entry masks (``Kernel.value``).  The syntactic route computes F(phi), the
-mask of all conditions that force phi, by the forcing clauses applied to
-every condition at once.  With none_below(X) the conditions with no
+atoms compare names' values along those filters: a name its name space
+assembled has them read off its class mask (``NameSpace.value``), and any
+other name off the kernel's entry masks (``Kernel.value``).  The syntactic
+route never reads a class mask.  It computes F(phi), the mask of all
+conditions that force phi, by the forcing clauses applied to every
+condition at once.  With none_below(X) the conditions with no
 extension in X, and dense(X) = none_below(none_below(X)), negation is
 none_below and conjunction is intersection; the existential clause is
 
@@ -77,13 +79,25 @@ class NameSpace:
     class costs one interned name, built in the order met, with no key
     table and no sort of the universe; only the few closure names kept are
     placed by bisection.
+
+    A class mask is a set of (condition, value) bits, so it fixes its
+    name's value along every filter.  The space keeps the mask of each
+    name it assembled, and :meth:`value` reads the semantic route's values
+    of those names off it, building no name's value from its entries.
     """
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
                  rank_bound: int):
         check_natural(rank_bound, "rank bound")
+        if not isinstance(poset, Poset):
+            raise InvalidInput(f"not a poset: {type(poset).__name__}")
+        try:
+            self.base_names = tuple(base_names)
+        except TypeError:
+            raise InvalidInput("the base names must be an iterable") from None
+        if not all(isinstance(n, PName) for n in self.base_names):
+            raise InvalidInput("every base name must be a name")
         self.poset = poset
-        self.base_names = tuple(base_names)
         self.rank_bound = rank_bound
         closure = hereditary_closure(self.base_names)
         eligible = [s for s in closure if s.rank < rank_bound]
@@ -128,8 +142,16 @@ class NameSpace:
                 frontier = grown
             for m, combo in seen.items():
                 best.setdefault(m, combo)
-        first = {mask: PName(map(pairs.__getitem__, combo))
-                 for mask, combo in best.items()}
+        # PName keeps the frozenset it is given unless an equal name is
+        # already interned: such a stale name, from an earlier equal space,
+        # holds that space's condition objects, which ``value`` checks first.
+        first = {}
+        self._masks: dict[PName, int] = {}
+        self._unchecked: dict[PName, int] = {}
+        for mask, combo in best.items():
+            es = frozenset(map(pairs.__getitem__, combo))
+            n = first[mask] = PName(es)
+            (self._masks if n.entries is es else self._unchecked)[n] = mask
         universe = list(first.values())
         members = set(universe)
         # A closure name's class is keyed like an assembled one, by the OR
@@ -154,10 +176,20 @@ class NameSpace:
         self.universe: tuple[PName, ...] = tuple(universe)
         self._members = frozenset(members)
         self._ranks = [n.rank for n in self.universe]
+        # Bits are numbered in the order met, so ``bits`` lists them in
+        # order: bit b is the pair (condition index, value) it numbers.
+        self._k = k
+        self._of_bit = [v for _, v in bits]
+        self._at = [0] * len(k.conds)
+        for b, (i, _) in enumerate(bits):
+            self._at[i] |= 1 << b
+        self._values: dict[int, HF] = {}
         # The routes' state for this space, built on first use.
         self.forcer: Optional[_Forcer] = None
 
     def __contains__(self, name: PName) -> bool:
+        if not isinstance(name, PName):
+            raise InvalidInput(f"not a name: {type(name).__name__}")
         return name in self._members
 
     def __len__(self) -> int:
@@ -165,7 +197,32 @@ class NameSpace:
 
     def names_of_rank_le(self, k: int) -> tuple[PName, ...]:
         """The names of rank at most k: a prefix of the universe."""
+        if type(k) is not int:
+            raise InvalidInput(f"a rank is an integer, not {k!r}")
         return self.universe[:bisect.bisect_right(self._ranks, k)]
+
+    def value(self, tau: PName, i: int) -> HF:
+        """tau's value along the filter generated by condition i.  A name
+        the space assembled has it read off its class mask: the values of
+        the mask's bits for i, one interned set per distinct set of bits,
+        which is keyed by those bits alone, as no two conditions share a
+        bit.  A stale name's entry conditions first pass through
+        ``Kernel.below`` once, so a copy that ``resolve`` refuses raises
+        here as on the kernel's path.  Any other name's value is
+        ``Kernel.value``."""
+        mask = self._masks.get(tau)
+        if mask is None:
+            if tau not in self._unchecked:
+                return self._k.value(tau, i)
+            for c, _ in tau.entries:
+                self._k.below(c)
+            mask = self._masks[tau] = self._unchecked.pop(tau)
+        sub = mask & self._at[i]
+        out = self._values.get(sub)
+        if out is None:
+            out = self._values[sub] = HF(map(self._of_bit.__getitem__,
+                                             _bits(sub)))
+        return out
 
 
 def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
@@ -201,6 +258,9 @@ class _Forcer:
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
         self.space = None if space is None else weakref.proxy(space)
+        # Atoms read names' values through NameSpace.value, or through
+        # Kernel.value without a space or over a stand-in for one.
+        self._by_space = isinstance(space, NameSpace)
         self._truth: dict = {}
         self._forcing: dict = {}
         self._atoms: dict = {}
@@ -236,9 +296,10 @@ class _Forcer:
             if left.value is not None and right.value is not None:
                 # check-names take their values along every filter
                 return k.minimal if holds(right.value, left.value) else 0
+            value = self.space.value if self._by_space else k.value
             out = 0
             for a in k.minimals:
-                if holds(k.value(right, a), k.value(left, a)):
+                if holds(value(right, a), value(left, a)):
                     out |= 1 << a
             return out
         if isinstance(phi, Not):
@@ -389,13 +450,16 @@ def _name(term, env) -> PName:
 def _forcer(poset: Poset, space: Optional[NameSpace]) -> _Forcer:
     """The route state for the space, or for no space.  It hangs off the
     space, or off the kernel when there is none, so it lives exactly as long
-    as they do.  A space over another poset is refused; a stand-in space
-    that names no poset is taken as given."""
+    as they do.  A space over another poset is refused, and so, when its
+    route state is first built, is an object with no ``names_of_rank_le``;
+    a stand-in space that names no poset is taken as given."""
     k = poset.kernel()
     if space is not None and getattr(space, "poset", poset) is not poset:
         raise InvalidInput("the name space is built over another poset")
     owner = k if space is None else space
     if getattr(owner, "forcer", None) is None:
+        if space is not None and not hasattr(space, "names_of_rank_le"):
+            raise InvalidInput(f"not a name space: {type(space).__name__}")
         owner.forcer = _Forcer(k, space)
     return owner.forcer
 
@@ -503,6 +567,8 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
                       space: NameSpace) -> Optional[PName]:
     """First name in the space's canonical order (rank, then encoding)
     that p forces to satisfy theta; None when there is none."""
+    if space is None:
+        raise InvalidInput("the witness search needs a name space")
     i = poset.index_of(p)
     var = single_free_var(theta)
     f = _forcer(poset, space)

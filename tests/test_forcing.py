@@ -309,6 +309,24 @@ class TestNameSpace:
         with pytest.raises(InvalidInput):
             NameSpace(FLAT, (), -1)
 
+    @pytest.mark.parametrize("call", [
+        lambda space: NameSpace(FLAT, 5, 1),
+        lambda space: NameSpace(FLAT, [1], 1),
+        lambda space: NameSpace("x", [], 1),
+        lambda space: [1] in space,
+        lambda space: space.names_of_rank_le("x"),
+        lambda space: forces_semantic(
+            FLAT, ONE, Member(A_CHECK, Cname(GAMMA)), 5),
+        lambda space: mp_witness_search(
+            FLAT, ONE, Member(Var("x"), Cname(GAMMA)), None),
+    ], ids=["bases-int", "base-int", "poset-str", "contains-list",
+            "rank-str", "space-int", "witness-without-space"])
+    def test_malformed_space_arguments_are_invalid_input(self, call):
+        space = NameSpace(FLAT, (GAMMA,), 1)
+        with pytest.raises(InvalidInput) as info:
+            call(space)
+        assert info.value.code == "invalid-input"
+
 
 BASES = (EMPTY_NAME, check_name(nat(1)))
 
@@ -492,6 +510,128 @@ class TestNameSpaceQuotient:
         assert poset._kernel is None
 
 
+# (poset, bases, rank bound) of every space the class-mask values are
+# checked on: the quotient and irregular cases, and inj(2,2) at rank 1.
+MASK_VALUE_CASES = {
+    **{case: (make, BASES, rank)
+       for case, (make, rank) in QUOTIENT_CASES.items()},
+    **IRREGULAR_CASES,
+    "inj22": (lambda: inj_omega_omega(2, 2), BASES, 1),
+}
+
+
+def assembled(space):
+    """The names the space assembled in its walk, stale or not."""
+    return set(space._masks) | set(space._unchecked)
+
+
+class TestClassMaskValues:
+    """NameSpace.value reads an assembled name's value off its class mask;
+    the semantic route reads it there, and the syntactic route never does."""
+
+    @pytest.mark.parametrize("case", sorted(MASK_VALUE_CASES))
+    def test_value_is_the_kernels_and_the_filters(self, case):
+        make, bases, rank = MASK_VALUE_CASES[case]
+        poset = make()
+        k = poset.kernel()
+        space = NameSpace(poset, bases, rank)
+        assert assembled(space) & set(space.universe)
+        for tau in space.universe:
+            for a in k.minimals:
+                got = space.value(tau, a)
+                assert got is k.value(tau, a), (tau, a)
+                assert got is eval_name(tau, k.filter_at(a)), (tau, a)
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_semantic_route_reads_no_assembled_name_off_the_kernel(
+            self, case, monkeypatch):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        k = poset.kernel()
+        space = NameSpace(poset, BASES, rank)
+        names = assembled(space)
+        read = {"space": 0, "depth": 0}
+        kernel_value, space_value = Kernel.value, NameSpace.value
+
+        def kernel_reads(self, tau, i):
+            # Kernel.value recurses into children, which may be assembled:
+            # only a read from outside it counts.
+            assert read["depth"] or tau not in names, \
+                f"Kernel.value read {tau!r}"
+            read["depth"] += 1
+            try:
+                return kernel_value(self, tau, i)
+            finally:
+                read["depth"] -= 1
+
+        def space_reads(self, tau, i):
+            read["space"] += tau in names
+            return space_value(self, tau, i)
+
+        monkeypatch.setattr(Kernel, "value", kernel_reads)
+        monkeypatch.setattr(NameSpace, "value", space_reads)
+        battery = rankle_battery(poset, rank)
+        for phi in battery:
+            for c in poset.conditions():
+                forces_semantic(poset, c, phi, space)
+            for a in k.minimals:
+                holds_along(poset, k.filter_at(a), phi, space)
+        for theta in (phi.body for phi in battery[:8]):
+            for c in poset.conditions():
+                mp_witness_search(poset, c, theta, space)
+        assert read["space"] > 0
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_syntactic_route_reads_no_class_mask(self, case, monkeypatch):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        battery = rankle_battery(poset, rank)
+        want = [[forces_syntactic(poset, c, phi, UnquotientedSpace(
+            poset, BASES, rank)) for c in poset.conditions()]
+            for phi in battery]
+
+        def refuse(*args):
+            raise AssertionError("a class mask was read")
+
+        monkeypatch.setattr(NameSpace, "value", refuse)
+        space = NameSpace(poset, BASES, rank)
+        assert [[forces_syntactic(poset, c, phi, space)
+                 for c in poset.conditions()] for phi in battery] == want
+        with pytest.raises(AssertionError):
+            forces_semantic(poset, poset.conditions()[0], battery[0], space)
+
+    def test_stale_names_answer_as_without_quotient(self):
+        # A space whose names an earlier, equal space still holds gets those
+        # interned names back, with the earlier poset's condition objects.
+        gc.disable()
+        try:
+            first = fn_omega_omega(2, 2)
+            earlier = NameSpace(first, BASES, 1)
+            phi = rankle_battery(first, 1)[0]
+            forces_semantic(first, ONE, phi, earlier)
+            poset = fn_omega_omega(2, 2)
+            k = poset.kernel()
+            space = NameSpace(poset, BASES, 1)
+            assert not space._masks
+            assert set(space._unchecked) == assembled(earlier)
+            own = set(map(id, k.conds))
+            assert any(c is not ONE and id(c) not in own
+                       for tau in space._unchecked for c, _ in tau.entries)
+            full = UnquotientedSpace(poset, BASES, 1)
+            TestNameSpaceQuotient.assert_same_answers(poset, space, full, 1)
+            x = Var("x")
+            thetas = [Member(x, Cname(gamma_name(poset))),
+                      Eq(x, Cname(check_name(nat(1)))),
+                      Member(Cname(EMPTY_NAME), x),
+                      Eq(x, Cname(space.universe[-1]))]
+            for theta in thetas:
+                for c in poset.conditions():
+                    assert mp_witness_search(poset, c, theta, space) is \
+                        mp_witness_search(poset, c, theta, full), (theta, c)
+        finally:
+            gc.enable()
+
+
 def reference_sat(phi, filt, space, env=None):
     """Satisfaction along one filter by brute force: a quantifier binds the
     values of its range along the filter, not names, and atoms read bound
@@ -533,10 +673,10 @@ def reference_sat(phi, filt, space, env=None):
 class TestReferenceOracle:
     """The semantic route against brute-force satisfaction.  The route reads
     quantifier ranges through the instances the syntactic route also uses,
-    and names' values off the entry masks that the syntactic route's atoms
-    read too.  The oracle evaluates names along each filter with
-    ``eval_name``, which shares no code with either route, so it keeps the
-    semantic route honest on its own."""
+    and names' values off their class masks or off the entry masks that
+    the syntactic route's atoms read too.  The oracle evaluates names along
+    each filter with ``eval_name``, which shares no code with either route,
+    so it keeps the semantic route honest on its own."""
 
     @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
     def test_semantic_route_matches_brute_force(self, case):
@@ -823,7 +963,8 @@ class TestRouteState:
     def test_no_name_is_evaluated_along_a_filter(self, monkeypatch):
         """With filters and eval_name refusing every call, the routes, the
         name space, the constructions and the CLI reports answer as before:
-        they read names' values off the kernel's entry masks."""
+        they read names' values off class masks and the kernel's entry
+        masks."""
         def build():
             poset = FlatPoset(FAM)
             gamma = gamma_name(poset)
@@ -952,8 +1093,10 @@ class KunenClauses:
 
 class TestCheckNames:
     """Check-names carry their value, and both routes decide atoms between
-    two check-names without recursion.  ``Kernel.value``, which the routes
-    and name spaces read, is every name's value along each filter."""
+    two check-names without recursion.  ``Kernel.value``, which name
+    spaces read to build their class masks and the semantic route reads
+    for every name no space assembled, is every name's value along each
+    filter."""
 
     @staticmethod
     def hereditarily_one(tau):
