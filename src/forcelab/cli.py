@@ -31,8 +31,7 @@ from .forcing import (
     mix, mp_witness_search,
 )
 from .formulas import (
-    And, Eq, Exists, Forall, Formula, Implies, Member, Not, Or, RankLE,
-    constants, single_free_var, subst,
+    Formula, constants, max_rank_bound, single_free_var, subst,
 )
 from .hf import render
 from .names import PName, eval_name
@@ -180,27 +179,10 @@ def dumps(payload, indent: Optional[int] = None) -> str:
 # its report, then the values they resolve to and its keyword values.
 
 
-def _max_rank_bound(phi: Formula) -> Optional[int]:
-    if isinstance(phi, (Member, Eq)):
-        return None
-    if isinstance(phi, Not):
-        return _max_rank_bound(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        found = [b for b in (_max_rank_bound(phi.left),
-                             _max_rank_bound(phi.right)) if b is not None]
-        return max(found) if found else None
-    if isinstance(phi, (Exists, Forall)):
-        found = [b for b in (_max_rank_bound(phi.body),) if b is not None]
-        if isinstance(phi.bound, RankLE):
-            found.append(phi.bound.bound)
-        return max(found) if found else None
-    raise InvalidInput(f"not a formula: {phi!r}")
-
-
 def _space_for(poset: Poset, phi: Formula,
                rank: Optional[int]) -> Optional[NameSpace]:
     if rank is None:
-        rank = _max_rank_bound(phi)
+        rank = max_rank_bound(phi)
         if rank is None:
             return None
     return NameSpace(poset, tuple(constants(phi)), rank)
@@ -345,8 +327,7 @@ def run_roundtrip(ids, asg) -> dict:
 
 
 def run_hat(ids, asg, tau) -> dict:
-    p1 = asg.p1_poset()
-    hat = hat_map(tau, p1)
+    hat = hat_map(tau, asg)
     orig = eval_name(tau, asg.filter())
     hat_eval = eval_name(hat, g_to_g1(asg))
     return {

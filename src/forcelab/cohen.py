@@ -104,6 +104,13 @@ def _agrees(s, values: Mapping[int, frozenset[int]]) -> bool:
     return True
 
 
+def _on_grid(grid: CohenGridPoset, s) -> None:
+    """Refuse a cell of the grid condition s outside the grid."""
+    for (col, row), _ in s:
+        _below(col, grid.cols, "column")
+        _below(row, grid.rows, "row")
+
+
 def _valuation(pairs) -> dict[int, frozenset[int]]:
     """Column -> frozenset of rows, read off a mapping or a map of pairs."""
     try:
@@ -133,9 +140,7 @@ class GridSectionFilter:
             return True
         if not CohenGridPoset.is_condition(cond):
             return False
-        for (c, r), _ in cond:
-            _below(c, self.grid.cols, "column")
-            _below(r, self.grid.rows, "row")
+        _on_grid(self.grid, cond)
         return _agrees(cond, self.decided)
 
     def __hash__(self):
@@ -272,17 +277,23 @@ def e_dense(assignment: Assignment, dense_set: Iterable) -> frozenset:
 # the hat map
 
 
-def hat_map(tau: PName, p1: InjPoset) -> PName:
-    """Carry a grid name to the injective-map poset: each entry (r, sigma)
-    spawns (q, sigma-hat) for every condition q that decides r; evaluation
-    along corresponding filters is unchanged.  Every condition in the name
-    must be 1 or a grid condition.
+def hat_map(tau: PName, assignment: Assignment) -> PName:
+    """Carry a grid name to the assignment's injective-map poset
+    (``p1_poset()``): each entry (r, sigma) spawns (q, sigma-hat) for every
+    condition q that decides r; evaluation along corresponding filters
+    (``filter()`` and ``g_to_g1``) is unchanged.  Every condition in the
+    name must be 1 or a grid condition, and a cell outside the grid is
+    refused with ``out-of-range``, as a section refuses it.
 
     Values are memoized for this call only, so a subname shared by many
     entries is carried once.
     """
-    grid_conditions(tau)
-    return _hat(tau, [(q, _valuation(q)) for q in p1.conditions()], {})
+    if not isinstance(assignment, Assignment):
+        raise InvalidInput(f"not an assignment: {assignment!r}")
+    for s in grid_conditions(tau) - {ONE}:
+        _on_grid(assignment.grid, s)
+    return _hat(tau, [(q, _valuation(q))
+                      for q in assignment.p1_poset().conditions()], {})
 
 
 def _hat(tau: PName, valued: list, memo: dict) -> PName:

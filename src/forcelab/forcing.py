@@ -39,8 +39,8 @@ from .errors import (
     InvalidInput, NotMaximalBelow, PreconditionViolated, check_natural,
 )
 from .formulas import (
-    And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,
-    Or, OrdLT, RankLE, is_closed, single_free_var,
+    And, Cname, Eq, Exists, Formula, Implies, InName, Member, Not, Or,
+    RankLE, is_closed, single_free_var,
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
@@ -318,14 +318,12 @@ class _Forcer:
                 if out == k.minimal:
                     break
             return out
-        if isinstance(phi, Forall):
-            out = k.minimal
-            for m, inner in self._instances(phi, env):
-                out &= ~m | self.truth(phi.body, inner)
-                if not out:
-                    break
-            return out
-        raise InvalidInput(f"not a formula: {phi!r}")
+        out = k.minimal  # Forall
+        for m, inner in self._instances(phi, env):
+            out &= ~m | self.truth(phi.body, inner)
+            if not out:
+                break
+        return out
 
     # -- syntactic route: F(phi), the conditions that force phi -------------
 
@@ -366,19 +364,17 @@ class _Forcer:
                 if out & k.minimal == k.minimal:
                     break
             return k.dense(out)
-        if isinstance(phi, Forall):
-            if isinstance(phi.bound, InName):
-                out = 0
-                for m, inner in self._instances(phi, env):
-                    out |= m & ~self.forcing(phi.body, inner)
-                return k.none_below(out)
-            out = k.full
-            for _, inner in self._instances(phi, env):
-                out &= self.forcing(phi.body, inner)
-                if not out:
-                    break
-            return out
-        raise InvalidInput(f"not a formula: {phi!r}")
+        if isinstance(phi.bound, InName):  # Forall
+            out = 0
+            for m, inner in self._instances(phi, env):
+                out |= m & ~self.forcing(phi.body, inner)
+            return k.none_below(out)
+        out = k.full
+        for _, inner in self._instances(phi, env):
+            out &= self.forcing(phi.body, inner)
+            if not out:
+                break
+        return out
 
     def atom(self, kind: type, t1: PName, t2: PName) -> int:
         """F(t1 = t2) or F(t1 in t2), as ``kind`` is Eq or Member.  The
@@ -433,11 +429,9 @@ class _Forcer:
                     "a rank-bounded quantifier needs an ambient name space")
             out = tuple((self.k.full, sig)
                         for sig in self.space.names_of_rank_le(bound.bound))
-        elif isinstance(bound, OrdLT):
+        else:  # OrdLT
             out = tuple((self.k.full, check_name(nat(i)))
                         for i in range(bound.bound))
-        else:
-            raise InvalidInput(f"not a quantifier bound: {bound!r}")
         self._ranges[bound] = out
         return out
 

@@ -11,7 +11,7 @@ bounds so that both satisfaction and the forcing relation stay decidable:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InvalidInput, check_natural
 from .hf import unique_table
@@ -23,73 +23,69 @@ _UNIQUE, _enter = unique_table()
 
 
 class _Node:
-    """An immutable syntax node with the fields named in ``_fields``.
+    """An immutable syntax node.  ``_fields`` lists each field, in order,
+    with its kind: the classes its value may have and the phrase an error
+    names.  A value of another kind is refused with ``invalid-input`` when
+    the node is first built, so a lookup pays nothing.
 
     Nodes are interned: constructing a node equal to a live one returns
     that object, so equality is identity and the hash is the identity hash,
-    and copying and pickling return the interned node.
+    and copying and pickling, which rebuild a node from its fields, return
+    the interned node.
     """
 
     __slots__ = ("__weakref__",)
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[tuple[str, type | tuple[type, ...], str], ...] = ()
 
     def __new__(cls, *args):
         key = (cls, *args)
-        ref = _UNIQUE.get(key)
+        try:
+            ref = _UNIQUE.get(key)
+        except TypeError:  # an unhashable value is of no declared kind
+            ref = None
         node = None if ref is None else ref()
         if node is None:
             if len(args) != len(cls._fields):
                 raise TypeError(
                     f"{cls.__name__}() takes {len(cls._fields)} arguments "
-                    f"({', '.join(cls._fields)}), got {len(args)}")
+                    f"({', '.join(f for f, _, _ in cls._fields)}), "
+                    f"got {len(args)}")
             node = object.__new__(cls)
-            for field, value in zip(cls._fields, args):
+            for (field, kinds, phrase), value in zip(cls._fields, args):
+                if not isinstance(value, kinds):
+                    raise InvalidInput(
+                        f"{cls.__name__} takes {phrase}, not {value!r}")
                 setattr(node, field, value)
-            node._setup()
+            node._setup(*args)
             _enter(key, node)
         return node
 
-    def _setup(self) -> None:
-        """Check the fields and fill derived slots once they are set; it
-        runs only when a node is first built, so a lookup pays nothing."""
+    def _setup(self, *values) -> None:
+        """Fill derived slots from the checked field values; it runs only
+        when a node is first built."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f, _, _ in self._fields)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
+        return type(self), self._values()
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f, _, _ in self._fields)
         return f"{type(self).__name__}({fields})"
-
-
-def _refuse(node: _Node, value, kind: str):
-    raise InvalidInput(
-        f"{type(node).__name__} takes {kind}, not {value!r}")
 
 
 class Var(_Node):
     __slots__ = ("name",)
-    _fields = ("name",)
-
-    def _setup(self) -> None:
-        if not isinstance(self.name, str):
-            _refuse(self, self.name, "a str")
+    _fields = (("name", str, "a str"),)
 
 
 class _Named(_Node):
     """A node holding one name."""
 
     __slots__ = ("name",)
-    _fields = ("name",)
-
-    def _setup(self) -> None:
-        if not isinstance(self.name, PName):
-            _refuse(self, self.name, "a PName")
+    _fields = (("name", PName, "a PName"),)
 
 
 class Cname(_Named):
@@ -98,21 +94,19 @@ class Cname(_Named):
     __slots__ = ()
 
 
-Term = Union[Var, Cname]
-
-
 class InName(_Named):
     __slots__ = ()
 
 
 class _NatBound(_Node):
-    """A bound by a natural number; a negative one is refused."""
+    """A bound by a natural number.  It is checked before the lookup, as
+    ``True`` or ``1.0`` would find a live bound of 1."""
 
     __slots__ = ("bound",)
-    _fields = ("bound",)
+    _fields = (("bound", int, "a natural"),)
 
-    def _setup(self) -> None:
-        check_natural(self.bound, "a quantifier bound")
+    def __new__(cls, bound):
+        return super().__new__(cls, check_natural(bound, "a quantifier bound"))
 
 
 class RankLE(_NatBound):
@@ -123,35 +117,32 @@ class OrdLT(_NatBound):
     __slots__ = ()
 
 
-Bound = Union[InName, RankLE, OrdLT]
-
-
 class _Formula(_Node):
     """A formula node; ``free`` holds its free variables and ``order`` the
     same variables sorted, the order in which the forcing routes key a mask
-    by the names bound to them.  Both are computed once, when the node is
-    built."""
+    by the names bound to them.  Both are derived from the field values
+    once, when the node is built: the variables of its terms and the free
+    variables of its subformulas, less a quantifier's own variable."""
 
     __slots__ = ("free", "order")
 
-    def _setup(self) -> None:
-        self.free = self._free()
-        self.order = tuple(sorted(self.free))
+    def _setup(self, *values) -> None:
+        free = set()
+        for v in values:
+            if isinstance(v, _Formula):
+                free |= v.free
+            elif isinstance(v, Var):
+                free.add(v.name)
+        if isinstance(self, _Quantifier):
+            free.discard(self.var)
+        self.free = frozenset(free)
+        self.order = tuple(sorted(free))
 
 
 class _Atom(_Formula):
     __slots__ = ("left", "right")
-    _fields = ("left", "right")
-
-    def _setup(self) -> None:
-        for term in (self.left, self.right):
-            if not isinstance(term, (Var, Cname)):
-                _refuse(self, term, "terms (Var or Cname)")
-        super()._setup()
-
-    def _free(self) -> frozenset[str]:
-        return frozenset(t.name for t in (self.left, self.right)
-                         if isinstance(t, Var))
+    _fields = (("left", (Var, Cname), "a term (Var or Cname)"),
+               ("right", (Var, Cname), "a term (Var or Cname)"))
 
 
 class Member(_Atom):
@@ -164,18 +155,13 @@ class Eq(_Atom):
 
 class Not(_Formula):
     __slots__ = ("body",)
-    _fields = ("body",)
-
-    def _free(self) -> frozenset[str]:
-        return free_vars(self.body)
+    _fields = (("body", _Formula, "a formula"),)
 
 
 class _Binary(_Formula):
     __slots__ = ("left", "right")
-    _fields = ("left", "right")
-
-    def _free(self) -> frozenset[str]:
-        return free_vars(self.left) | free_vars(self.right)
+    _fields = (("left", _Formula, "a formula"),
+               ("right", _Formula, "a formula"))
 
 
 class And(_Binary):
@@ -192,15 +178,10 @@ class Implies(_Binary):
 
 class _Quantifier(_Formula):
     __slots__ = ("var", "bound", "body")
-    _fields = ("var", "bound", "body")
-
-    def _setup(self) -> None:
-        if not isinstance(self.var, str):
-            _refuse(self, self.var, "a str variable")
-        super()._setup()
-
-    def _free(self) -> frozenset[str]:
-        return free_vars(self.body) - {self.var}
+    _fields = (("var", str, "a str variable"),
+               ("bound", (InName, RankLE, OrdLT),
+                "a bound (InName, RankLE or OrdLT)"),
+               ("body", _Formula, "a formula"))
 
 
 class Exists(_Quantifier):
@@ -214,19 +195,30 @@ class Forall(_Quantifier):
 Formula = Union[Member, Eq, Not, And, Or, Implies, Exists, Forall]
 
 
-def disj(parts: list) -> "Formula":
+def disj(parts) -> Formula:
+    """The left-nested disjunction of an iterable of formulas."""
+    try:
+        parts = list(parts)
+    except TypeError:
+        raise InvalidInput(
+            f"a disjunction takes an iterable of formulas, not {parts!r}"
+        ) from None
     if not parts:
         raise InvalidInput("empty disjunction")
-    out = parts[0]
+    out = _formula(parts[0])
     for p in parts[1:]:
         out = Or(out, p)
     return out
 
 
-def free_vars(phi: Formula) -> frozenset[str]:
+def _formula(phi) -> Formula:
     if not isinstance(phi, _Formula):
         raise InvalidInput(f"not a formula: {phi!r}")
-    return phi.free
+    return phi
+
+
+def free_vars(phi: Formula) -> frozenset[str]:
+    return _formula(phi).free
 
 
 def is_closed(phi: Formula) -> bool:
@@ -234,45 +226,36 @@ def is_closed(phi: Formula) -> bool:
 
 
 def subst(phi: Formula, var: str, name: PName) -> Formula:
-    """Substitute a name constant for every free occurrence of a variable."""
+    """Substitute a name constant for every free occurrence of a variable,
+    rebuilding each node that has one from its fields."""
     if var not in free_vars(phi):
         return phi
+    return type(phi)(*(
+        subst(v, var, name) if isinstance(v, _Formula)
+        else Cname(name) if isinstance(v, Var) and v.name == var else v
+        for v in phi._values()))
 
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Var) and t.name == var:
-            return Cname(name)
-        return t
 
-    if isinstance(phi, Member):
-        return Member(sub_term(phi.left), sub_term(phi.right))
-    if isinstance(phi, Eq):
-        return Eq(sub_term(phi.left), sub_term(phi.right))
-    if isinstance(phi, Not):
-        return Not(subst(phi.body, var, name))
-    if isinstance(phi, And):
-        return And(subst(phi.left, var, name), subst(phi.right, var, name))
-    if isinstance(phi, Or):
-        return Or(subst(phi.left, var, name), subst(phi.right, var, name))
-    if isinstance(phi, Implies):
-        return Implies(subst(phi.left, var, name), subst(phi.right, var, name))
-    return type(phi)(phi.var, phi.bound, subst(phi.body, var, name))
+def _leaves(phi: Formula):
+    """The field values of phi and of its subformulas that are not
+    formulas: terms, variable names and quantifier bounds."""
+    for v in phi._values():
+        if isinstance(v, _Formula):
+            yield from _leaves(v)
+        else:
+            yield v
 
 
 def constants(phi: Formula) -> frozenset[PName]:
     """All name constants appearing in a formula (atoms and bounds)."""
-    if isinstance(phi, (Member, Eq)):
-        return frozenset(t.name for t in (phi.left, phi.right)
-                         if isinstance(t, Cname))
-    if isinstance(phi, Not):
-        return constants(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return constants(phi.left) | constants(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        inner = constants(phi.body)
-        if isinstance(phi.bound, InName):
-            inner = inner | {phi.bound.name}
-        return inner
-    raise InvalidInput(f"not a formula: {phi!r}")
+    return frozenset(v.name for v in _leaves(_formula(phi))
+                     if isinstance(v, _Named))
+
+
+def max_rank_bound(phi: Formula) -> Optional[int]:
+    """The largest ``RankLE`` bound in a formula; None when it has none."""
+    return max((v.bound for v in _leaves(_formula(phi))
+                if isinstance(v, RankLE)), default=None)
 
 
 def single_free_var(phi: Formula) -> str:

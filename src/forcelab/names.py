@@ -173,11 +173,10 @@ def eval_name(tau: PName, filt) -> HF:
 
     ONE counts as a member of every filter, so a check-name reads its
     ``value`` directly, with no per-filter work.  Other values are memoized
-    in the filter's ``evals`` dict when it has one (every
-    :class:`~forcelab.posets.Filter` does), else for this call only.
+    for this call only, so a subname shared by many entries is evaluated
+    once.
     """
-    memo = getattr(filt, "evals", None)
-    return _eval(tau, filt, {} if memo is None else memo)
+    return _eval(tau, filt, {})
 
 
 def _eval(tau: PName, filt, memo: dict) -> HF:

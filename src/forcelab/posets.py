@@ -872,15 +872,11 @@ class BinaryTreePoset(Poset):
 
 
 class Filter:
-    """A finite, explicitly listed filter on a poset.
-
-    ``evals`` memoizes :func:`forcelab.names.eval_name` along this filter.
-    """
+    """A finite, explicitly listed filter on a poset."""
 
     def __init__(self, poset: Poset, conditions: Iterable):
         self.poset = poset
         self.conditions = frozenset(conditions)
-        self.evals: dict = {}
 
     def __contains__(self, c) -> bool:
         """Whether c is in the filter.  Like any other object that is not a

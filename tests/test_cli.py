@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from forcelab import check_name, hat_map, nat, parse_scenario
+from forcelab import (
+    And, Cname, Eq, Exists, Family, FlatPoset, Forall, InName, Member, Not,
+    OrdLT, RankLE, Var, check_name, hat_map, nat, parse_scenario,
+)
 from forcelab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -363,11 +366,34 @@ def test_report_over_budget_fails_fast(tmp_path):
     assert json.loads(out)["error"]["code"] == "report-too-large"
 
 
+X, Y, Z = Var("x"), Var("y"), Var("z")
+RANK_BOUNDS = {
+    "rank-0": (Exists("x", RankLE(0), Eq(X, X)), 0),
+    "nested": (Forall("x", RankLE(1), Not(Exists("y", RankLE(2), And(
+        Member(Y, X), Exists("z", OrdLT(5), Eq(Z, Z)))))), 2),
+    "outer-largest": (Exists("x", RankLE(2), Forall("y", RankLE(1),
+                                                     Member(Y, X))), 2),
+    "no-rank-bound": (Exists("x", OrdLT(3), Exists(
+        "y", InName(check_name(nat(1))), Member(Y, X))), None),
+    "atom": (Member(Cname(check_name(nat(0))), Cname(check_name(nat(1)))),
+             None),
+}
+
+
+@pytest.mark.parametrize("phi, rank", RANK_BOUNDS.values(),
+                         ids=RANK_BOUNDS.keys())
+def test_forces_space_takes_the_largest_rank_bound(phi, rank):
+    poset = FlatPoset(Family([("a", [nat(0)])]))
+    space = cli._space_for(poset, phi, None)
+    assert (None if space is None else space.rank_bound) == rank
+    assert cli._space_for(poset, phi, 1).rank_bound == 1
+
+
 def test_hat_entries_count_the_hat_name():
     path = ROOT / "scenarios" / "cohen_hat.fl"
     sc = parse_scenario(path.read_text())
     asg = sc.lookup("g", "assignment")
-    hat = hat_map(sc.lookup("t", "name"), asg.p1_poset())
+    hat = hat_map(sc.lookup("t", "name"), asg)
     status, out = run_in_process("cohen", str(path))
     assert status == 0
     assert json.loads(out)["hat_entries"] == len(hat.sorted_entries())

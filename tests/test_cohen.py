@@ -235,7 +235,6 @@ class TestEDense:
 
 class TestHatMap:
     def test_hat_preserves_evaluation_on_samples(self):
-        p1 = ASG.p1_poset()
         g1 = g_to_g1(ASG)
         samples = [
             EMPTY_NAME,
@@ -246,13 +245,29 @@ class TestHatMap:
             r_sigma_name(GRID, {(0, 1)}),
         ]
         for tau in samples:
-            assert eval_name(hat_map(tau, p1), g1) == \
+            assert eval_name(hat_map(tau, ASG), g1) == \
                 eval_name(tau, ASG.filter()), tau
 
     def test_hat_of_empty_is_empty(self):
-        assert hat_map(EMPTY_NAME, ASG.p1_poset()) == EMPTY_NAME
+        assert hat_map(EMPTY_NAME, ASG) == EMPTY_NAME
 
     def test_hat_rejects_non_grid_conditions(self):
         tau = PName([(ONE, PName([("a", EMPTY_NAME)]))])
         with pytest.raises(UnknownCondition):
-            hat_map(tau, ASG.p1_poset())
+            hat_map(tau, ASG)
+
+    @pytest.mark.parametrize("cell", [(0, 5), (5, 0)],
+                             ids=["off-grid-row", "off-grid-column"])
+    def test_hat_refuses_a_cell_outside_the_grid(self, cell):
+        # An off-grid 0 would agree with every column value, and a cell in
+        # an off-grid column would agree with no P1 condition.
+        tau = PName([(frozenset({(cell, 0)}), check_name(nat(1)))])
+        with pytest.raises(OutOfRange):
+            hat_map(tau, ASG)
+        with pytest.raises(OutOfRange):
+            hat_map(PName([(ONE, tau)]), ASG)
+
+    @pytest.mark.parametrize("other", [ASG.p1_poset(), GRID, 5])
+    def test_hat_takes_an_assignment(self, other):
+        with pytest.raises(InvalidInput):
+            hat_map(xdot_name(GRID, 0), other)

@@ -20,6 +20,20 @@ def test_readme_states_the_package_line_count():
     assert int(stated.group(1).replace(",", "")) == actual
 
 
+def test_readme_states_the_core_line_count():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.search(r"`import forcelab` loads only the forcing core: "
+                       r"`errors`, `hf`, `posets`, `names`, `formulas` and "
+                       r"`forcing`, ([\d,]+) of those lines with the "
+                       r"package's `__init__.py`", readme)
+    assert stated is not None
+    core = ("__init__", "errors", "hf", "posets", "names", "formulas",
+            "forcing")
+    actual = sum((ROOT / "src" / "forcelab" / f"{m}.py").read_text()
+                 .count("\n") for m in core)
+    assert int(stated.group(1).replace(",", "")) == actual
+
+
 def test_readme_states_the_name_space_figures():
     readme = " ".join((ROOT / "README.md").read_text().split())
     assert "with the bases ∅ and 1̌," in readme

@@ -11,6 +11,8 @@ from forcelab import (
 
 C1 = check_name(nat(1))
 C2 = check_name(nat(2))
+C3 = check_name(nat(3))
+C4 = check_name(nat(4))
 
 
 class TestFreeVars:
@@ -49,6 +51,23 @@ class TestSubst:
         out = subst(phi, "x", C2)
         assert out == Forall("y", InName(C1), Member(Var("y"), Cname(C2)))
 
+    def test_shadowing_inner_quantifier_keeps_its_variable(self):
+        inner = Forall("y", OrdLT(2), Eq(Var("y"), Var("x")))
+        phi = Exists("x", RankLE(1), And(Member(Var("x"), Var("y")), inner))
+        assert subst(phi, "y", C2) == Exists(
+            "x", RankLE(1), And(Member(Var("x"), Cname(C2)), inner))
+        assert subst(phi, "x", C2) is phi
+
+    def test_nested_quantifiers(self):
+        def phi(w):
+            return Forall("y", InName(C1), Exists("z", OrdLT(2), Or(
+                Member(Var("z"), w), Not(Eq(Var("y"), w)))))
+        out = subst(phi(Var("w")), "w", C2)
+        assert out == phi(Cname(C2))
+        assert free_vars(out) == frozenset() and out.order == ()
+        both = subst(Eq(Var("w"), Var("w")), "w", C2)
+        assert both == Eq(Cname(C2), Cname(C2)) and is_closed(both)
+
     def test_connectives(self):
         phi = Implies(Not(Eq(Var("x"), Cname(C1))),
                       Or(Member(Var("x"), Cname(C1)), Eq(Cname(C1), Cname(C1))))
@@ -71,12 +90,30 @@ class TestConstantsAndBuilders:
         phi = Exists("x", RankLE(2), Eq(Var("x"), Cname(C1)))
         assert constants(phi) == {C1}
 
+    def test_constants_through_nested_bounds(self):
+        phi = Exists("x", InName(C1), Forall(
+            "y", InName(C2), Not(Exists(
+                "z", InName(C3), Implies(Member(Var("z"), Var("y")),
+                                         Eq(Var("x"), Cname(C4)))))))
+        assert constants(phi) == {C1, C2, C3, C4}
+        with pytest.raises(InvalidInput):
+            constants(Var("x"))
+
     def test_disj(self):
         a = Eq(Cname(C1), Cname(C1))
         b = Member(Cname(C1), Cname(C2))
         assert disj([a, b, a]) == Or(Or(a, b), a)
+        assert disj(p for p in (a, b)) == Or(a, b)
+        assert disj((a,)) is a
+
+    @pytest.mark.parametrize("parts", [
+        [], (), 5, None, {"a": 1}, [5], ["x"], [Eq(Cname(C1), Cname(C1)), 5],
+        (p for p in [5]),
+    ], ids=["empty-list", "empty-tuple", "int", "none", "dict", "lone-int",
+            "lone-str", "formula-then-int", "generator-of-int"])
+    def test_disj_refuses_what_is_not_formulas(self, parts):
         with pytest.raises(InvalidInput):
-            disj([])
+            disj(parts)
 
     def test_formulas_are_hashable_values(self):
         phi = Not(Member(Cname(C1), Cname(C2)))
@@ -109,3 +146,52 @@ WRONG_KINDS = {
 def test_wrong_kind_is_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
+
+
+# Every formula node class with valid field values, and the kind of each
+# field; the values below are of every other kind.
+ATOM = Member(Cname(C1), Cname(C2))
+NODES = {
+    Var: (("x", "str"),),
+    Cname: ((C1, "name"),),
+    InName: ((C1, "name"),),
+    RankLE: ((1, "natural"),),
+    OrdLT: ((1, "natural"),),
+    Member: ((Var("x"), "term"), (Cname(C1), "term")),
+    Eq: ((Var("x"), "term"), (Cname(C1), "term")),
+    Not: ((ATOM, "formula"),),
+    And: ((ATOM, "formula"), (ATOM, "formula")),
+    Or: ((ATOM, "formula"), (ATOM, "formula")),
+    Implies: ((ATOM, "formula"), (ATOM, "formula")),
+    Exists: (("x", "str"), (OrdLT(1), "bound"), (ATOM, "formula")),
+    Forall: (("x", "str"), (InName(C1), "bound"), (ATOM, "formula")),
+}
+WRONG = {
+    "str": (5, None, b"x", Var("x"), []),
+    "name": ("x", 5, None, Cname(C1), nat(1), []),
+    "natural": (-1, True, 1.0, "1", None, RankLE(1), []),
+    "term": ("x", 5, None, C1, ATOM, RankLE(1), []),
+    "formula": (5, None, True, "x", C1, Var("x"), Cname(C1), OrdLT(1), []),
+    "bound": (5, None, C1, Cname(C1), Var("x"), ATOM, []),
+}
+BUILDS = [
+    pytest.param(cls, at, bad,
+                 id=f"{cls.__name__}-{at}-{type(bad).__name__}")
+    for cls, fields in NODES.items()
+    for at, (_, kind) in enumerate(fields)
+    for bad in WRONG[kind]
+]
+
+
+@pytest.mark.parametrize("cls", NODES, ids=[c.__name__ for c in NODES])
+def test_every_node_class_builds_from_valid_fields(cls):
+    node = cls(*(value for value, _ in NODES[cls]))
+    assert node is cls(*(value for value, _ in NODES[cls]))
+
+
+@pytest.mark.parametrize("cls, at, bad", BUILDS)
+def test_wrong_kind_field_is_refused_at_construction(cls, at, bad):
+    args = [value for value, _ in NODES[cls]]
+    args[at] = bad
+    with pytest.raises(InvalidInput):
+        cls(*args)

@@ -1,5 +1,8 @@
 """Names over a poset and their evaluation along filters."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +67,21 @@ class TestEvaluation:
             HF([nat(1), nat(2)])
         assert eval_name(ordered_pair_name(t1, t2), G_A) == \
             kuratowski(nat(1), nat(2))
+
+    def test_evaluated_name_is_freed_with_the_collector_disabled(self):
+        # The generic filter is cached on the poset's kernel, so a memo kept
+        # on it would hold every name ever evaluated along it.
+        filt = generic_filter(FLAT, "b")
+        gc.disable()
+        try:
+            inner = PName([("b", check_name(nat(17)))])
+            tau = PName([("b", inner), ("a", EMPTY_NAME)])
+            assert eval_name(tau, filt) == HF([HF([nat(17)])])
+            refs = [weakref.ref(inner), weakref.ref(tau)]
+            del inner, tau
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestStructure:

@@ -167,10 +167,18 @@ def first_of_each_class(poset, bases, rank_bound):
     candidates = closure | {
         PName(combo) for size in range(len(entries) + 1)
         for combo in itertools.combinations(entries, size)}
+    # Every child of a candidate lies in the closure, so a candidate's value
+    # along a filter is fixed by the set of the values there of the children
+    # of its entries in the filter, each child evaluated once per filter
+    # (eval_name memoizes within one call only).
+    filters = [k.filter_at(i) for i in range(len(k.conds))]
+    along = {s: [eval_name(s, f) for f in filters] for s in closure}
+    inside = [{ONE, *f.conditions} for f in filters]
     first = {}
     for tau in sorted(candidates, key=PName.key):
-        first.setdefault(tuple(eval_name(tau, k.filter_at(i))
-                               for i in range(len(k.conds))), tau)
+        first.setdefault(tuple(frozenset(along[s][i] for c, s in tau.entries
+                                         if c in inside[i])
+                               for i in range(len(filters))), tau)
     return sorted(closure_of(first.values()), key=PName.key)
 
 

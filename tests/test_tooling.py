@@ -224,3 +224,38 @@ def test_star_import_binds_the_exported_names():
     assert len(bound) == 120
     assert set(bound) == {*EXPORTS, *" ".join(EXPORTS.values()).split()}
     assert set(bound) <= set(dir(forcelab))
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for each name a module imports and never reads, in its
+    code or in an annotation written as a string."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(note.value))
+                         if isinstance(n, ast.Name)}
+    return [(a.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+            if (name := (a.asname or a.name).split(".")[0]) not in used]
+
+
+PACKAGE = sorted((ROOT / "src" / "forcelab").glob("*.py"))
+
+
+# ``__init__.py`` imports in order to export; every other module must use
+# what it imports, except where a line says the tracer wraps it there.
+@pytest.mark.parametrize("path", [p for p in PACKAGE
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    text = path.read_text()
+    lines = text.splitlines()
+    unused = [(line, name) for line, name in unused_imports(ast.parse(text))
+              if "# noqa: F401" not in lines[line - 1]]
+    assert unused == []
