@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
-    check_natural,
+    check_natural, takes,
 )
 from .forcing import forces_semantic
 from .formulas import And, Cname, Formula, Member, Var, disj, subst
@@ -26,6 +26,7 @@ from .posets import (
 )
 
 
+@takes(family=Family, mapping=dict)
 class ChoiceFunction:
     """One element chosen from every block of a family."""
 
@@ -64,6 +65,7 @@ class ChoiceFunction:
         return "choice{" + inner + "}"
 
 
+@takes(family=Family)
 def all_choice_functions(family: Family) -> list[ChoiceFunction]:
     """Every choice function of the family, in canonical order."""
     stack: list[dict[str, HF]] = [{}]
@@ -77,17 +79,17 @@ def all_choice_functions(family: Family) -> list[ChoiceFunction]:
 # antichains of the levels-by-blocks poset
 
 
+@takes(family=Family, antichain=[object])
 def choice_from_antichain(family: Family, antichain: Iterable) -> ChoiceFunction:
     """Read the one element per block off a maximal antichain."""
-    poset = ChoicePoset(family)
-    items = list(antichain)
-    if not is_maximal_antichain(poset, items):
+    if not is_maximal_antichain(ChoicePoset(family), antichain):
         raise NotMaximal(
             "the antichain does not pick exactly one element per block")
-    mapping = {family.block_of(x): x for _, x in items}
+    mapping = {family.block_of(x): x for _, x in antichain}
     return ChoiceFunction(family, mapping)
 
 
+@takes(f=ChoiceFunction, levels=dict)
 def antichain_from_choice(f: ChoiceFunction,
                           levels: dict[str, int]) -> frozenset:
     """The maximal antichain placing each chosen element at its level."""
@@ -103,6 +105,7 @@ def antichain_from_choice(f: ChoiceFunction,
 # flat-poset witnesses
 
 
+@takes(flat=FlatPoset)
 def theta_family(flat: FlatPoset) -> Formula:
     """The block-selection formula in the variable x: some block label lies
     in the generic filter and x lies in that block.  Finite family, so the
@@ -118,6 +121,7 @@ def theta_family(flat: FlatPoset) -> Formula:
     return disj(parts)
 
 
+@takes(f=ChoiceFunction)
 def build_witness_flat(f: ChoiceFunction) -> PName:
     """The name whose value below each block condition is the chosen
     element: entries (i, y-check) for every member y of f(i)."""
@@ -125,6 +129,7 @@ def build_witness_flat(f: ChoiceFunction) -> PName:
                  for lab in f.family.labels for y in f[lab])
 
 
+@takes(tau=PName, flat=FlatPoset)
 def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
     """Evaluate a witness below each block condition of the flat poset and
     collect the chosen elements; the witness must provably select from the

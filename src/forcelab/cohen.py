@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange,
+    ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange, takes,
 )
 from .hf import nat
 from .names import EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name
@@ -43,15 +43,11 @@ def _section(grid: CohenGridPoset, col, rows) -> frozenset[int]:
     return frozenset(_below(r, grid.rows, "row") for r in rows)
 
 
+@takes(grid=CohenGridPoset, bits=[int])
 class Assignment:
     """A total 0/1 assignment on a grid, bits listed row-major."""
 
     def __init__(self, grid: CohenGridPoset, bits: Sequence[int]):
-        try:
-            bits = tuple(bits)
-        except TypeError:
-            raise InvalidInput(
-                f"assignment bits must be a sequence, not {bits!r}") from None
         if len(bits) != grid.cols * grid.rows:
             raise InvalidInput(
                 f"need {grid.cols * grid.rows} bits, got {len(bits)}")
@@ -82,8 +78,9 @@ class Assignment:
 
     def p1_poset(self) -> InjPoset:
         """Injective finite maps from columns to the column values."""
-        values = sorted(set(self._columns), key=canon_key)
-        return InjPoset(dom_items=range(self.grid.cols), cod_items=values)
+        values = tuple(sorted(set(self._columns), key=canon_key))
+        return InjPoset(dom_items=tuple(range(self.grid.cols)),
+                        cod_items=values)
 
     def __repr__(self):
         rows = ["".join(str(self.bit(c, r)) for c in range(self.grid.cols))
@@ -122,6 +119,7 @@ def _valuation(pairs) -> dict[int, frozenset[int]]:
     raise InvalidInput(f"not a map from columns to sets of rows: {pairs!r}")
 
 
+@takes(grid=CohenGridPoset)
 class GridSectionFilter:
     """The grid conditions decided by (and agreeing with) a partial choice
     of column values.  Lazy: membership is checked cell by cell; an object
@@ -160,6 +158,7 @@ class GridSectionFilter:
 # the column names
 
 
+@takes(grid=CohenGridPoset, col=int)
 def xdot_name(grid: CohenGridPoset, col: int) -> PName:
     """The column's subset-of-rows name: one entry per single-cell
     condition turning a bit on."""
@@ -169,6 +168,7 @@ def xdot_name(grid: CohenGridPoset, col: int) -> PName:
         for row in range(grid.rows))
 
 
+@takes(grid=CohenGridPoset, col=int)
 def xcheckcheck_name(grid: CohenGridPoset, col: int) -> PName:
     """The name of the column's canonical name: it evaluates to the encoded
     check-name of the column value, not to the value itself."""
@@ -183,6 +183,7 @@ def _ensure_injection(sigma: frozenset) -> None:
             f"not a finite injection of naturals: {sorted(sigma, key=repr)}")
 
 
+@takes(grid=CohenGridPoset, sigma=[tuple])
 def r_sigma_name(grid: CohenGridPoset, sigma: Iterable[tuple[int, int]]) -> PName:
     """The graph name of a finite injection on columns: ordered pairs of
     column names, all attached to the greatest element."""
@@ -193,6 +194,7 @@ def r_sigma_name(grid: CohenGridPoset, sigma: Iterable[tuple[int, int]]) -> PNam
         for i, j in sigma)
 
 
+@takes(assignment=Assignment, sigma=[tuple])
 def r_sigma_condition(assignment: Assignment,
                       sigma: Iterable[tuple[int, int]]) -> frozenset:
     """The value-level condition of the graph name: the finite injection
@@ -220,6 +222,7 @@ def square_below(s, q) -> bool:
     return _agrees(s, {} if q is ONE else _valuation(q))
 
 
+@takes(assignment=Assignment)
 def g_to_g1(assignment: Assignment) -> Filter:
     """The induced filter on the injective-map poset: all conditions that
     send each of their columns to that column's value."""
@@ -241,6 +244,7 @@ def section_g1_conditions(
         for picked in itertools.combinations(values.items(), k))
 
 
+@takes(grid=CohenGridPoset)
 def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
     """The grid conditions decided by a filter of injective-map conditions:
     a cell (i,j) reads 1 exactly when some member maps column i to a set
@@ -262,21 +266,22 @@ def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
     return GridSectionFilter(grid, decided)
 
 
+@takes(assignment=Assignment, dense_set=[object])
 def e_dense(assignment: Assignment, dense_set: Iterable) -> frozenset:
     """Transfer a dense set of grid conditions to the injective-map poset:
     all conditions that decide some member of the set."""
-    dense = list(dense_set)
-    if not is_dense(assignment.grid, dense):
+    if not is_dense(assignment.grid, dense_set):
         raise NotDense("the input set is not dense in the grid poset")
     valued = [(q, _valuation(q)) for q in assignment.p1_poset().conditions()]
     return frozenset(q for q, values in valued
-                     if any(_agrees(s, values) for s in dense))
+                     if any(_agrees(s, values) for s in dense_set))
 
 
 # ---------------------------------------------------------------------------
 # the hat map
 
 
+@takes(tau=PName, assignment=Assignment)
 def hat_map(tau: PName, assignment: Assignment) -> PName:
     """Carry a grid name to the assignment's injective-map poset
     (``p1_poset()``): each entry (r, sigma) spawns (q, sigma-hat) for every
@@ -288,8 +293,6 @@ def hat_map(tau: PName, assignment: Assignment) -> PName:
     Values are memoized for this call only, so a subname shared by many
     entries is carried once.
     """
-    if not isinstance(assignment, Assignment):
-        raise InvalidInput(f"not an assignment: {assignment!r}")
     for s in grid_conditions(tau) - {ONE}:
         _on_grid(assignment.grid, s)
     return _hat(tau, [(q, _valuation(q))

@@ -68,7 +68,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cohen import Assignment, r_sigma_name, xcheckcheck_name, xdot_name
-from .errors import DuplicateIdentifier, ParseError, UnresolvedReference
+from .errors import (
+    DuplicateIdentifier, ParseError, UnresolvedReference, takes,
+)
 from .hf import HF, nat
 from .names import (
     PName, check_name, gamma_name, ordered_pair_name, unordered_pair_name,
@@ -102,6 +104,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
+@takes(text=str)
 def tokenize(text: str) -> list[Token]:
     out = []
     line, start = 1, 0  # the current line's number and offset
@@ -119,6 +122,7 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+@takes(verb=str, args=tuple, kwargs=tuple, tokens=dict, key_tokens=dict)
 @dataclass(frozen=True)
 class Command:
     verb: str
@@ -137,6 +141,7 @@ class Command:
         return default
 
 
+@takes(entities=dict, command=Command)
 @dataclass
 class Scenario:
     entities: dict[str, tuple[str, object]] = field(default_factory=dict)
@@ -640,5 +645,6 @@ class Parser:
     }
 
 
+@takes(text=str)
 def parse_scenario(text: str) -> Scenario:
     return Parser(text).parse()

@@ -1,10 +1,13 @@
-"""Error hierarchy shared by the library and the command line front end.
+"""Error hierarchy shared by the library and the command line front end,
+and the checks that raise ``invalid-input`` at the public boundary.
 
 Each class carries a stable machine-readable ``code`` that the CLI serializes
 into its JSON reports.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 class ForceLabError(Exception):
@@ -24,6 +27,83 @@ def check_natural(value, what: str, least: int = 0) -> int:
         raise InvalidInput(
             f"{what} must be an integer of at least {least}, not {value!r}")
     return value
+
+
+def _phrase(kind) -> str:
+    if type(kind) is list:
+        return f"an iterable of {_phrase(kind[0])}"
+    kinds = kind if type(kind) is tuple else (kind,)
+    return " or ".join(k.__name__.lstrip("_") for k in kinds)
+
+
+def check_kind(value, kind, where: str, param: str):
+    """``value`` when it is of ``kind`` (see :func:`takes`), a ``[K]`` value
+    as a tuple; anything else is refused with InvalidInput."""
+    if type(kind) is list:
+        try:
+            members = iter(value)
+        except TypeError:
+            members = None
+        if members is not None:  # what reading them raises propagates
+            value, member = tuple(members), kind[0]
+            if type(member) is list:
+                return tuple(check_kind(m, member, where, f"a member of {param}")
+                             for m in value)
+            for m in value:
+                if not isinstance(m, member) or type(m) is bool:
+                    check_kind(m, member, where, f"a member of {param}")
+            return value
+    elif isinstance(value, kind) and (type(value) is not bool or kind is object):
+        return value
+    raise InvalidInput(
+        f"{where} takes {param} as {_phrase(kind)}, not {value!r}")
+
+
+def takes(**kinds):
+    """Declare the kinds of a callable's parameters by name, checked once
+    per call by :func:`check_kind`: a class or tuple of classes, whose
+    instances pass (a bool only where any object does), or ``[K]``, any
+    iterable of values of kind K, passed on as a tuple.  None passes where
+    it is the default.  On a class, the declaration wraps ``__init__``."""
+    def declare(fn):
+        if isinstance(fn, type):
+            fn.__init__ = declare(fn.__init__)
+            return fn
+        code, defaults = fn.__code__, fn.__defaults__ or ()
+        names = code.co_varnames[:code.co_argcount]
+        none = {p for p, d in zip(names[::-1], defaults[::-1]) if d is None}
+        checks = []
+        for p, k in kinds.items():
+            # What passes as it is, with one isinstance and no call: an
+            # instance of the kind, a tuple for [object], no other [K]
+            # value, and None where None is the default.
+            quick = (k,) if type(k) is not list else \
+                (tuple,) if k == [object] else ()
+            if p in none:
+                quick += (type(None),)
+            checks.append((names.index(p), p, quick, k))
+        where = fn.__qualname__.removesuffix(".__init__")
+
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            n = len(args)
+            for at, param, quick, kind in checks:
+                if at < n:
+                    value = args[at]
+                elif param in kwargs:
+                    value = kwargs[param]
+                else:
+                    continue
+                if isinstance(value, quick) and type(value) is not bool:
+                    continue
+                value = check_kind(value, kind, where, param)
+                if at < n:
+                    args = (*args[:at], value, *args[at + 1:])
+                else:
+                    kwargs[param] = value
+            return fn(*args, **kwargs)
+        return checked
+    return declare
 
 
 class UnknownCondition(ForceLabError):

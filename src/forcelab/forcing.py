@@ -29,6 +29,7 @@ free variables, so no quantifier instance is built by substitution.
 
 from __future__ import annotations
 
+import abc
 import bisect
 import itertools
 import operator
@@ -36,15 +37,16 @@ import weakref
 from typing import Optional, Sequence
 
 from .errors import (
-    InvalidInput, NotMaximalBelow, PreconditionViolated, check_natural,
+    InvalidInput, NotMaximalBelow, PreconditionViolated, check_kind,
+    check_natural, takes,
 )
 from .formulas import (
     And, Cname, Eq, Exists, Formula, Implies, InName, Member, Not, Or,
-    RankLE, is_closed, single_free_var,
+    RankLE, _Formula, single_free_var,
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
-from .names import PName, check_name, hereditary_closure
+from .names import PName, _check_name, _closure
 from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
 from .posets import Filter, Kernel, ONE, Poset, _bits, canon_key
 
@@ -53,6 +55,7 @@ from .posets import Filter, Kernel, ONE, Poset, _bits, canon_key
 MAX_UNIVERSE = 1 << 17
 
 
+@takes(poset=Poset, base_names=[PName], rank_bound=int)
 class NameSpace:
     """A finite, child-closed universe of names over a poset, one name per
     class of names with equal values along every filter.
@@ -89,17 +92,10 @@ class NameSpace:
     def __init__(self, poset: Poset, base_names: Sequence[PName],
                  rank_bound: int):
         check_natural(rank_bound, "rank bound")
-        if not isinstance(poset, Poset):
-            raise InvalidInput(f"not a poset: {type(poset).__name__}")
-        try:
-            self.base_names = tuple(base_names)
-        except TypeError:
-            raise InvalidInput("the base names must be an iterable") from None
-        if not all(isinstance(n, PName) for n in self.base_names):
-            raise InvalidInput("every base name must be a name")
+        self.base_names = base_names
         self.poset = poset
         self.rank_bound = rank_bound
-        closure = hereditary_closure(self.base_names)
+        closure = _closure(self.base_names)
         eligible = [s for s in closure if s.rank < rank_bound]
         # The cap reads the truncation's size, so a refusal compiles
         # nothing: 2^n > MAX_UNIVERSE exactly when n reaches its bit length.
@@ -169,7 +165,7 @@ class NameSpace:
                 cls |= _pair_mask(k, bits, c, s)
             if first.setdefault(cls, n) is n:
                 roots.add(n)
-        for n in hereditary_closure(roots):
+        for n in _closure(roots):
             if n not in members:
                 members.add(n)
                 bisect.insort(universe, n, key=PName.key)
@@ -187,18 +183,16 @@ class NameSpace:
         # The routes' state for this space, built on first use.
         self.forcer: Optional[_Forcer] = None
 
+    @takes(name=PName)
     def __contains__(self, name: PName) -> bool:
-        if not isinstance(name, PName):
-            raise InvalidInput(f"not a name: {type(name).__name__}")
         return name in self._members
 
     def __len__(self) -> int:
         return len(self.universe)
 
+    @takes(k=int)
     def names_of_rank_le(self, k: int) -> tuple[PName, ...]:
         """The names of rank at most k: a prefix of the universe."""
-        if type(k) is not int:
-            raise InvalidInput(f"a rank is an integer, not {k!r}")
         return self.universe[:bisect.bisect_right(self._ranks, k)]
 
     def value(self, tau: PName, i: int) -> HF:
@@ -223,6 +217,18 @@ class NameSpace:
             out = self._values[sub] = HF(map(self._of_bit.__getitem__,
                                              _bits(sub)))
         return out
+
+
+class _Space(abc.ABC):
+    """A name space argument besides a NameSpace: any object with
+    ``names_of_rank_le``, such as a stand-in that ranges ``RankLE``
+    quantifiers over another universe.  A space parameter's kind is
+    ``(NameSpace, _Space)``: isinstance matches a NameSpace by its own
+    class first, without calling this hook."""
+
+    @classmethod
+    def __subclasshook__(cls, other):
+        return hasattr(other, "names_of_rank_le") or NotImplemented
 
 
 def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
@@ -430,7 +436,7 @@ class _Forcer:
             out = tuple((self.k.full, sig)
                         for sig in self.space.names_of_rank_le(bound.bound))
         else:  # OrdLT
-            out = tuple((self.k.full, check_name(nat(i)))
+            out = tuple((self.k.full, _check_name(nat(i)))
                         for i in range(bound.bound))
         self._ranges[bound] = out
         return out
@@ -444,42 +450,42 @@ def _name(term, env) -> PName:
 def _forcer(poset: Poset, space: Optional[NameSpace]) -> _Forcer:
     """The route state for the space, or for no space.  It hangs off the
     space, or off the kernel when there is none, so it lives exactly as long
-    as they do.  A space over another poset is refused, and so, when its
-    route state is first built, is an object with no ``names_of_rank_le``;
-    a stand-in space that names no poset is taken as given."""
+    as they do.  A space over another poset is refused; a stand-in space
+    that names no poset is taken as given."""
     k = poset.kernel()
     if space is not None and getattr(space, "poset", poset) is not poset:
         raise InvalidInput("the name space is built over another poset")
     owner = k if space is None else space
     if getattr(owner, "forcer", None) is None:
-        if space is not None and not hasattr(space, "names_of_rank_le"):
-            raise InvalidInput(f"not a name space: {type(space).__name__}")
         owner.forcer = _Forcer(k, space)
     return owner.forcer
 
 
+@takes(poset=Poset, phi=_Formula, space=(NameSpace, _Space))
 def forces_semantic(poset: Poset, p, phi: Formula,
                     space: Optional[NameSpace] = None) -> bool:
     """p forces phi: phi holds along every generic filter containing p."""
-    if not is_closed(phi):
+    if phi.free:
         raise InvalidInput("forcing needs a closed formula")
     return _forcer(poset, space).forces_sem(poset.index_of(p), phi)
 
 
+@takes(poset=Poset, phi=_Formula, space=(NameSpace, _Space))
 def forces_syntactic(poset: Poset, p, phi: Formula,
                      space: Optional[NameSpace] = None) -> bool:
     """The recursive forcing relation; agrees with the semantic route."""
-    if not is_closed(phi):
+    if phi.free:
         raise InvalidInput("forcing needs a closed formula")
     return _forcer(poset, space).forces_syn(poset.index_of(p), phi)
 
 
+@takes(poset=Poset, filt=Filter, phi=_Formula, space=(NameSpace, _Space))
 def holds_along(poset: Poset, filt: Filter, phi: Formula,
                 space: Optional[NameSpace] = None) -> bool:
     """Plain satisfaction of a closed formula along a generic filter, one
     that is ``poset.kernel().filter_at(a)`` at a minimal a; any other filter
     is refused with ``invalid-input``."""
-    if not is_closed(phi):
+    if phi.free:
         raise InvalidInput("satisfaction needs a closed formula")
     f = _forcer(poset, space)
     k = poset.kernel()
@@ -493,6 +499,7 @@ def holds_along(poset: Poset, filt: Filter, phi: Formula,
 # mixing and the maximum principle
 
 
+@takes(poset=Poset, antichain=[object], assignment=dict)
 def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
     """Mix names along a maximal antichain below p: the result evaluates,
     along any generic filter containing p, to the value of the name attached
@@ -501,8 +508,7 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
     """
     i = poset.index_of(p)
     k = poset.kernel()
-    members = list(antichain)
-    indices = [poset.index_of(r) for r in members]
+    indices = [poset.index_of(r) for r in antichain]
     if not indices:
         raise NotMaximalBelow("empty antichain")
     for j in indices:
@@ -519,16 +525,17 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
             raise NotMaximalBelow(
                 f"nothing in the antichain is compatible with "
                 f"{poset.condition_repr(k.conds[q])}")
-    if any(r not in assignment for r in members):
-        raise InvalidInput("every antichain member needs an assigned name")
     entries = []
-    for r, j in zip(members, indices):
-        for m, sigma in k.entry_masks(assignment[r]):
+    for r, j in zip(antichain, indices):
+        tau = check_kind(assignment.get(r), PName, "mix",
+                         f"the name of antichain member {r!r}")
+        for m, sigma in k.entry_masks(tau):
             entries.extend((k.conds[s], sigma) for s in k.exts[j]
                            if m >> s & 1)
     return PName(entries)
 
 
+@takes(poset=Poset, kappa=int, theta=_Formula)
 def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     """The name for the least ordinal below kappa satisfying theta.
 
@@ -545,7 +552,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     # held: where theta holds at some ordinal so far
     entries, held = [], 0
     for beta in range(kappa):
-        beta_check = check_name(nat(beta))
+        beta_check = _check_name(nat(beta))
         held |= f.truth(theta, {var: beta_check})
         entries.extend((k.conds[q], beta_check) for q in k.exts[i]
                        if not k.down[q] & held)
@@ -557,12 +564,11 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     return PName(entries)
 
 
+@takes(poset=Poset, theta=_Formula, space=(NameSpace, _Space))
 def mp_witness_search(poset: Poset, p, theta: Formula,
                       space: NameSpace) -> Optional[PName]:
     """First name in the space's canonical order (rank, then encoding)
     that p forces to satisfy theta; None when there is none."""
-    if space is None:
-        raise InvalidInput("the witness search needs a name space")
     i = poset.index_of(p)
     var = single_free_var(theta)
     f = _forcer(poset, space)

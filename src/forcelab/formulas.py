@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .errors import InvalidInput, check_natural
+from .errors import InvalidInput, check_kind, check_natural, takes
 from .hf import unique_table
 from .names import PName
 
@@ -24,9 +24,9 @@ _UNIQUE, _enter = unique_table()
 
 class _Node:
     """An immutable syntax node.  ``_fields`` lists each field, in order,
-    with its kind: the classes its value may have and the phrase an error
-    names.  A value of another kind is refused with ``invalid-input`` when
-    the node is first built, so a lookup pays nothing.
+    with its kind, the classes its value may have.  A value of another kind
+    is refused by ``check_kind`` when the node is first built, so a lookup
+    pays nothing.
 
     Nodes are interned: constructing a node equal to a live one returns
     that object, so equality is identity and the hash is the identity hash,
@@ -35,7 +35,7 @@ class _Node:
     """
 
     __slots__ = ("__weakref__",)
-    _fields: tuple[tuple[str, type | tuple[type, ...], str], ...] = ()
+    _fields: tuple[tuple[str, type | tuple[type, ...]], ...] = ()
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -48,13 +48,12 @@ class _Node:
             if len(args) != len(cls._fields):
                 raise TypeError(
                     f"{cls.__name__}() takes {len(cls._fields)} arguments "
-                    f"({', '.join(f for f, _, _ in cls._fields)}), "
+                    f"({', '.join(f for f, _ in cls._fields)}), "
                     f"got {len(args)}")
             node = object.__new__(cls)
-            for (field, kinds, phrase), value in zip(cls._fields, args):
-                if not isinstance(value, kinds):
-                    raise InvalidInput(
-                        f"{cls.__name__} takes {phrase}, not {value!r}")
+            for (field, kind), value in zip(cls._fields, args):
+                if not isinstance(value, kind):
+                    check_kind(value, kind, cls.__name__, field)
                 setattr(node, field, value)
             node._setup(*args)
             _enter(key, node)
@@ -65,27 +64,27 @@ class _Node:
         when a node is first built."""
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f, _, _ in self._fields)
+        return tuple(getattr(self, f) for f, _ in self._fields)
 
     def __reduce__(self):
         return type(self), self._values()
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}"
-                           for f, _, _ in self._fields)
+                           for f, _ in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
 class Var(_Node):
     __slots__ = ("name",)
-    _fields = (("name", str, "a str"),)
+    _fields = (("name", str),)
 
 
 class _Named(_Node):
     """A node holding one name."""
 
     __slots__ = ("name",)
-    _fields = (("name", PName, "a PName"),)
+    _fields = (("name", PName),)
 
 
 class Cname(_Named):
@@ -103,7 +102,7 @@ class _NatBound(_Node):
     ``True`` or ``1.0`` would find a live bound of 1."""
 
     __slots__ = ("bound",)
-    _fields = (("bound", int, "a natural"),)
+    _fields = (("bound", int),)
 
     def __new__(cls, bound):
         return super().__new__(cls, check_natural(bound, "a quantifier bound"))
@@ -141,8 +140,7 @@ class _Formula(_Node):
 
 class _Atom(_Formula):
     __slots__ = ("left", "right")
-    _fields = (("left", (Var, Cname), "a term (Var or Cname)"),
-               ("right", (Var, Cname), "a term (Var or Cname)"))
+    _fields = (("left", (Var, Cname)), ("right", (Var, Cname)))
 
 
 class Member(_Atom):
@@ -155,13 +153,12 @@ class Eq(_Atom):
 
 class Not(_Formula):
     __slots__ = ("body",)
-    _fields = (("body", _Formula, "a formula"),)
+    _fields = (("body", _Formula),)
 
 
 class _Binary(_Formula):
     __slots__ = ("left", "right")
-    _fields = (("left", _Formula, "a formula"),
-               ("right", _Formula, "a formula"))
+    _fields = (("left", _Formula), ("right", _Formula))
 
 
 class And(_Binary):
@@ -178,10 +175,8 @@ class Implies(_Binary):
 
 class _Quantifier(_Formula):
     __slots__ = ("var", "bound", "body")
-    _fields = (("var", str, "a str variable"),
-               ("bound", (InName, RankLE, OrdLT),
-                "a bound (InName, RankLE or OrdLT)"),
-               ("body", _Formula, "a formula"))
+    _fields = (("var", str), ("bound", (InName, RankLE, OrdLT)),
+               ("body", _Formula))
 
 
 class Exists(_Quantifier):
@@ -195,40 +190,32 @@ class Forall(_Quantifier):
 Formula = Union[Member, Eq, Not, And, Or, Implies, Exists, Forall]
 
 
+@takes(parts=[_Formula])
 def disj(parts) -> Formula:
     """The left-nested disjunction of an iterable of formulas."""
-    try:
-        parts = list(parts)
-    except TypeError:
-        raise InvalidInput(
-            f"a disjunction takes an iterable of formulas, not {parts!r}"
-        ) from None
     if not parts:
         raise InvalidInput("empty disjunction")
-    out = _formula(parts[0])
+    out = parts[0]
     for p in parts[1:]:
         out = Or(out, p)
     return out
 
 
-def _formula(phi) -> Formula:
-    if not isinstance(phi, _Formula):
-        raise InvalidInput(f"not a formula: {phi!r}")
-    return phi
-
-
+@takes(phi=_Formula)
 def free_vars(phi: Formula) -> frozenset[str]:
-    return _formula(phi).free
+    return phi.free
 
 
+@takes(phi=_Formula)
 def is_closed(phi: Formula) -> bool:
-    return not free_vars(phi)
+    return not phi.free
 
 
+@takes(phi=_Formula, var=str, name=PName)
 def subst(phi: Formula, var: str, name: PName) -> Formula:
     """Substitute a name constant for every free occurrence of a variable,
     rebuilding each node that has one from its fields."""
-    if var not in free_vars(phi):
+    if var not in phi.free:
         return phi
     return type(phi)(*(
         subst(v, var, name) if isinstance(v, _Formula)
@@ -246,20 +233,22 @@ def _leaves(phi: Formula):
             yield v
 
 
+@takes(phi=_Formula)
 def constants(phi: Formula) -> frozenset[PName]:
     """All name constants appearing in a formula (atoms and bounds)."""
-    return frozenset(v.name for v in _leaves(_formula(phi))
+    return frozenset(v.name for v in _leaves(phi)
                      if isinstance(v, _Named))
 
 
 def max_rank_bound(phi: Formula) -> Optional[int]:
     """The largest ``RankLE`` bound in a formula; None when it has none."""
-    return max((v.bound for v in _leaves(_formula(phi))
+    return max((v.bound for v in _leaves(phi)
                 if isinstance(v, RankLE)), default=None)
 
 
+@takes(phi=_Formula)
 def single_free_var(phi: Formula) -> str:
-    fv = free_vars(phi)
+    fv = phi.free
     if len(fv) != 1:
         raise InvalidInput(f"expected exactly one free variable, got {sorted(fv)}")
     return next(iter(fv))

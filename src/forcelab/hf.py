@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidInput
+from .errors import InvalidInput, takes
 
 
 class _Ref(weakref.ref):
@@ -60,6 +60,8 @@ class HF:
         try:
             ms = frozenset(members)
         except TypeError as e:
+            if e.__traceback__.tb_next is not None:
+                raise  # raised inside the caller's own iterable
             raise InvalidInput(
                 f"members of an HF set must be HF sets: {e}") from None
         ref = _UNIQUE.get(ms)
@@ -124,7 +126,9 @@ class HF:
         return item in self.members
 
     def __repr__(self) -> str:
-        return render(self)
+        """Canonical text form; von Neumann naturals use digit shorthand."""
+        n = _nat_value(self)
+        return "{" + ",".join(map(repr, self)) + "}" if n is None else str(n)
 
 
 EMPTY = HF()
@@ -144,22 +148,28 @@ def nat(n: int) -> HF:
     return _NATS[n]
 
 
+@takes(h=HF)
 def nat_value(h: HF) -> int | None:
     """Return n if h is the von Neumann natural n, else None."""
+    return _nat_value(h)
+
+
+def _nat_value(h: HF) -> int | None:
     k = len(h.members)
-    if h.rank == k and h is nat(k):
-        return k
-    return None
+    return k if h.rank == k and h is nat(k) else None
 
 
+@takes(a=HF, b=HF)
 def kuratowski(a: HF, b: HF) -> HF:
     """The ordered pair (a, b) as {{a}, {a, b}}."""
+    return _kuratowski(a, b)
+
+
+def _kuratowski(a: HF, b: HF) -> HF:
     return HF((HF((a,)), HF((a, b))))
 
 
+@takes(h=HF)
 def render(h: HF) -> str:
-    """Canonical text form; von Neumann naturals use digit shorthand."""
-    n = nat_value(h)
-    if n is not None:
-        return str(n)
-    return "{" + ",".join(render(m) for m in h) + "}"
+    """Canonical text form, ``repr(h)``."""
+    return repr(h)

@@ -13,10 +13,11 @@ own greatest element, so those constructors need no poset argument.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from typing import Iterable
 
-from .errors import InvalidInput
-from .hf import HF, EMPTY as HF_EMPTY, kuratowski, unique_table
+from .errors import InvalidInput, takes
+from .hf import HF, EMPTY as HF_EMPTY, _kuratowski, unique_table
 from .posets import ONE, Poset, canon_key
 
 
@@ -40,6 +41,8 @@ class PName:
         try:
             es = frozenset(entries)
         except TypeError as e:
+            if e.__traceback__.tb_next is not None:
+                raise  # raised inside the caller's own iterable
             raise InvalidInput(
                 f"name entries must be (condition, name) pairs: {e}") from None
         ref = _UNIQUE.get(es)
@@ -121,9 +124,14 @@ class PName:
 EMPTY_NAME = PName()
 
 
+@takes(names=[PName])
 def hereditary_closure(names: Iterable[PName]) -> list[PName]:
     """All names reachable through entries, the inputs included, in
     canonical order (:meth:`PName.key`)."""
+    return _closure(names)
+
+
+def _closure(names: Iterable[PName]) -> list[PName]:
     seen: set[PName] = set()
     stack = list(names)
     while stack:
@@ -141,26 +149,33 @@ def hereditary_closure(names: Iterable[PName]) -> list[PName]:
 _CHECKS: dict[HF, PName] = {}
 
 
+@takes(x=HF)
 def check_name(x: HF) -> PName:
     """The canonical name that evaluates to x along every filter."""
+    return _check_name(x)
+
+
+def _check_name(x: HF) -> PName:
     cached = _CHECKS.get(x)
     if cached is None:
-        cached = PName((ONE, check_name(y)) for y in x.members)
-        _CHECKS[x] = cached
+        cached = _CHECKS[x] = PName((ONE, _check_name(y)) for y in x.members)
     return cached
 
 
+@takes(poset=Poset)
 def gamma_name(poset: Poset) -> PName:
     """The filter name: evaluates to the generic filter, conditions encoded
     as sets."""
     k = poset.kernel()
-    return PName(zip(k.conds, map(check_name, k.codes)))
+    return PName(zip(k.conds, map(_check_name, k.codes)))
 
 
+@takes(tau1=PName, tau2=PName)
 def unordered_pair_name(tau1: PName, tau2: PName) -> PName:
     return PName(((ONE, tau1), (ONE, tau2)))
 
 
+@takes(tau1=PName, tau2=PName)
 def ordered_pair_name(tau1: PName, tau2: PName) -> PName:
     return PName((
         (ONE, unordered_pair_name(tau1, tau1)),
@@ -168,6 +183,7 @@ def ordered_pair_name(tau1: PName, tau2: PName) -> PName:
     ))
 
 
+@takes(tau=PName, filt=Container)
 def eval_name(tau: PName, filt) -> HF:
     """Evaluate a name along a filter (any object supporting ``in``).
 
@@ -187,6 +203,7 @@ def _eval(tau: PName, filt, memo: dict) -> HF:
     return out
 
 
+@takes(tau=PName)
 def name_hf(tau: PName) -> HF:
     """Encode a name itself as a hereditarily finite set of Kuratowski
     (condition, name) pairs.  Only the ONE sentinel is accepted as a
@@ -204,14 +221,15 @@ def _name_hf(tau: PName, memo: dict) -> HF:
     if out is None:
         if any(cond is not ONE for cond, _ in tau.entries):
             raise InvalidInput("name_hf encodes only conditions equal to 1")
-        out = memo[tau] = HF(kuratowski(HF_EMPTY, _name_hf(child, memo))
+        out = memo[tau] = HF(_kuratowski(HF_EMPTY, _name_hf(child, memo))
                              for _, child in tau.entries)
     return out
 
 
+@takes(tau=PName)
 def name_conditions(tau: PName) -> set:
     """All conditions appearing hereditarily in a name."""
     out: set = set()
-    for n in hereditary_closure([tau]):
+    for n in _closure([tau]):
         out.update(cond for cond, _ in n.entries)
     return out

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     InvalidInput, MalformedSigma, NotInSubgroup, UnknownCondition,
-    check_natural,
+    check_kind, check_natural, takes,
 )
 from .names import PName, name_conditions
 from .posets import ONE, CohenGridPoset, canon_key, is_injection
@@ -30,6 +30,7 @@ def _ap_meets(start1: int, step1: int, start2: int, step2: int) -> bool:
     return (start2 - start1) % math.gcd(step1, step2) == 0
 
 
+@takes(lo=int, mid=tuple, neg=tuple, pos=tuple)
 @dataclass(frozen=True)
 class Chain:
     """Closed-form injective enumeration of a Z-chain orbit.
@@ -46,21 +47,16 @@ class Chain:
     pos: tuple[int, int]
 
     def __post_init__(self):
-        if not isinstance(self.mid, tuple):
-            raise InvalidInput(
-                f"a chain window must be a tuple, not {self.mid!r}")
         for tail in (self.neg, self.pos):
-            if not (isinstance(tail, tuple) and len(tail) == 2):
+            if len(tail) != 2:
                 raise InvalidInput("a chain tail must be a (step, offset) "
                                    f"pair, not {tail!r}")
         na, nb = self.neg
         pa, pb = self.pos
         check_natural(na, "a chain tail step", 1)
         check_natural(pa, "a chain tail step", 1)
-        for v in (self.lo, nb, pb):
-            if type(v) is not int:
-                raise InvalidInput("a chain's lo and tail offsets must be "
-                                   f"integers, not {v!r}")
+        for v in (nb, pb):
+            check_kind(v, int, "Chain", "a tail offset")
         if na + nb < 0 or pa + pb < 0:
             raise InvalidInput("chain tail values must stay nonnegative")
         for v in self.mid:
@@ -146,8 +142,7 @@ class Chain:
         return Chain(low, keep_left + keep_right, wide.neg, wide.pos)
 
 
-def _canon_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
-    items = tuple(cycle)
+def _canon_cycle(items: tuple[int, ...]) -> tuple[int, ...]:
     if len(set(items)) != len(items):
         raise InvalidInput("cycle entries must be distinct")
     for v in items:
@@ -170,6 +165,7 @@ def _chains_meet(c1: Chain, c2: Chain) -> bool:
     return False
 
 
+@takes(cycles=[[int]], chains=[Chain])
 class Perm:
     """A bijection of the naturals given by disjoint cycles and chains."""
 
@@ -177,11 +173,7 @@ class Perm:
 
     def __init__(self, cycles: Iterable[Iterable[int]] = (),
                  chains: Iterable[Chain] = ()):
-        canon = []
-        for c in cycles:
-            items = tuple(c)
-            if len(items) > 1:
-                canon.append(_canon_cycle(items))
+        canon = [_canon_cycle(c) for c in cycles if len(c) > 1]
         self.cycles: tuple[tuple[int, ...], ...] = tuple(sorted(canon))
         self.chains: tuple[Chain, ...] = tuple(
             sorted(chains, key=lambda ch: (ch.min_value(), ch.lo, ch.mid,
@@ -242,6 +234,7 @@ class Perm:
         return self.in_G() and self.fixes_below(n)
 
 
+@takes(i=int, j=int)
 def transposition(i: int, j: int) -> Perm:
     if i == j:
         raise InvalidInput("a transposition needs two distinct points")
@@ -252,6 +245,7 @@ def transposition(i: int, j: int) -> Perm:
 # the factoring construction
 
 
+@takes(perm=Perm, n=int, k=int)
 def decompose(perm: Perm, n: int, k: int) -> tuple[Perm, Perm]:
     """Split a permutation fixing [0,n) as first o second, where the first
     factor has finite support and still fixes [0,n) while the second fixes
@@ -291,13 +285,21 @@ def decompose(perm: Perm, n: int, k: int) -> tuple[Perm, Perm]:
 # action on conditions and names
 
 
+@takes(perm=Perm)
 def act_condition(perm: Perm, cond):
     """Relabel the columns of a grid condition; rows and bits stay put."""
+    if cond is not ONE and not CohenGridPoset.is_condition(cond):
+        raise UnknownCondition(f"not a grid condition: {cond!r}")
+    return _relabel(perm, cond)
+
+
+def _relabel(perm: Perm, cond):
     if cond is ONE:
         return ONE
     return frozenset(((perm.apply(c), r), bit) for (c, r), bit in cond)
 
 
+@takes(perm=Perm, tau=PName)
 def act_name(perm: Perm, tau: PName) -> PName:
     """Apply the column relabeling to every condition in a name, which must
     be 1 or a grid condition.
@@ -313,7 +315,7 @@ def _act(perm: Perm, tau: PName, memo: dict) -> PName:
     out = memo.get(tau)
     if out is None:
         out = memo[tau] = PName(
-            (act_condition(perm, cond), _act(perm, child, memo))
+            (_relabel(perm, cond), _act(perm, child, memo))
             for cond, child in tau.entries)
     return out
 
@@ -330,6 +332,7 @@ def grid_conditions(tau: PName) -> set:
     return conds
 
 
+@takes(tau=PName)
 def column_support(tau: PName) -> frozenset[int]:
     """All columns mentioned by conditions hereditarily inside a name."""
     cols = set()
@@ -340,6 +343,7 @@ def column_support(tau: PName) -> frozenset[int]:
     return frozenset(cols)
 
 
+@takes(tau=PName, n=int)
 def is_fixed_by_Hn(tau: PName, n: int) -> bool:
     """Is the name fixed by every permutation that is the identity below n?
 
@@ -375,6 +379,7 @@ def _check_sigma(sigma: frozenset, n: int, bound: int) -> None:
             raise MalformedSigma(f"the injection must fix {i}")
 
 
+@takes(sigma=[tuple], n=int, bound=int)
 def sigma_conjugate(sigma: Iterable[tuple[int, int]], n: int,
                     bound: int) -> tuple[Perm, frozenset]:
     """Swap the columns [n, bound) with [bound+n, 2*bound) ... precisely,

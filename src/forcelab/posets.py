@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Hashable
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -27,8 +28,9 @@ from .errors import (
     TruncationEscape,
     UnknownCondition,
     check_natural,
+    takes,
 )
-from .hf import HF, kuratowski, nat, render
+from .hf import HF, _kuratowski, nat, render
 
 
 class _TopSentinel:
@@ -340,6 +342,7 @@ class Kernel:
 # explicit finite posets
 
 
+@takes(elements=[str], order=[tuple], top=str)
 class ExplicitPoset(Poset):
     """A finite poset given by an element list and generating order pairs.
 
@@ -351,19 +354,11 @@ class ExplicitPoset(Poset):
 
     def __init__(self, elements: Sequence[str], order: Iterable[tuple[str, str]],
                  top: Optional[str] = None):
-        try:
-            elements = list(elements)
-        except TypeError:
-            raise InvalidInput("explicit poset elements must be a list") \
-                from None
-        for e in elements:
-            if not isinstance(e, str):
-                raise InvalidInput(f"element {e!r} is not a string")
         if len(set(elements)) != len(elements):
             raise InvalidInput("duplicate elements in explicit poset")
         if not elements:
             raise InvalidInput("explicit poset needs at least one element")
-        self._elements = tuple(elements)
+        self._elements = elements
         self._index = index = {e: i for i, e in enumerate(elements)}
         # down[i] masks the elements below element i: the pairs, closed
         # reflexively and transitively (Warshall's algorithm on bit masks).
@@ -397,7 +392,7 @@ class ExplicitPoset(Poset):
                 raise InvalidInput("explicit poset requires a greatest element")
             top = maxima[0]
         else:
-            if top not in elements:  # by equality: top may be unhashable
+            if top not in index:
                 raise InvalidInput(f"unknown top element {top!r}")
             if down[index[top]] != full:
                 raise InvalidInput(f"{top!r} is not above every element")
@@ -430,26 +425,11 @@ class ExplicitPoset(Poset):
         return (self._index[c],)
 
 
-class FlatPoset(ExplicitPoset):
-    """The flat poset over a family: one condition per block label, all
-    incomparable, plus a greatest element."""
-
-    kind = "flat"
-
-    def __init__(self, family: "Family"):
-        self.family = family
-        labels = family.labels
-        super().__init__(
-            elements=list(labels) + ["1"],
-            order=[(lab, "1") for lab in labels],
-            top="1",
-        )
-
-
 # ---------------------------------------------------------------------------
 # families of sets and the level poset used for the antichain correspondence
 
 
+@takes(blocks=[tuple])
 class Family:
     """A finite family of finite, nonempty, pairwise disjoint sets."""
 
@@ -506,6 +486,20 @@ class Family:
         return f"Family({parts})"
 
 
+@takes(family=Family)
+class FlatPoset(ExplicitPoset):
+    """The flat poset over a family: one condition per block label, all
+    incomparable, plus a greatest element."""
+
+    kind = "flat"
+
+    def __init__(self, family: Family):
+        self.family = family
+        super().__init__([*family.labels, "1"],
+                         [(lab, "1") for lab in family.labels], "1")
+
+
+@takes(family=Family, level_bound=int)
 class ChoicePoset(Poset):
     """Levels-by-blocks poset: conditions are (level, x) with x in some block;
     (n, x) properly extends (m, y) iff n > m and x, y share a block.
@@ -575,7 +569,7 @@ class ChoicePoset(Poset):
         return tuple(same[self.family.block_of(x)] for _, x in k.conds)
 
     def _condition_hf(self, c) -> HF:
-        return kuratowski(nat(c[0]), c[1])
+        return _kuratowski(nat(c[0]), c[1])
 
     def condition_repr(self, c) -> str:
         return f"({c[0]},{render(c[1])})"
@@ -618,6 +612,8 @@ def is_injection(pairs) -> bool:
         all(_is_nat(u) and _is_nat(v) for u, v in pairs)
 
 
+@takes(dom_items=[object], cod_items=[object], dom_window=[object],
+       cod_window=[object])
 class MapPoset(Poset):
     """Finite partial maps ordered by reverse inclusion.
 
@@ -636,18 +632,9 @@ class MapPoset(Poset):
 
     def __init__(self, dom_items=None, cod_items=None,
                  dom_window=None, cod_window=None):
-        try:
-            self.dom_items = (tuple(dom_items) if dom_items is not None
-                              else None)
-            self.cod_items = (tuple(cod_items) if cod_items is not None
-                              else None)
-            self.dom_window = (tuple(dom_window) if dom_window is not None
-                               else self.dom_items)
-            self.cod_window = (tuple(cod_window) if cod_window is not None
-                               else self.cod_items)
-        except TypeError:
-            raise InvalidInput(f"the items and windows of a {self.kind} "
-                               "poset must be iterable") from None
+        self.dom_items, self.cod_items = dom_items, cod_items
+        self.dom_window = dom_items if dom_window is None else dom_window
+        self.cod_window = cod_items if cod_window is None else cod_window
         for x in (self.dom_items or ()) + (self.cod_items or ()):
             if not _is_item(x):
                 raise InvalidInput(f"item {x!r} of this {self.kind} poset is "
@@ -732,7 +719,7 @@ class MapPoset(Poset):
         return tuple(conds), tuple(down)
 
     def _entry_hf(self, u, v) -> HF:
-        return kuratowski(nat(u), nat(v))
+        return _kuratowski(nat(u), nat(v))
 
     def _condition_hf(self, c) -> HF:
         return HF(self._entry_hf(u, v) for u, v in c)
@@ -766,20 +753,23 @@ class InjPoset(MapPoset):
 
 
 def _windows(dom_bound: int, cod_bound: int) -> dict:
-    return {"dom_window": range(check_natural(dom_bound, "dom bound")),
-            "cod_window": range(check_natural(cod_bound, "cod bound"))}
+    return {"dom_window": tuple(range(check_natural(dom_bound, "dom bound"))),
+            "cod_window": tuple(range(check_natural(cod_bound, "cod bound")))}
 
 
+@takes(dom_bound=int, cod_bound=int)
 def fn_omega_omega(dom_bound: int, cod_bound: int) -> MapPoset:
     """Fn over the naturals, truncated to a dom_bound x cod_bound window."""
     return MapPoset(**_windows(dom_bound, cod_bound))
 
 
+@takes(dom_bound=int, cod_bound=int)
 def inj_omega_omega(dom_bound: int, cod_bound: int) -> InjPoset:
     """Inj over the naturals, truncated to a dom_bound x cod_bound window."""
     return InjPoset(**_windows(dom_bound, cod_bound))
 
 
+@takes(cols=int, rows=int)
 class CohenGridPoset(MapPoset):
     """Finite partial 0/1 assignments on a cols x rows cell grid.
 
@@ -810,7 +800,7 @@ class CohenGridPoset(MapPoset):
             for cell, bit in c)
 
     def _entry_hf(self, cell, bit) -> HF:
-        return kuratowski(kuratowski(nat(cell[0]), nat(cell[1])), nat(bit))
+        return _kuratowski(_kuratowski(nat(cell[0]), nat(cell[1])), nat(bit))
 
     def condition_repr(self, c) -> str:
         pairs = sorted(c, key=canon_key)
@@ -818,6 +808,7 @@ class CohenGridPoset(MapPoset):
             f"({cell[0]},{cell[1]})={bit}" for cell, bit in pairs) + "}"
 
 
+@takes(depth=int)
 class BinaryTreePoset(Poset):
     """Finite binary strings ordered by reverse extension; the empty string
     is the greatest element."""
@@ -852,11 +843,11 @@ class BinaryTreePoset(Poset):
         return tuple(conds), tuple(down)
 
     def _condition_hf(self, c) -> HF:
-        return HF(kuratowski(nat(i), nat(int(b))) for i, b in enumerate(c))
+        return HF(_kuratowski(nat(i), nat(int(b))) for i, b in enumerate(c))
 
     def _codes(self, conds: tuple) -> tuple[HF, ...]:
         # One code per position and bit.
-        at = [{b: kuratowski(nat(i), nat(int(b))) for b in "01"}
+        at = [{b: _kuratowski(nat(i), nat(int(b))) for b in "01"}
               for i in range(self.depth)]
         return tuple(HF(at[i][b] for i, b in enumerate(c)) for c in conds)
 
@@ -871,6 +862,7 @@ class BinaryTreePoset(Poset):
 # filters
 
 
+@takes(poset=Poset, conditions=[Hashable])
 class Filter:
     """A finite, explicitly listed filter on a poset."""
 
@@ -922,6 +914,7 @@ def _mask(poset: Poset, conditions: Iterable) -> int:
     return mask
 
 
+@takes(poset=Poset, conditions=[object])
 def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
     """Antichain that every condition is compatible with.
 
@@ -948,17 +941,17 @@ def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
     return covered == k.full
 
 
+@takes(poset=Poset, dense_set=[object])
 def is_dense(poset: Poset, dense_set: Iterable) -> bool:
     """Every condition has an extension in the set."""
     mask = _mask(poset, dense_set)
     return all(m & mask for m in poset.kernel().down)
 
 
+@takes(poset=ChoicePoset)
 def enumerate_maximal_antichains(poset: ChoicePoset) -> list[frozenset]:
     """All maximal antichains of the choice poset's truncation: one
     (level, element) pick per block, at a level below its level bound."""
-    if not isinstance(poset, ChoicePoset):
-        raise InvalidInput("antichain enumeration is defined on the choice poset")
     per_block: dict[str, list] = {label: [] for label in poset.family.labels}
     for c in poset.conditions():
         per_block[poset.family.block_of(c[1])].append(c)
@@ -967,6 +960,7 @@ def enumerate_maximal_antichains(poset: ChoicePoset) -> list[frozenset]:
     return out
 
 
+@takes(poset=Poset)
 def generic_filter(poset: Poset, seed) -> Filter:
     """The filter generated by the canonically first minimal condition
     extending seed; on a finite poset such a filter meets every dense set."""

@@ -184,6 +184,7 @@ def test_import_loads_the_forcing_core_only():
     new = loaded_by("import forcelab")
     assert {m for m in new if m in EXPORTS} == CORE
     assert "dataclasses" not in new
+    assert "inspect" not in new  # the kind declarations read __code__
 
 
 @pytest.mark.parametrize("name, modules", [
