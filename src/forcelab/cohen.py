@@ -14,7 +14,8 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange, takes,
+    ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange,
+    pass_on_callers, takes,
 )
 from .hf import nat
 from .names import EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name
@@ -37,8 +38,7 @@ def _below(x, bound: int, what: str) -> int:
 
 
 def _section(grid: CohenGridPoset, col, rows) -> frozenset[int]:
-    """Column col's value, its rows as a set, checked against the grid;
-    rows that are not iterable raise TypeError for the caller to report."""
+    """Column col's value, its rows as a set, checked against the grid."""
     _below(col, grid.cols, "column")
     return frozenset(_below(r, grid.rows, "row") for r in rows)
 
@@ -58,6 +58,8 @@ class Assignment:
         self._columns = tuple(
             frozenset(r for r in range(grid.rows) if bits[r * grid.cols + c])
             for c in range(grid.cols))
+        self._p1 = InjPoset(dom_items=tuple(range(grid.cols)), cod_items=tuple(
+            sorted(set(self._columns), key=canon_key)))
 
     def bit(self, col: int, row: int) -> int:
         return int(_below(row, self.grid.rows, "row") in self.column(col))
@@ -77,10 +79,9 @@ class Assignment:
         return GridSectionFilter(self.grid, dict(enumerate(self._columns)))
 
     def p1_poset(self) -> InjPoset:
-        """Injective finite maps from columns to the column values."""
-        values = tuple(sorted(set(self._columns), key=canon_key))
-        return InjPoset(dom_items=tuple(range(self.grid.cols)),
-                        cod_items=values)
+        """Injective finite maps from columns to the column values: one
+        poset per assignment, as posets compare by identity."""
+        return self._p1
 
     def __repr__(self):
         rows = ["".join(str(self.bit(c, r)) for c in range(self.grid.cols))
@@ -114,8 +115,8 @@ def _valuation(pairs) -> dict[int, frozenset[int]]:
         values = dict(pairs)
         if all(type(rows) is frozenset for rows in values.values()):
             return values
-    except (TypeError, ValueError):
-        pass
+    except (TypeError, ValueError) as e:
+        pass_on_callers(e)
     raise InvalidInput(f"not a map from columns to sets of rows: {pairs!r}")
 
 
@@ -256,11 +257,12 @@ def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
             if cond is ONE:
                 continue
             for col, rows in cond:
-                rows = _section(grid, col, rows)
+                rows = _section(grid, col, frozenset(rows))
                 if decided.setdefault(col, rows) != rows:
                     raise InvalidInput(
                         f"the conditions disagree about column {col}")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as e:
+        pass_on_callers(e)
         raise InvalidInput("not a set of injective-map conditions: "
                            f"{g1!r}") from None
     return GridSectionFilter(grid, decided)
@@ -272,7 +274,7 @@ def e_dense(assignment: Assignment, dense_set: Iterable) -> frozenset:
     all conditions that decide some member of the set."""
     if not is_dense(assignment.grid, dense_set):
         raise NotDense("the input set is not dense in the grid poset")
-    valued = [(q, _valuation(q)) for q in assignment.p1_poset().conditions()]
+    valued = [(q, dict(q)) for q in assignment.p1_poset().conditions()]
     return frozenset(q for q, values in valued
                      if any(_agrees(s, values) for s in dense_set))
 
@@ -295,7 +297,7 @@ def hat_map(tau: PName, assignment: Assignment) -> PName:
     """
     for s in grid_conditions(tau) - {ONE}:
         _on_grid(assignment.grid, s)
-    return _hat(tau, [(q, _valuation(q))
+    return _hat(tau, [(q, dict(q))
                       for q in assignment.p1_poset().conditions()], {})
 
 

@@ -29,6 +29,13 @@ def check_natural(value, what: str, least: int = 0) -> int:
     return value
 
 
+def pass_on_callers(e: Exception) -> None:
+    """Re-raise e, caught where an argument is read, if the caller's own
+    code raised it: its traceback goes on past the frame that caught it."""
+    if e.__traceback__.tb_next is not None:
+        raise e
+
+
 def _phrase(kind) -> str:
     if type(kind) is list:
         return f"an iterable of {_phrase(kind[0])}"

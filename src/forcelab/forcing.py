@@ -10,10 +10,11 @@ route never reads a class mask.  It computes F(phi), the mask of all
 conditions that force phi, by the forcing clauses applied to every
 condition at once.  With none_below(X) the conditions with no
 extension in X, and dense(X) = none_below(none_below(X)), negation is
-none_below and conjunction is intersection; the existential clause is
+none_below and conjunction is intersection; with m(tau) the conditions
+where a name tau of the bound's range applies, the quantifier clauses are
 
-    F(exists-x phi(x)) = dense(union over the names tau in the bounded
-                               range of F(phi(tau))),
+    F(exists-x phi) = dense(union over tau of m(tau) & F(phi(tau))),
+    F(forall-x phi) = none_below(union over tau of m(tau) & ~F(phi(tau))),
 
 and the atomic clauses are the usual rank recursion for membership and
 equality, on name pairs, with no name evaluated along a filter.  Between
@@ -370,17 +371,12 @@ class _Forcer:
                 if out & k.minimal == k.minimal:
                     break
             return k.dense(out)
-        if isinstance(phi.bound, InName):  # Forall
-            out = 0
-            for m, inner in self._instances(phi, env):
-                out |= m & ~self.forcing(phi.body, inner)
-            return k.none_below(out)
-        out = k.full
-        for _, inner in self._instances(phi, env):
-            out &= self.forcing(phi.body, inner)
-            if not out:
+        out = 0  # Forall
+        for m, inner in self._instances(phi, env):
+            out |= m & ~self.forcing(phi.body, inner)
+            if out & k.minimal == k.minimal:
                 break
-        return out
+        return k.none_below(out)
 
     def atom(self, kind: type, t1: PName, t2: PName) -> int:
         """F(t1 = t2) or F(t1 in t2), as ``kind`` is Eq or Member.  The
@@ -517,7 +513,7 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
                 f"{poset.condition_repr(k.conds[j])} does not extend "
                 f"{poset.condition_repr(k.conds[i])}")
     for a, b in itertools.combinations(indices, 2):
-        if a == b or k.compat[a] >> b & 1:
+        if k.compat[a] >> b & 1:  # compat[a] has bit a, so repeats fail too
             raise NotMaximalBelow("antichain members are compatible")
     mask = sum(1 << j for j in indices)
     for q in k.exts[i]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidInput, takes
+from .errors import InvalidInput, pass_on_callers, takes
 
 
 class _Ref(weakref.ref):
@@ -60,8 +60,7 @@ class HF:
         try:
             ms = frozenset(members)
         except TypeError as e:
-            if e.__traceback__.tb_next is not None:
-                raise  # raised inside the caller's own iterable
+            pass_on_callers(e)
             raise InvalidInput(
                 f"members of an HF set must be HF sets: {e}") from None
         ref = _UNIQUE.get(ms)
@@ -151,10 +150,6 @@ def nat(n: int) -> HF:
 @takes(h=HF)
 def nat_value(h: HF) -> int | None:
     """Return n if h is the von Neumann natural n, else None."""
-    return _nat_value(h)
-
-
-def _nat_value(h: HF) -> int | None:
     k = len(h.members)
     return k if h.rank == k and h is nat(k) else None
 
@@ -162,11 +157,11 @@ def _nat_value(h: HF) -> int | None:
 @takes(a=HF, b=HF)
 def kuratowski(a: HF, b: HF) -> HF:
     """The ordered pair (a, b) as {{a}, {a, b}}."""
-    return _kuratowski(a, b)
-
-
-def _kuratowski(a: HF, b: HF) -> HF:
     return HF((HF((a,)), HF((a, b))))
+
+
+_nat_value = nat_value.__wrapped__  # undeclared, for the library's hot calls
+_kuratowski = kuratowski.__wrapped__
 
 
 @takes(h=HF)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Container
 from typing import Iterable
 
-from .errors import InvalidInput, takes
+from .errors import InvalidInput, pass_on_callers, takes
 from .hf import HF, EMPTY as HF_EMPTY, _kuratowski, unique_table
 from .posets import ONE, Poset, canon_key
 
@@ -41,8 +41,7 @@ class PName:
         try:
             es = frozenset(entries)
         except TypeError as e:
-            if e.__traceback__.tb_next is not None:
-                raise  # raised inside the caller's own iterable
+            pass_on_callers(e)
             raise InvalidInput(
                 f"name entries must be (condition, name) pairs: {e}") from None
         ref = _UNIQUE.get(es)
@@ -128,10 +127,6 @@ EMPTY_NAME = PName()
 def hereditary_closure(names: Iterable[PName]) -> list[PName]:
     """All names reachable through entries, the inputs included, in
     canonical order (:meth:`PName.key`)."""
-    return _closure(names)
-
-
-def _closure(names: Iterable[PName]) -> list[PName]:
     seen: set[PName] = set()
     stack = list(names)
     while stack:
@@ -143,6 +138,9 @@ def _closure(names: Iterable[PName]) -> list[PName]:
     return sorted(seen, key=PName.key)
 
 
+_closure = hereditary_closure.__wrapped__  # undeclared, for hot calls
+
+
 # Check-names by value, held strongly: the check-names of condition codes
 # and naturals recur in every operation, and the unique table alone would
 # let them go between operations.
@@ -152,14 +150,13 @@ _CHECKS: dict[HF, PName] = {}
 @takes(x=HF)
 def check_name(x: HF) -> PName:
     """The canonical name that evaluates to x along every filter."""
-    return _check_name(x)
-
-
-def _check_name(x: HF) -> PName:
     cached = _CHECKS.get(x)
     if cached is None:
         cached = _CHECKS[x] = PName((ONE, _check_name(y)) for y in x.members)
     return cached
+
+
+_check_name = check_name.__wrapped__  # undeclared, for the recursion above
 
 
 @takes(poset=Poset)

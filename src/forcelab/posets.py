@@ -28,6 +28,7 @@ from .errors import (
     TruncationEscape,
     UnknownCondition,
     check_natural,
+    pass_on_callers,
     takes,
 )
 from .hf import HF, _kuratowski, nat, render
@@ -451,9 +452,10 @@ class Family:
                 labels.append(label)
                 sets.append(vs)
             distinct = len(set(labels)) == len(labels)
-        except (TypeError, ValueError):
-            raise InvalidInput(
-                "a family lists (label, elements) blocks of HF sets") from None
+        except (TypeError, ValueError) as e:
+            pass_on_callers(e)
+            raise InvalidInput("a family lists (label, elements) blocks of "
+                               "HF sets") from None
         if not distinct:
             raise InvalidInput("duplicate block labels")
         if not labels:
@@ -967,6 +969,4 @@ def generic_filter(poset: Poset, seed) -> Filter:
     i = poset.index_of(seed)
     k = poset.kernel()
     below = k.minimal & k.down[i]
-    if not below:
-        raise InvalidInput("no minimal condition below the seed")
     return k.filter_at((below & -below).bit_length() - 1)

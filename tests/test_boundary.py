@@ -288,13 +288,34 @@ def test_an_iterable_parameter_reaches_the_body_as_a_tuple():
         (GAMMA,)
 
 
-@pytest.mark.parametrize("make", [forcelab.HF, PName], ids=["HF", "PName"])
-def test_constructors_pass_on_what_the_callers_iterable_raises(make):
-    def broken():
-        yield len(5)
+def broken():
+    yield len(5)
 
+
+# Each constructor or function that reads an argument's members itself, as
+# a way to hand it an iterable, with malformed arguments of that shape.
+# What the caller's own iterable raises propagates, through
+# ``errors.pass_on_callers``; a malformed argument is still invalid input.
+READS = {
+    "HF": (forcelab.HF, [5, [[1]]]),
+    "PName": (PName, [5, [[1]]]),
+    "Family": (lambda it: Family([("a", it)]), [5, [[1]]]),
+    "g1_to_g": (lambda it: forcelab.g1_to_g(
+        GRID, [frozenset({(0, it)})]), [5, ((1,),)]),
+    "GridSectionFilter": (lambda it: forcelab.GridSectionFilter(GRID, it),
+                          [5, [(0, 1)], [1]]),
+    "square_below": (lambda it: forcelab.square_below(ONE, it),
+                     [5, [(0, 1)], [1]]),
+    "section_g1_conditions": (forcelab.section_g1_conditions,
+                              [5, [(0, 1)], [1]]),
+}
+
+
+@pytest.mark.parametrize("name", READS)
+def test_constructors_pass_on_what_the_callers_iterable_raises(name):
+    make, malformed = READS[name]
     with pytest.raises(TypeError, match="has no len"):
         make(broken())
-    for bad in (5, [[1]]):
+    for bad in malformed:
         with pytest.raises(InvalidInput):
             make(bad)

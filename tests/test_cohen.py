@@ -1,9 +1,13 @@
 """Grids, sections, and the translation between the two forcing posets."""
 
+import contextlib
+import io
 import itertools
+from pathlib import Path
 
 import pytest
 
+from forcelab import cli, posets
 from forcelab import (
     Assignment, CohenGridPoset, ColumnCollision, EMPTY_NAME,
     GridSectionFilter, HF, InvalidInput, NonInjective, NotDense, ONE,
@@ -15,6 +19,7 @@ from forcelab import (
 
 GRID = CohenGridPoset(2, 2)
 ASG = Assignment(GRID, [0, 1, 1, 0])   # columns: 0 -> {1}, 1 -> {0}
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestAssignment:
@@ -213,6 +218,27 @@ class TestFilterTranslation:
     def test_section_conditions_collision(self):
         with pytest.raises(ColumnCollision):
             section_g1_conditions({0: frozenset({1}), 1: frozenset({1})})
+
+
+class TestInjectionPoset:
+    def test_one_poset_per_assignment(self):
+        assert ASG.p1_poset() is ASG.p1_poset()
+
+    def test_edense_compiles_one_injection_kernel(self, monkeypatch):
+        # e_dense and the report's density check each ask for the
+        # injection poset; an equal copy per call would compile its kernel
+        # again, as posets compare by identity.
+        compiled = []
+        init = posets.Kernel.__init__
+
+        def counting(self, poset):
+            compiled.append(poset.kind)
+            init(self, poset)
+
+        monkeypatch.setattr(posets.Kernel, "__init__", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["cohen", str(SCENARIOS / "cohen_edense.fl")]) == 0
+        assert compiled.count("inj") == 1
 
 
 class TestEDense:

@@ -134,6 +134,27 @@ class TestForcesOracle:
         assert found is not None
 
 
+FREE = Member(Var("x"), Cname(GAMMA))
+RANKED = Exists("x", RankLE(1), FREE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: forces_semantic(FLAT, ONE, RANKED), "ambient name space"),
+    (lambda: forces_syntactic(FLAT, ONE, RANKED), "ambient name space"),
+    (lambda: forces_semantic(FLAT, ONE, FREE), "closed formula"),
+    (lambda: forces_syntactic(FLAT, ONE, FREE), "closed formula"),
+    (lambda: holds_along(FLAT, generic_filter(FLAT, "a"), FREE),
+     "closed formula"),
+], ids=["semantic-rankle", "syntactic-rankle", "semantic-free",
+        "syntactic-free", "holds-along-free"])
+def test_routes_refuse_what_they_cannot_decide(call, message):
+    # A rank-bounded quantifier ranges over a name space, so without one
+    # neither route can decide it; a free variable has no value.
+    with pytest.raises(InvalidInput, match=message) as info:
+        call()
+    assert info.value.code == "invalid-input"
+
+
 class TestRouteAgreement:
     """A compact version of the full agreement sweep in the acceptance
     suite: every formula from a small systematic family and a seeded random

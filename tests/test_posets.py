@@ -47,6 +47,23 @@ def test_malformed_poset_input_is_invalid_input(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Family([("1", [nat(0)])]), "reserved"),
+    (lambda: Family([("a", [])]), "'a' is empty"),
+    (lambda: Family([("a", [nat(0)]), ("a", [nat(1)])]),
+     "duplicate block labels"),
+    (lambda: Family([("a", [nat(0)]), ("b", [nat(1), nat(0)])]),
+     "'a' and 'b' overlap"),
+    (lambda: ExplicitPoset(["a", "a", "1"], [("a", "1")], "1"),
+     "duplicate elements"),
+], ids=["one-label", "empty-block", "duplicate-labels", "overlap",
+        "duplicate-elements"])
+def test_well_formed_but_invalid_posets_are_refused(make, message):
+    with pytest.raises(InvalidInput, match=message) as info:
+        make()
+    assert info.value.code == "invalid-input"
+
+
 class TestExplicitPoset:
     def test_order_is_transitive_closure(self):
         p = ExplicitPoset(["a", "b", "c"], [("a", "b"), ("b", "c")], "c")

@@ -3,8 +3,9 @@ battery: every poset on 1 to 4 elements up to isomorphism, each with a top
 added, and every formula of a systematic family, at every condition; the
 base of that family against the brute-force oracle of ``test_forcing``; the
 rank-bounded quantifiers and witness search over each poset's name space;
-name spaces over two rank levels against brute force; and mixing and
-least-ordinal names at every condition."""
+name spaces over two rank levels against brute force; mixing and
+least-ordinal names at every condition; and the maximum principle, mixing
+witnesses along the minimal conditions below each condition."""
 
 import itertools
 import time
@@ -16,7 +17,7 @@ from forcelab import (
     InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName,
     PreconditionViolated, RankLE, Var, check_name, eval_name,
     forces_semantic, forces_syntactic, gamma_name, holds_along,
-    least_ordinal_name, mix, mp_witness_search, nat,
+    least_ordinal_name, mix, mp_witness_search, nat, subst,
 )
 from forcelab.forcing import _forcer
 
@@ -312,6 +313,52 @@ def test_mix_and_least_ordinal_name_on_every_small_poset():
     assert (mixes, names, refusals) == (1864, 292, 140)
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def test_maximum_principle_on_every_small_poset():
+    # Jech, Set Theory, Lemma 14.19 ("V^B is full"): if p forces
+    # exists x in S phi(x), then p forces phi(tau) and tau in S for some
+    # name tau.  The proof picks a maximal antichain below p whose members
+    # each force phi of some member of S, and mixes those witnesses along
+    # it.  In general, choosing that antichain is the step that needs the
+    # axiom of choice.  A finite poset needs none: the minimal conditions
+    # below p form a maximal antichain below p that nobody has to choose,
+    # since every condition below p extends one of them and two of them
+    # are compatible only if equal.  Each member a is in the generic filter
+    # at a, along which phi holds of some sigma with an entry (c, sigma) of
+    # S and a below c, so a forces phi(sigma) and gets the first such
+    # sigma in S's canonical order.  An OrdLT(n) bound ranges over the
+    # entries of the check-name of n.  For every existential formula of
+    # the battery and every condition p forcing it, the mixed tau must
+    # pass, at p, by both routes.
+    start = time.monotonic()
+    cases = 0
+    for poset in small_posets():
+        k = poset.kernel()
+        for phi in battery(poset):
+            if not isinstance(phi, Exists):
+                continue
+            bound = phi.bound.name if isinstance(phi.bound, InName) \
+                else check_name(nat(phi.bound.bound))
+            for i, p in enumerate(k.conds):
+                if not forces_semantic(poset, p, phi):
+                    continue
+                antichain = [k.conds[a] for a in k.minimals
+                             if k.down[i] >> a & 1]
+                witness = {a: next(
+                    sigma for c, sigma in bound.sorted_entries()
+                    if poset.le(a, c) and forces_semantic(
+                        poset, a, subst(phi.body, phi.var, sigma)))
+                    for a in antichain}
+                tau = mix(poset, p, antichain, witness)
+                for psi in (subst(phi.body, phi.var, tau),
+                            Member(Cname(tau), Cname(bound))):
+                    assert forces_semantic(poset, p, psi), (p, phi)
+                    assert forces_syntactic(poset, p, psi), (p, phi)
+                cases += 1
+    assert cases == 6286
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
 
 def test_shadowed_variable():

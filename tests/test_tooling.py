@@ -260,3 +260,52 @@ def test_every_import_is_used(path):
     unused = [(line, name) for line, name in unused_imports(ast.parse(text))
               if "# noqa: F401" not in lines[line - 1]]
     assert unused == []
+
+
+def forwarding_twins(tree: ast.Module) -> list[str]:
+    """The top-level functions whose body, after any docstring, only
+    returns a call of a module-level private function with the function's
+    own parameters, in order: a second body behind a declared callable."""
+    private = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    private |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    private |= {a.asname or a.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    private = {name for name in private
+               if name.startswith("_") and not name.startswith("__")}
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            body = body[1:]
+        params = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if len(body) == 1 and isinstance(body[0], ast.Return) \
+                and isinstance(call := body[0].value, ast.Call) \
+                and isinstance(call.func, ast.Name) \
+                and call.func.id in private and not call.keywords \
+                and [getattr(a, "id", None) for a in call.args] == params:
+            out.append(f"{node.name} -> {call.func.id}")
+    return out
+
+
+def test_forwarding_twins_are_caught():
+    tree = ast.parse(
+        "def f(a, b):\n    'doc'\n    return _f(a, b)\n"
+        "def _f(a, b):\n    return a\n"
+        "def g(a):\n    return _g(a, {})\n"
+        "def _g(a, memo):\n    return a\n")
+    assert forwarding_twins(tree) == ["f -> _f"]
+
+
+# A declared callable keeps its one body; the library's own hot calls reach
+# it undeclared as ``__wrapped__``, bound to a private name.  A memo entry
+# point that passes an extra argument, such as ``eval_name``, is no twin.
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_declared_callable_forwards_to_a_private_twin(path):
+    assert forwarding_twins(ast.parse(path.read_text())) == []
