@@ -32,12 +32,11 @@ from .names import (
 )
 from .formulas import (
     And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not,
-    Or, OrdLT, RankLE, Var, constants, disj, free_vars, is_closed,
-    single_free_var, subst,
+    Or, OrdLT, RankLE, Var, constants, disj, single_free_var, subst,
 )
 from .forcing import (
-    NameSpace, forces_semantic, forces_syntactic, holds_along,
-    least_ordinal_name, mix, mp_witness_search,
+    NameSpace, forces_semantic, forces_syntactic, least_ordinal_name, mix,
+    mp_witness_search,
 )
 
 __version__ = "0.1.0"
@@ -51,7 +50,7 @@ _LAZY = (
         "build_witness_flat", "choice_from_antichain", "extract_choice_flat",
         "theta_family")),
     ("perms", (
-        "Chain", "Perm", "act_condition", "act_name", "column_support",
+        "Chain", "Perm", "act_name", "column_support",
         "decompose", "is_fixed_by_Hn", "sigma_conjugate", "transposition")),
     ("cohen", (
         "Assignment", "GridSectionFilter", "e_dense", "g1_to_g", "g_to_g1",

@@ -4,7 +4,7 @@ The semantic route computes [[phi]], the set of generic filters along which
 phi holds, as a bit mask over the minimal conditions, since a finite poset's
 generic filters are the filters at them: the Boolean-valued model.  Its
 atoms compare names' values along those filters: a name its name space
-assembled has them read off its class mask (``NameSpace.value``), and any
+assembled has them read off its class mask (``NameSpace._value``), and any
 other name off the kernel's entry masks (``Kernel.value``).  The syntactic
 route never reads a class mask.  It computes F(phi), the mask of all
 conditions that force phi, by the forcing clauses applied to every
@@ -30,7 +30,6 @@ free variables, so no quantifier instance is built by substitution.
 
 from __future__ import annotations
 
-import abc
 import bisect
 import itertools
 import operator
@@ -49,7 +48,7 @@ from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
 from .names import PName, _check_name, _closure
 from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
-from .posets import Filter, Kernel, ONE, Poset, _bits, canon_key
+from .posets import Kernel, ONE, Poset, _bits, canon_key
 
 # The most subsets of (condition, child) pairs a NameSpace admits; its walk
 # visits only the first subset of each class.
@@ -86,7 +85,7 @@ class NameSpace:
 
     A class mask is a set of (condition, value) bits, so it fixes its
     name's value along every filter.  The space keeps the mask of each
-    name it assembled, and :meth:`value` reads the semantic route's values
+    name it assembled, and :meth:`_value` reads the semantic route's values
     of those names off it, building no name's value from its entries.
     """
 
@@ -141,7 +140,7 @@ class NameSpace:
                 best.setdefault(m, combo)
         # PName keeps the frozenset it is given unless an equal name is
         # already interned: such a stale name, from an earlier equal space,
-        # holds that space's condition objects, which ``value`` checks first.
+        # holds that space's condition objects, which ``_value`` checks first.
         first = {}
         self._masks: dict[PName, int] = {}
         self._unchecked: dict[PName, int] = {}
@@ -196,7 +195,7 @@ class NameSpace:
         """The names of rank at most k: a prefix of the universe."""
         return self.universe[:bisect.bisect_right(self._ranks, k)]
 
-    def value(self, tau: PName, i: int) -> HF:
+    def _value(self, tau: PName, i: int) -> HF:
         """tau's value along the filter generated by condition i.  A name
         the space assembled has it read off its class mask: the values of
         the mask's bits for i, one interned set per distinct set of bits,
@@ -218,18 +217,6 @@ class NameSpace:
             out = self._values[sub] = HF(map(self._of_bit.__getitem__,
                                              _bits(sub)))
         return out
-
-
-class _Space(abc.ABC):
-    """A name space argument besides a NameSpace: any object with
-    ``names_of_rank_le``, such as a stand-in that ranges ``RankLE``
-    quantifiers over another universe.  A space parameter's kind is
-    ``(NameSpace, _Space)``: isinstance matches a NameSpace by its own
-    class first, without calling this hook."""
-
-    @classmethod
-    def __subclasshook__(cls, other):
-        return hasattr(other, "names_of_rank_le") or NotImplemented
 
 
 def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
@@ -265,9 +252,6 @@ class _Forcer:
     def __init__(self, kernel: Kernel, space: Optional[NameSpace]):
         self.k = kernel
         self.space = None if space is None else weakref.proxy(space)
-        # Atoms read names' values through NameSpace.value, or through
-        # Kernel.value without a space or over a stand-in for one.
-        self._by_space = isinstance(space, NameSpace)
         self._truth: dict = {}
         self._forcing: dict = {}
         self._atoms: dict = {}
@@ -282,9 +266,10 @@ class _Forcer:
     def truth(self, phi: Formula, env=None) -> int:
         """[[phi]] under env: the mask of the minimal conditions a such that
         phi holds along the generic filter at a, where an atom reads its
-        names' values with ``k.value``.  An atom is keyed by its kind and
-        name pair, as the syntactic ``atom`` is, so atoms over distinct
-        variables bound to one pair share a mask."""
+        names' values with the space's ``_value``, or with ``k.value`` when
+        there is no space.  An atom is keyed by its kind and name pair, as
+        the syntactic ``atom`` is, so atoms over distinct variables bound to
+        one pair share a mask."""
         if isinstance(phi, (Member, Eq)):
             key = (type(phi), _name(phi.left, env), _name(phi.right, env))
         else:
@@ -303,7 +288,7 @@ class _Forcer:
             if left.value is not None and right.value is not None:
                 # check-names take their values along every filter
                 return k.minimal if holds(right.value, left.value) else 0
-            value = self.space.value if self._by_space else k.value
+            value = k.value if self.space is None else self.space._value
             out = 0
             for a in k.minimals:
                 if holds(value(right, a), value(left, a)):
@@ -446,18 +431,17 @@ def _name(term, env) -> PName:
 def _forcer(poset: Poset, space: Optional[NameSpace]) -> _Forcer:
     """The route state for the space, or for no space.  It hangs off the
     space, or off the kernel when there is none, so it lives exactly as long
-    as they do.  A space over another poset is refused; a stand-in space
-    that names no poset is taken as given."""
+    as they do.  A space over another poset is refused."""
     k = poset.kernel()
-    if space is not None and getattr(space, "poset", poset) is not poset:
+    if space is not None and space.poset is not poset:
         raise InvalidInput("the name space is built over another poset")
     owner = k if space is None else space
-    if getattr(owner, "forcer", None) is None:
+    if owner.forcer is None:
         owner.forcer = _Forcer(k, space)
     return owner.forcer
 
 
-@takes(poset=Poset, phi=_Formula, space=(NameSpace, _Space))
+@takes(poset=Poset, phi=_Formula, space=NameSpace)
 def forces_semantic(poset: Poset, p, phi: Formula,
                     space: Optional[NameSpace] = None) -> bool:
     """p forces phi: phi holds along every generic filter containing p."""
@@ -466,29 +450,13 @@ def forces_semantic(poset: Poset, p, phi: Formula,
     return _forcer(poset, space).forces_sem(poset.index_of(p), phi)
 
 
-@takes(poset=Poset, phi=_Formula, space=(NameSpace, _Space))
+@takes(poset=Poset, phi=_Formula, space=NameSpace)
 def forces_syntactic(poset: Poset, p, phi: Formula,
                      space: Optional[NameSpace] = None) -> bool:
     """The recursive forcing relation; agrees with the semantic route."""
     if phi.free:
         raise InvalidInput("forcing needs a closed formula")
     return _forcer(poset, space).forces_syn(poset.index_of(p), phi)
-
-
-@takes(poset=Poset, filt=Filter, phi=_Formula, space=(NameSpace, _Space))
-def holds_along(poset: Poset, filt: Filter, phi: Formula,
-                space: Optional[NameSpace] = None) -> bool:
-    """Plain satisfaction of a closed formula along a generic filter, one
-    that is ``poset.kernel().filter_at(a)`` at a minimal a; any other filter
-    is refused with ``invalid-input``."""
-    if phi.free:
-        raise InvalidInput("satisfaction needs a closed formula")
-    f = _forcer(poset, space)
-    k = poset.kernel()
-    for a in k.minimals:
-        if k.filter_at(a) is filt:
-            return bool(f.truth(phi) >> a & 1)
-    raise InvalidInput("satisfaction is decided along generic filters only")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +528,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     return PName(entries)
 
 
-@takes(poset=Poset, theta=_Formula, space=(NameSpace, _Space))
+@takes(poset=Poset, theta=_Formula, space=NameSpace)
 def mp_witness_search(poset: Poset, p, theta: Formula,
                       space: NameSpace) -> Optional[PName]:
     """First name in the space's canonical order (rank, then encoding)

@@ -201,16 +201,6 @@ def disj(parts) -> Formula:
     return out
 
 
-@takes(phi=_Formula)
-def free_vars(phi: Formula) -> frozenset[str]:
-    return phi.free
-
-
-@takes(phi=_Formula)
-def is_closed(phi: Formula) -> bool:
-    return not phi.free
-
-
 @takes(phi=_Formula, var=str, name=PName)
 def subst(phi: Formula, var: str, name: PName) -> Formula:
     """Substitute a name constant for every free occurrence of a variable,

@@ -285,15 +285,8 @@ def decompose(perm: Perm, n: int, k: int) -> tuple[Perm, Perm]:
 # action on conditions and names
 
 
-@takes(perm=Perm)
-def act_condition(perm: Perm, cond):
-    """Relabel the columns of a grid condition; rows and bits stay put."""
-    if cond is not ONE and not CohenGridPoset.is_condition(cond):
-        raise UnknownCondition(f"not a grid condition: {cond!r}")
-    return _relabel(perm, cond)
-
-
 def _relabel(perm: Perm, cond):
+    """Relabel the columns of a grid condition; rows and bits stay put."""
     if cond is ONE:
         return ONE
     return frozenset(((perm.apply(c), r), bit) for (c, r), bit in cond)

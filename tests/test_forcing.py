@@ -13,12 +13,12 @@ import pytest
 
 from forcelab import (
     HF, And, BinaryTreePoset, ChoicePoset, Cname, CohenGridPoset, EMPTY_NAME,
-    Eq, Exists, ExplicitPoset, Family, Filter, FlatPoset, Forall,
+    Eq, Exists, ExplicitPoset, Family, FlatPoset, Forall,
     ForceLabError, Implies, InName, InvalidInput, Member, NameSpace, Not,
     NotMaximalBelow, ONE, Or, OrdLT, PName, PreconditionViolated, RankLE,
     TruncationEscape, Var, check_name, disj, eval_name, fn_omega_omega,
     forces_semantic, forces_syntactic, gamma_name, generic_filter,
-    hereditary_closure, holds_along, inj_omega_omega, least_ordinal_name,
+    hereditary_closure, inj_omega_omega, least_ordinal_name,
     mix, mp_witness_search, nat, ordered_pair_name, single_free_var, subst,
     unordered_pair_name,
 )
@@ -92,24 +92,6 @@ class TestForcesOracle:
         assert forces_syntactic(cp, p, phi)
         assert eval_name(check_name(nat(1)), generic_filter(cp, p)) == nat(1)
 
-    def test_holds_along(self):
-        phi = Member(A_CHECK, Cname(GAMMA))
-        assert holds_along(FLAT, generic_filter(FLAT, "a"), phi)
-        assert not holds_along(FLAT, generic_filter(FLAT, "b"), phi)
-
-    def test_holds_along_refuses_non_generic_filters(self):
-        phi = Member(A_CHECK, Cname(GAMMA))
-        k = FLAT.kernel()
-        top = FLAT.index_of(FLAT.top)
-        assert top not in k.minimals
-        other = FlatPoset(FAM)
-        for filt in (k.filter_at(top),
-                     Filter(FLAT, generic_filter(FLAT, "a").conditions),
-                     generic_filter(other, "a")):
-            with pytest.raises(InvalidInput) as info:
-                holds_along(FLAT, filt, phi)
-            assert info.value.code == "invalid-input"
-
     def test_semantic_route_never_runs_the_recursion(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the semantic route ran the recursion")
@@ -122,7 +104,6 @@ class TestForcesOracle:
         phi = Member(a_check, Cname(gamma))
         assert forces_semantic(poset, "a", phi)
         assert not forces_semantic(poset, ONE, phi)
-        assert holds_along(poset, generic_filter(poset, "a"), phi)
         theta = Or(And(Eq(Var("al"), Cname(check_name(nat(1)))), phi),
                    And(Eq(Var("al"), Cname(check_name(nat(2)))), Not(phi)))
         tau = least_ordinal_name(poset, ONE, 3, theta)
@@ -143,10 +124,8 @@ RANKED = Exists("x", RankLE(1), FREE)
     (lambda: forces_syntactic(FLAT, ONE, RANKED), "ambient name space"),
     (lambda: forces_semantic(FLAT, ONE, FREE), "closed formula"),
     (lambda: forces_syntactic(FLAT, ONE, FREE), "closed formula"),
-    (lambda: holds_along(FLAT, generic_filter(FLAT, "a"), FREE),
-     "closed formula"),
 ], ids=["semantic-rankle", "syntactic-rankle", "semantic-free",
-        "syntactic-free", "holds-along-free"])
+        "syntactic-free"])
 def test_routes_refuse_what_they_cannot_decide(call, message):
     # A rank-bounded quantifier ranges over a name space, so without one
     # neither route can decide it; a free variable has no value.
@@ -399,14 +378,23 @@ def unquotiented_universe(poset, bases, rank_bound):
     return tuple(sorted(names, key=PName.key))
 
 
-class UnquotientedSpace:
-    """Stands in for a NameSpace whose universe is not quotiented."""
+def unquotiented(phi, universe):
+    """phi with each ``RankLE(k)`` bound rewritten as ``InName`` of the name
+    whose entries are (ONE, n) for the names n of rank at most k in
+    ``universe``.  Both bounds range over (full mask, name) pairs in
+    canonical order, so the rewrite, decided with no name space, answers as
+    phi over a space whose universe is ``universe``."""
+    if isinstance(phi, RankLE):
+        return InName(PName((ONE, n) for n in universe if n.rank <= phi.bound))
+    if isinstance(phi, formulas_module._Formula):
+        return type(phi)(*(unquotiented(v, universe) for v in phi._values()))
+    return phi
 
-    def __init__(self, poset, bases, rank_bound):
-        self.universe = unquotiented_universe(poset, bases, rank_bound)
 
-    def names_of_rank_le(self, k):
-        return tuple(n for n in self.universe if n.rank <= k)
+def bounds(phi):
+    """The quantifier bounds of phi, outermost first."""
+    return [v for v in formulas_module._leaves(phi)
+            if isinstance(v, (InName, RankLE, OrdLT))]
 
 
 def values(poset, tau):
@@ -438,20 +426,32 @@ class TestNameSpaceQuotient:
         return first
 
     @staticmethod
-    def assert_same_answers(poset, space, full, rank):
-        """Both routes at every condition and satisfaction along every
-        generic filter answer the battery alike over the two spaces."""
-        k = poset.kernel()
+    def assert_same_answers(poset, space, universe, rank):
+        """Both routes at every condition answer the battery over the space
+        as its rewrite over the unquotiented universe, with no space."""
         for phi in rankle_battery(poset, rank):
+            full = unquotiented(phi, universe)
             for c in poset.conditions():
-                want = forces_semantic(poset, c, phi, full)
+                want = forces_semantic(poset, c, full)
                 assert forces_semantic(poset, c, phi, space) == want, (phi, c)
                 assert forces_syntactic(poset, c, phi, space) == want, (phi, c)
-                assert forces_syntactic(poset, c, phi, full) == want, (phi, c)
-            for i in k.minimals:
-                filt = k.filter_at(i)
-                assert holds_along(poset, filt, phi, space) == \
-                    holds_along(poset, filt, phi, full), (phi, i)
+                assert forces_syntactic(poset, c, full) == want, (phi, c)
+
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_rewrite_ranges_over_the_unquotiented_names(self, case):
+        make, rank = QUOTIENT_CASES[case]
+        poset = make()
+        universe = unquotiented_universe(poset, BASES, rank)
+        assert len(universe) == {"flat3": 256, "explicit3": 64, "fn22": 512,
+                                 "tree2": 128, "choice": 128}[case]
+        for phi in rankle_battery(poset, rank):
+            before, after = bounds(phi), bounds(unquotiented(phi, universe))
+            assert all(isinstance(b, RankLE) for b in before), phi
+            assert all(isinstance(a, InName) for a in after), phi
+            assert len(after) == len(before), phi
+            for b, a in zip(before, after):
+                assert list(a.name.sorted_entries()) == \
+                    [(ONE, n) for n in universe if n.rank <= b.bound], phi
 
     @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
     def test_one_first_name_per_class(self, case):
@@ -472,15 +472,16 @@ class TestNameSpaceQuotient:
         space = NameSpace(poset, bases, rank)
         first = self.first_of_each_class(poset, bases, rank)
         assert space.universe == tuple(hereditary_closure(first.values()))
-        self.assert_same_answers(poset, space,
-                                 UnquotientedSpace(poset, bases, rank), rank)
+        self.assert_same_answers(
+            poset, space, unquotiented_universe(poset, bases, rank), rank)
 
     @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
     def test_routes_answer_as_without_quotient(self, case):
         make, rank = QUOTIENT_CASES[case]
         poset = make()
-        self.assert_same_answers(poset, NameSpace(poset, BASES, rank),
-                                 UnquotientedSpace(poset, BASES, rank), rank)
+        self.assert_same_answers(
+            poset, NameSpace(poset, BASES, rank),
+            unquotiented_universe(poset, BASES, rank), rank)
 
     def test_rank_prefixes(self):
         space = NameSpace(FLAT, (GAMMA,), 2)
@@ -547,7 +548,7 @@ def assembled(space):
 
 
 class TestClassMaskValues:
-    """NameSpace.value reads an assembled name's value off its class mask;
+    """NameSpace._value reads an assembled name's value off its class mask;
     the semantic route reads it there, and the syntactic route never does."""
 
     @pytest.mark.parametrize("case", sorted(MASK_VALUE_CASES))
@@ -556,10 +557,11 @@ class TestClassMaskValues:
         poset = make()
         k = poset.kernel()
         space = NameSpace(poset, bases, rank)
+        assert not hasattr(space, "value")  # the reader is internal
         assert assembled(space) & set(space.universe)
         for tau in space.universe:
             for a in k.minimals:
-                got = space.value(tau, a)
+                got = space._value(tau, a)
                 assert got is k.value(tau, a), (tau, a)
                 assert got is eval_name(tau, k.filter_at(a)), (tau, a)
 
@@ -568,11 +570,10 @@ class TestClassMaskValues:
             self, case, monkeypatch):
         make, rank = QUOTIENT_CASES[case]
         poset = make()
-        k = poset.kernel()
         space = NameSpace(poset, BASES, rank)
         names = assembled(space)
         read = {"space": 0, "depth": 0}
-        kernel_value, space_value = Kernel.value, NameSpace.value
+        kernel_value, space_value = Kernel.value, NameSpace._value
 
         def kernel_reads(self, tau, i):
             # Kernel.value recurses into children, which may be assembled:
@@ -590,13 +591,11 @@ class TestClassMaskValues:
             return space_value(self, tau, i)
 
         monkeypatch.setattr(Kernel, "value", kernel_reads)
-        monkeypatch.setattr(NameSpace, "value", space_reads)
+        monkeypatch.setattr(NameSpace, "_value", space_reads)
         battery = rankle_battery(poset, rank)
         for phi in battery:
             for c in poset.conditions():
                 forces_semantic(poset, c, phi, space)
-            for a in k.minimals:
-                holds_along(poset, k.filter_at(a), phi, space)
         for theta in (phi.body for phi in battery[:8]):
             for c in poset.conditions():
                 mp_witness_search(poset, c, theta, space)
@@ -607,14 +606,14 @@ class TestClassMaskValues:
         make, rank = QUOTIENT_CASES[case]
         poset = make()
         battery = rankle_battery(poset, rank)
-        want = [[forces_syntactic(poset, c, phi, UnquotientedSpace(
-            poset, BASES, rank)) for c in poset.conditions()]
-            for phi in battery]
+        universe = unquotiented_universe(poset, BASES, rank)
+        want = [[forces_syntactic(poset, c, unquotiented(phi, universe))
+                 for c in poset.conditions()] for phi in battery]
 
         def refuse(*args):
             raise AssertionError("a class mask was read")
 
-        monkeypatch.setattr(NameSpace, "value", refuse)
+        monkeypatch.setattr(NameSpace, "_value", refuse)
         space = NameSpace(poset, BASES, rank)
         assert [[forces_syntactic(poset, c, phi, space)
                  for c in poset.conditions()] for phi in battery] == want
@@ -638,8 +637,9 @@ class TestClassMaskValues:
             own = set(map(id, k.conds))
             assert any(c is not ONE and id(c) not in own
                        for tau in space._unchecked for c, _ in tau.entries)
-            full = UnquotientedSpace(poset, BASES, 1)
-            TestNameSpaceQuotient.assert_same_answers(poset, space, full, 1)
+            universe = unquotiented_universe(poset, BASES, 1)
+            TestNameSpaceQuotient.assert_same_answers(
+                poset, space, universe, 1)
             x = Var("x")
             thetas = [Member(x, Cname(gamma_name(poset))),
                       Eq(x, Cname(check_name(nat(1)))),
@@ -647,8 +647,10 @@ class TestClassMaskValues:
                       Eq(x, Cname(space.universe[-1]))]
             for theta in thetas:
                 for c in poset.conditions():
+                    want = next((tau for tau in universe if forces_semantic(
+                        poset, c, subst(theta, "x", tau))), None)
                     assert mp_witness_search(poset, c, theta, space) is \
-                        mp_witness_search(poset, c, theta, full), (theta, c)
+                        want, (theta, c)
         finally:
             gc.enable()
 
@@ -714,9 +716,6 @@ class TestReferenceOracle:
         for phi in battery:
             along = {a: reference_sat(phi, k.filter_at(a), space)
                      for a in k.minimals}
-            for a, want in along.items():
-                assert holds_along(poset, k.filter_at(a), phi, space) == \
-                    want, (phi, a)
             for i, c in enumerate(k.conds):
                 want = all(v for a, v in along.items() if k.down[i] >> a & 1)
                 assert forces_semantic(poset, c, phi, space) == want, (phi, c)
@@ -888,12 +887,9 @@ class TestRouteState:
     @pytest.mark.parametrize("ask", [
         lambda tree, phi, space: forces_semantic(tree, ONE, phi, space),
         lambda tree, phi, space: forces_syntactic(tree, ONE, phi, space),
-        lambda tree, phi, space: holds_along(
-            tree, generic_filter(tree, "00"), phi, space),
         lambda tree, phi, space: mp_witness_search(
             tree, ONE, phi.body, space),
-    ], ids=["forces_semantic", "forces_syntactic", "holds_along",
-            "mp_witness_search"])
+    ], ids=["forces_semantic", "forces_syntactic", "mp_witness_search"])
     def test_space_over_another_poset_refused(self, ask):
         tree, phi, space = self.tree_and_fn_space()
         with pytest.raises(InvalidInput) as info:

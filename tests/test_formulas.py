@@ -5,8 +5,8 @@ import pytest
 from forcelab import (
     EMPTY_NAME, HF, ONE, And, Cname, Eq, Exists, Family, FlatPoset, Forall,
     Implies, InName, InvalidInput, Member, Not, Or, OrdLT, RankLE, Var,
-    check_name, constants, disj, forces_semantic, forces_syntactic,
-    free_vars, is_closed, nat, single_free_var, subst, theta_family,
+    check_name, constants, disj, forces_semantic, forces_syntactic, nat,
+    single_free_var, subst, theta_family,
 )
 
 C1 = check_name(nat(1))
@@ -17,15 +17,14 @@ C4 = check_name(nat(4))
 
 class TestFreeVars:
     def test_atoms(self):
-        assert free_vars(Member(Var("x"), Cname(C1))) == {"x"}
-        assert free_vars(Eq(Cname(C1), Cname(C2))) == frozenset()
+        assert Member(Var("x"), Cname(C1)).free == {"x"}
+        assert Eq(Cname(C1), Cname(C2)).free == frozenset()
 
     def test_quantifier_binds(self):
         phi = Exists("x", RankLE(1), Member(Var("x"), Var("y")))
-        assert free_vars(phi) == {"y"}
+        assert phi.free == {"y"}
         assert And(phi, Member(Var("z"), Var("a"))).order == ("a", "y", "z")
-        assert not is_closed(phi)
-        assert is_closed(Forall("y", OrdLT(2), phi))
+        assert not Forall("y", OrdLT(2), phi).free
 
     def test_single_free_var(self):
         assert single_free_var(Member(Var("x"), Cname(C1))) == "x"
@@ -64,15 +63,15 @@ class TestSubst:
                 Member(Var("z"), w), Not(Eq(Var("y"), w)))))
         out = subst(phi(Var("w")), "w", C2)
         assert out == phi(Cname(C2))
-        assert free_vars(out) == frozenset() and out.order == ()
+        assert out.free == frozenset() and out.order == ()
         both = subst(Eq(Var("w"), Var("w")), "w", C2)
-        assert both == Eq(Cname(C2), Cname(C2)) and is_closed(both)
+        assert both == Eq(Cname(C2), Cname(C2)) and not both.free
 
     def test_connectives(self):
         phi = Implies(Not(Eq(Var("x"), Cname(C1))),
                       Or(Member(Var("x"), Cname(C1)), Eq(Cname(C1), Cname(C1))))
         out = subst(phi, "x", C2)
-        assert free_vars(out) == frozenset()
+        assert out.free == frozenset()
 
 
 class TestConstantsAndBuilders:

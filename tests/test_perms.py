@@ -6,7 +6,7 @@ import pytest
 
 from forcelab import (
     Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
-    NotInSubgroup, ONE, Perm, UnknownCondition, act_condition, act_name,
+    NotInSubgroup, ONE, Perm, UnknownCondition, act_name,
     check_name, column_support, decompose,
     is_fixed_by_Hn, nat, PName, sigma_conjugate, transposition,
     unordered_pair_name, xdot_name,
@@ -145,12 +145,6 @@ GRID = CohenGridPoset(6, 2)
 
 
 class TestNameAction:
-    def test_act_condition_relabels_columns(self):
-        cond = frozenset({((0, 1), 1), ((2, 0), 0)})
-        out = act_condition(transposition(0, 2), cond)
-        assert out == frozenset({((2, 1), 1), ((0, 0), 0)})
-        assert act_condition(transposition(0, 2), ONE) is ONE
-
     def test_act_name_moves_column_names(self):
         pi = transposition(1, 4)
         assert act_name(pi, xdot_name(GRID, 1)) == xdot_name(GRID, 4)
