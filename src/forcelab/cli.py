@@ -181,11 +181,11 @@ def dumps(payload, indent: Optional[int] = None) -> str:
 
 def _space_for(poset: Poset, phi: Formula,
                rank: Optional[int]) -> Optional[NameSpace]:
-    if rank is None:
-        rank = max_rank_bound(phi)
-        if rank is None:
-            return None
-    return NameSpace(poset, tuple(constants(phi)), rank)
+    bound = max_rank_bound(phi)
+    if bound is None:
+        return None
+    return NameSpace(poset, tuple(constants(phi)),
+                     bound if rank is None else rank)
 
 
 def run_thm1(ids, family, level) -> dict:

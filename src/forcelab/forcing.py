@@ -31,7 +31,9 @@ free variables, so no quantifier instance is built by substitution.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import math
 import operator
 import weakref
 from typing import Optional, Sequence
@@ -78,15 +80,20 @@ class NameSpace:
     class, so it takes about classes x pairs steps, not ``2^pairs``; the
     one bound over ``2^pairs`` is the cap, which refuses more than
     :data:`MAX_UNIVERSE` subsets with ``invalid-input`` before the poset
-    is compiled.  The walk meets the classes in canonical order, so each
-    class costs one interned name, built in the order met, with no key
-    table and no sort of the universe; only the few closure names kept are
-    placed by bisection.
+    is compiled.  The walk meets the classes in canonical order, so the
+    universe needs no key table and no sort; only the few closure names
+    kept are placed by bisection.  A class's name is interned only when it
+    is read: the routes' ``RankLE`` ranges and :func:`mp_witness_search`
+    intern the universe in doubling chunks as far as they read it, as does
+    :meth:`names_of_rank_le`; ``universe`` and ``in`` intern all of it, and
+    ``len(space)`` nothing.
 
     A class mask is a set of (condition, value) bits, so it fixes its
     name's value along every filter.  The space keeps the mask of each
-    name it assembled, and :meth:`_value` reads the semantic route's values
-    of those names off it, building no name's value from its entries.
+    name it has interned, and :meth:`_value` reads the semantic route's
+    values of those names off it, building no name's value from its
+    entries; a constant equal to a class not yet interned reads
+    ``Kernel.value``, which gives the same interned set.
     """
 
     def __init__(self, poset: Poset, base_names: Sequence[PName],
@@ -138,40 +145,45 @@ class NameSpace:
                 frontier = grown
             for m, combo in seen.items():
                 best.setdefault(m, combo)
-        # PName keeps the frozenset it is given unless an equal name is
-        # already interned: such a stale name, from an earlier equal space,
-        # holds that space's condition objects, which ``_value`` checks first.
-        first = {}
-        self._masks: dict[PName, int] = {}
-        self._unchecked: dict[PName, int] = {}
-        for mask, combo in best.items():
-            es = frozenset(map(pairs.__getitem__, combo))
-            n = first[mask] = PName(es)
-            (self._masks if n.entries is es else self._unchecked)[n] = mask
-        universe = list(first.values())
-        members = set(universe)
         # A closure name's class is keyed like an assembled one, by the OR
         # of its entries' pair masks; a pair no assembled entry contributes
         # gets a fresh bit, so its class has no assembled member.  It never
         # comes before an assembled name of its class: of rank at most the
         # bound, it is assembled itself unless it names the top, which ONE
         # undercuts, or a condition outside the truncation, in no filter.
-        # Such first names and the children of kept names are kept too; the
-        # few that were not assembled are placed by bisection on PName.key.
+        # Such first names and the children of kept names are kept too.
         roots = {pairs[j][1] for j in set().union(*best.values())}
+        cls_of, kept = {}, {}
         for n in closure:
             cls = 0
             for c, s in n.entries:
                 cls |= _pair_mask(k, bits, c, s)
-            if first.setdefault(cls, n) is n:
+            cls_of[n] = cls
+            if cls not in best and kept.setdefault(cls, n) is n:
                 roots.add(n)
+
+        def key(item):
+            """PName.key of a name, or of a class's first subset."""
+            if type(item) is not tuple:
+                return item.key()
+            combo = item[1]
+            return (max((ranks[j] for j in combo), default=0), len(combo),
+                    tuple((canon_key(pairs[j][0]), pairs[j][1].key())
+                          for j in combo))
+
+        # The universe in order: each class as its (mask, first subset)
+        # until ``_grow`` interns its name there, and the few kept names
+        # that were not assembled, placed by bisection.
+        self._order: list = list(best.items())
         for n in _closure(roots):
-            if n not in members:
-                members.add(n)
-                bisect.insort(universe, n, key=PName.key)
-        self.universe: tuple[PName, ...] = tuple(universe)
-        self._members = frozenset(members)
-        self._ranks = [n.rank for n in self.universe]
+            combo = best.get(cls_of[n])
+            if combo is None or \
+                    n.entries != frozenset(map(pairs.__getitem__, combo)):
+                bisect.insort(self._order, n, key=key)
+        self._done = 0
+        self._pairs = pairs
+        self._masks: dict[PName, int] = {}
+        self._unchecked: dict[PName, int] = {}
         # Bits are numbered in the order met, so ``bits`` lists them in
         # order: bit b is the pair (condition index, value) it numbers.
         self._k = k
@@ -183,17 +195,57 @@ class NameSpace:
         # The routes' state for this space, built on first use.
         self.forcer: Optional[_Forcer] = None
 
+    def _grow(self) -> bool:
+        """Intern the universe's next names, as many as are interned
+        already and at least 4; False when every one is.  PName keeps the
+        frozenset it is given unless an equal name is already interned:
+        such a stale name, from an earlier equal space or a constant, may
+        hold other condition objects, which ``_value`` checks first."""
+        order, start = self._order, self._done
+        if start == len(order):
+            return False
+        self._done = stop = min(len(order), start + max(start, 4))
+        for at in range(start, stop):
+            if type(order[at]) is tuple:
+                mask, combo = order[at]
+                es = frozenset(map(self._pairs.__getitem__, combo))
+                n = order[at] = PName(es)
+                (self._masks if n.entries is es else self._unchecked)[n] = mask
+        return True
+
+    def _read(self, k=math.inf):
+        """The names of rank at most k, in the universe's order, interned
+        only as far as they are read."""
+        order, at = self._order, 0
+        while at < self._done or self._grow():
+            tau = order[at]
+            if tau.rank > k:
+                return
+            yield tau
+            at += 1
+
+    @functools.cached_property
+    def universe(self) -> tuple[PName, ...]:
+        """Every name of the space, in canonical order."""
+        while self._grow():
+            pass
+        return tuple(self._order)
+
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.universe)
+
     @takes(name=PName)
     def __contains__(self, name: PName) -> bool:
         return name in self._members
 
     def __len__(self) -> int:
-        return len(self.universe)
+        return len(self._order)
 
     @takes(k=int)
     def names_of_rank_le(self, k: int) -> tuple[PName, ...]:
         """The names of rank at most k: a prefix of the universe."""
-        return self.universe[:bisect.bisect_right(self._ranks, k)]
+        return tuple(self._read(k))
 
     def _value(self, tau: PName, i: int) -> HF:
         """tau's value along the filter generated by condition i.  A name
@@ -401,10 +453,12 @@ class _Forcer:
             inner[phi.var] = sig
             yield m, inner
 
-    def _range(self, bound) -> tuple:
+    def _range(self, bound):
         """The names a quantifier bound ranges over, as (mask of the
         conditions where each applies, name), memoized by the interned
-        bound: the one table the routes share."""
+        bound: the one table the routes share.  A ``RankLE`` bound above
+        the space's rank bound is refused, as the space holds only part of
+        its range."""
         out = self._ranges.get(bound)
         if out is not None:
             return out
@@ -414,13 +468,28 @@ class _Forcer:
             if self.space is None:
                 raise InvalidInput(
                     "a rank-bounded quantifier needs an ambient name space")
-            out = tuple((self.k.full, sig)
-                        for sig in self.space.names_of_rank_le(bound.bound))
+            if bound.bound > self.space.rank_bound:
+                raise InvalidInput(
+                    f"a [rank <= {bound.bound}] bound exceeds the name "
+                    f"space's rank bound {self.space.rank_bound}")
+            out = _RankRange(self.space, bound.bound, self.k.full)
         else:  # OrdLT
             out = tuple((self.k.full, _check_name(nat(i)))
                         for i in range(bound.bound))
         self._ranges[bound] = out
         return out
+
+
+class _RankRange:
+    """A ``RankLE(k)`` range: (full mask, name) for each name of rank at
+    most k of the space, read off ``NameSpace._read``, so a route that stops
+    early interns no name past the last it read."""
+
+    def __init__(self, space, k: int, full: int):
+        self.space, self.k, self.full = space, k, full
+
+    def __iter__(self):
+        return zip(itertools.repeat(self.full), self.space._read(self.k))
 
 
 def _name(term, env) -> PName:
@@ -536,7 +605,7 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
     i = poset.index_of(p)
     var = single_free_var(theta)
     f = _forcer(poset, space)
-    for tau in space.universe:
+    for tau in space._read():
         if f.forces_sem(i, theta, {var: tau}):
             return tau
     return None

@@ -142,6 +142,13 @@ BAD_KWARG_OR_NAME = {
         "forces", "invalid-input",
         "poset P inj dom = 2 cod = -1\nformula phi = check(0) = check(0)\n"
         "command forces P 1 phi\n"),
+    # Over a space of rank 1, a [rank <= 2] bound would range over only
+    # part of its range, so it is refused rather than answered false.
+    "rank-bound-above-space": (
+        "forces", "invalid-input",
+        "family F { a: {0} b: {1} }\nposet P flat F\n"
+        "formula phi = exists x [rank <= 2] (check(0) in x and "
+        "check(1) in x)\ncommand forces P 1 phi rank=1\n"),
     "decompose-without-k": (
         "decompose", "invalid-input",
         "perm pi = (0 1)\ncommand decompose pi n=0\n"),
@@ -384,9 +391,25 @@ RANK_BOUNDS = {
                          ids=RANK_BOUNDS.keys())
 def test_forces_space_takes_the_largest_rank_bound(phi, rank):
     poset = FlatPoset(Family([("a", [nat(0)])]))
+    # rank= sets the rank of the space, and a formula with no [rank <= k]
+    # bound gets no space, with rank= or without.
     space = cli._space_for(poset, phi, None)
     assert (None if space is None else space.rank_bound) == rank
-    assert cli._space_for(poset, phi, 1).rank_bound == 1
+    space = cli._space_for(poset, phi, 1)
+    assert (None if space is None else space.rank_bound) == \
+        (None if rank is None else 1)
+
+
+def test_forces_rank_without_a_rank_bound_builds_no_space(tmp_path):
+    # Only a [rank <= k] bound reads the space that rank= sizes, so a
+    # formula with none builds none: fn(2,2) at rank 2 is over the cap.
+    path = tmp_path / "fn.fl"
+    path.write_text("poset P fn dom=2 cod=2\nname g = gamma(P)\n"
+                    "formula phi = exists x [in g] x in g\n"
+                    "command forces P 1 phi rank=2\n")
+    status, out = run_in_process("forces", str(path))
+    assert status == 0
+    assert json.loads(out)["forces"] is True
 
 
 def test_hat_entries_count_the_hat_name():

@@ -117,6 +117,7 @@ class TestForcesOracle:
 
 FREE = Member(Var("x"), Cname(GAMMA))
 RANKED = Exists("x", RankLE(1), FREE)
+ABOVE = Exists("y", RankLE(2), Member(Var("y"), Var("x")))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -124,11 +125,19 @@ RANKED = Exists("x", RankLE(1), FREE)
     (lambda: forces_syntactic(FLAT, ONE, RANKED), "ambient name space"),
     (lambda: forces_semantic(FLAT, ONE, FREE), "closed formula"),
     (lambda: forces_syntactic(FLAT, ONE, FREE), "closed formula"),
+    (lambda: forces_semantic(FLAT, ONE, Exists("x", RankLE(1), ABOVE),
+                             NameSpace(FLAT, (GAMMA,), 1)), "exceeds"),
+    (lambda: forces_syntactic(FLAT, ONE, Exists("x", RankLE(1), ABOVE),
+                              NameSpace(FLAT, (GAMMA,), 1)), "exceeds"),
+    (lambda: mp_witness_search(FLAT, ONE, ABOVE,
+                               NameSpace(FLAT, (GAMMA,), 1)), "exceeds"),
 ], ids=["semantic-rankle", "syntactic-rankle", "semantic-free",
-        "syntactic-free"])
+        "syntactic-free", "semantic-above-space", "syntactic-above-space",
+        "witness-above-space"])
 def test_routes_refuse_what_they_cannot_decide(call, message):
     # A rank-bounded quantifier ranges over a name space, so without one
-    # neither route can decide it; a free variable has no value.
+    # neither route can decide it, and a space of a lower rank bound holds
+    # only part of its range; a free variable has no value.
     with pytest.raises(InvalidInput, match=message) as info:
         call()
     assert info.value.code == "invalid-input"
@@ -298,6 +307,29 @@ class TestNameSpace:
         assert all(n.rank <= 1 or n in (GAMMA,) or n.rank <= GAMMA.rank
                    for n in space.universe)
         assert EMPTY_NAME in space
+
+    def test_readers_intern_only_what_they_read(self):
+        # fn(2,2) at rank 1 has 48 classes, interned in doubling chunks (4,
+        # 8, 16, 32 and 48 names) only as far as a reader reaches; len
+        # interns none.  Along each generic filter tau is 0 or 1-check, the
+        # first two names, so both routes decide "exists x [rank <= 1]
+        # x = tau" in the first chunk, and the witness search stops at
+        # tau's own class, the twelfth.  An eager space would intern all 48.
+        poset = fn_omega_omega(2, 2)
+        c = poset.conditions()
+        tau = PName([(c[1], EMPTY_NAME), (c[3], EMPTY_NAME)])
+        theta = Eq(Var("x"), Cname(tau))
+        phi = Exists("x", RankLE(1), theta)
+        interned = []
+        for ask in (lambda s: forces_semantic(poset, ONE, phi, s),
+                    lambda s: forces_syntactic(poset, ONE, phi, s),
+                    lambda s: mp_witness_search(poset, ONE, theta, s)):
+            space = NameSpace(poset, BASES, 1)
+            assert len(space) == 48 and space._done == 0
+            assert ask(space)
+            interned.append(space._done)
+        assert interned == [4, 4, 16]
+        assert space.universe.index(tau) == 11
 
     def test_size_guard(self):
         big = Family([(lab, [nat(3 * i + k) for k in range(3)])
@@ -543,7 +575,9 @@ MASK_VALUE_CASES = {
 
 
 def assembled(space):
-    """The names the space assembled in its walk, stale or not."""
+    """The names the space assembled in its walk, stale or not.  A space
+    interns its names only as they are read, so this reads them all."""
+    space.universe
     return set(space._masks) | set(space._unchecked)
 
 
@@ -629,11 +663,13 @@ class TestClassMaskValues:
             earlier = NameSpace(first, BASES, 1)
             phi = rankle_battery(first, 1)[0]
             forces_semantic(first, ONE, phi, earlier)
+            stale = assembled(earlier)
             poset = fn_omega_omega(2, 2)
             k = poset.kernel()
             space = NameSpace(poset, BASES, 1)
+            space.universe  # interns the space's names
             assert not space._masks
-            assert set(space._unchecked) == assembled(earlier)
+            assert set(space._unchecked) == stale
             own = set(map(id, k.conds))
             assert any(c is not ONE and id(c) not in own
                        for tau in space._unchecked for c, _ in tau.entries)

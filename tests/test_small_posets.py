@@ -423,3 +423,79 @@ def test_shadowed_variable():
         for p, want in zip(("a", "b", "1"), answers):
             assert forces_semantic(poset, p, phi) is want, (phi, p)
             assert forces_syntactic(poset, p, phi) is want, (phi, p)
+
+
+def rank_spaces():
+    """(poset, bases, rank bound) for base_battery's names at rank bounds 1
+    and 2."""
+    for poset in small_posets():
+        names, _ = base_battery(poset)
+        for r in (1, 2):
+            yield poset, names, r
+
+
+def test_lazy_universe_is_the_same_whatever_is_read_first():
+    # A space interns its names only as far as a reader reaches.  Whatever
+    # is read first (len, names_of_rank_le, the universe, or a route that
+    # stops early), each RankLE(k) range the routes share yields exactly the
+    # universe's prefix of rank at most k, as does names_of_rank_le(k), and
+    # the universe is the one read first on a fresh space.
+    start = time.monotonic()
+    x = Var("x")
+    spaces = 0
+    for poset, names, r in rank_spaces():
+        phi = Exists("x", RankLE(r), Member(x, Cname(names[2])))
+        eager = NameSpace(poset, names, r).universe
+        for first in (len, lambda s: s.names_of_rank_le(0),
+                      lambda s: s.universe,
+                      lambda s: _forcer(poset, s).forces_sem(0, phi),
+                      lambda s: _forcer(poset, s).forces_syn(0, phi)):
+            space = NameSpace(poset, names, r)
+            first(space)
+            f = _forcer(poset, space)
+            ranges = {k: tuple(sig for _, sig in f._range(RankLE(k)))
+                      for k in range(r, -1, -1)}
+            prefixes = {k: space.names_of_rank_le(k) for k in ranges}
+            assert len(space) == len(eager)
+            assert space.universe == eager, (poset.conditions(), r)
+            for k in ranges:
+                want = tuple(n for n in eager if n.rank <= k)
+                assert ranges[k] == prefixes[k] == want, (poset, r, k)
+        spaces += 1
+    assert spaces == 48
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def test_constants_of_classes_not_yet_interned_answer_alike():
+    # A constant equal to a class that a space has not interned yet reads
+    # its value off the kernel, and once the space interns that class, off
+    # its class mask.  Either way both routes and the witness search must
+    # answer as over a space whose universe was read before the constant
+    # was first asked about.
+    start = time.monotonic()
+    x = Var("x")
+    cases = 0
+    for poset, names, r in rank_spaces():
+        eager = NameSpace(poset, names, r).universe
+        constants = (eager[len(eager) // 2], eager[-1], names[3])
+        thetas = [kind(a, b) for c in map(Cname, constants)
+                  for kind, a, b in ((Eq, x, c), (Member, c, x),
+                                     (Member, x, c))]
+        answers = []
+        for read_first in (False, True):
+            space = NameSpace(poset, names, r)
+            if read_first:
+                space.universe
+            f = _forcer(poset, space)
+            answers.append([
+                (f.forces_sem(i, Exists("x", RankLE(r), theta)),
+                 f.forces_syn(i, Exists("x", RankLE(r), theta)),
+                 mp_witness_search(poset, p, theta, space))
+                for theta in thetas
+                for i, p in enumerate(poset.conditions())])
+        assert answers[0] == answers[1], (poset.conditions(), r)
+        cases += len(answers[0])
+    assert cases == 1944
+    elapsed = time.monotonic() - start
+    assert elapsed < 3.0, f"took {elapsed:.1f}s"
