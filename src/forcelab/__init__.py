@@ -19,7 +19,7 @@ from .errors import (
     ReportTooLarge, TruncationEscape, UnknownCondition, UnresolvedReference,
     ValueEscapesBlock,
 )
-from .hf import EMPTY, HF, kuratowski, nat, nat_value, render
+from .hf import EMPTY, HF, kuratowski, nat, nat_value
 from .posets import (
     BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
     Filter, FlatPoset, InjPoset, MapPoset, ONE, Poset,

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .forcing import forces_semantic
 from .formulas import And, Cname, Formula, Member, Var, disj, subst
-from .hf import HF, render
+from .hf import HF
 from .names import PName, check_name, eval_name, gamma_name
 from .posets import (
     ChoicePoset, Family, FlatPoset, ONE, generic_filter, is_maximal_antichain,
@@ -40,7 +40,7 @@ class ChoiceFunction:
         for lab, value in mapping.items():
             if value not in family.blocks[lab]:
                 raise ValueEscapesBlock(
-                    f"{render(value)} is not in block {lab!r}")
+                    f"{value!r} is not in block {lab!r}")
         self.family = family
         self.mapping = dict(mapping)
         # HF sets are interned, so the chosen sets themselves compare and
@@ -61,7 +61,7 @@ class ChoiceFunction:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        inner = ",".join(f"{lab}->{render(v)}" for lab, v in self.items())
+        inner = ",".join(f"{lab}->{v!r}" for lab, v in self.items())
         return "choice{" + inner + "}"
 
 
@@ -143,6 +143,6 @@ def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
         value = eval_name(tau, generic_filter(flat, lab))
         if value not in family.blocks[lab]:
             raise ValueEscapesBlock(
-                f"value {render(value)} below {lab!r} escapes its block")
+                f"value {value!r} below {lab!r} escapes its block")
         mapping[lab] = value
     return ChoiceFunction(family, mapping)

@@ -33,7 +33,6 @@ from .forcing import (
 from .formulas import (
     Formula, constants, max_rank_bound, single_free_var, subst,
 )
-from .hf import render
 from .names import PName, eval_name
 from .perms import (
     Perm, act_name, column_support, decompose, is_fixed_by_Hn,
@@ -112,7 +111,7 @@ def evaluations_json(poset: Poset, p, tau: PName) -> dict[str, str]:
     condition extending p."""
     k = poset.kernel()
     below = k.down[poset.index_of(p)]
-    return {poset.condition_repr(k.conds[a]): render(k.value(tau, a))
+    return {poset.condition_repr(k.conds[a]): repr(k.value(tau, a))
             for a in k.minimals if below >> a & 1}
 
 
@@ -201,7 +200,7 @@ def run_thm1(ids, family, level) -> dict:
             roundtrip_ok = False
         rows.append([poset.condition_repr(c)
                      for c in sorted(a, key=poset.condition_key)])
-        choices.append({lab: render(x) for lab, x in f.items()})
+        choices.append({lab: repr(x) for lab, x in f.items()})
     expected = 1
     for lab in family.labels:
         expected *= level * len(family.blocks[lab])
@@ -225,7 +224,7 @@ def run_thm2(ids, family) -> dict:
             roundtrip_ok = False
         seen.add(g)
         taus.append(tau)
-        extracted.append({lab: render(x) for lab, x in g.items()})
+        extracted.append({lab: repr(x) for lab, x in g.items()})
     _check_report_size(*taus)
     witnesses = [name_json(flat, tau) for tau in taus]
     expected = 1
@@ -333,7 +332,7 @@ def run_hat(ids, asg, tau) -> dict:
     return {
         "mode": "hat", "assignment": ids[0], "name": ids[1],
         "hat_entries": len(hat.entries),
-        "orig_eval": render(orig), "hat_eval": render(hat_eval),
+        "orig_eval": repr(orig), "hat_eval": repr(hat_eval),
         "match": orig == hat_eval,
     }
 

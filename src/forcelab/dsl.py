@@ -647,4 +647,11 @@ class Parser:
 
 @takes(text=str)
 def parse_scenario(text: str) -> Scenario:
-    return Parser(text).parse()
+    """The scenario the text declares.  Reading a set, name or formula
+    recurses once per level of nesting, so nesting that outruns Python's
+    stack is a syntax error at the last token read."""
+    parser = Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        parser.fail("nested too deeply", parser.tokens[parser.pos - 1])

@@ -31,7 +31,6 @@ free variables, so no quantifier instance is built by substitution.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -48,13 +47,17 @@ from .formulas import (
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
-from .names import PName, _check_name, _closure
+from .names import PName, _check_name, _closure, _entry_key
 from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
-from .posets import Kernel, ONE, Poset, _bits, canon_key
+from .posets import Kernel, ONE, Poset, _bits
 
 # The most subsets of (condition, child) pairs a NameSpace admits; its walk
 # visits only the first subset of each class.
 MAX_UNIVERSE = 1 << 17
+
+# Both routes recurse once per level of a formula and of its names, so
+# nesting past Python's stack is refused with this message.
+_TOO_DEEP = "the formula or its names are nested too deeply to decide"
 
 
 @takes(poset=Poset, base_names=[PName], rank_bound=int)
@@ -84,9 +87,10 @@ class NameSpace:
     universe needs no key table and no sort; only the few closure names
     kept are placed by bisection.  A class's name is interned only when it
     is read: the routes' ``RankLE`` ranges and :func:`mp_witness_search`
-    intern the universe in doubling chunks as far as they read it, as does
-    :meth:`names_of_rank_le`; ``universe`` and ``in`` intern all of it, and
-    ``len(space)`` nothing.
+    intern the universe in doubling chunks as far as they read it, as do
+    :meth:`names_of_rank_le` and ``in``, which stops at the name asked or
+    past its rank; ``universe`` interns all of it, and ``len(space)``
+    nothing.
 
     A class mask is a set of (condition, value) bits, so it fixes its
     name's value along every filter.  The space keeps the mask of each
@@ -112,7 +116,7 @@ class NameSpace:
         k = poset.kernel()
         pool = [ONE] + [c for c in k.conds if c != poset.top]
         pairs = [(c, s) for c in pool for s in eligible]
-        pairs.sort(key=lambda e: (canon_key(e[0]), e[1].key()))
+        pairs.sort(key=_entry_key)
         bits: dict[tuple[int, HF], int] = {}
         masks = [_pair_mask(k, bits, c, s) for c, s in pairs]
         ranks = [1 + s.rank for _, s in pairs]
@@ -168,8 +172,7 @@ class NameSpace:
                 return item.key()
             combo = item[1]
             return (max((ranks[j] for j in combo), default=0), len(combo),
-                    tuple((canon_key(pairs[j][0]), pairs[j][1].key())
-                          for j in combo))
+                    tuple(_entry_key(pairs[j]) for j in combo))
 
         # The universe in order: each class as its (mask, first subset)
         # until ``_grow`` interns its name there, and the few kept names
@@ -204,13 +207,16 @@ class NameSpace:
         order, start = self._order, self._done
         if start == len(order):
             return False
-        self._done = stop = min(len(order), start + max(start, 4))
+        stop = min(len(order), start + max(start, 4))
         for at in range(start, stop):
             if type(order[at]) is tuple:
                 mask, combo = order[at]
                 es = frozenset(map(self._pairs.__getitem__, combo))
                 n = order[at] = PName(es)
                 (self._masks if n.entries is es else self._unchecked)[n] = mask
+        # Set last: a grow cut short, as by a RecursionError deep in a
+        # route, leaves no (mask, first subset) pair before ``_done``.
+        self._done = stop
         return True
 
     def _read(self, k=math.inf):
@@ -224,20 +230,14 @@ class NameSpace:
             yield tau
             at += 1
 
-    @functools.cached_property
+    @property
     def universe(self) -> tuple[PName, ...]:
         """Every name of the space, in canonical order."""
-        while self._grow():
-            pass
-        return tuple(self._order)
-
-    @functools.cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.universe)
+        return tuple(self._read())
 
     @takes(name=PName)
     def __contains__(self, name: PName) -> bool:
-        return name in self._members
+        return name in self._read(name.rank)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -313,7 +313,10 @@ class _Forcer:
 
     def forces_sem(self, p: int, phi: Formula, env=None) -> bool:
         k = self.k
-        return not k.down[p] & k.minimal & ~self.truth(phi, env)
+        try:
+            return not k.down[p] & k.minimal & ~self.truth(phi, env)
+        except RecursionError:
+            raise InvalidInput(_TOO_DEEP) from None
 
     def truth(self, phi: Formula, env=None) -> int:
         """[[phi]] under env: the mask of the minimal conditions a such that
@@ -372,7 +375,10 @@ class _Forcer:
     # -- syntactic route: F(phi), the conditions that force phi -------------
 
     def forces_syn(self, p: int, phi: Formula) -> bool:
-        return bool(self.forcing(phi) >> p & 1)
+        try:
+            return bool(self.forcing(phi) >> p & 1)
+        except RecursionError:
+            raise InvalidInput(_TOO_DEEP) from None
 
     def forcing(self, phi: Formula, env=None) -> int:
         """F(phi) under env: the mask of the conditions forcing it, by the
@@ -586,7 +592,10 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     entries, held = [], 0
     for beta in range(kappa):
         beta_check = _check_name(nat(beta))
-        held |= f.truth(theta, {var: beta_check})
+        try:
+            held |= f.truth(theta, {var: beta_check})
+        except RecursionError:
+            raise InvalidInput(_TOO_DEEP) from None
         entries.extend((k.conds[q], beta_check) for q in k.exts[i]
                        if not k.down[q] & held)
         if held == k.minimal:

@@ -2,8 +2,8 @@
 
 Every ground value in the laboratory (block elements, ordinals, encoded
 conditions, evaluated names) is a hereditarily finite set.  Instances are
-immutable and interned, so equal sets are one object, and they carry a
-canonical total order so that every enumeration in the package is
+immutable and interned, so equal sets are one object, and they sort by a
+canonical key (:meth:`HF.key`) so that every enumeration in the package is
 deterministic.
 """
 
@@ -109,12 +109,6 @@ class HF:
     def __deepcopy__(self, memo) -> "HF":
         return self
 
-    def __lt__(self, other: "HF") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "HF") -> bool:
-        return self.key() <= other.key()
-
     def __iter__(self) -> Iterator["HF"]:
         return iter(sorted(self.members, key=HF.key))
 
@@ -162,9 +156,3 @@ def kuratowski(a: HF, b: HF) -> HF:
 
 _nat_value = nat_value.__wrapped__  # undeclared, for the library's hot calls
 _kuratowski = kuratowski.__wrapped__
-
-
-@takes(h=HF)
-def render(h: HF) -> str:
-    """Canonical text form, ``repr(h)``."""
-    return repr(h)

@@ -81,18 +81,14 @@ class PName:
     def key(self) -> tuple:
         """Canonical sort key: (rank, size, sorted entry keys)."""
         if self._key is None:
-            self._key = (
-                self.rank,
-                len(self.entries),
-                tuple(sorted((canon_key(c), child.key())
-                             for c, child in self.entries)),
-            )
+            self._key = (self.rank, len(self.entries),
+                         tuple(map(_entry_key, self.sorted_entries())))
         return self._key
 
     def sorted_entries(self) -> tuple:
+        """The entries in canonical order, sorted once."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(
-                self.entries, key=lambda e: (canon_key(e[0]), e[1].key())))
+            self._sorted = tuple(sorted(self.entries, key=_entry_key))
         return self._sorted
 
     __hash__ = object.__hash__
@@ -109,15 +105,19 @@ class PName:
     def __deepcopy__(self, memo) -> "PName":
         return self
 
-    def __lt__(self, other):
-        return self.key() < other.key()
-
     def __repr__(self):
         if not self.entries:
             return "name{}"
         parts = ",".join(f"({c!r},{child!r})"
                          for c, child in self.sorted_entries())
         return "name{" + parts + "}"
+
+
+def _entry_key(entry: tuple) -> tuple:
+    """The canonical order of (condition, name) entries: by condition, then
+    by name.  Names sort their entries by it and name spaces their pairs."""
+    cond, child = entry
+    return canon_key(cond), child.key()
 
 
 EMPTY_NAME = PName()

@@ -31,7 +31,7 @@ from .errors import (
     pass_on_callers,
     takes,
 )
-from .hf import HF, _kuratowski, nat, render
+from .hf import HF, _kuratowski, nat
 
 
 class _TopSentinel:
@@ -483,7 +483,7 @@ class Family:
 
     def __repr__(self):
         parts = ", ".join(
-            f"{lab}: {{{','.join(render(v) for v in self.sorted_block(lab))}}}"
+            f"{lab}: {{{','.join(map(repr, self.sorted_block(lab)))}}}"
             for lab in self.labels)
         return f"Family({parts})"
 
@@ -574,7 +574,7 @@ class ChoicePoset(Poset):
         return _kuratowski(nat(c[0]), c[1])
 
     def condition_repr(self, c) -> str:
-        return f"({c[0]},{render(c[1])})"
+        return f"({c[0]},{c[1]!r})"
 
     def condition_key(self, c) -> tuple:
         return (c[0], c[1].key())
@@ -655,17 +655,9 @@ class MapPoset(Poset):
         return _is_item(x) and x in items
 
     def is_condition(self, c) -> bool:
-        if not isinstance(c, frozenset):
-            return False
-        for entry in c:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                return False
-            u, v = entry
-            if not self._valid_item(u, self.dom_items):
-                return False
-            if not self._valid_item(v, self.cod_items):
-                return False
-        return is_map(c, self.injective)
+        return isinstance(c, frozenset) and is_map(c, self.injective) and all(
+            self._valid_item(u, self.dom_items)
+            and self._valid_item(v, self.cod_items) for u, v in c)
 
     def _le(self, p, q) -> bool:
         return p >= q

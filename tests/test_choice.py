@@ -27,6 +27,10 @@ class TestChoiceFunction:
         with pytest.raises(ValueEscapesBlock):
             ChoiceFunction(FAM, {"a": nat(2), "b": nat(2)})
 
+    def test_repr_lists_the_blocks_in_family_order(self):
+        f = ChoiceFunction(FAM, {"b": nat(2), "a": nat(1)})
+        assert repr(f) == "choice{a->1,b->2}"
+
     def test_all_choice_functions_count(self):
         assert len(all_choice_functions(FAM)) == 2
         fam3 = Family([("a", [nat(0), nat(1)]), ("b", [nat(2), nat(3)])])

@@ -159,6 +159,13 @@ BAD_KWARG_OR_NAME = {
         "family F { a: {0,1} b: {2} }\nposet P flat F\n"
         "name t over P = { (zz, check(0)) }\nformula theta(x) = x in t\n"
         "command witness P 1 theta rank=1\n"),
+    # The parser reads 600 negations, but the routes would outrun
+    # Python's stack deciding them.
+    "formula-nested-past-the-stack": (
+        "forces", "invalid-input",
+        "family F { a: {0} }\nposet P flat F\n"
+        "formula phi = " + "not " * 600 + "check(0) in check(1)\n"
+        "command forces P 1 phi\n"),
 }
 
 
@@ -171,6 +178,40 @@ def test_bad_kwarg_or_name_exits_2_without_traceback(tmp_path, verb, code,
     out = run_cli(verb, str(bad))
     assert out.returncode == 2 and out.stderr == ""
     assert json.loads(out.stdout)["error"]["code"] == code
+
+
+# Nesting that outruns Python's stack while the file is read is a syntax
+# error at the last token read, one of the nest's brackets on line 3;
+# nesting within the stack answers.
+NESTED = {
+    "set-literal-250": ("name t = check(" + "{" * 250 + "}" * 250 + ")\n"
+                        "formula phi = t = t\n", False),
+    "parentheses-300": ("formula phi = " + "(" * 300 + "check(0) in check(1)"
+                        + ")" * 300 + "\n", False),
+    "set-literal-150": ("name t = check(" + "{" * 150 + "}" * 150 + ")\n"
+                        "formula phi = t = t\n", True),
+    "negations-300": ("formula phi = " + "not " * 300
+                      + "check(0) in check(1)\n", True),
+}
+
+
+@pytest.mark.parametrize("body, answers", NESTED.values(), ids=NESTED.keys())
+def test_nesting_is_a_syntax_error_only_past_the_stack(tmp_path, body, answers):
+    text = "family F { a: {0} }\nposet P flat F\n" + body + \
+        "command forces P 1 phi\n"
+    bad = tmp_path / "deep.fl"
+    bad.write_text(text)
+    out = run_cli("forces", str(bad))
+    assert out.stderr == ""
+    report = json.loads(out.stdout)
+    if answers:
+        assert out.returncode == 0
+        assert (report["forces"], report["routes_agree"]) == (True, True)
+    else:
+        err = report["error"]
+        assert (out.returncode, err["code"], err["line"]) == \
+            (1, "syntax-error", 3)
+        assert text.splitlines()[2][err["col"] - 1] in "{}()"
 
 
 DECLARATIONS = ("family F { a: {0} b: {1} }\nposet P flat F\n"

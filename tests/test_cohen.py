@@ -38,6 +38,9 @@ class TestAssignment:
 
     def test_distinct_columns(self):
         assert ASG.has_distinct_columns()
+
+    def test_repr_lists_rows(self):
+        assert repr(ASG) == "assignment[01|10]"
         assert not Assignment(GRID, [1, 1, 0, 0]).has_distinct_columns()
 
     def test_as_condition_and_filter(self):
@@ -218,6 +221,19 @@ class TestFilterTranslation:
     def test_section_conditions_collision(self):
         with pytest.raises(ColumnCollision):
             section_g1_conditions({0: frozenset({1}), 1: frozenset({1})})
+
+    def test_equal_sections_hash_alike(self):
+        sections = {ASG.filter(),
+                    GridSectionFilter(GRID, [(1, frozenset({0})),
+                                             (0, frozenset({1}))]),
+                    GridSectionFilter(GRID, {0: frozenset({1})})}
+        assert len(sections) == 2
+        assert GridSectionFilter(GRID, {0: frozenset({1})}) in sections
+
+    def test_section_repr_is_canonical(self):
+        section = GridSectionFilter(GRID, {1: frozenset({1, 0}),
+                                           0: frozenset()})
+        assert repr(section) == "section{0->{},1->{0,1}}"
 
 
 class TestInjectionPoset:

@@ -5,6 +5,7 @@ import gc
 import io
 import itertools
 import random
+import sys
 import time
 import weakref
 from pathlib import Path
@@ -314,7 +315,8 @@ class TestNameSpace:
         # interns none.  Along each generic filter tau is 0 or 1-check, the
         # first two names, so both routes decide "exists x [rank <= 1]
         # x = tau" in the first chunk, and the witness search stops at
-        # tau's own class, the twelfth.  An eager space would intern all 48.
+        # tau's own class, the twelfth, as does "tau in space".  An eager
+        # space would intern all 48.
         poset = fn_omega_omega(2, 2)
         c = poset.conditions()
         tau = PName([(c[1], EMPTY_NAME), (c[3], EMPTY_NAME)])
@@ -323,12 +325,13 @@ class TestNameSpace:
         interned = []
         for ask in (lambda s: forces_semantic(poset, ONE, phi, s),
                     lambda s: forces_syntactic(poset, ONE, phi, s),
-                    lambda s: mp_witness_search(poset, ONE, theta, s)):
+                    lambda s: mp_witness_search(poset, ONE, theta, s),
+                    lambda s: tau in s):
             space = NameSpace(poset, BASES, 1)
             assert len(space) == 48 and space._done == 0
             assert ask(space)
             interned.append(space._done)
-        assert interned == [4, 4, 16]
+        assert interned == [4, 4, 16, 16]
         assert space.universe.index(tau) == 11
 
     def test_size_guard(self):
@@ -361,6 +364,56 @@ class TestNameSpace:
 
 
 BASES = (EMPTY_NAME, check_name(nat(1)))
+
+
+def nots(depth, phi):
+    """phi under depth negations."""
+    for _ in range(depth):
+        phi = Not(phi)
+    return phi
+
+
+# Both routes recurse once per level of the formula, so 600 negations
+# outrun Python's stack, and each entry point refuses them with a code.
+NESTED_PAST_THE_STACK = {
+    "semantic": lambda poset, phi: forces_semantic(poset, ONE, phi),
+    "syntactic": lambda poset, phi: forces_syntactic(poset, ONE, phi),
+    "witness": lambda poset, phi: mp_witness_search(
+        poset, ONE, And(phi, Member(Var("x"), Cname(GAMMA))),
+        NameSpace(poset, (GAMMA,), 1)),
+    "least-ordinal": lambda poset, phi: least_ordinal_name(
+        poset, ONE, 3, And(phi, Member(Var("x"), Cname(check_name(nat(3)))))),
+}
+
+
+@pytest.mark.parametrize("call", NESTED_PAST_THE_STACK.values(),
+                         ids=NESTED_PAST_THE_STACK.keys())
+def test_formula_nested_past_the_stack_is_refused(call):
+    # A fresh poset each time: the routes' masks live on its kernel, and a
+    # memoized inner level would shorten the recursion.
+    phi = Eq(A_CHECK, A_CHECK)
+    with pytest.raises(InvalidInput, match="nested too deeply"):
+        call(FlatPoset(FAM), nots(600, phi))
+    call(FlatPoset(FAM), nots(300, phi))
+
+
+def test_a_refusal_leaves_its_space_readable():
+    # A route refused past the stack may be cut short while it interns
+    # its space's names.  The depths bracket the stack's limit, so some
+    # refusal lands inside the interning; each space must read as a fresh
+    # one does afterwards.
+    limit = sys.getrecursionlimit() // 2
+    theta = Exists("x", RankLE(1), Eq(Var("x"), Cname(check_name(nat(7)))))
+    eager = NameSpace(FLAT, BASES, 1).universe
+    refused = 0
+    for depth in range(limit - 200, limit + 20):
+        space = NameSpace(FLAT, BASES, 1)
+        try:
+            forces_semantic(FLAT, ONE, nots(depth, theta), space)
+        except InvalidInput:
+            refused += 1
+        assert space.universe == eager, depth
+    assert 0 < refused < 220
 
 
 def chain():

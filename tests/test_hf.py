@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
-    EMPTY, HF, InvalidInput, kuratowski, nat, nat_value, render,
+    EMPTY, HF, InvalidInput, kuratowski, nat, nat_value,
 )
 
 
@@ -23,6 +23,10 @@ class TestConstruction:
     def test_membership_is_set_like(self):
         s = HF([EMPTY, EMPTY, HF([EMPTY])])
         assert len(s.members) == 2
+
+    def test_len_counts_members(self):
+        assert (len(EMPTY), len(nat(3)), len(HF([nat(2), nat(2)]))) == \
+            (0, 3, 1)
 
     def test_nat_von_neumann(self):
         assert nat(0) == EMPTY
@@ -59,9 +63,9 @@ class TestOrderAndRender:
             assert a.rank == 0
 
     def test_render_nat_shorthand(self):
-        assert render(nat(2)) == "2"
-        assert render(HF([nat(1)])) == "{1}"
-        assert render(HF([EMPTY, HF([nat(1)])])) == "{0,{1}}"
+        assert repr(nat(2)) == "2"
+        assert repr(HF([nat(1)])) == "{1}"
+        assert repr(HF([EMPTY, HF([nat(1)])])) == "{0,{1}}"
 
     def test_kuratowski(self):
         pair = kuratowski(nat(1), nat(2))

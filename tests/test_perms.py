@@ -93,6 +93,18 @@ class TestPerm:
         with pytest.raises(InvalidInput):
             transposition(4, 4)
 
+    def test_equal_perms_hash_alike_in_any_cycle_order(self):
+        perms = {Perm([(3, 1, 2), (5, 4)]), Perm([(4, 5), (2, 3, 1)]),
+                 Perm((), [std_chain()])}
+        assert len(perms) == 2
+        assert Perm([(3, 1, 2), (5, 4)]) in perms
+
+    def test_repr_is_canonical(self):
+        assert repr(Perm([(4, 5), (2, 3, 1)])) == "perm (1 2 3) (4 5)"
+        assert repr(Perm()) == "perm id"
+        assert repr(Perm((), [std_chain()])) == \
+            "perm chain[0..4](3, 1, 0, 2, 4)"
+
 
 def random_perm(rng, fix_below=0):
     """Disjoint random cycles and at most one chain above a floor."""

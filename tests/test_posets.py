@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (
-    BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
+    HF, BinaryTreePoset, ChoicePoset, CohenGridPoset, ExplicitPoset, Family,
     Filter, FlatPoset, InjPoset, InvalidInput, MapPoset, ONE,
     TruncationEscape,
     UnknownCondition, enumerate_maximal_antichains,
@@ -140,6 +140,11 @@ class TestFlatPoset:
         g = generic_filter(flat, "a")
         assert "a" in g and flat.top in g and "b" not in g
         assert g.is_filter()
+
+    def test_family_and_filter_reprs_are_canonical(self):
+        fam = Family([("b", [HF([nat(1)]), nat(2)]), ("a", [nat(1), nat(0)])])
+        assert repr(fam) == "Family(b: {{1},2}, a: {0,1})"
+        assert repr(Filter(FlatPoset(FAM21), ["1", "b"])) == "Filter(b,1)"
 
 
 class TestChoicePoset:

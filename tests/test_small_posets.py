@@ -436,10 +436,11 @@ def rank_spaces():
 
 def test_lazy_universe_is_the_same_whatever_is_read_first():
     # A space interns its names only as far as a reader reaches.  Whatever
-    # is read first (len, names_of_rank_le, the universe, or a route that
-    # stops early), each RankLE(k) range the routes share yields exactly the
-    # universe's prefix of rank at most k, as does names_of_rank_le(k), and
-    # the universe is the one read first on a fresh space.
+    # is read first (len, names_of_rank_le, the universe, in, or a route
+    # that stops early), each RankLE(k) range the routes share yields
+    # exactly the universe's prefix of rank at most k, as does
+    # names_of_rank_le(k), and the universe is the one read first on a
+    # fresh space.
     start = time.monotonic()
     x = Var("x")
     spaces = 0
@@ -448,6 +449,7 @@ def test_lazy_universe_is_the_same_whatever_is_read_first():
         eager = NameSpace(poset, names, r).universe
         for first in (len, lambda s: s.names_of_rank_le(0),
                       lambda s: s.universe,
+                      lambda s: eager[len(eager) // 2] in s,
                       lambda s: _forcer(poset, s).forces_sem(0, phi),
                       lambda s: _forcer(poset, s).forces_syn(0, phi)):
             space = NameSpace(poset, names, r)

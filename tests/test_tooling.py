@@ -134,7 +134,7 @@ EXPORTS = {
         "NotMaximalBelow OutOfRange ParseError PreconditionViolated "
         "ReportTooLarge TruncationEscape UnknownCondition "
         "UnresolvedReference ValueEscapesBlock"),
-    "hf": "EMPTY HF kuratowski nat nat_value render",
+    "hf": "EMPTY HF kuratowski nat nat_value",
     "posets": (
         "BinaryTreePoset ChoicePoset CohenGridPoset ExplicitPoset Family "
         "Filter FlatPoset InjPoset MapPoset ONE Poset "
@@ -221,7 +221,7 @@ def test_star_import_binds_the_exported_names():
     bound: dict = {}
     exec("from forcelab import *", bound)
     del bound["__builtins__"]
-    assert len(bound) == 116
+    assert len(bound) == 115
     assert set(bound) == {*EXPORTS, *" ".join(EXPORTS.values()).split()}
     assert set(bound) <= set(dir(forcelab))
 
@@ -308,3 +308,43 @@ def test_forwarding_twins_are_caught():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_declared_callable_forwards_to_a_private_twin(path):
     assert forwarding_twins(ast.parse(path.read_text())) == []
+
+
+def cached_properties(tree: ast.Module) -> list[int]:
+    """The lines that name ``cached_property``, imported, read or applied."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if getattr(node, "id", None) == "cached_property"
+                   or getattr(node, "attr", None) == "cached_property"
+                   or any(a.name == "cached_property"
+                          for a in getattr(node, "names", ()))})
+
+
+def test_cached_properties_are_caught():
+    tree = ast.parse("import functools\n"
+                     "from functools import cached_property as cp\n"
+                     "class A:\n    @functools.cached_property\n"
+                     "    def x(self):\n        return 1\n")
+    assert cached_properties(tree) == [2, 4]
+
+
+# A value computed on first read lives in an attribute that ``__init__``
+# sets, or is read again through a method.  A ``functools.cached_property``
+# stores into the instance ``__dict__`` on first read, which on CPython
+# 3.11 makes every later attribute load on that instance slower.
+def test_no_cached_property_in_the_package():
+    found = [(path.name, line) for path in PACKAGE
+             for line in cached_properties(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_reading_a_space_adds_no_attribute():
+    poset = forcelab.fn_omega_omega(2, 2)
+    bases = (forcelab.EMPTY_NAME, forcelab.check_name(forcelab.nat(1)))
+    last = forcelab.NameSpace(poset, bases, 1).universe[-1]
+    readers = (lambda s: s.universe, len, lambda s: last in s,
+               lambda s: s.names_of_rank_le(1))
+    for read in (*readers, lambda s: [r(s) for r in readers * 2]):
+        space = forcelab.NameSpace(poset, bases, 1)
+        keys = list(vars(space))
+        read(space)
+        assert list(vars(space)) == keys
