@@ -24,7 +24,7 @@ from .choice import (
 from .cohen import (
     e_dense, g1_to_g, g_to_g1, hat_map, r_sigma_name,
 )
-from .dsl import Command, Parser, Scenario, parse_scenario
+from .dsl import Command, Parser, Scenario, Token, parse_scenario
 from .errors import ForceLabError, InvalidInput, ParseError, ReportTooLarge
 from .forcing import (
     NameSpace, forces_semantic, forces_syntactic, least_ordinal_name,
@@ -404,6 +404,11 @@ def usage(row: str) -> str:
     return " ".join(words)
 
 
+def _literal(tok: Token):
+    """The value a command argument's token writes: an int or a word."""
+    return int(tok.text) if tok.kind == "int" else tok.text
+
+
 def _resolve_cond(scenario: Scenario, poset: Poset, arg):
     """A condition argument: 1, a declared cond, or a bare element name."""
     if isinstance(arg, int):
@@ -427,16 +432,16 @@ def run_command(scenario: Scenario, cmd: Command) -> dict:
     """The report of a scenario's command: its row of HANDLERS, chosen by
     the verb and, for a verb with modes, the first argument, resolves every
     argument, and the row's handler runs on the values."""
-    row, args, first = cmd.verb, cmd.args, 0
+    row, args = cmd.verb, cmd.args
     if row not in HANDLERS:
         modes = [key for key in HANDLERS if key.split()[0] == cmd.verb]
-        row = f"{cmd.verb} {args[0]}" if args else None
+        row = f"{cmd.verb} {args[0].text}" if args else None
         if row not in modes:
             raise InvalidInput("usage: " + "; ".join(map(usage, modes))
                                if modes else f"unknown verb {cmd.verb!r}")
-        args, first = args[1:], 1
+        args = args[1:]
     kinds, keywords, handler = HANDLERS[row]
-    for key, tok in cmd.key_tokens.items():
+    for key, (tok, _) in cmd.kwargs.items():
         if key not in keywords:
             raise ParseError(f"command {row} reads no keyword {key!r}",
                              tok.line, tok.col)
@@ -444,33 +449,35 @@ def run_command(scenario: Scenario, cmd: Command) -> dict:
             len(args) > len(kinds) and kinds[-1] != "name...":
         raise InvalidInput("usage: " + usage(row))
     values, owner = [], None
-    for i, (kind, arg) in enumerate(zip(kinds, args), first):
+    for i, (kind, tok) in enumerate(zip(kinds, args)):
+        arg = _literal(tok)
         if kind == "cond":
             values.append(_resolve_cond(scenario, owner, arg))
         elif kind == "name...":
-            values.append([scenario.lookup(n, "name", tok=cmd.tokens.get(j))
-                           for j, n in enumerate(args[i - first:], i)])
+            values.append([scenario.lookup(_literal(t), "name", tok=t)
+                           for t in args[i:]])
         elif kind == "conds":
-            over, conds = scenario.lookup(arg, kind, tok=cmd.tokens.get(i))
+            over, conds = scenario.lookup(arg, kind, tok=tok)
             if over is not owner:
                 raise InvalidInput(
                     f"conditions {arg!r} were declared over another poset")
             values.append(conds)
         else:
-            values.append(scenario.lookup(arg, kind, tok=cmd.tokens.get(i)))
+            values.append(scenario.lookup(arg, kind, tok=tok))
             owner = values[-1].grid if kind == "assignment" else values[-1]
     options = {}
     for key, default in keywords.items():
-        value = cmd.kwarg(key, default)
+        _, tok = cmd.kwargs.get(key, (None, None))
+        value = default if tok is None else _literal(tok)
         if value is _REQUIRED:
             raise InvalidInput(f"the command needs {key}=; usage: "
                                + usage(row))
         if key in _DECLARED:
-            value = scenario.lookup(value, key, tok=cmd.tokens.get(key))
+            value = scenario.lookup(value, key, tok=tok)
         elif value is not None and not isinstance(value, int):
             raise InvalidInput(f"{key} must be an integer")
         options[key] = value
-    return handler(args, *values, **options)
+    return handler([t.text for t in args], *values, **options)
 
 
 # Built once at import: the options never change, and building them again
@@ -556,6 +563,14 @@ def _run(argv: Optional[list[str]]) -> int:
         return 1
     except ForceLabError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}},
+              opts.pretty)
+        return 2
+    except RecursionError:
+        # Handlers and the report writer recurse once per level of a set
+        # or name; the parser and the routes refuse their own nesting.
+        _emit({"error": {"code": InvalidInput.code, "message":
+                         "the command's names are nested too deeply to run "
+                         "or report"}},
               opts.pretty)
         return 2
 

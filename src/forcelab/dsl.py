@@ -122,23 +122,16 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-@takes(verb=str, args=tuple, kwargs=tuple, tokens=dict, key_tokens=dict)
+@takes(verb=str, args=tuple, kwargs=dict)
 @dataclass(frozen=True)
 class Command:
+    """A command as written: its verb, the tokens of its positional
+    arguments, and each keyword mapped to (key token, value token), so
+    that an error about an argument carries the position of its token."""
+
     verb: str
     args: tuple = ()
-    kwargs: tuple = ()
-    # Where each argument was written, so that an error about it can carry
-    # its position: its index in ``args``, or the key of a keyword
-    # argument, to the token of its value; and each key to its own token.
-    tokens: dict = field(default_factory=dict, compare=False, repr=False)
-    key_tokens: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def kwarg(self, key: str, default=None):
-        for k, v in self.kwargs:
-            if k == key:
-                return v
-        return default
+    kwargs: dict = field(default_factory=dict)
 
 
 @takes(entities=dict, command=Command)
@@ -296,10 +289,8 @@ class Parser:
             poset = FlatPoset(self.ref("family"))
         elif kind == "choice":
             family = self.ref("family")
-            level = None
-            if self.accept("ident", "level"):
-                self.expect("punct", "=")
-                level = self.int_value()
+            level = self.setting("level") if self.peek().text == "level" \
+                else None
             poset = ChoicePoset(family, level)
         elif kind in ("fn", "inj"):
             dom = self.setting("dom")
@@ -341,9 +332,7 @@ class Parser:
         return tok.text
 
     def parse_grid(self):
-        cols = self.setting("cols")
-        rows = self.setting("rows")
-        return CohenGridPoset(cols, rows)
+        return CohenGridPoset(self.setting("cols"), self.setting("rows"))
 
     def parse_assignment(self):
         grid = self.ref("grid")
@@ -373,10 +362,7 @@ class Parser:
         if poset is None:
             self.fail("a condition other than 1 needs a poset context", tok)
         if poset.kind in ("explicit", "flat"):
-            if tok.kind not in ("ident", "int"):
-                self.fail("expected an element name", tok)
-            self.next()
-            return tok.text
+            return self.element()
         if poset.kind == "choice":
             self.expect("punct", "(")
             level = self.int_value()
@@ -401,19 +387,22 @@ class Parser:
             return "".join(str(b) for b in bits)
         self.fail(f"no condition syntax for poset kind {poset.kind!r}", tok)
 
-    def parse_cond_decl(self):
+    def parse_over(self):
+        """``"over" ID "="``, the head of a cond or conds declaration: the
+        poset or grid its conditions are read over."""
         self.expect("ident", "over")
         poset = self.ref("poset", "grid")
         self.expect("punct", "=")
-        cond = self.parse_condition(poset)
-        return (poset, cond)
+        return poset
+
+    def parse_cond_decl(self):
+        poset = self.parse_over()
+        return (poset, self.parse_condition(poset))
 
     def parse_conds_decl(self):
-        self.expect("ident", "over")
-        poset = self.ref("poset", "grid")
-        self.expect("punct", "=")
-        conds = self.seq("{", "}", lambda: self.parse_condition(poset))
-        return (poset, tuple(conds))
+        poset = self.parse_over()
+        return (poset, tuple(self.seq("{", "}",
+                                      lambda: self.parse_condition(poset))))
 
     # -- names -----------------------------------------------------------------
 
@@ -595,38 +584,21 @@ class Parser:
         self.expect("ident", "command")
         verb = self.ident()
         args = []
-        kwargs = []
-        tokens = {}
-        key_tokens = {}
-        while True:
-            tok = self.peek()
-            if tok.kind == "end":
-                break
-            if tok.kind == "int":
-                tokens[len(args)] = tok
-                args.append(int(self.next().text))
-                continue
-            if tok.kind == "ident":
-                name = self.next().text
-                if self.accept("punct", "="):
-                    if name in key_tokens:
-                        self.fail(f"keyword {name!r} is given twice", tok)
-                    key_tokens[name] = tok
-                    vtok = self.next()
-                    if vtok.kind == "int":
-                        kwargs.append((name, int(vtok.text)))
-                    elif vtok.kind == "ident":
-                        kwargs.append((name, vtok.text))
-                    else:
-                        self.fail("expected a value after '='", vtok)
-                    tokens[name] = vtok
-                else:
-                    tokens[len(args)] = tok
-                    args.append(name)
-                continue
-            self.fail("unexpected token in command arguments")
-        self.scenario.command = Command(verb, tuple(args), tuple(kwargs),
-                                        tokens, key_tokens)
+        kwargs = {}
+        while self.peek().kind != "end":
+            tok = self.next()
+            if tok.kind not in ("int", "ident"):
+                self.fail("unexpected token in command arguments", tok)
+            if tok.kind == "ident" and self.accept("punct", "="):
+                if tok.text in kwargs:
+                    self.fail(f"keyword {tok.text!r} is given twice", tok)
+                value = self.next()
+                if value.kind not in ("int", "ident"):
+                    self.fail("expected a value after '='", value)
+                kwargs[tok.text] = (tok, value)
+            else:
+                args.append(tok)
+        self.scenario.command = Command(verb, tuple(args), kwargs)
 
     # Each declaration keyword's handler: it reads the declaration after the
     # keyword and identifier and returns the entity, which is declared with

@@ -21,9 +21,10 @@ equality, on name pairs, with no name evaluated along a filter.  Between
 check-names they reduce to the check-name lemma: every condition forces
 x-check = y-check iff x = y, and x-check in y-check iff x in y, read off the
 interned names as ``t1 is t2`` and ``(ONE, t1) in t2.entries``.  The routes
-share the entry masks, so ``Kernel.below`` alone decides whether an entry's
-condition lies in a filter, and the bound ranges, but not answers; they
-agree on finite posets, and the test suite checks that formula by formula.
+share the kernel, whose entry masks let ``Kernel.below`` alone decide
+whether an entry's condition lies in a filter, and the name space, but no
+table of their own; they agree on finite posets, and the test suite checks
+that formula by formula.
 Both decide an open formula under an environment, the names bound to its
 free variables, so no quantifier instance is built by substitution.
 """
@@ -288,9 +289,10 @@ def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
 
 class _Forcer:
     """Route state for one name space over a compiled poset: [[phi]] masks
-    for the semantic route and F(phi) masks for the syntactic one, with its
-    atoms memoized by name pair.  The routes share only the kernel and the
-    bound ranges of ``_range``.  Conditions are kernel indices.
+    for the semantic route and F(phi) masks for the syntactic one, each
+    route's atoms memoized by kind and name pair in its one table.  The
+    routes share only the kernel and the space.  Conditions are kernel
+    indices.
 
     A formula is decided under an environment ``env``, the names bound to
     its free variables (None for a closed formula), and its mask is keyed
@@ -306,8 +308,6 @@ class _Forcer:
         self.space = None if space is None else weakref.proxy(space)
         self._truth: dict = {}
         self._forcing: dict = {}
-        self._atoms: dict = {}
-        self._ranges: dict = {}
 
     # -- semantic route: [[phi]] over the generic filters --------------------
 
@@ -423,13 +423,13 @@ class _Forcer:
 
     def atom(self, kind: type, t1: PName, t2: PName) -> int:
         """F(t1 = t2) or F(t1 in t2), as ``kind`` is Eq or Member.  The
-        atoms recurse on name pairs alone, memoized in ``_atoms``, without
-        building formulas."""
+        atoms recurse on name pairs alone, memoized in ``_forcing`` under
+        their (kind, t1, t2) key, without building formulas."""
         if t1.value is not None and t2.value is not None:
             holds = t1 is t2 if kind is Eq else (ONE, t1) in t2.entries
             return self.k.full if holds else 0
         key = (kind, t1, t2)
-        out = self._atoms.get(key)
+        out = self._forcing.get(key)
         if out is not None:
             return out
         k = self.k
@@ -446,7 +446,7 @@ class _Forcer:
                 for m, sig in k.entry_masks(a):
                     out |= m & ~self.atom(Member, sig, b)
             out = k.none_below(out)
-        self._atoms[key] = out
+        self._forcing[key] = out
         return out
 
     def _instances(self, phi, env):
@@ -461,16 +461,14 @@ class _Forcer:
 
     def _range(self, bound):
         """The names a quantifier bound ranges over, as (mask of the
-        conditions where each applies, name), memoized by the interned
-        bound: the one table the routes share.  A ``RankLE`` bound above
-        the space's rank bound is refused, as the space holds only part of
-        its range."""
-        out = self._ranges.get(bound)
-        if out is not None:
-            return out
+        conditions where each applies, name): a fresh iterable at each use,
+        read only as far as its quantifier reads it.  A ``RankLE`` bound
+        above the space's rank bound is refused, as the space holds only
+        part of its range."""
+        k = self.k
         if isinstance(bound, InName):
-            out = self.k.entry_masks(bound.name)
-        elif isinstance(bound, RankLE):
+            return k.entry_masks(bound.name)
+        if isinstance(bound, RankLE):
             if self.space is None:
                 raise InvalidInput(
                     "a rank-bounded quantifier needs an ambient name space")
@@ -478,24 +476,8 @@ class _Forcer:
                 raise InvalidInput(
                     f"a [rank <= {bound.bound}] bound exceeds the name "
                     f"space's rank bound {self.space.rank_bound}")
-            out = _RankRange(self.space, bound.bound, self.k.full)
-        else:  # OrdLT
-            out = tuple((self.k.full, _check_name(nat(i)))
-                        for i in range(bound.bound))
-        self._ranges[bound] = out
-        return out
-
-
-class _RankRange:
-    """A ``RankLE(k)`` range: (full mask, name) for each name of rank at
-    most k of the space, read off ``NameSpace._read``, so a route that stops
-    early interns no name past the last it read."""
-
-    def __init__(self, space, k: int, full: int):
-        self.space, self.k, self.full = space, k, full
-
-    def __iter__(self):
-        return zip(itertools.repeat(self.full), self.space._read(self.k))
+            return zip(itertools.repeat(k.full), self.space._read(bound.bound))
+        return ((k.full, _check_name(nat(i))) for i in range(bound.bound))
 
 
 def _name(term, env) -> PName:
@@ -559,7 +541,7 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
         if k.compat[a] >> b & 1:  # compat[a] has bit a, so repeats fail too
             raise NotMaximalBelow("antichain members are compatible")
     mask = sum(1 << j for j in indices)
-    for q in k.exts[i]:
+    for q in _bits(k.down[i]):
         if not k.compat[q] & mask:
             raise NotMaximalBelow(
                 f"nothing in the antichain is compatible with "
@@ -569,8 +551,7 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
         tau = check_kind(assignment.get(r), PName, "mix",
                          f"the name of antichain member {r!r}")
         for m, sigma in k.entry_masks(tau):
-            entries.extend((k.conds[s], sigma) for s in k.exts[j]
-                           if m >> s & 1)
+            entries.extend((k.conds[s], sigma) for s in _bits(k.down[j] & m))
     return PName(entries)
 
 
@@ -596,7 +577,7 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
             held |= f.truth(theta, {var: beta_check})
         except RecursionError:
             raise InvalidInput(_TOO_DEEP) from None
-        entries.extend((k.conds[q], beta_check) for q in k.exts[i]
+        entries.extend((k.conds[q], beta_check) for q in _bits(k.down[i])
                        if not k.down[q] & held)
         if held == k.minimal:
             break

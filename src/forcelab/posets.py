@@ -226,7 +226,7 @@ class Kernel:
     them off its structure.
     ``minimal`` masks the conditions with no proper extension (``minimals``
     lists them) and ``top`` is the index of the greatest element, or None.
-    ``exts``, ``compat`` and ``codes`` are built on first use.  The forcing
+    ``compat`` and ``codes`` are built on first use.  The forcing
     routes keep their state for formulas without a name space in
     ``forcer`` (a name space holds its own), names' values in ``value``
     and the generic filters in ``filter_at``, so all of it lives and dies
@@ -246,19 +246,11 @@ class Kernel:
         self.forcer = None  # forcing._Forcer, built on first use
         # Not functools.cached_property: on CPython 3.11 its first store
         # makes every later attribute load on the kernel several times slower.
-        self._exts: Optional[tuple[tuple[int, ...], ...]] = None
         self._compat: Optional[tuple[int, ...]] = None
         self._codes: Optional[tuple[HF, ...]] = None
         self._filters: dict[int, Filter] = {}
         self._entries: dict = {}
         self._values: dict = {}
-
-    @property
-    def exts(self) -> tuple[tuple[int, ...], ...]:
-        """``exts[i]`` lists the j set in ``down[i]``, ascending."""
-        if self._exts is None:
-            self._exts = tuple(tuple(_bits(m)) for m in self.down)
-        return self._exts
 
     @property
     def compat(self) -> tuple[int, ...]:

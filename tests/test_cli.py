@@ -100,6 +100,17 @@ def test_domain_error_exits_2(tmp_path):
     assert json.loads(out.stdout)["error"]["code"] == "invalid-input"
 
 
+def deep_witness(depth: int) -> str:
+    """A witness command whose target name nests ``depth`` levels, each a
+    single entry (1, the level below): the report writes its value along
+    the generic filter, a set nested as deep."""
+    tau = "{}"
+    for _ in range(depth):
+        tau = "{(1," + tau + ")}"
+    return ("family F { a: {0} }\nposet P flat F\nname t = " + tau + "\n"
+            "formula theta(x) = x = t\ncommand witness P 1 theta rank=1\n")
+
+
 BAD_KWARG_OR_NAME = {
     "rank-not-int": (
         "forces", "invalid-input",
@@ -166,6 +177,10 @@ BAD_KWARG_OR_NAME = {
         "family F { a: {0} }\nposet P flat F\n"
         "formula phi = " + "not " * 600 + "check(0) in check(1)\n"
         "command forces P 1 phi\n"),
+    # The file parses and the search finds the target, but writing the
+    # report would outrun Python's stack; 200 levels answer (below).
+    "witness-report-nested-past-the-stack": (
+        "witness", "invalid-input", deep_witness(250)),
 }
 
 
@@ -178,6 +193,18 @@ def test_bad_kwarg_or_name_exits_2_without_traceback(tmp_path, verb, code,
     out = run_cli(verb, str(bad))
     assert out.returncode == 2 and out.stderr == ""
     assert json.loads(out.stdout)["error"]["code"] == code
+
+
+def test_witness_report_nested_within_the_stack_answers(tmp_path):
+    path = tmp_path / "deep.fl"
+    path.write_text(deep_witness(200))
+    out = run_cli("witness", str(path))
+    assert (out.returncode, out.stderr) == (0, "")
+    report = json.loads(out.stdout)
+    # The value nests 200 levels over the empty set; HF sets print the
+    # natural 1 = {0} as a numeral.
+    assert report["found"]
+    assert report["evaluations"] == {"a": "{" * 199 + "1" + "}" * 199}
 
 
 # Nesting that outruns Python's stack while the file is read is a syntax
@@ -225,6 +252,16 @@ BAD_REFERENCE = {
     "unknown-grid-keyword": (
         "cohen", "sigma s = { (0,0) }\ncommand cohen conjugate s n=1 "
         "bound=3 grid=H\n", "unknown identifier", 6, 44),
+    # A mode verb's second argument, a conds argument and the tail of mix.
+    "unknown-hat-name": (
+        "cohen", "grid G cols = 1 rows = 1\nassignment a G [0]\n"
+        "command cohen hat a nope\n", "unknown identifier", 7, 21),
+    "unknown-edense-conds": (
+        "cohen", "grid G cols = 1 rows = 1\nassignment a G [0]\n"
+        "command cohen edense a D\n", "unknown identifier", 7, 24),
+    "unknown-mix-name": (
+        "mix", "conds A over P = { a, b }\nname t0 = check(0)\n"
+        "command mix P 1 A t0 nope\n", "unknown identifier", 7, 22),
 }
 
 

@@ -10,6 +10,7 @@ from forcelab import (
     ParseError, Perm, RankLE, UnresolvedReference, Var, check_name, nat,
     parse_scenario, PName, tokenize, xdot_name,
 )
+from forcelab.dsl import Token
 
 
 class TestTokenizer:
@@ -132,10 +133,14 @@ class TestDeclarations:
         assert sc.lookup("e", "perm") == Perm()
 
     def test_command(self):
+        # Each argument keeps its token, and each keyword its key's token
+        # and its value's, so an error about one carries its position.
         cmd = self.scenario().command
-        assert cmd == Command("forces", ("c", "phi"), (("pretty", 1),))
-        assert cmd.kwarg("pretty") == 1
-        assert cmd.kwarg("missing", 7) == 7
+        line = FULL.count("\n")
+        assert cmd == Command("forces", (
+            Token("ident", "c", line, 16), Token("ident", "phi", line, 18)),
+            {"pretty": (Token("ident", "pretty", line, 22),
+                        Token("int", "1", line, 31))})
 
     def test_command_is_optional(self):
         sc = parse_scenario("poset P fn dom = 1 cod = 1")

@@ -812,7 +812,8 @@ class TestReferenceOracle:
 
 def extensions(poset, p):
     k = poset.kernel()
-    return [k.conds[q] for q in k.exts[poset.index_of(p)]]
+    down = k.down[poset.index_of(p)]
+    return [q for j, q in enumerate(k.conds) if down >> j & 1]
 
 
 def reference_least_ordinal_name(poset, p, kappa, theta):
@@ -1021,6 +1022,19 @@ class TestRouteState:
             assert [ref() for ref in refs] == [None] * 20
         finally:
             gc.enable()
+
+    def test_ordinal_ranges_stop_where_their_quantifier_stops(self):
+        # 0-check is the first ordinal and settles the quantifier, so
+        # neither route builds the naturals below a million, which would
+        # not finish.
+        poset = FlatPoset(FAM)
+        phi = Exists("x", OrdLT(10**6),
+                     Eq(Var("x"), Cname(check_name(nat(0)))))
+        start = time.perf_counter()
+        for c in poset.conditions():
+            assert forces_semantic(poset, c, phi)
+            assert forces_syntactic(poset, c, phi)
+        assert time.perf_counter() - start < 0.5
 
     def test_no_instance_is_built_by_substitution(self, monkeypatch):
         """With subst refusing every call, the routes and the witness
@@ -1271,9 +1285,9 @@ class TestCheckNames:
         for kind in (Eq, Member):
             for t1, t2 in itertools.product(CHECKS, repeat=2):
                 f.atom(kind, t1, t2)
-        assert f._atoms == {}
+        assert f._forcing == {}
         gamma = gamma_name(poset)
         a = check_name(poset.condition_hf("a"))
         assert f.atom(Member, a, gamma) == poset.kernel().down[
             poset.index_of("a")]
-        assert list(f._atoms) == [(Member, a, gamma)]
+        assert list(f._forcing) == [(Member, a, gamma)]

@@ -75,9 +75,8 @@ def map_oracle(doms, cods, injective):
 
 def n2_compile(poset, conds, le, compatible):
     conds = tuple(sorted(conds, key=poset.condition_key))
-    exts = tuple(tuple(j for j, p in enumerate(conds) if le(p, q))
+    down = tuple(sum(1 << j for j, p in enumerate(conds) if le(p, q))
                  for q in conds)
-    down = tuple(sum(1 << j for j in e) for e in exts)
     minimals = tuple(i for i, m in enumerate(down) if m == 1 << i)
     try:
         codes = tuple(poset._condition_hf(c) for c in conds)
@@ -86,7 +85,6 @@ def n2_compile(poset, conds, le, compatible):
     return {
         "conds": conds,
         "down": down,
-        "exts": exts,
         "minimals": minimals,
         "minimal": sum(1 << i for i in minimals),
         "top": None if poset.top is None else conds.index(poset.top),
@@ -102,7 +100,7 @@ def compiled(poset):
         codes = k.codes
     except InvalidInput:
         codes = InvalidInput
-    return {"conds": k.conds, "down": k.down, "exts": k.exts,
+    return {"conds": k.conds, "down": k.down,
             "minimals": k.minimals, "minimal": k.minimal, "top": k.top,
             "compat": k.compat, "codes": codes}
 
@@ -294,7 +292,7 @@ def test_compiling_a_kernel_asks_no_order_question(monkeypatch):
     for poset, _ in cases():
         k = poset.kernel()
         assert poset.conditions() is k.conds
-        assert len(k.exts) == len(k.compat) == len(k.conds)
+        assert len(k.down) == len(k.compat) == len(k.conds)
         try:
             gamma_name(poset)
         except InvalidInput:  # str and set items encode as no set

@@ -325,8 +325,6 @@ class TestKernel:
         assert k.conds == conds
         for i, p in enumerate(conds):
             assert k.index[p] == i
-            assert k.exts[i] == tuple(j for j, q in enumerate(conds)
-                                      if poset.le(q, p))
             for j, q in enumerate(conds):
                 assert bool(k.down[i] >> j & 1) == poset.le(q, p)
                 assert bool(k.compat[i] >> j & 1) == poset.compatible(p, q)

@@ -348,3 +348,36 @@ def test_reading_a_space_adds_no_attribute():
         keys = list(vars(space))
         read(space)
         assert list(vars(space)) == keys
+
+
+def test_each_fact_has_one_store():
+    """The routes share only the kernel and the space, each keeping one
+    memo table; the kernel keeps one copy of its order; and a command keeps
+    each argument as its token, with no side table of positions."""
+    from forcelab import (
+        ONE, Cname, Eq, Exists, Forall, InName, Member, OrdLT, RankLE, Var,
+    )
+    family = forcelab.Family([("a", [forcelab.nat(0)]),
+                              ("b", [forcelab.nat(1)])])
+    poset = forcelab.FlatPoset(family)
+    gamma = forcelab.gamma_name(poset)
+    space = forcelab.NameSpace(poset, (gamma,), 1)
+    x, zero = Var("x"), Cname(forcelab.check_name(forcelab.nat(0)))
+    body = Member(x, Cname(gamma))
+    for bound in (InName(gamma), OrdLT(2), RankLE(1)):
+        for q in (Exists, Forall):
+            for route in (forcelab.forces_semantic, forcelab.forces_syntactic):
+                route(poset, ONE, q("x", bound, body), space)
+                if not isinstance(bound, RankLE):
+                    route(poset, ONE, q("x", bound, body))
+    forcelab.mix(poset, ONE, ("a", "b"),
+                 {"a": gamma, "b": forcelab.EMPTY_NAME})
+    forcelab.least_ordinal_name(poset, ONE, 2, Eq(x, zero))
+    assert forcelab.mp_witness_search(poset, ONE, body, space) is not None
+    k = poset.kernel()
+    for forcer in (space.forcer, k.forcer):
+        assert sorted(vars(forcer)) == ["_forcing", "_truth", "k", "space"]
+    assert not hasattr(k, "exts") and "_exts" not in vars(k)
+    command = parse_scenario("poset P fn dom = 1 cod = 1\n"
+                             "command forces P 1 phi rank=1\n").command
+    assert list(vars(command)) == ["verb", "args", "kwargs"]
