@@ -409,18 +409,16 @@ def _literal(tok: Token):
     return int(tok.text) if tok.kind == "int" else tok.text
 
 
-def _resolve_cond(scenario: Scenario, poset: Poset, arg):
-    """A condition argument: 1, a declared cond, or a bare element name."""
+def _resolve_cond(scenario: Scenario, poset: Poset, tok: Token):
+    """A condition argument: 1, a declared cond, or a bare element name.
+    A declared entity of another kind is refused at ``tok``'s position."""
+    arg = _literal(tok)
     if isinstance(arg, int):
         if arg == 1:
             return ONE
         raise InvalidInput("a numeric condition can only be 1")
-    entry = scenario.entities.get(arg)
-    if entry is not None:
-        kind, payload = entry
-        if kind != "cond":
-            raise InvalidInput(f"{arg!r} is a {kind}, expected a condition")
-        owner, cond = payload
+    if arg in scenario.entities:
+        owner, cond = scenario.lookup(arg, "cond", tok=tok)
         if owner is not poset:
             raise InvalidInput(
                 f"condition {arg!r} was declared over a different poset")
@@ -452,7 +450,7 @@ def run_command(scenario: Scenario, cmd: Command) -> dict:
     for i, (kind, tok) in enumerate(zip(kinds, args)):
         arg = _literal(tok)
         if kind == "cond":
-            values.append(_resolve_cond(scenario, owner, arg))
+            values.append(_resolve_cond(scenario, owner, tok))
         elif kind == "name...":
             values.append([scenario.lookup(_literal(t), "name", tok=t)
                            for t in args[i:]])

@@ -24,7 +24,9 @@ interned names as ``t1 is t2`` and ``(ONE, t1) in t2.entries``.  The routes
 share the kernel, whose entry masks let ``Kernel.below`` alone decide
 whether an entry's condition lies in a filter, and the name space, but no
 table of their own; they agree on finite posets, and the test suite checks
-that formula by formula.
+that formula by formula.  A name space walks its classes only when a
+reader first asks past its first name, the empty name, or asks its
+length, so a quantifier that the empty name settles costs no walk.
 Both decide an open formula under an environment, the names bound to its
 free variables, so no quantifier instance is built by substitution.
 """
@@ -86,11 +88,18 @@ class NameSpace:
     :data:`MAX_UNIVERSE` subsets with ``invalid-input`` before the poset
     is compiled.  The walk meets the classes in canonical order, so the
     universe needs no key table and no sort; only the few closure names
-    kept are placed by bisection.  A class's name is interned only when it
-    is read: the routes' ``RankLE`` ranges and :func:`mp_witness_search`
-    intern the universe in doubling chunks as far as they read it, as do
-    :meth:`names_of_rank_le` and ``in``, which stops at the name asked or
-    past its rank; ``universe`` interns all of it, and ``len(space)``
+    kept are placed by bisection.  The walk runs once, whole, the first
+    time a reader asks past the empty name or asks ``len(space)``.  The
+    empty name, the empty subset met first at rank 0, is always the first
+    name, so the space holds it from construction, and a reader that it
+    settles runs no walk.  Construction still refuses all it refused when
+    it ran the walk: a negative rank bound, the cap, and, through
+    ``Kernel.below``, a closure entry's condition that ``resolve``
+    refuses.  A class's name is interned only when it is read: the routes'
+    ``RankLE`` ranges and :func:`mp_witness_search` intern the empty name
+    alone, then the universe in doubling chunks as far as they read it, as
+    do :meth:`names_of_rank_le` and ``in``, which stops at the name asked
+    or past its rank; ``universe`` interns all of it, and ``len(space)``
     nothing.
 
     A class mask is a set of (condition, value) bits, so it fixes its
@@ -115,7 +124,40 @@ class NameSpace:
         if n >= MAX_UNIVERSE.bit_length():
             raise InvalidInput(f"name space too large: 2^{n} assembled names")
         k = poset.kernel()
-        pool = [ONE] + [c for c in k.conds if c != poset.top]
+        # Construction refuses what the walk would: every closure entry's
+        # condition passes Kernel.below, so one that ``resolve`` refuses
+        # raises here and not at a read.
+        for tau in closure:
+            for c, _ in tau.sorted_entries():
+                k.below(c)
+        self._k = k
+        # The walk's inputs until ``_walk`` runs, then None.
+        self._unwalked: Optional[tuple] = (closure, eligible)
+        # The universe in order: each class as its (mask, first subset)
+        # until ``_grow`` interns its name there, and the few kept names
+        # that were not assembled.  The empty subset, met first at rank 0,
+        # heads it, so the empty name is read before the walk runs.
+        self._order: list = [(0, ())]
+        self._done = 0
+        self._pairs: list = []
+        self._masks: dict[PName, int] = {}
+        self._unchecked: dict[PName, int] = {}
+        # Bit b is the pair (condition index, value) it numbers; no bit is
+        # numbered before the walk.
+        self._of_bit: list[HF] = []
+        self._at = [0] * len(k.conds)
+        self._values: dict[int, HF] = {}
+        # The routes' state for this space, built on first use.
+        self.forcer: Optional[_Forcer] = None
+
+    def _walk(self) -> None:
+        """Meet every class of the space after the empty name and place
+        the closure names kept, appending them to ``_order``.  It computes
+        into locals and commits last, so a walk cut short, as by a
+        RecursionError deep in a route, leaves the space as it found it."""
+        closure, eligible = self._unwalked
+        k = self._k
+        pool = [ONE] + [c for c in k.conds if c != self.poset.top]
         pairs = [(c, s) for c in pool for s in eligible]
         pairs.sort(key=_entry_key)
         bits: dict[tuple[int, HF], int] = {}
@@ -175,36 +217,35 @@ class NameSpace:
             return (max((ranks[j] for j in combo), default=0), len(combo),
                     tuple(_entry_key(pairs[j]) for j in combo))
 
-        # The universe in order: each class as its (mask, first subset)
-        # until ``_grow`` interns its name there, and the few kept names
-        # that were not assembled, placed by bisection.
-        self._order: list = list(best.items())
+        # The kept names that were not assembled are placed by bisection;
+        # no name comes before the empty name, the first class met.
+        order = list(best.items())
         for n in _closure(roots):
             combo = best.get(cls_of[n])
             if combo is None or \
                     n.entries != frozenset(map(pairs.__getitem__, combo)):
-                bisect.insort(self._order, n, key=key)
-        self._done = 0
-        self._pairs = pairs
-        self._masks: dict[PName, int] = {}
-        self._unchecked: dict[PName, int] = {}
+                bisect.insort(order, n, key=key)
         # Bits are numbered in the order met, so ``bits`` lists them in
-        # order: bit b is the pair (condition index, value) it numbers.
-        self._k = k
-        self._of_bit = [v for _, v in bits]
-        self._at = [0] * len(k.conds)
+        # order.
+        at = [0] * len(k.conds)
         for b, (i, _) in enumerate(bits):
-            self._at[i] |= 1 << b
-        self._values: dict[int, HF] = {}
-        # The routes' state for this space, built on first use.
-        self.forcer: Optional[_Forcer] = None
+            at[i] |= 1 << b
+        self._pairs = pairs
+        self._of_bit = [v for _, v in bits]
+        self._at = at
+        # Extended in place, past the empty name, for readers under way.
+        self._order.extend(order[1:])
+        self._unwalked = None
 
     def _grow(self) -> bool:
         """Intern the universe's next names, as many as are interned
-        already and at least 4; False when every one is.  PName keeps the
+        already and at least 4, after running the walk if they lie past
+        the empty name; False when every one is.  PName keeps the
         frozenset it is given unless an equal name is already interned:
         such a stale name, from an earlier equal space or a constant, may
         hold other condition objects, which ``_value`` checks first."""
+        if self._unwalked is not None and self._done == len(self._order):
+            self._walk()
         order, start = self._order, self._done
         if start == len(order):
             return False
@@ -241,6 +282,8 @@ class NameSpace:
         return name in self._read(name.rank)
 
     def __len__(self) -> int:
+        if self._unwalked is not None:
+            self._walk()
         return len(self._order)
 
     @takes(k=int)

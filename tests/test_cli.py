@@ -247,6 +247,8 @@ DECLARATIONS = ("family F { a: {0} b: {1} }\nposet P flat F\n"
 BAD_REFERENCE = {
     "family-as-poset": (
         "forces", "command forces F 1 phi\n", "'F' is a family", 5, 16),
+    "formula-as-condition": (
+        "forces", "command forces P phi phi\n", "'phi' is a formula", 5, 18),
     "unknown-formula": (
         "forces", "command forces P 1 nope\n", "unknown identifier", 5, 20),
     "unknown-grid-keyword": (

@@ -310,13 +310,14 @@ class TestNameSpace:
         assert EMPTY_NAME in space
 
     def test_readers_intern_only_what_they_read(self):
-        # fn(2,2) at rank 1 has 48 classes, interned in doubling chunks (4,
-        # 8, 16, 32 and 48 names) only as far as a reader reaches; len
-        # interns none.  Along each generic filter tau is 0 or 1-check, the
-        # first two names, so both routes decide "exists x [rank <= 1]
-        # x = tau" in the first chunk, and the witness search stops at
-        # tau's own class, the twelfth, as does "tau in space".  An eager
-        # space would intern all 48.
+        # fn(2,2) at rank 1 has 48 classes.  A space interns ∅, its first
+        # name, alone, and past it runs the walk and interns in doubling
+        # chunks (5, 10, 20, 40 and 48 names) only as far as a reader
+        # reaches; len runs the walk but interns none.  Along each generic
+        # filter tau is 0 or 1-check, the first two names, so both routes
+        # decide "exists x [rank <= 1] x = tau" in the first chunk past ∅,
+        # and the witness search stops at tau's own class, the twelfth, as
+        # does "tau in space".  An eager space would intern all 48.
         poset = fn_omega_omega(2, 2)
         c = poset.conditions()
         tau = PName([(c[1], EMPTY_NAME), (c[3], EMPTY_NAME)])
@@ -328,11 +329,53 @@ class TestNameSpace:
                     lambda s: mp_witness_search(poset, ONE, theta, s),
                     lambda s: tau in s):
             space = NameSpace(poset, BASES, 1)
-            assert len(space) == 48 and space._done == 0
             assert ask(space)
             interned.append(space._done)
-        assert interned == [4, 4, 16, 16]
+            assert len(space) == 48 and space._done == interned[-1]
+        assert interned == [5, 5, 20, 20]
+        space = NameSpace(poset, BASES, 1)
+        assert len(space) == 48 and space._done == 0
         assert space.universe.index(tau) == 11
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_the_walk_runs_only_past_the_empty_name(self, rank,
+                                                     monkeypatch):
+        # No condition of a choice poset is coded by the empty set, so
+        # every universal "x in gamma" over a space fails at ∅, its first
+        # name, and the witness search for "x not in gamma" stops there:
+        # neither computes a pair mask, nor does "∅ in space".  Past ∅ the
+        # walk runs once, whole: the masks of every (condition, child) pair
+        # of the rank-bounded closure and of every closure name's entries.
+        poset = ChoicePoset(FAM, 2)
+        gamma = Cname(gamma_name(poset))
+        closure = hereditary_closure(BASES)
+        pool = 1 + sum(c != poset.top for c in poset.conditions())
+        eager = pool * sum(n.rank < rank for n in closure) + \
+            sum(len(n.entries) for n in closure)
+        calls = []
+        pair_mask = forcing_module._pair_mask
+        monkeypatch.setattr(forcing_module, "_pair_mask",
+                            lambda *args: calls.append(1) or pair_mask(*args))
+        phi = Forall("x", RankLE(rank), Member(Var("x"), gamma))
+        theta = Not(Member(Var("x"), gamma))
+        for ask, want in (
+                (lambda s, c: forces_semantic(poset, c, phi, s), False),
+                (lambda s, c: forces_syntactic(poset, c, phi, s), False),
+                (lambda s, c: mp_witness_search(poset, c, theta, s),
+                 EMPTY_NAME)):
+            space = NameSpace(poset, BASES, rank)
+            for c in poset.conditions():
+                assert ask(space, c) is want, c
+            assert EMPTY_NAME in space
+            assert calls == []
+            for read in (lambda: space.universe, lambda: len(space)):
+                read()
+                assert len(calls) == eager
+            calls.clear()
+        space = NameSpace(poset, BASES, rank)
+        len(space)
+        space.universe
+        assert len(calls) == eager
 
     def test_size_guard(self):
         big = Family([(lab, [nat(3 * i + k) for k in range(3)])

@@ -435,14 +435,16 @@ def rank_spaces():
 
 
 def test_lazy_universe_is_the_same_whatever_is_read_first():
-    # A space interns its names only as far as a reader reaches.  Whatever
-    # is read first (len, names_of_rank_le, the universe, in, or a route
-    # that stops early), each RankLE(k) range the routes share yields
-    # exactly the universe's prefix of rank at most k, as does
-    # names_of_rank_le(k), and the universe is the one read first on a
-    # fresh space.
+    # A space interns its names only as far as a reader reaches, and runs
+    # its walk only when a reader asks past ∅.  Whatever is read first
+    # (len, names_of_rank_le, the universe, in, or a route or a witness
+    # search that stops early, at ∅ or later), each RankLE(k) range the
+    # routes share yields exactly the universe's prefix of rank at most k,
+    # as does names_of_rank_le(k), and the universe is the one read first
+    # on a fresh space.
     start = time.monotonic()
     x = Var("x")
+    at_empty = Exists("x", RankLE(0), Eq(x, Cname(EMPTY_NAME)))
     spaces = 0
     for poset, names, r in rank_spaces():
         phi = Exists("x", RankLE(r), Member(x, Cname(names[2])))
@@ -450,8 +452,13 @@ def test_lazy_universe_is_the_same_whatever_is_read_first():
         for first in (len, lambda s: s.names_of_rank_le(0),
                       lambda s: s.universe,
                       lambda s: eager[len(eager) // 2] in s,
+                      lambda s: EMPTY_NAME in s,
                       lambda s: _forcer(poset, s).forces_sem(0, phi),
-                      lambda s: _forcer(poset, s).forces_syn(0, phi)):
+                      lambda s: _forcer(poset, s).forces_syn(0, phi),
+                      lambda s: _forcer(poset, s).forces_sem(0, at_empty),
+                      lambda s: _forcer(poset, s).forces_syn(0, at_empty),
+                      lambda s: mp_witness_search(
+                          poset, poset.conditions()[0], at_empty.body, s)):
             space = NameSpace(poset, names, r)
             first(space)
             f = _forcer(poset, space)
