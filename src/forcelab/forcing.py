@@ -28,7 +28,8 @@ that formula by formula.  A name space walks its classes only when a
 reader first asks past its first name, the empty name, or asks its
 length, so a quantifier that the empty name settles costs no walk.
 Both decide an open formula under an environment, the names bound to its
-free variables, so no quantifier instance is built by substitution.
+free variables, so no quantifier instance is built by substitution.  An
+input nested past :data:`MAX_NESTING` is refused before either recurses.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ from .posets import Kernel, ONE, Poset, _bits
 # visits only the first subset of each class.
 MAX_UNIVERSE = 1 << 17
 
-# Both routes recurse once per level of a formula and of its names, so
-# nesting past Python's stack is refused with this message.
+# The routes recurse two frames per level of a formula and about four per
+# level of its names (``Kernel.value``, ``PName.key``).  An input whose
+# 2 x depth + 4 x rank passes this bound is refused before any recursion;
+# one within it leaves about 130 of the default 1,000 frames to its caller.
+MAX_NESTING = 850
 _TOO_DEEP = "the formula or its names are nested too deeply to decide"
 
 
@@ -86,14 +90,11 @@ class NameSpace:
     class, so it takes about classes x pairs steps, not ``2^pairs``; the
     one bound over ``2^pairs`` is the cap, which refuses more than
     :data:`MAX_UNIVERSE` subsets with ``invalid-input`` before the poset
-    is compiled.  The walk meets the classes in canonical order, so the
-    universe needs no key table and no sort; only the few closure names
-    kept are placed by bisection.  The walk runs once, whole, the first
-    time a reader asks past the empty name or asks ``len(space)``.  The
-    empty name, the empty subset met first at rank 0, is always the first
-    name, so the space holds it from construction, and a reader that it
-    settles runs no walk.  Construction still refuses all it refused when
-    it ran the walk: a negative rank bound, the cap, and, through
+    is compiled.  The walk runs once, whole, the first time a reader asks
+    past the empty name or asks ``len(space)``.  The empty name, the empty
+    subset met first at rank 0, is always the first name, so the space
+    holds it from construction, and a reader that it settles runs no walk.
+    Construction refuses a negative rank bound, the cap, and, through
     ``Kernel.below``, a closure entry's condition that ``resolve``
     refuses.  A class's name is interned only when it is read: the routes'
     ``RankLE`` ranges and :func:`mp_witness_search` intern the empty name
@@ -118,6 +119,9 @@ class NameSpace:
         self.rank_bound = rank_bound
         closure = _closure(self.base_names)
         eligible = [s for s in closure if s.rank < rank_bound]
+        # The largest rank of its names: the closure's or an assembled one's.
+        self._rank = max(closure[-1].rank if closure else 0,
+                         eligible[-1].rank + 1 if eligible else 0)
         # The cap reads the truncation's size, so a refusal compiles
         # nothing: 2^n > MAX_UNIVERSE exactly when n reaches its bit length.
         n = (1 + poset._size() - (poset.top is not None)) * len(eligible)
@@ -152,9 +156,7 @@ class NameSpace:
 
     def _walk(self) -> None:
         """Meet every class of the space after the empty name and place
-        the closure names kept, appending them to ``_order``.  It computes
-        into locals and commits last, so a walk cut short, as by a
-        RecursionError deep in a route, leaves the space as it found it."""
+        the closure names kept, appending them to ``_order``."""
         closure, eligible = self._unwalked
         k = self._k
         pool = [ONE] + [c for c in k.conds if c != self.poset.top]
@@ -256,8 +258,6 @@ class NameSpace:
                 es = frozenset(map(self._pairs.__getitem__, combo))
                 n = order[at] = PName(es)
                 (self._masks if n.entries is es else self._unchecked)[n] = mask
-        # Set last: a grow cut short, as by a RecursionError deep in a
-        # route, leaves no (mask, first subset) pair before ``_done``.
         self._done = stop
         return True
 
@@ -270,6 +270,8 @@ class NameSpace:
             if tau.rank > k:
                 return
             yield tau
+            if k < 1:  # only the empty name has rank 0: stop before the walk
+                return
             at += 1
 
     @property
@@ -356,10 +358,7 @@ class _Forcer:
 
     def forces_sem(self, p: int, phi: Formula, env=None) -> bool:
         k = self.k
-        try:
-            return not k.down[p] & k.minimal & ~self.truth(phi, env)
-        except RecursionError:
-            raise InvalidInput(_TOO_DEEP) from None
+        return not k.down[p] & k.minimal & ~self.truth(phi, env)
 
     def truth(self, phi: Formula, env=None) -> int:
         """[[phi]] under env: the mask of the minimal conditions a such that
@@ -416,12 +415,6 @@ class _Forcer:
         return out
 
     # -- syntactic route: F(phi), the conditions that force phi -------------
-
-    def forces_syn(self, p: int, phi: Formula) -> bool:
-        try:
-            return bool(self.forcing(phi) >> p & 1)
-        except RecursionError:
-            raise InvalidInput(_TOO_DEEP) from None
 
     def forcing(self, phi: Formula, env=None) -> int:
         """F(phi) under env: the mask of the conditions forcing it, by the
@@ -528,13 +521,18 @@ def _name(term, env) -> PName:
     return term.name if isinstance(term, Cname) else env[term.name]
 
 
-def _forcer(poset: Poset, space: Optional[NameSpace]) -> _Forcer:
-    """The route state for the space, or for no space.  It hangs off the
-    space, or off the kernel when there is none, so it lives exactly as long
-    as they do.  A space over another poset is refused."""
+def _forcer(poset: Poset, space: Optional[NameSpace],
+            phi: Formula) -> _Forcer:
+    """The route state for the space, or for no space, to decide phi.  It
+    hangs off the space, or off the kernel when there is none, so it lives
+    exactly as long as they do.  A space over another poset is refused, and
+    so is a phi nested past :data:`MAX_NESTING`, counting the space's names."""
     k = poset.kernel()
     if space is not None and space.poset is not poset:
         raise InvalidInput("the name space is built over another poset")
+    rank = phi.rank if space is None else max(phi.rank, space._rank)
+    if 2 * phi.depth + 4 * rank > MAX_NESTING:
+        raise InvalidInput(_TOO_DEEP)
     owner = k if space is None else space
     if owner.forcer is None:
         owner.forcer = _Forcer(k, space)
@@ -547,7 +545,7 @@ def forces_semantic(poset: Poset, p, phi: Formula,
     """p forces phi: phi holds along every generic filter containing p."""
     if phi.free:
         raise InvalidInput("forcing needs a closed formula")
-    return _forcer(poset, space).forces_sem(poset.index_of(p), phi)
+    return _forcer(poset, space, phi).forces_sem(poset.index_of(p), phi)
 
 
 @takes(poset=Poset, phi=_Formula, space=NameSpace)
@@ -556,7 +554,8 @@ def forces_syntactic(poset: Poset, p, phi: Formula,
     """The recursive forcing relation; agrees with the semantic route."""
     if phi.free:
         raise InvalidInput("forcing needs a closed formula")
-    return _forcer(poset, space).forces_syn(poset.index_of(p), phi)
+    return bool(_forcer(poset, space, phi).forcing(phi)
+                >> poset.index_of(p) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +609,13 @@ def least_ordinal_name(poset: Poset, p, kappa: int, theta: Formula) -> PName:
     i = poset.index_of(p)
     check_natural(kappa, "kappa", 1)
     var = single_free_var(theta)
-    f = _forcer(poset, None)
+    f = _forcer(poset, None, theta)
     k = f.k
     # held: where theta holds at some ordinal so far
     entries, held = [], 0
     for beta in range(kappa):
         beta_check = _check_name(nat(beta))
-        try:
-            held |= f.truth(theta, {var: beta_check})
-        except RecursionError:
-            raise InvalidInput(_TOO_DEEP) from None
+        held |= f.truth(theta, {var: beta_check})
         entries.extend((k.conds[q], beta_check) for q in _bits(k.down[i])
                        if not k.down[q] & held)
         if held == k.minimal:
@@ -637,7 +633,7 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
     that p forces to satisfy theta; None when there is none."""
     i = poset.index_of(p)
     var = single_free_var(theta)
-    f = _forcer(poset, space)
+    f = _forcer(poset, space, theta)
     for tau in space._read():
         if f.forces_sem(i, theta, {var: tau}):
             return tau

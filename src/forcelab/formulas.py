@@ -119,23 +119,30 @@ class OrdLT(_NatBound):
 class _Formula(_Node):
     """A formula node; ``free`` holds its free variables and ``order`` the
     same variables sorted, the order in which the forcing routes key a mask
-    by the names bound to them.  Both are derived from the field values
-    once, when the node is built: the variables of its terms and the free
-    variables of its subformulas, less a quantifier's own variable."""
+    by the names bound to them; ``depth`` is its nesting depth, 1 for an
+    atom, and ``rank`` the largest rank of its ``Cname`` terms' and
+    ``InName`` bounds' names, or 0.  All are derived from the field values
+    once, when the node is built, the free variables less a quantifier's
+    own variable."""
 
-    __slots__ = ("free", "order")
+    __slots__ = ("free", "order", "depth", "rank")
 
     def _setup(self, *values) -> None:
-        free = set()
+        free, depth, rank = set(), 0, 0
         for v in values:
             if isinstance(v, _Formula):
                 free |= v.free
+                depth = v.depth if v.depth > depth else depth
+                rank = v.rank if v.rank > rank else rank
             elif isinstance(v, Var):
                 free.add(v.name)
+            elif isinstance(v, _Named) and v.name.rank > rank:
+                rank = v.name.rank
         if isinstance(self, _Quantifier):
             free.discard(self.var)
         self.free = frozenset(free)
         self.order = tuple(sorted(free))
+        self.depth, self.rank = depth + 1, rank
 
 
 class _Atom(_Formula):

@@ -228,8 +228,8 @@ class Kernel:
     lists them) and ``top`` is the index of the greatest element, or None.
     ``compat`` and ``codes`` are built on first use.  The forcing
     routes keep their state for formulas without a name space in
-    ``forcer`` (a name space holds its own), names' values in ``value``
-    and the generic filters in ``filter_at``, so all of it lives and dies
+    ``forcer`` (a name space holds its own), and names' entry masks and
+    values in ``entry_masks`` and ``value``, so all of it lives and dies
     with the poset.
     """
 
@@ -248,7 +248,6 @@ class Kernel:
         # makes every later attribute load on the kernel several times slower.
         self._compat: Optional[tuple[int, ...]] = None
         self._codes: Optional[tuple[HF, ...]] = None
-        self._filters: dict[int, Filter] = {}
         self._entries: dict = {}
         self._values: dict = {}
 
@@ -320,15 +319,6 @@ class Kernel:
             out = memo[tau, i] = HF(self.value(s, i) for m, s
                                     in self.entry_masks(tau) if m >> i & 1)
         return out
-
-    def filter_at(self, a: int) -> "Filter":
-        """The filter generated by condition a: every condition it extends."""
-        f = self._filters.get(a)
-        if f is None:
-            f = self._filters[a] = Filter(
-                self.poset,
-                (q for q, m in zip(self.conds, self.down) if m >> a & 1))
-        return f
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +647,12 @@ class MapPoset(Poset):
     def _compatible(self, p, q) -> bool:
         return is_map(p | q, self.injective)
 
-    def _windows(self) -> tuple[list, list]:
-        """The window's domain and value items, each in canon_key order."""
+    def _windows(self) -> tuple[set, set]:
+        """The window's distinct domain and value items."""
         if self.dom_window is None or self.cod_window is None:
             raise TruncationEscape(
                 f"{self.kind} poset has no declared truncation window")
-        return (sorted(set(self.dom_window), key=canon_key),
-                sorted(set(self.cod_window), key=canon_key))
+        return set(self.dom_window), set(self.cod_window)
 
     def _size(self) -> int:
         d, c = map(len, self._windows())
@@ -671,7 +660,7 @@ class MapPoset(Poset):
                                       else c ** k) for k in range(d + 1))
 
     def _compile(self) -> tuple[tuple, tuple[int, ...]]:
-        doms, cods = self._windows()
+        doms, cods = (sorted(w, key=canon_key) for w in self._windows())
         # canon_key order: by size, then by the sorted entries, which for a
         # map sort by domain item.  Growing each map of one size, in order,
         # by each entry (u, v) with u after its domain, in (u, v) order,
@@ -856,6 +845,13 @@ class Filter:
         self.poset = poset
         self.conditions = frozenset(conditions)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Filter) and self.poset is other.poset \
+            and self.conditions == other.conditions
+
+    def __hash__(self) -> int:
+        return hash(self.conditions)
+
     def __contains__(self, c) -> bool:
         """Whether c is in the filter.  Like any other object that is not a
         condition, an unhashable c is not in it, nor is an equal copy that
@@ -953,4 +949,5 @@ def generic_filter(poset: Poset, seed) -> Filter:
     i = poset.index_of(seed)
     k = poset.kernel()
     below = k.minimal & k.down[i]
-    return k.filter_at((below & -below).bit_length() - 1)
+    a = (below & -below).bit_length() - 1
+    return Filter(poset, (q for q, m in zip(k.conds, k.down) if m >> a & 1))

@@ -14,7 +14,7 @@ import pytest
 
 from forcelab import (
     HF, And, BinaryTreePoset, ChoicePoset, Cname, CohenGridPoset, EMPTY_NAME,
-    Eq, Exists, ExplicitPoset, Family, FlatPoset, Forall,
+    Eq, Exists, ExplicitPoset, Family, Filter, FlatPoset, Forall,
     ForceLabError, Implies, InName, InvalidInput, Member, NameSpace, Not,
     NotMaximalBelow, ONE, Or, OrdLT, PName, PreconditionViolated, RankLE,
     TruncationEscape, Var, check_name, disj, eval_name, fn_omega_omega,
@@ -40,6 +40,12 @@ B_CHECK = Cname(check_name(FLAT.condition_hf("b")))
 
 def vee():
     return ExplicitPoset(["a", "b", "1"], [("a", "1"), ("b", "1")], "1")
+
+
+def filter_at(k, i):
+    """The filter generated by the condition numbered i in the kernel k:
+    every condition it extends."""
+    return Filter(k.poset, (c for c, m in zip(k.conds, k.down) if m >> i & 1))
 
 
 class TestForcesOracle:
@@ -97,7 +103,7 @@ class TestForcesOracle:
         def refuse(*args):
             raise AssertionError("the semantic route ran the recursion")
 
-        for method in ("forces_syn", "forcing", "atom"):
+        for method in ("forcing", "atom"):
             monkeypatch.setattr(_Forcer, method, refuse)
         poset = FlatPoset(FAM)
         gamma = gamma_name(poset)
@@ -343,7 +349,9 @@ class TestNameSpace:
         # No condition of a choice poset is coded by the empty set, so
         # every universal "x in gamma" over a space fails at ∅, its first
         # name, and the witness search for "x not in gamma" stops there:
-        # neither computes a pair mask, nor does "∅ in space".  Past ∅ the
+        # neither computes a pair mask, nor does "∅ in space".  Only ∅ has
+        # rank 0, so neither does a read of rank 0: "x in 1-check" for every
+        # x of rank 0, on either route, or names_of_rank_le(0).  Past ∅ the
         # walk runs once, whole: the masks of every (condition, child) pair
         # of the rank-bounded closure and of every closure name's entries.
         poset = ChoicePoset(FAM, 2)
@@ -358,14 +366,18 @@ class TestNameSpace:
                             lambda *args: calls.append(1) or pair_mask(*args))
         phi = Forall("x", RankLE(rank), Member(Var("x"), gamma))
         theta = Not(Member(Var("x"), gamma))
+        zero = Forall("x", RankLE(0), Member(Var("x"), Cname(BASES[1])))
         for ask, want in (
                 (lambda s, c: forces_semantic(poset, c, phi, s), False),
                 (lambda s, c: forces_syntactic(poset, c, phi, s), False),
                 (lambda s, c: mp_witness_search(poset, c, theta, s),
-                 EMPTY_NAME)):
+                 EMPTY_NAME),
+                (lambda s, c: forces_semantic(poset, c, zero, s), True),
+                (lambda s, c: forces_syntactic(poset, c, zero, s), True),
+                (lambda s, c: s.names_of_rank_le(0), (EMPTY_NAME,))):
             space = NameSpace(poset, BASES, rank)
             for c in poset.conditions():
-                assert ask(space, c) is want, c
+                assert ask(space, c) == want, c
             assert EMPTY_NAME in space
             assert calls == []
             for read in (lambda: space.universe, lambda: len(space)):
@@ -416,28 +428,73 @@ def nots(depth, phi):
     return phi
 
 
-# Both routes recurse once per level of the formula, so 600 negations
-# outrun Python's stack, and each entry point refuses them with a code.
+def nested_name(levels):
+    """A name nesting ``levels`` single entries (a, ...) over the empty
+    name."""
+    tau = EMPTY_NAME
+    for _ in range(levels):
+        tau = PName([("a", tau)])
+    return tau
+
+
+# Each entry point asked phi over a poset, with a space over it: the
+# witness search and the least-ordinal name decide phi joined with an atom
+# in their variable, one level deeper, over names of rank 3 (Γ and
+# 3-check).
 NESTED_PAST_THE_STACK = {
-    "semantic": lambda poset, phi: forces_semantic(poset, ONE, phi),
-    "syntactic": lambda poset, phi: forces_syntactic(poset, ONE, phi),
-    "witness": lambda poset, phi: mp_witness_search(
-        poset, ONE, And(phi, Member(Var("x"), Cname(GAMMA))),
-        NameSpace(poset, (GAMMA,), 1)),
-    "least-ordinal": lambda poset, phi: least_ordinal_name(
-        poset, ONE, 3, And(phi, Member(Var("x"), Cname(check_name(nat(3)))))),
+    "semantic": lambda poset, space, phi: forces_semantic(poset, ONE, phi),
+    "syntactic": lambda poset, space, phi: forces_syntactic(poset, ONE, phi),
+    "witness": lambda poset, space, phi: mp_witness_search(
+        poset, ONE, And(phi, Member(Var("x"), Cname(GAMMA))), space),
+    "least-ordinal": lambda poset, space, phi: least_ordinal_name(
+        poset, ONE, 3, Or(phi, Member(Var("x"), Cname(check_name(nat(3)))))),
 }
 
+# The deepest input each entry point answers, as n negations over
+# a-check = a-check and as 0-check in a name nested n levels.  An input
+# whose 2 x depth + 4 x rank passes MAX_NESTING = 850 is refused: the
+# negations' depth is n + 1 (n + 2 with the joined atom, whose rank 3
+# adds 12), and the name's rank is n.
+DEEPEST = {"semantic": (424, 212), "syntactic": (424, 212),
+           "witness": (417, 211), "least-ordinal": (417, 211)}
 
-@pytest.mark.parametrize("call", NESTED_PAST_THE_STACK.values(),
+
+def nesting_outcome(call, poset, space, phi):
+    """What an entry point gives: its answer, or a refusal's code."""
+    try:
+        return call(poset, space, phi)
+    except ForceLabError as e:
+        if e.code == "invalid-input":
+            assert "nested too deeply" in str(e)
+        return e.code
+
+
+@pytest.mark.parametrize("call, deepest", zip(NESTED_PAST_THE_STACK.values(),
+                                               DEEPEST.values()),
                          ids=NESTED_PAST_THE_STACK.keys())
-def test_formula_nested_past_the_stack_is_refused(call):
-    # A fresh poset each time: the routes' masks live on its kernel, and a
-    # memoized inner level would shorten the recursion.
-    phi = Eq(A_CHECK, A_CHECK)
-    with pytest.raises(InvalidInput, match="nested too deeply"):
-        call(FlatPoset(FAM), nots(600, phi))
-    call(FlatPoset(FAM), nots(300, phi))
+def test_formula_nested_past_the_stack_is_refused(call, deepest):
+    # The refusal reads the input's nesting before any recursion, so each
+    # depth, on either side of the bound and far past it, gets one outcome
+    # on a fresh poset and space and on ones that have just decided a
+    # shallower input of the same kind, whose memoized levels would shorten
+    # the recursion.  The formula rows include the old ones: 600 negations
+    # are refused, 300 answer.
+    def ask(deep, n, warm):
+        poset = FlatPoset(FAM)
+        space = NameSpace(poset, (GAMMA,), 1)
+        if warm is not None:
+            assert nesting_outcome(call, poset, space, deep(warm)) != \
+                "invalid-input"
+        return nesting_outcome(call, poset, space, deep(n))
+
+    kinds = ((lambda n: nots(n, Eq(A_CHECK, A_CHECK)), 300, 600),
+             (lambda n: Member(Cname(EMPTY_NAME), Cname(nested_name(n))),
+              200, 400))
+    for (deep, warm, far), last in zip(kinds, deepest):
+        for n in (warm, last, last + 1, far):
+            fresh = ask(deep, n, None)
+            assert (fresh == "invalid-input") is (n > last), (n, fresh)
+            assert ask(deep, n, warm) == fresh, n
 
 
 def test_a_refusal_leaves_its_space_readable():
@@ -528,7 +585,7 @@ def bounds(phi):
 def values(poset, tau):
     """A name's value along the filter generated by each condition."""
     k = poset.kernel()
-    return tuple(eval_name(tau, k.filter_at(i)) for i in range(len(k.conds)))
+    return tuple(eval_name(tau, filter_at(k, i)) for i in range(len(k.conds)))
 
 
 def rankle_battery(poset, rank):
@@ -693,7 +750,7 @@ class TestClassMaskValues:
             for a in k.minimals:
                 got = space._value(tau, a)
                 assert got is k.value(tau, a), (tau, a)
-                assert got is eval_name(tau, k.filter_at(a)), (tau, a)
+                assert got is eval_name(tau, filter_at(k, a)), (tau, a)
 
     @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
     def test_semantic_route_reads_no_assembled_name_off_the_kernel(
@@ -846,7 +903,7 @@ class TestReferenceOracle:
         battery = TestRouteAgreement().formulas(poset, space) + \
             rankle_battery(poset, rank) + outside
         for phi in battery:
-            along = {a: reference_sat(phi, k.filter_at(a), space)
+            along = {a: reference_sat(phi, filter_at(k, a), space)
                      for a in k.minimals}
             for i, c in enumerate(k.conds):
                 want = all(v for a, v in along.items() if k.down[i] >> a & 1)
@@ -1100,7 +1157,7 @@ class TestRouteState:
         poset, space, formulas, theta = build()
         k = poset.kernel()
         want_routes = [
-            [all(reference_sat(phi, k.filter_at(a), space)
+            [all(reference_sat(phi, filter_at(k, a), space)
                  for a in k.minimals if k.down[i] >> a & 1)
              for i in range(len(k.conds))] for phi in formulas]
         want_witness = next(
@@ -1157,7 +1214,7 @@ class TestRouteState:
         def refuse(*args):
             raise AssertionError("a name was evaluated along a filter")
 
-        monkeypatch.setattr(Kernel, "filter_at", refuse)
+        monkeypatch.setattr(Filter, "__contains__", refuse)
         monkeypatch.setattr(forcing_module, "eval_name", refuse)
         monkeypatch.setattr(cli, "eval_name", refuse)
         assert answers() == want
@@ -1283,7 +1340,7 @@ class TestCheckNames:
         k = poset.kernel()
         for tau in self.names(poset, rank):
             for i in range(len(k.conds)):
-                assert k.value(tau, i) is eval_name(tau, k.filter_at(i)), \
+                assert k.value(tau, i) is eval_name(tau, filter_at(k, i)), \
                     (tau, i)
 
     @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
@@ -1296,7 +1353,7 @@ class TestCheckNames:
         for tau in names:
             assert (tau.value is not None) == self.hereditarily_one(tau), tau
             for i in range(len(k.conds)):
-                filt = k.filter_at(i)
+                filt = filter_at(k, i)
                 want = reference_eval(tau, filt)
                 assert tau.value in (None, want), (tau, i)
                 assert eval_name(tau, filt) is want, (tau, i)

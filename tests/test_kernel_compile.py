@@ -251,6 +251,26 @@ def test_a_repeated_window_item_counts_once():
     assert p._size() == 3
 
 
+MAP_WINDOWS = {
+    "fn": lambda: fn_omega_omega(2, 3),
+    "inj": lambda: inj_omega_omega(3, 2),
+    "grid": lambda: CohenGridPoset(2, 2),
+    "fn-repeat": lambda: MapPoset(dom_window=(0, 1, 0), cod_window=(2, 2, 1)),
+    "inj-repeat": lambda: InjPoset(dom_window=(1, 1, 0),
+                                   cod_window=(0, 1, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("make", MAP_WINDOWS.values(), ids=MAP_WINDOWS.keys())
+def test_a_map_posets_size_counts_its_conditions_before_it_compiles(make):
+    # A name space's cap reads the size on every construction, so it counts
+    # each window's distinct items without compiling or sorting them.
+    poset = make()
+    size = poset._size()
+    assert poset._kernel is None
+    assert size == len(poset.conditions())
+
+
 def test_cyclic_pairs_are_refused_with_the_first_pair_on_a_cycle():
     # The first element, in list order, that lies on a cycle, and the first
     # other element on one with it.

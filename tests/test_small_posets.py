@@ -13,15 +13,30 @@ import time
 import pytest
 
 from forcelab import (
-    And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Forall, Implies,
-    InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName,
-    PreconditionViolated, RankLE, Var, check_name, eval_name,
-    forces_semantic, forces_syntactic, gamma_name, least_ordinal_name, mix,
-    mp_witness_search, nat, subst,
+    And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Family, FlatPoset,
+    Forall, Implies, InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName,
+    PreconditionViolated, RankLE, Var, all_choice_functions,
+    antichain_from_choice, check_name, choice_from_antichain, eval_name,
+    extract_choice_flat, forces_semantic, forces_syntactic, gamma_name,
+    least_ordinal_name, mix, mp_witness_search, nat, subst, theta_family,
 )
 from forcelab.forcing import _forcer
 
-from test_forcing import reference_sat
+from test_forcing import filter_at, reference_sat
+
+
+def forces_syn(f, i, phi):
+    """The syntactic route's answer at the condition numbered i, through
+    the forcer f that forces_syntactic uses."""
+    return bool(f.forcing(phi) >> i & 1)
+
+
+def both_routes(poset, space, i, phi):
+    """Both routes' answers at the condition numbered i, through the forcer
+    that forces_semantic and forces_syntactic use."""
+    f = _forcer(poset, space, phi)
+    return f.forces_sem(i, phi), forces_syn(f, i, phi)
+
 
 # Posets on 1, 2, 3 and 4 elements up to isomorphism (OEIS A000112).
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
@@ -103,11 +118,11 @@ def test_routes_agree_on_every_small_poset():
     assert len(posets) == sum(POSET_COUNTS.values())
     checked = 0
     for poset in posets:
-        f = _forcer(poset, None)
         conds = range(len(poset.conditions()))
         for phi in battery(poset):
+            f = _forcer(poset, None, phi)
             for p in conds:
-                assert f.forces_sem(p, phi) == f.forces_syn(p, phi), \
+                assert f.forces_sem(p, phi) == forces_syn(f, p, phi), \
                     (poset.conditions(), phi, p)
             checked += len(conds)
     assert checked > 500_000
@@ -128,7 +143,7 @@ def test_base_battery_matches_the_reference_oracle():
         k = poset.kernel()
         _, base = base_battery(poset)
         for phi in base + [Not(phi) for phi in base]:
-            along = {a: reference_sat(phi, k.filter_at(a), None)
+            along = {a: reference_sat(phi, filter_at(k, a), None)
                      for a in k.minimals}
             for i, p in enumerate(k.conds):
                 want = all(along[a] for a in k.minimals if k.down[i] >> a & 1)
@@ -170,7 +185,7 @@ def first_of_each_class(poset, bases, rank_bound):
     # along a filter is fixed by the set of the values there of the children
     # of its entries in the filter, each child evaluated once per filter
     # (eval_name memoizes within one call only).
-    filters = [k.filter_at(i) for i in range(len(k.conds))]
+    filters = [filter_at(k, i) for i in range(len(k.conds))]
     along = {s: [eval_name(s, f) for f in filters] for s in closure}
     inside = [{ONE, *f.conditions} for f in filters]
     first = {}
@@ -207,7 +222,7 @@ def test_rank_bounded_quantifiers_on_every_small_poset():
         assert list(space.universe) == \
             first_of_each_class(poset, space.base_names, 1)
         for i, p in enumerate(k.conds):
-            filters = [k.filter_at(a) for a in k.minimals
+            filters = [filter_at(k, a) for a in k.minimals
                        if k.down[i] >> a & 1]
             values = {tau: [eval_name(tau, f) for f in filters]
                       for tau in space.universe}
@@ -275,7 +290,6 @@ def test_mix_and_least_ordinal_name_on_every_small_poset():
     one = check_name(nat(1))
     mixes = names = refusals = 0
     for poset in small_posets():
-        f = _forcer(poset, None)
         k = poset.kernel()
         conds = poset.conditions()
         pool = [EMPTY_NAME, one, gamma_name(poset),
@@ -288,9 +302,9 @@ def test_mix_and_least_ordinal_name_on_every_small_poset():
                     for r, tau in zip(members, chosen):
                         phi = Eq(Cname(mixed), Cname(tau))
                         j = poset.index_of(r)
-                        assert f.forces_sem(j, phi), (conds, p, members, r)
-                        assert f.forces_syn(j, phi), (conds, p, members, r)
-            filters = [k.filter_at(a) for a in k.minimals
+                        assert both_routes(poset, None, j, phi) == \
+                            (True, True), (conds, p, members, r)
+            filters = [filter_at(k, a) for a in k.minimals
                        if k.down[i] >> a & 1]
             for s in pool:
                 theta = Member(x, Cname(s))
@@ -305,7 +319,8 @@ def test_mix_and_least_ordinal_name_on_every_small_poset():
                 tau = least_ordinal_name(poset, p, 3, theta)
                 names += 1
                 phi = Member(Cname(tau), Cname(s))
-                assert f.forces_sem(i, phi) and f.forces_syn(i, phi), (p, s)
+                assert both_routes(poset, None, i, phi) == (True, True), \
+                    (p, s)
                 assert [eval_name(tau, g) for g in filters] == \
                     [nat(beta) for beta in least], (conds, p, s)
     assert (mixes, names, refusals) == (1864, 292, 140)
@@ -384,22 +399,101 @@ def test_maximum_principle_for_rank_bounds_on_every_small_poset():
                    And(Member(x, gamma), Not(Eq(x, one)))]
         for r in (1, 2):
             space = NameSpace(poset, names, r)
-            f = _forcer(poset, space)
             for k in range(r + 1):
                 for theta in thetas:
                     phi = Exists("x", RankLE(k), theta)
+                    f = _forcer(poset, space, phi)
                     for i, p in enumerate(poset.conditions()):
                         if not f.forces_sem(i, phi):
                             continue
                         tau = mp_witness_search(poset, p, theta, space)
                         assert tau is not None and tau.rank <= k, (p, phi)
                         psi = subst(theta, "x", tau)
-                        assert f.forces_sem(i, psi), (p, phi, tau)
-                        assert f.forces_syn(i, psi), (p, phi, tau)
+                        assert both_routes(poset, space, i, psi) == \
+                            (True, True), (p, phi, tau)
                         cases += 1
     assert cases == 3431
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def value_families():
+    """Every family that assigns the values 0, 1 and 2 to 1 to 3 nonempty
+    blocks labelled a, b and c: 1 + 6 + 6 = 13 families."""
+    values = (nat(0), nat(1), nat(2))
+    for m in (1, 2, 3):
+        for assign in itertools.product(range(m), repeat=len(values)):
+            if set(assign) == set(range(m)):
+                yield Family([(lab, [v for v, j in zip(values, assign)
+                                     if j == block])
+                              for block, lab in enumerate("abc"[:m])])
+
+
+def test_a_maximum_principle_witness_over_a_flat_poset_is_a_choice_function():
+    # The paper's question: does Lemma 14.19 need the axiom of choice?  Over
+    # the flat poset of a family F, whose conditions below the top are the
+    # block labels, the top forces "some x of rank at most r lies in the
+    # generic block" (theta_family), so the maximum principle gives a
+    # witness, and extract_choice_flat reads a choice function for F off
+    # it by one definable map: no choice is made.  Conversely, the forced
+    # witnesses of the space give every choice function of F.  The space's
+    # bases are the values' check-names, at one rank above theirs.
+    #
+    # mp_witness_search returns the first forced name in the universe's
+    # canonical order (rank, then size, then entries), and that is what is
+    # pinned: in 2 families its choice function is not the one least by
+    # its values' keys.
+    #
+    # The proof's first step, run over the choice poset's antichains
+    # (criterion 2): antichain_from_choice places the element chosen from
+    # each block at a level; each label forces theta of the check-name of
+    # its block's element, and mixing those witnesses along the labels, a
+    # maximal antichain below the top that nobody has to choose, gives a
+    # name that the top forces to select from the generic block and that
+    # extracts to the antichain's choice function.  About 0.7 s here.
+    start = time.monotonic()
+    families = list(value_families())
+    assert len(families) == 13
+    not_least = 0
+    for family in families:
+        flat = FlatPoset(family)
+        theta = theta_family(flat)
+        bases = [check_name(v) for lab in family.labels
+                 for v in family.blocks[lab]]
+        r = 1 + max(b.rank for b in bases)
+        space = NameSpace(flat, bases, r)
+        phi = Exists("x", RankLE(r), theta)
+        assert forces_semantic(flat, ONE, phi, space), family.labels
+        assert forces_syntactic(flat, ONE, phi, space), family.labels
+        forced = [tau for tau in space.universe
+                  if forces_semantic(flat, ONE, subst(theta, "x", tau))]
+        witness = mp_witness_search(flat, ONE, theta, space)
+        assert witness is forced[0]
+        psi = subst(theta, "x", witness)
+        assert forces_syntactic(flat, ONE, psi)
+        choices = all_choice_functions(family)
+        pick = extract_choice_flat(witness, flat)
+        not_least += pick != min(
+            choices, key=lambda f: tuple(v.key() for _, v in f.items()))
+        assert {extract_choice_flat(tau, flat) for tau in forced} == \
+            set(choices), family.labels
+        for f in choices:
+            for levels in itertools.product((0, 1), repeat=len(f.items())):
+                antichain = antichain_from_choice(
+                    f, dict(zip(family.labels, levels)))
+                assert choice_from_antichain(family, antichain) == f
+                members = {family.block_of(v): check_name(v)
+                           for _, v in antichain}
+                for lab, sigma in members.items():
+                    assert forces_semantic(flat, lab, subst(theta, "x", sigma))
+                mixed = mix(flat, ONE, list(members), members)
+                psi = subst(theta, "x", mixed)
+                assert forces_semantic(flat, ONE, psi), (f, levels)
+                assert forces_syntactic(flat, ONE, psi), (f, levels)
+                assert extract_choice_flat(mixed, flat) == f
+    assert not_least == 2
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
 
 def test_shadowed_variable():
@@ -453,15 +547,15 @@ def test_lazy_universe_is_the_same_whatever_is_read_first():
                       lambda s: s.universe,
                       lambda s: eager[len(eager) // 2] in s,
                       lambda s: EMPTY_NAME in s,
-                      lambda s: _forcer(poset, s).forces_sem(0, phi),
-                      lambda s: _forcer(poset, s).forces_syn(0, phi),
-                      lambda s: _forcer(poset, s).forces_sem(0, at_empty),
-                      lambda s: _forcer(poset, s).forces_syn(0, at_empty),
+                      lambda s: both_routes(poset, s, 0, phi)[0],
+                      lambda s: both_routes(poset, s, 0, phi)[1],
+                      lambda s: both_routes(poset, s, 0, at_empty)[0],
+                      lambda s: both_routes(poset, s, 0, at_empty)[1],
                       lambda s: mp_witness_search(
                           poset, poset.conditions()[0], at_empty.body, s)):
             space = NameSpace(poset, names, r)
             first(space)
-            f = _forcer(poset, space)
+            f = _forcer(poset, space, phi)
             ranges = {k: tuple(sig for _, sig in f._range(RankLE(k)))
                       for k in range(r, -1, -1)}
             prefixes = {k: space.names_of_rank_le(k) for k in ranges}
@@ -496,10 +590,8 @@ def test_constants_of_classes_not_yet_interned_answer_alike():
             space = NameSpace(poset, names, r)
             if read_first:
                 space.universe
-            f = _forcer(poset, space)
             answers.append([
-                (f.forces_sem(i, Exists("x", RankLE(r), theta)),
-                 f.forces_syn(i, Exists("x", RankLE(r), theta)),
+                (*both_routes(poset, space, i, Exists("x", RankLE(r), theta)),
                  mp_witness_search(poset, p, theta, space))
                 for theta in thetas
                 for i, p in enumerate(poset.conditions())])
