@@ -46,8 +46,8 @@ from .errors import (
     check_natural, takes,
 )
 from .formulas import (
-    And, Cname, Eq, Exists, Formula, Implies, InName, Member, Not, Or,
-    RankLE, _Formula, single_free_var,
+    MAX_NESTING, And, Cname, Eq, Exists, Formula, Implies, InName, Member,
+    Not, Or, RankLE, _TOO_DEEP, _Formula, single_free_var,
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
@@ -58,13 +58,6 @@ from .posets import Kernel, ONE, Poset, _bits
 # The most subsets of (condition, child) pairs a NameSpace admits; its walk
 # visits only the first subset of each class.
 MAX_UNIVERSE = 1 << 17
-
-# The routes recurse two frames per level of a formula and about four per
-# level of its names (``Kernel.value``, ``PName.key``).  An input whose
-# 2 x depth + 4 x rank passes this bound is refused before any recursion;
-# one within it leaves about 130 of the default 1,000 frames to its caller.
-MAX_NESTING = 850
-_TOO_DEEP = "the formula or its names are nested too deeply to decide"
 
 
 @takes(poset=Poset, base_names=[PName], rank_bound=int)
@@ -96,12 +89,11 @@ class NameSpace:
     holds it from construction, and a reader that it settles runs no walk.
     Construction refuses a negative rank bound, the cap, and, through
     ``Kernel.below``, a closure entry's condition that ``resolve``
-    refuses.  A class's name is interned only when it is read: the routes'
-    ``RankLE`` ranges and :func:`mp_witness_search` intern the empty name
-    alone, then the universe in doubling chunks as far as they read it, as
-    do :meth:`names_of_rank_le` and ``in``, which stops at the name asked
-    or past its rank; ``universe`` interns all of it, and ``len(space)``
-    nothing.
+    refuses.  A class's name is interned only when a reader first reaches
+    it: the routes' ``RankLE`` ranges, :func:`mp_witness_search`,
+    :meth:`names_of_rank_le` and ``in``, which stops at the name asked or
+    past its rank, intern the universe as far as they read it;
+    ``universe`` interns all of it, and ``len(space)`` nothing.
 
     A class mask is a set of (condition, value) bits, so it fixes its
     name's value along every filter.  The space keeps the mask of each
@@ -138,11 +130,10 @@ class NameSpace:
         # The walk's inputs until ``_walk`` runs, then None.
         self._unwalked: Optional[tuple] = (closure, eligible)
         # The universe in order: each class as its (mask, first subset)
-        # until ``_grow`` interns its name there, and the few kept names
+        # until ``_read`` interns its name there, and the few kept names
         # that were not assembled.  The empty subset, met first at rank 0,
         # heads it, so the empty name is read before the walk runs.
         self._order: list = [(0, ())]
-        self._done = 0
         self._pairs: list = []
         self._masks: dict[PName, int] = {}
         self._unchecked: dict[PName, int] = {}
@@ -239,33 +230,22 @@ class NameSpace:
         self._order.extend(order[1:])
         self._unwalked = None
 
-    def _grow(self) -> bool:
-        """Intern the universe's next names, as many as are interned
-        already and at least 4, after running the walk if they lie past
-        the empty name; False when every one is.  PName keeps the
-        frozenset it is given unless an equal name is already interned:
+    def _read(self, k=math.inf):
+        """The names of rank at most k, in the universe's order, each
+        class's name interned where a reader first reaches it.  PName keeps
+        the frozenset it is given unless an equal name is already interned:
         such a stale name, from an earlier equal space or a constant, may
         hold other condition objects, which ``_value`` checks first."""
-        if self._unwalked is not None and self._done == len(self._order):
-            self._walk()
-        order, start = self._order, self._done
-        if start == len(order):
-            return False
-        stop = min(len(order), start + max(start, 4))
-        for at in range(start, stop):
+        order, at = self._order, 0
+        while at < len(order) or self._unwalked is not None:
+            if at == len(order):  # past the empty name: walk, once
+                self._walk()
+                continue
             if type(order[at]) is tuple:
                 mask, combo = order[at]
                 es = frozenset(map(self._pairs.__getitem__, combo))
                 n = order[at] = PName(es)
                 (self._masks if n.entries is es else self._unchecked)[n] = mask
-        self._done = stop
-        return True
-
-    def _read(self, k=math.inf):
-        """The names of rank at most k, in the universe's order, interned
-        only as far as they are read."""
-        order, at = self._order, 0
-        while at < self._done or self._grow():
             tau = order[at]
             if tau.rank > k:
                 return

@@ -21,6 +21,14 @@ from .names import PName
 # (class, *fields), held weakly like HF sets and names.
 _UNIQUE, _enter = unique_table()
 
+# The forcing routes recurse two frames per level of a formula and about
+# four per level of its names (``Kernel.value``, ``PName.key``).  An input
+# whose 2 x depth + 4 x rank passes this bound is refused before any
+# recursion, as is one whose 2 x depth passes it by :func:`subst`; one
+# within it leaves about 130 of the default 1,000 frames to its caller.
+MAX_NESTING = 850
+_TOO_DEEP = "the formula or its names are nested too deeply to decide"
+
 
 class _Node:
     """An immutable syntax node.  ``_fields`` lists each field, in order,
@@ -211,21 +219,31 @@ def disj(parts) -> Formula:
 @takes(phi=_Formula, var=str, name=PName)
 def subst(phi: Formula, var: str, name: PName) -> Formula:
     """Substitute a name constant for every free occurrence of a variable,
-    rebuilding each node that has one from its fields."""
+    rebuilding each node that has one from its fields.  A formula whose
+    2 x depth passes :data:`MAX_NESTING` is refused before any recursion."""
+    if 2 * phi.depth > MAX_NESTING:
+        raise InvalidInput(_TOO_DEEP)
     if var not in phi.free:
         return phi
     return type(phi)(*(
-        subst(v, var, name) if isinstance(v, _Formula)
+        _subst(v, var, name) if isinstance(v, _Formula)
         else Cname(name) if isinstance(v, Var) and v.name == var else v
         for v in phi._values()))
 
 
+_subst = subst.__wrapped__  # undeclared, for the recursion above
+
+
 def _leaves(phi: Formula):
     """The field values of phi and of its subformulas that are not
-    formulas: terms, variable names and quantifier bounds."""
-    for v in phi._values():
+    formulas: terms, variable names and quantifier bounds, outermost
+    first, each node's fields in order.  The walk keeps its own stack, so
+    any depth is read."""
+    stack = [phi]
+    while stack:
+        v = stack.pop()
         if isinstance(v, _Formula):
-            yield from _leaves(v)
+            stack.extend(reversed(v._values()))
         else:
             yield v
 

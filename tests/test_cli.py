@@ -207,6 +207,19 @@ def test_witness_report_nested_within_the_stack_answers(tmp_path):
     assert report["evaluations"] == {"a": "{" * 199 + "1" + "}" * 199}
 
 
+def test_least_ordinal_report_substitutes_a_formula_the_routes_decide(
+        tmp_path):
+    # 400 negations lie within the routes' nesting bound, so the report's
+    # substitution of the found name into theta answers too.
+    path = tmp_path / "deep.fl"
+    path.write_text("family F { a: {0} b: {1} }\nposet P flat F\n"
+                    "formula theta(x) = " + "not " * 400 + "x in check(1)\n"
+                    "command leastord P 1 theta kappa=2\n")
+    out = run_cli("leastord", str(path))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["forces_theta"] is True
+
+
 # Nesting that outruns Python's stack while the file is read is a syntax
 # error at the last token read, one of the nest's brackets on line 3;
 # nesting within the stack answers.

@@ -302,6 +302,12 @@ class TestWitnessSearch:
         assert mp_witness_search(FLAT, ONE, theta, space) is None
 
 
+def interned_names(space):
+    """How many class names the space has interned: each is kept with its
+    class mask, checked or not."""
+    return len(space._masks) + len(space._unchecked)
+
+
 class TestNameSpace:
     def test_universe_is_child_closed(self):
         space = NameSpace(FLAT, (GAMMA,), 1)
@@ -316,14 +322,14 @@ class TestNameSpace:
         assert EMPTY_NAME in space
 
     def test_readers_intern_only_what_they_read(self):
-        # fn(2,2) at rank 1 has 48 classes.  A space interns ∅, its first
-        # name, alone, and past it runs the walk and interns in doubling
-        # chunks (5, 10, 20, 40 and 48 names) only as far as a reader
-        # reaches; len runs the walk but interns none.  Along each generic
-        # filter tau is 0 or 1-check, the first two names, so both routes
-        # decide "exists x [rank <= 1] x = tau" in the first chunk past ∅,
-        # and the witness search stops at tau's own class, the twelfth, as
-        # does "tau in space".  An eager space would intern all 48.
+        # fn(2,2) at rank 1 has 48 classes.  A space interns each class's
+        # name where a reader first reaches it, so a reader interns exactly
+        # the names it reads; len runs the walk but interns none.  Along
+        # each generic filter tau is 0 or 1-check, the first two names, so
+        # both routes decide "exists x [rank <= 1] x = tau" after reading
+        # two, and the witness search stops at tau's own class, the
+        # twelfth, as does "tau in space".  An eager space would intern
+        # all 48.
         poset = fn_omega_omega(2, 2)
         c = poset.conditions()
         tau = PName([(c[1], EMPTY_NAME), (c[3], EMPTY_NAME)])
@@ -336,11 +342,11 @@ class TestNameSpace:
                     lambda s: tau in s):
             space = NameSpace(poset, BASES, 1)
             assert ask(space)
-            interned.append(space._done)
-            assert len(space) == 48 and space._done == interned[-1]
-        assert interned == [5, 5, 20, 20]
+            interned.append(interned_names(space))
+            assert len(space) == 48 and interned_names(space) == interned[-1]
+        assert interned == [2, 2, 12, 12]
         space = NameSpace(poset, BASES, 1)
-        assert len(space) == 48 and space._done == 0
+        assert len(space) == 48 and interned_names(space) == 0
         assert space.universe.index(tau) == 11
 
     @pytest.mark.parametrize("rank", [1, 2])

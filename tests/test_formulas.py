@@ -8,6 +8,9 @@ from forcelab import (
     check_name, constants, disj, forces_semantic, forces_syntactic, nat,
     single_free_var, subst, theta_family,
 )
+from forcelab.formulas import MAX_NESTING, max_rank_bound
+
+from test_forcing import nots
 
 C1 = check_name(nat(1))
 C2 = check_name(nat(2))
@@ -121,6 +124,29 @@ class TestConstantsAndBuilders:
 
 
 FLAT = FlatPoset(Family([("a", [nat(0)])]))
+
+
+class TestDeepFormulas:
+    # Nesting is read off a formula's depth, never off Python's stack:
+    # constants and max_rank_bound read any depth, and subst refuses a
+    # formula past MAX_NESTING as the routes do, and substitutes one they
+    # decide.
+    def test_a_thousand_levels_are_read_and_refused_by_subst(self):
+        phi = Exists("y", InName(C2), nots(997, Exists(
+            "z", RankLE(2), Member(Var("x"), Cname(C1)))))
+        assert phi.depth == 1000
+        assert constants(phi) == {C1, C2}
+        assert max_rank_bound(phi) == 2
+        with pytest.raises(InvalidInput, match="nested too deeply"):
+            subst(phi, "x", EMPTY_NAME)
+
+    def test_the_deepest_substituted_formula_is_decided(self):
+        # 2 x 423 + 4 x rank(1-check) is exactly MAX_NESTING.
+        phi = subst(nots(422, Member(Var("x"), Cname(C1))), "x", EMPTY_NAME)
+        assert 2 * phi.depth + 4 * phi.rank == MAX_NESTING
+        assert forces_semantic(FLAT, ONE, phi)
+        assert forces_syntactic(FLAT, ONE, phi)
+
 
 # Arguments of the wrong kind, refused where they are passed rather than
 # escaping from a route as an AttributeError or TypeError.

@@ -353,8 +353,9 @@ def test_reading_a_space_adds_no_attribute():
 
 def test_each_fact_has_one_store():
     """The routes share only the kernel and the space, each keeping one
-    memo table; the kernel keeps one copy of its order; and a command keeps
-    each argument as its token, with no side table of positions."""
+    memo table; the space keeps its order with no separate count of the
+    names interned; the kernel keeps one copy of its order; and a command
+    keeps each argument as its token, with no side table of positions."""
     from forcelab import (
         ONE, Cname, Eq, Exists, Forall, InName, Member, OrdLT, RankLE, Var,
     )
@@ -378,6 +379,10 @@ def test_each_fact_has_one_store():
     k = poset.kernel()
     for forcer in (space.forcer, k.forcer):
         assert sorted(vars(forcer)) == ["_forcing", "_truth", "k", "space"]
+    assert sorted(vars(space)) == [
+        "_at", "_k", "_masks", "_of_bit", "_order", "_pairs", "_rank",
+        "_unchecked", "_unwalked", "_values", "base_names", "forcer", "poset",
+        "rank_bound"]
     assert not hasattr(k, "exts") and "_exts" not in vars(k)
     command = parse_scenario("poset P fn dom = 1 cod = 1\n"
                              "command forces P 1 phi rank=1\n").command
