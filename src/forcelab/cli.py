@@ -51,25 +51,6 @@ def cond_json(poset: Poset, c) -> str:
     return "1" if c is ONE else poset.condition_repr(c)
 
 
-def name_json(poset: Poset, tau: PName) -> list:
-    """A name as nested ``[condition, name]`` lists in sorted entry order.
-
-    Each distinct subname is built once per call and its list is shared by
-    every entry that holds it.  ``dumps`` writes it in full wherever it
-    occurs, so the report shows the unfolded tree, but encodes its text
-    only once per indentation depth.
-    """
-    return _name_json(poset, tau, {})
-
-
-def _name_json(poset: Poset, tau: PName, memo: dict) -> list:
-    out = memo.get(tau)
-    if out is None:
-        out = memo[tau] = [[cond_json(poset, c), _name_json(poset, s, memo)]
-                           for c, s in tau.sorted_entries()]
-    return out
-
-
 # The most name entries one report may hold once its names are unfolded
 # into trees, as the report writes them.  The check-name of the natural n
 # unfolds to 2^n - 1 entries, so a few lines of scenario can ask for a
@@ -77,24 +58,34 @@ def _name_json(poset: Poset, tau: PName, memo: dict) -> list:
 MAX_REPORT_ENTRIES = 2 ** 22
 
 
-def _check_report_size(*names: PName) -> None:
-    """Raise ReportTooLarge when the names one report is about to write
-    unfold to more than MAX_REPORT_ENTRIES entries.  Each distinct subname
-    is counted once, so the check costs no more than serializing a DAG."""
-    sizes: dict = {}
-    total = sum(_unfolded_entries(tau, sizes) for tau in names)
+def name_json(poset: Poset, names) -> list:
+    """Each of a report's names as nested ``[condition, name]`` lists in
+    sorted entry order.  One walk builds each distinct subname once, shares
+    its list with every entry that holds it (``dumps`` encodes it once per
+    indentation depth) and counts the entries the names unfold to: more
+    than MAX_REPORT_ENTRIES raises ReportTooLarge before anything is written.
+    """
+    memo: dict = {}
+    built = [_name_json(poset, tau, memo) for tau in names]
+    total = sum(size for _, size in built)
     if total > MAX_REPORT_ENTRIES:
         raise ReportTooLarge(
             f"the report's names unfold to {total} entries, more than "
             f"the {MAX_REPORT_ENTRIES} a report may hold")
+    return [out for out, _ in built]
 
 
-def _unfolded_entries(tau: PName, sizes: dict) -> int:
-    out = sizes.get(tau)
-    if out is None:
-        out = sizes[tau] = len(tau.entries) + sum(
-            _unfolded_entries(child, sizes) for _, child in tau.entries)
-    return out
+def _name_json(poset: Poset, tau: PName, memo: dict) -> tuple[list, int]:
+    """A name's list and the number of entries it unfolds to."""
+    got = memo.get(tau)
+    if got is None:
+        out, size = [], len(tau.entries)
+        for c, s in tau.sorted_entries():
+            child, n = _name_json(poset, s, memo)
+            out.append([cond_json(poset, c), child])
+            size += n
+        got = memo[tau] = out, size
+    return got
 
 
 def perm_json(perm: Perm) -> dict:
@@ -225,8 +216,7 @@ def run_thm2(ids, family) -> dict:
         seen.add(g)
         taus.append(tau)
         extracted.append({lab: repr(x) for lab, x in g.items()})
-    _check_report_size(*taus)
-    witnesses = [name_json(flat, tau) for tau in taus]
+    witnesses = name_json(flat, taus)
     expected = 1
     for lab in family.labels:
         expected *= len(family.blocks[lab])
@@ -257,8 +247,7 @@ def run_witness(ids, poset, p, theta, rank) -> dict:
         "witness": None, "evaluations": {},
     }
     if tau is not None:
-        _check_report_size(tau)
-        report["witness"] = name_json(poset, tau)
+        report["witness"] = name_json(poset, [tau])[0]
         report["evaluations"] = evaluations_json(poset, p, tau)
     return report
 
@@ -268,22 +257,20 @@ def run_mix(ids, poset, p, antichain, names) -> dict:
         raise InvalidInput(
             "need exactly one name per antichain member, in written order")
     mixed = mix(poset, p, antichain, dict(zip(antichain, names)))
-    _check_report_size(mixed)
     return {
         "poset": ids[0], "condition": cond_json(poset, p),
         "antichain": [cond_json(poset, c) for c in antichain],
-        "names": list(ids[3:]), "mixed": name_json(poset, mixed),
+        "names": list(ids[3:]), "mixed": name_json(poset, [mixed])[0],
         "evaluations": evaluations_json(poset, p, mixed),
     }
 
 
 def run_leastord(ids, poset, p, theta, kappa) -> dict:
     tau = least_ordinal_name(poset, p, kappa, theta)
-    _check_report_size(tau)
     var = single_free_var(theta)
     return {
         "poset": ids[0], "condition": cond_json(poset, p),
-        "formula": ids[2], "kappa": kappa, "name": name_json(poset, tau),
+        "formula": ids[2], "kappa": kappa, "name": name_json(poset, [tau])[0],
         "forces_theta": forces_semantic(poset, p, subst(theta, var, tau)),
         "evaluations": evaluations_json(poset, p, tau),
     }
@@ -326,7 +313,9 @@ def run_roundtrip(ids, asg) -> dict:
 
 
 def run_hat(ids, asg, tau) -> dict:
-    hat = hat_map(tau, asg)
+    hat = hat_map(tau, asg)  # first refuses conditions not of the grid
+    # A value along any filter unfolds to at most its name's entries.
+    name_json(asg.grid, [tau])
     orig = eval_name(tau, asg.filter())
     hat_eval = eval_name(hat, g_to_g1(asg))
     return {

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ColumnCollision, InvalidInput, NonInjective, NotDense, OutOfRange,
-    pass_on_callers, takes,
+    described, pass_on_callers, takes,
 )
 from .hf import nat
 from .names import EMPTY_NAME, PName, check_name, name_hf, ordered_pair_name
@@ -34,7 +34,7 @@ def _below(x, bound: int, what: str) -> int:
         return x
     if type(x) is int:
         raise OutOfRange(f"{what} {x} is outside the grid")
-    raise InvalidInput(f"{what} must be an integer, not {x!r}")
+    raise InvalidInput(f"{what} must be an integer, not {described(x)}")
 
 
 def _section(grid: CohenGridPoset, col, rows) -> frozenset[int]:

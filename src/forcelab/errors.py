@@ -20,12 +20,24 @@ class InvalidInput(ForceLabError):
     code = "invalid-input"
 
 
+def described(value) -> str:
+    """How a refusal shows a value: its repr, or by kind and rank for a set,
+    name or formula of rank over 8, whose repr unfolds each shared member
+    where it occurs (2^n - 1 of them for check(n))."""
+    rank = getattr(value, "rank", None)
+    if type(rank) is not int or rank <= 8:
+        return repr(value)
+    kind = type(value).__name__
+    return f"{'an' if kind[0] in 'AEIOU' else 'a'} {kind} of rank {rank}"
+
+
 def check_natural(value, what: str, least: int = 0) -> int:
     """``value`` when it is an integer of at least ``least``; any other
     value, a bool or float included, is refused with InvalidInput."""
     if type(value) is not int or value < least:
         raise InvalidInput(
-            f"{what} must be an integer of at least {least}, not {value!r}")
+            f"{what} must be an integer of at least {least}, "
+            f"not {described(value)}")
     return value
 
 
@@ -63,7 +75,8 @@ def check_kind(value, kind, where: str, param: str):
     elif isinstance(value, kind) and (type(value) is not bool or kind is object):
         return value
     raise InvalidInput(
-        f"{where} takes {param} as {_phrase(kind)}, not {value!r}")
+        f"{where} takes {param} as {_phrase(kind)}, "
+        f"not {described(value)}")
 
 
 def takes(**kinds):

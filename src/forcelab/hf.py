@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidInput, pass_on_callers, takes
+from .errors import InvalidInput, described, pass_on_callers, takes
 
 
 class _Ref(weakref.ref):
@@ -69,8 +69,8 @@ class HF:
             rank = 0
             for m in ms:
                 if not isinstance(m, HF):
-                    raise InvalidInput(
-                        f"members of an HF set must be HF sets, not {m!r}")
+                    raise InvalidInput("members of an HF set must be HF "
+                                       f"sets, not {described(m)}")
                 if m.rank >= rank:
                     rank = m.rank + 1
             h = object.__new__(cls)
@@ -103,9 +103,6 @@ class HF:
     def __reduce__(self):
         return HF, (self.members,)
 
-    def __copy__(self) -> "HF":
-        return self
-
     def __deepcopy__(self, memo) -> "HF":
         return self
 
@@ -135,7 +132,7 @@ _NATS: list[HF] = [EMPTY]
 def nat(n: int) -> HF:
     """The von Neumann natural n = {0, 1, ..., n-1}."""
     if type(n) is not int or n < 0:
-        raise InvalidInput(f"naturals only, not {n!r}")
+        raise InvalidInput(f"naturals only, not {described(n)}")
     while len(_NATS) <= n:
         _NATS.append(HF(_NATS))
     return _NATS[n]

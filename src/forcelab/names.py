@@ -99,9 +99,6 @@ class PName:
     def __reduce__(self):
         return PName, (self.entries,)
 
-    def __copy__(self) -> "PName":
-        return self
-
     def __deepcopy__(self, memo) -> "PName":
         return self
 

@@ -28,6 +28,7 @@ from .errors import (
     TruncationEscape,
     UnknownCondition,
     check_natural,
+    described,
     pass_on_callers,
     takes,
 )
@@ -114,7 +115,7 @@ class Poset:
             return self.top
         if not self.is_condition(c):
             raise UnknownCondition(
-                f"not a condition of this {self.kind} poset: {c!r}")
+                f"not a condition of this {self.kind} poset: {described(c)}")
         return c
 
     def le(self, p, q) -> bool:
@@ -429,8 +430,8 @@ class Family:
                     raise InvalidInput(f"block {label!r} is empty")
                 for v in vs:
                     if not isinstance(v, HF):
-                        raise InvalidInput(
-                            f"block {label!r} holds {v!r}, not an HF set")
+                        raise InvalidInput(f"block {label!r} holds "
+                                           f"{described(v)}, not an HF set")
                 labels.append(label)
                 sets.append(vs)
             distinct = len(set(labels)) == len(labels)
@@ -621,14 +622,16 @@ class MapPoset(Poset):
         self.cod_window = cod_items if cod_window is None else cod_window
         for x in (self.dom_items or ()) + (self.cod_items or ()):
             if not _is_item(x):
-                raise InvalidInput(f"item {x!r} of this {self.kind} poset is "
-                                   "not a natural or a set of naturals")
+                raise InvalidInput(
+                    f"item {described(x)} of this {self.kind} poset is "
+                    "not a natural or a set of naturals")
         for window, items in ((self.dom_window, self.dom_items),
                               (self.cod_window, self.cod_items)):
             for x in window or ():
                 if not self._valid_item(x, items):
-                    raise InvalidInput(f"window item {x!r} is not an item "
-                                       f"of this {self.kind} poset")
+                    raise InvalidInput(
+                        f"window item {described(x)} is not an item "
+                        f"of this {self.kind} poset")
 
     @staticmethod
     def _valid_item(x, items) -> bool:

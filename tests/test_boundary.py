@@ -254,6 +254,18 @@ def test_a_refusal_names_the_callable_and_the_parameter():
     assert str(info.value) == "eval_name takes filt as Container, not None"
 
 
+@pytest.mark.parametrize("n", [18, 40])
+def test_a_refusal_describes_a_high_rank_value_by_kind(n):
+    # repr(check(n)) unfolds to 2^n - 1 entries; the refusal stays short.
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput) as info:
+        forces_semantic(FLAT, ONE, check_name(nat(n)))
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == \
+        f"forces_semantic takes phi as Formula, not a PName of rank {n}"
+    assert len(str(info.value)) < 1000
+
+
 def test_mix_refuses_an_assigned_value_that_is_not_a_name():
     with pytest.raises(InvalidInput) as info:
         mix(FLAT, ONE, ("a", "b"), {"a": 5, "b": EMPTY_NAME})

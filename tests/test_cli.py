@@ -15,7 +15,8 @@ import pytest
 
 from forcelab import (
     And, Cname, Eq, Exists, Family, FlatPoset, Forall, InName, Member, Not,
-    OrdLT, RankLE, Var, check_name, hat_map, nat, parse_scenario,
+    OrdLT, RankLE, ReportTooLarge, Var, check_name, hat_map, nat,
+    parse_scenario,
 )
 from forcelab import cli
 
@@ -420,10 +421,10 @@ def thm2_file(tmp_path, n):
     return str(path)
 
 
-def tree_json(poset, tau):
-    """The reference serializer: unfolds the name with no memo."""
-    return [[cli.cond_json(poset, c), tree_json(poset, s)]
-            for c, s in tau.sorted_entries()]
+def tree_json(poset, names):
+    """The reference serializer: unfolds each name with no memo."""
+    return [[[cli.cond_json(poset, c), tree_json(poset, [s])[0]]
+             for c, s in tau.sorted_entries()] for tau in names]
 
 
 def test_shared_subnames_serialize_like_the_unfolded_tree(tmp_path,
@@ -436,13 +437,69 @@ def test_shared_subnames_serialize_like_the_unfolded_tree(tmp_path,
 
 
 def test_name_json_builds_each_distinct_subname_once():
-    # check(40) unfolds to 2^40 - 1 entries but has 41 distinct subnames.
+    # check(40) unfolds to 2^40 - 1 entries but has 41 distinct subnames,
+    # so the walk that counts them refuses it at once.
     start = time.perf_counter()
-    out = cli.name_json(None, check_name(nat(40)))
+    with pytest.raises(ReportTooLarge):
+        cli.name_json(None, [check_name(nat(40))])
     assert time.perf_counter() - start < 0.5
-    assert [len(child) for _, child in out] == list(range(40))
+    # check(20) unfolds to 1,048,575 entries, within the budget.
+    out, = cli.name_json(None, [check_name(nat(20))])
+    assert [len(child) for _, child in out] == list(range(20))
     assert all(cond == "1" for cond, _ in out)
-    assert out[39][1][38][1] is out[38][1]
+    assert out[19][1][18][1] is out[18][1]
+
+
+@pytest.mark.parametrize("n", [2, 6, 14])
+def test_thm2_witnesses_share_one_list_per_subname(n):
+    # Witness 0 chooses a = 0, so it holds (b, check(k)) for k < n;
+    # witness 1 chooses a = 1 and holds (a, check(0)) first.  One walk
+    # builds both, so each check(k) is one list in the report.
+    family = Family([("a", [nat(0), nat(1)]), ("b", [nat(n)])])
+    first, second = cli.run_thm2(["F"], family)["witnesses"]
+    assert len(first) == n and len(second) == n + 1
+    for k in range(n):
+        assert first[k][1] is second[k + 1][1]
+
+
+@pytest.mark.parametrize("stem", ["thm2_extract", "witness_flat", "mix_flat",
+                                  "leastord_flat", "cohen_hat"])
+def test_each_report_walks_its_names_once(stem, monkeypatch):
+    calls = []
+    walk = cli.name_json
+
+    def counted(poset, names):
+        calls.append(names)
+        return walk(poset, names)
+
+    monkeypatch.setattr(cli, "name_json", counted)
+    path = ROOT / "scenarios" / f"{stem}.fl"
+    status, out = run_in_process(subcommand_for(path), str(path))
+    assert status == 0
+    assert out == (GOLDEN / f"{stem}.json").read_text()
+    assert len(calls) == 1
+
+
+def hat_chain_file(tmp_path, k):
+    """cohen hat on t_k, where t_0 = check(0) and t_i = pair(t_(i-1),
+    check(1)): t_k unfolds to 6 * 2^k - 6 entries but has 3k + 1
+    distinct subnames."""
+    lines = ["grid G cols = 2 rows = 2", "assignment g G [0, 1, 1, 0]",
+             "name t0 = check(0)"]
+    lines += [f"name t{i} = pair(t{i - 1}, check(1))" for i in range(1, k + 1)]
+    path = tmp_path / f"hat_{k}.fl"
+    path.write_text("\n".join(lines + [f"command cohen hat g t{k}"]) + "\n")
+    return str(path)
+
+
+def test_hat_report_over_budget_fails_fast(tmp_path):
+    # Its values unfold as their names do: at k = 20, 6,291,450 entries.
+    path = hat_chain_file(tmp_path, 20)
+    start = time.perf_counter()
+    status, out = run_in_process("cohen", path)
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == "report-too-large"
 
 
 def test_hat_of_off_grid_cell_is_out_of_range(tmp_path):
@@ -608,7 +665,7 @@ def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):
     payload = counted(cli.run_command(sc, sc.command), memo)
     lists = {id(x): x for x in memo.values()}
     pairs: set = set()
-    # 185 distinct lists, which unfold to more than 2^13.
+    # 107 distinct lists, which unfold to more than 2^13.
     assert len(lists) < 2 ** 8 and places(payload, 0, pairs) > 2 ** 13
     for indent, encodings in (
             (None, sum(1 for x in lists.values() if x)),
