@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
-    check_natural, takes,
+    check_natural, described, takes,
 )
 from .forcing import forces_semantic
 from .formulas import And, Cname, Formula, Member, Var, disj, subst
@@ -40,7 +40,7 @@ class ChoiceFunction:
         for lab, value in mapping.items():
             if value not in family.blocks[lab]:
                 raise ValueEscapesBlock(
-                    f"{value!r} is not in block {lab!r}")
+                    f"{described(value)} is not in block {lab!r}")
         self.family = family
         self.mapping = dict(mapping)
         # HF sets are interned, so the chosen sets themselves compare and
@@ -143,6 +143,6 @@ def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
         value = eval_name(tau, generic_filter(flat, lab))
         if value not in family.blocks[lab]:
             raise ValueEscapesBlock(
-                f"value {value!r} below {lab!r} escapes its block")
+                f"value {described(value)} below {lab!r} escapes its block")
         mapping[lab] = value
     return ChoiceFunction(family, mapping)

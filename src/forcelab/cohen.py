@@ -117,7 +117,8 @@ def _valuation(pairs) -> dict[int, frozenset[int]]:
             return values
     except (TypeError, ValueError) as e:
         pass_on_callers(e)
-    raise InvalidInput(f"not a map from columns to sets of rows: {pairs!r}")
+    raise InvalidInput(
+        f"not a map from columns to sets of rows: {described(pairs)}")
 
 
 @takes(grid=CohenGridPoset)
@@ -219,7 +220,7 @@ def square_below(s, q) -> bool:
     condition s the same way: for each (i,j) in dom(s), i is mapped by q
     and s(i,j) = 1 exactly when j lies in q(i)."""
     if s is not ONE and not CohenGridPoset.is_condition(s):
-        raise InvalidInput(f"not a grid condition: {s!r}")
+        raise InvalidInput(f"not a grid condition: {described(s)}")
     return _agrees(s, {} if q is ONE else _valuation(q))
 
 
@@ -264,7 +265,7 @@ def g1_to_g(grid: CohenGridPoset, g1: Iterable) -> GridSectionFilter:
     except (TypeError, ValueError) as e:
         pass_on_callers(e)
         raise InvalidInput("not a set of injective-map conditions: "
-                           f"{g1!r}") from None
+                           f"{described(g1)}") from None
     return GridSectionFilter(grid, decided)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     check_natural, takes,
 )
 from .formulas import (
-    MAX_NESTING, And, Cname, Eq, Exists, Formula, Implies, InName, Member,
+    MAX_NESTING, And, Cname, Eq, Forall, Formula, Implies, InName, Member,
     Not, Or, RankLE, _TOO_DEEP, _Formula, single_free_var,
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
@@ -380,19 +380,15 @@ class _Forcer:
         if isinstance(phi, Implies):
             return k.minimal & (~self.truth(phi.left, env)
                                 | self.truth(phi.right, env))
-        if isinstance(phi, Exists):
-            out = 0
-            for m, inner in self._instances(phi, env):
-                out |= m & self.truth(phi.body, inner)
-                if out == k.minimal:
-                    break
-            return out
-        out = k.minimal  # Forall
+        # A quantifier: out collects, within m(tau), where an instance
+        # holds (exists) or fails (forall); forall is the rest.
+        flip = k.minimal if isinstance(phi, Forall) else 0
+        out = 0
         for m, inner in self._instances(phi, env):
-            out &= ~m | self.truth(phi.body, inner)
-            if not out:
+            out |= m & (self.truth(phi.body, inner) ^ flip)
+            if out == k.minimal:
                 break
-        return out
+        return out ^ flip
 
     # -- syntactic route: F(phi), the conditions that force phi -------------
 
@@ -423,19 +419,15 @@ class _Forcer:
             # has an extension in F(phi) & none_below(F(psi)).
             return k.none_below(
                 self.forcing(phi.left, env) & ~self.forcing(phi.right, env))
-        if isinstance(phi, Exists):
-            out = 0
-            for m, inner in self._instances(phi, env):
-                out |= m & self.forcing(phi.body, inner)
-                if out & k.minimal == k.minimal:
-                    break
-            return k.dense(out)
-        out = 0  # Forall
+        # A quantifier: out collects m(tau) & F(phi(tau)) (exists) or
+        # m(tau) & ~F(phi(tau)) (forall).
+        flip = -1 if isinstance(phi, Forall) else 0
+        out = 0
         for m, inner in self._instances(phi, env):
-            out |= m & ~self.forcing(phi.body, inner)
+            out |= m & (self.forcing(phi.body, inner) ^ flip)
             if out & k.minimal == k.minimal:
                 break
-        return k.none_below(out)
+        return k.none_below(out) if flip else k.dense(out)
 
     def atom(self, kind: type, t1: PName, t2: PName) -> int:
         """F(t1 = t2) or F(t1 in t2), as ``kind`` is Eq or Member.  The

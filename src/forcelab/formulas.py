@@ -89,10 +89,15 @@ class Var(_Node):
 
 
 class _Named(_Node):
-    """A node holding one name."""
+    """A node holding one name; ``rank`` is the name's, so a refusal
+    describes the node by kind and rank as it would the name."""
 
     __slots__ = ("name",)
     _fields = (("name", PName),)
+
+    @property
+    def rank(self) -> int:
+        return self.name.rank
 
 
 class Cname(_Named):

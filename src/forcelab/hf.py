@@ -95,11 +95,6 @@ class HF:
             )
         return self._key
 
-    __hash__ = object.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
     def __reduce__(self):
         return HF, (self.members,)
 

@@ -91,11 +91,6 @@ class PName:
             self._sorted = tuple(sorted(self.entries, key=_entry_key))
         return self._sorted
 
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        return self is other
-
     def __reduce__(self):
         return PName, (self.entries,)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     InvalidInput, MalformedSigma, NotInSubgroup, UnknownCondition,
-    check_kind, check_natural, takes,
+    check_kind, check_natural, described, takes,
 )
 from .names import PName, name_conditions
 from .posets import ONE, CohenGridPoset, canon_key, is_injection
@@ -50,7 +50,7 @@ class Chain:
         for tail in (self.neg, self.pos):
             if len(tail) != 2:
                 raise InvalidInput("a chain tail must be a (step, offset) "
-                                   f"pair, not {tail!r}")
+                                   f"pair, not {described(tail)}")
         na, nb = self.neg
         pa, pb = self.pos
         check_natural(na, "a chain tail step", 1)
@@ -321,7 +321,7 @@ def grid_conditions(tau: PName) -> set:
            if c is not ONE and not CohenGridPoset.is_condition(c)]
     if bad:
         raise UnknownCondition(
-            f"not a grid condition: {min(bad, key=canon_key)!r}")
+            f"not a grid condition: {described(min(bad, key=canon_key))}")
     return conds
 
 
@@ -365,7 +365,8 @@ def _check_sigma(sigma: frozenset, n: int, bound: int) -> None:
     for entry in sigma:
         if entry[0] >= bound or entry[1] >= bound:
             raise MalformedSigma(
-                f"entry {entry!r} escapes the declared bound {bound}")
+                f"entry {described(entry)} escapes the declared bound "
+                f"{bound}")
     image = dict(sigma)
     for i in range(n):
         if image.get(i) != i:

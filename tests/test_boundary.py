@@ -266,6 +266,48 @@ def test_a_refusal_describes_a_high_rank_value_by_kind(n):
     assert len(str(info.value)) < 1000
 
 
+ONE_BLOCK = FlatPoset(Family([("a", [nat(0)])]))
+
+# A refusal of a term or bound node, or of a high-rank value in another
+# module's own check, as (call, code, the value as the message shows it).
+HIGH_RANK_REFUSALS = {
+    "space-base": (lambda: NameSpace(
+        ONE_BLOCK, [Cname(check_name(nat(20)))], 1),
+        "invalid-input", "a Cname of rank 20"),
+    "disj-part": (lambda: forcelab.disj([Cname(check_name(nat(18)))]),
+                  "invalid-input", "a Cname of rank 18"),
+    "mix-name": (lambda: mix(ONE_BLOCK, ONE, [ONE],
+                             {ONE: Cname(check_name(nat(18)))}),
+                 "invalid-input", "a Cname of rank 18"),
+    "mix-bound": (lambda: mix(ONE_BLOCK, ONE, [ONE],
+                              {ONE: InName(check_name(nat(18)))}),
+                  "invalid-input", "an InName of rank 18"),
+    "choice-value": (lambda: ChoiceFunction(
+        Family([("a", [nat(0)])]), {"a": check_name(nat(20))}),
+        "value-escapes-block", "a PName of rank 20"),
+    "grid-condition": (lambda: forcelab.square_below(
+        check_name(nat(20)), ONE), "invalid-input", "a PName of rank 20"),
+    "grid-valuation": (lambda: forcelab.square_below(
+        ONE, check_name(nat(20))), "invalid-input", "a PName of rank 20"),
+    "grid-filter": (lambda: forcelab.g1_to_g(GRID, check_name(nat(20))),
+                    "invalid-input", "a PName of rank 20"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIGH_RANK_REFUSALS))
+def test_a_refusal_describes_a_term_or_value_by_kind_and_rank(case):
+    # The repr of each value unfolds to 2^18 - 1 entries or more; the
+    # refusal stays short and quick.
+    call, code, shown = HIGH_RANK_REFUSALS[case]
+    start = time.perf_counter()
+    with pytest.raises(ForceLabError) as info:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert info.value.code == code
+    assert shown in str(info.value)
+    assert len(str(info.value)) < 1000
+
+
 def test_mix_refuses_an_assigned_value_that_is_not_a_name():
     with pytest.raises(InvalidInput) as info:
         mix(FLAT, ONE, ("a", "b"), {"a": 5, "b": EMPTY_NAME})

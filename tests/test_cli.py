@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from forcelab import (
-    And, Cname, Eq, Exists, Family, FlatPoset, Forall, InName, Member, Not,
-    OrdLT, RankLE, ReportTooLarge, Var, check_name, hat_map, nat,
+    ONE, And, Cname, Eq, Exists, Family, FlatPoset, Forall, InName, Member,
+    Not, OrdLT, PName, RankLE, ReportTooLarge, Var, check_name, hat_map, nat,
     parse_scenario,
 )
 from forcelab import cli
@@ -674,3 +675,133 @@ def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):
         iterations = 0
         assert cli.dumps(payload, indent) == expected
         assert iterations == len(lists) + encodings
+
+
+# The map and tree kinds, which no golden or acceptance criterion builds:
+# each window's declaration and two incompatible conditions below its top
+# that every condition is compatible with one of, a maximal antichain.
+WINDOWS = {
+    "fn": ("fn dom = 2 cod = 2", "{0->0}", "{0->1}"),
+    "inj": ("inj dom = 2 cod = 2", "{0->0}", "{0->1}"),
+    "tree": ("tree depth = 2", "[0]", "[1]"),
+}
+# Each command's verb and its scenario lines after the declarations, with
+# t the name that holds 0-check exactly along a filter through the first
+# of the two conditions.
+WINDOW_COMMANDS = {
+    "forces-inname": ("forces", "formula phi = exists x [in g] not x in t\n"
+                                "command forces P 1 phi\n"),
+    "forces-rankle": ("forces",
+                      "formula phi = forall x [rank <= 1] "
+                      "(x in t -> x = check(0))\n"
+                      "command forces P 1 phi rank=1\n"),
+    "witness": ("witness", "formula theta(x) = x = t\n"
+                           "command witness P 1 theta rank=1\n"),
+    "mix": ("mix", "command mix P 1 A t g\n"),
+    "leastord": ("leastord",
+                 "formula theta(al) = (al = check(0) and check(0) in t) "
+                 "or al = check(1)\n"
+                 "command leastord P 1 theta kappa=2\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WINDOW_COMMANDS))
+@pytest.mark.parametrize("kind", sorted(WINDOWS))
+def test_map_and_tree_windows_answer_through_the_cli(tmp_path, kind,
+                                                     command):
+    # Each report's flags hold, and the values it gives along the generic
+    # filters are Kernel.value's for the name it writes, read back off the
+    # report.
+    declaration, first, second = WINDOWS[kind]
+    verb, lines = WINDOW_COMMANDS[command]
+    text = (f"poset P {declaration}\nname g = gamma(P)\n"
+            f"name t over P = {{({first}, check(0))}}\n"
+            f"conds A over P = {{ {first}, {second} }}\n" + lines)
+    path = tmp_path / f"{kind}.fl"
+    path.write_text(text)
+    status, out = run_in_process(verb, str(path))
+    assert status == 0, out
+    report = json.loads(out)
+    for flag in ("routes_agree", "forces_theta", "found"):
+        assert report.get(flag, True) is True, (flag, report)
+    if "evaluations" not in report:
+        return
+    poset = parse_scenario(text).lookup("P")
+    k = poset.kernel()
+    conds = {cli.cond_json(poset, c): c for c in k.conds}
+    conds["1"] = ONE
+
+    def decode(entries):
+        return PName((conds[c], decode(child)) for c, child in entries)
+
+    tau = decode(report.get("witness") or report.get("mixed")
+                 or report["name"])
+    assert report["evaluations"] == {
+        poset.condition_repr(k.conds[a]): repr(k.value(tau, a))
+        for a in k.minimals}
+
+
+FUZZ_TOKEN = re.compile(r"#[^\n]*|->|<=|-?\d+|\w+|\S")
+
+
+def fuzz_cases(rng, count):
+    """``count`` mutations of the committed scenarios, as (verb, text):
+    each deletes, repeats, swaps or replaces 1 to 3 tokens of one
+    scenario, comments dropped.  A number is replaced by a natural up to
+    12, and a word or punctuation token by one of the same kind from the
+    corpus.  The verb is the scenario's own."""
+    corpus = [(subcommand_for(path),
+               [t for t in FUZZ_TOKEN.findall(path.read_text())
+                if not t.startswith("#")])
+              for path in SCENARIOS]
+    tokens = {t for _, scenario in corpus for t in scenario}
+    words = sorted(t for t in tokens if t[0].isalpha() or t[0] == "_")
+    punctuation = sorted(t for t in tokens if not t[-1].isalnum()
+                         and t[-1] != "_")
+    for _ in range(count):
+        verb, scenario = rng.choice(corpus)
+        out = list(scenario)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(out))
+            op = rng.choice(("delete", "repeat", "swap", "replace"))
+            if op == "delete" and len(out) > 1:
+                del out[i]
+            elif op == "repeat":
+                out.insert(i, out[i])
+            elif op == "swap":
+                j = rng.randrange(len(out))
+                out[i], out[j] = out[j], out[i]
+            elif out[i][-1].isdigit():
+                out[i] = str(rng.randint(0, 12))
+            else:
+                out[i] = rng.choice(words if out[i] in words
+                                    else punctuation)
+        yield verb, " ".join(out)
+
+
+def test_mutated_scenarios_answer_or_give_a_code(tmp_path):
+    # 1,200 seeded mutations of the corpus, run in process: every one ends
+    # in exit 0, 1 or 2 with one JSON object on stdout, a coded error on
+    # every non-zero exit, and no escaping exception; at least a tenth get
+    # past the parser.
+    start = time.monotonic()
+    path = tmp_path / "case.fl"
+    past_parser = 0
+    cases = list(fuzz_cases(random.Random(2011), 1200))
+    for verb, text in cases:
+        path.write_text(text)
+        try:
+            status, out = run_in_process(verb, str(path))
+        except Exception as exc:
+            raise AssertionError(f"{verb} {text!r}") from exc
+        assert status in (0, 1, 2), (verb, text)
+        assert out.endswith("\n") and out.count("\n") == 1, (verb, text)
+        report = json.loads(out)
+        assert isinstance(report, dict), (verb, text)
+        if status:
+            assert report["error"]["code"], (verb, text)
+        past_parser += status == 0 or \
+            report["error"]["code"] != "syntax-error"
+    assert past_parser >= len(cases) // 10, past_parser
+    elapsed = time.monotonic() - start
+    assert elapsed < 20.0, f"took {elapsed:.1f}s"

@@ -888,6 +888,82 @@ def reference_sat(phi, filt, space, env=None):
     return any(results) if isinstance(phi, Exists) else all(results)
 
 
+def boolean_value(poset):
+    """The Boolean-valued model's valuation over a finite poset, whose
+    complete Boolean algebra is the power set of its minimal conditions:
+    the returned ``value(phi, env)`` is ||phi|| under env as a mask of
+    them, by Jech's clauses (Set Theory, 2003, ch. 14), with m(c), the
+    minimal conditions below c, for the value of an entry's condition:
+
+        ||s in t|| = join over (c, r) in t of m(c) & ||s = r||,
+        ||s = t||  = meet over (c, r) in s of ~m(c) | ||r in t||, met with
+                     the same for t and s swapped;
+
+    ~ is the complement within the minimal mask, and exists and forall
+    are the join and the meet over the bound's range, the entries of an
+    InName bound's name or (1, n-check) for each n below an OrdLT bound.
+    It evaluates no name along a filter and shares no code with the
+    library's routes, only the kernel's order masks; p forces phi exactly
+    when m(p) lies in ||phi||."""
+    k = poset.kernel()
+    memo = {}
+
+    def m(c):
+        return k.minimal if c is ONE else \
+            k.down[poset.index_of(c)] & k.minimal
+
+    def atom(kind, s, t):
+        key = (kind, s, t)
+        if key not in memo:
+            if kind is Member:
+                out = 0
+                for c, r in t.entries:
+                    out |= m(c) & atom(Eq, s, r)
+            else:
+                out = k.minimal
+                for a, b in ((s, t), (t, s)):
+                    for c, r in a.entries:
+                        out &= ~m(c) | atom(Member, r, b)
+            memo[key] = out
+        return memo[key]
+
+    def value(phi, env=None):
+        env = env or {}
+        key = (phi, *(env[v] for v in sorted(phi.free)))
+        if key in memo:
+            return memo[key]
+        if isinstance(phi, (Member, Eq)):
+            s, t = (env[x.name] if isinstance(x, Var) else x.name
+                    for x in (phi.left, phi.right))
+            out = atom(type(phi), s, t)
+        elif isinstance(phi, Not):
+            out = k.minimal & ~value(phi.body, env)
+        elif isinstance(phi, (And, Or, Implies)):
+            left, right = value(phi.left, env), value(phi.right, env)
+            out = left & right if isinstance(phi, And) else \
+                left | right if isinstance(phi, Or) else \
+                k.minimal & (~left | right)
+        else:
+            bound = phi.bound
+            assert isinstance(bound, (InName, OrdLT)), bound
+            range_ = bound.name.entries if isinstance(bound, InName) else \
+                [(ONE, check_name(nat(i))) for i in range(bound.bound)]
+            inner = [(m(c), value(phi.body, {**env, phi.var: r}))
+                     for c, r in range_]
+            if isinstance(phi, Exists):
+                out = 0
+                for mc, v in inner:
+                    out |= mc & v
+            else:
+                out = k.minimal
+                for mc, v in inner:
+                    out &= ~mc | v
+        memo[key] = out
+        return out
+
+    return value
+
+
 class TestReferenceOracle:
     """The semantic route against brute-force satisfaction.  The route reads
     quantifier ranges through the instances the syntactic route also uses,

@@ -22,7 +22,7 @@ from forcelab import (
 )
 from forcelab.forcing import _forcer
 
-from test_forcing import filter_at, reference_sat
+from test_forcing import boolean_value, filter_at, reference_sat
 
 
 def forces_syn(f, i, phi):
@@ -128,6 +128,68 @@ def test_routes_agree_on_every_small_poset():
     assert checked > 500_000
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def test_routes_match_the_boolean_valued_oracle_on_every_small_poset():
+    # boolean_value computes ||phi|| by Jech's clauses on names, evaluating
+    # no name along a filter, so it checks the quantifier and atom clauses
+    # of both routes on the whole battery: p forces phi exactly when every
+    # minimal condition below p lies in ||phi||.
+    start = time.monotonic()
+    checked = 0
+    for poset in small_posets():
+        k = poset.kernel()
+        value = boolean_value(poset)
+        conds = range(len(k.conds))
+        for phi in battery(poset):
+            b = value(phi)
+            f = _forcer(poset, None, phi)
+            for p in conds:
+                want = not k.down[p] & k.minimal & ~b
+                assert f.forces_sem(p, phi) is want, \
+                    (poset.conditions(), phi, p)
+                assert forces_syn(f, p, phi) is want, \
+                    (poset.conditions(), phi, p)
+            checked += len(conds)
+    assert checked == 559_548
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_boolean_valued_maximum_principle_on_every_small_poset():
+    # Lemma 14.19 in the Boolean-valued model: for each exists-x-in-S phi of
+    # the battery, with b = ||exists x in S phi||, each minimal condition a
+    # in b takes the first entry (c, sigma) of S in canonical order with a
+    # below c and in ||phi(sigma)||, and every other minimal condition the
+    # empty name.  The minimal conditions form a maximal antichain that
+    # nobody has to choose, and the mixed tau must have
+    # ||tau in S and phi(tau)|| = b.  An OrdLT(n) bound's S is n-check.
+    start = time.monotonic()
+    cases = 0
+    for poset in small_posets():
+        k = poset.kernel()
+        value = boolean_value(poset)
+        minimal = [k.conds[a] for a in k.minimals]
+        for phi in battery(poset):
+            if not isinstance(phi, Exists):
+                continue
+            bound = phi.bound.name if isinstance(phi.bound, InName) \
+                else check_name(nat(phi.bound.bound))
+            b = value(phi)
+            witness = dict.fromkeys(minimal, EMPTY_NAME)
+            for a, cond in zip(k.minimals, minimal):
+                if b >> a & 1:
+                    witness[cond] = next(
+                        sigma for c, sigma in bound.sorted_entries()
+                        if poset.le(cond, c)
+                        and value(phi.body, {phi.var: sigma}) >> a & 1)
+            tau = mix(poset, ONE, minimal, witness)
+            assert value(And(Member(Var(phi.var), Cname(bound)), phi.body),
+                         {phi.var: tau}) == b, (poset.conditions(), phi)
+            cases += 1
+    assert cases == 3720
+    elapsed = time.monotonic() - start
+    assert elapsed < 3.0, f"took {elapsed:.1f}s"
 
 
 def test_base_battery_matches_the_reference_oracle():

@@ -387,3 +387,27 @@ def test_each_fact_has_one_store():
     command = parse_scenario("poset P fn dom = 1 cod = 1\n"
                              "command forces P 1 phi rank=1\n").command
     assert list(vars(command)) == ["verb", "args", "kwargs"]
+
+
+def test_interned_kinds_take_identity_equality_from_object():
+    """HF sets, names and formula nodes are interned, so an equal value is
+    the same object: each kind takes ``==`` and the hash from ``object``
+    and restates neither."""
+    from forcelab import ONE, Cname, Exists, InName, Member, Var, formulas
+    nodes = [cls for cls in vars(formulas).values()
+             if isinstance(cls, type) and issubclass(cls, formulas._Node)]
+    assert len(nodes) > 10
+    for kind in (forcelab.HF, forcelab.PName, *nodes):
+        assert "__eq__" not in vars(kind), kind
+        assert "__hash__" not in vars(kind), kind
+    nat, check = forcelab.nat, forcelab.check_name
+    for build in (lambda: forcelab.HF([nat(0), nat(2)]),
+                  lambda: forcelab.PName([(ONE, check(nat(0))),
+                                          (ONE, check(nat(1)))]),
+                  lambda: Exists("x", InName(check(nat(2))),
+                                 Member(Var("x"), Cname(check(nat(1)))))):
+        a, b = build(), build()
+        assert a == b and a is b and hash(a) == object.__hash__(b)
+    assert check(nat(2)) == forcelab.PName([(ONE, check(nat(0))),
+                                            (ONE, check(nat(1)))])
+    assert nat(1) != nat(2) and check(nat(1)) != check(nat(2))
