@@ -108,54 +108,71 @@ def evaluations_json(poset: Poset, p, tau: PName) -> dict[str, str]:
 
 def dumps(payload, indent: Optional[int] = None) -> str:
     """``json.dumps(payload, sort_keys=True, indent=indent)``, byte for byte,
-    for str-keyed dicts, lists and JSON scalars.  A list held in more than
-    one place is encoded once per indentation depth, so a report costs
-    Python work per distinct list plus copying per output byte."""
-    uses: dict[int, int] = {}
-    stack = [payload]
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, dict):
-            stack.extend(obj.values())
-        elif isinstance(obj, list):
-            n = uses[id(obj)] = uses.get(id(obj), 0) + 1
-            if n == 1:
-                stack.extend(obj)
-    memo: dict[tuple[int, str], str] = {}
+    for str-keyed dicts, lists and JSON scalars.  One pass appends the text
+    in fragments to one list, joined once at the end.  A list held in more
+    than one place is encoded once per indentation depth: its first copy's
+    fragments are joined on its first reuse, and that text is appended from
+    then on, so a report costs Python work per distinct list plus copying
+    per output byte."""
+    out: list[str] = []
+    append = out.append
+    # (id, pad) of each list written: where its first copy's fragments
+    # start and end in ``out``, or its text once it has been reused.
+    firsts: dict[tuple[int, str], tuple[int, int] | str] = {}
     step, sep = ("", ", ") if indent is None else (" " * indent, ",")
     enc = json.encoder.encode_basestring_ascii
 
     # ``pad`` opens each line at the current depth; it is empty when compact.
-    def write(obj, pad: str) -> str:
-        if isinstance(obj, str):
-            return enc(obj)
+    # A string member is appended with the fragment before it.
+    def write(obj, pad: str) -> None:
         if isinstance(obj, list):
             if not obj:
-                return "[]"
+                append("[]")
+                return
             key = (id(obj), pad)
-            out = memo.get(key)
-            if out is None:
-                inner = pad + step
-                out = "[" + inner + (sep + inner).join(
-                    [write(v, inner) for v in obj]) + pad + "]"
-                if uses[id(obj)] > 1:  # keeping every list's text costs RSS
-                    memo[key] = out
-            return out
-        if isinstance(obj, dict):
+            first = firsts.get(key)
+            if first is not None:
+                if type(first) is tuple:
+                    first = firsts[key] = "".join(out[first[0]:first[1]])
+                append(first)
+                return
+            start, inner = len(out), pad + step
+            lead = "[" + inner
+            for v in obj:
+                if isinstance(v, str):
+                    append(lead + enc(v))
+                else:
+                    append(lead)
+                    write(v, inner)
+                lead = sep + inner
+            append(pad + "]")
+            firsts[key] = start, len(out)
+        elif isinstance(obj, dict):
             if not obj:
-                return "{}"
+                append("{}")
+                return
             inner = pad + step
-            return "{" + inner + (sep + inner).join(
-                [enc(k) + ": " + write(v, inner)
-                 for k, v in sorted(obj.items())]) + pad + "}"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        return json.dumps(obj)
+            lead = "{" + inner
+            for k, v in sorted(obj.items()):
+                if isinstance(v, str):
+                    append(lead + enc(k) + ": " + enc(v))
+                else:
+                    append(lead + enc(k) + ": ")
+                    write(v, inner)
+                lead = sep + inner
+            append(pad + "}")
+        elif isinstance(obj, str):
+            append(enc(obj))
+        elif isinstance(obj, bool):
+            append("true" if obj else "false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        else:
+            append(json.dumps(obj))
 
     try:
-        return write(payload, "" if indent is None else "\n")
+        write(payload, "" if indent is None else "\n")
+        return "".join(out)
     finally:
         # ``write`` reaches itself through its closure; unbinding it breaks
         # the cycle, so the closure is freed without the cyclic collector.

@@ -20,15 +20,50 @@ class InvalidInput(ForceLabError):
     code = "invalid-input"
 
 
+# The most characters a refusal shows of one value, before "...".
+SHOWN = 500
+
+
 def described(value) -> str:
-    """How a refusal shows a value: its repr, or by kind and rank for a set,
-    name or formula of rank over 8, whose repr unfolds each shared member
-    where it occurs (2^n - 1 of them for check(n))."""
+    """How a refusal shows a value: its repr, cut after SHOWN characters.
+    A set, name or formula of rank over 8 is shown by kind and rank, since
+    its repr unfolds each shared member where it occurs (2^n - 1 of them
+    for check(n)), and an int of over 4 * SHOWN bits by its size.  A dict,
+    tuple, list or set is shown member by member, each in the room that
+    the members before it left, so no member's repr is built once SHOWN
+    characters are spent."""
+    text = _shown(value, SHOWN)
+    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
+
+
+def _shown(value, room: int) -> str:
     rank = getattr(value, "rank", None)
-    if type(rank) is not int or rank <= 8:
-        return repr(value)
-    kind = type(value).__name__
-    return f"{'an' if kind[0] in 'AEIOU' else 'a'} {kind} of rank {rank}"
+    if type(rank) is int and rank > 8:
+        kind = type(value).__name__
+        return f"{'an' if kind[0] in 'AEIOU' else 'a'} {kind} of rank {rank}"
+    kind = type(value)
+    if kind in (tuple, list, dict, set, frozenset) and value:
+        opening, closing = {tuple: "()", list: "[]", dict: "{}", set: "{}",
+                            frozenset: ("frozenset({", "})")}[kind]
+        room -= len(opening) + len(closing)
+        parts = []
+        for member in value.items() if kind is dict else value:
+            if room <= 0:
+                parts.append("...")
+                break
+            if kind is dict:
+                key = _shown(member[0], room)
+                text = f"{key}: {_shown(member[1], room - len(key) - 2)}"
+            else:
+                text = _shown(member, room)
+            parts.append(text)
+            room -= len(text) + 2
+        tail = "," if kind is tuple and len(value) == 1 else ""
+        return opening + ", ".join(parts) + tail + closing
+    if kind is int and value.bit_length() > 4 * SHOWN:
+        return f"an int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= room else text[:max(room, 0)] + "..."
 
 
 def check_natural(value, what: str, least: int = 0) -> int:

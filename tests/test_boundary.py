@@ -291,6 +291,13 @@ HIGH_RANK_REFUSALS = {
         ONE, check_name(nat(20))), "invalid-input", "a PName of rank 20"),
     "grid-filter": (lambda: forcelab.g1_to_g(GRID, check_name(nat(20))),
                     "invalid-input", "a PName of rank 20"),
+    "section-map": (lambda: forcelab.section_g1_conditions(
+        {0: check_name(nat(18))}),
+        "invalid-input", "{0: a PName of rank 18}"),
+    "chain-tail": (lambda: forcelab.Chain(0, (), (check_name(nat(18)),) * 3,
+                                          (1, 0)),
+                   "invalid-input", "(a PName of rank 18, a PName of rank 18, "
+                                    "a PName of rank 18)"),
 }
 
 
@@ -306,6 +313,24 @@ def test_a_refusal_describes_a_term_or_value_by_kind_and_rank(case):
     assert info.value.code == code
     assert shown in str(info.value)
     assert len(str(info.value)) < 1000
+
+
+@pytest.mark.parametrize("value", [
+    (), (1,), [1, "a"], {0: frozenset({1})}, set(), {3}, frozenset(),
+    (check_name(nat(3)), None), {"k": [(1, 2.5)]}, 10 ** 200, "x" * 400])
+def test_a_refusal_shows_a_short_value_by_its_repr(value):
+    assert errors.described(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    list(range(10 ** 5)), "x" * 10 ** 5, check_name(nat(8)),
+    10 ** 5000, -10 ** 5000, {i: (i,) for i in range(10 ** 4)}],
+    ids=["list", "str", "check-8", "int", "negative-int", "dict"])
+def test_a_refusal_shows_at_most_a_bounded_prefix_of_a_long_value(value):
+    # 10 ** 5000 has more digits than ``repr`` will print.
+    shown = errors.described(value)
+    assert len(shown) <= errors.SHOWN + 3
+    assert shown.endswith("...") or shown.startswith("an int of")
 
 
 def test_mix_refuses_an_assigned_value_that_is_not_a_name():

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -605,7 +606,7 @@ def test_writer_matches_json_dumps(seed):
                "body": [random_payload(rng, 6, shared) for _ in range(4)]}
     for key in STRINGS:
         payload[key] = random_payload(rng, 4, shared)
-    for indent in (None, 2):
+    for indent in (None, 1, 2, 4):
         assert cli.dumps(payload, indent) == \
             json.dumps(payload, sort_keys=True, indent=indent)
 
@@ -631,8 +632,8 @@ def test_writer_leaves_no_cyclic_garbage():
 
 def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):
     # Every list the writer reads counts one iteration: it reads each
-    # distinct list once to count its uses, and each non-empty one once
-    # more per indentation depth it is written at, never once per place.
+    # non-empty distinct list once per indentation depth it is written at,
+    # never once per place.
     iterations = 0
 
     class Counted(list):
@@ -674,7 +675,23 @@ def test_writer_encodes_each_distinct_list_once_per_depth(tmp_path):
         expected = json.dumps(payload, sort_keys=True, indent=indent)
         iterations = 0
         assert cli.dumps(payload, indent) == expected
-        assert iterations == len(lists) + encodings
+        assert iterations == encodings
+
+
+def test_writer_holds_less_than_twice_its_text(tmp_path):
+    # The writer keeps one fragment list and each reused list's text once,
+    # so while it writes a thm2 report of check(14), whose names share each
+    # check(k), its traced peak stays under twice the text it returns.
+    sc = parse_scenario(Path(thm2_file(tmp_path, 14)).read_text())
+    payload = cli.run_command(sc, sc.command)
+    for indent in (None, 2):
+        tracemalloc.start()
+        try:
+            text = cli.dumps(payload, indent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
 
 
 # The map and tree kinds, which no golden or acceptance criterion builds:

@@ -299,6 +299,19 @@ class TestFilters:
         g = generic_filter(flat, ONE)
         assert len([c for c in flat.conditions() if c in g]) == 2
 
+    def test_filters_are_equal_by_poset_and_conditions(self):
+        flat = FlatPoset(FAM21)
+        g, h = generic_filter(flat, "a"), generic_filter(flat, "a")
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert {g, h} == {g} and len({g, h}) == 1
+        # An equal copy of the poset is another poset, so its filter over
+        # the same conditions is another filter.
+        other = FlatPoset(FAM21)
+        assert other is not flat
+        assert generic_filter(other, "a") != g
+        assert generic_filter(flat, "b") != g
+        assert g != g.conditions and len({g, generic_filter(flat, "b")}) == 2
+
 
 KERNEL_POSETS = {
     "explicit": lambda: ExplicitPoset(
