@@ -10,11 +10,9 @@ output early (``forcelab ... | head``) ends the run quietly with status 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .choice import (
@@ -109,15 +107,16 @@ def evaluations_json(poset: Poset, p, tau: PName) -> dict[str, str]:
 def dumps(payload, indent: Optional[int] = None) -> str:
     """``json.dumps(payload, sort_keys=True, indent=indent)``, byte for byte,
     for str-keyed dicts, lists and JSON scalars.  One pass appends the text
-    in fragments to one list, joined once at the end.  A list held in more
-    than one place is encoded once per indentation depth: its first copy's
-    fragments are joined on its first reuse, and that text is appended from
-    then on, so a report costs Python work per distinct list plus copying
-    per output byte."""
+    in fragments to one list, joined once at the end.  A list of lists held
+    in more than one place is encoded once per indentation depth: its first
+    copy's fragments are joined on its first reuse, and that text is
+    appended from then on, so a report costs Python work per distinct list
+    plus copying per output byte."""
     out: list[str] = []
     append = out.append
-    # (id, pad) of each list written: where its first copy's fragments
-    # start and end in ``out``, or its text once it has been reused.
+    # (id, pad) of each list of lists written: where its first copy's
+    # fragments start and end in ``out``, or its text once it has been
+    # reused.
     firsts: dict[tuple[int, str], tuple[int, int] | str] = {}
     step, sep = ("", ", ") if indent is None else (" " * indent, ",")
     enc = json.encoder.encode_basestring_ascii
@@ -129,13 +128,20 @@ def dumps(payload, indent: Optional[int] = None) -> str:
             if not obj:
                 append("[]")
                 return
-            key = (id(obj), pad)
-            first = firsts.get(key)
-            if first is not None:
-                if type(first) is tuple:
-                    first = firsts[key] = "".join(out[first[0]:first[1]])
-                append(first)
-                return
+            # In a report only name lists recur: ``name_json`` shares each
+            # between the entries that hold it.  A name list's members are
+            # its ``[condition, name]`` entries, so a list whose first
+            # member is a list gets a ``firsts`` entry, and a list of
+            # strings, numbers or dicts is written without one.
+            may_recur = isinstance(obj[0], list)
+            if may_recur:
+                key = (id(obj), pad)
+                first = firsts.get(key)
+                if first is not None:
+                    if type(first) is tuple:
+                        first = firsts[key] = "".join(out[first[0]:first[1]])
+                    append(first)
+                    return
             start, inner = len(out), pad + step
             lead = "[" + inner
             for v in obj:
@@ -146,7 +152,8 @@ def dumps(payload, indent: Optional[int] = None) -> str:
                     write(v, inner)
                 lead = sep + inner
             append(pad + "]")
-            firsts[key] = start, len(out)
+            if may_recur:
+                firsts[key] = start, len(out)
         elif isinstance(obj, dict):
             if not obj:
                 append("{}")
@@ -484,17 +491,65 @@ def run_command(scenario: Scenario, cmd: Command) -> dict:
     return handler([t.text for t in args], *values, **options)
 
 
-# Built once at import: the options never change, and building them again
-# on every call was a measurable share of a small report's time.
-_PARSER = argparse.ArgumentParser(
-    prog="forcelab", description="Run a forcing-laboratory scenario file.")
-_PARSER.add_argument("subcommand", choices=sorted(
-    {"parse-only"} | {row.split()[0] for row in HANDLERS}))
-_PARSER.add_argument("file", help="scenario file to run")
-_PARSER.add_argument("--seed", type=int, default=0,
-                     help="echoed into the report for reproducibility")
-_PARSER.add_argument("--pretty", action="store_true",
-                     help="indent the JSON report")
+# The verbs a command line may name: parse-only and every verb of HANDLERS.
+VERBS = tuple(sorted({"parse-only", *(row.split()[0] for row in HANDLERS)}))
+
+_HELP = """
+Run a forcing-laboratory scenario file.
+
+options:
+  -h, --help   show this help message and exit
+  --seed SEED  echoed into the report for reproducibility
+  --pretty     indent the JSON report"""
+
+
+def _usage_exit(error: Optional[str] = None):
+    """Print the usage line and exit: with the help on stdout and status 0,
+    or with ``error`` on stderr and status 2, as argparse did."""
+    usage = ("usage: forcelab [-h] [--seed SEED] [--pretty] "
+             f"{{{','.join(VERBS)}}} file")
+    if error is None:
+        print(usage, _HELP, sep="\n")
+        raise SystemExit(0)
+    sys.stderr.write(f"{usage}\nforcelab: error: {error}\n")
+    raise SystemExit(2)
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, str, bool, int]:
+    """The verb, file, ``--pretty`` and ``--seed`` of a command line
+    ``VERB FILE [--pretty] [--seed N]``.  Options may come anywhere, the
+    seed also as ``--seed=N``, and the last of a repeated option holds;
+    ``-h`` or ``--help`` prints the help and exits 0."""
+    words, pretty, seed = [], False, 0
+    args = iter(argv)
+    for arg in args:
+        if arg[:1] != "-":
+            words.append(arg)
+        elif arg == "--pretty":
+            pretty = True
+        elif arg in ("-h", "--help"):
+            _usage_exit()
+        else:
+            key, eq, value = arg.partition("=")
+            if key != "--seed":
+                _usage_exit(f"unrecognized arguments: {arg}")
+            if not eq:
+                value = next(args, None)
+                if value is None:
+                    _usage_exit("argument --seed: expected one argument")
+            try:
+                seed = int(value)
+            except ValueError:
+                _usage_exit(f"argument --seed: invalid int value: {value!r}")
+    if len(words) < 2:
+        _usage_exit("the following arguments are required: "
+                    + ", ".join(("subcommand", "file")[len(words):]))
+    if words[0] not in VERBS:
+        _usage_exit(f"argument subcommand: invalid choice: {words[0]!r} "
+                    f"(choose from {', '.join(map(repr, VERBS))})")
+    if len(words) > 2:
+        _usage_exit(f"unrecognized arguments: {' '.join(words[2:])}")
+    return words[0], words[1], pretty, seed
 
 
 def _decode(data: bytes) -> str:
@@ -530,17 +585,18 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    opts = _PARSER.parse_args(argv)
+    verb, file, pretty, seed = _parse_argv(
+        sys.argv[1:] if argv is None else argv)
     try:
-        data = Path(opts.file).read_bytes()
-    except OSError as exc:
-        _emit({"error": {"code": "io-error", "message": str(exc)}},
-              opts.pretty)
+        with open(file, "rb") as f:
+            data = f.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        _emit({"error": {"code": "io-error", "message": str(exc)}}, pretty)
         return 2
     try:
         scenario = parse_scenario(_decode(data))
         cmd = scenario.command
-        if opts.subcommand == "parse-only":
+        if verb == "parse-only":
             report = {
                 "command": cmd.verb if cmd is not None else None,
                 "declarations": {ident: kind for ident, (kind, _)
@@ -549,13 +605,13 @@ def _run(argv: Optional[list[str]]) -> int:
             }
         elif cmd is None:
             raise InvalidInput("the scenario file declares no command")
-        elif cmd.verb != opts.subcommand:
+        elif cmd.verb != verb:
             raise InvalidInput(f"the file's command is {cmd.verb!r}, "
-                               f"not {opts.subcommand!r}")
+                               f"not {verb!r}")
         else:
             report = run_command(scenario, cmd)
-        report["seed"] = opts.seed
-        _emit(report, opts.pretty)
+        report["seed"] = seed
+        _emit(report, pretty)
         return 0
     except ParseError as exc:
         payload = {"code": exc.code,
@@ -563,11 +619,11 @@ def _run(argv: Optional[list[str]]) -> int:
         if exc.line:
             payload["line"] = exc.line
             payload["col"] = exc.col
-        _emit({"error": payload}, opts.pretty)
+        _emit({"error": payload}, pretty)
         return 1
     except ForceLabError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}},
-              opts.pretty)
+              pretty)
         return 2
     except RecursionError:
         # Handlers and the report writer recurse once per level of a set
@@ -575,7 +631,7 @@ def _run(argv: Optional[list[str]]) -> int:
         _emit({"error": {"code": InvalidInput.code, "message":
                          "the command's names are nested too deeply to run "
                          "or report"}},
-              opts.pretty)
+              pretty)
         return 2
 
 

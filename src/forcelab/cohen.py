@@ -232,14 +232,32 @@ def g_to_g1(assignment: Assignment) -> Filter:
     return Filter(assignment.p1_poset(), conds)
 
 
+# The most colliding pairs of columns a refusal lists.
+SHOWN_PAIRS = 5
+
+
 def section_g1_conditions(
         decided: Mapping[int, frozenset[int]]) -> frozenset:
     """All injective-map conditions that agree with a partial choice of
     column values and mention only decided columns."""
     values = _valuation(decided)
-    pairs = [(c1, c2) for (c1, v1), (c2, v2)
-             in itertools.combinations(values.items(), 2) if v1 == v2]
-    if pairs:
+    groups: dict[frozenset[int], list] = {}
+    for c, v in values.items():
+        groups.setdefault(v, []).append(c)
+    count = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
+    if count:
+        # The first pairs in the order of all pairs of columns: each column
+        # with the columns of its value after it.
+        pairs, seen = [], {}
+        for c, v in values.items():
+            k = seen[v] = seen.get(v, 0) + 1
+            pairs += [(c, d) for d in groups[v][k:k + SHOWN_PAIRS]]
+            if len(pairs) >= SHOWN_PAIRS:
+                break
+        if count > SHOWN_PAIRS:
+            raise ColumnCollision(
+                f"{count} pairs of columns' values collide, the first "
+                f"{SHOWN_PAIRS}: {pairs[:SHOWN_PAIRS]}")
         raise ColumnCollision(f"these columns' values collide: {pairs}")
     return frozenset(
         frozenset(picked) for k in range(len(values) + 1)

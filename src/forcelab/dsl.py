@@ -93,32 +93,49 @@ class Token(NamedTuple):
     col: int
 
 
-# The token rules of the module docstring, tried in order.
+# The token rules of the module docstring, tried in order, one group per
+# kind: newline, blanks or a comment, int, ident, punct, and a stray
+# character.  Every character of a text falls in exactly one match, and
+# exactly one group of a match is non-empty.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<skip>[ \t\r]+|\#.*)
-  | (?P<int>-?\d+)
-  | (?P<ident>\w+)
-  | (?P<punct>->|<=|[{}()\[\],;:=<])
-  | (?P<stray>.)
+    (\n)
+  | ([ \t\r]+|\#.*)
+  | (-?\d+)
+  | (\w+)
+  | (->|<=|[{}()\[\],;:=<])
+  | (.)
 """, re.VERBOSE)
 
 
 @takes(text=str)
 def tokenize(text: str) -> list[Token]:
     out = []
+    append = out.append
+    new = tuple.__new__  # Token's own constructor, without its Python frame
     line, start = 1, 0  # the current line's number and offset
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, start = line + 1, m.end()
-        elif kind != "skip":
-            word, col = m.group(), m.start() - start + 1
-            if kind == "stray" or (kind == "ident" and not (
-                    word[0].isalpha() or word[0] == "_")):
-                raise ParseError(f"unexpected character {word[0]!r}", line, col)
-            out.append(Token(kind, word, line, col))
-    out.append(Token("end", "", line, len(text) - start + 1))
+    pos = 0  # the offset of the current piece: the lengths of those before it
+    for newline, skip, num, word, punct, stray in _TOKEN.findall(text):
+        if skip:
+            pos += len(skip)
+        elif word:
+            if not word[0].isalpha() and word[0] != "_":
+                raise ParseError(f"unexpected character {word[0]!r}",
+                                 line, pos - start + 1)
+            append(new(Token, ("ident", word, line, pos - start + 1)))
+            pos += len(word)
+        elif punct:
+            append(new(Token, ("punct", punct, line, pos - start + 1)))
+            pos += len(punct)
+        elif num:
+            append(new(Token, ("int", num, line, pos - start + 1)))
+            pos += len(num)
+        elif newline:
+            pos += 1
+            line, start = line + 1, pos
+        else:
+            raise ParseError(f"unexpected character {stray!r}",
+                             line, pos - start + 1)
+    append(Token("end", "", line, len(text) - start + 1))
     return out
 
 
@@ -187,17 +204,22 @@ class Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    # expect and accept are the parser's most frequent calls, so they read
+    # and move the cursor themselves rather than through peek and next.
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            self.fail(f"expected {want!r}, found {tok.text or 'end of file'!r}")
-        return self.next()
+            found = tok.text or "end of file"
+            self.fail(f"expected {want!r}, found {found!r}", tok)
+        self.pos += 1
+        return tok
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (text is None or tok.text == text):
-            return self.next()
+            self.pos += 1
+            return tok
         return None
 
     def int_value(self) -> int:

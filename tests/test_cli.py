@@ -64,12 +64,47 @@ def test_pretty_is_the_same_object(path):
     assert json.loads(pretty) == json.loads(plain)
     assert pretty == json.dumps(json.loads(plain), sort_keys=True,
                                 indent=2) + "\n"
+    assert run_in_process("--pretty", sub, str(path)) == (0, pretty)
 
 
 def test_seed_is_echoed():
     path = SCENARIOS[0]
-    out = run_cli(subcommand_for(path), str(path), "--seed", "7")
-    assert json.loads(out.stdout)["seed"] == 7
+    for seed in (["--seed", "7"], ["--seed=7"]):
+        status, out = run_in_process(subcommand_for(path), str(path), *seed)
+        assert status == 0 and json.loads(out)["seed"] == 7
+
+
+def run_argv(*argv):
+    """``cli.main`` on a command line that ends the run with SystemExit:
+    the exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_help_exits_0_with_the_usage_line():
+    status, out, err = run_argv("-h")
+    assert (status, err) == (0, "")
+    assert out.startswith("usage: forcelab ")
+
+
+FLAT = str(ROOT / "scenarios" / "forces_flat.fl")
+
+
+# argparse took an abbreviated option, as --pre for --pretty; the hand
+# reader of the command line takes each option only in full.
+@pytest.mark.parametrize("argv", [
+    ["forces", FLAT, "--bogus"], ["forces"], ["nope", FLAT],
+    ["forces", FLAT, "--seed", "x"], ["forces", FLAT, "--pre"]],
+    ids=["unknown-option", "no-file", "unknown-verb", "seed-not-int",
+         "abbreviated-option"])
+def test_malformed_command_line_exits_2_with_the_usage(argv):
+    status, out, err = run_argv(*argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: forcelab ")
+    assert "\nforcelab: error: " in err
 
 
 def test_parse_only_accepts_any_scenario():
@@ -386,6 +421,11 @@ def test_missing_file_exits_2():
     out = run_cli("parse-only", str(ROOT / "scenarios" / "nope.fl"))
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"]["code"] == "io-error"
+    # A path no file system takes, which only an in-process caller can pass.
+    status, out = run_in_process("parse-only", "nope\0.fl")
+    assert status == 2
+    assert json.loads(out)["error"] == {"code": "io-error",
+                                        "message": "embedded null byte"}
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

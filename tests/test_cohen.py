@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import time
 from pathlib import Path
 
 import pytest
@@ -219,8 +220,26 @@ class TestFilterTranslation:
                            frozenset({(0, frozenset({0}))})])
 
     def test_section_conditions_collision(self):
-        with pytest.raises(ColumnCollision):
+        with pytest.raises(ColumnCollision) as exc:
             section_g1_conditions({0: frozenset({1}), 1: frozenset({1})})
+        assert str(exc.value) == "these columns' values collide: [(0, 1)]"
+        a, b = frozenset({0}), frozenset({1})
+        with pytest.raises(ColumnCollision) as exc:
+            section_g1_conditions({0: a, 1: b, 2: a, 3: b, 4: b})
+        assert str(exc.value) == \
+            "these columns' values collide: [(0, 2), (1, 3), (1, 4), (3, 4)]"
+
+    def test_many_colliding_columns_give_a_short_refusal(self):
+        # 1,500 equal columns collide in 1,124,250 pairs: the refusal
+        # counts them and lists the first five, in pair order.
+        start = time.perf_counter()
+        with pytest.raises(ColumnCollision) as exc:
+            section_g1_conditions({i: frozenset({0}) for i in range(1500)})
+        elapsed = time.perf_counter() - start
+        message = str(exc.value)
+        assert elapsed < 0.1 and len(message) < 1000
+        assert message == ("1124250 pairs of columns' values collide, the "
+                           "first 5: [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]")
 
     def test_equal_sections_hash_alike(self):
         sections = {ASG.filter(),

@@ -1,5 +1,9 @@
 """Scenario-file parsing: tokens, declarations, formulas, and the command."""
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +15,10 @@ from forcelab import (
     parse_scenario, PName, tokenize, xdot_name,
 )
 from forcelab.dsl import Token
+from test_cli import fuzz_cases
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
+                   .glob("*.fl"))
 
 
 class TestTokenizer:
@@ -424,3 +432,61 @@ def test_malformed_input_error(source, cls, code, line, col, message):
     err = exc.value
     assert (type(err), err.code, err.line, err.col, err.args[0]) == \
         (cls, code, line, col, message)
+
+
+# The tokenizer as it was written first, one match object per piece: the
+# reference that ``tokenize`` must agree with, token for token and error
+# for error.
+REFERENCE_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|\#.*)
+  | (?P<int>-?\d+)
+  | (?P<ident>\w+)
+  | (?P<punct>->|<=|[{}()\[\],;:=<])
+  | (?P<stray>.)
+""", re.VERBOSE)
+
+
+def reference_tokenize(text):
+    out = []
+    line, start = 1, 0
+    for m in REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind != "skip":
+            word, col = m.group(), m.start() - start + 1
+            if kind == "stray" or (kind == "ident" and not (
+                    word[0].isalpha() or word[0] == "_")):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            out.append(Token(kind, word, line, col))
+    out.append(Token("end", "", line, len(text) - start + 1))
+    return out
+
+
+def tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return (e.args[0], e.line, e.col)
+
+
+def test_tokenizer_agrees_with_its_reference():
+    # The 16 committed scenarios, every malformed input above, the 1,200
+    # seeded mutations that the CLI's fuzz test runs, and edge cases.
+    texts = [path.read_text() for path in SCENARIOS]
+    texts += [source for source, *_ in MALFORMED.values()]
+    texts += [text for _, text in fuzz_cases(random.Random(2011), 1200)]
+    texts += ["", "\n", "\r\n x", "a\rb", " # only a comment", "#\n#",
+              "--1", "-", "-x", "\u0663x", "x\u00b2", "\u00b2x", "_1 1_",
+              "\u00e9 @", "a\tb\x0bc", "<=<->-<", "x\n\n  \u00bd"]
+    assert len(texts) > 1200 + 16
+    errors = 0
+    for text in texts:
+        got = tokens_or_error(tokenize, text)
+        assert got == tokens_or_error(reference_tokenize, text), text
+        if isinstance(got, tuple):
+            errors += 1
+        else:
+            assert all(type(tok) is Token for tok in got), text
+    assert 0 < errors < len(texts)

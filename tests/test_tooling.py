@@ -186,6 +186,12 @@ def test_import_loads_the_forcing_core_only():
     assert "inspect" not in new  # the kind declarations read __code__
 
 
+def test_cli_import_leaves_argparse_out():
+    # The command line reads its own argv, so a cold command does not
+    # import argparse.
+    assert "argparse" not in loaded_by("import forcelab.cli")
+
+
 @pytest.mark.parametrize("name, modules", [
     ("ChoiceFunction", {"choice"}),
     ("Chain", {"perms"}),
