@@ -22,7 +22,7 @@ from .formulas import And, Cname, Formula, Member, Var, disj, subst
 from .hf import HF
 from .names import PName, check_name, eval_name, gamma_name
 from .posets import (
-    ChoicePoset, Family, FlatPoset, ONE, generic_filter, is_maximal_antichain,
+    Family, FlatPoset, ONE, _is_nat, _one_per_block, generic_filter,
 )
 
 
@@ -31,14 +31,15 @@ class ChoiceFunction:
     """One element chosen from every block of a family."""
 
     def __init__(self, family: Family, mapping: dict[str, HF]):
-        extra = set(mapping) - set(family.labels)
-        if extra:
-            raise InvalidInput(f"unknown block labels: {sorted(extra)}")
-        missing = [lab for lab in family.labels if lab not in mapping]
-        if missing:
+        blocks = family.blocks
+        if mapping.keys() != blocks.keys():
+            extra = set(mapping) - set(family.labels)
+            if extra:
+                raise InvalidInput(f"unknown block labels: {sorted(extra)}")
+            missing = [lab for lab in family.labels if lab not in mapping]
             raise InvalidInput(f"no value chosen for blocks: {missing}")
         for lab, value in mapping.items():
-            if value not in family.blocks[lab]:
+            if not (isinstance(value, HF) and value in blocks[lab]):
                 raise ValueEscapesBlock(
                     f"{described(value)} is not in block {lab!r}")
         self.family = family
@@ -46,13 +47,13 @@ class ChoiceFunction:
         # HF sets are interned, so the chosen sets themselves compare and
         # hash by identity; their canonical keys would hash in time
         # exponential in their rank.
-        self._key = tuple((lab, mapping[lab]) for lab in family.labels)
+        self._key = tuple([(lab, mapping[lab]) for lab in family.labels])
 
     def __getitem__(self, label: str) -> HF:
         return self.mapping[label]
 
     def items(self) -> tuple[tuple[str, HF], ...]:
-        return tuple((lab, self.mapping[lab]) for lab in self.family.labels)
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChoiceFunction) and self._key == other._key
@@ -82,10 +83,10 @@ def all_choice_functions(family: Family) -> list[ChoiceFunction]:
 @takes(family=Family, antichain=[object])
 def choice_from_antichain(family: Family, antichain: Iterable) -> ChoiceFunction:
     """Read the one element per block off a maximal antichain."""
-    if not is_maximal_antichain(ChoicePoset(family), antichain):
+    mapping = _one_per_block(family, antichain)
+    if mapping is None:
         raise NotMaximal(
             "the antichain does not pick exactly one element per block")
-    mapping = {family.block_of(x): x for _, x in antichain}
     return ChoiceFunction(family, mapping)
 
 
@@ -93,12 +94,13 @@ def choice_from_antichain(family: Family, antichain: Iterable) -> ChoiceFunction
 def antichain_from_choice(f: ChoiceFunction,
                           levels: dict[str, int]) -> frozenset:
     """The maximal antichain placing each chosen element at its level."""
-    labels = f.family.labels
-    if set(levels) != set(labels):
+    chosen = f.mapping
+    if levels.keys() != chosen.keys():
         raise InvalidInput("levels must assign every block label exactly once")
     for lab, n in levels.items():
-        check_natural(n, f"the level of block {lab!r}")
-    return frozenset((levels[lab], f[lab]) for lab in labels)
+        if not _is_nat(n):  # word the refusal only for a level it refuses
+            check_natural(n, f"the level of block {lab!r}")
+    return frozenset([(n, chosen[lab]) for lab, n in levels.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def theta_family(flat: FlatPoset) -> Formula:
     parts = []
     for lab in flat.family.labels:
         lab_check = check_name(k.codes[k.index[lab]])
-        block_check = check_name(flat.family.block_hf(lab))
+        block_check = check_name(HF(flat.family.blocks[lab]))
         parts.append(And(Member(Cname(lab_check), Cname(gamma)),
                          Member(Var("x"), Cname(block_check))))
     return disj(parts)

@@ -41,6 +41,10 @@ from .posets import (
     is_dense,
 )
 
+# Undeclared, for the thm1 loop, which builds their arguments itself.
+_choice_from_antichain = choice_from_antichain.__wrapped__
+_antichain_from_choice = antichain_from_choice.__wrapped__
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -204,18 +208,22 @@ def _space_for(poset: Poset, phi: Formula,
 
 def run_thm1(ids, family, level) -> dict:
     poset = ChoicePoset(family, level)
+    # Each condition and element is rendered once per report, and each
+    # condition's kernel index, block and level are looked up in one read.
+    values = {x: repr(x) for block in family.blocks.values() for x in block}
+    picks = {c: (i, family.block_of(c[1]), c[0], poset.condition_repr(c))
+             for i, c in enumerate(poset.kernel().conds)}
     antichains = enumerate_maximal_antichains(poset)
     rows = []
     choices = []
     roundtrip_ok = True
     for a in antichains:
-        f = choice_from_antichain(family, a)
-        levels = {family.block_of(x): n for n, x in a}
-        if antichain_from_choice(f, levels) != a:
+        f = _choice_from_antichain(family, a)
+        row = sorted(map(picks.__getitem__, a))
+        if _antichain_from_choice(f, {lab: n for _, lab, n, _ in row}) != a:
             roundtrip_ok = False
-        rows.append([poset.condition_repr(c)
-                     for c in sorted(a, key=poset.condition_key)])
-        choices.append({lab: repr(x) for lab, x in f.items()})
+        rows.append([pick[3] for pick in row])
+        choices.append({lab: values[x] for lab, x in f.items()})
     expected = 1
     for lab in family.labels:
         expected *= level * len(family.blocks[lab])

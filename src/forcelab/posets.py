@@ -450,16 +450,11 @@ class Family:
                         f"blocks {labels[i]!r} and {labels[j]!r} overlap")
         self.labels: tuple[str, ...] = tuple(labels)
         self.blocks: dict[str, frozenset[HF]] = dict(zip(labels, sets))
-        self._block_of: dict[HF, str] = {}
-        for label, vs in self.blocks.items():
-            for v in vs:
-                self._block_of[v] = label
+        self._block_of: dict[HF, str] = {
+            v: label for label, vs in self.blocks.items() for v in vs}
 
     def block_of(self, x: HF) -> Optional[str]:
         return self._block_of.get(x)
-
-    def block_hf(self, label: str) -> HF:
-        return HF(self.blocks[label])
 
     def sorted_block(self, label: str) -> tuple[HF, ...]:
         return tuple(sorted(self.blocks[label], key=HF.key))
@@ -503,18 +498,11 @@ class ChoicePoset(Poset):
         self.level_bound = level_bound
 
     def is_condition(self, c) -> bool:
-        return (
-            isinstance(c, tuple) and len(c) == 2
-            and _is_nat(c[0])
-            and isinstance(c[1], HF)
-            and self.family.block_of(c[1]) is not None
-        )
+        return _block(self.family, c) is not None
 
     def _le(self, p, q) -> bool:
-        if p == q:
-            return True
-        (n, x), (m, y) = p, q
-        return n > m and self.family.block_of(x) == self.family.block_of(y)
+        return p == q or p[0] > q[0] and \
+            self.family.block_of(p[1]) == self.family.block_of(q[1])
 
     def _compatible(self, p, q) -> bool:
         return p == q or self.family.block_of(p[1]) == self.family.block_of(q[1])
@@ -559,8 +547,24 @@ class ChoicePoset(Poset):
     def condition_repr(self, c) -> str:
         return f"({c[0]},{c[1]!r})"
 
-    def condition_key(self, c) -> tuple:
-        return (c[0], c[1].key())
+
+def _block(family: Family, c) -> Optional[str]:
+    """The block of c when c is a condition of the family's choice poset."""
+    ok = isinstance(c, tuple) and len(c) == 2 and _is_nat(c[0])
+    return family._block_of.get(c[1]) if ok and isinstance(c[1], HF) else None
+
+
+def _one_per_block(family: Family, conditions) -> Optional[dict]:
+    """The one rule for "exactly one element per block": the element that
+    conditions of the family's choice poset pick in each block, or None.
+    Each member is checked, as ``resolve`` checks it, in the one pass."""
+    picked, count = {}, 0
+    for count, c in enumerate(conditions, 1):
+        block = _block(family, c)
+        if block is None:
+            ChoicePoset(family).resolve(c)  # refuses c
+        picked[block] = c[1]
+    return picked if count == len(picked) == len(family.labels) else None
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +862,14 @@ class Filter:
     def __contains__(self, c) -> bool:
         """Whether c is in the filter.  Like any other object that is not a
         condition, an unhashable c is not in it, nor is an equal copy that
-        ``resolve`` refuses, such as ``(1.0, x)`` for ``(1, x)``."""
+        ``resolve`` refuses, such as ``(1.0, x)`` for ``(1, x)``; only the
+        kernel's own object skips the check, as in :meth:`Kernel.find`."""
         try:
-            return c is ONE or c in self.conditions and \
+            if c is ONE or c not in self.conditions:
+                return c is ONE
+            k = self.poset._kernel
+            i = None if k is None else k.index.get(c)
+            return i is not None and k.conds[i] is c or \
                 self.poset.is_condition(c)
         except TypeError:
             return False
@@ -901,20 +910,11 @@ def _mask(poset: Poset, conditions: Iterable) -> int:
 
 @takes(poset=Poset, conditions=[object])
 def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
-    """Antichain that every condition is compatible with.
-
-    For the choice poset this is the structural test "exactly one element
-    per block", which needs no truncation; for other finite (or truncated)
-    posets it reads the kernel's compatibility masks.
-    """
+    """Antichain that every condition is compatible with: on the choice
+    poset one element per block, which needs no truncation, and on other
+    finite (or truncated) posets read off the kernel's compatibility masks."""
     if isinstance(poset, ChoicePoset):
-        items = [poset.resolve(c) for c in conditions]
-        per_block = {label: 0 for label in poset.family.labels}
-        if len(set(items)) != len(items):
-            return False
-        for (_, x) in items:
-            per_block[poset.family.block_of(x)] += 1
-        return all(count == 1 for count in per_block.values())
+        return _one_per_block(poset.family, conditions) is not None
     idx = [poset.index_of(c) for c in conditions]
     k = poset.kernel()
     mask = covered = 0
@@ -935,14 +935,14 @@ def is_dense(poset: Poset, dense_set: Iterable) -> bool:
 
 @takes(poset=ChoicePoset)
 def enumerate_maximal_antichains(poset: ChoicePoset) -> list[frozenset]:
-    """All maximal antichains of the choice poset's truncation: one
-    (level, element) pick per block, at a level below its level bound."""
+    """All maximal antichains of the choice poset's truncation in kernel
+    order: one (level, element) pick per block, below the level bound."""
+    k = poset.kernel()
     per_block: dict[str, list] = {label: [] for label in poset.family.labels}
-    for c in poset.conditions():
-        per_block[poset.family.block_of(c[1])].append(c)
-    out = [frozenset(pick) for pick in itertools.product(*per_block.values())]
-    out.sort(key=lambda a: tuple(sorted(poset.condition_key(c) for c in a)))
-    return out
+    for i, (_, x) in enumerate(k.conds):
+        per_block[poset.family.block_of(x)].append(i)
+    picks = sorted(map(sorted, itertools.product(*per_block.values())))
+    return [frozenset(map(k.conds.__getitem__, pick)) for pick in picks]
 
 
 @takes(poset=Poset)

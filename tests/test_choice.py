@@ -3,12 +3,12 @@
 import pytest
 
 from forcelab import (
-    ChoiceFunction, ChoicePoset, Family, FlatPoset, InvalidInput, NotMaximal,
-    ONE, PreconditionViolated, ValueEscapesBlock, all_choice_functions,
-    antichain_from_choice, build_witness_flat, check_name,
-    choice_from_antichain, enumerate_maximal_antichains, eval_name,
-    extract_choice_flat, forces_semantic, generic_filter, nat, subst,
-    theta_family,
+    ChoiceFunction, ChoicePoset, Family, FlatPoset, ForceLabError,
+    InvalidInput, NotMaximal, ONE, PreconditionViolated, ValueEscapesBlock,
+    all_choice_functions, antichain_from_choice, build_witness_flat,
+    check_name, choice_from_antichain, enumerate_maximal_antichains,
+    eval_name, extract_choice_flat, forces_semantic, generic_filter,
+    is_maximal_antichain, nat, subst, theta_family,
 )
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
@@ -26,6 +26,12 @@ class TestChoiceFunction:
     def test_value_outside_block_rejected(self):
         with pytest.raises(ValueEscapesBlock):
             ChoiceFunction(FAM, {"a": nat(2), "b": nat(2)})
+
+    def test_unhashable_value_escapes_its_block(self):
+        # A value that is no HF set is in no block, hashable or not.
+        with pytest.raises(ValueEscapesBlock,
+                           match=r"^\[1\] is not in block 'a'$"):
+            ChoiceFunction(FAM, {"a": [1], "b": nat(2)})
 
     def test_repr_lists_the_blocks_in_family_order(self):
         f = ChoiceFunction(FAM, {"b": nat(2), "a": nat(1)})
@@ -119,3 +125,97 @@ class TestThetaFamily:
         # a constant that never lies in the active block
         bad = check_name(nat(3))
         assert not forces_semantic(flat, ONE, subst(theta, "x", bad))
+
+
+# The refusal table: what each map between antichains and choice functions
+# gives on malformed input, code and message, or its answer where it
+# refuses nothing.  A member that is no condition is refused by the
+# choice poset's rule even after a repeated block.
+CP = ChoicePoset(FAM)
+ANTICHAIN_PROBES = {
+    "non-tuple member": [[0, nat(0)], (0, nat(2))],
+    "bool level": [(True, nat(0)), (0, nat(2))],
+    "negative level": [(-1, nat(0)), (0, nat(2))],
+    "float level": [(1.0, nat(0)), (0, nat(2))],
+    "element in no block": [(0, nat(5)), (0, nat(2))],
+    "unhashable member": [(0, nat(0)), (0, [nat(2)])],
+    "the top sentinel": [ONE, (0, nat(2))],
+    "block picked twice": [(0, nat(0)), (1, nat(1)), (0, nat(2))],
+    "block missing": [(0, nat(0))],
+    "condition listed twice": [(0, nat(0)), (0, nat(0)), (0, nat(2))],
+    "non-condition after a repeated block":
+        [(0, nat(0)), (1, nat(1)), (0, nat(2)), "x"],
+}
+NOT_A_CONDITION = "not a condition of this choice poset: "
+NOT_ONE_PER_BLOCK = ("not-maximal", "the antichain does not pick exactly one "
+                     "element per block")
+ANTICHAIN_REFUSALS = {
+    "non-tuple member": ("unknown-condition", NOT_A_CONDITION + "[0, 0]"),
+    "bool level": ("unknown-condition", NOT_A_CONDITION + "(True, 0)"),
+    "negative level": ("unknown-condition", NOT_A_CONDITION + "(-1, 0)"),
+    "float level": ("unknown-condition", NOT_A_CONDITION + "(1.0, 0)"),
+    "element in no block": ("unknown-condition", NOT_A_CONDITION + "(0, 5)"),
+    "unhashable member": ("unknown-condition", NOT_A_CONDITION + "(0, [2])"),
+    "the top sentinel":
+        ("invalid-input", "choice poset has no greatest element"),
+    "block picked twice": NOT_ONE_PER_BLOCK,
+    "block missing": NOT_ONE_PER_BLOCK,
+    "condition listed twice": NOT_ONE_PER_BLOCK,
+    "non-condition after a repeated block":
+        ("unknown-condition", NOT_A_CONDITION + "'x'"),
+}
+F0 = ChoiceFunction(FAM, {"a": nat(0), "b": nat(2)})
+LEVELS_ONCE = "levels must assign every block label exactly once"
+CHOICE_REFUSALS = [
+    (lambda: ChoiceFunction(FAM, {"a": nat(2), "b": nat(2)}),
+     ("value-escapes-block", "2 is not in block 'a'")),
+    (lambda: ChoiceFunction(FAM, {"a": True, "b": nat(2)}),
+     ("value-escapes-block", "True is not in block 'a'")),
+    (lambda: ChoiceFunction(FAM, {"a": nat(0)}),
+     ("invalid-input", "no value chosen for blocks: ['b']")),
+    (lambda: ChoiceFunction(FAM, {"a": nat(0), "b": nat(2), "c": nat(0)}),
+     ("invalid-input", "unknown block labels: ['c']")),
+    (lambda: ChoiceFunction(FAM, {"c": nat(5)}),
+     ("invalid-input", "unknown block labels: ['c']")),
+    (lambda: antichain_from_choice(F0, {"a": 0}),
+     ("invalid-input", LEVELS_ONCE)),
+    (lambda: antichain_from_choice(F0, {"a": 0, "b": 0, "c": 0}),
+     ("invalid-input", LEVELS_ONCE)),
+    (lambda: antichain_from_choice(F0, {"a": -1}),
+     ("invalid-input", LEVELS_ONCE)),
+    (lambda: antichain_from_choice(F0, {"a": True, "b": 0}),
+     ("invalid-input",
+      "the level of block 'a' must be an integer of at least 0, not True")),
+    (lambda: antichain_from_choice(F0, {"a": -1, "b": 0}),
+     ("invalid-input",
+      "the level of block 'a' must be an integer of at least 0, not -1")),
+    (lambda: antichain_from_choice(F0, {"a": 1.0, "b": 0}),
+     ("invalid-input",
+      "the level of block 'a' must be an integer of at least 0, not 1.0")),
+    (lambda: antichain_from_choice(F0, {"b": 2.5, "a": -1}),
+     ("invalid-input",
+      "the level of block 'b' must be an integer of at least 0, not 2.5")),
+]
+
+
+def outcome(call):
+    """A call's error code and message, or ("ok", its answer)."""
+    try:
+        return "ok", call()
+    except ForceLabError as e:
+        return e.code, str(e)
+
+
+@pytest.mark.parametrize("probe", ANTICHAIN_PROBES)
+def test_antichain_refusal_table(probe):
+    antichain = ANTICHAIN_PROBES[probe]
+    want = ANTICHAIN_REFUSALS[probe]
+    assert outcome(lambda: choice_from_antichain(FAM, antichain)) == want
+    assert outcome(lambda: is_maximal_antichain(CP, antichain)) == (
+        ("ok", False) if want == NOT_ONE_PER_BLOCK else want)
+
+
+@pytest.mark.parametrize("case", range(len(CHOICE_REFUSALS)))
+def test_choice_function_refusal_table(case):
+    call, want = CHOICE_REFUSALS[case]
+    assert outcome(call) == want

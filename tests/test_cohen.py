@@ -309,6 +309,22 @@ class TestHatMap:
             assert eval_name(hat_map(tau, ASG), g1) == \
                 eval_name(tau, ASG.filter()), tau
 
+    def test_hat_evaluation_checks_no_kernel_condition(self, monkeypatch):
+        # The hat name's conditions are the injection kernel's own
+        # objects, which a filter takes by identity.
+        tau = r_sigma_name(GRID, {(0, 1)})
+        hat, g1, want = hat_map(tau, ASG), g_to_g1(ASG), \
+            eval_name(tau, ASG.filter())
+        own = {id(c) for c in ASG.p1_poset().kernel().conds}
+        assert any(id(q) in own for q, _ in hat.entries)
+        asked = []
+        is_condition = posets.MapPoset.is_condition
+        monkeypatch.setattr(posets.MapPoset, "is_condition",
+                            lambda self, c: asked.append(c)
+                            or is_condition(self, c))
+        assert eval_name(hat, g1) == want
+        assert [c for c in asked if id(c) in own] == []
+
     def test_hat_of_empty_is_empty(self):
         assert hat_map(EMPTY_NAME, ASG) == EMPTY_NAME
 

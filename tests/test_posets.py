@@ -294,6 +294,24 @@ class TestFilters:
         assert not Filter(p, ["a", "b", "1"]).is_directed()
         assert Filter(p, ["a", "1"]).is_filter()
 
+    def test_membership_takes_kernel_conditions_by_identity(
+            self, monkeypatch):
+        # The kernel's own condition object is a member without a
+        # condition check, as Kernel.find takes it; an equal copy that
+        # resolve refuses is still checked, and is no member.
+        poset = ChoicePoset(FAM21, 2)
+        k = poset.kernel()
+        filt = generic_filter(poset, (1, nat(0)))
+        asked = []
+        is_condition = ChoicePoset.is_condition
+        monkeypatch.setattr(ChoicePoset, "is_condition",
+                            lambda self, c: asked.append(c)
+                            or is_condition(self, c))
+        own = k.conds[k.index[(1, nat(0))]]
+        assert own in filt and asked == []
+        copy = (1.0, nat(0))
+        assert copy == own and copy not in filt and asked == [copy]
+
     def test_generic_filter_seed_below(self):
         flat = FlatPoset(FAM21)
         g = generic_filter(flat, ONE)
