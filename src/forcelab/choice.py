@@ -6,7 +6,10 @@ per block, so it reads off as a choice function, and conversely any choice
 function plus a level assignment yields a maximal antichain.  On the flat
 poset, a name that provably lands in the block selected by the generic
 filter evaluates, below each block condition, to one chosen element; those
-values again form a choice function.
+values again form a choice function.  The flat poset's generic filters are
+the filters at its block labels, so one read of the name's values off the
+kernel at the labels both decides that precondition and gives the choice:
+no formula is built or decided.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ from .errors import (
     InvalidInput, NotMaximal, PreconditionViolated, ValueEscapesBlock,
     check_natural, described, takes,
 )
-from .forcing import forces_semantic
-from .formulas import And, Cname, Formula, Member, Var, disj, subst
-from .hf import HF
-from .names import PName, check_name, eval_name, gamma_name
-from .posets import (
-    Family, FlatPoset, ONE, _is_nat, _one_per_block, generic_filter,
+from .forcing import forces_semantic  # noqa: F401  (perfbench's tracer wraps it here)
+from .formulas import (
+    MAX_NESTING, And, Cname, Formula, Member, Var, _TOO_DEEP, disj,
 )
+from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
+from .hf import HF
+from .names import PName, check_name, gamma_name
+from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
+from .posets import Family, FlatPoset, _is_nat, _one_per_block
 
 
 @takes(family=Family, mapping=dict)
@@ -33,11 +38,13 @@ class ChoiceFunction:
     def __init__(self, family: Family, mapping: dict[str, HF]):
         blocks = family.blocks
         if mapping.keys() != blocks.keys():
-            extra = set(mapping) - set(family.labels)
+            extra = [lab for lab in mapping if lab not in blocks]
             if extra:
-                raise InvalidInput(f"unknown block labels: {sorted(extra)}")
+                raise InvalidInput(
+                    f"unknown block labels: {described(extra)}")
             missing = [lab for lab in family.labels if lab not in mapping]
-            raise InvalidInput(f"no value chosen for blocks: {missing}")
+            raise InvalidInput(
+                f"no value chosen for blocks: {described(missing)}")
         for lab, value in mapping.items():
             if not (isinstance(value, HF) and value in blocks[lab]):
                 raise ValueEscapesBlock(
@@ -133,18 +140,19 @@ def build_witness_flat(f: ChoiceFunction) -> PName:
 
 @takes(tau=PName, flat=FlatPoset)
 def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
-    """Evaluate a witness below each block condition of the flat poset and
-    collect the chosen elements; the witness must provably select from the
-    generic block."""
+    """Read a witness's value below each block condition of the flat poset
+    as the element chosen from that block; the witness must provably select
+    from the generic block.  theta_family(tau) holds along the filter at a
+    label exactly when that value lies in the label's block, so 1 forces it
+    exactly when no value read here escapes its block."""
+    if 4 * tau.rank > MAX_NESTING:
+        raise InvalidInput(_TOO_DEEP)
     family = flat.family
-    if not forces_semantic(flat, ONE, subst(theta_family(flat), "x", tau)):
+    k = flat.kernel()
+    # Every value is read before any is checked, so an entry that is no
+    # condition is refused wherever it lies, as deciding theta would.
+    mapping = {lab: k.value(tau, k.index[lab]) for lab in family.labels}
+    if any(v not in family.blocks[lab] for lab, v in mapping.items()):
         raise PreconditionViolated(
             "the name is not forced to select from the generic block")
-    mapping = {}
-    for lab in family.labels:
-        value = eval_name(tau, generic_filter(flat, lab))
-        if value not in family.blocks[lab]:
-            raise ValueEscapesBlock(
-                f"value {described(value)} below {lab!r} escapes its block")
-        mapping[lab] = value
     return ChoiceFunction(family, mapping)

@@ -81,16 +81,22 @@ class Poset:
     """Poset interface: condition validity, order, compatibility, bounded
     enumeration, and canonical encodings.
 
+    Each kind defines ``is_condition``, ``_le``, ``_compatible``,
+    ``_compile``, ``_size``, ``_condition_hf`` and ``condition_repr``.
     :meth:`resolve` is the one condition validator: it maps ONE to the top
     and raises a ``ForceLabError`` for anything that is not a condition.
     The public per-condition methods (``le``, ``compatible``, ``index_of``,
     ``condition_hf``) pass each argument through it once and then call the
-    subclass's ``_le``, ``_compatible`` or ``_condition_hf``, which take
-    conditions already known to be valid; subclasses override only those.
+    kind's ``_le``, ``_compatible`` or ``_condition_hf``, which take
+    conditions already known to be valid; ``condition_repr`` shows a
+    condition already validated, with no check, as report serialization
+    calls it once per entry of each distinct subname.
     Enumerations run on the poset's :class:`Kernel`, compiled once on first
     use by the kind's ``_compile``, which lists the truncation in canonical
     order with its down-set masks, read off the kind's structure; a
     condition is inside the truncation exactly when the kernel indexes it.
+    ``_size`` counts the truncation's conditions without compiling it, and
+    both raise TruncationEscape when there is no truncation.
     Every kind's truncation is an up-set: what a condition inside it
     extends is inside it too.  So the kernel never asks ``_le`` or
     ``_compatible``; only the public ``le`` and ``compatible`` do.
@@ -101,9 +107,6 @@ class Poset:
     _kernel = None  # type: Kernel | None
 
     # -- structure ---------------------------------------------------------
-
-    def is_condition(self, c) -> bool:
-        raise NotImplementedError
 
     def resolve(self, c):
         """The condition c stands for: ONE maps to the top (InvalidInput
@@ -126,27 +129,10 @@ class Poset:
         """Some condition extends both p and q."""
         return self._compatible(self.resolve(p), self.resolve(q))
 
-    def _le(self, p, q) -> bool:
-        raise NotImplementedError
-
-    def _compatible(self, p, q) -> bool:
-        raise NotImplementedError
-
     def conditions(self) -> tuple:
         """All conditions inside the truncation, canonically sorted: the
         kernel's own objects."""
         return self.kernel().conds
-
-    def _compile(self) -> tuple[tuple, tuple[int, ...]]:
-        """The truncation's conditions in canonical order and their down-set
-        masks, read off the kind's structure (no ``_le`` call); raises
-        TruncationEscape when there is no truncation."""
-        raise NotImplementedError
-
-    def _size(self) -> int:
-        """The number of conditions inside the truncation, counted without
-        compiling it; raises TruncationEscape when there is none."""
-        raise NotImplementedError
 
     def _compat(self, k: "Kernel") -> tuple[int, ...]:
         """The kernel's compatibility masks.  Two conditions are compatible
@@ -202,15 +188,6 @@ class Poset:
     def condition_hf(self, c) -> HF:
         """The hereditarily finite set encoding the condition c stands for."""
         return self._condition_hf(self.resolve(c))
-
-    def _condition_hf(self, c) -> HF:
-        raise NotImplementedError
-
-    def condition_repr(self, c) -> str:
-        """Display form of a condition already validated (no check here:
-        report serialization calls it once per entry of each distinct
-        subname)."""
-        raise NotImplementedError
 
     def condition_key(self, c) -> tuple:
         """Canonical sort key of a condition already validated (no check

@@ -1,15 +1,21 @@
 """Antichains and witness names versus choice functions."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from forcelab import (
-    ChoiceFunction, ChoicePoset, Family, FlatPoset, ForceLabError,
-    InvalidInput, NotMaximal, ONE, PreconditionViolated, ValueEscapesBlock,
-    all_choice_functions, antichain_from_choice, build_witness_flat,
-    check_name, choice_from_antichain, enumerate_maximal_antichains,
-    eval_name, extract_choice_flat, forces_semantic, generic_filter,
-    is_maximal_antichain, nat, subst, theta_family,
+    EMPTY_NAME, HF, ChoiceFunction, ChoicePoset, Family, FlatPoset,
+    ForceLabError, InvalidInput, NotMaximal, ONE, PName, PreconditionViolated,
+    ValueEscapesBlock, all_choice_functions, antichain_from_choice,
+    build_witness_flat, check_name, choice, choice_from_antichain, cli,
+    enumerate_maximal_antichains, eval_name, extract_choice_flat,
+    forces_semantic, generic_filter, is_maximal_antichain, nat, posets, subst,
+    theta_family,
 )
+from forcelab.errors import SHOWN
+from forcelab.formulas import _TOO_DEEP
 
 FAM = Family([("a", [nat(0), nat(1)]), ("b", [nat(2)])])
 
@@ -195,6 +201,8 @@ CHOICE_REFUSALS = [
     (lambda: antichain_from_choice(F0, {"b": 2.5, "a": -1}),
      ("invalid-input",
       "the level of block 'b' must be an integer of at least 0, not 2.5")),
+    (lambda: ChoiceFunction(FAM, {1: nat(0), "z": nat(2)}),
+     ("invalid-input", "unknown block labels: [1, 'z']")),
 ]
 
 
@@ -219,3 +227,117 @@ def test_antichain_refusal_table(probe):
 def test_choice_function_refusal_table(case):
     call, want = CHOICE_REFUSALS[case]
     assert outcome(call) == want
+
+
+def test_unknown_labels_are_shown_within_the_refusal_bound():
+    code, message = outcome(lambda: ChoiceFunction(
+        FAM, {f"x{i}": nat(0) for i in range(1000)}))
+    assert code == "invalid-input"
+    assert message.startswith("unknown block labels: ['x0', 'x1', ")
+    assert len(message) <= len("unknown block labels: ") + SHOWN + 3
+
+
+# ---------------------------------------------------------------------------
+# extraction reads each witness's values off the kernel once
+
+
+def theta_extract(tau, flat):
+    """Extraction as the definition states it: 1 must force theta(tau),
+    and tau is evaluated along the generic filter at each block label."""
+    if not forces_semantic(flat, ONE, subst(theta_family(flat), "x", tau)):
+        raise PreconditionViolated(
+            "the name is not forced to select from the generic block")
+    return ChoiceFunction(flat.family, {
+        lab: eval_name(tau, generic_filter(flat, lab))
+        for lab in flat.family.labels})
+
+
+BATTERY_FAMILIES = [
+    FAM,
+    Family([("a", [nat(0)]), ("b", [nat(1), nat(3)]), ("c", [nat(2)])]),
+    Family([("p", [nat(1), nat(2), nat(3)]), ("q", [nat(0)])]),
+]
+
+
+@pytest.mark.parametrize("family", BATTERY_FAMILIES, ids=lambda f: repr(f))
+def test_extraction_agrees_with_deciding_theta(family):
+    # Seeded near-witnesses: each label's entries name the members of an
+    # element of its block or of a small natural, then random entries,
+    # rarely over a non-condition, are added and some dropped.  Extraction
+    # gives what deciding theta(tau) and evaluating along each generic
+    # filter gives, refusals included, on a poset of its own.  About 0.2 s.
+    rng = random.Random(46)
+    flat, ref = FlatPoset(family), FlatPoset(family)
+    conds = [ONE, "1", *family.labels]
+    pool = [EMPTY_NAME, *(check_name(nat(i)) for i in range(4))]
+    seen = Counter()
+    for _ in range(1000):
+        entries = {(lab, check_name(m)) for lab in family.labels
+                   for m in (rng.choice(family.sorted_block(lab))
+                             if rng.random() < 0.5 else nat(rng.randrange(4)))}
+        entries |= {("zz" if rng.random() < 0.02 else rng.choice(conds),
+                     rng.choice(pool)) for _ in range(rng.randrange(3))}
+        tau = PName(e for e in entries if rng.random() < 0.9)
+        if rng.random() < 0.3:
+            pool.append(tau)
+        got = outcome(lambda: extract_choice_flat(tau, flat))
+        assert got == outcome(lambda: theta_extract(tau, ref))
+        seen[got[0]] += 1
+    assert seen["ok"] >= 50 and seen["precondition-violated"] >= 50
+    assert seen["unknown-condition"] >= 5, seen
+
+
+def test_a_thm2_report_builds_and_decides_no_formula(monkeypatch):
+    # Work pin: extraction substitutes into no formula, decides none,
+    # evaluates along no filter and builds none.  Deciding theta(tau) for
+    # each of the 18 witnesses, with a filter and an evaluation per block,
+    # made 18, 18, 54 and 54 of these calls.
+    counts = Counter()
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("forces_semantic", "subst", "eval_name"):
+        monkeypatch.setattr(choice, attr, counting(attr, getattr(choice, attr)))
+    monkeypatch.setattr(posets.Filter, "__init__",
+                        counting("Filter", posets.Filter.__init__))
+    family = Family([("a", [nat(0), nat(1), nat(2)]), ("b", [nat(3), nat(4)]),
+                     ("c", [nat(5), nat(6), nat(7)])])
+    report = cli.run_thm2(["F"], family)
+    assert (report["count"], report["complete"], report["roundtrip_ok"]) == \
+        (18, True, True)
+    assert counts == Counter()
+
+
+@pytest.mark.parametrize("warm", [None, 200])
+def test_a_witness_nested_past_the_stack_is_refused(warm):
+    # A witness whose 4 x rank passes MAX_NESTING = 850 is refused before
+    # any value is read, so rank 212 answers and 213 is refused, on a fresh
+    # poset and on one that has just read a shallower witness of the same
+    # kind.  The witness names the chain {{...{}...}} of its depth below
+    # "a", and nothing below "b".
+    chain = [nat(0)]
+    for _ in range(213):
+        chain.append(HF([chain[-1]]))
+    family = Family([("a", [chain[212]]), ("b", [nat(0)])])
+
+    def ask(n):
+        flat = FlatPoset(family)
+        tau = EMPTY_NAME
+        if warm is not None:
+            for _ in range(warm):
+                tau = PName([("a", tau)])
+            assert outcome(lambda: extract_choice_flat(tau, flat))[0] == \
+                "precondition-violated"
+        for _ in range(n - (warm or 0)):
+            tau = PName([("a", tau)])
+        assert tau.rank == n
+        return outcome(lambda: extract_choice_flat(tau, flat))
+
+    assert ask(212) == ("ok", ChoiceFunction(family, {"a": chain[212],
+                                                       "b": nat(0)}))
+    assert ask(213) == ("invalid-input", _TOO_DEEP)
+    assert ask(211)[0] == "precondition-violated"

@@ -267,6 +267,42 @@ def test_every_import_is_used(path):
     assert unused == []
 
 
+def untraced_seams(module: str, text: str, calls) -> list[tuple[int, str]]:
+    """(line, name) for each name the module imports on a line marked
+    ``# noqa: F401`` that no ``CALLS`` row wraps in that module: a seam
+    kept for the tracer that the tracer no longer reads."""
+    wrapped = {attr for m, attr, _ in calls if m == module}
+    lines = text.splitlines()
+    return [(a.lineno, name) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names
+            if "# noqa: F401" in lines[a.lineno - 1]
+            and (name := a.asname or a.name) not in wrapped]
+
+
+def test_untraced_seams_are_caught():
+    text = ("from .names import eval_name  # noqa: F401\n"
+            "from .hf import nat  # noqa: F401\n"
+            "from .formulas import subst\n")
+    calls = (("forcelab.m", "eval_name", "names.eval"),
+             ("forcelab.other", "nat", "hf.nat"))
+    assert untraced_seams("forcelab.m", text, calls) == [(2, "nat")]
+
+
+# An import kept only for the tracer names a ``CALLS`` row of its module;
+# these rows list the seams that go once the tracer reads a meter instead.
+@pytest.mark.parametrize("path", [p for p in PACKAGE
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_tracer_seam_is_wrapped(path):
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    calls = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["CALLS"])
+    assert untraced_seams(f"forcelab.{path.stem}", path.read_text(),
+                          calls) == []
+
+
 def forwarding_twins(tree: ast.Module) -> list[str]:
     """The top-level functions whose body, after any docstring, only
     returns a call of a module-level private function with the function's
