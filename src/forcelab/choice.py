@@ -14,6 +14,7 @@ no formula is built or decided.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from .errors import (
@@ -21,9 +22,7 @@ from .errors import (
     check_natural, described, takes,
 )
 from .forcing import forces_semantic  # noqa: F401  (perfbench's tracer wraps it here)
-from .formulas import (
-    MAX_NESTING, And, Cname, Formula, Member, Var, _TOO_DEEP, disj,
-)
+from .formulas import And, Cname, Formula, Member, Var, _check_nesting, disj
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF
 from .names import PName, check_name, gamma_name
@@ -76,11 +75,8 @@ class ChoiceFunction:
 @takes(family=Family)
 def all_choice_functions(family: Family) -> list[ChoiceFunction]:
     """Every choice function of the family, in canonical order."""
-    stack: list[dict[str, HF]] = [{}]
-    for lab in family.labels:
-        stack = [{**m, lab: v}
-                 for m in stack for v in family.sorted_block(lab)]
-    return [ChoiceFunction(family, m) for m in stack]
+    return [ChoiceFunction(family, dict(zip(family.labels, vs))) for vs in
+            itertools.product(*map(family.sorted_block, family.labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +141,7 @@ def extract_choice_flat(tau: PName, flat: FlatPoset) -> ChoiceFunction:
     from the generic block.  theta_family(tau) holds along the filter at a
     label exactly when that value lies in the label's block, so 1 forces it
     exactly when no value read here escapes its block."""
-    if 4 * tau.rank > MAX_NESTING:
-        raise InvalidInput(_TOO_DEEP)
+    _check_nesting(rank=tau.rank)
     family = flat.family
     k = flat.kernel()
     # Every value is read before any is checked, so an entry that is no

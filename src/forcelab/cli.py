@@ -11,6 +11,7 @@ output early (``forcelab ... | head``) ends the run quietly with status 0.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -224,12 +225,10 @@ def run_thm1(ids, family, level) -> dict:
             roundtrip_ok = False
         rows.append([pick[3] for pick in row])
         choices.append({lab: values[x] for lab, x in f.items()})
-    expected = 1
-    for lab in family.labels:
-        expected *= level * len(family.blocks[lab])
     return {
         "mode": "enumerate", "family": ids[0], "level": level,
-        "count": len(antichains), "expected": expected,
+        "count": len(antichains),
+        "expected": math.prod(level * len(b) for b in family.blocks.values()),
         "antichains": rows, "choices": choices, "roundtrip_ok": roundtrip_ok,
     }
 
@@ -249,9 +248,7 @@ def run_thm2(ids, family) -> dict:
         taus.append(tau)
         extracted.append({lab: repr(x) for lab, x in g.items()})
     witnesses = name_json(flat, taus)
-    expected = 1
-    for lab in family.labels:
-        expected *= len(family.blocks[lab])
+    expected = math.prod(map(len, family.blocks.values()))
     return {
         "mode": "extract", "family": ids[0],
         "count": len(extracted), "expected": expected,

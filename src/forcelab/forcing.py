@@ -46,14 +46,14 @@ from .errors import (
     check_natural, takes,
 )
 from .formulas import (
-    MAX_NESTING, And, Cname, Eq, Forall, Formula, Implies, InName, Member,
-    Not, Or, RankLE, _TOO_DEEP, _Formula, single_free_var,
+    And, Cname, Eq, Forall, Formula, Implies, InName, Member, Not, Or, RankLE,
+    _Formula, _check_nesting, single_free_var,
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
 from .names import PName, _check_name, _closure, _entry_key
 from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
-from .posets import Kernel, ONE, Poset, _bits
+from .posets import Kernel, ONE, Poset, _bits, _not_maximal_below
 
 # The most subsets of (condition, child) pairs a NameSpace admits; its walk
 # visits only the first subset of each class.
@@ -87,13 +87,13 @@ class NameSpace:
     past the empty name or asks ``len(space)``.  The empty name, the empty
     subset met first at rank 0, is always the first name, so the space
     holds it from construction, and a reader that it settles runs no walk.
-    Construction refuses a negative rank bound, the cap, and, through
-    ``Kernel.below``, a closure entry's condition that ``resolve``
-    refuses.  A class's name is interned only when a reader first reaches
-    it: the routes' ``RankLE`` ranges, :func:`mp_witness_search`,
-    :meth:`names_of_rank_le` and ``in``, which stops at the name asked or
-    past its rank, intern the universe as far as they read it;
-    ``universe`` interns all of it, and ``len(space)`` nothing.
+    Construction refuses a negative rank bound, too deep a base name, the cap,
+    and, through ``Kernel.below``, a closure entry's condition that ``resolve``
+    refuses.  A class's name is interned only when a reader first reaches it:
+    the routes' ``RankLE`` ranges, :func:`mp_witness_search`,
+    :meth:`names_of_rank_le` and ``in``, which stops at the name asked or past
+    its rank, intern the universe as far as they read it; ``universe`` interns
+    all of it, and ``len(space)`` nothing.
 
     A class mask is a set of (condition, value) bits, so it fixes its
     name's value along every filter.  The space keeps the mask of each
@@ -106,6 +106,7 @@ class NameSpace:
     def __init__(self, poset: Poset, base_names: Sequence[PName],
                  rank_bound: int):
         check_natural(rank_bound, "rank bound")
+        _check_nesting(rank=max((s.rank for s in base_names), default=0))
         self.base_names = base_names
         self.poset = poset
         self.rank_bound = rank_bound
@@ -502,9 +503,8 @@ def _forcer(poset: Poset, space: Optional[NameSpace],
     k = poset.kernel()
     if space is not None and space.poset is not poset:
         raise InvalidInput("the name space is built over another poset")
-    rank = phi.rank if space is None else max(phi.rank, space._rank)
-    if 2 * phi.depth + 4 * rank > MAX_NESTING:
-        raise InvalidInput(_TOO_DEEP)
+    _check_nesting(phi.depth,
+                   phi.rank if space is None else max(phi.rank, space._rank))
     owner = k if space is None else space
     if owner.forcer is None:
         owner.forcer = _Forcer(k, space)
@@ -544,26 +544,14 @@ def mix(poset: Poset, p, antichain: Sequence, assignment: dict) -> PName:
     i = poset.index_of(p)
     k = poset.kernel()
     indices = [poset.index_of(r) for r in antichain]
-    if not indices:
-        raise NotMaximalBelow("empty antichain")
-    for j in indices:
-        if not k.down[i] >> j & 1:
-            raise NotMaximalBelow(
-                f"{poset.condition_repr(k.conds[j])} does not extend "
-                f"{poset.condition_repr(k.conds[i])}")
-    for a, b in itertools.combinations(indices, 2):
-        if k.compat[a] >> b & 1:  # compat[a] has bit a, so repeats fail too
-            raise NotMaximalBelow("antichain members are compatible")
-    mask = sum(1 << j for j in indices)
-    for q in _bits(k.down[i]):
-        if not k.compat[q] & mask:
-            raise NotMaximalBelow(
-                f"nothing in the antichain is compatible with "
-                f"{poset.condition_repr(k.conds[q])}")
+    why = _not_maximal_below(k, i, indices)
+    if why is not None:
+        raise NotMaximalBelow(why)
     entries = []
     for r, j in zip(antichain, indices):
         tau = check_kind(assignment.get(r), PName, "mix",
                          f"the name of antichain member {r!r}")
+        _check_nesting(rank=tau.rank)
         for m, sigma in k.entry_masks(tau):
             entries.extend((k.conds[s], sigma) for s in _bits(k.down[j] & m))
     return PName(entries)

@@ -21,13 +21,19 @@ from .names import PName
 # (class, *fields), held weakly like HF sets and names.
 _UNIQUE, _enter = unique_table()
 
-# The forcing routes recurse two frames per level of a formula and about
-# four per level of its names (``Kernel.value``, ``PName.key``).  An input
-# whose 2 x depth + 4 x rank passes this bound is refused before any
-# recursion, as is one whose 2 x depth passes it by :func:`subst`; one
-# within it leaves about 130 of the default 1,000 frames to its caller.
 MAX_NESTING = 850
 _TOO_DEEP = "the formula or its names are nested too deeply to decide"
+
+
+def _check_nesting(depth: int = 0, rank: int = 0) -> None:
+    """The one nesting rule, applied before any recursion.  The forcing
+    routes recurse two frames per level of a formula and about four per
+    level of its names (``Kernel.value``, ``PName.key``), so a formula of
+    this depth over names of this rank is refused when 2 x depth + 4 x rank
+    passes :data:`MAX_NESTING`; one within it leaves about 130 of the
+    default 1,000 frames to its caller."""
+    if 2 * depth + 4 * rank > MAX_NESTING:
+        raise InvalidInput(_TOO_DEEP)
 
 
 class _Node:
@@ -226,8 +232,7 @@ def subst(phi: Formula, var: str, name: PName) -> Formula:
     """Substitute a name constant for every free occurrence of a variable,
     rebuilding each node that has one from its fields.  A formula whose
     2 x depth passes :data:`MAX_NESTING` is refused before any recursion."""
-    if 2 * phi.depth > MAX_NESTING:
-        raise InvalidInput(_TOO_DEEP)
+    _check_nesting(phi.depth)
     if var not in phi.free:
         return phi
     return type(phi)(*(

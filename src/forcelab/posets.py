@@ -863,10 +863,11 @@ class Filter:
                    for q, m in enumerate(self.poset.kernel().down) if m & mask)
 
     def is_directed(self) -> bool:
-        mask = _mask(self.poset, self.conditions)
-        downs = [m for q, m in enumerate(self.poset.kernel().down)
-                 if mask >> q & 1]
-        return all(a & b & mask for a in downs for b in downs)
+        """Empty, or some member (a minimal one) extends every member."""
+        mask = common = _mask(self.poset, self.conditions)
+        for m in map(self.poset.kernel().down.__getitem__, _bits(mask)):
+            common &= m
+        return common != 0 or not mask
 
     def is_filter(self) -> bool:
         return bool(self.conditions) and self.is_upward_closed() and self.is_directed()
@@ -885,29 +886,43 @@ def _mask(poset: Poset, conditions: Iterable) -> int:
     return mask
 
 
+def _not_maximal_below(k: Kernel, i: int, members) -> Optional[str]:
+    """Why the kernel indices ``members`` are no maximal antichain below
+    condition i, as ``mix`` refuses them, or None when they are one."""
+    show = k.poset.condition_repr
+    if not members:
+        return "empty antichain"
+    for j in members:
+        if not k.down[i] >> j & 1:
+            return f"{show(k.conds[j])} does not extend {show(k.conds[i])}"
+    mask = covered = 0
+    for j in members:
+        if k.compat[j] & mask:  # compat[j] has bit j, so repeats fail too
+            return "antichain members are compatible"
+        mask |= 1 << j
+        covered |= k.compat[j]
+    q = next(_bits(k.down[i] & ~covered), None)  # compatible with no member
+    return None if q is None else \
+        f"nothing in the antichain is compatible with {show(k.conds[q])}"
+
+
 @takes(poset=Poset, conditions=[object])
 def is_maximal_antichain(poset: Poset, conditions: Iterable) -> bool:
     """Antichain that every condition is compatible with: on the choice
     poset one element per block, which needs no truncation, and on other
-    finite (or truncated) posets read off the kernel's compatibility masks."""
+    finite (or truncated) posets a maximal antichain below the top."""
     if isinstance(poset, ChoicePoset):
         return _one_per_block(poset.family, conditions) is not None
     idx = [poset.index_of(c) for c in conditions]
     k = poset.kernel()
-    mask = covered = 0
-    for i in idx:
-        if k.compat[i] & mask:  # compat[i] has bit i, so repeats fail too
-            return False
-        mask |= 1 << i
-        covered |= k.compat[i]
-    return covered == k.full
+    return _not_maximal_below(k, k.top, idx) is None
 
 
 @takes(poset=Poset, dense_set=[object])
 def is_dense(poset: Poset, dense_set: Iterable) -> bool:
     """Every condition has an extension in the set."""
     mask = _mask(poset, dense_set)
-    return all(m & mask for m in poset.kernel().down)
+    return not poset.kernel().none_below(mask)
 
 
 @takes(poset=ChoicePoset)
@@ -928,6 +943,5 @@ def generic_filter(poset: Poset, seed) -> Filter:
     extending seed; on a finite poset such a filter meets every dense set."""
     i = poset.index_of(seed)
     k = poset.kernel()
-    below = k.minimal & k.down[i]
-    a = (below & -below).bit_length() - 1
+    a = next(_bits(k.minimal & k.down[i]))
     return Filter(poset, (q for q, m in zip(k.conds, k.down) if m >> a & 1))

@@ -256,6 +256,25 @@ class TestMix:
         with pytest.raises(InvalidInput):
             mix(FLAT, ONE, ["a", "b"], {"a": EMPTY_NAME})
 
+    def test_choice_poset_compatibility_past_the_truncation(self):
+        # Two level-1 conditions over one block are compatible in the
+        # choice poset, though no condition of the 2-level truncation
+        # extends both; mix reads the kernel's compatibility masks, so
+        # below their level-0 condition either one alone is a maximal
+        # antichain and the two together are not an antichain.
+        poset = ChoicePoset(FAM, 2)
+        k = poset.kernel()
+        p, x, y = (0, nat(0)), (1, nat(0)), (1, nat(1))
+        i, j = k.index[x], k.index[y]
+        assert k.compat[i] >> j & 1
+        assert not k.down[i] & k.down[j]
+        for member in (x, y):
+            mixed = mix(poset, p, [member], {member: check_name(nat(5))})
+            assert eval_name(mixed, generic_filter(poset, member)) == nat(5)
+        with pytest.raises(NotMaximalBelow) as info:
+            mix(poset, p, [x, y], {x: EMPTY_NAME, y: EMPTY_NAME})
+        assert str(info.value) == "antichain members are compatible"
+
 
 class TestLeastOrdinal:
     def theta(self):
@@ -501,6 +520,26 @@ def test_formula_nested_past_the_stack_is_refused(call, deepest):
             fresh = ask(deep, n, None)
             assert (fresh == "invalid-input") is (n > last), (n, fresh)
             assert ask(deep, n, warm) == fresh, n
+
+
+@pytest.mark.parametrize("entry", ["mix", "name-space"])
+def test_a_name_nested_past_the_stack_is_refused(entry):
+    # mix and NameSpace read a name's canonical key, which recurses once
+    # per rank, so each applies the one nesting rule to the names it is
+    # given: one whose 4 x rank passes MAX_NESTING = 850 is refused before
+    # any key is read.  Rank 212 answers; 213 and 1,500 are refused, as
+    # extract_choice_flat refuses them.
+    poset = FlatPoset(Family([("a", [nat(0)]), ("b", [nat(1)])]))
+    calls = {
+        "mix": lambda tau: mix(poset, ONE, ("a", "b"),
+                               {"a": tau, "b": EMPTY_NAME}),
+        "name-space": lambda tau: NameSpace(poset, (EMPTY_NAME, tau), 0),
+    }
+    assert calls[entry](nested_name(212)) is not None
+    for n in (213, 1500):
+        with pytest.raises(InvalidInput) as info:
+            calls[entry](nested_name(n))
+        assert str(info.value) == formulas_module._TOO_DEEP, n
 
 
 def test_a_refusal_leaves_its_space_readable():

@@ -294,6 +294,11 @@ class TestFilters:
         assert not Filter(p, ["a", "b", "1"]).is_directed()
         assert Filter(p, ["a", "1"]).is_filter()
 
+    def test_the_empty_set_is_directed_but_no_filter(self):
+        p = explicit_v()
+        assert Filter(p, []).is_directed()
+        assert not Filter(p, []).is_filter()
+
     def test_membership_takes_kernel_conditions_by_identity(
             self, monkeypatch):
         # The kernel's own condition object is a member without a

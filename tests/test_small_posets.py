@@ -14,11 +14,12 @@ import pytest
 
 from forcelab import (
     And, Cname, EMPTY_NAME, Eq, Exists, ExplicitPoset, Family, FlatPoset,
-    Forall, Implies, InName, Member, NameSpace, Not, ONE, Or, OrdLT, PName,
-    PreconditionViolated, RankLE, Var, all_choice_functions,
+    Forall, Implies, InName, Member, NameSpace, Not, NotMaximalBelow, ONE, Or,
+    OrdLT, PName, PreconditionViolated, RankLE, Var, all_choice_functions,
     antichain_from_choice, check_name, choice_from_antichain, eval_name,
     extract_choice_flat, forces_semantic, forces_syntactic, gamma_name,
-    least_ordinal_name, mix, mp_witness_search, nat, subst, theta_family,
+    is_maximal_antichain, least_ordinal_name, mix, mp_witness_search, nat,
+    subst, theta_family,
 )
 from forcelab.forcing import _forcer
 
@@ -389,6 +390,56 @@ def test_mix_and_least_ordinal_name_on_every_small_poset():
     assert (mixes, names, refusals) == (1864, 292, 140)
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def test_mix_refuses_exactly_what_is_no_maximal_antichain_below_p():
+    # At every condition p, every nonempty set of conditions, listed in
+    # canonical order: mix accepts it exactly when it is a maximal
+    # antichain below p by brute force over the public order, and refuses
+    # it otherwise with not-maximal-below-p and the first fault that brute
+    # force finds: a member that does not extend p, then two compatible
+    # members, then the least condition below p compatible with no member.
+    # At the top, is_maximal_antichain gives mix's answer.
+    start = time.monotonic()
+    accepted = refused = 0
+    for poset in small_posets():
+        conds = poset.conditions()
+        show, le, comp = poset.condition_repr, poset.le, poset.compatible
+        for p in conds:
+            maximal = set(maximal_antichains_below(poset, p))
+            below = [q for q in conds if le(q, p)]
+            for size in range(1, len(conds) + 1):
+                for members in itertools.combinations(conds, size):
+                    stray = [r for r in members if not le(r, p)]
+                    lonely = [q for q in below
+                              if not any(comp(q, r) for r in members)]
+                    if stray:
+                        why = f"{show(stray[0])} does not extend {show(p)}"
+                    elif any(comp(a, b) for a, b
+                             in itertools.combinations(members, 2)):
+                        why = "antichain members are compatible"
+                    elif lonely:
+                        why = ("nothing in the antichain is compatible with "
+                               f"{show(lonely[0])}")
+                    else:
+                        why = None
+                    assert (why is None) is (members in maximal)
+                    try:
+                        mix(poset, p, members,
+                            dict.fromkeys(members, EMPTY_NAME))
+                        got = None
+                        accepted += 1
+                    except NotMaximalBelow as e:
+                        assert e.code == "not-maximal-below-p"
+                        got = str(e)
+                        refused += 1
+                    assert got == why, (conds, p, members)
+                    if p == poset.top:
+                        assert is_maximal_antichain(poset, members) is \
+                            (why is None), (conds, members)
+    assert (accepted, refused) == (223, 2605)
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.0, f"took {elapsed:.1f}s"
 
 
 def test_maximum_principle_on_every_small_poset():

@@ -303,6 +303,37 @@ def test_every_tracer_seam_is_wrapped(path):
                           calls) == []
 
 
+def nesting_arithmetic(tree: ast.Module) -> list[int]:
+    """The lines where ``MAX_NESTING`` is an operand of arithmetic or of a
+    comparison: a place that states a nesting weight of its own."""
+    def names_it(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == \
+            "MAX_NESTING"
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp)
+                   and (names_it(node.left) or names_it(node.right))
+                   or isinstance(node, ast.Compare)
+                   and any(map(names_it, [node.left, *node.comparators]))})
+
+
+def test_nesting_arithmetic_is_caught():
+    tree = ast.parse("from .formulas import MAX_NESTING\n"
+                     "if 4 * rank > MAX_NESTING:\n    pass\n"
+                     "room = formulas.MAX_NESTING - 2 * depth\n"
+                     "limit = MAX_NESTING\n")
+    assert nesting_arithmetic(tree) == [2, 4]
+
+
+# The nesting weight 2 x depth + 4 x rank is written once, in
+# ``formulas._check_nesting``; every other module calls it.
+@pytest.mark.parametrize("path", [p for p in PACKAGE
+                                  if p.name != "formulas.py"],
+                         ids=lambda p: p.name)
+def test_only_formulas_weighs_nesting(path):
+    assert nesting_arithmetic(ast.parse(path.read_text())) == []
+
+
 def forwarding_twins(tree: ast.Module) -> list[str]:
     """The top-level functions whose body, after any docstring, only
     returns a call of a module-level private function with the function's
