@@ -51,7 +51,7 @@ from .formulas import (
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
-from .names import PName, _check_name, _closure, _entry_key
+from .names import PName, _check_name, _closure, _entry_key, _reach
 from .names import eval_name  # noqa: F401  (perfbench's tracer wraps it here)
 from .posets import Kernel, ONE, Poset, _bits, _not_maximal_below
 
@@ -87,10 +87,10 @@ class NameSpace:
     past the empty name or asks ``len(space)``.  The empty name, the empty
     subset met first at rank 0, is always the first name, so the space
     holds it from construction, and a reader that it settles runs no walk.
-    Construction refuses a negative rank bound, too deep a base name, the cap,
-    and, through ``Kernel.below``, a closure entry's condition that ``resolve``
-    refuses.  A class's name is interned only when a reader first reaches it:
-    the routes' ``RankLE`` ranges, :func:`mp_witness_search`,
+    Construction refuses a negative rank bound, too deep a base name, the
+    cap, and, through ``Kernel.entry_masks``, a closure entry's condition
+    that ``resolve`` refuses.  A class's name is interned only when a reader
+    first reaches it: the routes' ``RankLE`` ranges, :func:`mp_witness_search`,
     :meth:`names_of_rank_le` and ``in``, which stops at the name asked or past
     its rank, intern the universe as far as they read it; ``universe`` interns
     all of it, and ``len(space)`` nothing.
@@ -121,12 +121,11 @@ class NameSpace:
         if n >= MAX_UNIVERSE.bit_length():
             raise InvalidInput(f"name space too large: 2^{n} assembled names")
         k = poset.kernel()
-        # Construction refuses what the walk would: every closure entry's
-        # condition passes Kernel.below, so one that ``resolve`` refuses
-        # raises here and not at a read.
+        # Construction refuses what the walk would: every closure name's
+        # entries pass Kernel.entry_masks, so a condition that ``resolve``
+        # refuses raises here and not at a read.
         for tau in closure:
-            for c, _ in tau.sorted_entries():
-                k.below(c)
+            k.entry_masks(tau)
         self._k = k
         # The walk's inputs until ``_walk`` runs, then None.
         self._unwalked: Optional[tuple] = (closure, eligible)
@@ -155,7 +154,7 @@ class NameSpace:
         pairs = [(c, s) for c in pool for s in eligible]
         pairs.sort(key=_entry_key)
         bits: dict[tuple[int, HF], int] = {}
-        masks = [_pair_mask(k, bits, c, s) for c, s in pairs]
+        masks = [_pair_mask(k, bits, k.below(c), s) for c, s in pairs]
         ranks = [1 + s.rank for _, s in pairs]
         # A subset's rank is the largest of its pairs', so at each rank r
         # the subsets of the pairs of rank at most r are met by size, each
@@ -197,8 +196,8 @@ class NameSpace:
         cls_of, kept = {}, {}
         for n in closure:
             cls = 0
-            for c, s in n.entries:
-                cls |= _pair_mask(k, bits, c, s)
+            for m, s in k.entry_masks(n):
+                cls |= _pair_mask(k, bits, m, s)
             cls_of[n] = cls
             if cls not in best and kept.setdefault(cls, n) is n:
                 roots.add(n)
@@ -214,7 +213,7 @@ class NameSpace:
         # The kept names that were not assembled are placed by bisection;
         # no name comes before the empty name, the first class met.
         order = list(best.items())
-        for n in _closure(roots):
+        for n in _reach(roots):
             combo = best.get(cls_of[n])
             if combo is None or \
                     n.entries != frozenset(map(pairs.__getitem__, combo)):
@@ -279,16 +278,15 @@ class NameSpace:
         the space assembled has it read off its class mask: the values of
         the mask's bits for i, one interned set per distinct set of bits,
         which is keyed by those bits alone, as no two conditions share a
-        bit.  A stale name's entry conditions first pass through
-        ``Kernel.below`` once, so a copy that ``resolve`` refuses raises
-        here as on the kernel's path.  Any other name's value is
-        ``Kernel.value``."""
+        bit.  A stale name's entries first pass through
+        ``Kernel.entry_masks``, which the syntactic route reads too, so a
+        copy that ``resolve`` refuses raises here as on the kernel's path.
+        Any other name's value is ``Kernel.value``."""
         mask = self._masks.get(tau)
         if mask is None:
             if tau not in self._unchecked:
                 return self._k.value(tau, i)
-            for c, _ in tau.entries:
-                self._k.below(c)
+            self._k.entry_masks(tau)
             mask = self._masks[tau] = self._unchecked.pop(tau)
         sub = mask & self._at[i]
         out = self._values.get(sub)
@@ -298,13 +296,13 @@ class NameSpace:
         return out
 
 
-def _pair_mask(k: Kernel, bits: dict, c, s: PName) -> int:
+def _pair_mask(k: Kernel, bits: dict, below: int, s: PName) -> int:
     """The bits, numbered in ``bits``, of the (filter index, value) pairs
-    that the entry (c, s) contributes: s's value along each filter that
-    contains c.  The union of a name's masks fixes its value along every
-    filter."""
+    that an entry (c, s) contributes, given ``below``, the mask of the
+    conditions extending c: s's value along each filter that contains c.
+    The union of a name's masks fixes its value along every filter."""
     mask = 0
-    for i in _bits(k.below(c)):
+    for i in _bits(below):
         mask |= 1 << bits.setdefault((i, k.value(s, i)), len(bits))
     return mask
 

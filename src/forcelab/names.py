@@ -115,10 +115,9 @@ def _entry_key(entry: tuple) -> tuple:
 EMPTY_NAME = PName()
 
 
-@takes(names=[PName])
-def hereditary_closure(names: Iterable[PName]) -> list[PName]:
-    """All names reachable through entries, the inputs included, in
-    canonical order (:meth:`PName.key`)."""
+def _reach(names: Iterable[PName]) -> set[PName]:
+    """All names reachable through entries, the inputs included, in no
+    order: a walk with its own stack, so any depth of nesting is read."""
     seen: set[PName] = set()
     stack = list(names)
     while stack:
@@ -127,7 +126,14 @@ def hereditary_closure(names: Iterable[PName]) -> list[PName]:
             continue
         seen.add(n)
         stack.extend(child for _, child in n.entries)
-    return sorted(seen, key=PName.key)
+    return seen
+
+
+@takes(names=[PName])
+def hereditary_closure(names: Iterable[PName]) -> list[PName]:
+    """All names reachable through entries, the inputs included, in
+    canonical order (:meth:`PName.key`)."""
+    return sorted(_reach(names), key=PName.key)
 
 
 _closure = hereditary_closure.__wrapped__  # undeclared, for hot calls
@@ -218,7 +224,4 @@ def _name_hf(tau: PName, memo: dict) -> HF:
 @takes(tau=PName)
 def name_conditions(tau: PName) -> set:
     """All conditions appearing hereditarily in a name."""
-    out: set = set()
-    for n in _closure([tau]):
-        out.update(cond for cond, _ in n.entries)
-    return out
+    return {cond for n in _reach([tau]) for cond, _ in n.entries}

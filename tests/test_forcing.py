@@ -888,6 +888,43 @@ class TestClassMaskValues:
         finally:
             gc.enable()
 
+    def test_a_stale_name_meets_the_kernel_once(self, monkeypatch):
+        # The semantic route's check of a stale name and the syntactic
+        # route's entry masks are one kernel lookup, so each of the stale
+        # names' entry conditions, foreign objects that the kernel does not
+        # index, is resolved once however many reads it gets.
+        gc.disable()
+        try:
+            first = fn_omega_omega(2, 2)
+            earlier = NameSpace(first, BASES, 1)
+            stale = assembled(earlier)
+            poset = fn_omega_omega(2, 2)
+            k = poset.kernel()
+            space = NameSpace(poset, BASES, 1)
+            assert set(assembled(space)) == stale
+            calls = []
+            resolve = poset.resolve
+
+            def counting(c):
+                calls.append(c)
+                return resolve(c)
+
+            monkeypatch.setattr(poset, "resolve", counting)
+            for phi in rankle_battery(poset, 1)[:3]:
+                for c in poset.conditions():
+                    forces_semantic(poset, c, phi, space)
+                    forces_syntactic(poset, c, phi, space)
+            # Every name the kernel read, stale ones among them, counts its
+            # entries' foreign conditions once: a constant such as gamma
+            # may be stale too, interned by an earlier equal poset's copy.
+            own = set(map(id, k.conds))
+            read = [c for tau in k._entries for c, _ in tau.entries
+                    if c is not ONE and id(c) not in own]
+            assert stale & set(k._entries)
+            assert len(calls) == len(read)
+        finally:
+            gc.enable()
+
 
 def reference_sat(phi, filt, space, env=None):
     """Satisfaction along one filter by brute force: a quantifier binds the

@@ -94,6 +94,9 @@ class TestStructure:
     def test_name_conditions(self):
         tau = PName([("a", PName([("b", EMPTY_NAME)]))])
         assert name_conditions(tau) == {"a", "b"}
+        # The walk builds no canonical key, so a condition with none is
+        # returned as it is; the grid walks refuse it (test_perms).
+        assert name_conditions(PName([(1.5, tau)])) == {1.5, "a", "b"}
 
     def test_name_hf_encodes_top_entries(self):
         tau = PName([(ONE, EMPTY_NAME)])

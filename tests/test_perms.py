@@ -8,9 +8,10 @@ from forcelab import (
     Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
     NotInSubgroup, ONE, Perm, UnknownCondition, act_name,
     check_name, column_support, decompose,
-    is_fixed_by_Hn, nat, PName, sigma_conjugate, transposition,
-    unordered_pair_name, xdot_name,
+    is_fixed_by_Hn, name_conditions, nat, PName, r_sigma_name,
+    sigma_conjugate, transposition, unordered_pair_name, xdot_name,
 )
+from forcelab import perms
 
 
 def std_chain():
@@ -179,7 +180,8 @@ class TestNameAction:
         tau = PName([(frozenset({((3, 0), 1)}), xdot_name(GRID, 1))])
         assert column_support(tau) == frozenset({1, 3})
 
-    @pytest.mark.parametrize("cond", ["a", frozenset({(0, 1)}), (1, nat(0))])
+    @pytest.mark.parametrize("cond", ["a", frozenset({(0, 1)}), (1, nat(0)),
+                                      1.5])
     def test_non_grid_conditions_are_rejected(self, cond):
         tau = PName([(ONE, PName([(cond, EMPTY_NAME)]))])
         for call in (lambda: column_support(tau),
@@ -201,6 +203,87 @@ class TestFixedness:
     def test_check_names_always_fixed(self):
         assert is_fixed_by_Hn(check_name(nat(2)), 0)
         assert is_fixed_by_Hn(EMPTY_NAME, 0)
+
+    @staticmethod
+    def random_name(rng, depth):
+        """A name whose entries' conditions mention columns 0..5, of depth
+        at most ``depth``, with column and relation names among its
+        children."""
+        entries = []
+        for _ in range(rng.randint(0, 3)):
+            cells = rng.sample([(c, r) for c in range(6) for r in range(2)],
+                               rng.randint(0, 2))
+            cond = rng.choice(
+                [ONE, frozenset((cell, rng.randint(0, 1)) for cell in cells)])
+            pick = rng.randrange(4) if depth else 3
+            if pick == 0:
+                child = xdot_name(GRID, rng.randrange(6))
+            elif pick == 1:
+                child = r_sigma_name(GRID, rng.sample(
+                    [(i, j) for i in range(6) for j in range(6) if i != j],
+                    1))
+            elif pick == 2:
+                child = TestFixedness.random_name(rng, depth - 1)
+            else:
+                child = check_name(nat(rng.randrange(3)))
+            entries.append((cond, child))
+        return PName(entries)
+
+    def test_fixed_exactly_when_the_action_fixes_the_name(self):
+        # H_n-fixedness against the group action itself: a sample of
+        # finitary permutations fixing [0, n), among them each support
+        # column's swap with a column the name never mentions.
+        rng = random.Random(4811)
+        counts = {True: 0, False: 0}
+        for _ in range(300):
+            depth = rng.randint(0, 3)
+            tau = rng.choice([self.random_name(rng, depth),
+                              xdot_name(GRID, rng.randrange(6)),
+                              r_sigma_name(GRID, [(rng.randrange(3),
+                                                   3 + rng.randrange(3))])])
+            n = rng.randint(0, 6)
+            support = column_support(tau)
+            fresh = max([n - 1, *support]) + 1
+            sample = [transposition(c, fresh) for c in support if c >= n]
+            for _ in range(4):
+                points = rng.sample(range(n, fresh + 2), min(3, fresh + 2 - n))
+                sample.append(Perm([points]))
+            fixed = all(act_name(pi, tau) is tau for pi in sample)
+            assert all(pi.in_Hn(n) for pi in sample)
+            assert is_fixed_by_Hn(tau, n) == fixed, (tau, n)
+            counts[fixed] += 1
+        assert min(counts.values()) > 50, counts
+
+    def test_a_call_builds_no_permutation_and_acts_on_no_name(
+            self, monkeypatch):
+        counts = {"perm": 0, "act": 0}
+        build, act = Perm.__init__, perms._act
+
+        def counting_build(self, *args, **kwargs):
+            counts["perm"] += 1
+            build(self, *args, **kwargs)
+
+        def counting_act(*args):
+            counts["act"] += 1
+            return act(*args)
+
+        monkeypatch.setattr(Perm, "__init__", counting_build)
+        monkeypatch.setattr(perms, "_act", counting_act)
+        tau = unordered_pair_name(xdot_name(GRID, 2), xdot_name(GRID, 3))
+        assert is_fixed_by_Hn(tau, 4)
+        assert not is_fixed_by_Hn(tau, 1)
+        assert counts == {"perm": 0, "act": 0}
+
+    def test_a_chain_past_the_stack_is_read(self):
+        # Each question walks the name with its own stack and builds no
+        # canonical key, so nesting past Python's stack is read.
+        cond = frozenset({((0, 0), 1)})
+        t = EMPTY_NAME
+        for _ in range(1500):
+            t = PName([(cond, t)])
+        assert name_conditions(t) == {cond}
+        assert column_support(t) == frozenset({0})
+        assert is_fixed_by_Hn(t, 1)
 
 
 class TestSigmaConjugate:

@@ -4,8 +4,9 @@ added, and every formula of a systematic family, at every condition; the
 base of that family against the brute-force oracle of ``test_forcing``; the
 rank-bounded quantifiers and witness search over each poset's name space;
 name spaces over two rank levels against brute force; mixing and
-least-ordinal names at every condition; and the maximum principle, mixing
-witnesses along the minimal conditions below each condition."""
+least-ordinal names at every condition; the maximum principle, mixing
+witnesses along the minimal conditions below each condition; and the
+symmetry lemma, each poset's automorphisms acting on names and formulas."""
 
 import itertools
 import time
@@ -21,7 +22,9 @@ from forcelab import (
     is_maximal_antichain, least_ordinal_name, mix, mp_witness_search, nat,
     subst, theta_family,
 )
+from forcelab.formulas import _Formula
 from forcelab.forcing import _forcer
+from forcelab.posets import _bits
 
 from test_forcing import boolean_value, filter_at, reference_sat
 
@@ -95,19 +98,28 @@ def battery(poset):
     under its own quantifier."""
     names, base = base_battery(poset)
     one, gamma = names[1], names[2]
-    x, y = Var("x"), Var("y")
+    x = Var("x")
     out = base + [Not(phi) for phi in base]
     out += [kind(a, b) for kind in (And, Or, Implies)
             for a in base for b in base]
+    out += nestings(names)
+    out.append(Exists("x", InName(gamma),
+                      Exists("x", InName(one), Member(x, Cname(gamma)))))
+    return out
+
+
+def nestings(names):
+    """The two-variable nestings of the battery over the base names: every
+    pair of quantifiers and bounds around a body that mentions both
+    variables."""
+    gamma = names[2]
+    x, y = Var("x"), Var("y")
     bounds = [InName(n) for n in names] + [OrdLT(2)]
-    out += [q1("x", b1, q2("y", b2, body))
+    return [q1("x", b1, q2("y", b2, body))
             for q1, q2 in itertools.product((Exists, Forall), repeat=2)
             for b1, b2 in itertools.product(bounds, repeat=2)
             for body in (Member(y, x), Eq(x, y), Or(Member(x, y), Not(
                 Member(y, Cname(gamma)))))]
-    out.append(Exists("x", InName(gamma),
-                      Exists("x", InName(one), Member(x, Cname(gamma)))))
-    return out
 
 
 def test_routes_agree_on_every_small_poset():
@@ -155,6 +167,79 @@ def test_routes_match_the_boolean_valued_oracle_on_every_small_poset():
     assert checked == 559_548
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def automorphisms(k):
+    """Every order automorphism of a kernel's conditions but the identity,
+    by brute force over ``down``: the index maps s that send each down-set
+    onto the down-set of the image."""
+    n = len(k.conds)
+    for s in itertools.permutations(range(n)):
+        if s != tuple(range(n)) and all(
+                k.down[s[i]] == moved(k.down[i], s) for i in range(n)):
+            yield s
+
+
+def moved(mask, s):
+    """The image of a mask of kernel indices under the index map s."""
+    return sum(1 << s[j] for j in _bits(mask))
+
+
+def act_on_name(k, s, tau, memo):
+    """The name with every entry condition relabelled by s, hereditarily;
+    ONE stays put."""
+    out = memo.get(tau)
+    if out is None:
+        out = memo[tau] = PName(
+            (c if c is ONE else k.conds[s[k.index[c]]],
+             act_on_name(k, s, child, memo)) for c, child in tau.entries)
+    return out
+
+
+def act_on_formula(k, s, phi, memo):
+    """The formula with the names of its ``Cname`` terms and ``InName``
+    bounds relabelled by s."""
+    if isinstance(phi, (Cname, InName)):
+        return type(phi)(act_on_name(k, s, phi.name, memo))
+    if isinstance(phi, _Formula):
+        return type(phi)(*(act_on_formula(k, s, v, memo)
+                           for v in phi._values()))
+    return phi
+
+
+def test_both_routes_obey_the_symmetry_lemma_on_every_small_poset():
+    # An automorphism pi of the poset acts on names by relabelling their
+    # entry conditions and on formulas through their names, and
+    # p forces phi exactly when pi(p) forces pi(phi): each route's mask of
+    # the conditions forcing pi(phi) is the image of its mask for phi.
+    start = time.monotonic()
+    posets = autos = checked = 0
+    for poset in small_posets():
+        k = poset.kernel()
+        names, base = base_battery(poset)
+        formulas = base + [Not(phi) for phi in base] + nestings(names)
+        maps = list(automorphisms(k))
+        posets += bool(maps)
+        autos += len(maps)
+
+        def masks(phi):
+            f = _forcer(poset, None, phi)
+            truth = f.truth(phi)
+            sem = sum(1 << p for p in range(len(k.conds))
+                      if not k.down[p] & k.minimal & ~truth)
+            return sem, f.forcing(phi)
+
+        mine = [masks(phi) for phi in formulas] if maps else []
+        for s in maps:
+            memo = {}
+            for phi, got in zip(formulas, mine):
+                image = act_on_formula(k, s, phi, memo)
+                want = tuple(moved(m, s) for m in got)
+                assert masks(image) == want, (poset.conditions(), s, phi)
+                checked += 2 * len(k.conds)
+    assert (posets, autos, checked) == (15, 51, 186_960)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 
 def test_boolean_valued_maximum_principle_on_every_small_poset():
