@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import weakref
 from typing import Optional, Sequence
 
@@ -46,8 +45,8 @@ from .errors import (
     check_natural, takes,
 )
 from .formulas import (
-    And, Cname, Eq, Forall, Formula, Implies, InName, Member, Not, Or, RankLE,
-    _Formula, _check_nesting, single_free_var,
+    And, Cname, Eq, Exists, Forall, Formula, Implies, InName, Member, Not, Or,
+    RankLE, _Formula, _check_nesting, single_free_var,
 )
 from .formulas import subst  # noqa: F401  (perfbench's tracer wraps it here)
 from .hf import HF, nat
@@ -335,53 +334,62 @@ class _Forcer:
 
     # -- semantic route: [[phi]] over the generic filters --------------------
 
-    def forces_sem(self, p: int, phi: Formula, env=None) -> bool:
-        k = self.k
-        return not k.down[p] & k.minimal & ~self.truth(phi, env)
-
     def truth(self, phi: Formula, env=None) -> int:
         """[[phi]] under env: the mask of the minimal conditions a such that
-        phi holds along the generic filter at a, where an atom reads its
-        names' values with the space's ``_value``, or with ``k.value`` when
-        there is no space.  An atom is keyed by its kind and name pair, as
+        phi holds along the generic filter at a, where an atom compares its
+        names' values, read with the space's ``_value``, or with ``k.value``
+        when there is no space, as interned sets: by identity for =, by
+        membership for in.  An atom is keyed by its kind and name pair, as
         the syntactic ``atom`` is, so atoms over distinct variables bound to
         one pair share a mask."""
-        if isinstance(phi, (Member, Eq)):
-            key = (type(phi), _name(phi.left, env), _name(phi.right, env))
+        kind = type(phi)
+        if kind is Member or kind is Eq:
+            t1, t2 = phi.left, phi.right
+            t1 = t1.name if type(t1) is Cname else env[t1.name]
+            t2 = t2.name if type(t2) is Cname else env[t2.name]
+            key = (kind, t1, t2)
         else:
             key = (phi, *map(env.__getitem__, phi.order)) if phi.order \
                 else phi
         out = self._truth.get(key)
-        if out is None:
-            out = self._truth[key] = self._truth_of(phi, env)
+        if out is not None:
+            return out
+        k = self.k
+        if kind is Member or kind is Eq:
+            if t1.value is not None and t2.value is not None:
+                # check-names take their values along every filter
+                v1, v2 = t1.value, t2.value
+                holds = v1 is v2 if kind is Eq else v1 in v2.members
+                out = k.minimal if holds else 0
+            else:
+                value = k.value if self.space is None else self.space._value
+                out = 0
+                for a in k.minimals:
+                    v1, v2 = value(t1, a), value(t2, a)
+                    if v1 is v2 if kind is Eq else v1 in v2.members:
+                        out |= 1 << a
+        else:
+            out = self._truth_of(phi, env)
+        self._truth[key] = out
         return out
 
     def _truth_of(self, phi: Formula, env) -> int:
-        k = self.k
-        if isinstance(phi, (Member, Eq)):
-            left, right = _name(phi.left, env), _name(phi.right, env)
-            holds = operator.eq if isinstance(phi, Eq) else operator.contains
-            if left.value is not None and right.value is not None:
-                # check-names take their values along every filter
-                return k.minimal if holds(right.value, left.value) else 0
-            value = k.value if self.space is None else self.space._value
-            out = 0
-            for a in k.minimals:
-                if holds(value(right, a), value(left, a)):
-                    out |= 1 << a
-            return out
-        if isinstance(phi, Not):
+        k, kind = self.k, type(phi)
+        if kind is Not:
             return k.minimal & ~self.truth(phi.body, env)
-        if isinstance(phi, And):
+        if kind is And:
             return self.truth(phi.left, env) & self.truth(phi.right, env)
-        if isinstance(phi, Or):
+        if kind is Or:
             return self.truth(phi.left, env) | self.truth(phi.right, env)
-        if isinstance(phi, Implies):
+        if kind is Implies:
             return k.minimal & (~self.truth(phi.left, env)
                                 | self.truth(phi.right, env))
         # A quantifier: out collects, within m(tau), where an instance
         # holds (exists) or fails (forall); forall is the rest.
-        flip = k.minimal if isinstance(phi, Forall) else 0
+        if kind is Exists:
+            flip = 0
+        elif kind is Forall:
+            flip = k.minimal
         out = 0
         for m, inner in self._instances(phi, env):
             out |= m & (self.truth(phi.body, inner) ^ flip)
@@ -394,9 +402,12 @@ class _Forcer:
     def forcing(self, phi: Formula, env=None) -> int:
         """F(phi) under env: the mask of the conditions forcing it, by the
         forcing clauses applied to every condition at once."""
-        if isinstance(phi, (Member, Eq)):
-            return self.atom(type(phi), _name(phi.left, env),
-                             _name(phi.right, env))
+        kind = type(phi)
+        if kind is Member or kind is Eq:
+            t1, t2 = phi.left, phi.right
+            return self.atom(kind,
+                             t1.name if type(t1) is Cname else env[t1.name],
+                             t2.name if type(t2) is Cname else env[t2.name])
         key = (phi, *map(env.__getitem__, phi.order)) if phi.order else phi
         out = self._forcing.get(key)
         if out is None:
@@ -404,15 +415,15 @@ class _Forcer:
         return out
 
     def _forcing_of(self, phi: Formula, env) -> int:
-        k = self.k
-        if isinstance(phi, Not):
+        k, kind = self.k, type(phi)
+        if kind is Not:
             return k.none_below(self.forcing(phi.body, env))
-        if isinstance(phi, And):
+        if kind is And:
             return self.forcing(phi.left, env) & self.forcing(phi.right, env)
-        if isinstance(phi, Or):
+        if kind is Or:
             return k.dense(self.forcing(phi.left, env)
                            | self.forcing(phi.right, env))
-        if isinstance(phi, Implies):
+        if kind is Implies:
             # none_below(F(phi) & none_below(F(psi))) in one pass: every F
             # set is regular open, so a condition of F(phi) outside F(psi)
             # has an extension in F(phi) & none_below(F(psi)).
@@ -420,7 +431,10 @@ class _Forcer:
                 self.forcing(phi.left, env) & ~self.forcing(phi.right, env))
         # A quantifier: out collects m(tau) & F(phi(tau)) (exists) or
         # m(tau) & ~F(phi(tau)) (forall).
-        flip = -1 if isinstance(phi, Forall) else 0
+        if kind is Exists:
+            flip = 0
+        elif kind is Forall:
+            flip = -1
         out = 0
         for m, inner in self._instances(phi, env):
             out |= m & (self.forcing(phi.body, inner) ^ flip)
@@ -473,9 +487,9 @@ class _Forcer:
         above the space's rank bound is refused, as the space holds only
         part of its range."""
         k = self.k
-        if isinstance(bound, InName):
+        if type(bound) is InName:
             return k.entry_masks(bound.name)
-        if isinstance(bound, RankLE):
+        if type(bound) is RankLE:
             if self.space is None:
                 raise InvalidInput(
                     "a rank-bounded quantifier needs an ambient name space")
@@ -485,11 +499,6 @@ class _Forcer:
                     f"space's rank bound {self.space.rank_bound}")
             return zip(itertools.repeat(k.full), self.space._read(bound.bound))
         return ((k.full, _check_name(nat(i))) for i in range(bound.bound))
-
-
-def _name(term, env) -> PName:
-    """The name a term stands for under env."""
-    return term.name if isinstance(term, Cname) else env[term.name]
 
 
 def _forcer(poset: Poset, space: Optional[NameSpace],
@@ -509,23 +518,35 @@ def _forcer(poset: Poset, space: Optional[NameSpace],
     return owner.forcer
 
 
+def _entry(poset: Poset, p, phi: Formula,
+           space: Optional[NameSpace]) -> tuple[_Forcer, int]:
+    """A route's entry: the forcer for a closed phi and p's kernel index.
+    The kernel's own condition object is indexed by identity
+    (:meth:`Kernel.find`); anything else is checked as ``index_of`` checks
+    it."""
+    if phi.free:
+        raise InvalidInput("forcing needs a closed formula")
+    f = _forcer(poset, space, phi)
+    i = f.k.find(p)
+    if i is None:
+        poset.index_of(p)  # refuses p: it lies outside the truncation
+    return f, i
+
+
 @takes(poset=Poset, phi=_Formula, space=NameSpace)
 def forces_semantic(poset: Poset, p, phi: Formula,
                     space: Optional[NameSpace] = None) -> bool:
     """p forces phi: phi holds along every generic filter containing p."""
-    if phi.free:
-        raise InvalidInput("forcing needs a closed formula")
-    return _forcer(poset, space, phi).forces_sem(poset.index_of(p), phi)
+    f, i = _entry(poset, p, phi, space)
+    return not f.k.down[i] & f.k.minimal & ~f.truth(phi)
 
 
 @takes(poset=Poset, phi=_Formula, space=NameSpace)
 def forces_syntactic(poset: Poset, p, phi: Formula,
                      space: Optional[NameSpace] = None) -> bool:
     """The recursive forcing relation; agrees with the semantic route."""
-    if phi.free:
-        raise InvalidInput("forcing needs a closed formula")
-    return bool(_forcer(poset, space, phi).forcing(phi)
-                >> poset.index_of(p) & 1)
+    f, i = _entry(poset, p, phi, space)
+    return bool(f.forcing(phi) >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +613,8 @@ def mp_witness_search(poset: Poset, p, theta: Formula,
     i = poset.index_of(p)
     var = single_free_var(theta)
     f = _forcer(poset, space, theta)
+    below = f.k.down[i] & f.k.minimal
     for tau in space._read():
-        if f.forces_sem(i, theta, {var: tau}):
+        if not below & ~f.truth(theta, {var: tau}):
             return tau
     return None

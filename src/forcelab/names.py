@@ -132,8 +132,13 @@ def _reach(names: Iterable[PName]) -> set[PName]:
 @takes(names=[PName])
 def hereditary_closure(names: Iterable[PName]) -> list[PName]:
     """All names reachable through entries, the inputs included, in
-    canonical order (:meth:`PName.key`)."""
-    return sorted(_reach(names), key=PName.key)
+    canonical order (:meth:`PName.key`).  The names are keyed in rank
+    order, so each key finds its children's keys cached, and any depth of
+    nesting is read."""
+    closure = sorted(_reach(names), key=lambda n: n.rank)
+    for n in closure:
+        n.key()
+    return sorted(closure, key=PName.key)
 
 
 _closure = hereditary_closure.__wrapped__  # undeclared, for hot calls

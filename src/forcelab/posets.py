@@ -24,13 +24,8 @@ from collections.abc import Hashable
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    InvalidInput,
-    TruncationEscape,
-    UnknownCondition,
-    check_natural,
-    described,
-    pass_on_callers,
-    takes,
+    InvalidInput, TruncationEscape, UnknownCondition,
+    check_kind, check_natural, described, pass_on_callers, takes,
 )
 from .hf import HF, _kuratowski, nat
 
@@ -337,14 +332,13 @@ class ExplicitPoset(Poset):
             for i, di in enumerate(down):
                 if di >> j & 1:
                     down[i] = di | dj
-        # Two elements below each other have one down-set, and conversely.
-        classes: dict[int, list[int]] = {}
-        for i, m in enumerate(down):
-            classes.setdefault(m, []).append(i)
-        loop = min((c for c in classes.values() if len(c) > 1), default=None)
-        if loop is not None:
+        # Two elements below each other have one down-set, and conversely;
+        # a refusal names the first such pair.
+        if len(set(down)) < len(down):
+            i, j = next((i, j) for i, m in enumerate(down)
+                        for j in range(i + 1, len(down)) if down[j] == m)
             raise InvalidInput("order is not antisymmetric: "
-                               f"{elements[loop[0]]}, {elements[loop[1]]}")
+                               f"{elements[i]}, {elements[j]}")
         self._down = tuple(down)
         full = (1 << len(elements)) - 1
         if top is None:
@@ -420,15 +414,17 @@ class Family:
             raise InvalidInput("duplicate block labels")
         if not labels:
             raise InvalidInput("family needs at least one block")
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if sets[i] & sets[j]:
-                    raise InvalidInput(
-                        f"blocks {labels[i]!r} and {labels[j]!r} overlap")
         self.labels: tuple[str, ...] = tuple(labels)
         self.blocks: dict[str, frozenset[HF]] = dict(zip(labels, sets))
         self._block_of: dict[HF, str] = {
             v: label for label, vs in self.blocks.items() for v in vs}
+        # Blocks overlap when some value has two; a refusal names the first
+        # overlapping pair.
+        if len(self._block_of) < sum(map(len, sets)):
+            i, j = next((i, j) for i in range(len(sets))
+                        for j in range(i + 1, len(sets)) if sets[i] & sets[j])
+            raise InvalidInput(
+                f"blocks {labels[i]!r} and {labels[j]!r} overlap")
 
     def block_of(self, x: HF) -> Optional[str]:
         return self._block_of.get(x)
@@ -451,9 +447,15 @@ class FlatPoset(ExplicitPoset):
     kind = "flat"
 
     def __init__(self, family: Family):
+        for label in family.labels:
+            check_kind(label, str, "FlatPoset", "a block label")
+        # The order needs no closure: each label is below the top alone.
+        n = len(family.labels)
         self.family = family
-        super().__init__([*family.labels, "1"],
-                         [(lab, "1") for lab in family.labels], "1")
+        self._elements = (*family.labels, "1")
+        self._index = {e: i for i, e in enumerate(self._elements)}
+        self._down = (*(1 << i for i in range(n)), (1 << n + 1) - 1)
+        self.top = "1"
 
 
 @takes(family=Family, level_bound=int)

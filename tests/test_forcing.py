@@ -4,10 +4,14 @@ import contextlib
 import gc
 import io
 import itertools
+import json
+import os
 import random
+import subprocess
 import sys
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1549,3 +1553,119 @@ class TestCheckNames:
         assert f.atom(Member, a, gamma) == poset.kernel().down[
             poset.index_of("a")]
         assert list(f._forcing) == [(Member, a, gamma)]
+
+
+# Both routes and both kinds of reader (an atom's value, an InName range)
+# over a name whose four entry conditions ``resolve`` refuses, printed with
+# the order in which the name's entry set iterates.
+REFUSED_ENTRIES = """
+import json
+from forcelab import (EMPTY_NAME, Cname, Eq, Exists, ExplicitPoset,
+                      ForceLabError, InName, Member, PName, Var,
+                      forces_semantic, forces_syntactic)
+tau = PName([(c, EMPTY_NAME) for c in ("z", "y", "x", "w")])
+out = {"order": [c for c, _ in tau.entries], "refusals": []}
+for route in (forces_semantic, forces_syntactic):
+    for phi in (Member(Cname(EMPTY_NAME), Cname(tau)),
+                Exists("v", InName(tau), Eq(Var("v"), Var("v")))):
+        poset = ExplicitPoset(["a", "1"], [("a", "1")], "1")
+        try:
+            route(poset, "a", phi)
+        except ForceLabError as e:
+            out["refusals"].append([e.code, str(e)])
+print(json.dumps(out))
+"""
+
+
+def fresh_runs(script: str, seeds=range(6)) -> list:
+    """The JSON that script prints, from a fresh interpreter under each
+    of the hash seeds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    outs = []
+    for seed in seeds:
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              cwd=ROOT, check=True)
+        outs.append(json.loads(proc.stdout))
+    return outs
+
+
+def test_a_refused_entry_is_named_canonically_first_under_any_hash_seed():
+    orders = []
+    for out in fresh_runs(REFUSED_ENTRIES):
+        orders.append(out["order"])
+        assert out["refusals"] == [[
+            "unknown-condition",
+            "not a condition of this explicit poset: 'w'"]] * 4
+    # The entry sets iterate in some other order under at least one seed,
+    # so the refusal does not name the first entry it meets.
+    assert any(order != ["w", "x", "y", "z"] for order in orders)
+
+
+# A name whose first entry, in canonical order, holds the empty name, and
+# whose other entries hold names with a condition ``resolve`` refuses: a
+# reader that stops at its first instance never meets a refused condition
+# when it reads the entries in canonical order.  The script prints each
+# route's answer to both formulas and where the empty name falls in the
+# name's entry set, whose order follows the children's id-based hashes.
+NESTED_REFUSALS = """
+import json
+from forcelab import (EMPTY_NAME, ONE, Cname, Eq, Exists, ExplicitPoset,
+                      ForceLabError, InName, Member, PName, Var,
+                      forces_semantic, forces_syntactic)
+tau = PName([(ONE, EMPTY_NAME)]
+            + [(ONE, PName([(c, EMPTY_NAME)])) for c in "stuvwxyz"])
+out = {"empty_at": [child for _, child in tau.entries].index(EMPTY_NAME),
+       "answers": []}
+for route in (forces_semantic, forces_syntactic):
+    for phi in (Exists("v", InName(tau), Eq(Var("v"), Cname(EMPTY_NAME))),
+                Member(Cname(EMPTY_NAME), Cname(tau))):
+        poset = ExplicitPoset(["a", "1"], [("a", "1")], "1")
+        try:
+            out["answers"].append(route(poset, "a", phi))
+        except ForceLabError as e:
+            out["answers"].append([e.code, str(e)])
+print(json.dumps(out))
+"""
+
+
+def test_an_early_stopping_reader_answers_alike_in_every_process():
+    outs = fresh_runs(NESTED_REFUSALS)
+    refused = ["unknown-condition",
+               "not a condition of this explicit poset: 's'"]
+    # The semantic atom reads every child's value; the other readers stop
+    # at the empty name, the canonically first entry.
+    assert [out["answers"] for out in outs] == \
+        [[True, refused, True, True]] * len(outs)
+    assert any(out["empty_at"] != 0 for out in outs)
+
+
+def test_a_question_over_gamma_repeats_no_recursion(monkeypatch):
+    poset = fn_omega_omega(2, 2)
+    gamma = gamma_name(poset)
+    phi = Forall("x", InName(gamma),
+                 Exists("y", OrdLT(2), Or(Member(Var("y"), Var("x")),
+                                          Eq(Var("x"), Cname(gamma)))))
+    calls = Counter()
+
+    def counting(cls, attr):
+        fn = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(_Forcer, "_truth_of")
+    counting(_Forcer, "_forcing_of")
+    for route, recursion in ((forces_semantic, "_truth_of"),
+                             (forces_syntactic, "_forcing_of")):
+        first, *rest = poset.conditions()
+        answers = [route(poset, first, phi)]
+        assert calls[recursion] > 0
+        calls[recursion] = 0
+        answers += [route(poset, c, phi) for c in rest]
+        assert calls[recursion] == 0
+        assert answers == [route(poset, c, phi) for c in poset.conditions()]

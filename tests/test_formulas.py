@@ -1,14 +1,18 @@
 """Formula syntax: free variables, substitution, constants."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
 from forcelab import (
     EMPTY_NAME, HF, ONE, And, Cname, Eq, Exists, Family, FlatPoset, Forall,
-    Implies, InName, InvalidInput, Member, Not, Or, OrdLT, RankLE, Var,
+    Implies, InName, InvalidInput, Member, Not, Or, OrdLT, PName, RankLE, Var,
     check_name, constants, disj, forces_semantic, forces_syntactic, nat,
     single_free_var, subst, theta_family,
 )
-from forcelab.formulas import MAX_NESTING, max_rank_bound
+from forcelab.formulas import MAX_NESTING, _Formula, max_rank_bound
 
 from test_forcing import nots
 
@@ -220,3 +224,100 @@ def test_wrong_kind_field_is_refused_at_construction(cls, at, bad):
     args[at] = bad
     with pytest.raises(InvalidInput):
         cls(*args)
+
+
+# A seeded battery of formulas over every node kind, nested quantifiers,
+# variables, and terms and bounds over names of rank 0 to 4.
+def battery_names():
+    names = [check_name(nat(r)) for r in range(5)]
+    names += [PName([("a", check_name(nat(r)))]) for r in range(4)]
+    names.append(PName([("a", EMPTY_NAME), (ONE, check_name(nat(3)))]))
+    return names
+
+
+def random_battery_formula(rng, names, depth):
+    def term():
+        if rng.random() < 0.5:
+            return Var(rng.choice("xyz"))
+        return Cname(rng.choice(names))
+
+    kind = rng.randrange(8) if depth else rng.randrange(2)
+    if kind < 2:
+        return (Member, Eq)[kind](term(), term())
+    if kind == 2:
+        return Not(random_battery_formula(rng, names, depth - 1))
+    if kind < 6:
+        return (And, Or, Implies)[kind - 3](
+            random_battery_formula(rng, names, depth - 1),
+            random_battery_formula(rng, names, depth - 1))
+    bound = rng.choice((InName(rng.choice(names)), RankLE(rng.randrange(3)),
+                        OrdLT(rng.randrange(3))))
+    return (Exists, Forall)[kind - 6](
+        rng.choice("xyz"), bound, random_battery_formula(rng, names, depth - 1))
+
+
+def recomputed(node):
+    """free, order, depth and rank of a formula node, recomputed from its
+    field values."""
+    free, depth, rank = set(), 0, 0
+    for v in node._values():
+        if isinstance(v, _Formula):
+            sub_free, _, sub_depth, sub_rank = recomputed(v)
+            free |= sub_free
+            depth, rank = max(depth, sub_depth), max(rank, sub_rank)
+        elif isinstance(v, Var):
+            free.add(v.name)
+        elif isinstance(v, (Cname, InName)):
+            rank = max(rank, v.name.rank)
+    if isinstance(node, (Exists, Forall)):
+        free.discard(node.var)
+    return frozenset(free), tuple(sorted(free)), depth + 1, rank
+
+
+def subformulas(phi):
+    yield phi
+    for v in phi._values():
+        if isinstance(v, _Formula):
+            yield from subformulas(v)
+
+
+class TestDerivedFields:
+    def test_every_node_agrees_with_a_recomputation(self):
+        rng = random.Random(50)
+        names = battery_names()
+        kinds = set()
+        for _ in range(400):
+            phi = random_battery_formula(rng, names, rng.randrange(6))
+            for node in subformulas(phi):
+                kinds.add(type(node))
+                got = (node.free, node.order, node.depth, node.rank)
+                assert got == recomputed(node), node
+                assert type(node.free) is frozenset
+        assert kinds == {Member, Eq, Not, And, Or, Implies, Exists, Forall}
+
+    def test_fields_of_hand_built_nodes(self):
+        x, y = Var("x"), Var("y")
+        inner = Forall("y", InName(C4), Member(y, x))
+        phi = Exists("x", OrdLT(2), And(inner, Eq(x, Cname(C2))))
+        assert (inner.free, inner.order, inner.depth, inner.rank) == \
+            ({"x"}, ("x",), 2, 4)
+        assert (phi.free, phi.order, phi.depth, phi.rank) == \
+            (frozenset(), (), 4, 4)
+
+
+@pytest.mark.parametrize("cls", NODES, ids=[c.__name__ for c in NODES])
+def test_copies_and_pickles_of_a_node_are_the_interned_node(cls):
+    node = cls(*(value for value, _ in NODES[cls]))
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+
+
+@pytest.mark.parametrize("value", [
+    nat(3), HF([nat(0), HF([nat(2)])]), EMPTY_NAME, C3,
+    PName([("a", C1), (ONE, C2)]),
+], ids=["nat", "hf", "empty-name", "check-name", "mixed-name"])
+def test_copies_and_pickles_of_sets_and_names_are_interned(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value

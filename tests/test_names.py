@@ -132,3 +132,12 @@ class TestStructure:
     def test_check_name_entries_use_one(self):
         tau = check_name(nat(2))
         assert all(c is ONE for c, _ in tau.sorted_entries())
+
+
+def test_hereditary_closure_reads_a_chain_past_the_stack():
+    # Keys are taken in rank order, so no key recursion goes deeper than
+    # one level, and the closure is still sorted by key.
+    chain = [EMPTY_NAME]
+    for _ in range(1500):
+        chain.append(PName([("a", chain[-1])]))
+    assert hereditary_closure([chain[-1]]) == chain

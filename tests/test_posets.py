@@ -461,3 +461,50 @@ class TestPredicatesOnKernel:
         for check in ("is_filter", "is_upward_closed", "is_directed"):
             with pytest.raises(TruncationEscape):
                 getattr(Filter(poset, [top, outside]), check)()
+
+
+# One input per row, each with the whole message it is refused with; where
+# an input has two faults of one kind, the message names the first.
+REFUSALS = {
+    "two-overlapping-pairs": (
+        lambda: Family([("a", [nat(0)]), ("b", [nat(1)]), ("c", [nat(1)]),
+                        ("d", [nat(0)])]),
+        "blocks 'a' and 'd' overlap"),
+    "two-overlapping-pairs-outer-first": (
+        lambda: Family([("d", [nat(5)]), ("c", [nat(1), nat(2)]),
+                        ("b", [nat(2)]), ("a", [nat(5)])]),
+        "blocks 'd' and 'a' overlap"),
+    "two-loops": (
+        lambda: ExplicitPoset(["c", "d", "a", "b", "1"],
+                              [("a", "b"), ("b", "a"), ("c", "d"),
+                               ("d", "c")]),
+        "order is not antisymmetric: c, d"),
+    "two-loops-interleaved": (
+        lambda: ExplicitPoset(["x", "a", "b", "y", "1"],
+                              [("a", "y"), ("y", "a"), ("x", "b"),
+                               ("b", "x")]),
+        "order is not antisymmetric: x, b"),
+    "two-loops-nested": (
+        lambda: ExplicitPoset(["x", "a", "b", "y", "1"],
+                              [("a", "b"), ("b", "a"), ("x", "y"),
+                               ("y", "x")]),
+        "order is not antisymmetric: x, y"),
+    "duplicate-element": (
+        lambda: ExplicitPoset(["a", "b", "a", "1"], []),
+        "duplicate elements in explicit poset"),
+    "unknown-top": (
+        lambda: ExplicitPoset(["a", "1"], [("a", "1")], "z"),
+        "unknown top element 'z'"),
+    "flat-label-not-str": (
+        lambda: FlatPoset(Family([(1, [nat(0)])])),
+        "FlatPoset takes a block label as str, not 1"),
+}
+
+
+@pytest.mark.parametrize("make, message", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_refusal_table(make, message):
+    with pytest.raises(InvalidInput) as info:
+        make()
+    assert info.value.code == "invalid-input"
+    assert str(info.value) == message

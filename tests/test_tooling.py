@@ -484,3 +484,55 @@ def test_interned_kinds_take_identity_equality_from_object():
     assert check(nat(2)) == forcelab.PName([(ONE, check(nat(0))),
                                             (ONE, check(nat(1)))])
     assert nat(1) != nat(2) and check(nat(1)) != check(nat(2))
+
+
+def formula_leaves(tree: ast.Module) -> set[str]:
+    """The classes a module defines below ``_Formula`` with no subclass
+    of their own: the node kinds a formula can have."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def is_formula(name):
+        return name == "_Formula" or any(map(is_formula, bases.get(name, ())))
+
+    parents = {b for bs in bases.values() for b in bs}
+    return {name for name in bases if is_formula(name) and name not in parents}
+
+
+def undispatched(formulas: ast.Module, forcing: ast.Module,
+                 functions) -> list[str]:
+    """The node kinds that none of the named functions of the forcing
+    module names: with ``type(phi) is ...`` dispatch, such a kind would
+    fall into another kind's clause."""
+    named = {n.id for node in ast.walk(forcing)
+             if isinstance(node, ast.FunctionDef) and node.name in functions
+             for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return sorted(formula_leaves(formulas) - named)
+
+
+def test_undispatched_formula_kinds_are_caught():
+    formulas = ast.parse("class _Formula: pass\nclass _Atom(_Formula): pass\n"
+                         "class Member(_Atom): pass\nclass Eq(_Atom): pass\n"
+                         "class Not(_Formula): pass\nclass Var: pass\n")
+    forcing = ast.parse("class F:\n    def truth(self, phi):\n"
+                        "        if type(phi) is Member:\n"
+                        "            return Var\n"
+                        "    def other(self, phi):\n        return Not\n")
+    assert formula_leaves(formulas) == {"Member", "Eq", "Not"}
+    assert undispatched(formulas, forcing, ("truth",)) == ["Eq", "Not"]
+
+
+# Each route's dispatch: the methods of ``forcing._Forcer`` that compare a
+# node's type with its kinds.
+ROUTES = {"semantic": ("truth", "_truth_of"),
+          "syntactic": ("forcing", "_forcing_of")}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_dispatches_every_formula_kind(route):
+    package = ROOT / "src" / "forcelab"
+    formulas = ast.parse((package / "formulas.py").read_text())
+    assert formula_leaves(formulas) == {
+        "Member", "Eq", "Not", "And", "Or", "Implies", "Exists", "Forall"}
+    forcing = ast.parse((package / "forcing.py").read_text())
+    assert undispatched(formulas, forcing, ROUTES[route]) == []
