@@ -118,45 +118,52 @@ def takes(**kinds):
     """Declare the kinds of a callable's parameters by name, checked once
     per call by :func:`check_kind`: a class or tuple of classes, whose
     instances pass (a bool only where any object does), or ``[K]``, any
-    iterable of values of kind K, passed on as a tuple.  None passes where
-    it is the default.  On a class, the declaration wraps ``__init__``."""
+    iterable of values of kind K, passed on as a tuple.  A parameter left
+    at its default is not checked, nor is None where None is the default.
+    On a class, the declaration wraps ``__init__``.
+
+    The wrapper is compiled once per callable with the callable's own
+    parameters, so a call binds its arguments once and pays one inline
+    ``isinstance`` per declared parameter; ``__takes__`` holds the kinds.
+    Only positional-or-keyword parameters can be declared."""
     def declare(fn):
         if isinstance(fn, type):
             fn.__init__ = declare(fn.__init__)
             return fn
         code, defaults = fn.__code__, fn.__defaults__ or ()
         names = code.co_varnames[:code.co_argcount]
-        none = {p for p, d in zip(names[::-1], defaults[::-1]) if d is None}
-        checks = []
-        for p, k in kinds.items():
+        # 0xC is CO_VARARGS | CO_VARKEYWORDS: *args or **kwargs.
+        if code.co_flags & 0xC or code.co_kwonlyargcount \
+                or code.co_posonlyargcount or not kinds.keys() <= {*names} \
+                or {"isinstance", "type", "bool"} & {*names}:
+            raise TypeError(f"takes cannot declare {fn.__qualname__}: it "
+                            f"declares named positional-or-keyword "
+                            f"parameters only")
+        default = dict(zip(names[::-1], defaults[::-1]))
+        scope, lines = {"__fn": fn}, []
+        where = fn.__qualname__.removesuffix(".__init__")
+        for i, (p, k) in enumerate(kinds.items()):
             # What passes as it is, with one isinstance and no call: an
             # instance of the kind, a tuple for [object], no other [K]
-            # value, and None where None is the default.
+            # value, and the parameter's default.
             quick = (k,) if type(k) is not list else \
                 (tuple,) if k == [object] else ()
-            if p in none:
-                quick += (type(None),)
-            checks.append((names.index(p), p, quick, k))
-        where = fn.__qualname__.removesuffix(".__init__")
-
-        @functools.wraps(fn)
-        def checked(*args, **kwargs):
-            n = len(args)
-            for at, param, quick, kind in checks:
-                if at < n:
-                    value = args[at]
-                elif param in kwargs:
-                    value = kwargs[param]
-                else:
-                    continue
-                if isinstance(value, quick) and type(value) is not bool:
-                    continue
-                value = check_kind(value, kind, where, param)
-                if at < n:
-                    args = (*args[:at], value, *args[at + 1:])
-                else:
-                    kwargs[param] = value
-            return fn(*args, **kwargs)
+            scope[f"__q{i}"] = quick[0] if len(quick) == 1 else quick
+            scope[f"__c{i}"] = functools.partial(check_kind, kind=k,
+                                                 where=where, param=p)
+            test = f"not isinstance({p}, __q{i})"
+            if any(issubclass(bool, q) for q in quick):
+                test = f"type({p}) is bool or {test}"
+            if p in default and (not isinstance(default[p], quick)
+                                 or type(default[p]) is bool):
+                scope[f"__d{i}"] = default[p]
+                test = f"{p} is not __d{i} and ({test})"
+            lines.append(f" if {test}: {p} = __c{i}({p})\n")
+        params = ", ".join(names)
+        exec(f"def checked({params}):\n{''.join(lines)}"
+             f" return __fn({params})\n", scope)
+        checked = functools.wraps(fn)(scope["checked"])
+        checked.__defaults__, checked.__takes__ = fn.__defaults__, kinds
         return checked
     return declare
 

@@ -38,9 +38,9 @@ def _check_nesting(depth: int = 0, rank: int = 0) -> None:
 
 class _Node:
     """An immutable syntax node.  ``_fields`` lists each field, in order,
-    with its kind, the classes its value may have.  A value of another kind
-    is refused by ``check_kind`` when the node is first built, so a lookup
-    pays nothing.
+    with its kind, the classes its value may have, and ``_kinds`` the kinds
+    alone.  A value of another kind is refused by ``check_kind`` when the
+    node is first built, so a lookup pays nothing.
 
     Nodes are interned: constructing a node equal to a live one returns
     that object, so equality is identity and the hash is the identity hash,
@@ -57,25 +57,26 @@ class _Node:
             ref = _UNIQUE.get(key)
         except TypeError:  # an unhashable value is of no declared kind
             ref = None
-        node = None if ref is None else ref()
-        if node is None:
-            if len(args) != len(cls._fields):
-                raise TypeError(
-                    f"{cls.__name__}() takes {len(cls._fields)} arguments "
-                    f"({', '.join(f for f, _ in cls._fields)}), "
-                    f"got {len(args)}")
-            node = object.__new__(cls)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if len(args) != len(cls._fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(cls._fields)} arguments "
+                f"({', '.join(f for f, _ in cls._fields)}), "
+                f"got {len(args)}")
+        if not all(map(isinstance, args, cls._kinds)):
             for (field, kind), value in zip(cls._fields, args):
                 if not isinstance(value, kind):
                     check_kind(value, kind, cls.__name__, field)
-                setattr(node, field, value)
-            node._setup(*args)
-            _enter(key, node)
+        # Each class's _setup fills its fields and derived slots from the
+        # checked values; it runs only when a node is first built.
+        node = object.__new__(cls)
+        node._setup(*args)
+        _enter(key, node)
         return node
 
-    def _setup(self, *values) -> None:
-        """Fill derived slots from the checked field values; it runs only
-        when a node is first built."""
+    def __init_subclass__(cls):
+        cls._kinds = tuple(kind for _, kind in cls._fields)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f, _ in self._fields)
@@ -93,6 +94,9 @@ class Var(_Node):
     __slots__ = ("name",)
     _fields = (("name", str),)
 
+    def _setup(self, name) -> None:
+        self.name = name
+
 
 class _Named(_Node):
     """A node holding one name; ``rank`` is the name's, so a refusal
@@ -100,6 +104,9 @@ class _Named(_Node):
 
     __slots__ = ("name",)
     _fields = (("name", PName),)
+
+    def _setup(self, name) -> None:
+        self.name = name
 
     @property
     def rank(self) -> int:
@@ -126,6 +133,9 @@ class _NatBound(_Node):
     def __new__(cls, bound):
         return super().__new__(cls, check_natural(bound, "a quantifier bound"))
 
+    def _setup(self, bound) -> None:
+        self.bound = bound
+
 
 class RankLE(_NatBound):
     __slots__ = ()
@@ -142,31 +152,26 @@ class _Formula(_Node):
     atom, and ``rank`` the largest rank of its ``Cname`` terms' and
     ``InName`` bounds' names, or 0.  All are derived from the field values
     once, when the node is built, the free variables less a quantifier's
-    own variable."""
+    own variable; a node whose free variables are its body's, or both its
+    sides', shares their ``free`` and ``order``."""
 
     __slots__ = ("free", "order", "depth", "rank")
-
-    def _setup(self, *values) -> None:
-        free, depth, rank = set(), 0, 0
-        for v in values:
-            if isinstance(v, _Formula):
-                free |= v.free
-                depth = v.depth if v.depth > depth else depth
-                rank = v.rank if v.rank > rank else rank
-            elif isinstance(v, Var):
-                free.add(v.name)
-            elif isinstance(v, _Named) and v.name.rank > rank:
-                rank = v.name.rank
-        if isinstance(self, _Quantifier):
-            free.discard(self.var)
-        self.free = frozenset(free)
-        self.order = tuple(sorted(free))
-        self.depth, self.rank = depth + 1, rank
 
 
 class _Atom(_Formula):
     __slots__ = ("left", "right")
     _fields = (("left", (Var, Cname)), ("right", (Var, Cname)))
+
+    def _setup(self, left, right) -> None:
+        self.left, self.right, self.depth, self.rank = left, right, 1, 0
+        free = []
+        for t in (left, right):
+            if isinstance(t, Var):
+                free.append(t.name)
+            elif t.name.rank > self.rank:
+                self.rank = t.name.rank
+        self.free = frozenset(free)
+        self.order = tuple(sorted(self.free))
 
 
 class Member(_Atom):
@@ -181,10 +186,24 @@ class Not(_Formula):
     __slots__ = ("body",)
     _fields = (("body", _Formula),)
 
+    def _setup(self, body) -> None:
+        self.body, self.free, self.order = body, body.free, body.order
+        self.depth, self.rank = body.depth + 1, body.rank
+
 
 class _Binary(_Formula):
     __slots__ = ("left", "right")
     _fields = (("left", _Formula), ("right", _Formula))
+
+    def _setup(self, left, right) -> None:
+        self.left, self.right = left, right
+        if left.free == right.free:
+            self.free, self.order = left.free, left.order
+        else:
+            self.free = left.free | right.free
+            self.order = tuple(sorted(self.free))
+        self.depth = max(left.depth, right.depth) + 1
+        self.rank = max(left.rank, right.rank)
 
 
 class And(_Binary):
@@ -203,6 +222,17 @@ class _Quantifier(_Formula):
     __slots__ = ("var", "bound", "body")
     _fields = (("var", str), ("bound", (InName, RankLE, OrdLT)),
                ("body", _Formula))
+
+    def _setup(self, var, bound, body) -> None:
+        self.var, self.bound, self.body = var, bound, body
+        self.free, self.order = body.free, body.order
+        if var in body.free:
+            self.free, order = body.free - {var}, [*body.order]
+            order.remove(var)
+            self.order = tuple(order)
+        self.depth, self.rank = body.depth + 1, body.rank
+        if isinstance(bound, InName) and bound.name.rank > body.rank:
+            self.rank = bound.name.rank
 
 
 class Exists(_Quantifier):

@@ -224,19 +224,39 @@ EXEMPT = (
 )
 
 
+def declared(obj) -> bool:
+    """Does obj, or a class's ``__init__``, carry a ``takes`` declaration?
+    Each declaration marks its wrapper with the kinds, as ``__takes__``."""
+    fn = obj.__init__ if isinstance(obj, type) else obj
+    return isinstance(getattr(fn, "__takes__", None), dict)
+
+
+def undeclared(public: dict) -> list[str]:
+    """The callables of ``public`` that neither declare nor are exempt."""
+    exempt = dict(EXEMPT)
+    return sorted(name for name, obj in public.items()
+                  if not declared(obj) and name not in exempt)
+
+
 def test_every_public_callable_is_declared_or_exempt():
-    # Every declaration's wrapper runs one code object.
-    wrapper = errors.takes()(lambda: None).__code__
-
-    def declared(obj) -> bool:
-        fn = obj.__init__ if isinstance(obj, type) else obj
-        return getattr(fn, "__code__", None) is wrapper
-
     exempt = dict(EXEMPT)
     assert len(exempt) == len(EXEMPT)
-    assert sorted(name for name, obj in PUBLIC.items()
-                  if not declared(obj) and name not in exempt) == []
+    assert undeclared(PUBLIC) == []
     assert sorted(name for name in exempt if declared(PUBLIC[name])) == []
+
+
+def test_an_undeclared_public_callable_is_caught():
+    def planted(x):
+        return x
+
+    class Planted:
+        def __init__(self, x):
+            self.x = x
+
+    plants = {"planted": planted, "Planted": Planted,
+              "kept": errors.takes(x=int)(lambda x: x),
+              "Kept": errors.takes(x=int)(type("Kept", (Planted,), {}))}
+    assert undeclared({**PUBLIC, **plants}) == ["Planted", "planted"]
 
 
 def test_a_refusal_names_the_callable_and_the_parameter():

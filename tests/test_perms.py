@@ -1,17 +1,21 @@
 """Permutations of the naturals: chains, decomposition, name actions."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from forcelab import (
-    Chain, CohenGridPoset, EMPTY_NAME, InvalidInput, MalformedSigma,
+    Chain, Cname, CohenGridPoset, Eq, Exists, Forall, ForceLabError,
+    InName, Member, Not, Or, Var, forces_semantic, forces_syntactic, EMPTY_NAME, InvalidInput, MalformedSigma,
     NotInSubgroup, ONE, Perm, UnknownCondition, act_name,
     check_name, column_support, decompose,
     is_fixed_by_Hn, name_conditions, nat, PName, r_sigma_name,
     sigma_conjugate, transposition, unordered_pair_name, xdot_name,
 )
 from forcelab import perms
+from forcelab.formulas import _Formula
 
 
 def std_chain():
@@ -307,3 +311,105 @@ class TestSigmaConjugate:
     def test_rejects_escaping_bound(self):
         with pytest.raises(MalformedSigma):
             sigma_conjugate({(0, 0), (1, 5)}, 1, 3)
+
+
+# The symmetry lemma on Cohen grids: a permutation pi of a grid's columns
+# is an automorphism of the poset, acting on conditions by
+# ``perms._relabel`` and on names by ``act_name``, so p forces phi exactly
+# when pi(p) forces pi(phi), on either route.
+def column_formulas(grid):
+    """Formulas over the column names x_c and check names of the rows:
+    =, in, not, or, and exists and forall bounded by an ``InName`` of x_c,
+    with one level of quantifier nesting."""
+    cols = [xdot_name(grid, c) for c in range(grid.cols)]
+    consts = [Cname(x) for x in cols] + [Cname(check_name(nat(0)))]
+    atoms = [kind(a, b) for kind in (Member, Eq)
+             for a in consts for b in consts if a is not b]
+    v, w = Var("v"), Var("w")
+    out = atoms + [Not(a) for a in atoms[::3]]
+    out += [Or(a, b) for a, b in zip(atoms[::4], atoms[1::4])]
+    for x, c in itertools.product(cols, consts):
+        for q in (Exists, Forall):
+            out.append(q("v", InName(x), Member(v, c)))
+            out.append(q("v", InName(x), Not(Eq(v, c))))
+    for x, y in itertools.product(cols, cols):
+        out.append(Exists("v", InName(x), Forall(
+            "w", InName(y), Or(Eq(v, w), Member(w, v)))))
+        out.append(Forall("v", InName(x), Exists("w", InName(y), Eq(v, w))))
+    return out
+
+
+def act_on_formula(perm, phi):
+    """pi(phi): the action on the names of phi's constants and bounds."""
+    if isinstance(phi, (Cname, InName)):
+        return type(phi)(act_name(perm, phi.name))
+    if isinstance(phi, _Formula):
+        return type(phi)(*(act_on_formula(perm, v) for v in phi._values()))
+    return phi
+
+
+def column_perms(cols):
+    """Every permutation of the columns but the identity, as a Perm."""
+    for image in itertools.permutations(range(cols)):
+        if image != tuple(range(cols)):
+            seen, cycles = set(), []
+            for c in range(cols):
+                cycle = []
+                while c not in seen and image[c] != c:
+                    seen.add(c)
+                    cycle.append(c)
+                    c = image[c]
+                if cycle:
+                    cycles.append(cycle)
+            yield Perm(cycles)
+
+
+def symmetry_mismatches(grid):
+    """(p, pi, phi, want, got) wherever pi(p) does not decide pi(phi) as p
+    decides phi, an answer or a refusal's code on each route; the number
+    of checks, two per (p, pi, phi); and the answers p got."""
+    conds = list(grid.conditions())
+    formulas = column_formulas(grid)
+
+    def answers(p, phi):
+        try:
+            return (forces_semantic(grid, p, phi),
+                    forces_syntactic(grid, p, phi))
+        except ForceLabError as e:
+            return e.code
+
+    want = {(p, phi): answers(p, phi) for p in conds for phi in formulas}
+    bad, checks = [], 0
+    for perm in column_perms(grid.cols):
+        for phi in formulas:
+            image = act_on_formula(perm, phi)
+            for p in conds:
+                got = answers(perms._relabel(perm, p), image)
+                if got != want[p, phi]:
+                    bad.append((p, perm, phi, want[p, phi], got))
+                checks += 2
+    return bad, checks, set(want.values())
+
+
+@pytest.mark.parametrize("cols, rows, checks", [(2, 2, 8_262),
+                                                (3, 1, 28_080)])
+def test_both_routes_obey_the_symmetry_lemma_on_a_grid(cols, rows, checks):
+    start = time.monotonic()
+    assert symmetry_mismatches(CohenGridPoset(cols, rows)) == \
+        ([], checks, {(True, True), (False, False)})
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+def test_an_action_that_is_no_automorphism_breaks_the_lemma(monkeypatch):
+    # Relabelling only the cells set to 1 is no automorphism: p = {x_0's
+    # row 0 off} forces "x_0 is empty", and its image stays put.
+    def ones_only(perm, cond):
+        if cond is ONE:
+            return ONE
+        return frozenset(((perm.apply(c) if bit else c, r), bit)
+                         for (c, r), bit in cond)
+
+    monkeypatch.setattr(perms, "_relabel", ones_only)
+    bad, _, _ = symmetry_mismatches(CohenGridPoset(3, 1))
+    assert any(type(got) is tuple for *_, got in bad)
